@@ -1,14 +1,11 @@
 #!/usr/bin/env python
-"""Join-kernel benchmark runner: the three evaluation tiers compared.
+"""Join-kernel benchmark runner: the one join path, cold and warm.
 
-Runs the same workloads through the reference interpreter
-(``compiled=False``, the pre-plan `iter_rule_bindings` path), the
-tuple-at-a-time compiled :class:`repro.datalog.plan.JoinPlan` path
-(``compiled=True``), and the columnar batch kernels with per-rule
-generated closures (``compiled="batched"``,
-:mod:`repro.datalog.batch`).  Every tier must produce *identical*
-results (fact sets / diagnosis sets / derivation counts) against the
-interpreted oracle; the report goes to ``BENCH_join_kernel.json``.
+Every bottom-up engine fires rules through
+:meth:`repro.datalog.plan.JoinPlan.fire`, which starts a plan on the
+step interpreter and promotes it to a generated kernel once it is hot.
+This runner times that path and gates on its work counts; the report
+goes to ``BENCH_join_kernel.json``.
 
 Workloads:
 
@@ -18,12 +15,14 @@ Workloads:
   (thousands of tiny rewritten rules; stresses plan caching).
 * ``e6_dqsq``    -- the same scenario under distributed dQSQ.
 
-Each variant runs twice: the first (cold) run pays plan compilation (and
-for the batched tier, source generation), the second (warm) run measures
-steady-state throughput, which is what the acceptance target compares.
-Timings are reported but never gated; the runner exits non-zero only
-when *any* tier diverges from the interpreted oracle -- with or without
-``--smoke``.
+Each workload runs ``REPEATS`` rounds of one *cold* run (the shared plan
+cache is cleared first, so the run pays plan compilation and the
+promotion of its hot plans) and one *warm* run right after it (plans and
+kernels cached); the report carries the median and the min-max spread
+of each.  Timings
+are reported but never gated; the runner exits non-zero only when a
+derivation or fact count differs from the recorded one -- with or
+without ``--smoke``.
 
 The runner also validates the static cost model (:mod:`repro.datalog.cost`)
 against reality: for tc_chain and the e6 diagnosis program it compares each
@@ -42,20 +41,26 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 from repro.datalog import Const, parse_program
 from repro.datalog.cost import CostModel, estimate_rule
 from repro.datalog.database import Database
-from repro.datalog.plan import (PlanStats, clear_plan_cache,
-                                compile_join_plan, plan_cache_evictions,
-                                plan_cache_size)
+from repro.datalog.plan import (KERNEL_AFTER_BINDINGS, PlanStats,
+                                clear_plan_cache, compile_join_plan,
+                                plan_cache_evictions, plan_cache_size)
 from repro.datalog.seminaive import EvaluationBudget, SemiNaiveEvaluator
 from repro.diagnosis import DatalogDiagnosisEngine
 from repro.diagnosis.supervisor import SupervisorEncoder
 from repro.petri.generators import TelecomSpec, telecom_net
+from repro.utils.counters import Counters
 from repro.workloads.alarmgen import simulate_alarms
 
 TC_PROGRAM = """
@@ -66,8 +71,17 @@ path(X, Z) :- path(X, Y), edge(Y, Z).
 EDGE = ("edge", None)
 PATH = ("path", None)
 
-#: (report label, compiled knob) per tier; "interpreted" is the oracle
-TIERS = (("interpreted", False), ("compiled", True), ("batched", "batched"))
+REPEATS = 5
+
+#: (derivations, facts materialized) per workload at full and smoke
+#: sizes, as the interpreted oracle of the three-tier runner recorded
+#: them; executor choice must not move either
+EXPECTED = {
+    False: {"tc_chain": (32979, 28680), "e6_qsq": (12792, 7901),
+            "e6_dqsq": (12998, 7888)},
+    True: {"tc_chain": (2054, 1770), "e6_qsq": (694, 491),
+           "e6_dqsq": (687, 482)},
+}
 
 
 def _tc_database(nodes: int) -> Database:
@@ -80,117 +94,95 @@ def _tc_database(nodes: int) -> Database:
     return db
 
 
-def _measure(run_once):
-    """Cold run then warm run; returns (cold_s, warm_s, result)."""
-    t0 = time.perf_counter()
-    cold_result = run_once()
-    cold = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    warm_result = run_once()
-    warm = time.perf_counter() - t0
-    return cold, warm, cold_result, warm_result
+def _summary(seconds: list[float]) -> dict:
+    return {"median_s": round(statistics.median(seconds), 6),
+            "min_s": round(min(seconds), 6),
+            "max_s": round(max(seconds), 6)}
 
 
-def bench_tc(nodes: int) -> dict:
+def tc_workload(nodes: int) -> tuple[str, dict, Callable[[], Counters]]:
     program = parse_program(TC_PROGRAM)
 
-    def runner(compiled):
-        def run_once():
-            db = _tc_database(nodes)
-            evaluator = SemiNaiveEvaluator(program, compiled=compiled)
-            evaluator.run(db)
-            return {
-                "answers": frozenset(db.facts(PATH)),
-                "derivations": evaluator.counters["derivations"],
-                "facts": evaluator.counters["facts_materialized"],
-                "peak_facts": db.total_facts(),
-            }
-        return run_once
-
-    clear_plan_cache()
-    report = {"name": "tc_chain", "params": {"nodes": nodes}}
-    _run_tiers(report, runner)
-    _finish(report)
-    return report
+    def run_once():
+        evaluator = SemiNaiveEvaluator(program)
+        evaluator.run(_tc_database(nodes))
+        return evaluator.counters
+    return "tc_chain", {"nodes": nodes}, run_once
 
 
-def bench_e6(mode: str, steps: int) -> dict:
+def e6_workload(mode: str, steps: int) -> tuple[str, dict,
+                                                 Callable[[], Counters]]:
     spec = TelecomSpec(peers=2, ring_length=3, branching=0.3,
                        topology="chain", seed=21)
     petri = telecom_net(spec)
     alarms = simulate_alarms(petri, steps=steps, seed=21)
 
-    def runner(compiled):
-        def run_once():
-            engine = DatalogDiagnosisEngine(petri, mode=mode, compiled=compiled)
-            result = engine.diagnose(alarms)
-            return {
-                "answers": frozenset(result.diagnoses),
-                "derivations": result.counters["derivations"],
-                "facts": result.counters["facts_materialized"],
-                "peak_facts": result.counters["facts_materialized"],
-            }
-        return run_once
-
-    clear_plan_cache()
-    report = {"name": f"e6_{mode}", "params": {"steps": steps,
-                                               "alarms": len(alarms)}}
-    _run_tiers(report, runner)
-    _finish(report)
-    return report
+    def run_once():
+        return DatalogDiagnosisEngine(petri, mode=mode).diagnose(
+            alarms).counters
+    return f"e6_{mode}", {"steps": steps, "alarms": len(alarms)}, run_once
 
 
-def _run_tiers(report: dict, runner) -> None:
-    """Run every tier, record per-variant stats and the equivalence bit.
+def bench(workloads: list, smoke: bool) -> list:
+    """``REPEATS`` rounds of, per workload, a cold run and a warm run."""
+    times = {name: {"cold": [], "warm": []} for name, _, _ in workloads}
+    counts = {name: set() for name, _, _ in workloads}
+    cold_counters = {}
+    for _ in range(REPEATS):
+        for name, _params, run_once in workloads:
+            clear_plan_cache()
+            for temperature in ("cold", "warm"):
+                t0 = time.perf_counter()
+                counters = run_once()
+                times[name][temperature].append(time.perf_counter() - t0)
+                counts[name].add((counters["derivations"],
+                                  counters["facts_materialized"]))
+                if temperature == "cold":
+                    cold_counters[name] = counters
+    reports = []
+    for name, params, _run_once in workloads:
+        derivations = cold_counters[name]["derivations"]
+        facts = cold_counters[name]["facts_materialized"]
+        report = {
+            "name": name, "params": params,
+            "cold": _summary(times[name]["cold"]),
+            "warm": _summary(times[name]["warm"]),
+            "derivations": derivations, "facts_materialized": facts,
+            "plan.promotions": cold_counters[name]["plan.promotions"],
+            "counts_ok": counts[name] == {EXPECTED[smoke][name]},
+        }
+        warm = report["warm"]["median_s"]
+        report["derivations_per_sec"] = round(derivations / warm, 1)
+        status = ("OK" if report["counts_ok"]
+                  else f"COUNT MISMATCH {sorted(counts[name])}")
+        print(f"{name:12s} cold={report['cold']['median_s']:.3f}s "
+              f"warm={warm:.3f}s derivs={derivations} facts={facts} "
+              f"[{status}]")
+        reports.append(report)
+    return reports
 
-    Equivalence is judged against the interpreted oracle on both the
-    answer set and the derivation count (the tiers must explore the
-    same bindings, not merely reach the same fixpoint).
-    """
-    results = {}
-    for label, compiled in TIERS:
-        cold, warm, first, second = _measure(runner(compiled))
-        results[label] = first
-        report[label] = _variant_report(cold, warm, first)
-    oracle = results["interpreted"]
-    report["equivalent"] = all(
-        results[label]["answers"] == oracle["answers"]
-        and results[label]["derivations"] == oracle["derivations"]
-        for label, _compiled in TIERS[1:])
 
+def _fingerprint() -> dict:
+    root = Path(__file__).resolve().parent.parent
 
-def _variant_report(cold: float, warm: float, result: dict) -> dict:
-    derivations = result["derivations"]
-    facts = result["facts"]
-    return {
-        "cold_s": round(cold, 6),
-        "warm_s": round(warm, 6),
-        "derivations": derivations,
-        "facts_materialized": facts,
-        "peak_facts": result["peak_facts"],
-        "derivations_per_sec": round(derivations / warm, 1) if warm else None,
-        "facts_per_sec": round(facts / warm, 1) if warm else None,
-    }
-
-
-def _finish(report: dict) -> None:
-    interp, comp = report["interpreted"], report["compiled"]
-    batched = report["batched"]
-    report["speedup_cold"] = round(interp["cold_s"] / comp["cold_s"], 3)
-    report["speedup_warm"] = round(interp["warm_s"] / comp["warm_s"], 3)
-    # The batched tier's speedups are measured against the *compiled*
-    # tier -- the PR-2 baseline it replaces -- and mirrored inside its
-    # own block (the acceptance criterion reads it there).
-    batched["speedup_cold"] = round(comp["cold_s"] / batched["cold_s"], 3)
-    batched["speedup_warm"] = round(comp["warm_s"] / batched["warm_s"], 3)
-    report["speedup_warm_batched"] = batched["speedup_warm"]
-    status = "OK" if report["equivalent"] else "MISMATCH"
-    print(f"{report['name']:12s} interp={interp['warm_s']:.3f}s "
-          f"compiled={comp['warm_s']:.3f}s "
-          f"batched={batched['warm_s']:.3f}s "
-          f"speedup warm={report['speedup_warm']:.2f}x "
-          f"batched/compiled={batched['speedup_warm']:.2f}x "
-          f"derivs={comp['derivations']} [{status}]")
+    def git(*args: str) -> str | None:
+        try:
+            return subprocess.run(["git", *args], cwd=root, check=True,
+                                  capture_output=True,
+                                  text=True).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            return None
+    return {"cpus": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+            "commit": git("rev-parse", "HEAD"),
+            # src/ as staged, so a run made before the commit still names
+            # its code: equals `git rev-parse <that commit>:src`
+            "src_tree": git("write-tree", "--prefix=src/"),
+            # src/ files that differ from what src_tree names
+            "unstaged": (git("ls-files", "--modified", "--others",
+                             "--exclude-standard", "--", "src")
+                         or "").split()}
 
 
 # -- cost-model validation ----------------------------------------------------
@@ -362,11 +354,9 @@ def main(argv=None) -> int:
 
     workloads = []
     if not args.cost_only:
-        workloads = [
-            bench_tc(nodes),
-            bench_e6("qsq", steps),
-            bench_e6("dqsq", steps),
-        ]
+        workloads = bench([tc_workload(nodes), e6_workload("qsq", steps),
+                           e6_workload("dqsq", steps)],
+                          args.smoke)
 
     cost_validation = [
         cost_validate_tc(nodes),
@@ -376,6 +366,9 @@ def main(argv=None) -> int:
     payload = {
         "benchmark": "join_kernel",
         "smoke": args.smoke,
+        "fingerprint": _fingerprint(),
+        "repeats": REPEATS,
+        "kernel_after_bindings": KERNEL_AFTER_BINDINGS,
         "plan_cache_size": plan_cache_size(),
         "plan_cache_evictions": plan_cache_evictions(),
         "workloads": workloads,
@@ -384,10 +377,9 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
 
-    failures = [w["name"] for w in workloads if not w["equivalent"]]
+    failures = [w["name"] for w in workloads if not w["counts_ok"]]
     if failures:
-        print(f"EQUIVALENCE MISMATCH in: {', '.join(failures)}",
-              file=sys.stderr)
+        print(f"COUNT MISMATCH in: {', '.join(failures)}", file=sys.stderr)
         return 1
     rank_failures = [c["name"] for c in cost_validation
                      if not c["ranking_ok"]]

@@ -20,10 +20,7 @@ Run configuration is consolidated in :class:`RunConfig`::
 
 ``transport="sim"`` (default) evaluates on the deterministic simulator;
 ``transport="mp"`` runs each peer in its own OS process (see
-:mod:`repro.distributed.mp`).  The pre-PR-6 scattered keyword arguments
-(``options=``, ``budget=``, ``use_termination_detector=``, ...) still
-work for one release behind :class:`repro.errors.ReproDeprecationWarning`
-shims that fold them into a ``RunConfig``.
+:mod:`repro.distributed.mp`).
 
 The concrete result types differ per solver (they carry solver-specific
 extras such as the product branching process or per-peer databases),
@@ -34,8 +31,7 @@ only need diagnoses and instrumentation can treat them uniformly.
 from __future__ import annotations
 
 import enum
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Protocol, runtime_checkable
 
 from repro.datalog.cost import CostBudget
@@ -48,7 +44,7 @@ from repro.diagnosis.problem import DiagnosisSet
 from repro.diagnosis.supervisor import SUPERVISOR
 from repro.distributed.network import NetworkOptions
 from repro.distributed.transport import TransportRuntime
-from repro.errors import DiagnosisError, ReproDeprecationWarning
+from repro.errors import DiagnosisError
 from repro.petri.net import PetriNet
 from repro.utils.counters import Counters
 
@@ -101,11 +97,6 @@ class RunConfig:
     transport: str | TransportRuntime = "sim"
     #: optional :class:`repro.distributed.mp.MpConfig` for ``"mp"``
     mp: Any = None
-    #: Datalog evaluation tier: ``False`` (reference interpreter, the
-    #: equivalence oracle), ``True`` (tuple-at-a-time compiled plans,
-    #: default) or ``"batched"`` (columnar batch kernels with per-rule
-    #: generated closures -- see :mod:`repro.datalog.batch`)
-    compiled: bool | str = True
     #: the supervisor peer that poses the diagnosis query
     supervisor: str = SUPERVISOR
     #: run the Dijkstra-Scholten detector alongside the evaluation
@@ -158,39 +149,15 @@ class DiagnosisOutcome(Protocol):
     def peer_report(self) -> dict[str, dict[str, int | bool]] | None: ...
 
 
-_MISSING = object()
-
-
 def diagnose(petri: PetriNet, alarms: AlarmSequence,
              method: DiagnosisMethod | str = DiagnosisMethod.DQSQ, *,
-             config: RunConfig | None = None,
-             budget: Any = _MISSING,
-             options: Any = _MISSING,
-             supervisor: Any = _MISSING,
-             use_termination_detector: Any = _MISSING,
-             hidden: Any = _MISSING,
-             hidden_budget: Any = _MISSING,
-             max_events: Any = _MISSING) -> DiagnosisOutcome:
+             config: RunConfig | None = None) -> DiagnosisOutcome:
     """Diagnose ``alarms`` against ``petri`` with the chosen solver.
 
-    Configuration lives in ``config`` (a :class:`RunConfig`); the
-    individual keyword arguments are the pre-PR-6 surface, kept working
-    for one release behind :class:`~repro.errors.ReproDeprecationWarning`
-    shims that fold them into an equivalent ``RunConfig``.  Passing a
+    Configuration lives in ``config`` (a :class:`RunConfig`).  Setting a
     knob the chosen solver does not consume is harmless.
     """
     method = DiagnosisMethod.coerce(method)
-    legacy = {name: value for name, value in [
-        ("budget", budget), ("options", options), ("supervisor", supervisor),
-        ("use_termination_detector", use_termination_detector),
-        ("hidden", hidden), ("hidden_budget", hidden_budget),
-        ("max_events", max_events)] if value is not _MISSING}
-    if legacy:
-        warnings.warn(
-            f"diagnose(..., {', '.join(sorted(legacy))}=...) is deprecated; "
-            f"pass repro.RunConfig({', '.join(sorted(legacy))}=...) as "
-            f"config= instead", ReproDeprecationWarning, stacklevel=2)
-        config = replace(config or RunConfig(), **legacy)
     config = config or RunConfig()
 
     if method in (DiagnosisMethod.DQSQ, DiagnosisMethod.QSQ,
@@ -200,7 +167,6 @@ def diagnose(petri: PetriNet, alarms: AlarmSequence,
             supervisor=config.supervisor, budget=config.budget,
             options=config.options,
             use_termination_detector=config.use_termination_detector,
-            compiled=config.compiled,
             transport=config.transport, mp_config=config.mp,
             cost_budget=config.cost_budget)
         return engine.diagnose(alarms)

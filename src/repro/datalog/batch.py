@@ -1,23 +1,22 @@
-"""Batched columnar join kernels: per-plan generated closures.
+"""Generated join kernels: one specialized closure per hot plan.
 
-The compiled :class:`~repro.datalog.plan.JoinPlan` (PR 2) still binds
-one tuple at a time: every candidate fact pays an iterator-stack round
-trip, a ``run_fact_ops`` dispatch per position and a ``run_builder``
-walk per head argument.  This module is the third evaluation tier
-(``compiled="batched"``): for each plan it *generates Python source*
-specialized to that rule -- the nested join loops are unrolled over the
+The step interpreter (:meth:`~repro.datalog.plan.JoinPlan.bindings`)
+binds one tuple at a time: every candidate fact pays an iterator-stack
+round trip, a ``run_fact_ops`` dispatch per position and a
+``run_builder`` walk per head argument.  For a plan that has shown it is
+hot, :meth:`~repro.datalog.plan.JoinPlan.fire` calls
+:func:`compile_batched_kernel`, which *generates Python source*
+specialized to that rule: the nested join loops are unrolled over the
 plan's steps, slot reads/writes become local variables, constants and
-index keys are baked into the closure's environment, and the per-round
-hash indices are bound once per batch (``dict.get`` hoisted out of the
-probe loop) instead of re-entered per candidate binding.
+index keys are baked into the closure's environment, and the hash
+indices are bound once per firing (``dict.get`` hoisted out of the probe
+loop) instead of re-entered per candidate binding.
 
-Semi-naive deltas travel as :class:`Batch` -- parallel columns of
-interned terms plus an explicit length (so zero-arity relations keep
-their count).  The delta step of a kernel iterates ``zip(*columns)``
-directly; every derived head lands in a plain output list via a bound
-``list.append``.
+Deltas are row lists: the delta step iterates the list with the rule's
+slots as tuple-unpacking loop targets, and every derived head lands in
+a plain output list via a bound ``list.append``.
 
-The generated code preserves the interpreted semantics exactly:
+The generated code preserves the step interpreter's semantics exactly:
 
 * term comparison is ``a is b or a == b`` -- identity first (terms are
   hash-consed), equality as the fallback, same as ``run_term_match``;
@@ -25,11 +24,9 @@ The generated code preserves the interpreted semantics exactly:
   triple check as the ``"f"`` match op;
 * negated atoms test set membership against the live fact set;
 * inequality checks run at the step where the plan scheduled them;
-* stats counters (bindings explored, index hits/misses, scans) are
-  accumulated in locals and merged into :class:`PlanStats` per batch.
-
-``compiled=False`` remains the executable specification; the property
-suite runs all three tiers to identical fixpoints.
+* rows come out in the same order, and the stats counters (bindings
+  explored, index hits/misses, scans) are accumulated in locals and
+  returned for the caller to merge into :class:`PlanStats`.
 """
 
 from __future__ import annotations
@@ -40,64 +37,12 @@ from repro.datalog.term import Func, Term
 
 if TYPE_CHECKING:
     from repro.datalog.database import Database, Fact
-    from repro.datalog.plan import JoinPlan, PlanStats
+    from repro.datalog.plan import JoinPlan
 
     Kernel = Callable[
-        ["Database", "Batch | None", "Database", Callable[["Fact"], None]],
+        ["Database", "Sequence[Fact] | None", "Database",
+         Callable[["Fact"], None]],
         tuple[int, int, int, int, int]]
-
-
-class Batch:
-    """A columnar block of ground facts: parallel term columns + length.
-
-    The explicit ``length`` is load-bearing for zero-arity relations
-    (propositional facts), whose delta would otherwise be invisible.
-    Columns are parallel lists over interned terms, so column equality
-    checks inside the kernels are (almost always) pointer comparisons.
-    """
-
-    __slots__ = ("arity", "columns", "length")
-
-    def __init__(self, arity: int,
-                 columns: tuple[list[Term], ...] | None = None,
-                 length: int = 0) -> None:
-        if columns is None:
-            columns = tuple([] for _ in range(arity))
-            length = 0
-        self.arity = arity
-        self.columns = columns
-        self.length = length
-
-    @classmethod
-    def from_rows(cls, rows: Sequence["Fact"],
-                  arity: int | None = None) -> "Batch":
-        """Transpose a row-major fact list into a columnar batch."""
-        if not rows:
-            return cls(arity if arity is not None else 0)
-        width = len(rows[0]) if arity is None else arity
-        if width == 0:
-            return cls(0, (), len(rows))
-        return cls(width, tuple(list(col) for col in zip(*rows)), len(rows))
-
-    def rows(self) -> list["Fact"]:
-        """The row-major view (used at batch boundaries, not in joins)."""
-        if self.arity == 0:
-            return [()] * self.length
-        return cast("list[Fact]", list(zip(*self.columns)))
-
-    def extend(self, other: "Batch") -> None:
-        for column, more in zip(self.columns, other.columns):
-            column.extend(more)
-        self.length += other.length
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __bool__(self) -> bool:
-        return self.length > 0
-
-    def __repr__(self) -> str:
-        return f"Batch(arity={self.arity}, length={self.length})"
 
 
 # -- code generation ------------------------------------------------------------
@@ -215,7 +160,8 @@ def _ground_value(builder: tuple) -> Term:
     return Func(builder[1], tuple(_ground_value(b) for b in builder[2]))
 
 
-def _never_kernel(db: "Database", batch: "Batch | None", neg: "Database",
+def _never_kernel(db: "Database", batch: "Sequence[Fact] | None",
+                  neg: "Database",
                   out_append: Callable[["Fact"], None],
                   ) -> tuple[int, int, int, int, int]:
     """Kernel for plans whose variable-free inequalities cannot hold."""
@@ -226,13 +172,13 @@ _RETURN = "return (explored, hits, misses, fulls, deltas)"
 
 
 def compile_batched_kernel(plan: "JoinPlan") -> "Kernel":
-    """Generate the specialized batch kernel for one compiled plan.
+    """Generate the specialized kernel for one compiled plan.
 
     The kernel signature is ``kernel(db, batch, neg, out_append)`` and it
     returns the stats quintuple ``(bindings_explored, index_hits,
-    index_misses, full_scans, delta_scans)``.  ``batch`` is only read
-    when the plan has a delta step (and the caller guarantees it is a
-    non-empty :class:`Batch` in that case).
+    index_misses, full_scans, delta_scans)``.  ``batch`` is the delta row
+    list; it is only read when the plan has a delta step (and the caller
+    guarantees it is non-empty in that case).
     """
     # Variable-free inequalities are decidable now: a violated one means
     # the rule can never fire, so the kernel is a constant.
@@ -244,11 +190,11 @@ def compile_batched_kernel(plan: "JoinPlan") -> "Kernel":
     em.emit(1, "explored = 0; hits = 0; misses = 0; fulls = 0; deltas = 0")
 
     steps = plan.steps
-    # Hoist per-batch invariants: one live index dict (.get bound) per
+    # Hoist per-firing invariants: one live index dict (.get bound) per
     # probed (relation, positions) pair, the fact lists of full scans,
     # and the fact sets backing negated-atom checks.  The database does
     # not change during a kernel run (derived heads are buffered by the
-    # caller), so these are loop invariants of the whole batch.
+    # caller), so these are loop invariants of the whole firing.
     for d, step in enumerate(steps):
         if step.use_delta:
             continue
@@ -268,8 +214,7 @@ def compile_batched_kernel(plan: "JoinPlan") -> "Kernel":
         fail = "continue" if d > 0 else _RETURN
         if step.use_delta:
             em.emit(indent, "deltas += 1")
-            em.emit(indent, "explored += batch.length")
-            arity = len(step.scan_ops)
+            em.emit(indent, "explored += len(batch)")
             targets: list[str] = []
             guarded: list[tuple] = []
             for op in step.scan_ops:
@@ -278,13 +223,10 @@ def compile_batched_kernel(plan: "JoinPlan") -> "Kernel":
                 else:
                     targets.append(f"t{d}_{op[1]}")
                     guarded.append(op)
-            if arity == 0:
-                em.emit(indent, "for _ in range(batch.length):")
-            elif arity == 1:
-                em.emit(indent, f"for {targets[0]} in batch.columns[0]:")
+            if not targets:
+                em.emit(indent, "for _ in batch:")
             else:
-                cols = ", ".join(f"batch.columns[{i}]" for i in range(arity))
-                em.emit(indent, f"for {', '.join(targets)} in zip({cols}):")
+                em.emit(indent, f"for ({', '.join(targets)},) in batch:")
             indent += 1
             _emit_fact_ops(em, indent, tuple(guarded),
                            lambda i, d=d: f"t{d}_{i}", "continue")
@@ -326,34 +268,3 @@ def compile_batched_kernel(plan: "JoinPlan") -> "Kernel":
     namespace: dict[str, object] = dict(em.env)
     exec(code, namespace)  # noqa: S102 -- trusted, plan-derived source
     return cast("Kernel", namespace["_kernel"])
-
-
-# -- execution ------------------------------------------------------------------
-
-
-def fire_batched(plan: "JoinPlan", db: "Database", delta: "Batch | None",
-                 stats: "PlanStats | None" = None,
-                 neg_db: "Database | None" = None) -> list["Fact"]:
-    """Run a plan's generated kernel over a columnar delta batch.
-
-    Returns every derived head tuple (duplicates included -- the caller
-    owns deduplication, budget pruning and insertion, exactly as with
-    :meth:`JoinPlan.bindings`).  Kernels compile lazily on first use and
-    are cached on the plan, so the shared plan cache amortizes codegen.
-    """
-    kernel = cast("Kernel | None", plan.batched_kernel)
-    if kernel is None:
-        kernel = compile_batched_kernel(plan)
-        plan.batched_kernel = kernel
-    if plan.delta_position is not None and (delta is None or delta.length == 0):
-        return []
-    out: list["Fact"] = []
-    explored, hits, misses, fulls, deltas = kernel(
-        db, delta, neg_db if neg_db is not None else db, out.append)
-    if stats is not None:
-        stats.bindings_explored += explored
-        stats.index_hits += hits
-        stats.index_misses += misses
-        stats.full_scans += fulls
-        stats.delta_scans += deltas
-    return out

@@ -12,7 +12,6 @@ from collections import defaultdict
 from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from repro.datalog.atom import Atom
-from repro.datalog.batch import Batch
 from repro.datalog.term import Term, Var, is_ground
 
 Fact = tuple[Term, ...]
@@ -52,8 +51,8 @@ class Database:
     def add_ground(self, key: RelationKey, tup: Fact) -> bool:
         """Insert a fact the caller guarantees is an already-ground tuple.
 
-        The compiled join plans build head tuples from ground slot values,
-        so re-validating each term would only re-walk terms known ground;
+        Join plans build head tuples from ground slot values, so
+        re-validating each term would only re-walk terms known ground;
         this is the trusted fast path (the validating :meth:`add` wraps it).
         """
         store = self._facts[key]
@@ -87,37 +86,16 @@ class Database:
         """
         if not assume_ground:
             return sum(1 for f in facts if self.add(key, f))
-        store = self._facts[key]
-        ordered = self._ordered[key]
-        registry = self._indices.get(key)
-        log = self._change_log
-        added = 0
-        for fact in facts:
-            tup = tuple(fact)
-            if tup in store:
-                continue
-            store.add(tup)
-            ordered.append(tup)
-            log.append(key)
-            added += 1
-            if registry:
-                for positions, index in registry.items():
-                    index_key = tuple(tup[i] for i in positions)
-                    index.setdefault(index_key, []).append(tup)
-        self._size += added
-        return added
+        return len(self.add_batch(key, facts))
 
-    def add_batch(self, key: RelationKey, rows: Iterable[Fact],
-                  arity: int | None = None) -> Batch:
-        """Bulk-insert already-ground rows; returns the new facts columnar.
+    def add_batch(self, key: RelationKey,
+                  rows: Iterable[Sequence[Term]]) -> list[Fact]:
+        """Bulk-insert already-ground rows; returns the new facts in order.
 
-        The workhorse of the batched evaluation tier: one call inserts a
-        whole derived block (indices and the change log maintained
-        incrementally, exactly as :meth:`add_ground` would) and hands
-        back the *genuinely new* facts as a :class:`Batch` -- which is
-        the next semi-naive delta, already in the kernels' columnar
-        layout.  ``arity`` disambiguates the batch shape when every row
-        was a duplicate (the rows themselves then carry no width).
+        One call inserts a whole derived block (indices and the change
+        log maintained incrementally, exactly as :meth:`add_ground`
+        would) and hands back the *genuinely new* facts -- which is the
+        next semi-naive delta.
         """
         store = self._facts[key]
         ordered = self._ordered[key]
@@ -137,7 +115,7 @@ class Database:
                     index_key = tuple(tup[i] for i in positions)
                     index.setdefault(index_key, []).append(tup)
         self._size += len(fresh)
-        return Batch.from_rows(fresh, arity=arity)
+        return fresh
 
     # -- lookup -----------------------------------------------------------
 
@@ -205,10 +183,10 @@ class Database:
                   ) -> dict[tuple[Term, ...], list[Fact]]:
         """The live hash index over ``positions`` (built on first use).
 
-        Exposed for the batched join kernels, which bind the returned
-        dict's ``.get`` once per batch -- one hash-table acquisition per
-        (relation, key-positions) pair per iteration -- instead of going
-        through :meth:`index_lookup` per probe.  The dict is maintained
+        Exposed for the generated join kernels, which bind the returned
+        dict's ``.get`` once per firing -- one hash-table acquisition per
+        (relation, key-positions) pair -- instead of going through
+        :meth:`index_lookup` per probe.  The dict is maintained
         incrementally by inserts, so callers must not mutate it.
         """
         return self._index(key, positions)
@@ -216,7 +194,7 @@ class Database:
     def fact_set(self, key: RelationKey) -> AbstractSet[Fact]:
         """The relation's fact set (shared, read-only; empty if absent).
 
-        Batched kernels hoist this once per batch for negated-atom
+        Generated kernels hoist this once per firing for negated-atom
         membership tests (``contains`` per binding would re-pay the
         method call and the defaultdict lookup).
         """

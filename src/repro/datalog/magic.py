@@ -136,7 +136,6 @@ def _rewrite_rule(rule: Rule, adornment: Adornment, idb: set,
 
 def magic_evaluate(program: Program, query: Query, db: Database | None = None,
                    budget: EvaluationBudget | None = None,
-                   compiled: bool | str = True,
                    check: bool = True) -> tuple[set[Fact], Counters, Database]:
     """Rewrite with Magic Sets and evaluate semi-naively; returns answers."""
     if check:
@@ -149,8 +148,7 @@ def magic_evaluate(program: Program, query: Query, db: Database | None = None,
     if rewriting.seed is not None:
         work_db.add_atom(rewriting.seed)
     # The rewriting is machine-generated from an already-checked program.
-    evaluator = SemiNaiveEvaluator(rewriting.program, budget, compiled=compiled,
-                                   check=False)
+    evaluator = SemiNaiveEvaluator(rewriting.program, budget, check=False)
     evaluator.run(work_db)
     answers = select(work_db, rewriting.answer_atom)
     counters = Counters()

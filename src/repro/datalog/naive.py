@@ -17,35 +17,26 @@ from collections import deque
 from typing import Sequence
 
 from repro.datalog.atom import Atom
-from repro.datalog.batch import fire_batched
 from repro.datalog.database import Database, Fact, RelationKey
-from repro.datalog.evalutil import derive_head, iter_rule_bindings
-from repro.datalog.plan import PlanStats, coerce_compiled, plan_for
 from repro.datalog.rule import Program, Query, Rule
-from repro.datalog.seminaive import EvaluationBudget
+from repro.datalog.seminaive import EvaluationBudget, RuleFirer
 from repro.datalog.unify import match_tuple
 from repro.errors import BudgetExceeded
-from repro.utils.counters import Counters
 
 
-class NaiveEvaluator:
+class NaiveEvaluator(RuleFirer):
     """Evaluates a program bottom-up, restricted to query-reachable rules."""
 
     def __init__(self, program: Program,
                  budget: EvaluationBudget | None = None,
-                 compiled: bool | str = True, check: bool = True) -> None:
+                 check: bool = True) -> None:
+        super().__init__(budget)
         self.program = program
-        self.budget = budget or EvaluationBudget()
-        self.counters = Counters()
-        self.compiled = coerce_compiled(compiled)
         if check:
             from repro.datalog.analysis import check_program
             check_program(program, context="naive",
                           depth_bounded=self.budget.max_term_depth is not None,
                           counters=self.counters)
-        self._plan_stats = PlanStats()
-        #: id-keyed plan map (see repro.datalog.plan.plan_for)
-        self._plans: dict = {}
 
     def run(self, db: Database, query: Query | None = None) -> Database:
         """Evaluate to fixpoint in place; returns ``db`` for convenience.
@@ -64,81 +55,11 @@ class NaiveEvaluator:
                 raise BudgetExceeded("iterations", self.budget.max_iterations)
             changed = False
             for rule in rules:
-                if self._fire(rule, db):
+                if self._derive(rule, db):
                     changed = True
         self.counters.add("iterations", iterations)
-        self._plan_stats.flush_into(self.counters)
+        self.flush_stats()
         return db
-
-    def flush_stats(self) -> None:
-        """Flush pending plan counters into :attr:`counters` (idempotent)."""
-        self._plan_stats.flush_into(self.counters)
-
-    def _fire(self, rule: Rule, db: Database) -> bool:
-        # Buffer then insert: see SemiNaiveEvaluator._fire.
-        changed = False
-        if self.compiled == "batched":
-            plan = plan_for(self._plans, self._plan_stats, rule, None)
-            rows = fire_batched(plan, db, None, stats=self._plan_stats)
-            if not rows:
-                return False
-            self.counters.add("derivations", len(rows))
-            if self.budget.max_term_depth is not None:
-                kept: list[Fact] = []
-                prunes = 0
-                for args in rows:
-                    if self.budget.prunes_fact(args):
-                        prunes += 1
-                    else:
-                        kept.append(args)
-                if prunes:
-                    self.counters.add("pruned_deep_facts", prunes)
-                rows = kept
-            added = db.add_batch(plan.head_key, rows).length
-            if added:
-                self.counters.add("facts_materialized", added)
-                if db.total_facts() > self.budget.max_facts:
-                    raise BudgetExceeded("facts", self.budget.max_facts)
-            return added > 0
-        if self.compiled:
-            plan = plan_for(self._plans, self._plan_stats, rule, None)
-            derived_facts: list[Fact] = []
-            derivations = 0
-            prunes = 0
-            for slots in plan.bindings(db, stats=self._plan_stats):
-                args = plan.head_args(slots)
-                derivations += 1
-                if self.budget.prunes_fact(args):
-                    prunes += 1
-                    continue
-                derived_facts.append(args)
-            if derivations:
-                self.counters.add("derivations", derivations)
-            if prunes:
-                self.counters.add("pruned_deep_facts", prunes)
-            key = plan.head_key
-            for args in derived_facts:
-                if db.add_ground(key, args):
-                    self.counters.add("facts_materialized")
-                    changed = True
-                    if db.total_facts() > self.budget.max_facts:
-                        raise BudgetExceeded("facts", self.budget.max_facts)
-            return changed
-        derived: list[Atom] = []
-        for binding in iter_rule_bindings(rule, db):
-            head = derive_head(rule, binding)
-            self.counters.add("derivations")
-            if self.budget.prunes_atom(head):
-                self.counters.add("pruned_deep_facts")
-                continue
-            derived.append(head)
-        for head in derived:
-            if db.add_atom(head):
-                self.counters.add("facts_materialized")
-                changed = True
-                if db.total_facts() > self.budget.max_facts:
-                    raise BudgetExceeded("facts", self.budget.max_facts)
-        return changed
 
     def answers(self, db: Database, query: Query) -> set[Fact]:
         """Evaluate and return the facts matching the query atom."""

@@ -1,37 +1,36 @@
-"""Compiled join plans: the bottom-up evaluators' hot path.
+"""Join plans: the one join IR of every bottom-up engine.
 
-``iter_rule_bindings`` (:mod:`repro.datalog.evalutil`) is a clean
-recursive interpreter, but it re-derives the bound index positions of
-every body atom on every call, copies a ``dict`` binding per candidate
-fact and re-walks pattern terms with generic matching.  Every solver in
-this reproduction -- semi-naive, QSQ/magic (rewritings evaluated
-semi-naively), dQSQ (incremental evaluators at each peer) and QSQR --
-funnels through that join, so this module compiles each :class:`Rule`
-once into a :class:`JoinPlan`:
+Semi-naive, QSQ/magic (rewritings evaluated semi-naively), dQSQ
+(incremental evaluators at each peer), naive and stratified evaluation
+all funnel through one join, so each :class:`Rule` is compiled once into
+a :class:`JoinPlan`:
 
 * variables get integer **slots**; a binding is a flat list, extended in
   place (no copying: a slot written at step *k* is only ever read at
   steps >= *k*, so re-running step *k* overwrites before any read);
 * each body atom becomes a :class:`JoinStep` with the **index positions
   precomputed** (constants, already-bound variables, and function terms
-  whose variables are all bound -- the last is *more* selective than the
-  interpreter, which only indexes structurally ground arguments);
+  whose variables are all bound);
 * the body is **reordered most-bound-first** (greedy, ties broken by the
   written order); the semi-naive delta atom is pinned first;
 * the **inequality schedule is baked in** at compile time (the earliest
   step after which both sides are ground), as are the negated-atom
   checks and the head-tuple builders.
 
+Engines differ in what they schedule, never in how a join runs: they all
+call :meth:`JoinPlan.fire`.  A plan starts on the tuple-at-a-time step
+interpreter (:meth:`JoinPlan.bindings`) and, once it has produced
+:data:`KERNEL_AFTER_BINDINGS` complete bindings, generates its
+specialized kernel (:mod:`repro.datalog.batch`) and runs on that from
+then on.  Both executors return the same rows in the same order and
+increment :class:`PlanStats` identically; the reference interpreter they
+are tested against lives in ``tests/reference.py``.
+
 Plans are cached per ``(rule, delta_position, order)`` -- ``order`` is
 ``None`` for the greedy default and an explicit permutation when a
 :class:`~repro.datalog.cost.PlanAdvisor` picks the cost-based order
-instead; :class:`PlanStats`
-exposes index hit/miss and bindings-explored counts so the perf
-trajectory is measurable (``plan.*`` counters).
-
-The interpreter is kept as the executable specification: every engine
-accepts ``compiled=False`` and the property suite asserts bit-identical
-models between the two paths.
+instead; :class:`PlanStats` exposes index hit/miss, bindings-explored
+and promotion counts (``plan.*`` counters).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from repro.datalog.atom import Atom, Inequality
+from repro.datalog.batch import compile_batched_kernel
 from repro.datalog.database import Database, Fact, RelationKey
 from repro.datalog.rule import Rule
 from repro.datalog.term import Func, Term, Var, variables_of
@@ -49,21 +48,19 @@ if TYPE_CHECKING:
     from repro.datalog.batch import Kernel
     from repro.datalog.cost import PlanAdvisor
 
-
-def coerce_compiled(value: bool | str) -> bool | str:
-    """Validate the three-tier evaluation knob.
-
-    ``False`` selects the reference interpreter
-    (:func:`~repro.datalog.evalutil.iter_rule_bindings`, the executable
-    specification), ``True`` the tuple-at-a-time compiled plans of this
-    module, and ``"batched"`` the columnar batch kernels of
-    :mod:`repro.datalog.batch`.  All three compute identical fixpoints
-    (a property-tested invariant); they differ only in speed.
-    """
-    if value is False or value is True or value == "batched":
-        return value
-    raise ValueError(
-        f"compiled must be False, True or 'batched'; got {value!r}")
+#: Complete bindings a plan produces on the step interpreter before
+#: :meth:`JoinPlan.fire` generates its kernel.  Codegen costs ~0.2 ms a
+#: plan and a kernel joins ~2x faster, so a plan is promoted only once
+#: it has shown it is hot; firings are skewed enough (at 32, ~3 % of
+#: plans hold 77-97 % of the derivations) that the choice is flat around
+#: the constant and bad only at the extremes.  benchmarks/e2e op_p50_ms,
+#: seed 0, median of 3 runs, cold-start / deep-join:
+#:     0 (always kernel)  434 / 404 ms   (and +35 % peak RSS on deep-join)
+#:     8                  210 / 480
+#:     32                 199 / 453
+#:     128                204 / 444
+#:     never              209 / 594
+KERNEL_AFTER_BINDINGS = 32
 
 
 # -- term-level compilation ------------------------------------------------------
@@ -174,13 +171,13 @@ class PlanStats:
 
     __slots__ = ("bindings_explored", "index_hits", "index_misses",
                  "full_scans", "delta_scans", "cache_hits", "cache_misses",
-                 "cache_evictions", "advisor_rules", "advisor_reorders",
-                 "advisor_predicted_bindings", "_flushed")
+                 "cache_evictions", "promotions", "advisor_rules",
+                 "advisor_reorders", "advisor_predicted_bindings", "_flushed")
 
     _FIELDS = ("bindings_explored", "index_hits", "index_misses",
                "full_scans", "delta_scans", "cache_hits", "cache_misses",
-               "cache_evictions", "advisor_rules", "advisor_reorders",
-               "advisor_predicted_bindings")
+               "cache_evictions", "promotions", "advisor_rules",
+               "advisor_reorders", "advisor_predicted_bindings")
 
     def __init__(self) -> None:
         self.bindings_explored = 0
@@ -191,6 +188,8 @@ class PlanStats:
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_evictions = 0
+        #: plans whose kernel this evaluator's firing generated
+        self.promotions = 0
         #: rules whose join order a PlanAdvisor chose (advisor_reorders of
         #: them differing from the greedy default); advisor_predicted_bindings
         #: accumulates the advisor's cost predictions so the benchmark gate
@@ -240,15 +239,19 @@ class JoinPlan:
 
     __slots__ = ("rule", "delta_position", "nslots", "var_slots", "steps",
                  "pre_checks", "negated", "head_key", "head_builders",
-                 "batched_kernel")
+                 "produced", "kernel")
 
     def __init__(self, rule: Rule, delta_position: int | None = None,
                  order: Sequence[int] | None = None) -> None:
         self.rule = rule
         self.delta_position = delta_position
-        #: lazily generated columnar kernel (repro.datalog.batch); caching
-        #: it here lets the shared plan cache amortize codegen too
-        self.batched_kernel: Kernel | None = None
+        #: complete bindings produced on the step interpreter so far, and
+        #: the kernel generated once that count reached
+        #: KERNEL_AFTER_BINDINGS.  Both live on the plan, so the shared
+        #: cache amortizes codegen across runs exactly as it amortizes
+        #: compilation, and evicting the plan evicts its kernel.
+        self.produced = 0
+        self.kernel: Kernel | None = None
         if order is None:
             order = _order_body(rule, delta_position)
         else:
@@ -333,6 +336,42 @@ class JoinPlan:
 
     # -- execution ------------------------------------------------------------
 
+    def fire(self, db: Database, delta_rows: Sequence[Fact] | None = None, *,
+             neg_db: Database | None = None,
+             stats: PlanStats | None = None) -> list[Fact]:
+        """Every head tuple the rule derives from ``db``, in join order.
+
+        ``delta_rows`` feeds the delta step of a delta-restricted plan.
+        Duplicates are included and nothing is inserted: the caller owns
+        deduplication, budget pruning and insertion.  The plan picks its
+        own executor (see :data:`KERNEL_AFTER_BINDINGS`); the choice
+        changes neither the rows, their order, nor the ``stats``
+        increments.
+        """
+        if self.delta_position is not None and not delta_rows:
+            return []
+        kernel = self.kernel
+        if kernel is None and self.produced >= KERNEL_AFTER_BINDINGS:
+            kernel = self.kernel = compile_batched_kernel(self)
+            if stats is not None:
+                stats.promotions += 1
+        if kernel is None:
+            head_args = self.head_args
+            out = [head_args(slots) for slots in
+                   self.bindings(db, delta_rows, neg_db, stats)]
+            self.produced += len(out)
+            return out
+        out = []
+        explored, hits, misses, fulls, deltas = kernel(
+            db, delta_rows, neg_db if neg_db is not None else db, out.append)
+        if stats is not None:
+            stats.bindings_explored += explored
+            stats.index_hits += hits
+            stats.index_misses += misses
+            stats.full_scans += fulls
+            stats.delta_scans += deltas
+        return out
+
     def bindings(self, db: Database,
                  delta_facts: Sequence[Fact] | None = None,
                  neg_db: Database | None = None,
@@ -385,11 +424,6 @@ class JoinPlan:
     def head_args(self, slots: list) -> Fact:
         """Instantiate the head argument tuple under a complete binding."""
         return tuple(run_builder(b, slots) for b in self.head_builders)
-
-    def binding_dict(self, slots: list) -> dict[Var, Term]:
-        """A dict view of a slot array (diagnostics / interpreter parity)."""
-        return {var: slots[slot] for var, slot in self.var_slots.items()
-                if slots[slot] is not None}
 
     def _negated_ok(self, neg_db: Database, slots: list) -> bool:
         for key, builders in self.negated:

@@ -246,8 +246,7 @@ class QsqResult:
 
 def qsq_evaluate(program: Program, query: Query, db: Database | None = None,
                  budget: EvaluationBudget | None = None,
-                 in_place: bool = False, compiled: bool | str = True,
-                 check: bool = True) -> QsqResult:
+                 in_place: bool = False, check: bool = True) -> QsqResult:
     """Rewrite ``program`` for ``query`` and evaluate semi-naively.
 
     ``db`` holds the EDB facts (program fact-rules are loaded too).  By
@@ -263,8 +262,7 @@ def qsq_evaluate(program: Program, query: Query, db: Database | None = None,
     if rewriting.seed is not None:
         work_db.add_atom(rewriting.seed)
     # The rewriting is machine-generated from an already-checked program.
-    evaluator = SemiNaiveEvaluator(rewriting.program, budget, compiled=compiled,
-                                   check=False)
+    evaluator = SemiNaiveEvaluator(rewriting.program, budget, check=False)
     evaluator.run(work_db)
     answers = select(work_db, rewriting.answer_atom)
     counters = Counters()

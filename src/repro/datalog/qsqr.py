@@ -22,12 +22,11 @@ from dataclasses import dataclass, field
 from repro.datalog.adornment import Adornment
 from repro.datalog.database import Database, Fact, RelationKey
 from repro.datalog.plan import (PlanStats, QsqrRulePlan, QsqrStep,
-                                coerce_compiled, ineqs_hold, run_builder,
-                                run_fact_ops)
-from repro.datalog.rule import Program, Query, Rule
+                                ineqs_hold, run_builder, run_fact_ops)
+from repro.datalog.rule import Program, Query
 from repro.datalog.seminaive import EvaluationBudget
-from repro.datalog.term import Term, Var, is_ground, substitute
-from repro.datalog.unify import match, match_tuple
+from repro.datalog.term import Term
+from repro.datalog.unify import match_tuple
 from repro.errors import BudgetExceeded
 from repro.utils.counters import Counters
 
@@ -51,11 +50,10 @@ class QsqrEvaluator:
 
     def __init__(self, program: Program,
                  budget: EvaluationBudget | None = None,
-                 compiled: bool | str = True, check: bool = True) -> None:
+                 check: bool = True) -> None:
         self.program = program
         self.budget = budget or EvaluationBudget()
         self.counters = Counters()
-        self.compiled = coerce_compiled(compiled)
         if check:
             from repro.datalog.analysis import check_program
             check_program(program, context="qsqr",
@@ -65,6 +63,11 @@ class QsqrEvaluator:
         #: compiled per (rule id, bound head positions); evaluator-lifetime
         self._plans: dict[tuple[int, tuple[int, ...]], QsqrRulePlan] = {}
         self._plan_stats = PlanStats()
+        #: running sizes of the current query's answer and demand tables
+        #: (the ``max_facts`` check and the pass loop's convergence test
+        #: read these instead of re-summing every table)
+        self._answer_total = 0
+        self._demand_total = 0
 
     def query(self, query: Query, db: Database) -> QsqrResult:
         """Evaluate ``query`` against ``db`` (program facts included)."""
@@ -84,6 +87,7 @@ class QsqrEvaluator:
 
         answers: dict[AdornedKey, set[Fact]] = {}
         demands: dict[AdornedKey, set[tuple[Term, ...]]] = {seed_key: {seed_tuple}}
+        self._answer_total, self._demand_total = 0, 1
 
         # Iterate to a global fixpoint: every pass replays every demand
         # against the current answer tables.
@@ -92,25 +96,15 @@ class QsqrEvaluator:
             passes += 1
             if passes > self.budget.max_iterations:
                 raise BudgetExceeded("iterations", self.budget.max_iterations)
-            before = (sum(len(v) for v in answers.values()),
-                      sum(len(v) for v in demands.values()))
-            if self.compiled == "batched":
-                for key in list(demands):
-                    self._process_demand_batch(key, list(demands[key]), db,
-                                               answers, demands)
-            else:
-                for key in list(demands):
-                    for bound in list(demands[key]):
-                        self._process_demand(key, bound, db, answers, demands)
-            after = (sum(len(v) for v in answers.values()),
-                     sum(len(v) for v in demands.values()))
-            if after == before:
+            before = (self._answer_total, self._demand_total)
+            for key in list(demands):
+                for bound in list(demands[key]):
+                    self._process_demand(key, bound, db, answers, demands)
+            if (self._answer_total, self._demand_total) == before:
                 break
         self.counters.add("qsqr_passes", passes)
-        self.counters.add("qsqr_answer_tuples",
-                          sum(len(v) for v in answers.values()))
-        self.counters.add("qsqr_demand_tuples",
-                          sum(len(v) for v in demands.values()))
+        self.counters.add("qsqr_answer_tuples", self._answer_total)
+        self.counters.add("qsqr_demand_tuples", self._demand_total)
         self._plan_stats.flush_into(self.counters)
 
         final = {f for f in answers.get(seed_key, set())
@@ -124,21 +118,13 @@ class QsqrEvaluator:
 
     # -- demand processing ---------------------------------------------------------
 
-    def _process_demand_batch(self, key: AdornedKey,
-                              bounds: list[tuple[Term, ...]], db: Database,
-                              answers: dict, demands: dict) -> None:
-        """Process a whole demand table in one sweep (the batched tier).
-
-        Inverts the ``demand x rule`` loop nest of
-        :meth:`_process_demand`: each rule's plan is looked up once per
-        sweep and replayed over every demand tuple, instead of paying
-        the plan-cache probe per (demand, rule) pair.  Answer/demand
-        accumulation is set-based and the pass loop runs to a global
-        fixpoint, so the processing order does not change the result.
-        """
+    def _process_demand(self, key: AdornedKey, bound: tuple[Term, ...],
+                        db: Database, answers: dict, demands: dict) -> None:
         relation, peer, pattern = key
         bound_positions = Adornment(pattern).bound_positions()
         for rule in self.program.rules_for(relation, peer):
+            # id-keyed: skips Rule.__eq__ on the per-demand hot path;
+            # the plan holds the rule strongly, pinning its id.
             cache_key = (id(rule), bound_positions)
             plan = self._plans.get(cache_key)
             if plan is None:
@@ -147,95 +133,16 @@ class QsqrEvaluator:
                 self._plan_stats.cache_misses += 1
             else:
                 self._plan_stats.cache_hits += 1
-            for bound in bounds:
-                self._run_plan(plan, bound, db, answers, demands, key)
-
-    def _process_demand(self, key: AdornedKey, bound: tuple[Term, ...],
-                        db: Database, answers: dict, demands: dict) -> None:
-        relation, peer, pattern = key
-        adornment = Adornment(pattern)
-        if self.compiled:
-            bound_positions = adornment.bound_positions()
-            for rule in self.program.rules_for(relation, peer):
-                # id-keyed: skips Rule.__eq__ on the per-demand hot path;
-                # the plan holds the rule strongly, pinning its id.
-                cache_key = (id(rule), bound_positions)
-                plan = self._plans.get(cache_key)
-                if plan is None:
-                    plan = QsqrRulePlan(rule, bound_positions, self._idb)
-                    self._plans[cache_key] = plan
-                    self._plan_stats.cache_misses += 1
-                else:
-                    self._plan_stats.cache_hits += 1
-                self._run_plan(plan, bound, db, answers, demands, key)
-            return
-        for rule in self.program.rules_for(relation, peer):
-            binding: dict[Var, Term] = {}
-            ok = True
-            for position, value in zip(adornment.bound_positions(), bound):
-                if not match(rule.head.args[position], value, binding):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            self._evaluate_body(rule, 0, binding, db, answers, demands, key)
-
-    def _evaluate_body(self, rule: Rule, position: int, binding: dict,
-                       db: Database, answers: dict, demands: dict,
-                       target: AdornedKey) -> None:
-        if position == len(rule.body):
-            for constraint in rule.inequalities:
-                if not constraint.holds(binding):
-                    return
-            head = rule.head.substitute(binding)
-            if self.budget.prunes_atom(head):
-                self.counters.add("pruned_deep_facts")
-                return
-            table = answers.setdefault(target, set())
-            if head.args not in table:
-                table.add(head.args)
-                self.counters.add("facts_materialized")
-                if sum(len(v) for v in answers.values()) > self.budget.max_facts:
-                    raise BudgetExceeded("facts", self.budget.max_facts)
-            return
-
-        atom = rule.body[position]
-        # Inequalities decidable now are checked eagerly (pruning).
-        for constraint in rule.inequalities:
-            if constraint.is_decidable(binding) and not constraint.holds(binding):
-                return
-
-        if atom.key() in self._idb:
-            bound_vars = set(binding)
-            body_adornment = Adornment.from_atom(atom, bound_vars)
-            sub_key = (atom.relation, atom.peer, body_adornment.pattern)
-            demand = tuple(substitute(arg, binding)
-                           for arg in body_adornment.select_bound(atom.args))
-            if all(is_ground(t) for t in demand):
-                demands.setdefault(sub_key, set()).add(demand)
-            # Snapshot: recursive rules extend this very table mid-join;
-            # additions are picked up on the next global pass.
-            source = list(answers.get(sub_key, ()))
-        else:
-            source = db.candidates(atom.key(), atom.args, binding)
-
-        for fact in source:
-            extended = dict(binding)
-            if match_tuple(atom.args, fact, extended):
-                self._evaluate_body(rule, position + 1, extended, db,
-                                    answers, demands, target)
-
-    # -- compiled demand processing ------------------------------------------------
+            self._run_plan(plan, bound, db, answers, demands, key)
 
     def _run_plan(self, plan: QsqrRulePlan, bound: tuple[Term, ...],
                   db: Database, answers: dict, demands: dict,
                   target: AdornedKey) -> None:
         """Run one compiled rule plan for one ground demand tuple.
 
-        Same join as :meth:`_evaluate_body`, but over slot arrays with
-        the demand keys, index positions and inequality schedule baked in
-        at compile time, and an explicit iterator stack instead of
-        recursion.
+        The join runs over slot arrays with the demand keys, index
+        positions and inequality schedule baked in at compile time, and
+        an explicit iterator stack instead of recursion.
         """
         slots: list = [None] * plan.nslots
         if not plan.match_demand(bound, slots):
@@ -281,7 +188,10 @@ class QsqrEvaluator:
             # the answer table (recursive rules extend it mid-join;
             # additions are picked up on the next global pass).
             demand = tuple(run_builder(b, slots) for b in step.demand_builders)
-            demands.setdefault(step.sub_key, set()).add(demand)
+            table = demands.setdefault(step.sub_key, set())
+            if demand not in table:
+                table.add(demand)
+                self._demand_total += 1
             source = list(answers.get(step.sub_key, ()))
             stats.bindings_explored += len(source)
             return iter(source), step.scan_ops
@@ -312,15 +222,15 @@ class QsqrEvaluator:
         if args not in table:
             table.add(args)
             self.counters.add("facts_materialized")
-            if sum(len(v) for v in answers.values()) > self.budget.max_facts:
+            self._answer_total += 1
+            if self._answer_total > self.budget.max_facts:
                 raise BudgetExceeded("facts", self.budget.max_facts)
 
 
 def qsqr_evaluate(program: Program, query: Query, db: Database | None = None,
                   budget: EvaluationBudget | None = None,
-                  compiled: bool | str = True,
                   check: bool = True) -> QsqrResult:
     """Convenience wrapper mirroring :func:`repro.datalog.qsq.qsq_evaluate`."""
     work_db = db.copy() if db is not None else Database()
-    evaluator = QsqrEvaluator(program, budget, compiled=compiled, check=check)
+    evaluator = QsqrEvaluator(program, budget, check=check)
     return evaluator.query(query, work_db)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from repro.datalog.analysis import (DependencyGraph, check_program,
                                     check_stratification)
 from repro.datalog.database import Database, RelationKey
-from repro.datalog.plan import coerce_compiled
 from repro.datalog.rule import Program
 from repro.datalog.seminaive import EvaluationBudget, SemiNaiveEvaluator
 from repro.errors import ProgramAnalysisError
@@ -75,11 +74,10 @@ class StratifiedEvaluator:
 
     def __init__(self, program: Program,
                  budget: EvaluationBudget | None = None,
-                 compiled: bool | str = True, check: bool = True) -> None:
+                 check: bool = True) -> None:
         self.program = program
         self.budget = budget or EvaluationBudget()
         self.counters = Counters()
-        self.compiled = coerce_compiled(compiled)
         if check:
             check_program(program, context="stratified",
                           depth_bounded=self.budget.max_term_depth is not None,
@@ -89,8 +87,7 @@ class StratifiedEvaluator:
     def run(self, db: Database) -> Database:
         """Evaluate all strata in order over the shared database."""
         for index, stratum in enumerate(self.strata):
-            evaluator = SemiNaiveEvaluator(stratum, self.budget,
-                                           compiled=self.compiled, check=False)
+            evaluator = SemiNaiveEvaluator(stratum, self.budget, check=False)
             evaluator.run(db)
             self.counters.merge(evaluator.counters)
             self.counters.add(f"stratum_{index}_rules", len(stratum))

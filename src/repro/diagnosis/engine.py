@@ -103,7 +103,6 @@ class DatalogDiagnosisEngine:
                  budget: EvaluationBudget | None = None,
                  options: NetworkOptions | None = None,
                  use_termination_detector: bool = False,
-                 compiled: bool | str = True,
                  transport: "str | TransportRuntime" = "sim",
                  mp_config: object = None,
                  cost_budget: "CostBudget | None" = None) -> None:
@@ -116,10 +115,6 @@ class DatalogDiagnosisEngine:
         self.cost_budget = cost_budget
         self.options = options or NetworkOptions()
         self.use_termination_detector = use_termination_detector
-        #: the evaluation tier: False = reference interpreter
-        #: (`iter_rule_bindings`), True = tuple-at-a-time compiled plans,
-        #: "batched" = columnar batch kernels -- the benchmark knob
-        self.compiled = compiled
         #: transport substrate for the dqsq path ("sim", "mp", or a
         #: ready TransportRuntime); centralized modes evaluate locally
         #: and ignore it
@@ -194,8 +189,7 @@ class DatalogDiagnosisEngine:
         if self.mode is EvaluationMode.DQSQ:
             engine = DqsqEngine(program, budget=budget, options=self.options,
                                 use_termination_detector=self.use_termination_detector,
-                                compiled=self.compiled, check=False,
-                                transport=self.transport,
+                                check=False, transport=self.transport,
                                 mp_config=self.mp_config)
             result = engine.query(Query(query_atom))
             counters.merge(result.counters)
@@ -215,16 +209,13 @@ class DatalogDiagnosisEngine:
                                      query_atom.args, None))
             if self.mode is EvaluationMode.QSQ:
                 qsq = qsq_evaluate(local, local_query, Database(),
-                                   budget=budget, compiled=self.compiled,
-                                   check=False)
+                                   budget=budget, check=False)
                 counters.merge(qsq.counters)
                 answers = qsq.answers
                 events, conditions = _collect_nodes_from_adorned([qsq.database])
             else:
                 db = Database()
-                evaluator = SemiNaiveEvaluator(local, budget,
-                                               compiled=self.compiled,
-                                               check=False)
+                evaluator = SemiNaiveEvaluator(local, budget, check=False)
                 evaluator.run(db)
                 counters.merge(evaluator.counters)
                 answers = select(db, local_query.atom)

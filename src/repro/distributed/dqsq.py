@@ -89,14 +89,12 @@ class _DqsqPeer:
 
     def __init__(self, name: str, rules: Sequence[Rule],
                  budget: EvaluationBudget,
-                 detector: DijkstraScholten | None = None,
-                 compiled: bool | str = True) -> None:
+                 detector: DijkstraScholten | None = None) -> None:
         self.name = name
         self.source_rules = Program(rules)
         self.db = Database()
         self.budget = budget
-        self._compiled = compiled
-        self.evaluator = IncrementalEvaluator(self.db, budget, compiled=compiled)
+        self.evaluator = IncrementalEvaluator(self.db, budget)
         self.detector = detector
         self.counters = Counters()
         self.processed: set[tuple[str, str]] = set()
@@ -194,14 +192,14 @@ class _DqsqPeer:
         if message.kind == KIND_FACTS:
             payload = message.payload
             key = (payload["relation"], payload["home"])
-            # Facts travel columnar (parallel term columns + count, the
-            # batch kernels' layout).  Shipped tuples come out of a peer's
-            # validated store (and are re-interned on unpickling), so the
-            # bulk insert skips per-fact groundness checks.
+            # Facts travel columnar (parallel term columns + count).
+            # Shipped tuples come out of a peer's validated store (and are
+            # re-interned on unpickling), so the bulk insert skips
+            # per-fact groundness checks.
             columns = payload["columns"]
             rows: list[Fact] = (list(zip(*columns)) if columns
                                 else [()] * payload["count"])
-            added = self.db.add_batch(key, rows, arity=len(columns)).length
+            added = self.db.add_all(key, rows, assume_ground=True)
             self.counters.add("tuples_received", added)
             if key[1] != self.name:
                 # Replicas of remote-homed relations must not be pushed
@@ -505,11 +503,10 @@ class DqsqResult:
 
 def _build_dqsq_peer(*, name: str, detector: DijkstraScholten | None,
                      rules: tuple[Rule, ...], budget: EvaluationBudget,
-                     compiled: bool | str,
                      facts: dict[RelationKey, list[Fact]]) -> _DqsqPeer:
     """Module-level peer factory (picklable, so the multiprocessing
     transport can build the peer inside its worker process)."""
-    peer = _DqsqPeer(name, rules, budget, detector=detector, compiled=compiled)
+    peer = _DqsqPeer(name, rules, budget, detector=detector)
     for key, tuples in facts.items():
         peer.db.add_all(key, tuples, assume_ground=True)
     return peer
@@ -545,14 +542,13 @@ class DqsqEngine:
                  budget: EvaluationBudget | None = None,
                  options: NetworkOptions | None = None,
                  use_termination_detector: bool = False,
-                 compiled: bool | str = True, check: bool = True,
+                 check: bool = True,
                  transport: str | TransportRuntime = "sim",
                  mp_config: Any = None) -> None:
         self.program = program
         self.budget = budget or EvaluationBudget()
         self.options = options or NetworkOptions()
         self.use_termination_detector = use_termination_detector
-        self.compiled = compiled
         self.transport = transport
         self.mp_config = mp_config
         self._edb = edb or Database()
@@ -593,7 +589,6 @@ class DqsqEngine:
             name: PeerSpec(_build_dqsq_peer, {
                 "rules": tuple(self.program.rules_at(name)),
                 "budget": self.budget,
-                "compiled": self.compiled,
                 "facts": edb_by_peer.get(name, {}),
             })
             for name in names}

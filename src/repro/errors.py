@@ -13,16 +13,6 @@ class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
 
 
-class ReproDeprecationWarning(DeprecationWarning):
-    """Category for the library's own deprecation shims.
-
-    A dedicated subclass so test suites can pin down exactly our shims
-    (``filterwarnings = ["ignore::repro.errors.ReproDeprecationWarning"]``
-    or ``pytest.warns(ReproDeprecationWarning)``) without touching the
-    interpreter's unrelated ``DeprecationWarning`` traffic.
-    """
-
-
 class DatalogError(ReproError):
     """Base class for Datalog-layer errors."""
 

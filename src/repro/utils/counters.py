@@ -8,8 +8,7 @@ traffic -- the paper's figures of merit (Sections 3.1 and 4.3).
 Naming convention: run-level network counters live under ``net.*``
 (``net.seed``, ``net.dropped``, ``net.recovery.crashes``, ...), the
 multiprocessing transport reports under ``mp.*``, and engine-level
-counters are unprefixed (``rewritings``, ``tuples_shipped``).  The PR-4
-``recovery.*`` spelling was deprecated in PR 5 and removed in PR 6.
+counters are unprefixed (``rewritings``, ``tuples_shipped``).
 """
 
 from __future__ import annotations

@@ -1,24 +1,32 @@
-"""Property-based tests: the three evaluation tiers agree.
+"""Property-based executor parity on random stratified programs.
 
 Random stratified programs (random EDBs, randomly selected rule
-subsets, including negation in a later stratum) must reach identical
-fixpoints under the reference interpreter (``compiled=False``), the
-tuple-at-a-time compiled plans (``compiled=True``) and the columnar
-batch kernels (``compiled="batched"``).  A second property pins the mp
-worker path: programs that cross a pickle boundary re-intern and then
-batch-evaluate to the same fixpoint as the originals.
+subsets, including negation in a later stratum):
+
+* every plan of every rule, fired once over the program's model, returns
+  the same row *sequence* and the same :class:`PlanStats` whether
+  :meth:`JoinPlan.fire` runs the step interpreter or the generated
+  kernel;
+* the engines reach the fixpoint of the reference interpreter
+  (``tests/reference.py``) at both extremes of the threshold and at the
+  default;
+* programs that cross a pickle boundary (the mp worker path) re-intern
+  and then evaluate to the same fixpoint as the originals.
 """
 
 import pickle
+import sys
 
 from hypothesis import given, settings, strategies as st
 
 from repro.datalog import (Database, Query, SemiNaiveEvaluator, parse_atom,
                            parse_program, qsq_evaluate)
+from repro.datalog.naive import select
+from repro.datalog.plan import PlanStats, compile_join_plan
 from repro.datalog.stratified import StratifiedEvaluator
 from repro.datalog.term import Const
-
-TIERS = (False, True, "batched")
+from tests.reference import (at_each_setting, pinned_executor,
+                             reference_model, snapshot)
 
 NODES = [f"n{i}" for i in range(6)]
 
@@ -62,53 +70,75 @@ def database_from(edge_list):
     return db
 
 
-def snapshot(db):
-    return {key: frozenset(db.facts(key)) for key in db.relations()
-            if db.facts(key)}
+def program_from(subsets):
+    positive, negative = subsets
+    return parse_program(BASE_RULES + "\n".join(positive) + "\n"
+                         + "\n".join(negative))
 
 
 class TestTiersAgree:
     @settings(max_examples=30, deadline=None)
     @given(edges, rule_subsets)
+    def test_fire_rows_and_stats_identical(self, edge_list, subsets):
+        program = program_from(subsets)
+        model = reference_model(program, database_from(edge_list))
+
+        def fire_everything():
+            fired = []
+            for rule in program.proper_rules():
+                for position in (None, *range(len(rule.body))):
+                    delta = (None if position is None
+                             else list(model.facts(rule.body[position].key())))
+                    stats = PlanStats()
+                    rows = compile_join_plan(rule, position).fire(
+                        model, delta, stats=stats)
+                    fired.append((rows, [getattr(stats, name)
+                                         for name in PlanStats._FIELDS
+                                         if name != "promotions"]))
+            return fired
+        with pinned_executor(sys.maxsize):
+            interpreted = fire_everything()
+        with pinned_executor(0):
+            generated = fire_everything()
+        assert interpreted == generated
+
+    @settings(max_examples=30, deadline=None)
+    @given(edges, rule_subsets)
     def test_random_stratified_programs(self, edge_list, subsets):
-        positive, negative = subsets
-        text = BASE_RULES + "\n".join(positive) + "\n" + "\n".join(negative)
-        program = parse_program(text)
-        fixpoints = []
-        for compiled in TIERS:
+        program = program_from(subsets)
+
+        def run():
             db = database_from(edge_list)
-            StratifiedEvaluator(program, compiled=compiled).run(db)
-            fixpoints.append(snapshot(db))
-        assert fixpoints[0] == fixpoints[1] == fixpoints[2]
+            StratifiedEvaluator(program).run(db)
+            return snapshot(db)
+        assert at_each_setting(run) == snapshot(
+            reference_model(program, database_from(edge_list)))
 
     @settings(max_examples=25, deadline=None)
     @given(edges, st.sampled_from(NODES))
     def test_qsq_demand_driven(self, edge_list, source):
         program = parse_program(BASE_RULES)
         query = Query(parse_atom(f'path("{source}", Y)'))
-        answer_sets = []
-        for compiled in TIERS:
-            db = database_from(edge_list)
-            answer_sets.append(
-                qsq_evaluate(program, query, db, compiled=compiled).answers)
-        assert answer_sets[0] == answer_sets[1] == answer_sets[2]
+        answers = at_each_setting(lambda: qsq_evaluate(
+            program, query, database_from(edge_list)).answers)
+        assert answers == select(
+            reference_model(program, database_from(edge_list)), query.atom)
 
     @settings(max_examples=20, deadline=None)
     @given(edges, rule_subsets)
     def test_pickled_program_batches_identically(self, edge_list, subsets):
         # The forked-worker path: the program round-trips through
-        # pickle (terms re-intern via __reduce__), then the batched
-        # tier must compute the same fixpoint from the clone.
-        positive, negative = subsets
-        text = BASE_RULES + "\n".join(positive) + "\n" + "\n".join(negative)
-        program = parse_program(text)
+        # pickle (terms re-intern via __reduce__), then either executor
+        # must compute the same fixpoint from the clone.
+        program = program_from(subsets)
         clone = pickle.loads(pickle.dumps(program))
 
-        db = database_from(edge_list)
-        StratifiedEvaluator(program, compiled=False).run(db)
-        db_clone = database_from(edge_list)
-        StratifiedEvaluator(clone, compiled="batched").run(db_clone)
-        assert snapshot(db) == snapshot(db_clone)
+        def run():
+            db_clone = database_from(edge_list)
+            StratifiedEvaluator(clone).run(db_clone)
+            return snapshot(db_clone)
+        assert at_each_setting(run) == snapshot(
+            reference_model(program, database_from(edge_list)))
 
     @settings(max_examples=25, deadline=None)
     @given(edges)
@@ -119,7 +149,8 @@ class TestTiersAgree:
         path(X, Y) :- edge(X, Z), path(Z, Y).
         """)
         db = database_from(edge_list)
-        SemiNaiveEvaluator(program, compiled="batched").run(db)
+        with pinned_executor(0):
+            SemiNaiveEvaluator(program).run(db)
 
         reach = {n: set() for n in NODES}
         for source, target in edge_list:

@@ -38,7 +38,7 @@ def test_diagnosis_set_invariant_under_loss_and_delay(label, petri, alarms):
                 fault=repro.FaultPlan(drop_probability=drop,
                                       delay_distribution=(0, 4)))
             lossy = repro.diagnose(petri, alarms, method="dqsq",
-                                   options=options)
+                                   config=repro.RunConfig(options=options))
             assert not lossy.partial
             assert lossy.diagnoses == baseline.diagnoses, (label, drop, seed)
             assert (lossy.materialized_events
@@ -52,8 +52,9 @@ def test_termination_detector_correct_under_loss(seed):
     baseline = repro.diagnose(petri, alarms, method="dqsq")
     options = repro.NetworkOptions(
         seed=seed, fault=repro.FaultPlan(drop_probability=0.25))
-    lossy = repro.diagnose(petri, alarms, method="dqsq", options=options,
-                           use_termination_detector=True)
+    lossy = repro.diagnose(
+        petri, alarms, method="dqsq",
+        config=repro.RunConfig(options=options, use_termination_detector=True))
     assert lossy.diagnoses == baseline.diagnoses
 
 
@@ -62,7 +63,8 @@ def test_partial_result_instead_of_crash():
     alarms = AlarmSequence(figure1_alarm_scenarios()["bac"])
     options = repro.NetworkOptions(
         seed=0, fault=repro.FaultPlan(drop_probability=1.0, max_retries=2))
-    result = repro.diagnose(petri, alarms, method="dqsq", options=options)
+    result = repro.diagnose(petri, alarms, method="dqsq",
+                            config=repro.RunConfig(options=options))
     assert result.partial
     assert result.transport_stats  # per-channel stats snapshot
     assert result.counters["net.transport_exhausted"] == 1

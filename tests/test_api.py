@@ -50,7 +50,8 @@ class TestFacade:
         petri, alarms = instance
         options = repro.NetworkOptions(
             seed=3, fault=repro.FaultPlan(drop_probability=0.2))
-        result = repro.diagnose(petri, alarms, method="dqsq", options=options)
+        result = repro.diagnose(petri, alarms, method="dqsq",
+                                config=repro.RunConfig(options=options))
         expected = repro.diagnose(petri, alarms, method="dqsq").diagnoses
         assert result.diagnoses == expected
         assert result.counters["net.dropped"] > 0
@@ -58,8 +59,9 @@ class TestFacade:
     def test_hidden_knobs_reach_the_unfolding_paths(self, instance):
         petri, _ = instance
         alarms = AlarmSequence([("b", "p1"), ("c", "p1")])
-        brute = repro.diagnose(petri, alarms, method="bruteforce",
-                               hidden=frozenset({"v"}), hidden_budget=1)
+        brute = repro.diagnose(
+            petri, alarms, method="bruteforce",
+            config=repro.RunConfig(hidden=frozenset({"v"}), hidden_budget=1))
         assert len(brute.diagnoses) == 2
 
 

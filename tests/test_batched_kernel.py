@@ -1,39 +1,46 @@
-"""The batched columnar tier vs the other two, on every engine.
+"""Executor parity: the step interpreter and the generated kernels agree.
 
-``compiled="batched"`` (:mod:`repro.datalog.batch`) must be a pure
-performance change, exactly like the tuple-at-a-time compiled tier
-before it: identical models, answers, derivation counts and diagnosis
-sets on every engine and every program.  These tests sweep all three
-tiers together so a divergence names the tier that broke.
+:meth:`repro.datalog.plan.JoinPlan.fire` picks its executor per plan,
+from the bindings the plan has produced.  The choice must be invisible:
+identical models (in identical insertion order), answers, derivation
+counts and diagnosis sets on every engine and every program, whichever
+side runs -- and all of them equal to the reference interpreter of
+``tests/reference.py``.  Every test here runs with the threshold pinned
+at both extremes (never / always the kernel) and at the shipped default.
 
-The same file pins the satellites that ride on the kernel: the bounded
-LRU plan cache (eviction recompiles, never changes answers), batch
-handling of zero-arity relations, pickled programs re-interning before
-batched evaluation (the mp worker path), and the invalid-tier error.
+The same file pins what rides on the plans: a threshold crossed in the
+middle of a fixpoint, the bounded LRU plan cache (eviction recompiles
+and drops the kernel, never changes answers), zero-arity relations and
+pickled programs re-interning before evaluation (the mp worker path).
 """
 
 import pickle
+import sys
 
 import pytest
 
 import repro
 from repro.datalog import (Database, NaiveEvaluator, Query,
                            SemiNaiveEvaluator, parse_atom, parse_program)
-from repro.datalog.batch import Batch
+from repro.datalog import plan as plan_module
 from repro.datalog.magic import magic_evaluate
 from repro.datalog.naive import load_facts, select
-from repro.datalog.plan import (clear_plan_cache, coerce_compiled,
+from repro.datalog.plan import (clear_plan_cache, compile_join_plan,
                                 plan_cache_evictions, set_plan_cache_limit)
 from repro.datalog.qsq import qsq_evaluate
-from repro.datalog.qsqr import qsqr_evaluate
+from repro.datalog.qsqr import QsqrEvaluator, qsqr_evaluate
 from repro.datalog.seminaive import EvaluationBudget, IncrementalEvaluator
 from repro.datalog.stratified import StratifiedEvaluator
 from repro.datalog.term import Const
 from repro.diagnosis import DatalogDiagnosisEngine
+from repro.distributed.ddatalog import DDatalogProgram
+from repro.distributed.dqsq import DqsqEngine
+from repro.errors import BudgetExceeded
 from repro.petri.examples import figure1_alarm_scenarios, figure1_net
 from repro.workloads.alarmgen import AlarmSequence
-
-TIERS = (False, True, "batched")
+from tests.reference import (at_each_setting, ordered_snapshot,
+                             pinned_executor, reference_model, snapshot,
+                             unordered)
 
 FIGURE3 = """
 r@r(X, Y) :- a@r(X, Y).
@@ -76,59 +83,62 @@ e("1", "2").
 e("2", "3").
 """
 
-
-def snapshot(db):
-    return {key: frozenset(db.facts(key)) for key in db.relations()
-            if db.facts(key)}
-
-
-def per_tier(run):
-    """Run ``run(compiled)`` for every tier and assert all agree."""
-    results = {tier: run(tier) for tier in TIERS}
-    assert results[False] == results[True] == results["batched"]
-    return results[False]
+#: a recursive rule with function symbols joined with a zero-arity
+#: relation, and negation over its fixpoint in the next stratum
+MID_FIXPOINT = """
+go() :- start(X).
+nat(z).
+nat(s(N)) :- nat(N), go().
+odd(s(z)).
+odd(s(s(N))) :- odd(N), go().
+even(N) :- nat(N), not odd(N).
+start("a").
+"""
 
 
 class TestTierEquivalence:
     def test_seminaive_model_and_derivations(self):
         program = parse_program(FIGURE3)
 
-        def run(compiled):
+        def run():
             db = Database()
-            evaluator = SemiNaiveEvaluator(program, compiled=compiled)
+            evaluator = SemiNaiveEvaluator(program)
             evaluator.run(db)
-            return snapshot(db), evaluator.counters["derivations"]
-        per_tier(run)
+            return ordered_snapshot(db), evaluator.counters["derivations"]
+        model, _derivations = at_each_setting(run)
+        assert unordered(model) == snapshot(reference_model(program))
 
     def test_naive_answers(self):
         program = parse_program(FIGURE3)
         query = Query(parse_atom('r@r("1", Y)'))
 
-        def run(compiled):
-            return NaiveEvaluator(program, compiled=compiled).answers(
-                load_facts(program), query)
-        answers = per_tier(run)
+        def run():
+            return NaiveEvaluator(program).answers(load_facts(program), query)
+        answers = at_each_setting(run)
+        assert answers == select(reference_model(program), query.atom)
         assert answers
 
     def test_function_symbols_with_depth_prune(self):
         program = parse_program(FUNC_RULES)
+        budget = EvaluationBudget(max_term_depth=6, prune_depth=True)
 
-        def run(compiled):
+        def run():
             db = Database()
-            budget = EvaluationBudget(max_term_depth=6, prune_depth=True)
-            SemiNaiveEvaluator(program, budget, compiled=compiled).run(db)
+            SemiNaiveEvaluator(program, budget).run(db)
             return snapshot(db)
-        model = per_tier(run)
+        model = at_each_setting(run)
+        assert model == snapshot(reference_model(program, budget=budget))
         assert model[("even", None)]
 
     def test_stratified_negation(self):
         program = parse_program(STRATIFIED)
 
-        def run(compiled):
+        def run():
             db = load_facts(program)
-            StratifiedEvaluator(program, compiled=compiled).run(db)
+            StratifiedEvaluator(program).run(db)
             return snapshot(db)
-        model = per_tier(run)
+        model = at_each_setting(run)
+        assert model == snapshot(reference_model(program))
         unreachable = {f[0].value
                        for f in model[("unreachable", None)]}
         assert unreachable == {"c", "e"}
@@ -137,51 +147,98 @@ class TestTierEquivalence:
         program = parse_program(FIGURE3)
         query = Query(parse_atom('r@r("1", Y)'))
 
-        def run(compiled):
+        def run():
             db = load_facts(program)
-            qsq = qsq_evaluate(program, query, db, compiled=compiled)
-            qsqr = qsqr_evaluate(program, query, db, compiled=compiled)
-            magic, _counters, _db = magic_evaluate(program, query, db,
-                                                   compiled=compiled)
+            qsq = qsq_evaluate(program, query, db)
+            qsqr = qsqr_evaluate(program, query, db)
+            magic, _counters, _db = magic_evaluate(program, query, db)
             assert qsq.answers == qsqr.answers == magic
             return frozenset(qsq.answers)
-        answers = per_tier(run)
-        assert answers
+        answers = at_each_setting(run)
+        assert answers == select(reference_model(program), query.atom)
+
+    def test_dqsq_answers(self):
+        parsed = parse_program(FIGURE3)
+        program = DDatalogProgram(parsed)
+        query = Query(parse_atom('r@r("1", Y)'))
+
+        def run():
+            result = DqsqEngine(program, load_facts(parsed)).query(query)
+            return frozenset(result.answers), result.counters["derivations"]
+        answers, _derivations = at_each_setting(run)
+        assert answers == select(reference_model(parsed), query.atom)
 
     def test_incremental_frontier(self):
         # Work arrives in two installments, as at a distributed peer:
-        # the persistent frontier must batch each installment's delta.
+        # the persistent frontier must join each installment's delta.
         rules = parse_program("""
         path(X, Y) :- edge(X, Y).
         path(X, Z) :- path(X, Y), edge(Y, Z).
         """, check=False)
 
-        def run(compiled):
+        def run():
             db = Database()
-            evaluator = IncrementalEvaluator(db, compiled=compiled)
+            evaluator = IncrementalEvaluator(db)
             for rule in rules.proper_rules():
                 evaluator.add_rule(rule)
             for pair in (("a", "b"), ("b", "c")):
                 db.add(("edge", None), (Const(pair[0]), Const(pair[1])))
             evaluator.run()
-            first = snapshot(db)
+            first = ordered_snapshot(db)
             db.add(("edge", None), (Const("c"), Const("d")))
             evaluator.run()
-            return first, snapshot(db)
-        first, second = per_tier(run)
+            return first, ordered_snapshot(db)
+        first, second = at_each_setting(run)
         assert len(second[("path", None)]) > len(first[("path", None)])
+        edges = Database()
+        edges.add_all(("edge", None), second[("edge", None)])
+        assert (frozenset(second[("path", None)])
+                == snapshot(reference_model(rules, edges))[("path", None)])
 
     def test_zero_arity_relations(self):
         program = parse_program(ZERO_ARITY, check=False)
 
-        def run(compiled):
+        def run():
             db = load_facts(program)
-            SemiNaiveEvaluator(program, compiled=compiled,
-                               check=False).run(db)
+            SemiNaiveEvaluator(program, check=False).run(db)
             return snapshot(db)
-        model = per_tier(run)
+        model = at_each_setting(run)
+        assert model == snapshot(reference_model(program))
         assert model[("seen", None)] == frozenset({()})
         assert {f[0].value for f in model[("q", None)]} == {"1", "2"}
+
+    def test_threshold_crossed_mid_fixpoint(self):
+        # The recursive rules derive one fact a round, so at threshold 3
+        # their delta plans run three rounds on the step interpreter and
+        # every later round on the kernel generated in between.
+        program = parse_program(MID_FIXPOINT, check=False)
+        budget = EvaluationBudget(max_term_depth=9, prune_depth=True)
+
+        def run():
+            db = Database()
+            evaluator = StratifiedEvaluator(program, budget, check=False)
+            evaluator.run(db)
+            return ordered_snapshot(db), evaluator.counters
+        with pinned_executor(sys.maxsize):
+            model, counters = run()
+        assert counters["plan.promotions"] == 0
+        with pinned_executor(3):
+            crossed, crossed_counters = run()
+            recursive = next(r for r in program.proper_rules()
+                             if str(r.head).startswith("nat"))
+            delta_plan = compile_join_plan(recursive, 0)
+            assert delta_plan.produced == 3 and delta_plan.kernel is not None
+        assert crossed == model
+        assert crossed_counters["plan.promotions"] >= 2
+        for name in ("derivations", "facts_materialized", "pruned_deep_facts",
+                     "plan.bindings_explored", "plan.index_hits",
+                     "plan.index_misses", "plan.full_scans",
+                     "plan.delta_scans"):
+            assert crossed_counters[name] == counters[name], name
+        assert counters["pruned_deep_facts"] > 0
+        assert unordered(model) == snapshot(
+            reference_model(program, budget=budget))
+        assert len(model[("even", None)]) == 5
 
 
 class TestDiagnosisEquivalence:
@@ -193,64 +250,146 @@ class TestDiagnosisEquivalence:
                                    prune_depth=True)
                   if mode == "bottomup" else None)
 
-        def run(compiled):
-            engine = DatalogDiagnosisEngine(petri, mode=mode, budget=budget,
-                                            compiled=compiled)
+        def run():
+            engine = DatalogDiagnosisEngine(petri, mode=mode, budget=budget)
             result = engine.diagnose(alarms)
-            return set(result.diagnoses), result.materialized_events
-        diagnoses, _events = per_tier(run)
+            return (set(result.diagnoses), result.materialized_events,
+                    result.counters["derivations"])
+        diagnoses, _events, _derivations = at_each_setting(run)
         assert diagnoses
 
     def test_runconfig_tier_knob(self):
+        # There is none: the executor is the plan's choice, not the run's.
+        with pytest.raises(TypeError):
+            repro.RunConfig(compiled="batched")
         petri = figure1_net()
         alarms = AlarmSequence(figure1_alarm_scenarios()["bca"])
-        oracle = repro.diagnose(petri, alarms, method="qsq",
-                                config=repro.RunConfig(compiled=False))
-        batched = repro.diagnose(petri, alarms, method="qsq",
-                                 config=repro.RunConfig(compiled="batched"))
-        assert set(batched.diagnoses) == set(oracle.diagnoses)
+        oracle = repro.diagnose(petri, alarms, method="bruteforce")
+        diagnoses = at_each_setting(
+            lambda: set(repro.diagnose(petri, alarms, method="qsq").diagnoses))
+        assert diagnoses == set(oracle.diagnoses)
 
 
 class TestInvalidTier:
-    def test_coerce_rejects_unknown_strings(self):
-        with pytest.raises(ValueError, match="batched"):
-            coerce_compiled("vectorized")
-
     def test_engines_reject_unknown_tier(self):
+        # No engine takes an executor argument.  SemiNaiveEvaluator alone
+        # still accepts (and ignores) ``compiled`` for the frozen
+        # benchmark probe; see its constructor.
         program = parse_program(FIGURE3)
-        with pytest.raises(ValueError):
-            SemiNaiveEvaluator(program, compiled="jit")
-        with pytest.raises(ValueError):
-            StratifiedEvaluator(program, compiled="jit")
+        for engine in (NaiveEvaluator, StratifiedEvaluator, QsqrEvaluator):
+            with pytest.raises(TypeError):
+                engine(program, compiled="batched")
+        with pytest.raises(TypeError):
+            IncrementalEvaluator(Database(), compiled=True)
+        with pytest.raises(TypeError):
+            DqsqEngine(DDatalogProgram(program), compiled=True)
+        with pytest.raises(TypeError):
+            DatalogDiagnosisEngine(figure1_net(), compiled=True)
+        query = Query(parse_atom('r@r("1", Y)'))
+        for evaluate in (qsq_evaluate, qsqr_evaluate, magic_evaluate):
+            with pytest.raises(TypeError):
+                evaluate(program, query, compiled=False)
+        assert not hasattr(plan_module, "coerce_compiled")
+        db = Database()
+        SemiNaiveEvaluator(program, compiled="anything").run(db)
+        assert snapshot(db) == snapshot(reference_model(program))
 
-    def test_valid_tiers_pass_through(self):
-        assert coerce_compiled(False) is False
-        assert coerce_compiled(True) is True
-        assert coerce_compiled("batched") == "batched"
+
+class TestQsqrFactBudget:
+    def test_max_facts_fires_at_the_same_count(self):
+        # QSQR enforces max_facts from a running total of its answer
+        # tables; the limit must trip on exactly the first answer beyond it.
+        program = parse_program(FIGURE3)
+        query = Query(parse_atom("r@r(X, Y)"))
+        db = load_facts(program)
+        full = qsqr_evaluate(program, query, db)
+        total = full.counters["qsqr_answer_tuples"]
+        assert total == sum(len(t) for t in full.answer_tables.values()) > 3
+        assert (full.counters["qsqr_demand_tuples"]
+                == sum(len(t) for t in full.demand_tables.values()))
+
+        exact = qsqr_evaluate(program, query, db,
+                              budget=EvaluationBudget(max_facts=total))
+        assert exact.answers == full.answers
+        for limit in (total - 1, 3):
+            evaluator = QsqrEvaluator(program,
+                                      EvaluationBudget(max_facts=limit))
+            with pytest.raises(BudgetExceeded) as raised:
+                evaluator.query(query, db.copy())
+            assert (raised.value.resource, raised.value.limit) == ("facts", limit)
+            assert evaluator.counters["facts_materialized"] == limit + 1
+
+
+class TestBottomUpFactBudget:
+    CHAIN = """
+    path(X, Y) :- edge(X, Y).
+    path(X, Z) :- path(X, Y), edge(Y, Z).
+    """ + "".join(f'edge("{i}", "{i + 1}").\n' for i in range(6))
+
+    @pytest.mark.parametrize("evaluator_class",
+                             [NaiveEvaluator, SemiNaiveEvaluator])
+    def test_max_facts_fires_after_the_whole_firing(self, evaluator_class):
+        # max_facts is checked once per firing, after its rows are
+        # bulk-inserted: the limit still trips on the first firing that
+        # crosses it, and the store then holds that whole firing.
+        program = parse_program(self.CHAIN)
+        model = snapshot(reference_model(program))
+        total = sum(len(rows) for rows in model.values())
+
+        def run(limit):
+            db = load_facts(program)
+            evaluator_class(program,
+                            EvaluationBudget(max_facts=limit)).run(db)
+            return db
+
+        def run_over(limit):
+            db = load_facts(program)
+            evaluator = evaluator_class(program,
+                                        EvaluationBudget(max_facts=limit))
+            with pytest.raises(BudgetExceeded) as raised:
+                evaluator.run(db)
+            assert (raised.value.resource, raised.value.limit) == (
+                "facts", limit)
+            return ordered_snapshot(db)
+
+        assert at_each_setting(lambda: snapshot(run(total))) == model
+        assert sum(map(len, at_each_setting(
+            lambda: run_over(total - 1)).values())) == total
+        # 6 edges + all 6 paths of the first rule's one firing, not 8 + 1
+        stopped = at_each_setting(lambda: run_over(8))
+        assert sum(map(len, stopped.values())) == 12
+        assert all(set(rows) <= model[key] for key, rows in stopped.items())
 
 
 class TestLruPlanCache:
     def test_eviction_never_changes_answers(self):
         # A cache of 2 entries forces evictions on a program with more
         # distinct rules than slots: every firing beyond the cap
-        # recompiles, and the model must not notice.
+        # recompiles (and starts again on the step interpreter: the
+        # kernel is evicted with its plan), and the model must not notice.
         program = parse_program(FIGURE3)
-        reference = {}
-        for compiled in (True, "batched"):
+        reference = snapshot(reference_model(program))
+        rule = next(program.proper_rules())
+
+        def run():
             db = Database()
-            SemiNaiveEvaluator(program, compiled=compiled).run(db)
-            reference[compiled] = snapshot(db)
+            SemiNaiveEvaluator(program).run(db)
+            return snapshot(db)
+        assert at_each_setting(run) == reference
 
         previous = set_plan_cache_limit(2)
         try:
-            clear_plan_cache()
             before = plan_cache_evictions()
-            for compiled in (True, "batched"):
-                db = Database()
-                evaluator = SemiNaiveEvaluator(program, compiled=compiled)
-                evaluator.run(db)
-                assert snapshot(db) == reference[compiled]
+            assert at_each_setting(run) == reference
             assert plan_cache_evictions() > before
+            with pinned_executor(0):
+                promoted = compile_join_plan(rule)
+                promoted.fire(load_facts(program))
+                assert promoted.kernel is not None
+                run()
+                recompiled = compile_join_plan(rule)
+                assert recompiled is not promoted
+                assert recompiled.kernel is None and recompiled.produced == 0
         finally:
             set_plan_cache_limit(previous)
             clear_plan_cache()
@@ -261,7 +400,7 @@ class TestLruPlanCache:
         try:
             clear_plan_cache()
             db = Database()
-            SemiNaiveEvaluator(program, compiled=True).run(db)
+            SemiNaiveEvaluator(program).run(db)
             before = plan_cache_evictions()
             set_plan_cache_limit(1)
             assert plan_cache_evictions() > before
@@ -274,7 +413,7 @@ class TestLruPlanCache:
         previous = set_plan_cache_limit(2)
         try:
             clear_plan_cache()
-            evaluator = SemiNaiveEvaluator(program, compiled=True)
+            evaluator = SemiNaiveEvaluator(program)
             evaluator.run(Database())
             evaluator.flush_stats()
             assert evaluator.counters["plan.cache_evictions"] > 0
@@ -283,30 +422,14 @@ class TestLruPlanCache:
             clear_plan_cache()
 
 
-class TestBatchBlock:
-    def test_round_trip_and_zero_arity_length(self):
-        rows = [(Const("a"), Const(1)), (Const("b"), Const(2))]
-        batch = Batch.from_rows(rows)
-        assert batch.arity == 2 and len(batch) == 2
-        assert batch.rows() == rows
-        empty_width = Batch.from_rows([(), (), ()], arity=0)
-        assert len(empty_width) == 3
-        assert empty_width.rows() == [(), (), ()]
-        assert not Batch(2)
-
-    def test_extend(self):
-        batch = Batch.from_rows([(Const("a"),)])
-        batch.extend(Batch.from_rows([(Const("b"),)]))
-        assert batch.rows() == [(Const("a"),), (Const("b"),)]
-
-
 class TestPickledProgramsBatchCleanly:
     def test_program_reinterns_then_batches(self):
         # The mp worker path: a program crosses a process boundary as a
         # pickle, its terms re-intern on arrival (identity-first equality
-        # must keep holding), and batched evaluation of the clone must
-        # match the original.  The pickle round-trip here exercises the
-        # same __reduce__ machinery a forked worker runs on import.
+        # must keep holding), and evaluation of the clone on either
+        # executor must match the original.  The pickle round-trip here
+        # exercises the same __reduce__ machinery a forked worker runs
+        # on import.
         program = parse_program(FIGURE3)
         clone = pickle.loads(pickle.dumps(program))
         for original, copied in zip(program.proper_rules(),
@@ -314,18 +437,22 @@ class TestPickledProgramsBatchCleanly:
             assert all(a is b for a, b in
                        zip(original.head.args, copied.head.args))
 
-        db_original, db_clone = Database(), Database()
-        SemiNaiveEvaluator(program, compiled="batched").run(db_original)
-        SemiNaiveEvaluator(clone, compiled="batched").run(db_clone)
-        assert snapshot(db_original) == snapshot(db_clone)
+        def run():
+            db_original, db_clone = Database(), Database()
+            SemiNaiveEvaluator(program).run(db_original)
+            SemiNaiveEvaluator(clone).run(db_clone)
+            assert snapshot(db_original) == snapshot(db_clone)
+            return snapshot(db_clone)
+        assert at_each_setting(run) == snapshot(reference_model(program))
 
     def test_batched_facts_interoperate_with_pickled_tuples(self):
-        # Tuples that crossed the wire must batch-insert as duplicates
+        # Tuples that crossed the wire must bulk-insert as duplicates
         # of locally derived facts (add_batch relies on interning).
         key = ("cond", None)
         rows = [(Const(i), Const(i % 3)) for i in range(8)]
         db = Database()
-        assert db.add_batch(key, rows).length == 8
+        assert db.add_batch(key, rows) == rows
         wire = pickle.loads(pickle.dumps(rows))
-        assert db.add_batch(key, wire).length == 0
+        assert db.add_batch(key, wire) == []
         assert db.count(key) == 8
+        assert db.add_batch(("flag", None), [(), ()]) == [()]

@@ -2,6 +2,7 @@
 
 import math
 import pathlib
+import sys
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.datalog.database import Database
 from repro.datalog.naive import load_facts
 from repro.datalog.plan import PlanStats, compile_join_plan
 from repro.errors import CostBudgetExceeded
+from tests.reference import pinned_executor
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
@@ -191,13 +193,15 @@ class TestPlanAdvisor:
         recursive = [r for r in program.proper_rules() if len(r.body) == 2][0]
         assert advisor.order_for(recursive, delta_position=1)[0] == 1
 
-    @pytest.mark.parametrize("compiled", [True, "batched"])
-    def test_advised_evaluation_is_answer_equivalent(self, compiled):
+    @pytest.mark.parametrize("threshold", [sys.maxsize, 0],
+                             ids=["interpreter", "kernel"])
+    def test_advised_evaluation_is_answer_equivalent(self, threshold):
         program = parse_program(self.ADVISABLE)
         advisor = PlanAdvisor(CostModel.from_program(program))
-        advised = SemiNaiveEvaluator(program, compiled=compiled,
-                                     advisor=advisor).run(Database())
-        plain = SemiNaiveEvaluator(program, compiled=compiled).run(Database())
+        with pinned_executor(threshold):
+            advised = SemiNaiveEvaluator(program,
+                                         advisor=advisor).run(Database())
+            plain = SemiNaiveEvaluator(program).run(Database())
         key = ("triples", None)
         assert set(advised.facts(key)) == set(plain.facts(key))
 

@@ -1,15 +1,15 @@
-"""Unit tests for the dedicated diagnoser's internals and evalutil."""
+"""Unit tests for the dedicated diagnoser's internals and the reference interpreter."""
 
 import pytest
 
 from repro.datalog import Database, parse_program, parse_rule
-from repro.datalog.evalutil import iter_rule_bindings
 from repro.datalog.naive import load_facts
 from repro.datalog.term import Const, Var
 from repro.diagnosis import AlarmSequence, DedicatedDiagnoser
 from repro.diagnosis.dedicated import _Projector
 from repro.petri import Observer, product_with_observers, unfold
 from repro.petri.examples import figure1_alarm_scenarios, figure1_net
+from tests.reference import iter_rule_bindings
 
 
 class TestProjector:

@@ -133,7 +133,6 @@ class TestRestoreInvalidatesPlans:
         for victim in sorted(program.peers()):
             options = NetworkOptions(seed=9, peer_fault=PeerFaultPlan(
                 crash_at={victim: (2,)}, restart_after_deliveries=8))
-            result = DqsqEngine(program, edb, options=options,
-                                compiled=True).query(query)
+            result = DqsqEngine(program, edb, options=options).query(query)
             assert result.answers == oracle
             assert result.counters["net.recovery.restores"] >= 1

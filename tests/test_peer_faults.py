@@ -304,9 +304,10 @@ class TestDiagnosisRecovery:
         for victim in sorted(petri.net.peers()):
             options = NetworkOptions(seed=5, peer_fault=PeerFaultPlan(
                 crash_at={victim: (2,)}, restart_after_deliveries=6))
-            result = repro.diagnose(petri, alarms, method="dqsq",
-                                    options=options,
-                                    use_termination_detector=True)
+            result = repro.diagnose(
+                petri, alarms, method="dqsq",
+                config=repro.RunConfig(options=options,
+                                       use_termination_detector=True))
             assert result.diagnoses == oracle
             assert not result.partial
             assert result.counters["net.recovery.checkpoints_restored"] >= 1
@@ -318,7 +319,8 @@ class TestDiagnosisRecovery:
         oracle = repro.diagnose(petri, alarms, method="bruteforce").diagnoses
         options = NetworkOptions(seed=5, peer_fault=PeerFaultPlan(
             crash_at={"p2": (1,)}, restart_after_deliveries=None))
-        result = repro.diagnose(petri, alarms, method="dqsq", options=options)
+        result = repro.diagnose(petri, alarms, method="dqsq",
+                                config=repro.RunConfig(options=options))
         assert result.partial
         assert result.diagnoses <= oracle
         assert result.peer_report is not None

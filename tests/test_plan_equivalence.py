@@ -1,31 +1,36 @@
-"""Compiled join plans vs the reference interpreter, plus term interning.
+"""Join plans vs the reference interpreter, plus term interning.
 
-The compiled path (:mod:`repro.datalog.plan`) must be a pure
-performance change: on every engine and every program it computes the
-same model, the same answers and the same diagnoses as the interpreted
-``iter_rule_bindings`` path it replaces.  These tests pin that on the
-paper's running examples (Figure 1 scenarios, the Figure 3 program and
-its Figure 4 rewriting) and on the E5 random-net diagnosis suite.
+The plans (:mod:`repro.datalog.plan`) must compute, on every engine and
+every program, the model, answers and diagnoses of the reference
+interpreter (``tests/reference.py``), whichever executor
+:meth:`~repro.datalog.plan.JoinPlan.fire` picks.  These tests pin that on
+the paper's running examples (Figure 1 scenarios, the Figure 3 program
+and its Figure 4 rewriting) and on the E5 random-net diagnosis suite;
+``tests/test_batched_kernel.py`` sweeps the engines on smaller programs.
 
-Interning is load-bearing for the compiled path (equality is
-identity-first), so the same file checks that terms survive pickling --
-the dQSQ wire format -- as the *same* interned objects.
+Interning is load-bearing for the plans (equality is identity-first),
+so the same file checks that terms survive pickling -- the dQSQ wire
+format -- as the *same* interned objects.
 """
 
 import pickle
 
 import pytest
 
+import repro
 from repro.datalog import (Database, NaiveEvaluator, Query, SemiNaiveEvaluator,
                            parse_atom, parse_program)
-from repro.datalog.naive import load_facts
+from repro.datalog.naive import load_facts, select
 from repro.datalog.qsq import qsq_evaluate
 from repro.datalog.qsqr import qsqr_evaluate
+from repro.datalog.seminaive import EvaluationBudget
 from repro.datalog.term import Const, Func, Var
 from repro.diagnosis import DatalogDiagnosisEngine
 from repro.petri.examples import figure1_alarm_scenarios, figure1_net
 from repro.petri.generators import random_safe_net
 from repro.workloads.alarmgen import AlarmSequence, simulate_alarms
+from tests.reference import (at_each_setting, derive_head, iter_rule_bindings,
+                             reference_model, snapshot)
 
 FIGURE3 = """
 r@r(X, Y) :- a@r(X, Y).
@@ -49,43 +54,65 @@ even(s(s(N))) :- even(N).
 """
 
 
-def snapshot(db):
-    return {key: frozenset(db.facts(key)) for key in db.relations()
-            if db.facts(key)}
-
-
 class TestBottomUpEquivalence:
     def test_seminaive_figure3_model(self):
+        # Derivation counts too: the plans must explore the bindings the
+        # interpreter does, not merely reach its fixpoint.  A semi-naive
+        # round over the interpreter counts them independently.
         program = parse_program(FIGURE3)
-        models = []
-        for compiled in (False, True):
+
+        def run():
             db = Database()
-            evaluator = SemiNaiveEvaluator(program, compiled=compiled)
+            evaluator = SemiNaiveEvaluator(program)
             evaluator.run(db)
-            models.append((snapshot(db),
-                           evaluator.counters["derivations"]))
-        assert models[0] == models[1]
+            return snapshot(db), evaluator.counters["derivations"]
+        model, derivations = at_each_setting(run)
+        assert model == snapshot(reference_model(program))
+        assert derivations == _reference_seminaive_derivations(program)
 
     def test_naive_figure3_model(self):
         program = parse_program(FIGURE3)
         query = Query(parse_atom('r@r("1", Y)'))
-        answer_sets = []
-        for compiled in (False, True):
-            db = Database()
-            evaluator = NaiveEvaluator(program, compiled=compiled)
-            answer_sets.append(evaluator.answers(db, query))
-        assert answer_sets[0] == answer_sets[1]
+        answers = at_each_setting(lambda: NaiveEvaluator(program).answers(
+            load_facts(program), query))
+        assert answers == select(reference_model(program), query.atom)
+        assert answers
 
     def test_seminaive_function_symbols_with_budget(self):
-        from repro.datalog.seminaive import EvaluationBudget
         program = parse_program(FUNC_RULES)
         budget = EvaluationBudget(max_term_depth=6, prune_depth=True)
-        models = []
-        for compiled in (False, True):
+
+        def run():
             db = Database()
-            SemiNaiveEvaluator(program, budget, compiled=compiled).run(db)
-            models.append(snapshot(db))
-        assert models[0] == models[1]
+            SemiNaiveEvaluator(program, budget).run(db)
+            return snapshot(db)
+        assert (at_each_setting(run)
+                == snapshot(reference_model(program, budget=budget)))
+
+
+def _reference_seminaive_derivations(program) -> int:
+    """Bindings a semi-naive run of the reference interpreter derives."""
+    db = Database()
+    for fact in program.facts():
+        db.add_atom(fact.head)
+    rules = list(program.proper_rules())
+    derivations = 0
+    firings = [(rule, None, None) for rule in rules]
+    while firings:
+        delta = {}
+        for rule, position, rows in firings:
+            heads = [derive_head(rule, binding) for binding in
+                     iter_rule_bindings(rule, db, delta_position=position,
+                                        delta_facts=rows)]
+            derivations += len(heads)
+            for head in heads:
+                if db.add_atom(head):
+                    delta.setdefault(head.key(), []).append(head.args)
+        firings = [(rule, position, rows)
+                   for key, rows in delta.items() for rule in rules
+                   for position, atom in enumerate(rule.body)
+                   if atom.key() == key]
+    return derivations
 
 
 class TestQsqEquivalence:
@@ -93,19 +120,23 @@ class TestQsqEquivalence:
         program = parse_program(FIGURE3)
         db = load_facts(program)
         query = Query(parse_atom('r@r("1", Y)'))
-        interp = qsq_evaluate(program, query, db, compiled=False)
-        comp = qsq_evaluate(program, query, db, compiled=True)
-        assert interp.answers == comp.answers
-        assert len(comp.answers) > 0
+        answers = at_each_setting(
+            lambda: qsq_evaluate(program, query, db).answers)
+        assert answers == select(reference_model(program), query.atom)
+        assert len(answers) > 0
 
     def test_qsqr_answers(self):
         program = parse_program(FIGURE3)
         db = load_facts(program)
         query = Query(parse_atom('r@r("1", Y)'))
-        interp = qsqr_evaluate(program, query, db, compiled=False)
-        comp = qsqr_evaluate(program, query, db, compiled=True)
-        assert interp.answers == comp.answers
-        assert interp.answer_tables.keys() == comp.answer_tables.keys()
+        result = qsqr_evaluate(program, query, db)
+        assert result.answers == select(reference_model(program), query.atom)
+        # QSQR's answer tables hold, per adorned relation, a subset of
+        # the relation's facts in the model
+        model = reference_model(program)
+        assert result.answer_tables
+        for (relation, peer, _pattern), table in result.answer_tables.items():
+            assert table <= set(model.facts((relation, peer)))
 
 
 class TestDiagnosisEquivalence:
@@ -114,27 +145,26 @@ class TestDiagnosisEquivalence:
     def test_figure1_scenarios(self, scenario, mode):
         petri = figure1_net()
         alarms = AlarmSequence(figure1_alarm_scenarios()[scenario])
-        results = []
-        for compiled in (False, True):
-            engine = DatalogDiagnosisEngine(petri, mode=mode,
-                                            compiled=compiled)
-            results.append(engine.diagnose(alarms))
-        assert set(results[0].diagnoses) == set(results[1].diagnoses)
-        assert (results[0].materialized_events
-                == results[1].materialized_events)
+        oracle = repro.diagnose(petri, alarms, method="dedicated")
+
+        def run():
+            result = DatalogDiagnosisEngine(petri, mode=mode).diagnose(alarms)
+            return set(result.diagnoses), result.materialized_events
+        diagnoses, events = at_each_setting(run)
+        assert diagnoses == set(oracle.diagnoses)
+        assert events == oracle.materialized_events
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_e5_random_nets(self, seed):
         petri = random_safe_net(seed, branching=0.5)
         alarms = simulate_alarms(petri, steps=4, seed=seed)
-        results = []
-        for compiled in (False, True):
-            engine = DatalogDiagnosisEngine(petri, mode="qsq",
-                                            compiled=compiled)
-            results.append(engine.diagnose(alarms))
-        assert set(results[0].diagnoses) == set(results[1].diagnoses)
-        assert (results[0].counters["derivations"]
-                == results[1].counters["derivations"])
+        oracle = repro.diagnose(petri, alarms, method="dedicated")
+
+        def run():
+            result = DatalogDiagnosisEngine(petri, mode="qsq").diagnose(alarms)
+            return set(result.diagnoses), result.counters["derivations"]
+        diagnoses, _derivations = at_each_setting(run)
+        assert diagnoses == set(oracle.diagnoses)
 
 
 class TestInterningSurvivesTheWire:

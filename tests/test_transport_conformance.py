@@ -14,9 +14,9 @@ runtimes where the capability exists:
 * **capability fences** -- simulator-only options are rejected on mp,
   the confluence gate refuses order-sensitive jobs and non-confluent
   programs, and ``MpConfig(allow_nonconfluent=True)`` opts out;
-* **the RunConfig facade** -- legacy ``diagnose()`` keyword arguments
-  warn :class:`ReproDeprecationWarning` and fold into an equivalent
-  :class:`repro.RunConfig`.
+* **the RunConfig facade** -- :class:`repro.RunConfig` is the only way
+  to configure ``diagnose()``; the pre-``RunConfig`` keyword arguments
+  are a ``TypeError``.
 
 Simulator-only capabilities are feature-gated via
 ``TransportRuntime.features`` rather than hard-coded, so a third
@@ -45,7 +45,7 @@ from repro.distributed.network import FaultPlan, NetworkOptions, PeerFaultPlan
 from repro.distributed.race import RACY_TEXT, RecordingChooser
 from repro.distributed.transport import (PeerSpec, TransportJob,
                                          resolve_transport)
-from repro.errors import DistributedError, ReproDeprecationWarning
+from repro.errors import DistributedError
 from repro.experiments.registry import FIGURE3_TEXT
 from repro.petri.examples import figure1_alarm_scenarios, figure1_net
 from repro.utils.counters import Counters
@@ -367,23 +367,14 @@ def test_sim_runtime_features():
 # -- the RunConfig facade ------------------------------------------------------
 
 
-def test_legacy_diagnose_kwargs_warn_and_fold(e6_problem):
+def test_legacy_diagnose_kwarg_is_a_type_error(e6_problem):
     petri, alarms = e6_problem
-    with pytest.warns(ReproDeprecationWarning,
-                      match="use_termination_detector"):
-        legacy = repro.diagnose(petri, alarms, use_termination_detector=True)
-    modern = repro.diagnose(
-        petri, alarms,
-        config=repro.RunConfig(use_termination_detector=True))
-    assert legacy.diagnoses == modern.diagnoses
-
-
-def test_legacy_options_kwarg_warns(e6_problem):
-    petri, alarms = e6_problem
-    with pytest.warns(ReproDeprecationWarning, match="options"):
-        result = repro.diagnose(petri, alarms,
-                                options=NetworkOptions(seed=3))
-    assert result.diagnoses
+    for legacy in ({"use_termination_detector": True},
+                   {"options": NetworkOptions(seed=3)}):
+        with pytest.raises(TypeError):
+            repro.diagnose(petri, alarms, **legacy)
+        assert repro.diagnose(petri, alarms,
+                              config=repro.RunConfig(**legacy)).diagnoses
 
 
 def test_runconfig_rejects_faults_on_mp(e6_problem):
