@@ -35,16 +35,19 @@ Two service-facing capabilities extend the original regime:
   :attr:`window_lossy` reports honestly whether a non-empty vector was
   ever dropped.  While it stays ``False`` the compacted diagnoses are
   *exactly* the unwindowed ones (the compaction oracle test pins this).
-* **checkpoint/restore** -- :meth:`checkpoint` returns a serializable
-  snapshot of the whole supervisor state (the PR-4 idiom from the dQSQ
-  peer: callers pickle it, isolating the bytes from later mutation);
-  :meth:`restore` rebuilds the diagnoser from one, after which resumed
-  diagnoses equal the batch diagnosis of the full alarm sequence.
+* **checkpoint/restore** -- :meth:`checkpoint` returns the whole
+  supervisor state as plain data (tuples, lists, dicts, strings, ints:
+  cheap to pickle, and building it is the copy that isolates it from
+  later pushes); :meth:`restore` rebuilds the diagnoser from one, after
+  which resumed diagnoses equal the batch diagnosis of the full alarm
+  sequence.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.diagnosis.alarms import Alarm, AlarmSequence
 from repro.diagnosis.problem import DiagnosisSet, diagnosis_set
@@ -56,18 +59,44 @@ from repro.utils.counters import Counters
 #: index vector: sorted (peer, consumed-count) pairs, zero counts omitted
 IndexVector = tuple[tuple[str, int], ...]
 
+#: bump when the :meth:`OnlineDiagnoser.checkpoint` layout changes
+CHECKPOINT_VERSION = 2
 
-@dataclass(frozen=True)
-class _State:
+
+class _State(NamedTuple):
     """One partial explanation: its events and its available cut."""
 
     events: frozenset[str]
     cut: frozenset[str]
 
 
+#: per-net alphabet tables.  The table is a function of the (immutable)
+#: net, so every diagnoser over one ``PetriNet`` object shares one.
+_ALPHABETS: weakref.WeakKeyDictionary[PetriNet, dict[str, frozenset[str]]] \
+    = weakref.WeakKeyDictionary()
+
+
+def _symbols_of_peer(petri: PetriNet) -> dict[str, frozenset[str]]:
+    table = _ALPHABETS.get(petri)
+    if table is None:
+        net = petri.net
+        table = _ALPHABETS[petri] = {
+            peer: frozenset(net.alarm[t]
+                            for t in net.transitions_of_peer(peer))
+            for peer in net.peers()}
+    return table
+
+
 def _vector(counts: dict[str, int]) -> IndexVector:
     return tuple(sorted((peer, count) for peer, count in counts.items()
                         if count > 0))
+
+
+def _component(vector: IndexVector, peer: str) -> int:
+    for p, count in vector:
+        if p == peer:
+            return count
+    return 0
 
 
 def _decrement(vector: IndexVector, peer: str) -> IndexVector:
@@ -96,30 +125,40 @@ class OnlineDiagnoser:
                          cut=frozenset(c.cid for c in roots))
         self._table: dict[IndexVector, set[_State]] = {(): {initial}}
         self._streams: dict[str, list[str]] = {}
-        self._received: list[Alarm] = []
-        self._symbols_of_peer: dict[str, frozenset[str]] = {
-            peer: frozenset(petri.net.alarm[t]
-                            for t in petri.net.transitions_of_peer(peer))
-            for peer in petri.net.peers()}
+        #: (symbol, peer) pairs in arrival order
+        self._received: list[tuple[str, str]] = []
+        self._symbols_of_peer = _symbols_of_peer(petri)
+
+    @classmethod
+    def from_checkpoint(cls, petri: PetriNet,
+                        snapshot: dict) -> "OnlineDiagnoser":
+        """A diagnoser over ``petri`` resumed from ``snapshot``, without
+        building the fresh state :meth:`restore` would throw away."""
+        diagnoser = cls.__new__(cls)
+        diagnoser.petri = petri
+        diagnoser._symbols_of_peer = _symbols_of_peer(petri)
+        diagnoser.restore(snapshot)
+        return diagnoser
 
     # -- the supervisor loop -------------------------------------------------------
 
-    def _validate(self, alarm: Alarm) -> None:
+    def _validate(self, symbol: str, peer: str) -> None:
         """Boundary validation: reject malformed input *before* it can
         corrupt the stream state or surface as a bare ``KeyError`` from
         deep inside :meth:`_extensions`.  A well-formed alarm the model
         cannot explain is *not* an error -- that is what
         :meth:`is_consistent` reports."""
-        symbols = self._symbols_of_peer.get(alarm.peer)
+        symbols = self._symbols_of_peer.get(peer)
         if symbols is None:
             raise UnknownAlarmError(
-                alarm, f"peer {alarm.peer!r} is not a peer of the model "
-                       f"(known: {', '.join(sorted(self._symbols_of_peer))})")
-        if alarm.symbol not in symbols:
+                Alarm(symbol, peer),
+                f"peer {peer!r} is not a peer of the model "
+                f"(known: {', '.join(sorted(self._symbols_of_peer))})")
+        if symbol not in symbols:
             raise UnknownAlarmError(
-                alarm, f"peer {alarm.peer!r} never emits symbol "
-                       f"{alarm.symbol!r} (its alphabet: "
-                       f"{', '.join(sorted(symbols)) or '<empty>'})")
+                Alarm(symbol, peer),
+                f"peer {peer!r} never emits symbol {symbol!r} (its "
+                f"alphabet: {', '.join(sorted(symbols)) or '<empty>'})")
 
     def push(self, alarm: Alarm | tuple[str, str]) -> int:
         """Process one alarm; returns the surviving candidate count.
@@ -128,16 +167,17 @@ class OnlineDiagnoser:
         ``alarm.peer`` component equals the new subsequence length, then
         compacts vectors that fell out of the window (if one is set).
         """
-        if not isinstance(alarm, Alarm):
-            alarm = Alarm(*alarm)
-        self._validate(alarm)
-        self._received.append(alarm)
+        if isinstance(alarm, Alarm):
+            alarm = (alarm.symbol, alarm.peer)
+        symbol, pushed_peer = alarm
+        self._validate(symbol, pushed_peer)
+        self._received.append((symbol, pushed_peer))
         self.counters.add("alarms_processed")
-        stream = self._streams.setdefault(alarm.peer, [])
-        stream.append(alarm.symbol)
+        stream = self._streams.setdefault(pushed_peer, [])
+        stream.append(symbol)
         new_count = len(stream)
 
-        for vector in self._slab(alarm.peer, new_count):
+        for vector in self._slab(pushed_peer, new_count):
             states: set[_State] = set()
             for peer, count in vector:
                 symbol = self._streams[peer][count - 1]
@@ -145,7 +185,7 @@ class OnlineDiagnoser:
                 for state in previous:
                     states.update(self._extensions(state, peer, symbol))
             self._table[vector] = states
-        self._compact()
+        self._compact(pushed_peer)
         self.counters.set_max("peak_table_vectors", len(self._table))
         return self.candidate_count()
 
@@ -174,8 +214,12 @@ class OnlineDiagnoser:
         out.sort(key=lambda vec: sum(count for _p, count in vec))
         return out
 
-    def _compact(self) -> None:
+    def _compact(self, peer: str | None = None) -> None:
         """Drop table vectors with any component below its window floor.
+
+        ``peer`` names the only stream that grew since the table last
+        satisfied every floor (:meth:`push` passes the pushed peer), so
+        only that component is compared; ``None`` compares them all.
 
         Soundness: a dropped vector can only be *read* (through
         :meth:`_slab` / ``_decrement``) by vectors that are themselves
@@ -185,14 +229,14 @@ class OnlineDiagnoser:
         :attr:`window_lossy`; while that stays ``False`` every future
         diagnosis is bit-identical to the unwindowed run's.
         """
-        if self.window is None:
+        peers = self._streams if peer is None else (peer,)
+        floors = [(p, floor) for p in peers if (floor := self._floor(p)) > 0]
+        if not floors:
             return
-        floors = {peer: self._floor(peer) for peer in self._streams}
         dead = []
         for vector in self._table:
-            counts = dict(vector)
-            for peer, floor in floors.items():
-                if floor > 0 and counts.get(peer, 0) < floor:
+            for p, floor in floors:
+                if _component(vector, p) < floor:
                     dead.append(vector)
                     break
         for vector in dead:
@@ -261,36 +305,31 @@ class OnlineDiagnoser:
     # -- checkpoint / restore ------------------------------------------------------
 
     def checkpoint(self) -> dict:
-        """A serializable snapshot of the whole supervisor state.
+        """The whole supervisor state as plain data.
 
         Taken between pushes, so the table is at a slab boundary and
         internally consistent by construction.  The net itself is static
         configuration and not included -- restore into a diagnoser built
-        over the same :class:`PetriNet`.  Mutable containers are copied;
-        the entries (frozen dataclasses, strings, tuples) are immutable
-        and safely shared.  Callers that persist snapshots should pickle
-        them immediately (the PR-4 isolation idiom): the pickled bytes
-        cannot be mutated by pushes that happen after the checkpoint.
+        over the same :class:`PetriNet`.  The value holds only tuples,
+        lists, dicts, strings and ints: the branching process as its two
+        row lists (:meth:`BranchingProcess.rows`; its five other maps
+        are rebuilt on restore), each table state as an ``(events, cut)``
+        pair of tuples.  Building it copies every mutable container, so
+        later pushes cannot reach into it.
         """
-        bp = self.bp
+        conditions, events = self.bp.rows()
         return {
-            "version": 1,
+            "version": CHECKPOINT_VERSION,
             "window": self.window,
             "window_lossy": self._window_lossy,
-            "received": [(a.symbol, a.peer) for a in self._received],
+            "received": list(self._received),
             "streams": {peer: list(s) for peer, s in self._streams.items()},
-            "table": {vec: set(states) for vec, states in self._table.items()},
+            "table": {vector: [(tuple(state.events), tuple(state.cut))
+                               for state in states]
+                      for vector, states in self._table.items()},
             "counters": self.counters.as_dict(),
-            "bp": {
-                "conditions": dict(bp.conditions),
-                "events": dict(bp.events),
-                "postset": dict(bp.postset),
-                "consumers": {cid: list(e) for cid, e in bp.consumers.items()},
-                "roots": list(bp.roots),
-                "events_by_key": dict(bp._events_by_key),
-                "conditions_by_place": {place: list(c) for place, c
-                                        in bp._conditions_by_place.items()},
-            },
+            "conditions": conditions,
+            "events": events,
         }
 
     def restore(self, snapshot: dict | None) -> None:
@@ -300,38 +339,38 @@ class OnlineDiagnoser:
         Unlike the dQSQ peer's restore (which replays a message log),
         the snapshot here is the complete materialized state: no replay
         is needed, and resumed diagnoses equal the batch diagnosis of
-        the full alarm sequence.  Counters are restored from the
-        snapshot so per-session statistics stay consistent across
-        rehydration; the restore itself is counted on top.
+        the full alarm sequence.  Nothing mutable is shared with
+        ``snapshot``, which may be restored again.  Stored rows are
+        checked as :meth:`BranchingProcess.from_rows` describes
+        (:class:`~repro.errors.PetriNetError`).  Counters are restored
+        from the snapshot so per-session statistics stay consistent
+        across rehydration; the restore itself is counted on top.
         """
-        restores = self.counters["restores"]
         if snapshot is None:
+            restores = self.counters["restores"]
             self.__init__(self.petri, window=self.window)
             self.counters.add("restores", restores + 1)
             return
-        self.window = snapshot["window"]
-        self._window_lossy = snapshot["window_lossy"]
-        self._received = [Alarm(symbol, peer)
-                          for symbol, peer in snapshot["received"]]
-        self._streams = {peer: list(s)
-                         for peer, s in snapshot["streams"].items()}
-        self._table = {vec: set(states)
-                       for vec, states in snapshot["table"].items()}
-        bp = BranchingProcess(self.petri)
-        frozen = snapshot["bp"]
-        bp.conditions = dict(frozen["conditions"])
-        bp.events = dict(frozen["events"])
-        bp.postset = dict(frozen["postset"])
-        bp.consumers = {cid: list(e) for cid, e in frozen["consumers"].items()}
-        bp.roots = list(frozen["roots"])
-        bp._events_by_key = dict(frozen["events_by_key"])
-        bp._conditions_by_place = {place: list(c) for place, c
-                                   in frozen["conditions_by_place"].items()}
-        self.bp = bp
+        if snapshot["version"] != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version "
+                             f"{snapshot['version']}")
+        # decode first, assign after: a refused snapshot changes nothing
+        bp = BranchingProcess.from_rows(
+            self.petri, snapshot["conditions"], snapshot["events"])
+        table = {vector: {_State(frozenset(events), frozenset(cut))
+                          for events, cut in states}
+                 for vector, states in snapshot["table"].items()}
         counters = Counters()
         for name, value in snapshot["counters"].items():
             counters.add(name, value)
+        self.bp = bp
+        self._table = table
         self.counters = counters
+        self.window = snapshot["window"]
+        self._window_lossy = snapshot["window_lossy"]
+        self._received = list(snapshot["received"])
+        self._streams = {peer: list(s)
+                         for peer, s in snapshot["streams"].items()}
         self.counters.add("restores")
 
     # -- results ----------------------------------------------------------------------
@@ -345,6 +384,7 @@ class OnlineDiagnoser:
                              for state in self._table.get(self._target(), ()))
 
     def received(self) -> AlarmSequence:
+        """The alarms consumed so far, in arrival order."""
         return AlarmSequence(self._received)
 
     @property

@@ -16,8 +16,7 @@ directly checkable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.errors import PetriNetError
 from repro.petri.net import PetriNet
@@ -26,8 +25,7 @@ from repro.petri.net import PetriNet
 VIRTUAL_ROOT = "r"
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     """A place node of the branching process (an instance of a Petri place)."""
 
     cid: str
@@ -36,8 +34,7 @@ class Condition:
     depth: int                 #: number of events on the path from the roots
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """A transition node of the branching process."""
 
     eid: str
@@ -111,6 +108,59 @@ class BranchingProcess:
             post.append(cid)
         self.postset[eid] = tuple(post)
         return event
+
+    # -- plain-data form -----------------------------------------------------
+
+    def rows(self) -> tuple[list[tuple], list[tuple]]:
+        """The process as plain data: its condition rows and its event
+        rows (the fields of :class:`Condition` / :class:`Event`), each in
+        insertion order.  Every other map is a function of these two
+        lists and the net; :meth:`from_rows` rebuilds them."""
+        return ([tuple(c) for c in self.conditions.values()],
+                [tuple(e) for e in self.events.values()])
+
+    @classmethod
+    def from_rows(cls, petri: PetriNet, conditions: Sequence[tuple],
+                  events: Sequence[tuple]) -> "BranchingProcess":
+        """Rebuild a process from :meth:`rows` output.
+
+        Rows come from outside the program (a stored snapshot), so they
+        get the checks :meth:`add_root` / :meth:`add_event` make while
+        building: no duplicate condition or event, no preset naming an
+        unknown condition -- plus one only stored rows can fail, a
+        condition produced by an unknown event.
+        """
+        bp = cls(petri)
+        post: dict[str, list[str]] = {}
+        for row in conditions:
+            condition = Condition._make(row)
+            cid, place, producer, _depth = condition
+            if cid in bp.conditions:
+                raise PetriNetError(f"duplicate condition {cid}")
+            bp.conditions[cid] = condition
+            bp.consumers[cid] = []
+            bp._conditions_by_place.setdefault(place, []).append(cid)
+            if producer is None:
+                bp.roots.append(cid)
+            else:
+                post.setdefault(producer, []).append(cid)
+        for row in events:
+            event = Event._make(row)
+            eid, transition, preset, _depth = event
+            key = (transition, frozenset(preset))
+            if eid in bp.events or key in bp._events_by_key:
+                raise PetriNetError(f"duplicate event {eid}")
+            for cid in preset:
+                if cid not in bp.conditions:
+                    raise PetriNetError(f"unknown preset condition {cid}")
+                bp.consumers[cid].append(eid)
+            bp.events[eid] = event
+            bp._events_by_key[key] = eid
+            bp.postset[eid] = tuple(post.pop(eid, ()))
+        if post:
+            raise PetriNetError(
+                f"conditions produced by unknown events {sorted(post)}")
+        return bp
 
     # -- structure ----------------------------------------------------------
 

@@ -143,20 +143,16 @@ class DiagnosisService:
             session = self._resident.get(session_id)
             if session is None:
                 try:
-                    stored = self.store.load(session_id) is not None
+                    data = await self._load(session_id)
                 except SnapshotStoreError:
-                    stored = True  # assume it exists; rehydrate will retry
-                if not stored:
-                    return await self._open_fresh(session_id, request)
-            # resume: resident or stored -- tell the client where it is
-            if session is None:
-                rehydrated = await self._rehydrate(session_id)
-                if rehydrated is None:
                     return error("snapshot-failed",
                                  f"session {session_id!r} exists but its "
                                  f"snapshot cannot be loaded; retry later",
                                  session=session_id, retry=True)
-                session = rehydrated
+                if data is None:
+                    return await self._open_fresh(session_id, request)
+                session = self._rehydrate(session_id, data)
+            # resume: resident or stored -- tell the client where it is
             self._touch(session_id)
             self.counters.add("service.sessions_resumed")
             return ok(session=session_id, resumed=True, seq=session.seq,
@@ -189,23 +185,27 @@ class DiagnosisService:
         return ok(session=session_id, resumed=False, seq=0, partial=False,
                   degraded=False)
 
-    async def _rehydrate(self,
-                         session_id: str) -> DiagnosisSession | None:
-        """Load an evicted session back into memory, with load retries."""
-        data: bytes | None = None
-        for attempt in range(self.config.snapshot_retries + 1):
+    async def _load(self, session_id: str) -> bytes | None:
+        """The one store read of a rehydration, retried with backoff.
+
+        ``None`` means the store holds no such session; a store that
+        fails every attempt raises the last
+        :class:`~repro.errors.SnapshotStoreError`.
+        """
+        attempt = 0
+        while True:
             try:
-                data = self.store.load(session_id)
-                break
+                return self.store.load(session_id)
             except SnapshotStoreError:
                 if attempt == self.config.snapshot_retries:
                     self.counters.add("service.snapshot_load_failures")
-                    return None
-                self.counters.add("service.snapshot_retries")
-                await asyncio.sleep(
-                    self.config.snapshot_backoff * (2 ** attempt))
-        if data is None:
-            return None
+                    raise
+            self.counters.add("service.snapshot_retries")
+            await asyncio.sleep(self.config.snapshot_backoff * (2 ** attempt))
+            attempt += 1
+
+    def _rehydrate(self, session_id: str, data: bytes) -> DiagnosisSession:
+        """Make the evicted session stored as ``data`` resident again."""
         session = DiagnosisSession.from_bytes(data)
         self._resident[session_id] = session
         self.counters.add("service.rehydrations")
@@ -223,20 +223,17 @@ class DiagnosisService:
             self._touch(session_id)
             return session
         try:
-            stored = self.store.load(session_id) is not None
+            data = await self._load(session_id)
         except SnapshotStoreError:
-            stored = True  # it may exist; treat the store as the problem
-        if not stored:
-            return error("unknown-session",
-                         f"session {session_id!r} was never opened "
-                         f"(or was closed)", session=session_id)
-        session = await self._rehydrate(session_id)
-        if session is None:
             return error("snapshot-failed",
                          f"session {session_id!r} is evicted and its "
                          f"snapshot cannot be loaded; retry later",
                          session=session_id, retry=True)
-        return session
+        if data is None:
+            return error("unknown-session",
+                         f"session {session_id!r} was never opened "
+                         f"(or was closed)", session=session_id)
+        return self._rehydrate(session_id, data)
 
     async def _evict_over_cap(self, keep: str) -> None:
         """LRU-evict beyond ``max_resident``; never evicts ``keep``."""
@@ -272,16 +269,21 @@ class DiagnosisService:
     async def _snapshot(self, session: DiagnosisSession) -> bool:
         """Write the session's snapshot, retrying with backoff.
 
-        Returns ``False`` when every attempt failed; the caller keeps
-        the session resident so nothing is lost -- durability degrades,
-        correctness never.
+        A clean session -- nothing applied since the store last took
+        it -- is already persisted: nothing is pickled or written.
+        Returns ``False`` when every attempt failed; the session stays
+        dirty and the caller keeps it resident so nothing is lost --
+        durability degrades, correctness never.
         """
-        data = session.snapshot_bytes()
+        if not session.dirty:
+            self.counters.add("service.snapshots_skipped_clean")
+            return True
         for attempt in range(self.config.snapshot_retries + 1):
+            # pickled per attempt: the backoff yields, and what is saved
+            # (and then called clean) must be the state as it is now
+            data = session.snapshot_bytes()
             try:
                 self.store.save(session.session_id, data)
-                self.counters.add("service.snapshots_written")
-                return True
             except SnapshotStoreError:
                 if attempt == self.config.snapshot_retries:
                     self.counters.add("service.snapshot_failures")
@@ -289,6 +291,11 @@ class DiagnosisService:
                 self.counters.add("service.snapshot_retries")
                 await asyncio.sleep(
                     self.config.snapshot_backoff * (2 ** attempt))
+            else:
+                session.dirty = False
+                self.counters.add("service.snapshots_written")
+                self.counters.add("service.snapshot_bytes_written", len(data))
+                return True
         return False
 
     # -- the alarm path ------------------------------------------------------

@@ -3,14 +3,20 @@
 A session wraps an :class:`~repro.diagnosis.online.OnlineDiagnoser` and
 adds what serving needs: a sequence number making alarm ingestion
 idempotent (exactly-once effect under at-least-once delivery), a sticky
-degradation flag, and pickle-isolated snapshot/rehydrate over the whole
-state -- including the Petri net, so a snapshot alone suffices to
-rebuild the session in a freshly started server process.
+degradation flag, a dirty flag telling the server whether the store
+already holds this state, and pickle-isolated snapshot/rehydrate over
+the whole state -- including the Petri net, so a snapshot alone suffices
+to rebuild the session in a freshly started server process.
+
+The net is static, so a session pickles it once and embeds those bytes
+in every snapshot; rehydration resolves them through a small
+bytes -> ``PetriNet`` map, and sessions on one net share one object.
 """
 
 from __future__ import annotations
 
 import pickle
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any
 
@@ -19,7 +25,29 @@ from repro.errors import ServiceError
 from repro.petri.net import PetriNet
 
 #: bump when the snapshot layout changes incompatibly
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+
+#: distinct nets :func:`_shared_net` keeps alive (least recently used
+#: goes first); a server serves a handful of scenarios
+SHARED_NETS = 16
+
+_nets: OrderedDict[bytes, PetriNet] = OrderedDict()
+
+
+def _shared_net(net_bytes: bytes) -> PetriNet:
+    """The net pickled as ``net_bytes``: one immutable object for all
+    the sessions rehydrated from equal bytes."""
+    petri = _nets.get(net_bytes)
+    if petri is None:
+        petri = pickle.loads(net_bytes)
+        if not isinstance(petri, PetriNet):
+            raise TypeError(f"snapshot net is a {type(petri).__name__}")
+        _nets[net_bytes] = petri
+        if len(_nets) > SHARED_NETS:
+            _nets.popitem(last=False)
+    else:
+        _nets.move_to_end(net_bytes)
+    return petri
 
 
 @dataclass(frozen=True)
@@ -51,14 +79,21 @@ class DiagnosisSession:
     """The server-side state of one tenant's alarm stream."""
 
     def __init__(self, session_id: str, petri: PetriNet,
-                 config: SessionConfig | None = None) -> None:
+                 config: SessionConfig | None = None, *,
+                 diagnoser: OnlineDiagnoser | None = None) -> None:
         self.session_id = session_id
         self.petri = petri
         self.config = config or SessionConfig()
-        self.diagnoser = OnlineDiagnoser(petri, window=self.config.window)
+        #: ``diagnoser`` is :meth:`from_bytes` handing in the resumed one
+        self.diagnoser = diagnoser if diagnoser is not None \
+            else OnlineDiagnoser(petri, window=self.config.window)
         #: sticky: once the server degraded this session, every further
         #: answer is marked partial (the window stays tightened)
         self.degraded = False
+        #: True while the state differs from the snapshot the server last
+        #: saved (or loaded this session from); the server clears it
+        self.dirty = True
+        self._net_bytes: bytes | None = None
 
     # -- the alarm path ------------------------------------------------------
 
@@ -82,6 +117,7 @@ class DiagnosisSession:
         ``unknown-alarm`` refusal.
         """
         candidates = self.diagnoser.push((symbol, peer))
+        self.dirty = True
         return {
             "session": self.session_id,
             "seq": self.seq,
@@ -94,6 +130,7 @@ class DiagnosisSession:
     def degrade(self) -> None:
         """Tighten the window (the overload degrade path); sticky."""
         self.degraded = True
+        self.dirty = True
         self.diagnoser.set_window(self.config.degraded_window)
 
     def diagnoses_payload(self) -> dict[str, Any]:
@@ -114,10 +151,13 @@ class DiagnosisSession:
     def snapshot_bytes(self) -> bytes:
         """The whole session, pickled: isolation from later pushes is by
         value (the bytes can never alias live state)."""
+        if self._net_bytes is None:
+            self._net_bytes = pickle.dumps(self.petri,
+                                           protocol=pickle.HIGHEST_PROTOCOL)
         return pickle.dumps({
             "version": SNAPSHOT_VERSION,
             "session_id": self.session_id,
-            "petri": self.petri,
+            "petri": self._net_bytes,
             "config": self.config,
             "degraded": self.degraded,
             "diagnoser": self.diagnoser.checkpoint(),
@@ -125,7 +165,13 @@ class DiagnosisSession:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "DiagnosisSession":
-        """Rehydrate a session from :meth:`snapshot_bytes` output."""
+        """Rehydrate a session from :meth:`snapshot_bytes` output.
+
+        The session comes back clean (it equals ``data``).  Anything
+        wrong with the bytes -- not a pickle, another layout version,
+        rows that do not make a branching process -- is a
+        :class:`~repro.errors.ServiceError`.
+        """
         try:
             record = pickle.loads(data)
         except Exception as err:
@@ -135,8 +181,16 @@ class DiagnosisSession:
             raise ServiceError(
                 f"unsupported session snapshot version "
                 f"{record.get('version') if isinstance(record, dict) else '?'}")
-        session = cls(record["session_id"], record["petri"],
-                      config=record["config"])
-        session.diagnoser.restore(record["diagnoser"])
-        session.degraded = record["degraded"]
+        try:
+            petri = _shared_net(record["petri"])
+            session = cls(record["session_id"], petri, record["config"],
+                          diagnoser=OnlineDiagnoser.from_checkpoint(
+                              petri, record["diagnoser"]))
+            session._net_bytes = record["petri"]
+            session.degraded = record["degraded"]
+        except Exception as err:  # the bytes are outside input
+            raise ServiceError(
+                f"corrupt session snapshot: "
+                f"{type(err).__name__}: {err}") from err
+        session.dirty = False
         return session

@@ -260,6 +260,68 @@ class TestOnlineCheckpointRestore:
                                         AlarmSequence(alarms)).diagnoses)
 
 
+    def test_checkpoint_is_plain_data_that_restore_does_not_alias(self):
+        import copy
+
+        from repro.workloads.scenarios import get_scenario
+
+        def walk(value):
+            assert type(value) in (dict, list, tuple, str, int, bool,
+                                   type(None)), type(value)
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    walk(key)
+                    walk(item)
+            elif isinstance(value, (list, tuple)):
+                for item in value:
+                    walk(item)
+
+        petri, _unused = get_scenario("telecom-small").instantiate()
+        alarms = list(simulate_alarms(petri, steps=12, seed=3))
+        online = OnlineDiagnoser(petri, window=8)
+        online.push_all(alarms[:6])
+        snapshot = online.checkpoint()
+        walk(snapshot)
+        assert any(snapshot["table"].values())  # live states were encoded
+        pristine = copy.deepcopy(snapshot)
+
+        # one snapshot, restored twice: the copies share nothing mutable
+        # with it or with each other
+        first = OnlineDiagnoser(petri)
+        first.restore(snapshot)
+        first.push_all(alarms[6:])
+        assert snapshot == pristine
+        second = OnlineDiagnoser.from_checkpoint(petri, snapshot)
+        assert second.received_count == 6 and second.window == 8
+        second.push_all(alarms[6:])
+        online.push_all(alarms[6:])
+        assert snapshot == pristine
+        assert first.diagnoses() == second.diagnoses() == online.diagnoses()
+        assert (first.materialized_events() == second.materialized_events()
+                == online.materialized_events())
+
+    def test_refused_snapshot_leaves_the_diagnoser_untouched(self):
+        from repro.errors import PetriNetError
+
+        petri = figure1_net()
+        online = OnlineDiagnoser(petri)
+        online.push(("b", "p1"))
+        snapshot = online.checkpoint()
+        snapshot["events"].append(snapshot["events"][0])
+        target = OnlineDiagnoser(petri)
+        target.push(("b", "p1"))
+        target.push(("a", "p2"))
+        with pytest.raises(PetriNetError, match="duplicate event"):
+            target.restore(snapshot)
+        assert target.received_count == 2
+        with pytest.raises(ValueError, match="version"):
+            target.restore({"version": 1})
+        target.push(("c", "p1"))
+        assert target.diagnoses() == bruteforce_diagnosis(
+            petri,
+            AlarmSequence(figure1_alarm_scenarios()["bac"])).diagnoses
+
+
 class TestWindowCompaction:
     """Tentpole layer 3: windowing bounds the table, soundly."""
 
@@ -303,6 +365,28 @@ class TestWindowCompaction:
             peaks[(window, "long")] = longer.counters["peak_table_vectors"]
         assert peaks[(None, "long")] > peaks[None], "exact peak must grow"
         assert peaks[(3, "long")] == peaks[3], "windowed peak must not"
+
+    @pytest.mark.parametrize("window", [1, 2, 4])
+    def test_pushed_peer_scan_equals_the_full_scan(self, window):
+        # push compares only the pushed peer's component; the oracle
+        # compares every component of every vector after every push
+        from repro.workloads.scenarios import get_scenario
+
+        class FullScan(OnlineDiagnoser):
+            def _compact(self, peer=None):
+                super()._compact()
+
+        petri, _unused = get_scenario("telecom-small").instantiate()
+        for seed in range(6):
+            fast = OnlineDiagnoser(petri, window=window)
+            oracle = FullScan(petri, window=window)
+            for alarm in simulate_alarms(petri, steps=40, seed=seed):
+                assert fast.push(alarm) == oracle.push(alarm)
+                assert fast._table == oracle._table
+                assert list(fast._table) == list(oracle._table)
+                assert fast.counters.as_dict() == oracle.counters.as_dict()
+                assert fast.window_lossy == oracle.window_lossy
+            assert fast.counters["window_vectors_compacted"] > 0
 
     def test_set_window_tighten_compacts_immediately(self):
         petri = figure1_net()

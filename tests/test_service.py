@@ -10,19 +10,27 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.diagnosis.alarms import AlarmSequence
 from repro.diagnosis.bruteforce import bruteforce_diagnosis
-from repro.errors import ServiceError, ServiceOverloaded, SnapshotStoreError
+from repro.errors import (ServiceError, ServiceOverloaded,
+                          SnapshotStoreError, UnknownAlarmError)
 from repro.petri.examples import figure1_alarm_scenarios, figure1_net
 from repro.service import (DiagnosisService, DiagnosisSession,
                            DirectorySnapshotStore, FlakySnapshotStore,
                            MemorySnapshotStore, ServiceConfig, SessionConfig,
                            SnapshotStore, decode_line, encode_response,
                            serve_tcp)
+from repro.service.session import SNAPSHOT_VERSION
+from repro.workloads.alarmgen import simulate_alarms
+from repro.workloads.scenarios import get_scenario
 
 BAC = [("b", "p1"), ("a", "p2"), ("c", "p1")]
 
@@ -131,6 +139,104 @@ class TestSession:
         with pytest.raises(ServiceError, match="version"):
             DiagnosisSession.from_bytes(pickle.dumps({"version": 99}))
 
+    def test_from_bytes_refuses_bad_rows_and_old_layouts(self):
+        session = DiagnosisSession("s", figure1_net())
+        for symbol, peer in BAC:
+            session.apply(symbol, peer)
+
+        def tampered(edit) -> bytes:
+            record = pickle.loads(session.snapshot_bytes())
+            edit(record["diagnoser"])
+            return pickle.dumps(record)
+
+        def unknown_preset(state):
+            eid, transition, _preset, depth = state["events"][0]
+            state["events"][0] = (eid, transition, ("g(r,nowhere)",), depth)
+
+        def orphan_condition(state):
+            state["conditions"].append(("g(f(ghost),1)", "1", "f(ghost)", 1))
+
+        edits = {
+            "unknown preset condition": unknown_preset,
+            "duplicate event": lambda state: state["events"].append(
+                state["events"][0]),
+            "duplicate condition": lambda state: state["conditions"].append(
+                state["conditions"][0]),
+            "unknown events": orphan_condition,
+            "TypeError": lambda state: state["events"].append(("f(x)", "x")),
+            "KeyError": lambda state: state.pop("table"),
+        }
+        for message, edit in edits.items():
+            with pytest.raises(ServiceError, match=f"corrupt.*{message}"):
+                DiagnosisSession.from_bytes(tampered(edit))
+        # the untampered bytes still load: the edits were the only fault
+        assert DiagnosisSession.from_bytes(tampered(lambda s: None)).seq == 3
+
+        assert SNAPSHOT_VERSION == 2
+        v1 = {"version": 1, "session_id": "s", "petri": figure1_net(),
+              "config": SessionConfig(), "degraded": False, "diagnoser": {}}
+        with pytest.raises(ServiceError, match="version 1"):
+            DiagnosisSession.from_bytes(pickle.dumps(v1))
+
+    def test_sessions_rehydrated_from_one_net_share_it(self):
+        petri = figure1_net()
+        a = DiagnosisSession.from_bytes(
+            DiagnosisSession("a", petri).snapshot_bytes())
+        b = DiagnosisSession.from_bytes(
+            DiagnosisSession("b", petri).snapshot_bytes())
+        assert a.petri is b.petri and a.petri is not petri
+        assert a.diagnoser._symbols_of_peer is b.diagnoser._symbols_of_peer
+        assert a.diagnoser.bp is not b.diagnoser.bp
+
+    def test_snapshot_rebuilds_in_a_process_that_never_saw_the_net(
+            self, tmp_path):
+        session = DiagnosisSession("s", figure1_net())
+        session.apply("b", "p1")
+        path = tmp_path / "s.snapshot"
+        path.write_bytes(session.snapshot_bytes())
+        script = (
+            "import json, sys\n"
+            "from repro.service import DiagnosisSession\n"
+            "s = DiagnosisSession.from_bytes(open(sys.argv[1], 'rb').read())\n"
+            "s.apply('a', 'p2'); s.apply('c', 'p1')\n"
+            "print(json.dumps(s.diagnoses_payload()))")
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(path)], capture_output=True,
+            text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.returncode == 0, done.stderr
+        session.apply("a", "p2")
+        session.apply("c", "p1")
+        assert json.loads(done.stdout) == session.diagnoses_payload()
+
+    def test_dirty_flag_follows_apply_and_degrade(self):
+        session = DiagnosisSession("s", figure1_net())
+        assert session.dirty  # never saved
+        clean = DiagnosisSession.from_bytes(session.snapshot_bytes())
+        assert not clean.dirty  # equals the bytes it came from
+        with pytest.raises(UnknownAlarmError):
+            clean.apply("b", "no-such-peer")
+        assert not clean.dirty  # a refused alarm changes nothing
+        clean.apply("b", "p1")
+        assert clean.dirty
+        clean = DiagnosisSession.from_bytes(session.snapshot_bytes())
+        clean.degrade()
+        assert clean.dirty
+
+    def test_snapshot_size_stays_under_the_v1_layout(self):
+        # the fixed stream benchmarks/e2e's session probe draws at seed 0;
+        # the limits are what the v1 layout took for it
+        petri, _alarms = get_scenario("telecom-small").instantiate()
+        session = DiagnosisSession(
+            "sz", petri, SessionConfig(window=8, degraded_window=2))
+        limits = {10: 5110, 50: 26588, 150: 27388}
+        stream = simulate_alarms(petri, steps=150, seed=225)
+        for seq, alarm in enumerate(stream, start=1):
+            session.apply(alarm.symbol, alarm.peer)
+            if seq in limits:
+                assert len(session.snapshot_bytes()) < limits[seq]
+        assert session.seq == 150
+
     def test_degrade_is_sticky_and_marks_partial(self):
         session = DiagnosisSession("s", figure1_net(),
                                    SessionConfig(window=8, degraded_window=1))
@@ -144,6 +250,58 @@ class TestSession:
             SessionConfig(window=2, degraded_window=4)
         with pytest.raises(ValueError, match="checkpoint_interval"):
             SessionConfig(checkpoint_interval=0)
+
+
+def _state(session: DiagnosisSession) -> dict:
+    """Everything a session holds, dict and list order included."""
+    diagnoser, bp = session.diagnoser, session.diagnoser.bp
+    counters = diagnoser.counters.as_dict()
+    counters.pop("restores", None)  # counts the rehydrations themselves
+    return {
+        "conditions": list(bp.conditions.items()),
+        "events": list(bp.events.items()),
+        "postset": list(bp.postset.items()),
+        "consumers": list(bp.consumers.items()),
+        "roots": bp.roots,
+        "events_by_key": list(bp._events_by_key.items()),
+        "conditions_by_place": list(bp._conditions_by_place.items()),
+        "table": diagnoser._table,
+        "streams": diagnoser._streams,
+        "received": diagnoser.received(),
+        "window": (diagnoser.window, diagnoser.window_lossy),
+        "counters": counters,
+        "session": (session.session_id, session.config, session.degraded,
+                    session.seq, session.partial),
+    }
+
+
+class TestSnapshotRoundTrip:
+    """An evicted-and-rehydrated session is the session that never left."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), steps=st.integers(1, 30),
+           window=st.sampled_from([2, 8, None]), degrade=st.booleans(),
+           data=st.data())
+    def test_rehydrated_session_equals_the_live_one(self, seed, steps, window,
+                                                    degrade, data):
+        petri, _alarms = get_scenario("telecom-small").instantiate()
+        alarms = list(simulate_alarms(petri, steps=steps, seed=seed))
+        cut = data.draw(st.integers(0, len(alarms)))
+        live = DiagnosisSession(
+            "s", petri, SessionConfig(window=window, degraded_window=2))
+        for alarm in alarms[:cut]:
+            live.apply(alarm.symbol, alarm.peer)
+        if degrade:
+            live.degrade()
+
+        evicted = DiagnosisSession.from_bytes(live.snapshot_bytes())
+        assert _state(evicted) == _state(live)
+        assert evicted.diagnoser.counters["restores"] == 1
+        for alarm in alarms[cut:]:
+            assert evicted.apply(alarm.symbol, alarm.peer) \
+                == live.apply(alarm.symbol, alarm.peer)
+        assert evicted.diagnoses_payload() == live.diagnoses_payload()
+        assert _state(evicted) == _state(live)
 
 
 # -- the service: lifecycle and the alarm path ---------------------------------
@@ -264,6 +422,122 @@ class TestEvictionAndRehydration:
             assert await feed(service, "b")
             assert service.counters["service.snapshot_failures"] >= 2
             assert service.counters["service.evictions"] == 0
+
+        run(scenario())
+
+
+    def test_eviction_after_a_checkpoint_writes_nothing(self):
+        async def scenario():
+            service = DiagnosisService(ServiceConfig(
+                max_resident=1, session=SessionConfig(checkpoint_interval=1)))
+            await service.handle({"op": "open", "session": "a",
+                                  "scenario": "figure1-bac"})
+            await feed(service, "a")  # every alarm checkpointed: "a" is clean
+            written = service.counters["service.snapshots_written"]
+            nbytes = service.counters["service.snapshot_bytes_written"]
+            assert written == 4 and nbytes > 0
+            await service.handle({"op": "open", "session": "b",
+                                  "scenario": "figure1-bac"})
+            assert service.counters["service.evictions"] == 1
+            assert service.counters["service.snapshots_skipped_clean"] == 1
+            # the one write since is "b"'s initial snapshot
+            assert service.counters["service.snapshots_written"] == written + 1
+            # reading "a" back leaves it clean: evicting it again is free
+            result = await service.handle({"op": "diagnoses", "session": "a"})
+            assert result["ok"] and result["seq"] == 3
+            await service.handle({"op": "open", "session": "c",
+                                  "scenario": "figure1-bac"})
+            assert service.counters["service.evictions"] == 3
+            assert service.counters["service.snapshots_written"] == written + 2
+            stats = await service.handle({"op": "stats"})
+            assert stats["counters"]["service.snapshots_skipped_clean"] == 3
+            assert stats["counters"]["service.snapshot_bytes_written"] > nbytes
+
+        run(scenario())
+
+    def test_failed_save_leaves_the_session_dirty_until_a_write_lands(self):
+        async def scenario():
+            store = FlakySnapshotStore(MemorySnapshotStore(), seed=0)
+            service = DiagnosisService(
+                ServiceConfig(max_resident=1, snapshot_retries=1,
+                              snapshot_backoff=0.0,
+                              session=SessionConfig(checkpoint_interval=100)),
+                store=store)
+            await service.handle({"op": "open", "session": "a",
+                                  "scenario": "figure1-bac"})
+            await feed(service, "a")  # applied, not checkpointed: dirty
+            store.write_failure_probability = 1.0
+            await service.handle({"op": "open", "session": "b",
+                                  "scenario": "figure1-bac"})
+            # neither save landed: both stay resident, both stay dirty
+            assert service.counters["service.evictions"] == 0
+            assert service.counters["service.snapshot_failures"] == 2
+            assert service._resident["a"].dirty and service._resident["b"].dirty
+            written = service.counters["service.snapshots_written"]
+
+            store.write_failure_probability = 0.0
+            await feed(service, "b", BAC[:1])
+            # still over the cap, and this time the eviction's write lands
+            assert service.counters["service.evictions"] == 1
+            assert service.counters["service.snapshots_written"] == written + 1
+            assert service.counters["service.snapshots_skipped_clean"] == 0
+            assert "a" not in service._resident
+            result = await service.handle({"op": "diagnoses", "session": "a"})
+            assert result["ok"] and result["seq"] == 3  # nothing was lost
+
+        run(scenario())
+
+    def test_rehydration_reads_the_store_once(self):
+        class CountingStore(MemorySnapshotStore):
+            loads = 0
+
+            def load(self, session_id):
+                self.loads += 1
+                return super().load(session_id)
+
+        async def scenario():
+            store = CountingStore()
+            service = DiagnosisService(ServiceConfig(max_resident=1),
+                                       store=store)
+            for sid in ("a", "b"):
+                await service.handle({"op": "open", "session": sid,
+                                      "scenario": "figure1-bac"})
+            assert store.loads == 2  # one existence read per fresh open
+            await feed(service, "a", BAC[:1])  # rehydrates "a"
+            assert store.loads == 3
+            reopened = await service.handle(
+                {"op": "open", "session": "b", "scenario": "figure1-bac"})
+            assert reopened["resumed"] and store.loads == 4
+            unknown = await service.handle(
+                {"op": "diagnoses", "session": "nobody"})
+            assert unknown["error"] == "unknown-session"
+            assert store.loads == 5
+
+        run(scenario())
+
+    def test_load_failures_retry_then_answer_snapshot_failed(self):
+        async def scenario():
+            store = FlakySnapshotStore(MemorySnapshotStore(), seed=0)
+            service = DiagnosisService(
+                ServiceConfig(max_resident=1, snapshot_retries=2,
+                              snapshot_backoff=0.0), store=store)
+            for sid in ("a", "b"):
+                await service.handle({"op": "open", "session": sid,
+                                      "scenario": "figure1-bac"})
+            store.load_failure_probability = 1.0
+            for request in ({"op": "diagnoses", "session": "a"},
+                            {"op": "open", "session": "a",
+                             "scenario": "figure1-bac"}):
+                refused = await service.handle(request)
+                assert refused["error"] == "snapshot-failed"
+                assert refused["retry"]
+            # per request: one read and two retries, every one of them failed
+            assert store.injected_load_failures == 6
+            assert service.counters["service.snapshot_retries"] == 4
+            assert service.counters["service.snapshot_load_failures"] == 2
+            store.load_failure_probability = 0.0
+            result = await service.handle({"op": "diagnoses", "session": "a"})
+            assert result["ok"]
 
         run(scenario())
 
