@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.diagnosis.extensions import (ExtendedDiagnosisEngine,
-                                        ObservationSpec,
-                                        dedicated_pattern_diagnosis,
-                                        totalize_and_complement)
-from repro.diagnosis.patterns import AlarmPattern
+import repro
+from repro.diagnosis.dedicated import dedicated_pattern_diagnosis
+from repro.diagnosis.patterns import (AlarmPattern, ObservationSpec,
+                                      totalize_and_complement)
 from repro.petri.examples import figure1_net
 from repro.petri.product import Observer
 
@@ -36,9 +35,9 @@ def _specs():
 def test_extended_dqsq(benchmark, scenario):
     petri = figure1_net()
     spec = _specs()[scenario]
-    engine = ExtendedDiagnosisEngine(petri, spec, mode="dqsq")
-
-    result = benchmark.pedantic(engine.diagnose, rounds=2, iterations=1)
+    result = benchmark.pedantic(repro.diagnose, args=(petri, spec),
+                                kwargs={"method": "dqsq"},
+                                rounds=2, iterations=1)
 
     reference = dedicated_pattern_diagnosis(petri, spec)
     assert result.diagnoses == reference

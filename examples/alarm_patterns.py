@@ -12,18 +12,17 @@ Three scenarios on the running example:
 Run:  python examples/alarm_patterns.py
 """
 
-from repro.diagnosis.extensions import (ExtendedDiagnosisEngine,
-                                        ObservationSpec,
-                                        dedicated_pattern_diagnosis,
-                                        totalize_and_complement)
-from repro.diagnosis.patterns import AlarmPattern
+import repro
+from repro.diagnosis.dedicated import dedicated_pattern_diagnosis
+from repro.diagnosis.patterns import (AlarmPattern, ObservationSpec,
+                                      totalize_and_complement)
 from repro.petri.examples import figure1_net
 from repro.petri.product import Observer
 
 
 def show(title: str, petri, spec: ObservationSpec) -> None:
     print(title)
-    result = ExtendedDiagnosisEngine(petri, spec, mode="dqsq").diagnose()
+    result = repro.diagnose(petri, spec, method="dqsq")
     reference = dedicated_pattern_diagnosis(petri, spec)
     assert result.diagnoses == reference
     for index, configuration in enumerate(sorted(result.diagnoses, key=lambda c: (len(c), sorted(c)))):

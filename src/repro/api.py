@@ -40,6 +40,7 @@ from repro.diagnosis.alarms import AlarmSequence
 from repro.diagnosis.bruteforce import bruteforce_diagnosis
 from repro.diagnosis.dedicated import DedicatedDiagnoser
 from repro.diagnosis.engine import DatalogDiagnosisEngine, EvaluationMode
+from repro.diagnosis.patterns import ObservationSpec
 from repro.diagnosis.problem import DiagnosisSet
 from repro.diagnosis.supervisor import SUPERVISOR
 from repro.distributed.network import NetworkOptions
@@ -81,8 +82,10 @@ class RunConfig:
 
     One object composes the previously scattered knobs: evaluation
     budget, simulated-network options, the transport selection, and the
-    unfolding-path limits.  Knobs a solver does not consume are ignored
-    by it, so one config can drive several methods.
+    unfolding-path limits.  Run knobs a solver does not consume are
+    ignored by it, so one config can drive several methods; ``hidden``
+    changes the question and is refused by a solver that cannot honour
+    it.
     """
 
     #: evaluation budget of the Datalog paths (``None`` = engine default)
@@ -101,7 +104,9 @@ class RunConfig:
     supervisor: str = SUPERVISOR
     #: run the Dijkstra-Scholten detector alongside the evaluation
     use_termination_detector: bool = False
-    #: Section-4.4 hidden-transition knobs (dedicated / bruteforce paths)
+    #: Section-4.4 hidden transitions of an alarm-sequence diagnosis
+    #: (dqsq / qsq / dedicated / bruteforce; the others refuse) and how
+    #: many events beyond the alarms an explanation may contain
     hidden: frozenset[str] = frozenset()
     hidden_budget: int = 0
     max_events: int = 50_000
@@ -149,19 +154,34 @@ class DiagnosisOutcome(Protocol):
     def peer_report(self) -> dict[str, dict[str, int | bool]] | None: ...
 
 
-def diagnose(petri: PetriNet, alarms: AlarmSequence,
+def diagnose(petri: PetriNet, observation: AlarmSequence | ObservationSpec,
              method: DiagnosisMethod | str = DiagnosisMethod.DQSQ, *,
              config: RunConfig | None = None) -> DiagnosisOutcome:
-    """Diagnose ``alarms`` against ``petri`` with the chosen solver.
+    """Diagnose ``observation`` against ``petri`` with the chosen solver.
 
-    Configuration lives in ``config`` (a :class:`RunConfig`).  Setting a
-    knob the chosen solver does not consume is harmless.
+    ``observation`` is an alarm sequence, or -- for the ``dqsq`` and
+    ``qsq`` methods -- a Section-4.4
+    :class:`~repro.diagnosis.patterns.ObservationSpec` (alarm patterns,
+    hidden transitions, unobserved peers).
+
+    Configuration lives in ``config`` (a :class:`RunConfig`).  A run
+    knob the chosen solver does not consume is harmless.  ``hidden`` is
+    not a run knob: it changes the question, so a solver that cannot
+    answer it raises :class:`~repro.errors.DiagnosisError`.
     """
     method = DiagnosisMethod.coerce(method)
     config = config or RunConfig()
-
     if method in (DiagnosisMethod.DQSQ, DiagnosisMethod.QSQ,
                   DiagnosisMethod.BOTTOMUP):
+        if isinstance(observation, AlarmSequence):
+            if config.hidden:
+                observation = ObservationSpec.from_alarms(
+                    observation, petri.net.peers(), hidden=config.hidden,
+                    hidden_budget=config.hidden_budget)
+        elif config.hidden:
+            raise DiagnosisError(
+                "RunConfig.hidden applies to an alarm sequence; an "
+                "ObservationSpec carries its own hidden transitions")
         engine = DatalogDiagnosisEngine(
             petri, mode=EvaluationMode(method.value),
             supervisor=config.supervisor, budget=config.budget,
@@ -169,8 +189,16 @@ def diagnose(petri: PetriNet, alarms: AlarmSequence,
             use_termination_detector=config.use_termination_detector,
             transport=config.transport, mp_config=config.mp,
             cost_budget=config.cost_budget)
-        return engine.diagnose(alarms)
+        return engine.diagnose(observation)
+    if not isinstance(observation, AlarmSequence):
+        raise DiagnosisError(
+            f"method {method.value!r} takes an alarm sequence, not an "
+            f"ObservationSpec; use 'dqsq' or 'qsq'")
+    alarms = observation
     if method is DiagnosisMethod.ONLINE:
+        if config.hidden:
+            raise DiagnosisError(
+                "method 'online' does not support hidden transitions")
         from repro.diagnosis.online import online_diagnosis_result
         return online_diagnosis_result(petri, alarms, window=config.window)
     if method is DiagnosisMethod.DEDICATED:

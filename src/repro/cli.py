@@ -92,10 +92,14 @@ def _network_options(args) -> NetworkOptions:
 def cmd_diagnose(args) -> int:
     petri, alarms = _load_instance(args)
     print(f"alarm sequence: {' '.join(str(a) for a in alarms)}")
-    if args.hidden:
-        return _diagnose_with_hidden(args, petri, alarms)
+    hidden = frozenset(t.strip() for t in args.hidden.split(",") if t.strip())
+    unknown = hidden - petri.net.transitions
+    if unknown:
+        raise ReproError(f"unknown hidden transitions: {sorted(unknown)}")
     config = RunConfig(options=_network_options(args),
-                       transport=getattr(args, "transport", "sim"))
+                       transport=getattr(args, "transport", "sim"),
+                       hidden=hidden,
+                       hidden_budget=args.hidden_budget if hidden else 0)
     result = diagnose(petri, alarms, method=args.mode, config=config)
     diagnoses = result.diagnoses
     print(f"materialized unfolding events: {len(result.materialized_events)}")
@@ -135,44 +139,9 @@ def cmd_diagnose(args) -> int:
         from repro.diagnosis.report import render_diagnosis_report
         print(render_diagnosis_report(diagnoses, petri))
         return 0
-    print(f"{len(diagnoses)} explanation(s):")
-    for index, configuration in enumerate(sorted(diagnoses, key=sorted)):
-        print(f"  [{index + 1}]")
-        for event in sorted(configuration):
-            print(f"    {event}")
-    return 0
-
-
-def _diagnose_with_hidden(args, petri, alarms) -> int:
-    """Section-4.4 path: some transitions are unreported."""
-    from repro.diagnosis.extensions import (ExtendedDiagnosisEngine,
-                                            ObservationSpec)
-    from repro.petri.product import Observer
-
-    hidden = frozenset(t.strip() for t in args.hidden.split(",") if t.strip())
-    unknown = hidden - petri.net.transitions
-    if unknown:
-        raise ReproError(f"unknown hidden transitions: {sorted(unknown)}")
-    observers = {peer: Observer.chain(peer, list(symbols))
-                 for peer, symbols in alarms.by_peer().items()}
-    for peer in petri.net.peers():
-        observers.setdefault(peer, Observer.chain(peer, []))
-    spec = ObservationSpec(observers=observers, hidden=hidden,
-                           max_events=len(alarms) + args.hidden_budget)
-    mode = args.mode if args.mode in ("dqsq", "qsq") else "dqsq"
-    result = ExtendedDiagnosisEngine(petri, spec, mode=mode,
-                                     options=_network_options(args)).diagnose()
-    diagnoses = result.diagnoses
-    if not diagnoses:
-        print("no explanation: the sequence is inconsistent with the model")
-        return 1
-    if args.report:
-        from repro.diagnosis.report import render_diagnosis_report
-        print(render_diagnosis_report(diagnoses, petri))
-        return 0
-    print(f"{len(diagnoses)} explanation(s) "
-          f"(hidden: {', '.join(sorted(hidden))}; "
-          f"hidden budget: {args.hidden_budget}):")
+    suffix = (f" (hidden: {', '.join(sorted(hidden))}; "
+              f"hidden budget: {args.hidden_budget})" if hidden else "")
+    print(f"{len(diagnoses)} explanation(s){suffix}:")
     for index, configuration in enumerate(sorted(diagnoses, key=sorted)):
         print(f"  [{index + 1}]")
         for event in sorted(configuration):

@@ -25,7 +25,7 @@ from repro.diagnosis.encoding import UnfoldingEncoder, node_id_of_term
 from repro.diagnosis.supervisor import SupervisorEncoder, SUPERVISOR
 from repro.diagnosis.engine import (DatalogDiagnosisEngine,
                                     DatalogDiagnosisResult, EvaluationMode)
-from repro.diagnosis.patterns import AlarmPattern, PatternObserverBuilder
+from repro.diagnosis.patterns import AlarmPattern, ObservationSpec
 from repro.diagnosis.report import (decode_event, diagnosis_to_dot,
                                     render_diagnosis_report)
 from repro.diagnosis.online import (OnlineDiagnoser, OnlineResult,
@@ -40,7 +40,7 @@ __all__ = [
     "UnfoldingEncoder", "node_id_of_term",
     "SupervisorEncoder", "SUPERVISOR",
     "DatalogDiagnosisEngine", "DatalogDiagnosisResult", "EvaluationMode",
-    "AlarmPattern", "PatternObserverBuilder",
+    "AlarmPattern", "ObservationSpec",
     "decode_event", "diagnosis_to_dot", "render_diagnosis_report",
     "OnlineDiagnoser", "OnlineResult", "online_diagnosis",
     "online_diagnosis_result", "explains_strict",

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.diagnosis.alarms import AlarmSequence
+from repro.diagnosis.patterns import ObservationSpec
 from repro.diagnosis.problem import DiagnosisSet, diagnosis_set
 from repro.petri.net import PetriNet
 from repro.petri.occurrence import VIRTUAL_ROOT, BranchingProcess
@@ -213,3 +214,61 @@ class _Projector:
             if projected is not None:
                 out.add(projected)
         return frozenset(out)
+
+
+def dedicated_pattern_diagnosis(petri: PetriNet, spec: ObservationSpec,
+                                max_unfold_events: int = 50_000) -> DiagnosisSet:
+    """[8]-style product diagnosis generalized to observers and hidden
+    transitions; the reference for the Datalog extension engines."""
+    product = product_with_observers(petri, list(spec.observers.values()),
+                                     hidden=spec.hidden)
+    bp = unfold(product.petri, max_events=max_unfold_events,
+                max_depth=spec.max_events)
+    projector = _Projector(bp, product)
+    accepting = {peer: product.accepting_places[peer]
+                 for peer in spec.observers}
+    net = product.petri.net
+
+    found: set[frozenset[str]] = set()
+    seen: set[frozenset[str]] = set()
+
+    def observer_state_ok(chosen: frozenset[str]) -> bool:
+        # Compute the cut and check every observed peer's observer place
+        # is accepting.
+        produced = set(bp.roots)
+        consumed: set[str] = set()
+        for eid in chosen:
+            produced.update(bp.postset[eid])
+            consumed.update(bp.events[eid].preset)
+        cut = produced - consumed
+        for peer, accepting_places in accepting.items():
+            state_places = [cid for cid in cut
+                            if bp.conditions[cid].place in product.observer_places
+                            and product.observer_places[bp.conditions[cid].place][0] == peer]
+            if len(state_places) != 1:
+                return False
+            if bp.conditions[state_places[0]].place not in accepting_places:
+                return False
+        return True
+
+    def search(chosen: frozenset[str]) -> None:
+        if chosen in seen or len(chosen) > spec.max_events:
+            return
+        seen.add(chosen)
+        if observer_state_ok(chosen):
+            found.add(frozenset(projector.project_event(e) for e in chosen))
+        if len(chosen) == spec.max_events:
+            return
+        produced = set(bp.roots)
+        consumed: set[str] = set()
+        for eid in chosen:
+            produced.update(bp.postset[eid])
+            consumed.update(bp.events[eid].preset)
+        available = produced - consumed
+        for cid in sorted(available):
+            for eid in bp.consumers.get(cid, ()):
+                if eid not in chosen and set(bp.events[eid].preset) <= available:
+                    search(chosen | {eid})
+
+    search(frozenset())
+    return diagnosis_set(found)

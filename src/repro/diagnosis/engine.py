@@ -2,7 +2,10 @@
 
 "To perform the diagnosis, the supervisor issues the query
 ``q@p0(?, ?)``, which is evaluated with dQSQ."  This module glues the
-Section-4.1/4.2 encodings to an evaluation strategy:
+Section-4.1/4.2 encodings -- of an alarm sequence or, for the
+Section-4.4 patterns and hidden transitions, of an
+:class:`~repro.diagnosis.patterns.ObservationSpec` -- to an evaluation
+strategy:
 
 * ``mode="dqsq"`` -- the paper's proposal: distributed evaluation with
   per-peer lazy rewriting and delegation;
@@ -31,6 +34,7 @@ from repro.datalog.naive import select
 from repro.datalog.atom import Atom
 from repro.diagnosis.alarms import AlarmSequence
 from repro.diagnosis.encoding import PLACES, TRANS1, TRANS2, node_id_of_term
+from repro.diagnosis.patterns import ObservationSpec
 from repro.diagnosis.problem import DiagnosisSet, diagnosis_set
 from repro.diagnosis.supervisor import SUPERVISOR, SupervisorEncoder
 from repro.distributed.dqsq import DqsqEngine
@@ -121,17 +125,18 @@ class DatalogDiagnosisEngine:
         self.transport = transport
         self.mp_config = mp_config
 
-    def _admit(self, program: "Program", alarms: AlarmSequence,
+    def _admit(self, program: "Program", max_events: int,
                counters: Counters) -> tuple[EvaluationBudget, bool]:
         """Admission control: static cost estimates vs ``cost_budget``.
 
         Returns the evaluation budget to run under and whether the run
         was degraded.  The estimate assumes the Theorem-4 depth: the
         diagnosis only ever needs the unfolding prefix of depth
-        ``len(alarms)``, whose encoding terms nest to roughly twice that
-        (one ``f``-level per causal ancestor plus one ``conf``-level per
-        explained alarm) -- so the term universe is bounded by
-        ``2*len(alarms) + 2``, or by an explicitly tighter
+        ``max_events`` (the observation's event bound: ``len(alarms)``
+        for an alarm sequence), whose encoding terms nest to roughly
+        twice that (one ``f``-level per causal ancestor plus one
+        ``conf``-level per explained event) -- so the term universe is
+        bounded by ``2*max_events + 2``, or by an explicitly tighter
         ``budget.max_term_depth``.  On a breach,
         ``on_exceeded="refuse"`` raises
         :class:`~repro.errors.CostBudgetExceeded`; ``"degrade"`` clamps
@@ -143,7 +148,7 @@ class DatalogDiagnosisEngine:
         assert self.cost_budget is not None
         depth = self.budget.max_term_depth
         if depth is None:
-            depth = 2 * max(1, len(alarms)) + 2
+            depth = 2 * max(1, max_events) + 2
         verdict = evaluate_cost_budget(program, self.cost_budget,
                                        max_term_depth=depth)
         counters.add("cost.admission_checks")
@@ -163,8 +168,12 @@ class DatalogDiagnosisEngine:
             max_term_depth=depth,
             prune_depth=True), True
 
-    def diagnose(self, alarms: AlarmSequence) -> DatalogDiagnosisResult:
-        encoder = SupervisorEncoder(self.petri, alarms, self.supervisor)
+    def diagnose(self, observation: AlarmSequence | ObservationSpec
+                 ) -> DatalogDiagnosisResult:
+        encoder = SupervisorEncoder(self.petri, observation, self.supervisor)
+        if self.mode is EvaluationMode.BOTTOMUP and encoder.needs_gas:
+            raise DiagnosisError(
+                "the Section-4.4 extensions support dqsq and qsq only")
         program = encoder.program()
         query_atom = encoder.query_atom()
         counters = Counters()
@@ -181,7 +190,8 @@ class DatalogDiagnosisEngine:
         partial = False
         budget = self.budget
         if self.cost_budget is not None:
-            budget, degraded = self._admit(program.program, alarms, counters)
+            budget, degraded = self._admit(program.program,
+                                           encoder.spec.max_events, counters)
             partial = partial or degraded
 
         transport_stats: dict[str, dict[str, int]] | None = None

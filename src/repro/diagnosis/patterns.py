@@ -5,7 +5,15 @@ explanation of a pattern described by some regular language, e.g.
 ``alpha.beta*.alpha``."  We provide a small regular-expression AST over
 alarm symbols, a Thompson construction to an NFA, and a subset
 construction to a DFA that converts into a per-peer
-:class:`~repro.petri.product.Observer` for the product construction.
+:class:`~repro.petri.product.Observer`.
+
+An :class:`ObservationSpec` is what the supervisor knows in general: one
+observer per watched peer, the transitions that are never reported
+("hidden transitions"), and an event budget.  A concrete alarm sequence
+is the instance whose observers are linear chains
+(:meth:`ObservationSpec.from_alarms`); "sequences of alarms not
+containing some known patterns" are observed through the *complement*
+automaton (:func:`totalize_and_complement`).
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.diagnosis.alarms import AlarmSequence
 from repro.errors import DiagnosisError
 from repro.petri.product import Observer, ObserverEdge
 
@@ -256,24 +265,53 @@ class _Dfa:
     states: int
 
 
-class PatternObserverBuilder:
-    """Builds the per-peer observers for a pattern-diagnosis problem.
+def totalize_and_complement(observer: Observer, alphabet: tuple[str, ...]) -> Observer:
+    """The complement observer: accepts exactly the words the original
+    rejects (used for "blocked pattern" diagnosis)."""
+    sink = "q-sink"
+    states = tuple(observer.states) + (sink,)
+    edges = list(observer.edges)
+    defined = {(edge.source, edge.alarm) for edge in observer.edges}
+    for state in states:
+        for symbol in alphabet:
+            if (state, symbol) not in defined:
+                edges.append(ObserverEdge(state, symbol, sink))
+    accepting = frozenset(s for s in states if s not in observer.accepting)
+    return Observer(peer=observer.peer, states=states, initial=observer.initial,
+                    accepting=accepting, edges=tuple(edges))
 
-    Peers without a pattern are observed with "anything goes": their
-    events are unconstrained, mirroring the paper's hidden/partial
-    observation extensions.
+
+@dataclass
+class ObservationSpec:
+    """What the supervisor knows: per-peer observers, hidden transitions,
+    and the event budget that bounds the search.
+
+    A peer without an observer is unobserved: all its transitions fire
+    unseen.  A peer whose observer has no edges is silent: none of its
+    visible transitions may fire.
     """
 
-    def __init__(self) -> None:
-        self._patterns: dict[str, AlarmPattern] = {}
+    observers: dict[str, Observer]
+    hidden: frozenset[str] = frozenset()
+    max_events: int = 6
 
-    def expect(self, peer: str, pattern: AlarmPattern) -> "PatternObserverBuilder":
-        self._patterns[peer] = pattern
-        return self
+    @classmethod
+    def from_patterns(cls, patterns: dict[str, AlarmPattern],
+                      hidden: frozenset[str] = frozenset(),
+                      max_events: int = 6) -> "ObservationSpec":
+        observers = {peer: pattern.to_observer(peer)
+                     for peer, pattern in patterns.items()}
+        return cls(observers=observers, hidden=hidden, max_events=max_events)
 
-    def observers(self) -> list[Observer]:
-        return [pattern.to_observer(peer)
-                for peer, pattern in sorted(self._patterns.items())]
-
-    def peers(self) -> tuple[str, ...]:
-        return tuple(sorted(self._patterns))
+    @classmethod
+    def from_alarms(cls, alarms: AlarmSequence, peers: Iterable[str],
+                    hidden: frozenset[str] = frozenset(),
+                    hidden_budget: int = 0) -> "ObservationSpec":
+        """The Section-4.2 problem as an observation: one chain observer
+        per peer of the net (an empty chain where the peer sent nothing),
+        and at most ``hidden_budget`` events beyond the alarms."""
+        by_peer = alarms.by_peer()
+        observers = {peer: Observer.chain(peer, by_peer.get(peer, ()))
+                     for peer in sorted({*peers, *by_peer})}
+        return cls(observers=observers, hidden=hidden,
+                   max_events=len(alarms) + hidden_budget)

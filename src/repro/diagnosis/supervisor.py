@@ -1,22 +1,45 @@
-"""The Section-4.2 encoding: diagnosis rules at the supervisor.
+"""The Section-4.2 / 4.4 encoding: diagnosis rules at the supervisor.
 
-The supervisor ``p0`` splits the alarm sequence into per-peer
-subsequences and builds, for increasingly larger prefixes, the
-configurations that explain them:
+The supervisor ``p0`` knows an *observation*: per peer, a finite
+automaton over that peer's alarms
+(:class:`~repro.diagnosis.patterns.ObservationSpec`).  A concrete alarm
+sequence is the instance whose automata are linear chains -- "the
+structure of the alarm sequences of interest can be easily described by
+a regular automaton whose allowed transitions can be encoded in the
+alarmSeq relation" (Section 4.4).  For increasingly larger prefixes the
+supervisor builds the configurations that explain them:
 
-* ``alarmSeq@p0(i, a, p, i')`` -- base facts: consuming alarm ``a`` of
-  peer ``p`` advances that peer's index from ``i`` to ``i'``;
-* ``configPrefixes@p0(id, id', x, I1..Ik)`` -- configuration ``id``
-  extends ``id'`` with event ``x``, having consumed the per-peer
-  prefixes recorded by the k-ary index (the paper's multi-peer
+* ``alarmSeq@p0(i, a, p, i')`` -- base facts, the automaton edges:
+  consuming alarm ``a`` of peer ``p`` moves that peer's index from ``i``
+  to ``i'``;
+* ``configPrefixes@p0(id, id', x, I1..Ik[, G])`` -- configuration ``id``
+  extends ``id'`` with event ``x``, the k-ary index recording each
+  watched peer's automaton state (the paper's multi-peer
   generalization);
 * ``transInConf@p0(id, x)`` -- membership of events in configurations;
 * ``notParent@p0(id, m)`` -- place instance ``m`` not yet consumed in
   ``id`` (built monotonically, "in the style of notCausal");
 * ``diag@p0(id, x)`` -- the answer relation (the paper's ``q``).
 
+What Section 4.4 adds is emitted only when the observation needs it:
+
+* transitions nobody reports (hidden ones, and all transitions of a peer
+  without an observer) are described by ``hiddenNet{1,2}@p`` instead of
+  ``petriNet{1,2}@p`` and extend configurations without an ``alarmSeq``
+  step;
+* when configurations are not bounded by the observation itself (some
+  transition is unreported, some automaton has a cycle, or the automata
+  admit more events than ``max_events``), a *gas* dimension ``G``
+  and a ``gasStep@p0(g, g')`` body atom realize the paper's termination
+  gadget ("bounding the depth of the unfolding");
+* an automaton with several accepting states is checked by an
+  ``accepting<i>@p0`` atom in the ``diag`` rule; a single accepting
+  state is pinned there as a constant.
+
+A chain observation therefore yields exactly the Section-4.2 program.
+
 Crucially, the supervisor's rules are written from its local view only:
-the alarm sequence plus the public ``petriNet``/``trans``/``map``/
+the observation plus the public ``petriNet``/``trans``/``map``/
 ``places`` relations of the peers; dQSQ delegates the per-peer joins to
 the peers that own them.
 
@@ -28,7 +51,7 @@ attached to the wrong alarm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 from repro.datalog.atom import Atom, Inequality
 from repro.datalog.rule import Rule
@@ -36,9 +59,11 @@ from repro.datalog.term import Const, Func, Term, Var
 from repro.diagnosis.alarms import AlarmSequence
 from repro.diagnosis.encoding import (PETRINET1, PETRINET2, PLACES, ROOT,
                                       TRANS1, TRANS2, UnfoldingEncoder, g_term)
+from repro.diagnosis.patterns import ObservationSpec
 from repro.distributed.ddatalog import DDatalogProgram
 from repro.errors import EncodingError
 from repro.petri.net import PetriNet
+from repro.petri.product import Observer
 
 #: default supervisor peer name (the paper's p0)
 SUPERVISOR = "supervisor"
@@ -48,6 +73,9 @@ CONFIGPREFIXES = "configPrefixes"
 TRANSINCONF = "transInConf"
 NOTPARENT = "notParent"
 DIAG = "diag"
+GASSTEP = "gasStep"
+ACCEPTING = "accepting"
+HIDDENNET1, HIDDENNET2 = "hiddenNet1", "hiddenNet2"
 
 
 def h_root() -> Func:
@@ -60,129 +88,209 @@ def h_extend(config: Term, event: Term) -> Func:
     return Func("h", [config, event])
 
 
-@dataclass(frozen=True)
-class IndexSpace:
-    """The k-ary prefix index: one dimension per peer in the sequence."""
+def _longest_word(observer: Observer) -> float:
+    """Length of the longest word ``observer`` can read, infinite when it
+    has a cycle.  Kahn's algorithm: a long chain must not recurse."""
+    successors: dict[str, list[str]] = {state: [] for state in observer.states}
+    pending = dict.fromkeys(observer.states, 0)
+    for edge in observer.edges:
+        successors[edge.source].append(edge.target)
+        pending[edge.target] += 1
+    length = dict.fromkeys(observer.states, 0)
+    ready = [state for state, count in pending.items() if not count]
+    sorted_states = 0
+    while ready:
+        state = ready.pop()
+        sorted_states += 1
+        for target in successors[state]:
+            length[target] = max(length[target], length[state] + 1)
+            pending[target] -= 1
+            if not pending[target]:
+                ready.append(target)
+    if sorted_states < len(observer.states):
+        return math.inf
+    return max(length.values())
 
-    peers: tuple[str, ...]
-    lengths: dict[str, int]
 
-    @classmethod
-    def of(cls, alarms: AlarmSequence) -> "IndexSpace":
-        by_peer = alarms.by_peer()
-        peers = tuple(sorted(by_peer))
-        return cls(peers=peers, lengths={p: len(by_peer[p]) for p in peers})
-
-    def constant(self, peer: str, position: int) -> Const:
-        return Const(f"i[{peer}]{position}")
-
-    def initial(self) -> tuple[Const, ...]:
-        return tuple(self.constant(p, 0) for p in self.peers)
-
-    def final(self) -> tuple[Const, ...]:
-        return tuple(self.constant(p, self.lengths[p]) for p in self.peers)
-
-    def index_vars(self) -> tuple[Var, ...]:
-        return tuple(Var(f"I{i}_") for i in range(len(self.peers)))
+def _without_alarm(fact: Rule) -> Rule:
+    """An unreported transition's ``petriNet`` fact as a ``hiddenNet`` fact
+    (the same description minus the alarm): no alarm is attributed to it."""
+    transition, _alarm, *places = fact.head.args
+    return Rule(Atom(HIDDENNET1 if len(places) == 1 else HIDDENNET2,
+                     [transition, *places], fact.head.peer))
 
 
 class SupervisorEncoder:
-    """Generates the supervisor's diagnosis rules for an alarm sequence."""
+    """Generates the supervisor's diagnosis rules for an observation: an
+    :class:`AlarmSequence` or an :class:`ObservationSpec`."""
 
-    def __init__(self, petri: PetriNet, alarms: AlarmSequence,
+    def __init__(self, petri: PetriNet,
+                 observation: AlarmSequence | ObservationSpec,
                  supervisor: str = SUPERVISOR) -> None:
-        if supervisor in petri.net.peers():
+        net = petri.net
+        if supervisor in net.peers():
             raise EncodingError(
                 f"supervisor name {supervisor!r} collides with a net peer")
-        unknown = set(alarms.peers()) - set(petri.net.peers())
+        if isinstance(observation, AlarmSequence):
+            observation = ObservationSpec.from_alarms(observation, net.peers())
+        unknown = set(observation.observers) - set(net.peers())
         if unknown:
-            raise EncodingError(f"alarms from unknown peers: {sorted(unknown)}")
+            raise EncodingError(
+                f"observation of unknown peers: {sorted(unknown)}")
+        for observer in observation.observers.values():
+            observer.validate()
         self.petri = petri
-        self.alarms = alarms
+        self.spec = observation
         self.supervisor = supervisor
-        self.index = IndexSpace.of(alarms)
+        observers = observation.observers
+        #: the index dimensions, one per watched peer.  An observer that
+        #: cannot move and already accepts says only that none of its
+        #: peer's visible transitions fires: no dimension, no rule.
+        self.peers = tuple(
+            peer for peer in sorted(observers)
+            if observers[peer].edges
+            or observers[peer].initial not in observers[peer].accepting)
+        #: transitions that extend a configuration without an alarmSeq step
+        self.unreported = frozenset(
+            t for t in net.transitions
+            if t in observation.hidden or net.peer[t] not in observers)
+        #: peer -> parent counts of its transitions: one extension rule
+        #: each, advancing the peer's observer (reported) or not
+        self._reported: dict[str, set[int]] = {peer: set() for peer in self.peers}
+        self._unreported: dict[str, set[int]] = {}
+        for transition in net.transitions:
+            peer, arity = net.peer[transition], len(net.parents(transition))
+            if transition in self.unreported:
+                self._unreported.setdefault(peer, set()).add(arity)
+            elif peer in self._reported:
+                self._reported[peer].add(arity)
+        #: whether configPrefixes carries the gas dimension: only when
+        #: the observation does not bound configuration size by itself
+        self.needs_gas = (bool(self.unreported)
+                          or sum(_longest_word(observers[peer])
+                                 for peer in self.peers) > observation.max_events)
+        self._position = {peer: {state: position for position, state
+                                 in enumerate(observers[peer].states)}
+                          for peer in self.peers}
         self._encoder = UnfoldingEncoder(petri)
+
+    # -- the index ----------------------------------------------------------------
+
+    def _state(self, peer: str, state: str) -> Const:
+        """A state is named by its position in the observer, so a chain's
+        constants are the prefix lengths of Section 4.2."""
+        return Const(f"i[{peer}]{self._position[peer][state]}")
+
+    def _gas(self, amount: int) -> Const:
+        return Const(f"gas{amount}")
+
+    def _index_vars(self) -> list[Var]:
+        indices = [Var(f"I{i}_") for i in range(len(self.peers))]
+        if self.needs_gas:
+            indices.append(Var("G_"))
+        return indices
 
     # -- facts ------------------------------------------------------------------
 
     def alarm_facts(self) -> list[Rule]:
+        """The observers' edges, plus their accepting states where the
+        ``diag`` rule cannot pin a single one."""
+        sup = self.supervisor
         out: list[Rule] = []
-        for peer, symbols in sorted(self.alarms.by_peer().items()):
-            for position, symbol in enumerate(symbols):
+        for peer in self.peers:
+            for edge in self.spec.observers[peer].edges:
                 out.append(Rule(Atom(ALARMSEQ,
-                                     [self.index.constant(peer, position),
-                                      Const(symbol), Const(peer),
-                                      self.index.constant(peer, position + 1)],
-                                     self.supervisor)))
+                                     [self._state(peer, edge.source),
+                                      Const(edge.alarm), Const(peer),
+                                      self._state(peer, edge.target)], sup)))
+        for position, peer in enumerate(self.peers):
+            accepting = self.spec.observers[peer].accepting
+            if len(accepting) != 1:
+                out.extend(Rule(Atom(f"{ACCEPTING}{position}",
+                                     [self._state(peer, state)], sup))
+                           for state in sorted(accepting))
         return out
 
     def seed_facts(self) -> list[Rule]:
+        """The empty configuration at the initial index, and the gas
+        ladder when the index has a gas dimension."""
+        sup = self.supervisor
         root = h_root()
-        out = [Rule(Atom(CONFIGPREFIXES,
-                         [root, root, ROOT, *self.index.initial()],
-                         self.supervisor)),
-               Rule(Atom(TRANSINCONF, [root, ROOT], self.supervisor))]
+        initial = [self._state(peer, self.spec.observers[peer].initial)
+                   for peer in self.peers]
+        out: list[Rule] = []
+        if self.needs_gas:
+            initial.append(self._gas(self.spec.max_events))
+            out.extend(Rule(Atom(GASSTEP, [self._gas(amount),
+                                           self._gas(amount - 1)], sup))
+                       for amount in range(1, self.spec.max_events + 1))
+        out.append(Rule(Atom(CONFIGPREFIXES, [root, root, ROOT, *initial], sup)))
+        out.append(Rule(Atom(TRANSINCONF, [root, ROOT], sup)))
         return out
 
     # -- rules ------------------------------------------------------------------
 
     def config_prefix_rules(self) -> list[Rule]:
-        """One extension rule per (observed peer, transition arity)."""
-        out: list[Rule] = []
-        sup = self.supervisor
-        z, w, y, x, t = Var("Z"), Var("W"), Var("Y"), Var("X"), Var("T")
-        a = Var("A")
-        for peer_position, peer in enumerate(self.index.peers):
-            arities = {len(self.petri.net.parents(tr))
-                       for tr in self.petri.net.transitions_of_peer(peer)}
-            indices = list(self.index.index_vars())
-            previous = Var("IP_")
-            advanced = Var("IN_")
-            body_indices = list(indices)
-            body_indices[peer_position] = previous
-            head_indices = list(indices)
-            head_indices[peer_position] = advanced
-            for arity in sorted(arities):
-                u, v = Var("U"), Var("V")
-                c1, c2 = Var("C1"), Var("C2")
-                # The new event is demanded by its full Skolem id
-                # f(t, g(u,c1)[, g(v,c2)]): the Petri transition t is part
-                # of the term, so the demand pins the transition (not just
-                # the parent places) and the materialized prefix matches
-                # the dedicated algorithm's exactly (Theorem 4).
-                if arity == 1:
-                    petrinet_atom = Atom(PETRINET1, [t, a, c1], peer)
-                    parent_terms = [g_term(u, c1)]
-                    members = [Atom(TRANSINCONF, [z, u], sup)]
-                    unused = [Atom(NOTPARENT, [z, g_term(u, c1)], sup)]
-                    event = Func("f", [t, *parent_terms])
-                    trans_atom = Atom(TRANS1, [event, *parent_terms], peer)
-                else:
-                    petrinet_atom = Atom(PETRINET2, [t, a, c1, c2], peer)
-                    parent_terms = [g_term(u, c1), g_term(v, c2)]
-                    members = [Atom(TRANSINCONF, [z, u], sup),
-                               Atom(TRANSINCONF, [z, v], sup)]
-                    unused = [Atom(NOTPARENT, [z, g_term(u, c1)], sup),
-                              Atom(NOTPARENT, [z, g_term(v, c2)], sup)]
-                    event = Func("f", [t, *parent_terms])
-                    trans_atom = Atom(TRANS2, [event, *parent_terms], peer)
-                body = [
-                    petrinet_atom,
-                    Atom(ALARMSEQ, [previous, a, Const(peer), advanced], sup),
-                    Atom(CONFIGPREFIXES, [z, w, y, *body_indices], sup),
-                    *members,
-                    *unused,
-                    trans_atom,
-                ]
-                head = Atom(CONFIGPREFIXES,
-                            [h_extend(z, event), z, event, *head_indices], sup)
-                out.append(Rule(head, body))
+        """One extension rule per (peer, transition arity), for the
+        transitions that advance the peer's observer and for those that
+        fire unreported."""
+        out = [self._extension_rule(peer, arity, position)
+               for position, peer in enumerate(self.peers)
+               for arity in sorted(self._reported[peer])]
+        out.extend(self._extension_rule(peer, arity, None)
+                   for peer in sorted(self._unreported)
+                   for arity in sorted(self._unreported[peer]))
         return out
+
+    def _extension_rule(self, peer: str, arity: int,
+                        position: int | None) -> Rule:
+        """Extend configuration ``Z`` by an event of ``peer``; ``position``
+        is the peer's index dimension, ``None`` for an unreported event."""
+        sup = self.supervisor
+        z, w, y, t, a = Var("Z"), Var("W"), Var("Y"), Var("T"), Var("A")
+        u, v, c1, c2 = Var("U"), Var("V"), Var("C1"), Var("C2")
+        body_indices = self._index_vars()
+        head_indices = list(body_indices)
+        places = [c1] if arity == 1 else [c1, c2]
+        if position is None:
+            observe = [Atom(HIDDENNET1 if arity == 1 else HIDDENNET2,
+                            [t, *places], peer)]
+        else:
+            previous, advanced = Var("IP_"), Var("IN_")
+            body_indices[position] = previous
+            head_indices[position] = advanced
+            observe = [Atom(PETRINET1 if arity == 1 else PETRINET2,
+                            [t, a, *places], peer),
+                       Atom(ALARMSEQ, [previous, a, Const(peer), advanced], sup)]
+        gas = []
+        if self.needs_gas:
+            body_indices[-1], head_indices[-1] = Var("GP_"), Var("GN_")
+            gas = [Atom(GASSTEP, [Var("GP_"), Var("GN_")], sup)]
+        # The new event is demanded by its full Skolem id
+        # f(t, g(u,c1)[, g(v,c2)]): the Petri transition t is part
+        # of the term, so the demand pins the transition (not just
+        # the parent places) and the materialized prefix matches
+        # the dedicated algorithm's exactly (Theorem 4).
+        parents = [g_term(producer, place)
+                   for producer, place in zip((u, v), places)]
+        event = Func("f", [t, *parents])
+        body = [
+            *observe,
+            Atom(CONFIGPREFIXES, [z, w, y, *body_indices], sup),
+            *gas,
+            *(Atom(TRANSINCONF, [z, producer], sup)
+              for producer in (u, v)[:arity]),
+            *(Atom(NOTPARENT, [z, parent], sup) for parent in parents),
+            Atom(TRANS1 if arity == 1 else TRANS2, [event, *parents], peer),
+        ]
+        head = Atom(CONFIGPREFIXES,
+                    [h_extend(z, event), z, event, *head_indices], sup)
+        return Rule(head, body)
 
     def trans_in_conf_rules(self) -> list[Rule]:
         sup = self.supervisor
         z, w, x, y = Var("Z"), Var("W"), Var("X"), Var("Y")
-        indices = self.index.index_vars()
+        indices = self._index_vars()
         return [
             Rule(Atom(TRANSINCONF, [z, x], sup),
                  [Atom(CONFIGPREFIXES, [z, w, x, *indices], sup)]),
@@ -192,14 +300,15 @@ class SupervisorEncoder:
         ]
 
     def not_parent_rules(self) -> list[Rule]:
-        """Monotone construction of "place m is unconsumed in config z"."""
+        """Monotone construction of "place m is unconsumed in config z":
+        one recursion rule per extension rule's (peer, arity)."""
         sup = self.supervisor
         out: list[Rule] = []
         z, w, y, m = Var("Z"), Var("W"), Var("Y"), Var("M")
-        indices = self.index.index_vars()
-        for peer in self.index.peers:
-            arities = {len(self.petri.net.parents(tr))
-                       for tr in self.petri.net.transitions_of_peer(peer)}
+        indices = self._index_vars()
+        for peer in sorted({*self._reported, *self._unreported}):
+            arities = (self._reported.get(peer, set())
+                       | self._unreported.get(peer, set()))
             for arity in sorted(arities):
                 u, v = Var("U"), Var("V")
                 if arity == 1:
@@ -222,11 +331,23 @@ class SupervisorEncoder:
         return out
 
     def query_rules(self) -> list[Rule]:
+        """``diag``: the members of every configuration whose index is
+        accepting in each dimension, whatever gas is left."""
         sup = self.supervisor
         z, w, y, x = Var("Z"), Var("W"), Var("Y"), Var("X")
+        indices: list[Term] = list(self._index_vars())
+        accept: list[Atom] = []
+        for position, peer in enumerate(self.peers):
+            accepting = self.spec.observers[peer].accepting
+            if len(accepting) == 1:
+                (state,) = accepting
+                indices[position] = self._state(peer, state)
+            else:
+                accept.append(Atom(f"{ACCEPTING}{position}",
+                                   [indices[position]], sup))
         return [Rule(Atom(DIAG, [z, x], sup),
-                     [Atom(CONFIGPREFIXES,
-                           [z, w, y, *self.index.final()], sup),
+                     [*accept,
+                      Atom(CONFIGPREFIXES, [z, w, y, *indices], sup),
                       Atom(TRANSINCONF, [z, x], sup)])]
 
     def rules(self) -> list[Rule]:
@@ -235,8 +356,16 @@ class SupervisorEncoder:
                 + self.not_parent_rules() + self.query_rules())
 
     def program(self) -> DDatalogProgram:
-        """The complete diagnosis program: unfolding rules + supervisor rules."""
+        """The complete diagnosis program: unfolding rules + supervisor
+        rules."""
         program = self._encoder.program()
+        if self.unreported:
+            unreported = {Const(transition) for transition in self.unreported}
+            program = DDatalogProgram(
+                _without_alarm(rule)
+                if rule.head.relation in (PETRINET1, PETRINET2)
+                and rule.head.args[0] in unreported else rule
+                for rule in program)
         for rule in self.rules():
             program.add(rule)
         return program

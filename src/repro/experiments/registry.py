@@ -10,6 +10,7 @@ from __future__ import annotations
 import time
 from typing import Callable, NamedTuple
 
+from repro.api import diagnose
 from repro.datalog import (Database, EvaluationBudget, Program, Query,
                            SemiNaiveEvaluator, NaiveEvaluator, parse_atom,
                            parse_program, qsq_evaluate, qsq_rewrite)
@@ -18,11 +19,9 @@ from repro.datalog.magic import magic_evaluate
 from repro.datalog.naive import load_facts
 from repro.diagnosis import (AlarmSequence, DatalogDiagnosisEngine,
                              DedicatedDiagnoser, bruteforce_diagnosis)
-from repro.diagnosis.extensions import (ExtendedDiagnosisEngine,
-                                        ObservationSpec,
-                                        dedicated_pattern_diagnosis,
-                                        totalize_and_complement)
-from repro.diagnosis.patterns import AlarmPattern
+from repro.diagnosis.dedicated import dedicated_pattern_diagnosis
+from repro.diagnosis.patterns import (AlarmPattern, ObservationSpec,
+                                      totalize_and_complement)
 from repro.distributed import (DDatalogProgram, DistributedNaiveEngine,
                                DqsqEngine)
 from repro.errors import BudgetExceeded
@@ -354,7 +353,7 @@ def e7_extensions() -> ExperimentResult:
     ]
     rows = []
     for label, spec in scenarios:
-        datalog = ExtendedDiagnosisEngine(petri, spec, mode="dqsq").diagnose()
+        datalog = diagnose(petri, spec, method="dqsq")
         reference = dedicated_pattern_diagnosis(petri, spec)
         rows.append([label, len(datalog.diagnoses),
                      datalog.diagnoses == reference,

@@ -84,8 +84,7 @@ class TestExtensionEngineAgreement:
     def test_chain_observers_reduce_to_basic_problem(self, seed):
         """The Section-4.4 machinery with chain observers must reproduce
         the basic diagnosis on arbitrary instances (not just figure 1)."""
-        from repro.diagnosis.extensions import (ExtendedDiagnosisEngine,
-                                                ObservationSpec)
+        from repro.diagnosis.patterns import ObservationSpec
         from repro.petri.product import Observer
         petri = random_safe_net(seed, branching=0.4)
         alarms = simulate_alarms(petri, steps=3, seed=seed)
@@ -95,7 +94,7 @@ class TestExtensionEngineAgreement:
             observers.setdefault(peer, Observer.chain(peer, []))
         spec = ObservationSpec(observers=observers, max_events=len(alarms))
         expected = bruteforce_diagnosis(petri, alarms).diagnoses
-        got = ExtendedDiagnosisEngine(petri, spec, mode="qsq").diagnose()
+        got = DatalogDiagnosisEngine(petri, mode="qsq").diagnose(spec)
         assert got.diagnoses == expected
 
 

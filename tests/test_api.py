@@ -5,7 +5,7 @@ import pytest
 import repro
 from repro.api import DiagnosisMethod, DiagnosisOutcome
 from repro.diagnosis import AlarmSequence, DatalogDiagnosisEngine, EvaluationMode
-from repro.diagnosis.extensions import ExtendedDiagnosisEngine, ObservationSpec
+from repro.diagnosis.patterns import ObservationSpec
 from repro.errors import DiagnosisError
 from repro.petri.examples import figure1_net
 from repro.petri.product import Observer
@@ -64,6 +64,31 @@ class TestFacade:
             config=repro.RunConfig(hidden=frozenset({"v"}), hidden_budget=1))
         assert len(brute.diagnoses) == 2
 
+    @pytest.mark.parametrize("method", ["dqsq", "qsq", "dedicated"])
+    def test_hidden_knobs_ask_every_solver_the_same_question(self, instance,
+                                                              method):
+        petri, _ = instance
+        alarms = AlarmSequence([("b", "p1"), ("c", "p1")])
+        config = repro.RunConfig(hidden=frozenset({"v"}), hidden_budget=1)
+        expected = repro.diagnose(petri, alarms, method="bruteforce",
+                                  config=config).diagnoses
+        got = repro.diagnose(petri, alarms, method=method, config=config)
+        assert got.diagnoses == expected
+
+    @pytest.mark.parametrize("method", ["bottomup", "online"])
+    def test_hidden_is_refused_not_ignored(self, instance, method):
+        petri, alarms = instance
+        config = repro.RunConfig(hidden=frozenset({"v"}), hidden_budget=1)
+        with pytest.raises(DiagnosisError):
+            repro.diagnose(petri, alarms, method=method, config=config)
+
+    def test_observation_spec_with_hidden_config_is_ambiguous(self, instance):
+        petri, _ = instance
+        spec = ObservationSpec(observers={"p1": Observer.chain("p1", ["b"])})
+        with pytest.raises(DiagnosisError, match="ObservationSpec"):
+            repro.diagnose(petri, spec, config=repro.RunConfig(
+                hidden=frozenset({"v"})))
+
 
 class TestEvaluationMode:
     def test_strings_still_accepted(self):
@@ -88,6 +113,8 @@ class TestEvaluationMode:
         spec = ObservationSpec(observers=observers, hidden=frozenset(),
                                max_events=4)
         with pytest.raises(DiagnosisError):
-            ExtendedDiagnosisEngine(petri, spec, mode="bottomup")
+            DatalogDiagnosisEngine(petri, mode="bottomup").diagnose(spec)
         with pytest.raises(DiagnosisError):
-            ExtendedDiagnosisEngine(petri, spec, mode="zigzag")
+            repro.diagnose(petri, spec, method="bottomup")
+        with pytest.raises(DiagnosisError):
+            DatalogDiagnosisEngine(petri, mode="zigzag")

@@ -65,7 +65,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert out.startswith("digraph")
 
-    def test_diagnose_with_hidden_transition(self, capsys):
+    def test_diagnose_hidden_on_scenario(self, capsys):
         # Hide v; observe only p1's b, c: two explanations (with and
         # without the concurrent hidden v).
         code = main(["diagnose", "--scenario", "figure1-bca",
@@ -85,6 +85,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "2 explanation(s)" in out
+
+    def test_diagnose_hidden_same_explanations_on_every_mode(self, tmp_path,
+                                                             capsys):
+        """--hidden reaches the solver --mode names (it used to run dQSQ
+        whatever the mode), so an oracle and QSQ print the same listing."""
+        path = tmp_path / "net.json"
+        path.write_text(petri_to_json(figure1_net()))
+        listings = {}
+        for mode in ("bruteforce", "qsq"):
+            code = main(["diagnose", "--net", str(path),
+                         "--alarms", "b@p1 c@p1", "--hidden", "v",
+                         "--hidden-budget", "1", "--mode", mode])
+            out = capsys.readouterr().out
+            assert code == 0
+            listings[mode] = out[out.index("2 explanation(s)"):]
+        assert listings["bruteforce"] == listings["qsq"]
+        assert "(hidden: v; hidden budget: 1)" in listings["qsq"]
 
     def test_diagnose_hidden_unknown_transition(self, tmp_path, capsys):
         from repro.petri.io import petri_to_json

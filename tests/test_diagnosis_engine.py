@@ -10,11 +10,14 @@ import pytest
 
 from repro.diagnosis import (AlarmSequence, DatalogDiagnosisEngine,
                              DedicatedDiagnoser, bruteforce_diagnosis)
+from repro.diagnosis.dedicated import dedicated_pattern_diagnosis
+from repro.diagnosis.patterns import ObservationSpec
 from repro.diagnosis.supervisor import SupervisorEncoder
 from repro.datalog.seminaive import EvaluationBudget
 from repro.errors import DiagnosisError, EncodingError
 from repro.petri.examples import figure1_alarm_scenarios, figure1_net
 from repro.petri.generators import random_safe_net
+from repro.petri.product import Observer, ObserverEdge
 from repro.workloads.alarmgen import simulate_alarms
 
 
@@ -44,6 +47,42 @@ class TestSupervisorEncoder:
         encoder = SupervisorEncoder(petri, scenario("bac"))
         for rule in encoder.rules():
             assert rule.head.peer == encoder.supervisor
+
+    def test_silent_peer_has_no_index_dimension(self):
+        """A peer that sent nothing gets no dimension and no extension
+        rule, whether it is absent from the sequence or given as an
+        empty chain: configPrefixes keeps the Section-4.2 arity."""
+        petri = figure1_net()
+        alarms = AlarmSequence([("b", "p1"), ("c", "p1")])
+        spec = ObservationSpec(observers={
+            "p1": Observer.chain("p1", ["b", "c"]),
+            "p2": Observer.chain("p2", [])}, max_events=2)
+        for observation in (alarms, spec):
+            encoder = SupervisorEncoder(petri, observation)
+            assert encoder.peers == ("p1",)
+            assert not encoder.needs_gas
+            heads = [rule.head for rule in encoder.config_prefix_rules()]
+            assert heads and all(len(head.args) == 4 for head in heads)
+
+    @pytest.mark.parametrize("observers, expected", [
+        # an edgeless observer that does not accept: nothing is explained
+        ({"p1": Observer.chain("p1", ["b"]),
+          "p2": Observer("p2", ("q0", "q1"), "q0", frozenset({"q1"}), ())}, 0),
+        # no accepting state at all
+        ({"p1": Observer("p1", ("q0", "q1"), "q0", frozenset(),
+                         (ObserverEdge("q0", "b", "q1"),)),
+          "p2": Observer.chain("p2", [])}, 0),
+        # every peer silent: only the empty configuration
+        ({"p1": Observer.chain("p1", []), "p2": Observer.chain("p2", [])}, 1),
+        # nobody watched: every run of at most max_events events
+        ({}, 7),
+    ])
+    def test_degenerate_observations(self, observers, expected):
+        petri = figure1_net()
+        spec = ObservationSpec(observers=observers, max_events=2)
+        got = DatalogDiagnosisEngine(petri, mode="qsq").diagnose(spec)
+        assert got.diagnoses == dedicated_pattern_diagnosis(petri, spec)
+        assert len(got.diagnoses) == expected
 
 
 class TestTheorem3RunningExample:

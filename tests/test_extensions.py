@@ -2,16 +2,17 @@
 
 import pytest
 
+import repro
+from repro.api import DiagnosisOutcome
 from repro.diagnosis import AlarmSequence, bruteforce_diagnosis
-from repro.diagnosis.extensions import (ExtendedDiagnosisEngine,
-                                        GeneralizedSupervisorEncoder,
-                                        ObservationSpec,
-                                        dedicated_pattern_diagnosis,
-                                        totalize_and_complement)
-from repro.diagnosis.patterns import AlarmPattern, PatternObserverBuilder
-from repro.errors import EncodingError
-from repro.petri.examples import figure1_net
+from repro.diagnosis.dedicated import dedicated_pattern_diagnosis
+from repro.diagnosis.patterns import (AlarmPattern, ObservationSpec,
+                                      totalize_and_complement)
+from repro.diagnosis.supervisor import SupervisorEncoder
+from repro.errors import CostBudgetExceeded, DiagnosisError, EncodingError
+from repro.petri.examples import figure1_alarm_scenarios, figure1_net
 from repro.petri.product import Observer
+from repro.workloads import get_scenario
 
 
 def sym(s):
@@ -58,11 +59,6 @@ class TestAlarmPattern:
         assert observer.peer == "p"
         assert len(observer.accepting) >= 1
 
-    def test_builder(self):
-        builder = PatternObserverBuilder().expect("p1", sym("a"))
-        assert builder.peers() == ("p1",)
-        assert len(builder.observers()) == 1
-
 
 class TestComplement:
     def test_complement_swaps_membership(self):
@@ -92,18 +88,46 @@ def chain_spec(max_events=3, hidden=frozenset()):
 class TestGeneralizedEncoder:
     def test_collision_rejected(self):
         with pytest.raises(EncodingError):
-            GeneralizedSupervisorEncoder(figure1_net(), chain_spec(),
-                                         supervisor="p1")
+            SupervisorEncoder(figure1_net(), chain_spec(), supervisor="p1")
 
     def test_unknown_observer_peer_rejected(self):
         spec = ObservationSpec(observers={"zz": Observer.chain("zz", [])})
         with pytest.raises(EncodingError):
-            GeneralizedSupervisorEncoder(figure1_net(), spec)
+            SupervisorEncoder(figure1_net(), spec)
 
     def test_program_builds(self):
-        encoder = GeneralizedSupervisorEncoder(figure1_net(), chain_spec())
+        encoder = SupervisorEncoder(figure1_net(), chain_spec())
         program = encoder.program()
         assert len(program) > 50
+
+    @pytest.mark.parametrize("instance", ["figure1", "telecom-small"])
+    def test_chain_observation_is_the_section_4_2_program(self, instance):
+        """An alarm sequence and its chain ObservationSpec encode to the
+        same rules: no gas dimension, no accepting atoms, no hiddenNet."""
+        if instance == "figure1":
+            petri = figure1_net()
+            alarms = AlarmSequence(figure1_alarm_scenarios()["bac"])
+        else:
+            petri, alarms = get_scenario(instance).instantiate()
+        spec = ObservationSpec(
+            observers={peer: Observer.chain(peer, alarms.project(peer))
+                       for peer in petri.net.peers()},
+            max_events=len(alarms))
+        basic = SupervisorEncoder(petri, alarms).program()
+        assert set(SupervisorEncoder(petri, spec).program()) == set(basic)
+        if instance == "figure1":
+            assert len(basic) == 178
+
+    def test_gas_and_hidden_rules_appear_only_when_needed(self):
+        def relations(spec):
+            return {rule.head.relation
+                    for rule in SupervisorEncoder(figure1_net(), spec).program()}
+        extras = {"gasStep", "hiddenNet1", "hiddenNet2"}
+        assert not relations(chain_spec()) & extras
+        # fewer events allowed than the chains are long: gas, nothing hidden
+        assert relations(chain_spec(max_events=2)) & extras == {"gasStep"}
+        assert (relations(chain_spec(max_events=4, hidden=frozenset({"v"})))
+                & extras == {"gasStep", "hiddenNet1"})
 
 
 class TestChainEquivalence:
@@ -114,7 +138,7 @@ class TestChainEquivalence:
         petri = figure1_net()
         alarms = AlarmSequence([("b", "p1"), ("a", "p2"), ("c", "p1")])
         expected = bruteforce_diagnosis(petri, alarms).diagnoses
-        got = ExtendedDiagnosisEngine(petri, chain_spec(), mode=mode).diagnose()
+        got = repro.diagnose(petri, chain_spec(), method=mode)
         assert got.diagnoses == expected
 
     def test_dedicated_reference_agrees(self):
@@ -122,6 +146,17 @@ class TestChainEquivalence:
         alarms = AlarmSequence([("b", "p1"), ("a", "p2"), ("c", "p1")])
         expected = bruteforce_diagnosis(petri, alarms).diagnoses
         assert dedicated_pattern_diagnosis(petri, chain_spec()) == expected
+
+
+def agree_with_reference(petri, spec):
+    """Both Datalog methods, through the public API, against the product
+    reference; returns the agreed diagnosis set."""
+    expected = dedicated_pattern_diagnosis(petri, spec)
+    for method in ("qsq", "dqsq"):
+        got = repro.diagnose(petri, spec, method=method)
+        assert isinstance(got, DiagnosisOutcome)
+        assert got.diagnoses == expected, method
+    return expected
 
 
 class TestHiddenTransitions:
@@ -133,9 +168,7 @@ class TestHiddenTransitions:
             "p1": Observer.chain("p1", ["b", "c"]),
             "p2": Observer.chain("p2", []),
         }, hidden=frozenset({"v"}), max_events=4)
-        got = ExtendedDiagnosisEngine(petri, spec, mode="qsq").diagnose()
-        assert len(got.diagnoses) == 2
-        assert got.diagnoses == dedicated_pattern_diagnosis(petri, spec)
+        assert len(agree_with_reference(petri, spec)) == 2
 
     def test_hidden_event_can_be_required(self):
         # Hide i (alarm b); then observing just c at p1 can be explained
@@ -145,22 +178,23 @@ class TestHiddenTransitions:
             "p1": Observer.chain("p1", ["c"]),
             "p2": Observer.chain("p2", []),
         }, hidden=frozenset({"i"}), max_events=3)
-        got = ExtendedDiagnosisEngine(petri, spec, mode="qsq").diagnose()
-        assert got.diagnoses == dedicated_pattern_diagnosis(petri, spec)
-        assert len(got.diagnoses) == 2
+        assert len(agree_with_reference(petri, spec)) == 2
+
+
+def star_spec(max_events=4):
+    return ObservationSpec.from_patterns({
+        "p1": sym("b").then(sym("c").star()),
+        "p2": AlarmPattern.epsilon().alt(sym("a")),
+    }, max_events=max_events)
 
 
 class TestPatterns:
     @pytest.mark.parametrize("mode", ["qsq", "dqsq"])
     def test_star_pattern(self, mode):
         petri = figure1_net()
-        spec = ObservationSpec.from_patterns({
-            "p1": sym("b").then(sym("c").star()),
-            "p2": AlarmPattern.epsilon().alt(sym("a")),
-        }, max_events=4)
-        got = ExtendedDiagnosisEngine(petri, spec, mode=mode).diagnose()
-        expected = dedicated_pattern_diagnosis(petri, spec)
-        assert got.diagnoses == expected
+        got = repro.diagnose(petri, star_spec(), method=mode)
+        assert isinstance(got, DiagnosisOutcome)
+        assert got.diagnoses == dedicated_pattern_diagnosis(petri, star_spec())
         assert len(got.diagnoses) == 4
 
     def test_blocked_pattern(self):
@@ -172,11 +206,8 @@ class TestPatterns:
             "p1": observer,
             "p2": Observer.chain("p2", []),
         }, max_events=2)
-        got = ExtendedDiagnosisEngine(petri, spec, mode="qsq").diagnose()
-        expected = dedicated_pattern_diagnosis(petri, spec)
-        assert got.diagnoses == expected
         # The empty config, {i}, and {i, iii} -- but nothing containing ii.
-        for diagnosis in got.diagnoses:
+        for diagnosis in agree_with_reference(petri, spec):
             assert not any("f(ii," in event for event in diagnosis)
 
     def test_gas_bounds_search(self):
@@ -187,6 +218,19 @@ class TestPatterns:
             "p1": sym("b").then(sym("c").star()),
             "p2": AlarmPattern.epsilon(),
         }, max_events=1)
-        got = ExtendedDiagnosisEngine(petri, spec, mode="qsq").diagnose()
+        got = repro.diagnose(petri, spec, method="qsq")
         for diagnosis in got.diagnoses:
             assert len(diagnosis) <= 1
+
+    def test_cost_budget_refuses_a_pattern_spec(self):
+        from repro.datalog.cost import CostBudget
+        config = repro.RunConfig(cost_budget=CostBudget(
+            max_estimated_facts=10, on_exceeded="refuse"))
+        with pytest.raises(CostBudgetExceeded):
+            repro.diagnose(figure1_net(), star_spec(), method="qsq",
+                           config=config)
+
+    def test_methods_without_an_encoder_refuse_a_spec(self):
+        for method in ("dedicated", "bruteforce", "online"):
+            with pytest.raises(DiagnosisError, match=method):
+                repro.diagnose(figure1_net(), star_spec(), method=method)

@@ -134,6 +134,23 @@ def test_e6_supervisor_encoding_direct(transport, e6_problem):
     assert frozenset(result.answers) == oracle
 
 
+def test_pattern_observation_identical_on_mp():
+    """A Section-4.4 observation goes through the same engine, so it has
+    the mp transport too: hidden v under the pattern b.c* at p1."""
+    from repro.diagnosis.patterns import AlarmPattern, ObservationSpec
+    from repro.petri.examples import figure1_net
+    petri = figure1_net()
+    spec = ObservationSpec.from_patterns(
+        {"p1": AlarmPattern.parse("b.c*"), "p2": AlarmPattern.epsilon()},
+        hidden=frozenset({"v"}), max_events=3)
+    simulated = repro.diagnose(petri, spec, method="dqsq")
+    parallel = repro.diagnose(petri, spec, method="dqsq",
+                              config=repro.RunConfig(transport="mp", mp=MP))
+    assert len(simulated.diagnoses) == 4
+    assert parallel.diagnoses == simulated.diagnoses
+    assert not parallel.partial
+
+
 def test_e9_recovery_matches_mp_fault_free(figure3_oracle):
     """E9's crash/recovery run (simulator) converges to the same answers
     the mp transport computes fault-free: recovery is answer-invisible."""
