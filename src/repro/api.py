@@ -202,11 +202,9 @@ def diagnose(petri: PetriNet, observation: AlarmSequence | ObservationSpec,
         from repro.diagnosis.online import online_diagnosis_result
         return online_diagnosis_result(petri, alarms, window=config.window)
     if method is DiagnosisMethod.DEDICATED:
-        hidden_depth = ((len(alarms) + config.hidden_budget)
-                        if config.hidden else None)
-        return DedicatedDiagnoser(petri, max_events=config.max_events,
-                                  hidden=config.hidden,
-                                  hidden_depth=hidden_depth).diagnose(alarms)
+        return DedicatedDiagnoser(
+            petri, max_events=config.max_events, hidden=config.hidden,
+            hidden_budget=config.hidden_budget).diagnose(alarms)
     return bruteforce_diagnosis(petri, alarms, hidden=config.hidden,
                                 hidden_budget=config.hidden_budget,
                                 max_events=config.max_events)

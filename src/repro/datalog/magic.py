@@ -97,7 +97,7 @@ def _rewrite_rule(rule: Rule, adornment: Adornment, idb: set,
         return []
 
     demanded: list[AdornedKey] = []
-    ineq_position = _inequality_positions(rule, bound)
+    ineq_position = _inequality_positions(rule.body, rule.inequalities, bound)
 
     # The guarded answer rule: magic guard + adorned body.
     available = set(bound)

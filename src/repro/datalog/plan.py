@@ -171,13 +171,14 @@ class PlanStats:
 
     __slots__ = ("bindings_explored", "index_hits", "index_misses",
                  "full_scans", "delta_scans", "cache_hits", "cache_misses",
-                 "cache_evictions", "promotions", "advisor_rules",
-                 "advisor_reorders", "advisor_predicted_bindings", "_flushed")
+                 "cache_evictions", "promotions", "firings", "empty_firings",
+                 "advisor_rules", "advisor_reorders",
+                 "advisor_predicted_bindings", "_flushed")
 
     _FIELDS = ("bindings_explored", "index_hits", "index_misses",
                "full_scans", "delta_scans", "cache_hits", "cache_misses",
-               "cache_evictions", "promotions", "advisor_rules",
-               "advisor_reorders", "advisor_predicted_bindings")
+               "cache_evictions", "promotions", "firings", "empty_firings",
+               "advisor_rules", "advisor_reorders", "advisor_predicted_bindings")
 
     def __init__(self) -> None:
         self.bindings_explored = 0
@@ -190,6 +191,10 @@ class PlanStats:
         self.cache_evictions = 0
         #: plans whose kernel this evaluator's firing generated
         self.promotions = 0
+        #: rule firings (one plan.fire call each) and how many of them
+        #: returned no row: a delta probing a rule that had nothing to join
+        self.firings = 0
+        self.empty_firings = 0
         #: rules whose join order a PlanAdvisor chose (advisor_reorders of
         #: them differing from the greedy default); advisor_predicted_bindings
         #: accumulates the advisor's cost predictions so the benchmark gate

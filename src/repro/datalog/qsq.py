@@ -5,10 +5,12 @@ the program, given a query, around *binding propagation*:
 
 * for each adorned IDB relation ``R^ad`` an input relation ``in-R^ad``
   accumulates the demands (bound-argument tuples);
-* for each rule and body position a *supplementary relation* ``sup_i_j``
-  accumulates the variable bindings relevant at that position;
+* for each rule and interior body position a *supplementary relation*
+  ``sup_i_j`` accumulates the variable bindings relevant at that position;
 * each IDB body atom contributes a demand rule feeding the callee's input
-  relation, and a join rule extending the supplementary relation.
+  relation, and each body atom a join rule extending the chain -- from
+  the demand itself at the first atom, into the answer at the last
+  (:func:`rewrite_segment`, shared with dQSQ).
 
 Evaluating the rewritten program semi-naively *is* the QSQ evaluation:
 it computes the correct answers while materializing only the demanded
@@ -25,6 +27,7 @@ it against the pattern instantiates them).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence
 
 from repro.datalog.adornment import Adornment, adorned_name, input_name
 from repro.datalog.atom import Atom, Inequality
@@ -32,7 +35,7 @@ from repro.datalog.database import Database, Fact, RelationKey
 from repro.datalog.naive import select
 from repro.datalog.rule import Program, Query, Rule
 from repro.datalog.seminaive import EvaluationBudget, SemiNaiveEvaluator
-from repro.datalog.term import Var, variables_of
+from repro.datalog.term import Var
 from repro.utils.counters import Counters
 
 AdornedKey = tuple[str, str | None, Adornment]
@@ -119,110 +122,144 @@ def _rewrite_rule(rule: Rule, adornment: Adornment, rule_id: int, idb: set[Relat
     Returns the adorned IDB relations demanded by the rule body.
     """
     head = rule.head
-    in_atom_args = adornment.select_bound(head.args)
-    in_rel = input_name(head.relation, adornment)
-    ans_rel = adorned_name(head.relation, adornment)
+    incoming = Atom(input_name(head.relation, adornment),
+                    adornment.select_bound(head.args), head.peer)
+    answer = Atom(adorned_name(head.relation, adornment), head.args, head.peer)
+    segment = rewrite_segment(
+        incoming, rule.body, rule.inequalities, answer,
+        sup_atom=lambda j, args: Atom(f"sup_{rule_id}_{j}", args),
+        is_idb=lambda atom: atom.key() in idb)
+    for rewritten in segment.rules:
+        out.add(rewritten)
+    for j, sup in segment.sups:
+        rewriting.sup_index[sup.relation] = (rule, adornment, j)
+    return segment.demanded
 
-    if not rule.body:
+
+@dataclass
+class Segment:
+    """What :func:`rewrite_segment` emitted for one run of body atoms."""
+
+    rules: list[Rule] = field(default_factory=list)
+    demanded: list[AdornedKey] = field(default_factory=list)
+    #: (atoms consumed, atom) of every supplementary relation defined here
+    sups: list[tuple[int, Atom]] = field(default_factory=list)
+    #: set when the run stopped at a remote atom: its offset in ``atoms``,
+    #: the relation to ship there, and the inequalities still undecided
+    cut: tuple[int, Atom, tuple[Inequality, ...]] | None = None
+
+
+def rewrite_segment(incoming: Atom, atoms: Sequence[Atom],
+                    inequalities: Sequence[Inequality], head: Atom, *,
+                    sup_atom: Callable[[int, tuple[Var, ...]], Atom],
+                    is_idb: Callable[[Atom], bool],
+                    is_local: Callable[[Atom], bool] = lambda atom: True
+                    ) -> Segment:
+    """The supplementary chain of Figures 4 and 5, for one run of atoms.
+
+    ``incoming`` holds the bindings the run starts from: the demand
+    ``in-R^ad(pattern)`` at the start of a rule, or the supplementary
+    relation a delegation shipped.  Each IDB atom gets a demand rule off
+    the current relation; each atom gets a join rule into
+    ``sup_atom(k, schema)`` (``k`` = atoms of the run consumed so far),
+    except the last, whose join derives ``head`` itself.  The run stops
+    at the first atom ``is_local`` rejects and reports the cut; the
+    caller delegates from there.
+
+    Departure from the literal figures: the demand is joined directly (no
+    ``sup_0`` copy of it) and the last join writes the answer (no
+    ``sup_n`` plus copy rule).  A ``sup_0`` survives in two cases only:
+    inequalities decidable from the demand alone must filter before the
+    first sub-demand is issued, and a rule whose first atom is remote
+    ships its projected demand to that atom's peer.  Neither arises on a
+    delegated run: its inequalities were undecided at the cut and its
+    first atom is local by construction.
+    """
+    segment = Segment()
+    if not atoms:
         # An IDB fact (e.g. the unfolding-roots rules of Section 4.1):
         # answer the demand directly.
-        out.add(Rule(Atom(ans_rel, head.args, head.peer),
-                     [Atom(in_rel, in_atom_args, head.peer)]))
-        return []
+        segment.rules.append(Rule(head, [incoming]))
+        return segment
 
-    demanded: list[AdornedKey] = []
-    bound: set[Var] = set()
-    for position in adornment.bound_positions():
-        bound.update(variables_of(head.args[position]))
-
-    order = _occurrence_order(rule)
+    available = set(incoming.variables())
+    order = _occurrence_order(incoming, atoms)
+    placement = _inequality_positions(atoms, inequalities, available)
     head_vars = set(head.variables())
-    ineq_position = _inequality_positions(rule, bound)
 
-    def sup_name(j: int) -> str:
-        return f"sup_{rule_id}_{j}"
-
-    def sup_args(available: set[Var], j: int) -> tuple[Var, ...]:
+    def schema(consumed: int) -> tuple[Var, ...]:
+        """Available variables still needed after ``consumed`` atoms."""
         needed = set(head_vars)
-        for later_atom in rule.body[j:]:
+        for later_atom in atoms[consumed:]:
             needed.update(later_atom.variables())
-        for pos, constraints in ineq_position.items():
-            if pos >= j:
+        for at, constraints in placement.items():
+            if at >= consumed:
                 for constraint in constraints:
                     needed.update(constraint.variables())
-        keep = available & needed
-        return tuple(v for v in order if v in keep)
+        return tuple(v for v in order if v in available and v in needed)
 
-    # sup_0  <-  the demand.
-    sup0_args = sup_args(bound, 0)
-    out.add(Rule(Atom(sup_name(0), sup0_args),
-                 [Atom(in_rel, in_atom_args, head.peer)],
-                 ineq_position.get(-1, ())))
-    rewriting.sup_index[sup_name(0)] = (rule, adornment, 0)
+    def define_sup(consumed: int) -> Atom:
+        sup = sup_atom(consumed, schema(consumed))
+        segment.sups.append((consumed, sup))
+        return sup
 
-    available = set(bound)
-    previous = Atom(sup_name(0), sup0_args)
-    for j, body_atom in enumerate(rule.body, start=1):
-        body_adornment = Adornment.from_atom(body_atom, available)
-        if body_atom.key() in idb:
-            # Demand rule: feed the callee's input relation.
-            demand_args = body_adornment.select_bound(body_atom.args)
-            out.add(Rule(Atom(input_name(body_atom.relation, body_adornment),
-                              demand_args, body_atom.peer),
-                         [previous]))
-            demanded.append((body_atom.relation, body_atom.peer, body_adornment))
-            join_atom = Atom(adorned_name(body_atom.relation, body_adornment),
-                             body_atom.args, body_atom.peer)
+    current = incoming
+    if -1 in placement or not is_local(atoms[0]):
+        current = define_sup(0)
+        segment.rules.append(Rule(current, [incoming], placement.get(-1, ())))
+
+    for offset, atom in enumerate(atoms):
+        if not is_local(atom):
+            pending = tuple(c for at in sorted(placement) if at >= offset
+                            for c in placement[at])
+            segment.cut = (offset, current, pending)
+            return segment
+        atom_adornment = Adornment.from_atom(atom, available)
+        if is_idb(atom):
+            segment.rules.append(Rule(
+                Atom(input_name(atom.relation, atom_adornment),
+                     atom_adornment.select_bound(atom.args), atom.peer),
+                [current]))
+            segment.demanded.append((atom.relation, atom.peer, atom_adornment))
+            join_atom = Atom(adorned_name(atom.relation, atom_adornment),
+                             atom.args, atom.peer)
         else:
-            join_atom = body_atom
-        available |= set(body_atom.variables())
-        current = Atom(sup_name(j), sup_args(available, j))
-        out.add(Rule(current, [previous, join_atom], ineq_position.get(j - 1, ())))
-        rewriting.sup_index[sup_name(j)] = (rule, adornment, j)
-        previous = current
-
-    out.add(Rule(Atom(ans_rel, head.args, head.peer), [previous]))
-    return demanded
+            join_atom = atom
+        available |= set(atom.variables())
+        target = head if offset == len(atoms) - 1 else define_sup(offset + 1)
+        segment.rules.append(Rule(target, [current, join_atom],
+                                  placement.get(offset, ())))
+        current = target
+    return segment
 
 
-def _occurrence_order(rule: Rule) -> list[Var]:
-    """Variables of the rule in first-occurrence order (head, then body)."""
-    order: list[Var] = []
-    seen: set[Var] = set()
-    for var in rule.head.variables():
-        if var not in seen:
-            seen.add(var)
-            order.append(var)
-    for atom in rule.body:
-        for var in atom.variables():
-            if var not in seen:
-                seen.add(var)
-                order.append(var)
-    return order
+def _occurrence_order(incoming: Atom, atoms: Iterable[Atom]) -> list[Var]:
+    """Variables in first-occurrence order (incoming relation, then body)."""
+    order: dict[Var, None] = dict.fromkeys(incoming.variables())
+    for atom in atoms:
+        order.update(dict.fromkeys(atom.variables()))
+    return list(order)
 
 
-def _inequality_positions(rule: Rule,
+def _inequality_positions(atoms: Sequence[Atom], inequalities: Iterable[Inequality],
                           initially_bound: set[Var]) -> dict[int, tuple[Inequality, ...]]:
     """Attach each inequality to the earliest body position where it is ground.
 
-    Position ``-1`` means "decidable from the demand alone" (attached to
-    the sup_0 rule); position ``j`` (0-based) means "after matching body
-    atom j" (attached to the sup_{j+1} join rule).
+    Position ``-1`` means "decidable from the incoming bindings alone";
+    position ``j`` (0-based) means "after matching ``atoms[j]``" (attached
+    to that atom's join rule).
     """
-    placement: dict[int, list[Inequality]] = {}
-    remaining = list(rule.inequalities)
+    placement: dict[int, tuple[Inequality, ...]] = {}
+    remaining = list(inequalities)
     available = set(initially_bound)
-    here = [c for c in remaining if set(c.variables()) <= available]
-    if here:
-        placement[-1] = here
-        remaining = [c for c in remaining if c not in here]
-    for j, atom in enumerate(rule.body):
-        available |= set(atom.variables())
-        here = [c for c in remaining if set(c.variables()) <= available]
+    for j in range(-1, len(atoms)):
+        if j >= 0:
+            available |= set(atoms[j].variables())
+        here = tuple(c for c in remaining if set(c.variables()) <= available)
         if here:
             placement[j] = here
             remaining = [c for c in remaining if c not in here]
-    return {k: tuple(v) for k, v in placement.items()}
+    return placement
 
 
 @dataclass

@@ -102,10 +102,13 @@ class RuleFirer:
         iterated and make a single firing run away on recursive rules
         with function symbols.
         """
-        plan = plan_for(self._plans, self._plan_stats, rule, delta_position,
+        stats = self._plan_stats
+        plan = plan_for(self._plans, stats, rule, delta_position,
                         advisor=self._advisor)
-        rows = plan.fire(db, delta_rows, stats=self._plan_stats)
+        rows = plan.fire(db, delta_rows, stats=stats)
+        stats.firings += 1
         if not rows:
+            stats.empty_firings += 1
             return rows
         counters, budget = self.counters, self.budget
         counters.add("derivations", len(rows))

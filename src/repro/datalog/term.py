@@ -113,9 +113,14 @@ class Func:
     configuration ids ``h(z, x)``.
     """
 
-    __slots__ = ("name", "args", "_hash", "_ground", "_depth", "__weakref__")
+    __slots__ = ("name", "args", "_hash", "_ground", "_depth", "_node_id",
+                 "__weakref__")
 
     _intern: "WeakValueDictionary[tuple, Func]" = WeakValueDictionary()
+
+    #: unfolding-node spelling, filled on first use by
+    #: repro.diagnosis.encoding.node_id_of_term; it dies with the term
+    _node_id: str | None
 
     def __new__(cls, name: str, args: Iterable[Term]) -> "Func":
         args = tuple(args)
@@ -128,6 +133,7 @@ class Func:
             self._hash = hash(("Func", name, args))
             self._ground = all(a._ground for a in args)
             self._depth = 1 + max((a._depth for a in args), default=0)
+            self._node_id = None
             cls._intern[key] = self
         return self
 

@@ -68,11 +68,13 @@ class DedicatedDiagnoser:
 
     def __init__(self, petri: PetriNet, max_events: int = 50_000,
                  hidden: frozenset[str] = frozenset(),
-                 hidden_depth: int | None = None) -> None:
+                 hidden_budget: int = 0) -> None:
         self.petri = petri
         self.max_events = max_events
         self.hidden = hidden
-        self.hidden_depth = hidden_depth
+        #: how many hidden events an explanation may contain (Section 4.4);
+        #: the same bound every other solver puts on the event count
+        self.hidden_budget = hidden_budget
 
     def diagnose(self, alarms: AlarmSequence) -> DedicatedResult:
         by_peer = alarms.by_peer()
@@ -87,13 +89,15 @@ class DedicatedDiagnoser:
                                          hidden=self.hidden)
         # Every visible transition consumes one chain place, so the
         # product unfolding is finite; hidden transitions need an
-        # explicit depth bound (the Section-4.4 gadget).
-        max_depth = self.hidden_depth if self.hidden else None
+        # explicit bound (the Section-4.4 gadget).  An explanation has at
+        # most ``limit`` events, hence depth at most ``limit``: the depth
+        # bound keeps the unfolding finite, the search enforces the count.
+        limit = len(alarms) + self.hidden_budget
         bp = unfold(product.petri, max_events=self.max_events,
-                    max_depth=max_depth)
+                    max_depth=limit if self.hidden else None)
 
         projection = _Projector(bp, product)
-        diagnoses = self._extract(bp, product, by_peer, projection)
+        diagnoses = self._extract(bp, product, by_peer, projection, limit)
         counters = Counters()
         counters.add("product_events", len(bp.events))
         counters.add("product_conditions", len(bp.conditions))
@@ -106,13 +110,15 @@ class DedicatedDiagnoser:
 
     def _extract(self, bp: BranchingProcess, product: ProductNet,
                  by_peer: dict[str, tuple[str, ...]],
-                 projection: "_Projector") -> DiagnosisSet:
+                 projection: "_Projector", limit: int) -> DiagnosisSet:
         """Bottom-up extraction of the complete explanations.
 
         A configuration explains A iff per peer the number of visible
         events equals the subsequence length (each visible event consumes
-        exactly one chain place).  Enumeration walks configurations of
-        the (finite) product unfolding.
+        exactly one chain place).  Enumeration walks the configurations
+        of at most ``limit`` events of the (finite) product unfolding;
+        without hidden transitions a configuration that large is
+        complete, so the bound only ever cuts hidden events.
         """
         needed = {peer: len(symbols) for peer, symbols in by_peer.items()}
         found: set[frozenset[str]] = set()
@@ -145,8 +151,8 @@ class DedicatedDiagnoser:
             counts = counts_of(chosen)
             if all(counts.get(p, 0) == n for p, n in needed.items()):
                 found.add(frozenset(projection.project_event(e) for e in chosen))
-                if not self.hidden:
-                    return
+            if len(chosen) >= limit:
+                return
             available = available_conditions(chosen)
             for cid in sorted(available):
                 for eid in bp.consumers.get(cid, ()):

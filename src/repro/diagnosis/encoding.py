@@ -85,11 +85,16 @@ def g_term(producer: Term, place: str | Term) -> Func:
 def node_id_of_term(term: Term) -> str:
     """Canonical string id of a node term; matches the direct unfolder's
     ids (``f(i,g(r,1),g(r,7))`` etc.), enabling Theorem-2/4 comparisons."""
+    if isinstance(term, Func):
+        # A node id nests its whole causal past; terms are hash-consed, so
+        # each is spelled once and shared by every id that contains it.
+        spelled = term._node_id
+        if spelled is None:
+            inner = ",".join(node_id_of_term(a) for a in term.args)
+            spelled = term._node_id = f"{term.name}({inner})"
+        return spelled
     if isinstance(term, Const):
         return str(term.value)
-    if isinstance(term, Func):
-        inner = ",".join(node_id_of_term(a) for a in term.args)
-        return f"{term.name}({inner})"
     raise EncodingError(f"node term {term} contains variables")
 
 

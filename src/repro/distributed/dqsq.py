@@ -15,7 +15,8 @@ Faithfulness points implemented here:
   tuples interleave freely on the simulated network);
 * supplementary relations are *located*: a handoff ships the current
   supplementary relation's tuples to the next peer, exactly like the
-  bold ``sup22`` / ``sup32`` rules of Figure 5;
+  bold ``sup22`` / ``sup32`` rules of Figure 5 (the chain itself is
+  :func:`repro.datalog.qsq.rewrite_segment`, cut at each handoff);
 * "if a peer receives the same request from different peers, it reuses
   the same machinery" -- demands are deduplicated per (relation,
   adornment), and new demand tuples flow through the installed rules.
@@ -29,15 +30,15 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.datalog.adornment import Adornment, adorned_name, input_name
 from repro.datalog.atom import Atom, Inequality
 from repro.datalog.database import Database, Fact, RelationKey
 from repro.datalog.naive import select
+from repro.datalog.qsq import rewrite_segment
 from repro.datalog.rule import Program, Query, Rule
 from repro.datalog.seminaive import EvaluationBudget, IncrementalEvaluator
-from repro.datalog.term import Var, variables_of
 from repro.distributed.ddatalog import DDatalogProgram
 from repro.distributed.network import Message, NetworkOptions
 from repro.distributed.termination import ACK_KIND, DijkstraScholten
@@ -72,16 +73,15 @@ def split_input_name(relation: str) -> tuple[str, Adornment] | None:
 
 @dataclass
 class _Delegation:
-    """The remainder of a rule, shipped to the peer owning its next atom."""
+    """The remainder of a rule, for the peer owning its next atom (a whole
+    rule at its home peer is the remainder after zero atoms)."""
 
     uid: str
-    position: int                    #: absolute body position of atoms[0]
+    position: int                    #: body atoms already consumed
     head: Atom                       #: final adorned answer atom (located)
     atoms: tuple[Atom, ...]          #: remaining body atoms (located)
     inequalities: tuple[Inequality, ...]
-    sup_name: str                    #: incoming supplementary relation
-    sup_home: str
-    sup_args: tuple[Var, ...]
+    incoming: Atom                   #: relation holding the bindings so far
 
 
 class _DqsqPeer:
@@ -271,90 +271,41 @@ class _DqsqPeer:
                           transport: Transport) -> None:
         """The local QSQ rewriting of this peer's rules for a demand."""
         self.counters.add("rewritings")
-        in_atom_name = input_name(relation, adornment)
-        ans_name = adorned_name(relation, adornment)
         for index, rule in enumerate(self.source_rules.rules_for(relation, self.name)):
-            uid = f"{self.name}.{relation}.{adornment}.{index}"
             head_args = rule.head.args
-            in_args = adornment.select_bound(head_args)
-            if not rule.body:
-                # IDB fact (e.g. an unfolding root): answer demands directly.
-                self._install(Rule(Atom(ans_name, head_args, self.name),
-                                   [Atom(in_atom_name, in_args, self.name)]))
-                continue
-            bound: set[Var] = set()
-            for position in adornment.bound_positions():
-                bound.update(variables_of(head_args[position]))
-            order = _occurrence_order(rule)
-            sup_args = _project(order, bound, rule.body, rule.inequalities,
-                                set(rule.head.variables()))
-            sup0 = sup_relation_name(uid, 0)
-            ground_ineqs = [c for c in rule.inequalities
-                            if set(c.variables()) <= bound]
-            self._install(Rule(Atom(sup0, sup_args, self.name),
-                               [Atom(in_atom_name, in_args, self.name)],
-                               ground_ineqs))
-            pending = tuple(c for c in rule.inequalities if c not in ground_ineqs)
-            head_atom = Atom(ans_name, head_args, self.name)
-            self._continue_segment(uid, 1, head_atom, rule.body, pending,
-                                   sup0, self.name, sup_args, transport)
+            self._rewrite_segment(_Delegation(
+                uid=f"{self.name}.{relation}.{adornment}.{index}", position=0,
+                head=Atom(adorned_name(relation, adornment), head_args, self.name),
+                atoms=rule.body, inequalities=rule.inequalities,
+                incoming=Atom(input_name(relation, adornment),
+                              adornment.select_bound(head_args), self.name)),
+                transport)
 
     def _install_delegation(self, delegation: _Delegation, transport: Transport) -> None:
         self.counters.add("delegations_received")
-        self._continue_segment(delegation.uid, delegation.position,
-                               delegation.head, delegation.atoms,
-                               delegation.inequalities, delegation.sup_name,
-                               delegation.sup_home, delegation.sup_args, transport)
+        self._rewrite_segment(delegation, transport)
 
-    def _continue_segment(self, uid: str, position: int, head: Atom,
-                          atoms: tuple[Atom, ...],
-                          inequalities: tuple[Inequality, ...],
-                          sup_name: str, sup_home: str, sup_args: tuple[Var, ...],
-                          transport: Transport) -> None:
-        """Process body atoms left to right while they are local; delegate
+    def _rewrite_segment(self, work: _Delegation, transport: Transport) -> None:
+        """Rewrite body atoms left to right while they are local; delegate
         the remainder at the first remote atom."""
-        order = _delegation_order(sup_args, atoms)
-        available: set[Var] = set(sup_args)
-        pending = list(inequalities)
-        current = Atom(sup_name, sup_args, sup_home)
-        for offset, atom in enumerate(atoms):
-            if atom.peer != self.name:
-                remainder = _Delegation(
-                    uid=uid, position=position + offset, head=head,
-                    atoms=atoms[offset:], inequalities=tuple(pending),
-                    sup_name=current.relation, sup_home=current.peer or self.name,
-                    sup_args=tuple(current.args),  # type: ignore[arg-type]
-                )
-                self._register_reader((current.relation, current.peer or self.name),
-                                      atom.peer or "", transport)
-                self.counters.add("delegations_sent")
-                self._send(transport, atom.peer or "", KIND_DELEGATE, remainder)
-                return
-            body_adornment = Adornment.from_atom(atom, available)
-            if self._is_local_idb(atom.relation):
-                demand_args = body_adornment.select_bound(atom.args)
-                self._install(Rule(
-                    Atom(input_name(atom.relation, body_adornment), demand_args,
-                         self.name),
-                    [current]))
-                join_atom = Atom(adorned_name(atom.relation, body_adornment),
-                                 atom.args, self.name)
-            else:
-                join_atom = atom
-            available |= set(atom.variables())
-            here = [c for c in pending if set(c.variables()) <= available]
-            pending = [c for c in pending if c not in here]
-            next_args = _project(_delegation_order(sup_args, atoms), available,
-                                 atoms[offset + 1:], tuple(pending),
-                                 set(head.variables()))
-            next_name = sup_relation_name(uid, position + offset)
-            next_atom = Atom(next_name, next_args, self.name)
-            self._install(Rule(next_atom, [current, join_atom], here))
-            current = next_atom
-        self._install(Rule(head, [current]))
-
-    def _is_local_idb(self, relation: str) -> bool:
-        return relation in self._idb
+        segment = rewrite_segment(
+            work.incoming, work.atoms, work.inequalities, work.head,
+            sup_atom=lambda k, args: Atom(
+                sup_relation_name(work.uid, work.position + k), args, self.name),
+            is_idb=lambda atom: atom.relation in self._idb,
+            is_local=lambda atom: atom.peer == self.name)
+        for rule in segment.rules:
+            self._install(rule)
+        if segment.cut is None:
+            return
+        offset, shipped, pending = segment.cut
+        remote = work.atoms[offset].peer or ""
+        self._register_reader((shipped.relation, shipped.peer or self.name),
+                              remote, transport)
+        self.counters.add("delegations_sent")
+        self._send(transport, remote, KIND_DELEGATE, _Delegation(
+            uid=work.uid, position=work.position + offset, head=work.head,
+            atoms=work.atoms[offset:], inequalities=pending, incoming=shipped))
 
     def _install(self, rule: Rule) -> None:
         if self.evaluator.add_rule(rule):
@@ -414,39 +365,6 @@ class _DqsqPeer:
         if self.detector is not None:
             self.detector.on_basic_send(self.name)
         transport.send(self.name, recipient, kind, payload)
-
-
-def _occurrence_order(rule: Rule) -> tuple[Var, ...]:
-    return _delegation_order(tuple(rule.head.variables()), rule.body)
-
-
-def _delegation_order(seed: Iterable[Var], atoms: Iterable[Atom]) -> tuple[Var, ...]:
-    """Variables in first-occurrence order (seed vars, then body order)."""
-    order: list[Var] = []
-    seen: set[Var] = set()
-    for var in seed:
-        if var not in seen:
-            seen.add(var)
-            order.append(var)
-    for atom in atoms:
-        for var in atom.variables():
-            if var not in seen:
-                seen.add(var)
-                order.append(var)
-    return tuple(order)
-
-
-def _project(order: Iterable[Var], available: set[Var], later_atoms: Iterable[Atom],
-             later_inequalities: Iterable[Inequality],
-             head_vars: set[Var]) -> tuple[Var, ...]:
-    """Supplementary-relation schema: available vars still needed later."""
-    needed = set(head_vars)
-    for atom in later_atoms:
-        needed.update(atom.variables())
-    for constraint in later_inequalities:
-        needed.update(constraint.variables())
-    keep = available & needed
-    return tuple(v for v in order if v in keep)
 
 
 @dataclass

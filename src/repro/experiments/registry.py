@@ -118,7 +118,8 @@ def e2_qsq_rewriting() -> ExperimentResult:
         rows,
         notes=[f"adorned relations reached: {adorned} (Figure 4: R^bf, S^bf, T^bf)",
                f"supplementary relations: {len(sups)} "
-               f"(Figure 4: chains of length body+1 per rule)",
+               f"(Figure 4 draws body+1 per rule, 10 here; the sup_0 and "
+               f"sup_n bookends are not emitted, body-1 per rule remain)",
                f"answers agree across all engines: "
                f"{qsq.answers == magic_answers}",
                f"EDB size (excluded from counts above where applicable): {edb_count}"])

@@ -8,6 +8,7 @@ from repro.diagnosis import AlarmSequence, DatalogDiagnosisEngine, EvaluationMod
 from repro.diagnosis.patterns import ObservationSpec
 from repro.errors import DiagnosisError
 from repro.petri.examples import figure1_net
+from repro.petri.generators import random_safe_net
 from repro.petri.product import Observer
 
 METHODS = ["dqsq", "qsq", "bottomup", "dedicated", "bruteforce"]
@@ -74,6 +75,21 @@ class TestFacade:
                                   config=config).diagnoses
         got = repro.diagnose(petri, alarms, method=method, config=config)
         assert got.diagnoses == expected
+
+    def test_hidden_budget_bounds_events_for_dedicated_too(self):
+        """The budget counts events.  `dedicated` used to read it as an
+        unfolding depth and returned a fourth explanation here: one with
+        three hidden events, each at depth <= 4."""
+        petri = random_safe_net(23, branching=0.5)
+        alarms = AlarmSequence([("a", "p0"), ("a", "p1")])
+        config = repro.RunConfig(hidden=frozenset({"t0_1", "t1_0"}),
+                                 hidden_budget=2)
+        brute = repro.diagnose(petri, alarms, method="bruteforce",
+                               config=config).diagnoses
+        assert len(brute) == 3
+        for method in ("dedicated", "qsq"):
+            assert repro.diagnose(petri, alarms, method=method,
+                                  config=config).diagnoses == brute
 
     @pytest.mark.parametrize("method", ["bottomup", "online"])
     def test_hidden_is_refused_not_ignored(self, instance, method):

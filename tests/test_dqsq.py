@@ -11,12 +11,13 @@ import pytest
 from repro.datalog import (Database, EvaluationBudget, Query, parse_atom,
                            parse_program, qsq_evaluate)
 from repro.datalog.atom import Atom
-from repro.datalog.naive import load_facts
+from repro.datalog.naive import load_facts, select
 from repro.distributed import (DDatalogProgram, DqsqEngine, FaultPlan,
                                NetworkOptions)
 from repro.distributed.dqsq import split_input_name
 from repro.datalog.adornment import Adornment
 from repro.errors import BudgetExceeded, DistributedError
+from tests.reference import reference_model
 
 FIGURE3_RULES = """
 r@r(X, Y) :- a@r(X, Y).
@@ -42,15 +43,20 @@ def setup_figure3():
     return dd, edb
 
 
-def local_reference_answers(dd, facts_text, query):
-    """Answers of centralized QSQ on the paper's P_local."""
-    local = dd.local_version()
+def localized(dd, facts_text, query):
+    """The paper's P_local with its EDB and query."""
     local_edb = Database()
     for fact in parse_program(facts_text).facts():
         qualified = f"{fact.head.relation}@{fact.head.peer}"
         local_edb.add((qualified, None), fact.head.args)
     local_query = Query(Atom(f"{query.atom.relation}@{query.atom.peer}",
                              query.atom.args, None))
+    return dd.local_version(), local_query, local_edb
+
+
+def local_reference_answers(dd, facts_text, query):
+    """Answers of centralized QSQ on the paper's P_local."""
+    local, local_query, local_edb = localized(dd, facts_text, query)
     return qsq_evaluate(local, local_query, local_edb)
 
 
@@ -114,6 +120,7 @@ class TestTheorem1:
                 expected[(name, peer, pattern)] = set(
                     reference.database.facts((relation, None)))
         assert got == expected
+        return dqsq
 
     def test_figure3(self):
         self.check_program(FIGURE3_RULES, FIGURE3_FACTS, 'r@r("1", Y)')
@@ -155,6 +162,80 @@ class TestTheorem1:
         g@b("2", "1").
         """
         self.check_program(rules, facts, 'apart@a("1", Y)')
+
+    # The places where the shared segment rewriter departs from the
+    # literal Figure 5 chain.  Function-free, so the answers are also
+    # held against the model of P_local (an oracle that rewrites nothing).
+
+    CHAIN_FACTS = """
+    e@a("1", "2").
+    e@a("2", "2").
+    e@a("4", "5").
+    f@b("1", "2").
+    f@b("2", "3").
+    f@b("2", "4").
+    f@b("2", "2").
+    """
+
+    def check_against_model(self, rules_text, query_text):
+        result = self.check_program(rules_text, self.CHAIN_FACTS, query_text)
+        local, local_query, local_edb = localized(
+            DDatalogProgram(parse_program(rules_text)), self.CHAIN_FACTS,
+            Query(parse_atom(query_text)))
+        assert result.answers == select(reference_model(local, local_edb),
+                                        local_query.atom)
+        assert result.answers
+        return result
+
+    @staticmethod
+    def sup_homes(result):
+        """(chain position, home peer) of every populated sup relation."""
+        return {(relation[-1], home)
+                for relation, home in result.homed_fact_counts()
+                if relation.startswith("sup[")}
+
+    def test_first_atom_remote(self):
+        # The demand itself is what the next peer needs: the one case
+        # (besides a demand-only inequality) where a sup 0 is kept, as the
+        # projected relation shipped to b.
+        result = self.check_against_model("""
+        p@a(X, Y) :- q@b(X, Z), e@a(Z, Y).
+        q@b(X, Y) :- f@b(X, Y).
+        """, 'p@a("1", Y)')
+        assert self.sup_homes(result) == {("0", "a"), ("1", "b")}
+
+    def test_last_atom_remote(self):
+        # The last join runs at b and derives a's answer there: no sup 2.
+        result = self.check_against_model("""
+        p@a(X, Y) :- e@a(X, Z), q@b(Z, Y).
+        q@b(X, Y) :- f@b(X, Y).
+        """, 'p@a("1", Y)')
+        assert self.sup_homes(result) == {("1", "a")}
+
+    def test_one_atom_bodies(self):
+        # Local: q^bf :- in-q^bf, f.  Remote: sup 0 at a, joined at b.
+        result = self.check_against_model("""
+        p@a(X, Y) :- q@b(X, Y).
+        q@b(X, Y) :- f@b(X, Y).
+        """, 'p@a("2", Y)')
+        assert self.sup_homes(result) == {("0", "a")}
+
+    def test_demand_only_inequality_filters_before_the_first_demand(self):
+        rules = """
+        apart@a(X, Y) :- q@a(X, Z), far@b(Z, Y), X != Y.
+        q@a(X, Y) :- e@a(X, Y).
+        far@b(X, Y) :- f@b(X, Y).
+        """
+        result = self.check_against_model(rules, 'apart@a("1", "3")')
+        assert ("in-q^bf", "a") in result.homed_fact_counts()
+        # X != Y is decided on the demand: a reflexive query issues no
+        # sub-demand at all.
+        dd = DDatalogProgram(parse_program(rules))
+        edb = load_facts(parse_program(self.CHAIN_FACTS))
+        refused = DqsqEngine(dd, edb).query(Query(parse_atom('apart@a("2", "2")')))
+        assert refused.answers == set()
+        assert ("in-q^bf", "a") not in refused.homed_fact_counts()
+        assert refused.counters["tuples_shipped"] == 0
 
     def test_termination_parity_function_symbols(self):
         # nat over two peers; bound demand terminates for both QSQ and

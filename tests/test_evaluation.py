@@ -50,6 +50,15 @@ class TestTransitiveClosure:
         assert semi.counters["derivations"] <= naive.counters["derivations"]
         assert semi.counters["facts_materialized"] == naive.counters["facts_materialized"]
 
+    def test_firings_are_counted_and_the_empty_ones_told_apart(self):
+        # Round 0 fires both rules; the path delta then fires the
+        # recursive rule twice, and the last delta (a-d) joins nothing.
+        program = parse_program(TC)
+        semi = SemiNaiveEvaluator(program)
+        semi.run(load_facts(program))
+        assert semi.counters["plan.firings"] == 4
+        assert semi.counters["plan.empty_firings"] == 1
+
 
 class TestActivation:
     def test_naive_activates_only_reachable_rules(self):

@@ -15,8 +15,12 @@ from repro.datalog import (Database, EvaluationBudget, Query,
                            SemiNaiveEvaluator, parse_atom, parse_program,
                            qsq_evaluate, qsq_rewrite)
 from repro.datalog.adornment import Adornment, adorned_name, input_name
+from repro.datalog.atom import Atom
 from repro.datalog.naive import load_facts
+from repro.diagnosis import AlarmSequence
+from repro.diagnosis.supervisor import SupervisorEncoder
 from repro.errors import BudgetExceeded
+from repro.petri.examples import figure1_net
 
 FIGURE3_LOCAL = """
 r(X, Y) :- a(X, Y).
@@ -52,13 +56,60 @@ class TestRewritingShape:
         assert inputs == {"in-r^bf", "in-s^bf", "in-t^bf"}
 
     def test_figure4_supplementary_counts(self):
-        # Figure 4 shows sup_1_0..sup_1_1 (rule 1), sup_2_0..sup_2_2
-        # (rule 2), sup_3_0..sup_3_2 (rule 3), sup_4_0..sup_4_1 (rule 4):
-        # one chain per rule, length = body length + 1.
+        """Figure 4 draws one chain per rule of length body + 1 (10
+        relations here).  The rewriter drops both bookends -- ``sup_i_0``
+        is a verbatim copy of the demand and ``sup_i_n`` exists only to be
+        copied into the answer -- so only the interior of the two
+        two-atom rules is left: 2 relations."""
         program, _db = figure3()
         rewriting = qsq_rewrite(program, Query(parse_atom('r("1", Y)')))
-        sups = rewriting.sup_relation_names()
-        assert len(sups) == 2 + 3 + 3 + 2
+        positions = sorted(index for _rule, _ad, index in
+                           rewriting.sup_index.values())
+        assert positions == [1, 1]
+        assert {len(rule.body) for rule, _ad, _index in
+                rewriting.sup_index.values()} == {2}
+
+    @staticmethod
+    def pure_copies(rewriting):
+        """Rules that move one relation into another and do nothing else:
+        one body atom, no inequality, and a supplementary relation on
+        either side -- the old ``sup_0 :- in-R`` and ``R^ad :- sup_n``.
+        Demand rules (``in-B :- sup_j``) are projections onto the bound
+        arguments, not copies, and are the one single-atom shape left."""
+        kinds = rewriting.relation_kinds()
+        copies = []
+        for rule in rewriting.program.proper_rules():
+            if len(rule.body) != 1 or rule.inequalities or rule.negated:
+                continue
+            head, body = kinds[rule.head.relation], kinds[rule.body[0].relation]
+            if head == "sup" or (body == "sup" and head != "input"):
+                copies.append(str(rule))
+        return copies
+
+    def test_no_rule_is_a_pure_copy_on_figure3(self):
+        program, _db = figure3()
+        rewriting = qsq_rewrite(program, Query(parse_atom('r("1", Y)')))
+        assert self.pure_copies(rewriting) == []
+
+    def test_no_rule_is_a_pure_copy_on_a_diagnosis_program(self):
+        # Figure 1 under b a c: Section 4.1 unfolding rules plus the
+        # Section 4.2 supervisor, as diagnose(method="qsq") rewrites them.
+        encoder = SupervisorEncoder(
+            figure1_net(), AlarmSequence([("b", "p1"), ("a", "p2"), ("c", "p1")]))
+        query_atom = encoder.query_atom()
+        rewriting = qsq_rewrite(
+            encoder.program().local_version(),
+            Query(Atom(f"{query_atom.relation}@{query_atom.peer}",
+                       query_atom.args, None)))
+        assert len(rewriting.sup_index) > 100
+        assert self.pure_copies(rewriting) == []
+        # No sup_n is left, and a sup_0 only where the demand alone
+        # decides an inequality (the notCausal rules: 8 of 404 here).
+        filters = {rule.head.relation: rule.inequalities
+                   for rule in rewriting.program.proper_rules()}
+        for name, (rule, _ad, index) in rewriting.sup_index.items():
+            assert index < len(rule.body)
+            assert index > 0 or filters[name]
 
     def test_seed_and_answer_atoms(self):
         program, _db = figure3()
@@ -138,12 +189,15 @@ class TestMaterialization:
         assert {f[1].value for f in result.answers} == {"a29", "a30"}
 
     def test_counter_breakdown(self):
+        """With the bookend relations gone only the two interior
+        relations hold supplementary tuples: 3 on this run (was 11 when
+        every demand and every finished join was also copied into one)."""
         program, db = figure3()
         result = qsq_evaluate(program, Query(parse_atom('r("1", Y)')), db)
         kinds = result.materialized_by_kind()
         assert set(kinds) <= {"edb", "sup", "input", "adorned"}
         assert kinds["input"] >= 1
-        assert kinds["sup"] >= 4
+        assert kinds["sup"] == 3
 
 
 class TestFunctionSymbols:
