@@ -13,7 +13,6 @@ Run:  python examples/alarm_patterns.py
 """
 
 import repro
-from repro.diagnosis.dedicated import dedicated_pattern_diagnosis
 from repro.diagnosis.patterns import (AlarmPattern, ObservationSpec,
                                       totalize_and_complement)
 from repro.petri.examples import figure1_net
@@ -23,8 +22,9 @@ from repro.petri.product import Observer
 def show(title: str, petri, spec: ObservationSpec) -> None:
     print(title)
     result = repro.diagnose(petri, spec, method="dqsq")
-    reference = dedicated_pattern_diagnosis(petri, spec)
-    assert result.diagnoses == reference
+    for oracle in ("bruteforce", "dedicated"):
+        assert repro.diagnose(petri, spec, method=oracle).diagnoses \
+            == result.diagnoses
     for index, configuration in enumerate(sorted(result.diagnoses, key=lambda c: (len(c), sorted(c)))):
         events = ", ".join(sorted(configuration)) or "(empty)"
         print(f"  explanation {index + 1}: {events}")

@@ -11,6 +11,18 @@ through a single front door::
     result.counters                 # instrumentation
     result.materialized_events      # unfolding events built on the way
 
+Every solver is asked the same thing, an
+:class:`~repro.diagnosis.patterns.ObservationSpec`; an alarm sequence is
+the spec whose observers are chains, and Section 4.4 is other specs::
+
+    spec = ObservationSpec.from_alarms(alarms, petri.net.peers(),
+                                       hidden=frozenset({"v"}), hidden_budget=1)
+    repro.diagnose(petri, spec, method="dedicated")
+
+A solver refuses (:class:`~repro.errors.DiagnosisError`) what it cannot
+answer by what the spec says.  Brute force shares nothing with the
+product construction or the Datalog encoding: it is everyone's reference.
+
 Run configuration is consolidated in :class:`RunConfig`::
 
     config = repro.RunConfig(options=NetworkOptions(seed=7),
@@ -32,7 +44,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, runtime_checkable
 
 from repro.datalog.cost import CostBudget
 from repro.datalog.seminaive import EvaluationBudget
@@ -40,6 +52,7 @@ from repro.diagnosis.alarms import AlarmSequence
 from repro.diagnosis.bruteforce import bruteforce_diagnosis
 from repro.diagnosis.dedicated import DedicatedDiagnoser
 from repro.diagnosis.engine import DatalogDiagnosisEngine, EvaluationMode
+from repro.diagnosis.online import online_diagnosis_result
 from repro.diagnosis.patterns import ObservationSpec
 from repro.diagnosis.problem import DiagnosisSet
 from repro.diagnosis.supervisor import SUPERVISOR
@@ -83,9 +96,8 @@ class RunConfig:
     One object composes the previously scattered knobs: evaluation
     budget, simulated-network options, the transport selection, and the
     unfolding-path limits.  Run knobs a solver does not consume are
-    ignored by it, so one config can drive several methods; ``hidden``
-    changes the question and is refused by a solver that cannot honour
-    it.
+    ignored by it, so one config can drive several methods; nothing here
+    changes the *question* (that is the observation's job).
     """
 
     #: evaluation budget of the Datalog paths (``None`` = engine default)
@@ -104,11 +116,7 @@ class RunConfig:
     supervisor: str = SUPERVISOR
     #: run the Dijkstra-Scholten detector alongside the evaluation
     use_termination_detector: bool = False
-    #: Section-4.4 hidden transitions of an alarm-sequence diagnosis
-    #: (dqsq / qsq / dedicated / bruteforce; the others refuse) and how
-    #: many events beyond the alarms an explanation may contain
-    hidden: frozenset[str] = frozenset()
-    hidden_budget: int = 0
+    #: size cap on the unfolding the dedicated / bruteforce paths build
     max_events: int = 50_000
     #: admission control for the Datalog paths: before evaluation the
     #: static cost analyzer (:mod:`repro.datalog.cost`) estimates the
@@ -154,57 +162,55 @@ class DiagnosisOutcome(Protocol):
     def peer_report(self) -> dict[str, dict[str, int | bool]] | None: ...
 
 
+_Solver = Callable[[PetriNet, ObservationSpec, RunConfig], DiagnosisOutcome]
+
+
+def _datalog(mode: EvaluationMode) -> _Solver:
+    return lambda petri, spec, config: DatalogDiagnosisEngine(
+        petri, mode=mode, supervisor=config.supervisor, budget=config.budget,
+        options=config.options, transport=config.transport,
+        mp_config=config.mp, cost_budget=config.cost_budget,
+        use_termination_detector=config.use_termination_detector,
+    ).diagnose(spec)
+
+
+def _online(petri: PetriNet, spec: ObservationSpec,
+            config: RunConfig) -> DiagnosisOutcome:
+    alarms = spec.as_alarms(petri.net)
+    if alarms is None:
+        raise DiagnosisError(
+            "method 'online' answers an alarm sequence: one chain observer "
+            "per peer, every transition reported, no tighter event bound")
+    return online_diagnosis_result(petri, alarms, window=config.window)
+
+
+_SOLVERS: dict[DiagnosisMethod, _Solver] = {
+    DiagnosisMethod.DQSQ: _datalog(EvaluationMode.DQSQ),
+    DiagnosisMethod.QSQ: _datalog(EvaluationMode.QSQ),
+    DiagnosisMethod.BOTTOMUP: _datalog(EvaluationMode.BOTTOMUP),
+    DiagnosisMethod.DEDICATED: lambda petri, spec, config: DedicatedDiagnoser(
+        petri, max_events=config.max_events).diagnose(spec),
+    DiagnosisMethod.BRUTEFORCE: lambda petri, spec, config: bruteforce_diagnosis(
+        petri, spec, max_events=config.max_events),
+    DiagnosisMethod.ONLINE: _online,
+}
+
+
 def diagnose(petri: PetriNet, observation: AlarmSequence | ObservationSpec,
              method: DiagnosisMethod | str = DiagnosisMethod.DQSQ, *,
              config: RunConfig | None = None) -> DiagnosisOutcome:
     """Diagnose ``observation`` against ``petri`` with the chosen solver.
 
-    ``observation`` is an alarm sequence, or -- for the ``dqsq`` and
-    ``qsq`` methods -- a Section-4.4
-    :class:`~repro.diagnosis.patterns.ObservationSpec` (alarm patterns,
-    hidden transitions, unobserved peers).
+    An alarm sequence is read as its chain-shaped
+    :class:`~repro.diagnosis.patterns.ObservationSpec`, so every solver
+    is asked the same question, checked against the net here.  A solver
+    that cannot answer it raises :class:`~repro.errors.DiagnosisError`:
+    ``bottomup`` when the spec does not bound its own explanations,
+    ``online`` when it is not one alarm chain per peer.
 
-    Configuration lives in ``config`` (a :class:`RunConfig`).  A run
-    knob the chosen solver does not consume is harmless.  ``hidden`` is
-    not a run knob: it changes the question, so a solver that cannot
-    answer it raises :class:`~repro.errors.DiagnosisError`.
+    Configuration lives in ``config`` (a :class:`RunConfig`); a run knob
+    the chosen solver does not consume is harmless.
     """
-    method = DiagnosisMethod.coerce(method)
-    config = config or RunConfig()
-    if method in (DiagnosisMethod.DQSQ, DiagnosisMethod.QSQ,
-                  DiagnosisMethod.BOTTOMUP):
-        if isinstance(observation, AlarmSequence):
-            if config.hidden:
-                observation = ObservationSpec.from_alarms(
-                    observation, petri.net.peers(), hidden=config.hidden,
-                    hidden_budget=config.hidden_budget)
-        elif config.hidden:
-            raise DiagnosisError(
-                "RunConfig.hidden applies to an alarm sequence; an "
-                "ObservationSpec carries its own hidden transitions")
-        engine = DatalogDiagnosisEngine(
-            petri, mode=EvaluationMode(method.value),
-            supervisor=config.supervisor, budget=config.budget,
-            options=config.options,
-            use_termination_detector=config.use_termination_detector,
-            transport=config.transport, mp_config=config.mp,
-            cost_budget=config.cost_budget)
-        return engine.diagnose(observation)
-    if not isinstance(observation, AlarmSequence):
-        raise DiagnosisError(
-            f"method {method.value!r} takes an alarm sequence, not an "
-            f"ObservationSpec; use 'dqsq' or 'qsq'")
-    alarms = observation
-    if method is DiagnosisMethod.ONLINE:
-        if config.hidden:
-            raise DiagnosisError(
-                "method 'online' does not support hidden transitions")
-        from repro.diagnosis.online import online_diagnosis_result
-        return online_diagnosis_result(petri, alarms, window=config.window)
-    if method is DiagnosisMethod.DEDICATED:
-        return DedicatedDiagnoser(
-            petri, max_events=config.max_events, hidden=config.hidden,
-            hidden_budget=config.hidden_budget).diagnose(alarms)
-    return bruteforce_diagnosis(petri, alarms, hidden=config.hidden,
-                                hidden_budget=config.hidden_budget,
-                                max_events=config.max_events)
+    spec = ObservationSpec.coerce(observation, petri.net)
+    solver = _SOLVERS[DiagnosisMethod.coerce(method)]
+    return solver(petri, spec, config or RunConfig())

@@ -24,7 +24,7 @@ import argparse
 import sys
 
 from repro.api import DiagnosisMethod, RunConfig, diagnose
-from repro.diagnosis import AlarmSequence
+from repro.diagnosis import AlarmSequence, ObservationSpec
 from repro.distributed.network import FaultPlan, NetworkOptions, PeerFaultPlan
 from repro.errors import ReproError
 from repro.petri.io import petri_from_json, petri_to_dot
@@ -93,14 +93,12 @@ def cmd_diagnose(args) -> int:
     petri, alarms = _load_instance(args)
     print(f"alarm sequence: {' '.join(str(a) for a in alarms)}")
     hidden = frozenset(t.strip() for t in args.hidden.split(",") if t.strip())
-    unknown = hidden - petri.net.transitions
-    if unknown:
-        raise ReproError(f"unknown hidden transitions: {sorted(unknown)}")
     config = RunConfig(options=_network_options(args),
-                       transport=getattr(args, "transport", "sim"),
-                       hidden=hidden,
-                       hidden_budget=args.hidden_budget if hidden else 0)
-    result = diagnose(petri, alarms, method=args.mode, config=config)
+                       transport=getattr(args, "transport", "sim"))
+    observation = alarms if not hidden else ObservationSpec.from_alarms(
+        alarms, petri.net.peers(), hidden=hidden,
+        hidden_budget=args.hidden_budget)
+    result = diagnose(petri, observation, method=args.mode, config=config)
     diagnoses = result.diagnoses
     print(f"materialized unfolding events: {len(result.materialized_events)}")
     if args.drop > 0 and args.mode == "dqsq":

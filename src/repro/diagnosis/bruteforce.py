@@ -1,15 +1,16 @@
 """Brute-force diagnoser: direct search over the unfolding.
 
-Ground truth for small instances.  The unfolding is built to depth
-``|A|`` (every explaining configuration has exactly one event per alarm
-in the basic problem, so no deeper event can participate); explanations
-are enumerated by extending partial configurations one event at a time,
-consuming the matching next alarm of the event's peer.
+Ground truth for small instances.  The *plain* unfolding is built to the
+depth of the observation's event bound (``|A|`` in the basic problem: one
+event per alarm, so no deeper event can participate); explanations are
+enumerated by extending partial configurations one event at a time while
+tracking each watched peer's observer state: a reported event follows a
+matching observer edge, an unreported one (a hidden transition, or any
+at an unobserved peer -- Section 4.4) moves nothing, and a configuration
+is a diagnosis when every observer accepts.
 
-With hidden transitions (Section 4.4) explanations may contain extra
-unobserved events; the search then takes a ``hidden_budget`` bounding
-how many, mirroring the paper's remark that termination gadgets are
-needed once sequences no longer bound the configuration size.
+Nothing here touches the product construction (:mod:`repro.petri.product`)
+or the Datalog encoding, which makes this their independent reference.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.diagnosis.alarms import AlarmSequence
+from repro.diagnosis.patterns import ObservationSpec
 from repro.diagnosis.problem import DiagnosisSet, diagnosis_set
 from repro.petri.net import PetriNet
 from repro.petri.occurrence import BranchingProcess
@@ -55,76 +57,64 @@ class BruteforceResult:
         return None
 
 
-def bruteforce_diagnosis(petri: PetriNet, alarms: AlarmSequence,
-                         hidden: frozenset[str] = frozenset(),
-                         hidden_budget: int = 0,
+def bruteforce_diagnosis(petri: PetriNet,
+                         observation: AlarmSequence | ObservationSpec,
                          max_events: int = 50_000) -> BruteforceResult:
-    """Enumerate all explanations of ``alarms`` in ``Unfold(petri)``."""
-    depth = len(alarms) + hidden_budget
-    bp = unfold(petri, max_events=max_events, max_depth=depth)
-    needed = alarms.by_peer()
+    """Enumerate all explanations of ``observation`` in ``Unfold(petri)``;
+    ``max_events`` caps the unfolding built, not an explanation."""
+    net = petri.net
+    spec = ObservationSpec.coerce(observation, net)
+    limit, _enforced = spec.event_bound(net)
+    bp = unfold(petri, max_events=max_events, max_depth=limit)
 
-    #: state: (frozenset of chosen events, per-peer consumed counts,
-    #:         hidden budget left)
-    seen_states: set[tuple[frozenset[str], tuple[tuple[str, int], ...], int]] = set()
+    unreported = spec.unreported(net)
+    peers = sorted(spec.observers)
+    position = {peer: index for index, peer in enumerate(peers)}
+    accepting = [spec.observers[peer].accepting for peer in peers]
+    #: (peer, state, alarm) -> the states the peer's observer may move to
+    moves: dict[tuple[str, str, str], list[str]] = {}
+    for peer in peers:
+        for edge in spec.observers[peer].edges:
+            moves.setdefault((peer, edge.source, edge.alarm),
+                             []).append(edge.target)
+
+    #: (chosen events, observer state per watched peer): the states are not
+    #: a function of the events, concurrent ones may be reported either way
+    seen: set[tuple[frozenset[str], tuple[str, ...]]] = set()
     found: set[frozenset[str]] = set()
-    explored = [0]
 
-    consumers_of = bp.consumers
-
-    def available_conditions(chosen: frozenset[str]) -> set[str]:
-        produced = set(bp.roots)
-        for eid in chosen:
-            produced.update(bp.postset[eid])
-        consumed = {cid for eid in chosen for cid in bp.events[eid].preset}
-        return produced - consumed
-
-    def search(chosen: frozenset[str], counts: dict[str, int],
-               hidden_left: int) -> None:
-        state = (chosen, tuple(sorted(counts.items())), hidden_left)
-        if state in seen_states:
+    def search(chosen: frozenset[str], cut: frozenset[str],
+               states: tuple[str, ...]) -> None:
+        if (chosen, states) in seen:
             return
-        seen_states.add(state)
-        explored[0] += 1
-        if all(counts.get(p, 0) == len(seq) for p, seq in needed.items()):
+        seen.add((chosen, states))
+        if all(state in ok for state, ok in zip(states, accepting)):
             found.add(chosen)
-            # Visible extensions beyond a complete match would break the
-            # bijection; hidden extensions would yield non-minimal
-            # explanations, which the basic problem also rules out (every
-            # event must map to an alarm).  Keep searching siblings only.
-            if not hidden:
-                return
-        available = available_conditions(chosen)
-        candidates: set[str] = set()
-        for cid in available:
-            for eid in consumers_of.get(cid, ()):
-                if eid not in chosen and set(bp.events[eid].preset) <= available:
-                    candidates.add(eid)
-        for eid in sorted(candidates):
-            transition = bp.events[eid].transition
-            peer = bp.event_peer(eid)
-            if transition in hidden:
-                if hidden_left > 0:
-                    search(chosen | {eid}, counts, hidden_left - 1)
+        if len(chosen) == limit:
+            return
+        enabled = {eid for cid in cut for eid in bp.consumers[cid]
+                   if cut.issuperset(bp.events[eid].preset)}
+        for eid in enabled:
+            event = bp.events[eid]
+            extended = chosen | {eid}
+            new_cut = cut.difference(event.preset).union(bp.postset[eid])
+            if event.transition in unreported:
+                search(extended, new_cut, states)
                 continue
-            index = counts.get(peer, 0)
-            sequence = needed.get(peer, ())
-            if index < len(sequence) and bp.event_alarm(eid) == sequence[index]:
-                new_counts = dict(counts)
-                new_counts[peer] = index + 1
-                search(chosen | {eid}, new_counts, hidden_left)
+            peer = net.peer[event.transition]
+            index = position[peer]
+            for target in moves.get(
+                    (peer, states[index], net.alarm[event.transition]), ()):
+                search(extended, new_cut,
+                       states[:index] + (target,) + states[index + 1:])
 
-    search(frozenset(), {}, hidden_budget)
-    if hidden:
-        # With hidden events, a found configuration may have consumed the
-        # full alarm sequence while still listing extra hidden events; all
-        # are valid explanations.  Visible-complete check already applied.
-        pass
+    search(frozenset(), frozenset(bp.roots),
+           tuple(spec.observers[peer].initial for peer in peers))
     diagnoses = diagnosis_set(found)
     counters = Counters()
-    counters.add("explored_states", explored[0])
+    counters.add("explored_states", len(seen))
     counters.add("diagnoses", len(diagnoses))
     counters.add("materialized_events", len(bp.events))
     counters.add("materialized_conditions", len(bp.conditions))
     return BruteforceResult(diagnoses=diagnoses, bp=bp,
-                            explored_states=explored[0], counters=counters)
+                            explored_states=len(seen), counters=counters)

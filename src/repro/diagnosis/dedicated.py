@@ -13,6 +13,11 @@ the runs, so the linear alarm net decomposes into one chain per peer
 configurations that consume every chain completely are the diagnoses;
 the *whole* product unfolding, projected to original-net node ids, is
 the materialized prefix -- the right-hand side of Theorem 4.
+
+A chain is one shape of observer: Section 4.4's patterns, hidden
+transitions and unobserved peers are the same product with the observers
+of an :class:`~repro.diagnosis.patterns.ObservationSpec`, and a diagnosis
+is a configuration that leaves every observer in an accepting state.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from repro.diagnosis.patterns import ObservationSpec
 from repro.diagnosis.problem import DiagnosisSet, diagnosis_set
 from repro.petri.net import PetriNet
 from repro.petri.occurrence import VIRTUAL_ROOT, BranchingProcess
-from repro.petri.product import Observer, ProductNet, product_with_observers
+from repro.petri.product import ProductNet, product_with_observers
 from repro.petri.unfolding import unfold
 from repro.utils.counters import Counters
 
@@ -66,38 +71,26 @@ class DedicatedResult:
 class DedicatedDiagnoser:
     """[8]'s product-unfolding diagnoser."""
 
-    def __init__(self, petri: PetriNet, max_events: int = 50_000,
-                 hidden: frozenset[str] = frozenset(),
-                 hidden_budget: int = 0) -> None:
+    def __init__(self, petri: PetriNet, max_events: int = 50_000) -> None:
         self.petri = petri
-        self.max_events = max_events
-        self.hidden = hidden
-        #: how many hidden events an explanation may contain (Section 4.4);
-        #: the same bound every other solver puts on the event count
-        self.hidden_budget = hidden_budget
+        #: size cap on the product unfolding; an explanation's is the spec's
+        self.max_unfold_events = max_events
 
-    def diagnose(self, alarms: AlarmSequence) -> DedicatedResult:
-        by_peer = alarms.by_peer()
-        observers = [Observer.chain(peer, list(symbols))
-                     for peer, symbols in sorted(by_peer.items())]
-        # Peers that emitted nothing get an empty chain: their visible
-        # transitions cannot fire in any explanation.
-        for peer in sorted(self.petri.net.peers()):
-            if peer not in by_peer:
-                observers.append(Observer.chain(peer, []))
-        product = product_with_observers(self.petri, observers,
-                                         hidden=self.hidden)
-        # Every visible transition consumes one chain place, so the
-        # product unfolding is finite; hidden transitions need an
-        # explicit bound (the Section-4.4 gadget).  An explanation has at
-        # most ``limit`` events, hence depth at most ``limit``: the depth
-        # bound keeps the unfolding finite, the search enforces the count.
-        limit = len(alarms) + self.hidden_budget
-        bp = unfold(product.petri, max_events=self.max_events,
-                    max_depth=limit if self.hidden else None)
+    def diagnose(self, observation: AlarmSequence | ObservationSpec
+                 ) -> DedicatedResult:
+        net = self.petri.net
+        spec = ObservationSpec.coerce(observation, net)
+        limit, _enforced = spec.event_bound(net)
+        product = product_with_observers(self.petri, spec.observers.values(),
+                                         hidden=spec.hidden)
+        # An explanation has at most ``limit`` events, hence depth at most
+        # ``limit``: the depth bound keeps the unfolding finite where the
+        # observers do not (the Section-4.4 gadget); the search counts.
+        bp = unfold(product.petri, max_events=self.max_unfold_events,
+                    max_depth=limit)
 
         projection = _Projector(bp, product)
-        diagnoses = self._extract(bp, product, by_peer, projection, limit)
+        diagnoses = self._extract(bp, product, projection, limit)
         counters = Counters()
         counters.add("product_events", len(bp.events))
         counters.add("product_conditions", len(bp.conditions))
@@ -109,59 +102,33 @@ class DedicatedDiagnoser:
             counters=counters)
 
     def _extract(self, bp: BranchingProcess, product: ProductNet,
-                 by_peer: dict[str, tuple[str, ...]],
                  projection: "_Projector", limit: int) -> DiagnosisSet:
-        """Bottom-up extraction of the complete explanations.
-
-        A configuration explains A iff per peer the number of visible
-        events equals the subsequence length (each visible event consumes
-        exactly one chain place).  Enumeration walks the configurations
-        of at most ``limit`` events of the (finite) product unfolding;
-        without hidden transitions a configuration that large is
-        complete, so the bound only ever cuts hidden events.
-        """
-        needed = {peer: len(symbols) for peer, symbols in by_peer.items()}
+        """Bottom-up extraction of the explanations: the configurations
+        of at most ``limit`` events whose cut holds every observer (always
+        exactly once: a synchronized transition moves it) in an accepting
+        place."""
+        observer_places = product.observer_places
+        accepting: frozenset[str] = frozenset().union(
+            *product.accepting_places.values())
         found: set[frozenset[str]] = set()
         seen: set[frozenset[str]] = set()
-        net = product.petri.net
 
-        def visible(eid: str) -> bool:
-            transition = bp.events[eid].transition
-            return product.projection[transition] not in self.hidden
-
-        def counts_of(chosen: frozenset[str]) -> dict[str, int]:
-            out: dict[str, int] = {}
-            for eid in chosen:
-                if visible(eid):
-                    peer = net.peer[bp.events[eid].transition]
-                    out[peer] = out.get(peer, 0) + 1
-            return out
-
-        def available_conditions(chosen: frozenset[str]) -> set[str]:
-            produced = set(bp.roots)
-            for eid in chosen:
-                produced.update(bp.postset[eid])
-            consumed = {cid for eid in chosen for cid in bp.events[eid].preset}
-            return produced - consumed
-
-        def search(chosen: frozenset[str]) -> None:
+        def search(chosen: frozenset[str], cut: frozenset[str]) -> None:
             if chosen in seen:
                 return
             seen.add(chosen)
-            counts = counts_of(chosen)
-            if all(counts.get(p, 0) == n for p, n in needed.items()):
+            if all(place in accepting for cid in cut
+                   if (place := bp.conditions[cid].place) in observer_places):
                 found.add(frozenset(projection.project_event(e) for e in chosen))
-            if len(chosen) >= limit:
+            if len(chosen) == limit:
                 return
-            available = available_conditions(chosen)
-            for cid in sorted(available):
-                for eid in bp.consumers.get(cid, ()):
-                    if eid in chosen:
-                        continue
-                    if set(bp.events[eid].preset) <= available:
-                        search(chosen | {eid})
+            enabled = {eid for cid in cut for eid in bp.consumers[cid]
+                       if cut.issuperset(bp.events[eid].preset)}
+            for eid in enabled:
+                search(chosen | {eid}, cut.difference(bp.events[eid].preset)
+                       .union(bp.postset[eid]))
 
-        search(frozenset())
+        search(frozenset(), frozenset(bp.roots))
         return diagnosis_set(found)
 
 
@@ -220,61 +187,3 @@ class _Projector:
             if projected is not None:
                 out.add(projected)
         return frozenset(out)
-
-
-def dedicated_pattern_diagnosis(petri: PetriNet, spec: ObservationSpec,
-                                max_unfold_events: int = 50_000) -> DiagnosisSet:
-    """[8]-style product diagnosis generalized to observers and hidden
-    transitions; the reference for the Datalog extension engines."""
-    product = product_with_observers(petri, list(spec.observers.values()),
-                                     hidden=spec.hidden)
-    bp = unfold(product.petri, max_events=max_unfold_events,
-                max_depth=spec.max_events)
-    projector = _Projector(bp, product)
-    accepting = {peer: product.accepting_places[peer]
-                 for peer in spec.observers}
-    net = product.petri.net
-
-    found: set[frozenset[str]] = set()
-    seen: set[frozenset[str]] = set()
-
-    def observer_state_ok(chosen: frozenset[str]) -> bool:
-        # Compute the cut and check every observed peer's observer place
-        # is accepting.
-        produced = set(bp.roots)
-        consumed: set[str] = set()
-        for eid in chosen:
-            produced.update(bp.postset[eid])
-            consumed.update(bp.events[eid].preset)
-        cut = produced - consumed
-        for peer, accepting_places in accepting.items():
-            state_places = [cid for cid in cut
-                            if bp.conditions[cid].place in product.observer_places
-                            and product.observer_places[bp.conditions[cid].place][0] == peer]
-            if len(state_places) != 1:
-                return False
-            if bp.conditions[state_places[0]].place not in accepting_places:
-                return False
-        return True
-
-    def search(chosen: frozenset[str]) -> None:
-        if chosen in seen or len(chosen) > spec.max_events:
-            return
-        seen.add(chosen)
-        if observer_state_ok(chosen):
-            found.add(frozenset(projector.project_event(e) for e in chosen))
-        if len(chosen) == spec.max_events:
-            return
-        produced = set(bp.roots)
-        consumed: set[str] = set()
-        for eid in chosen:
-            produced.update(bp.postset[eid])
-            consumed.update(bp.events[eid].preset)
-        available = produced - consumed
-        for cid in sorted(available):
-            for eid in bp.consumers.get(cid, ()):
-                if eid not in chosen and set(bp.events[eid].preset) <= available:
-                    search(chosen | {eid})
-
-    search(frozenset())
-    return diagnosis_set(found)

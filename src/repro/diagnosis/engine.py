@@ -173,7 +173,8 @@ class DatalogDiagnosisEngine:
         encoder = SupervisorEncoder(self.petri, observation, self.supervisor)
         if self.mode is EvaluationMode.BOTTOMUP and encoder.needs_gas:
             raise DiagnosisError(
-                "the Section-4.4 extensions support dqsq and qsq only")
+                "mode 'bottomup' has no termination gadget: the observation "
+                "must bound its own explanations")
         program = encoder.program()
         query_atom = encoder.query_atom()
         counters = Counters()
@@ -191,7 +192,7 @@ class DatalogDiagnosisEngine:
         budget = self.budget
         if self.cost_budget is not None:
             budget, degraded = self._admit(program.program,
-                                           encoder.spec.max_events, counters)
+                                           encoder.max_events, counters)
             partial = partial or degraded
 
         transport_stats: dict[str, dict[str, int]] | None = None

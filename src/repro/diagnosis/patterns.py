@@ -18,11 +18,13 @@ automaton (:func:`totalize_and_complement`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.diagnosis.alarms import AlarmSequence
-from repro.errors import DiagnosisError
+from repro.errors import DiagnosisError, EncodingError
+from repro.petri.net import Net
 from repro.petri.product import Observer, ObserverEdge
 
 
@@ -284,7 +286,8 @@ def totalize_and_complement(observer: Observer, alphabet: tuple[str, ...]) -> Ob
 @dataclass
 class ObservationSpec:
     """What the supervisor knows: per-peer observers, hidden transitions,
-    and the event budget that bounds the search.
+    and the event budget that bounds the search.  It is the one question
+    every solver behind :func:`repro.diagnose` is asked.
 
     A peer without an observer is unobserved: all its transitions fire
     unseen.  A peer whose observer has no edges is silent: none of its
@@ -293,12 +296,20 @@ class ObservationSpec:
 
     observers: dict[str, Observer]
     hidden: frozenset[str] = frozenset()
-    max_events: int = 6
+    #: the most events an explanation may contain; ``None`` leaves it to
+    #: the observers, where they bound it (:meth:`event_bound`)
+    max_events: int | None = None
+    #: the order the alarms reached the supervisor, when the observation
+    #: was one sequence (:meth:`from_alarms`).  It says nothing about the
+    #: asynchronous system, so it is not part of the question; a windowed
+    #: online run forgets by it.
+    arrival: AlarmSequence | None = field(default=None, compare=False,
+                                          repr=False)
 
     @classmethod
     def from_patterns(cls, patterns: dict[str, AlarmPattern],
                       hidden: frozenset[str] = frozenset(),
-                      max_events: int = 6) -> "ObservationSpec":
+                      max_events: int | None = None) -> "ObservationSpec":
         observers = {peer: pattern.to_observer(peer)
                      for peer, pattern in patterns.items()}
         return cls(observers=observers, hidden=hidden, max_events=max_events)
@@ -314,4 +325,67 @@ class ObservationSpec:
         observers = {peer: Observer.chain(peer, by_peer.get(peer, ()))
                      for peer in sorted({*peers, *by_peer})}
         return cls(observers=observers, hidden=hidden,
-                   max_events=len(alarms) + hidden_budget)
+                   max_events=len(alarms) + hidden_budget, arrival=alarms)
+
+    @classmethod
+    def coerce(cls, observation: "AlarmSequence | ObservationSpec",
+               net: Net) -> "ObservationSpec":
+        """``observation`` as a spec, checked against ``net``: an alarm
+        sequence becomes its chain observers, and naming a peer or a
+        transition the net does not have is an error whoever asks."""
+        if isinstance(observation, AlarmSequence):
+            observation = cls.from_alarms(observation, net.peers())
+        for kind, unknown in (
+                ("peers", observation.observers.keys() - net.peers()),
+                ("hidden transitions", observation.hidden - net.transitions)):
+            if unknown:
+                raise EncodingError(
+                    f"observation of unknown {kind}: {sorted(unknown)}")
+        return observation
+
+    def as_alarms(self, net: Net) -> AlarmSequence | None:
+        """The inverse of :meth:`from_alarms`: the alarm sequence that asks
+        the same question, ``None`` when there is none.  It is
+        :attr:`arrival` where that still spells the observers, peer after
+        peer otherwise."""
+        if self.event_bound(net)[1]:
+            return None
+        by_peer = AlarmSequence((edge.alarm, peer)
+                                for peer, observer in self.observers.items()
+                                for edge in observer.edges)
+        for alarms in (self.arrival, by_peer):
+            if alarms is not None and self.observers == ObservationSpec.from_alarms(
+                    alarms, net.peers()).observers:
+                return alarms
+        return None
+
+    def unreported(self, net: Net) -> frozenset[str]:
+        """The transitions that fire without moving an observer: the
+        hidden ones and all those of an unobserved peer."""
+        return frozenset(t for t in net.transitions
+                         if t in self.hidden or net.peer[t] not in self.observers)
+
+    def event_bound(self, net: Net) -> tuple[int, bool]:
+        """``(bound, enforced)``: the most events an explanation may
+        contain, and whether a solver has to enforce it (the paper's
+        termination gadget) because the observers alone do not.  They do
+        when every transition is reported and no observer has a cycle:
+        their longest words together are then the bound.  Otherwise it is
+        ``max_events``, and leaving that out is an error, not a default.
+        """
+        unreported = self.unreported(net)
+        longest = sum(o.longest_word() for o in self.observers.values())
+        why = None
+        if unreported & self.hidden:
+            why = f"transitions {sorted(unreported & self.hidden)} are hidden"
+        elif unreported:
+            why = f"peers {sorted({net.peer[t] for t in unreported})} are unobserved"
+        elif longest == math.inf:
+            why = "an observer has a cycle"
+        if why is None and (self.max_events is None
+                            or longest <= self.max_events):
+            return int(longest), False
+        if self.max_events is None:
+            raise DiagnosisError(
+                f"ObservationSpec.max_events is required: {why}")
+        return self.max_events, True

@@ -51,8 +51,6 @@ attached to the wrong alarm.
 
 from __future__ import annotations
 
-import math
-
 from repro.datalog.atom import Atom, Inequality
 from repro.datalog.rule import Rule
 from repro.datalog.term import Const, Func, Term, Var
@@ -63,7 +61,6 @@ from repro.diagnosis.patterns import ObservationSpec
 from repro.distributed.ddatalog import DDatalogProgram
 from repro.errors import EncodingError
 from repro.petri.net import PetriNet
-from repro.petri.product import Observer
 
 #: default supervisor peer name (the paper's p0)
 SUPERVISOR = "supervisor"
@@ -88,30 +85,6 @@ def h_extend(config: Term, event: Term) -> Func:
     return Func("h", [config, event])
 
 
-def _longest_word(observer: Observer) -> float:
-    """Length of the longest word ``observer`` can read, infinite when it
-    has a cycle.  Kahn's algorithm: a long chain must not recurse."""
-    successors: dict[str, list[str]] = {state: [] for state in observer.states}
-    pending = dict.fromkeys(observer.states, 0)
-    for edge in observer.edges:
-        successors[edge.source].append(edge.target)
-        pending[edge.target] += 1
-    length = dict.fromkeys(observer.states, 0)
-    ready = [state for state, count in pending.items() if not count]
-    sorted_states = 0
-    while ready:
-        state = ready.pop()
-        sorted_states += 1
-        for target in successors[state]:
-            length[target] = max(length[target], length[state] + 1)
-            pending[target] -= 1
-            if not pending[target]:
-                ready.append(target)
-    if sorted_states < len(observer.states):
-        return math.inf
-    return max(length.values())
-
-
 def _without_alarm(fact: Rule) -> Rule:
     """An unreported transition's ``petriNet`` fact as a ``hiddenNet`` fact
     (the same description minus the alarm): no alarm is attributed to it."""
@@ -131,14 +104,7 @@ class SupervisorEncoder:
         if supervisor in net.peers():
             raise EncodingError(
                 f"supervisor name {supervisor!r} collides with a net peer")
-        if isinstance(observation, AlarmSequence):
-            observation = ObservationSpec.from_alarms(observation, net.peers())
-        unknown = set(observation.observers) - set(net.peers())
-        if unknown:
-            raise EncodingError(
-                f"observation of unknown peers: {sorted(unknown)}")
-        for observer in observation.observers.values():
-            observer.validate()
+        observation = ObservationSpec.coerce(observation, net)
         self.petri = petri
         self.spec = observation
         self.supervisor = supervisor
@@ -151,9 +117,7 @@ class SupervisorEncoder:
             if observers[peer].edges
             or observers[peer].initial not in observers[peer].accepting)
         #: transitions that extend a configuration without an alarmSeq step
-        self.unreported = frozenset(
-            t for t in net.transitions
-            if t in observation.hidden or net.peer[t] not in observers)
+        self.unreported = observation.unreported(net)
         #: peer -> parent counts of its transitions: one extension rule
         #: each, advancing the peer's observer (reported) or not
         self._reported: dict[str, set[int]] = {peer: set() for peer in self.peers}
@@ -164,11 +128,10 @@ class SupervisorEncoder:
                 self._unreported.setdefault(peer, set()).add(arity)
             elif peer in self._reported:
                 self._reported[peer].add(arity)
-        #: whether configPrefixes carries the gas dimension: only when
-        #: the observation does not bound configuration size by itself
-        self.needs_gas = (bool(self.unreported)
-                          or sum(_longest_word(observers[peer])
-                                 for peer in self.peers) > observation.max_events)
+        #: the most events a configuration may have, and whether
+        #: configPrefixes carries the gas dimension that enforces it: only
+        #: when the observation does not bound configuration size by itself
+        self.max_events, self.needs_gas = observation.event_bound(net)
         self._position = {peer: {state: position for position, state
                                  in enumerate(observers[peer].states)}
                           for peer in self.peers}
@@ -220,10 +183,10 @@ class SupervisorEncoder:
                    for peer in self.peers]
         out: list[Rule] = []
         if self.needs_gas:
-            initial.append(self._gas(self.spec.max_events))
+            initial.append(self._gas(self.max_events))
             out.extend(Rule(Atom(GASSTEP, [self._gas(amount),
                                            self._gas(amount - 1)], sup))
-                       for amount in range(1, self.spec.max_events + 1))
+                       for amount in range(1, self.max_events + 1))
         out.append(Rule(Atom(CONFIGPREFIXES, [root, root, ROOT, *initial], sup)))
         out.append(Rule(Atom(TRANSINCONF, [root, ROOT], sup)))
         return out

@@ -73,8 +73,8 @@ def run_all(only: Sequence[str] | None = None,
 
 REPORT_HEADER = """# EXPERIMENTS — paper vs. measured
 
-Regenerate with `python -m repro.experiments` (rewrites this file) or run
-the benchmark harness (`pytest benchmarks/ --benchmark-only`).
+Regenerate with `python -m repro.experiments` (rewrites this file); one
+experiment prints with `python -m repro experiments <id>`.
 
 The paper (PODS 2005) is a theory paper without numeric tables; its
 evaluable artifacts are Figures 1-5, Theorems 1-4, Lemma 1 and

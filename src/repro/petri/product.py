@@ -16,6 +16,7 @@ the observations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -60,6 +61,9 @@ class Observer:
         return cls(peer=peer, states=states, initial="q0",
                    accepting=frozenset({f"q{len(alarms)}"}), edges=edges)
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if self.initial not in self.states:
             raise PetriNetError(f"observer initial state {self.initial} unknown")
@@ -69,6 +73,30 @@ class Observer:
         for edge in self.edges:
             if edge.source not in self.states or edge.target not in self.states:
                 raise PetriNetError(f"observer edge {edge} mentions unknown state")
+
+    def longest_word(self) -> float:
+        """Length of the longest word the automaton can read, infinite
+        when it has a cycle.  Kahn's algorithm: a long chain must not
+        recurse."""
+        successors: dict[str, list[str]] = {state: [] for state in self.states}
+        pending = dict.fromkeys(self.states, 0)
+        for edge in self.edges:
+            successors[edge.source].append(edge.target)
+            pending[edge.target] += 1
+        length = dict.fromkeys(self.states, 0)
+        ready = [state for state, count in pending.items() if not count]
+        sorted_states = 0
+        while ready:
+            state = ready.pop()
+            sorted_states += 1
+            for target in successors[state]:
+                length[target] = max(length[target], length[state] + 1)
+                pending[target] -= 1
+                if not pending[target]:
+                    ready.append(target)
+        if sorted_states < len(self.states):
+            return math.inf
+        return max(length.values())
 
 
 @dataclass
@@ -104,7 +132,6 @@ def product_with_observers(petri: PetriNet, observers: Iterable[Observer],
     """
     observer_by_peer: dict[str, Observer] = {}
     for observer in observers:
-        observer.validate()
         if observer.peer in observer_by_peer:
             raise PetriNetError(f"two observers for peer {observer.peer}")
         observer_by_peer[observer.peer] = observer

@@ -131,6 +131,27 @@ class TestTheorem4:
         assert datalog.diagnoses == dedicated.diagnoses
 
 
+class TestSection32:
+    def test_bindings_pay_on_the_diagnosis_program_itself(self):
+        """Section 3.2 / 4.3, why bindings matter (experiment E6c): on an
+        acyclic net, where the un-optimized distributed evaluation
+        terminates at all, it ships the whole unfolding between the
+        peers while dQSQ ships the demanded prefix -- same answers, a
+        fraction of the tuples, and the gap grows with the net."""
+        from repro.diagnosis.supervisor import SupervisorEncoder
+        from repro.distributed import DistributedNaiveEngine
+        from repro.petri.generators import acyclic_pipeline_net
+        petri = acyclic_pipeline_net(stages=3, peers=2, branching=0.8,
+                                     joins=0.5, seed=3)
+        encoder = SupervisorEncoder(petri, simulate_alarms(petri, steps=2, seed=3))
+        program, query = encoder.program(), Query(encoder.query_atom())
+        naive = DistributedNaiveEngine(program).query(query)
+        dqsq = DqsqEngine(program).query(query)
+        assert naive.answers == dqsq.answers
+        assert (dqsq.counters["tuples_shipped"] * 3
+                < naive.counters["tuples_shipped"])
+
+
 class TestRemark2:
     def test_results_flow_before_rewriting_completes(self):
         """Remark 2: computation and result generation may start before
@@ -169,3 +190,19 @@ class TestFailureInjection:
         engine = DatalogDiagnosisEngine(petri, mode="dqsq",
                                         options=NetworkOptions(seed=seed))
         assert engine.diagnose(alarms).diagnoses == expected
+
+    def test_a_drop_costs_a_retransmission_not_an_answer(self):
+        """The reliability layer (experiment E9): under 20% loss every
+        dropped frame is paid for by a retransmission -- spurious extras
+        (a timer firing while the ack is still queued) are deduplicated
+        and few -- and the diagnosis is the zero-loss one."""
+        from repro.workloads import get_scenario
+        petri, alarms = get_scenario("telecom-small").instantiate()
+        lossy = DatalogDiagnosisEngine(
+            petri, mode="dqsq", options=NetworkOptions(seed=1, fault=FaultPlan(
+                drop_probability=0.2, delay_distribution=(0, 3)))).diagnose(alarms)
+        assert not lossy.partial
+        assert lossy.diagnoses == bruteforce_diagnosis(petri, alarms).diagnoses
+        dropped = lossy.counters["net.dropped"]
+        assert dropped > 0
+        assert dropped * 0.5 <= lossy.counters["net.retransmits"] <= dropped * 3

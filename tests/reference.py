@@ -8,6 +8,9 @@ shares no code with :mod:`repro.datalog.plan` or
 :mod:`repro.datalog.batch` beyond the term and fact store types, which
 is the point: :func:`reference_model` is a stratified naive fixpoint
 over it, slow and obviously right.
+
+Also here: :func:`methods_that_answer`, the cross-solver check of
+``repro.diagnose`` against the brute-force diagnoser.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 import pytest
 
+import repro
+from repro.api import DiagnosisOutcome
 from repro.datalog import plan
 from repro.datalog.atom import Atom, Inequality
 from repro.datalog.database import Database, Fact, RelationKey
@@ -26,6 +31,9 @@ from repro.datalog.seminaive import EvaluationBudget
 from repro.datalog.stratified import stratify
 from repro.datalog.term import Term, Var
 from repro.datalog.unify import match_tuple
+from repro.diagnosis import AlarmSequence, ObservationSpec
+from repro.errors import DiagnosisError
+from repro.petri.net import PetriNet
 
 
 def iter_rule_bindings(rule: Rule, db: Database,
@@ -193,3 +201,36 @@ def unordered(ordered: dict[RelationKey, tuple[Fact, ...]],
               ) -> dict[RelationKey, frozenset[Fact]]:
     """An :func:`ordered_snapshot` in :func:`snapshot` form."""
     return {key: frozenset(rows) for key, rows in ordered.items()}
+
+
+def methods_that_answer(petri: PetriNet,
+                        observation: AlarmSequence | ObservationSpec,
+                        ) -> dict[str, DiagnosisOutcome]:
+    """Ask every :class:`~repro.api.DiagnosisMethod` the one question.
+
+    A method either answers -- then completely, and with brute force's
+    diagnosis set (the oracle that shares nothing with the product
+    construction or the Datalog encoding) -- or refuses with
+    :class:`~repro.errors.DiagnosisError`.  Returns who answered what.
+
+    ``bottomup`` builds the unfolding breadth-first and stops only at a
+    term-depth bound, so it gets the one the observation's event bound
+    implies (an ``f``/``g`` level pair per causal ancestor).
+    """
+    spec = ObservationSpec.coerce(observation, petri.net)
+    depth = 2 * spec.event_bound(petri.net)[0] + 2
+    bounded = repro.RunConfig(budget=EvaluationBudget(
+        max_term_depth=depth, prune_depth=True))
+    expected = repro.diagnose(petri, observation, method="bruteforce").diagnoses
+    answered = {}
+    for method in repro.DiagnosisMethod:
+        config = bounded if method is repro.DiagnosisMethod.BOTTOMUP else None
+        try:
+            outcome = repro.diagnose(petri, observation, method=method,
+                                     config=config)
+        except DiagnosisError:
+            continue
+        assert outcome.diagnoses == expected, method.value
+        assert outcome.partial is False, method.value
+        answered[method.value] = outcome
+    return answered

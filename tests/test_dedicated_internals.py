@@ -5,10 +5,12 @@ import pytest
 from repro.datalog import Database, parse_program, parse_rule
 from repro.datalog.naive import load_facts
 from repro.datalog.term import Const, Var
-from repro.diagnosis import AlarmSequence, DedicatedDiagnoser
+from repro.diagnosis import (AlarmSequence, DedicatedDiagnoser,
+                             ObservationSpec)
 from repro.diagnosis.dedicated import _Projector
 from repro.petri import Observer, product_with_observers, unfold
 from repro.petri.examples import figure1_alarm_scenarios, figure1_net
+from repro.workloads import get_scenario
 from tests.reference import iter_rule_bindings
 
 
@@ -57,6 +59,34 @@ class TestDedicatedCounters:
         result = DedicatedDiagnoser(petri).diagnose(alarms)
         assert result.counters["product_events"] >= result.counters["projected_events"]
         assert result.counters["projected_events"] == len(result.projected_events)
+
+
+class TestOneQuestion:
+    """An alarm sequence is its chain ObservationSpec: same diagnoses,
+    same materialized prefix, whichever way it is spelled."""
+
+    @pytest.mark.parametrize("instance", ["figure1-bac", "telecom-small"])
+    def test_alarms_and_their_spec_unfold_the_same_product(self, instance):
+        petri, alarms = get_scenario(instance).instantiate()
+        spec = ObservationSpec.from_alarms(alarms, petri.net.peers())
+        diagnoser = DedicatedDiagnoser(petri)
+        spelled, asked = diagnoser.diagnose(alarms), diagnoser.diagnose(spec)
+        assert len(spelled.diagnoses) >= 1
+        assert asked.diagnoses == spelled.diagnoses
+        assert asked.projected_events == spelled.projected_events
+        assert asked.projected_conditions == spelled.projected_conditions
+
+    def test_an_observation_has_a_prefix_too(self):
+        """Section-4.4 observations used to get a bare diagnosis set from
+        a free function; now they materialize a prefix like any other."""
+        petri = figure1_net()
+        spec = ObservationSpec.from_alarms(
+            AlarmSequence([("b", "p1"), ("c", "p1")]), petri.net.peers(),
+            hidden=frozenset({"v"}), hidden_budget=1)
+        result = DedicatedDiagnoser(petri).diagnose(spec)
+        assert len(result.diagnoses) == 2
+        assert result.projected_events == {
+            event for diagnosis in result.diagnoses for event in diagnosis}
 
 
 class TestIterRuleBindings:

@@ -10,7 +10,6 @@ import pytest
 
 from repro.diagnosis import (AlarmSequence, DatalogDiagnosisEngine,
                              DedicatedDiagnoser, bruteforce_diagnosis)
-from repro.diagnosis.dedicated import dedicated_pattern_diagnosis
 from repro.diagnosis.patterns import ObservationSpec
 from repro.diagnosis.supervisor import SupervisorEncoder
 from repro.datalog.seminaive import EvaluationBudget
@@ -81,7 +80,8 @@ class TestSupervisorEncoder:
         petri = figure1_net()
         spec = ObservationSpec(observers=observers, max_events=2)
         got = DatalogDiagnosisEngine(petri, mode="qsq").diagnose(spec)
-        assert got.diagnoses == dedicated_pattern_diagnosis(petri, spec)
+        assert got.diagnoses == bruteforce_diagnosis(petri, spec).diagnoses
+        assert got.diagnoses == DedicatedDiagnoser(petri).diagnose(spec).diagnoses
         assert len(got.diagnoses) == expected
 
 

@@ -4,8 +4,8 @@ import pytest
 
 import repro
 from repro.api import DiagnosisOutcome
-from repro.diagnosis import AlarmSequence, bruteforce_diagnosis
-from repro.diagnosis.dedicated import dedicated_pattern_diagnosis
+from repro.diagnosis import (AlarmSequence, DedicatedDiagnoser,
+                             bruteforce_diagnosis)
 from repro.diagnosis.patterns import (AlarmPattern, ObservationSpec,
                                       totalize_and_complement)
 from repro.diagnosis.supervisor import SupervisorEncoder
@@ -13,6 +13,8 @@ from repro.errors import CostBudgetExceeded, DiagnosisError, EncodingError
 from repro.petri.examples import figure1_alarm_scenarios, figure1_net
 from repro.petri.product import Observer
 from repro.workloads import get_scenario
+from repro.workloads.alarmgen import simulate_alarms
+from tests.reference import methods_that_answer
 
 
 def sym(s):
@@ -130,6 +132,47 @@ class TestGeneralizedEncoder:
                 & extras == {"gasStep", "hiddenNet1"})
 
 
+class TestEventBound:
+    """`max_events` used to default to 6 and truncate in silence."""
+
+    def test_chains_longer_than_the_old_default_bound_themselves(self):
+        petri, _alarms = get_scenario("telecom-medium").instantiate()
+        alarms = simulate_alarms(petri, steps=8, seed=12)
+        spec = ObservationSpec(
+            observers={peer: Observer.chain(peer, alarms.project(peer))
+                       for peer in petri.net.peers()})
+        assert spec.event_bound(petri.net) == (8, False)
+        # the Datalog methods evaluate the alarm sequence's own program
+        # (16 diagnoses; with a gas ladder of 6 it was 0, partial=False)
+        assert (set(SupervisorEncoder(petri, spec).program())
+                == set(SupervisorEncoder(petri, alarms).program()))
+        for method in ("dedicated", "bruteforce"):
+            got = repro.diagnose(petri, spec, method=method)
+            assert got.diagnoses == repro.diagnose(
+                petri, alarms, method=method).diagnoses
+            assert len(got.diagnoses) == 16
+
+    @pytest.mark.parametrize("spec, why", [
+        (ObservationSpec.from_patterns({
+            "p1": sym("b").then(sym("c").star()),
+            "p2": AlarmPattern.epsilon()}), "an observer has a cycle"),
+        (ObservationSpec(observers={"p1": Observer.chain("p1", ["b"])}),
+         r"peers \['p2'\] are unobserved"),
+        (ObservationSpec(observers={"p1": Observer.chain("p1", ["b"]),
+                                    "p2": Observer.chain("p2", [])},
+                         hidden=frozenset({"v"})),
+         r"transitions \['v'\] are hidden"),
+    ], ids=["cycle", "unobserved", "hidden"])
+    def test_a_missing_bound_is_an_error_that_says_why(self, spec, why):
+        for method in repro.DiagnosisMethod:
+            with pytest.raises(DiagnosisError, match=why):
+                repro.diagnose(figure1_net(), spec, method=method)
+
+    def test_a_tighter_bound_than_the_chains_is_enforced(self):
+        assert chain_spec(max_events=2).event_bound(figure1_net().net) == (2, True)
+        assert chain_spec(max_events=9).event_bound(figure1_net().net) == (3, False)
+
+
 class TestChainEquivalence:
     """Chain observers reproduce the basic problem exactly."""
 
@@ -145,18 +188,19 @@ class TestChainEquivalence:
         petri = figure1_net()
         alarms = AlarmSequence([("b", "p1"), ("a", "p2"), ("c", "p1")])
         expected = bruteforce_diagnosis(petri, alarms).diagnoses
-        assert dedicated_pattern_diagnosis(petri, chain_spec()) == expected
+        got = DedicatedDiagnoser(petri).diagnose(chain_spec())
+        assert got.diagnoses == expected
 
 
 def agree_with_reference(petri, spec):
-    """Both Datalog methods, through the public API, against the product
-    reference; returns the agreed diagnosis set."""
-    expected = dedicated_pattern_diagnosis(petri, spec)
-    for method in ("qsq", "dqsq"):
-        got = repro.diagnose(petri, spec, method=method)
-        assert isinstance(got, DiagnosisOutcome)
-        assert got.diagnoses == expected, method
-    return expected
+    """The four methods that answer a Section-4.4 observation, through
+    the public API, against brute force; returns the agreed diagnosis
+    set."""
+    answered = methods_that_answer(petri, spec)
+    assert set(answered) == {"dqsq", "qsq", "dedicated", "bruteforce"}
+    for outcome in answered.values():
+        assert isinstance(outcome, DiagnosisOutcome)
+    return answered["bruteforce"].diagnoses
 
 
 class TestHiddenTransitions:
@@ -194,7 +238,7 @@ class TestPatterns:
         petri = figure1_net()
         got = repro.diagnose(petri, star_spec(), method=mode)
         assert isinstance(got, DiagnosisOutcome)
-        assert got.diagnoses == dedicated_pattern_diagnosis(petri, star_spec())
+        assert got.diagnoses == bruteforce_diagnosis(petri, star_spec()).diagnoses
         assert len(got.diagnoses) == 4
 
     def test_blocked_pattern(self):
@@ -230,7 +274,12 @@ class TestPatterns:
             repro.diagnose(figure1_net(), star_spec(), method="qsq",
                            config=config)
 
-    def test_methods_without_an_encoder_refuse_a_spec(self):
-        for method in ("dedicated", "bruteforce", "online"):
+    def test_every_method_answers_a_pattern_or_refuses_it(self):
+        """The oracles used to refuse any ObservationSpec at the door.
+        Now a method refuses by what the spec says: `bottomup` because a
+        starred pattern does not bound its explanations, `online` because
+        it is not an alarm chain."""
+        assert len(agree_with_reference(figure1_net(), star_spec())) == 4
+        for method in ("bottomup", "online"):
             with pytest.raises(DiagnosisError, match=method):
                 repro.diagnose(figure1_net(), star_spec(), method=method)

@@ -85,6 +85,13 @@ class TestObserverProduct:
             product_with_observers(
                 petri, [Observer.chain("p1", ["b"]), Observer.chain("p1", ["c"])])
 
+    def test_ill_formed_observer_is_rejected_where_it_is_built(self):
+        """No solver layer re-validates observers: there are no bad ones."""
+        with pytest.raises(PetriNetError, match="unknown state"):
+            Observer(peer="p1", states=("q0",), initial="q0",
+                     accepting=frozenset({"q0"}),
+                     edges=(ObserverEdge("q0", "b", "q1"),))
+
     def test_self_loop_observer_edge(self):
         # A DFA with a self-loop (the beta* of alarm patterns).
         observer = Observer(peer="p1", states=("q0",), initial="q0",
