@@ -55,7 +55,6 @@ from repro.diagnosis.engine import DatalogDiagnosisEngine, EvaluationMode
 from repro.diagnosis.online import online_diagnosis_result
 from repro.diagnosis.patterns import ObservationSpec
 from repro.diagnosis.problem import DiagnosisSet
-from repro.diagnosis.supervisor import SUPERVISOR
 from repro.distributed.network import NetworkOptions
 from repro.distributed.transport import TransportRuntime
 from repro.errors import DiagnosisError
@@ -94,10 +93,10 @@ class RunConfig:
     """Everything configurable about one :func:`diagnose` run.
 
     One object composes the previously scattered knobs: evaluation
-    budget, simulated-network options, the transport selection, and the
-    unfolding-path limits.  Run knobs a solver does not consume are
-    ignored by it, so one config can drive several methods; nothing here
-    changes the *question* (that is the observation's job).
+    budget, simulated-network options and the transport selection.  Run
+    knobs a solver does not consume are ignored by it, so one config can
+    drive several methods; nothing here changes the *question* (that is
+    the observation's job).
     """
 
     #: evaluation budget of the Datalog paths (``None`` = engine default)
@@ -112,12 +111,8 @@ class RunConfig:
     transport: str | TransportRuntime = "sim"
     #: optional :class:`repro.distributed.mp.MpConfig` for ``"mp"``
     mp: Any = None
-    #: the supervisor peer that poses the diagnosis query
-    supervisor: str = SUPERVISOR
     #: run the Dijkstra-Scholten detector alongside the evaluation
     use_termination_detector: bool = False
-    #: size cap on the unfolding the dedicated / bruteforce paths build
-    max_events: int = 50_000
     #: admission control for the Datalog paths: before evaluation the
     #: static cost analyzer (:mod:`repro.datalog.cost`) estimates the
     #: run's fixpoint size and cross-peer message volume; an over-budget
@@ -167,7 +162,7 @@ _Solver = Callable[[PetriNet, ObservationSpec, RunConfig], DiagnosisOutcome]
 
 def _datalog(mode: EvaluationMode) -> _Solver:
     return lambda petri, spec, config: DatalogDiagnosisEngine(
-        petri, mode=mode, supervisor=config.supervisor, budget=config.budget,
+        petri, mode=mode, budget=config.budget,
         options=config.options, transport=config.transport,
         mp_config=config.mp, cost_budget=config.cost_budget,
         use_termination_detector=config.use_termination_detector,
@@ -189,9 +184,9 @@ _SOLVERS: dict[DiagnosisMethod, _Solver] = {
     DiagnosisMethod.QSQ: _datalog(EvaluationMode.QSQ),
     DiagnosisMethod.BOTTOMUP: _datalog(EvaluationMode.BOTTOMUP),
     DiagnosisMethod.DEDICATED: lambda petri, spec, config: DedicatedDiagnoser(
-        petri, max_events=config.max_events).diagnose(spec),
+        petri).diagnose(spec),
     DiagnosisMethod.BRUTEFORCE: lambda petri, spec, config: bruteforce_diagnosis(
-        petri, spec, max_events=config.max_events),
+        petri, spec),
     DiagnosisMethod.ONLINE: _online,
 }
 

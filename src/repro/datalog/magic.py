@@ -12,19 +12,16 @@ body atom -- the ablation A4 in DESIGN.md measures the difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.datalog.adornment import Adornment, adorned_name
 from repro.datalog.atom import Atom
 from repro.datalog.database import Database, Fact
-from repro.datalog.naive import select
-from repro.datalog.qsq import _inequality_positions
+from repro.datalog.qsq import (AdornedKey, DemandRewriting,
+                               _inequality_positions, demand_rewrite,
+                               evaluate_rewriting)
 from repro.datalog.rule import Program, Query, Rule
-from repro.datalog.seminaive import EvaluationBudget, SemiNaiveEvaluator
+from repro.datalog.seminaive import EvaluationBudget
 from repro.datalog.term import Var, variables_of
 from repro.utils.counters import Counters
-
-AdornedKey = tuple[str, str | None, Adornment]
 
 
 def magic_name(relation: str, adornment: Adornment) -> str:
@@ -32,57 +29,16 @@ def magic_name(relation: str, adornment: Adornment) -> str:
     return f"magic-{relation}^{adornment}"
 
 
-@dataclass
-class MagicRewriting:
-    """The rewritten program plus bookkeeping for answer extraction."""
-
-    original: Program
-    query: Query
-    program: Program
-    answer_atom: Atom
-    seed: Atom | None
-    adorned_relations: list[AdornedKey]
-
-
-def magic_rewrite(program: Program, query: Query) -> MagicRewriting:
+def magic_rewrite(program: Program, query: Query) -> DemandRewriting:
     """Rewrite ``program`` for ``query`` with classical Magic Sets."""
-    idb = program.idb_relations()
-    out = Program()
-    query_key = (query.atom.relation, query.atom.peer)
-    if query_key not in idb:
-        for fact in program.facts():
-            out.add(fact)
-        return MagicRewriting(program, query, out, query.atom, None, [])
-
-    query_adornment = Adornment.from_atom(query.atom)
-    answer_atom = Atom(adorned_name(query.atom.relation, query_adornment),
-                       query.atom.args, query.atom.peer)
-    seed = Atom(magic_name(query.atom.relation, query_adornment),
-                query_adornment.select_bound(query.atom.args), query.atom.peer)
-
-    for fact in program.facts():
-        if fact.head.key() not in idb:
-            out.add(fact)
-
-    seen: set[AdornedKey] = set()
-    adorned_order: list[AdornedKey] = []
-    agenda: list[AdornedKey] = [(query.atom.relation, query.atom.peer, query_adornment)]
-    while agenda:
-        entry = agenda.pop()
-        if entry in seen:
-            continue
-        seen.add(entry)
-        adorned_order.append(entry)
-        relation, peer, adornment = entry
-        for rule in program.rules_for(relation, peer):
-            for demanded in _rewrite_rule(rule, adornment, idb, out):
-                if demanded not in seen:
-                    agenda.append(demanded)
-    return MagicRewriting(program, query, out, answer_atom, seed, adorned_order)
+    return demand_rewrite(
+        DemandRewriting(program, query, Program(), query.atom, None),
+        magic_name, _rewrite_rule)
 
 
-def _rewrite_rule(rule: Rule, adornment: Adornment, idb: set,
-                  out: Program) -> list[AdornedKey]:
+def _rewrite_rule(rule: Rule, adornment: Adornment, _rule_id: int, idb: set,
+                  rewriting: DemandRewriting) -> list[AdornedKey]:
+    out = rewriting.program
     head = rule.head
     magic_atom = Atom(magic_name(head.relation, adornment),
                       adornment.select_bound(head.args), head.peer)
@@ -138,20 +94,6 @@ def magic_evaluate(program: Program, query: Query, db: Database | None = None,
                    budget: EvaluationBudget | None = None,
                    check: bool = True) -> tuple[set[Fact], Counters, Database]:
     """Rewrite with Magic Sets and evaluate semi-naively; returns answers."""
-    if check:
-        from repro.datalog.analysis import check_program
-        check_program(program, query, context="magic",
-                      depth_bounded=(budget is not None
-                                     and budget.max_term_depth is not None))
-    rewriting = magic_rewrite(program, query)
-    work_db = db.copy() if db is not None else Database()
-    if rewriting.seed is not None:
-        work_db.add_atom(rewriting.seed)
-    # The rewriting is machine-generated from an already-checked program.
-    evaluator = SemiNaiveEvaluator(rewriting.program, budget, check=False)
-    evaluator.run(work_db)
-    answers = select(work_db, rewriting.answer_atom)
-    counters = Counters()
-    counters.merge(evaluator.counters)
-    counters.add("magic_rewritten_rules", len(rewriting.program.rules))
+    _rewriting, answers, work_db, counters = evaluate_rewriting(
+        magic_rewrite, "magic", program, query, db, budget, check)
     return answers, counters, work_db

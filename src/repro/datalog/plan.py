@@ -1,9 +1,9 @@
-"""Join plans: the one join IR of every bottom-up engine.
+"""Join plans: the one join IR of every engine.
 
 Semi-naive, QSQ/magic (rewritings evaluated semi-naively), dQSQ
 (incremental evaluators at each peer), naive and stratified evaluation
-all funnel through one join, so each :class:`Rule` is compiled once into
-a :class:`JoinPlan`:
+and QSQR's top-down tabling all funnel through one join, so each
+:class:`Rule` is compiled once into a :class:`JoinPlan`:
 
 * variables get integer **slots**; a binding is a flat list, extended in
   place (no copying: a slot written at step *k* is only ever read at
@@ -17,14 +17,21 @@ a :class:`JoinPlan`:
   step after which both sides are ground), as are the negated-atom
   checks and the head-tuple builders.
 
-Engines differ in what they schedule, never in how a join runs: they all
-call :meth:`JoinPlan.fire`.  A plan starts on the tuple-at-a-time step
-interpreter (:meth:`JoinPlan.bindings`) and, once it has produced
-:data:`KERNEL_AFTER_BINDINGS` complete bindings, generates its
-specialized kernel (:mod:`repro.datalog.batch`) and runs on that from
-then on.  Both executors return the same rows in the same order and
-increment :class:`PlanStats` identically; the reference interpreter they
-are tested against lives in ``tests/reference.py``.
+Engines differ in what they schedule, never in how a join runs.  The
+bottom-up ones call :meth:`JoinPlan.fire`: a plan starts on the
+tuple-at-a-time step interpreter (:meth:`JoinPlan.bindings`) and, once
+it has produced :data:`KERNEL_AFTER_BINDINGS` complete bindings,
+generates its specialized kernel (:mod:`repro.datalog.batch`) and runs
+on that from then on.  Both executors return the same rows in the same
+order and increment :class:`PlanStats` identically; the reference
+interpreter they are tested against lives in ``tests/reference.py``.
+
+QSQR (:mod:`repro.datalog.qsqr`) starts a join from a demand, not from
+nothing, and its IDB steps read answer tables that are not
+:class:`Database` relations, so it stays on the step interpreter: it
+compiles ``JoinPlan(rule, order=<written>, bound=<the demand's
+variables>)`` and calls ``bindings(slots=<demand filled in>,
+source=<answer table for an IDB step, else JoinPlan._source>)``.
 
 Plans are cached per ``(rule, delta_position, order)`` -- ``order`` is
 ``None`` for the greedy default and an explicit permutation when a
@@ -36,7 +43,7 @@ and promotion counts (``plan.*`` counters).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.datalog.batch import compile_batched_kernel
 from repro.datalog.database import Database, Fact, RelationKey
@@ -240,14 +247,23 @@ class JoinStep:
 
 
 class JoinPlan:
-    """A rule compiled for bottom-up evaluation (optionally delta-restricted)."""
+    """A rule's body join, compiled (optionally delta-restricted).
+
+    ``bound`` names the variables the caller fills in before the first
+    step (QSQR: those of the demand's bound head positions): step 0 may
+    probe an index on them, their body occurrences are checks, not
+    writes, and an inequality over them alone is a pre-check.  Such a
+    plan runs through ``bindings(slots=...)`` only; :meth:`fire` and the
+    kernels start from empty slots.
+    """
 
     __slots__ = ("rule", "delta_position", "nslots", "var_slots", "steps",
                  "pre_checks", "negated", "head_key", "head_builders",
                  "produced", "kernel")
 
     def __init__(self, rule: Rule, delta_position: int | None = None,
-                 order: Sequence[int] | None = None) -> None:
+                 order: Sequence[int] | None = None,
+                 bound: Iterable[Var] = ()) -> None:
         self.rule = rule
         self.delta_position = delta_position
         #: complete bindings produced on the step interpreter so far, and
@@ -275,21 +291,21 @@ class JoinPlan:
         slot_of = self.var_slots
 
         # Schedule inequalities at the earliest execution step where both
-        # sides are ground; variable-free constraints run once up front.
+        # sides are ground; those decidable from ``bound`` alone (without
+        # it: the variable-free ones) run once up front.
+        seen = set(bound)
         remaining = [c for c in rule.inequalities]
-        pre = [c for c in remaining if not set(c.variables())]
+        pre = [c for c in remaining if set(c.variables()) <= seen]
         remaining = [c for c in remaining if c not in pre]
         self.pre_checks = tuple(
             (compile_builder(c.left, slot_of), compile_builder(c.right, slot_of))
             for c in pre)
 
         steps: list[JoinStep] = []
-        bound: set[Var] = set()
         for position in order:
             atom = rule.body[position]
             use_delta = (position == delta_position)
-            entry_bound = set(bound)
-            seen = set(bound)
+            entry_bound = set(seen)
             scan_ops: list[tuple] = []
             indexable: dict[int, tuple] = {}
             for i, arg in enumerate(atom.args):
@@ -320,8 +336,7 @@ class JoinPlan:
                 index_values = tuple(indexable[i] for i in index_positions)
                 residual_ops = tuple(op for op in scan_ops
                                      if op[1] not in indexable)
-            bound = seen
-            here = [c for c in remaining if set(c.variables()) <= bound]
+            here = [c for c in remaining if set(c.variables()) <= seen]
             remaining = [c for c in remaining if c not in here]
             steps.append(JoinStep(
                 position=position, key=atom.key(), use_delta=use_delta,
@@ -380,14 +395,25 @@ class JoinPlan:
     def bindings(self, db: Database,
                  delta_facts: Sequence[Fact] | None = None,
                  neg_db: Database | None = None,
-                 stats: PlanStats | None = None) -> Iterator[list]:
+                 stats: PlanStats | None = None, *,
+                 slots: list | None = None,
+                 source: Callable | None = None) -> Iterator[list]:
         """Yield the slot array for every complete body binding.
 
         The *same* list object is yielded each time and mutated in place
         between yields; consumers must read (e.g. build the head tuple)
         before advancing the iterator.
+
+        A plan compiled with ``bound`` variables is handed ``slots`` with
+        those variables' slots already filled.  ``source(step, db,
+        delta_facts, slots, stats) -> (iterator, ops)`` replaces
+        :meth:`_source` as what opens a step (QSQR reads its answer
+        tables there and falls back to :meth:`_source` for EDB atoms).
         """
-        slots: list = [None] * self.nslots
+        if slots is None:
+            slots = [None] * self.nslots
+        if source is None:
+            source = self._source
         if self.pre_checks and not ineqs_hold(self.pre_checks, slots):
             return
         neg = neg_db if neg_db is not None else db
@@ -400,8 +426,8 @@ class JoinPlan:
         iterators: list = [None] * n
         ops_at: list = [None] * n
         depth = 0
-        iterators[0], ops_at[0] = self._source(steps[0], db, delta_facts,
-                                               slots, stats)
+        iterators[0], ops_at[0] = source(steps[0], db, delta_facts, slots,
+                                         stats)
         while True:
             step = steps[depth]
             ops = ops_at[depth]
@@ -423,7 +449,7 @@ class JoinPlan:
                     yield slots
                 continue
             depth += 1
-            iterators[depth], ops_at[depth] = self._source(
+            iterators[depth], ops_at[depth] = source(
                 steps[depth], db, delta_facts, slots, stats)
 
     def head_args(self, slots: list) -> Fact:
@@ -637,142 +663,3 @@ def set_plan_cache_limit(limit: int) -> int:
 
 def clear_plan_cache() -> None:
     _PLAN_CACHE.clear()
-
-
-# -- QSQR rule plans -------------------------------------------------------------
-
-
-class QsqrStep:
-    """One body atom of a QSQR rule plan (original order is semantic)."""
-
-    __slots__ = ("key", "is_idb", "sub_key", "demand_builders", "scan_ops",
-                 "residual_ops", "index_positions", "index_values",
-                 "single_slot", "ineqs")
-
-    def __init__(self, key: RelationKey, is_idb: bool, sub_key: tuple | None,
-                 demand_builders: tuple, scan_ops: tuple, residual_ops: tuple,
-                 index_positions: tuple, index_values: tuple,
-                 ineqs: tuple) -> None:
-        self.key = key
-        self.is_idb = is_idb
-        self.sub_key = sub_key
-        self.demand_builders = demand_builders
-        self.scan_ops = scan_ops
-        self.residual_ops = residual_ops
-        self.index_positions = index_positions
-        self.index_values = index_values
-        self.single_slot = (index_values[0][1]
-                            if len(index_values) == 1 and index_values[0][0] == "s"
-                            else None)
-        self.ineqs = ineqs
-
-
-class QsqrRulePlan:
-    """A rule compiled for one demand adornment (QSQR's top-down join).
-
-    Unlike :class:`JoinPlan`, the body is **not** reordered: the demands
-    QSQR generates (and hence its termination behaviour on
-    function-symbol programs) depend on the left-to-right sideways
-    information passing, which is part of the algorithm's definition.
-    The wins here are the slot bindings, precomputed index positions for
-    EDB atoms, statically known sub-demand keys/adornments, and the
-    baked-in inequality schedule.
-    """
-
-    __slots__ = ("rule", "nslots", "head_match_ops", "pre_checks", "steps",
-                 "head_builders")
-
-    def __init__(self, rule: Rule, bound_positions: tuple[int, ...],
-                 idb: set[RelationKey]) -> None:
-        from repro.datalog.adornment import Adornment
-
-        self.rule = rule
-        slot_of: dict[Var, int] = {}
-        for var in rule.head.variables():
-            if var not in slot_of:
-                slot_of[var] = len(slot_of)
-        for atom in rule.body:
-            for var in atom.variables():
-                if var not in slot_of:
-                    slot_of[var] = len(slot_of)
-        self.nslots = len(slot_of)
-
-        seen: set[Var] = set()
-        self.head_match_ops = tuple(
-            compile_term_match(rule.head.args[p], slot_of, seen)
-            for p in bound_positions)
-
-        remaining = list(rule.inequalities)
-        pre = [c for c in remaining if set(c.variables()) <= seen]
-        remaining = [c for c in remaining if c not in pre]
-        self.pre_checks = tuple(
-            (compile_builder(c.left, slot_of), compile_builder(c.right, slot_of))
-            for c in pre)
-
-        steps: list[QsqrStep] = []
-        bound = set(seen)
-        for atom in rule.body:
-            is_idb = atom.key() in idb
-            entry_bound = set(bound)
-            step_seen = set(bound)
-            scan_ops: list[tuple] = []
-            indexable: dict[int, tuple] = {}
-            for i, arg in enumerate(atom.args):
-                op = compile_term_match(arg, slot_of, step_seen)
-                kind = op[0]
-                if kind == "w":
-                    scan_ops.append(("store", i, op[1]))
-                elif kind == "s":
-                    scan_ops.append(("check", i, op[1]))
-                elif kind == "c":
-                    scan_ops.append(("const", i, op[1]))
-                else:
-                    scan_ops.append(("match", i, op))
-                # see JoinPlan: probe values must be computable at step
-                # entry, so within-atom repeats do not qualify
-                if _arg_bound(arg, entry_bound):
-                    indexable[i] = compile_builder(arg, slot_of)
-            sub_key = None
-            demand_builders: tuple = ()
-            if is_idb:
-                adornment = Adornment.from_atom(atom, bound)
-                sub_key = (atom.relation, atom.peer, adornment.pattern)
-                demand_builders = tuple(
-                    compile_builder(atom.args[p], slot_of)
-                    for p in adornment.bound_positions())
-                index_positions: tuple[int, ...] = ()
-                index_values: tuple = ()
-                residual_ops = tuple(scan_ops)
-            elif indexable:
-                index_positions = tuple(sorted(indexable))
-                index_values = tuple(indexable[i] for i in index_positions)
-                residual_ops = tuple(op for op in scan_ops
-                                     if op[1] not in indexable)
-            else:
-                index_positions = ()
-                index_values = ()
-                residual_ops = tuple(scan_ops)
-            bound = step_seen
-            here = [c for c in remaining if set(c.variables()) <= bound]
-            remaining = [c for c in remaining if c not in here]
-            steps.append(QsqrStep(
-                key=atom.key(), is_idb=is_idb, sub_key=sub_key,
-                demand_builders=demand_builders, scan_ops=tuple(scan_ops),
-                residual_ops=residual_ops, index_positions=index_positions,
-                index_values=index_values,
-                ineqs=tuple((compile_builder(c.left, slot_of),
-                             compile_builder(c.right, slot_of))
-                            for c in here)))
-        self.steps = tuple(steps)
-        self.head_builders = tuple(compile_builder(a, slot_of)
-                                   for a in rule.head.args)
-
-    def match_demand(self, bound: Sequence[Term], slots: list) -> bool:
-        """Match a ground demand tuple against the bound head positions."""
-        for op, value in zip(self.head_match_ops, bound):
-            if not run_term_match(op, value, slots):
-                return False
-        return bool(ineqs_hold(self.pre_checks, slots)) if self.pre_checks else True
-
-    def head_args(self, slots: list) -> Fact:
-        return tuple(run_builder(b, slots) for b in self.head_builders)

@@ -27,7 +27,7 @@ it against the pattern instantiates them).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.datalog.adornment import Adornment, adorned_name, input_name
 from repro.datalog.atom import Atom, Inequality
@@ -42,8 +42,8 @@ AdornedKey = tuple[str, str | None, Adornment]
 
 
 @dataclass
-class QsqRewriting:
-    """The result of rewriting a program for a query."""
+class DemandRewriting:
+    """A program rewritten around the demands of one query."""
 
     original: Program
     query: Query
@@ -51,6 +51,12 @@ class QsqRewriting:
     answer_atom: Atom
     seed: Atom | None
     adorned_relations: list[AdornedKey] = field(default_factory=list)
+
+
+@dataclass
+class QsqRewriting(DemandRewriting):
+    """The QSQ rewriting: a :class:`DemandRewriting` with supplementaries."""
+
     sup_index: dict[str, tuple[Rule, Adornment, int]] = field(default_factory=dict)
 
     def sup_relation_names(self) -> list[str]:
@@ -69,36 +75,39 @@ class QsqRewriting:
         return kinds
 
 
-def qsq_rewrite(program: Program, query: Query) -> QsqRewriting:
-    """Rewrite ``program`` for ``query`` following the QSQ construction."""
+R = TypeVar("R", bound=DemandRewriting)
+
+
+def demand_rewrite(rewriting: R, demand_name: Callable[[str, Adornment], str],
+                   rewrite_rule: Callable[..., list[AdornedKey]]) -> R:
+    """Walk the adorned relations the query reaches; QSQ and Magic Sets both.
+
+    ``rewriting`` arrives fresh (empty program, the query atom as answer,
+    no seed).  ``demand_name`` names an adorned relation's demand relation
+    (``in-R^ad`` / ``magic-R^ad``); ``rewrite_rule(rule, adornment,
+    rule_id, idb, rewriting)`` adds one rule's rewritten rules to
+    ``rewriting.program`` and returns the adorned IDB relations its body
+    demands.  Rules are numbered in the order the LIFO agenda reaches them.
+    """
+    program, atom = rewriting.original, rewriting.query.atom
     idb = program.idb_relations()
-    out = Program()
-    rewriting = QsqRewriting(original=program, query=query, program=out,
-                             answer_atom=query.atom, seed=None)
-
-    query_key = (query.atom.relation, query.atom.peer)
-    if query_key not in idb:
-        # The query targets an EDB relation: nothing to rewrite.  Keep the
-        # EDB fact rules so evaluation can still load them.
-        for fact in program.facts():
-            out.add(fact)
-        return rewriting
-
-    query_adornment = Adornment.from_atom(query.atom)
-    rewriting.answer_atom = Atom(adorned_name(query.atom.relation, query_adornment),
-                                 query.atom.args, query.atom.peer)
-    seed_args = query_adornment.select_bound(query.atom.args)
-    rewriting.seed = Atom(input_name(query.atom.relation, query_adornment),
-                          seed_args, query.atom.peer)
-
-    # Keep EDB facts available.
+    # Keep the EDB facts so evaluation can still load them; a query on an
+    # EDB relation needs nothing else.
     for fact in program.facts():
         if fact.head.key() not in idb:
-            out.add(fact)
+            rewriting.program.add(fact)
+    if atom.key() not in idb:
+        return rewriting
+
+    query_adornment = Adornment.from_atom(atom)
+    rewriting.answer_atom = Atom(adorned_name(atom.relation, query_adornment),
+                                 atom.args, atom.peer)
+    rewriting.seed = Atom(demand_name(atom.relation, query_adornment),
+                          query_adornment.select_bound(atom.args), atom.peer)
 
     seen: set[AdornedKey] = set()
-    agenda: list[AdornedKey] = [(query.atom.relation, query.atom.peer, query_adornment)]
-    rule_counter = 0
+    agenda: list[AdornedKey] = [(atom.relation, atom.peer, query_adornment)]
+    rule_id = 0
     while agenda:
         entry = agenda.pop()
         if entry in seen:
@@ -107,16 +116,24 @@ def qsq_rewrite(program: Program, query: Query) -> QsqRewriting:
         rewriting.adorned_relations.append(entry)
         relation, peer, adornment = entry
         for rule in program.rules_for(relation, peer):
-            rule_counter += 1
-            demands = _rewrite_rule(rule, adornment, rule_counter, idb, out, rewriting)
-            for demanded in demands:
+            rule_id += 1
+            for demanded in rewrite_rule(rule, adornment, rule_id, idb,
+                                         rewriting):
                 if demanded not in seen:
                     agenda.append(demanded)
     return rewriting
 
 
-def _rewrite_rule(rule: Rule, adornment: Adornment, rule_id: int, idb: set[RelationKey],
-                  out: Program, rewriting: QsqRewriting) -> list[AdornedKey]:
+def qsq_rewrite(program: Program, query: Query) -> QsqRewriting:
+    """Rewrite ``program`` for ``query`` following the QSQ construction."""
+    return demand_rewrite(
+        QsqRewriting(program, query, Program(), query.atom, None),
+        input_name, _rewrite_rule)
+
+
+def _rewrite_rule(rule: Rule, adornment: Adornment, rule_id: int,
+                  idb: set[RelationKey],
+                  rewriting: QsqRewriting) -> list[AdornedKey]:
     """Emit the rewritten rules for one (rule, adornment) pair.
 
     Returns the adorned IDB relations demanded by the rule body.
@@ -130,7 +147,7 @@ def _rewrite_rule(rule: Rule, adornment: Adornment, rule_id: int, idb: set[Relat
         sup_atom=lambda j, args: Atom(f"sup_{rule_id}_{j}", args),
         is_idb=lambda atom: atom.key() in idb)
     for rewritten in segment.rules:
-        out.add(rewritten)
+        rewriting.program.add(rewritten)
     for j, sup in segment.sups:
         rewriting.sup_index[sup.relation] = (rule, adornment, j)
     return segment.demanded
@@ -281,6 +298,35 @@ class QsqResult:
         return totals
 
 
+def evaluate_rewriting(rewrite: Callable[[Program, Query], R], context: str,
+                       program: Program, query: Query, db: Database | None,
+                       budget: EvaluationBudget | None, check: bool,
+                       in_place: bool = False
+                       ) -> tuple[R, set[Fact], Database, Counters]:
+    """Check, rewrite, seed, evaluate semi-naively and select the answers
+    (QSQ and Magic Sets).
+
+    ``db`` holds the EDB facts (program fact-rules are loaded too); it is
+    copied unless ``in_place``.
+    """
+    if check:
+        from repro.datalog.analysis import check_program
+        check_program(program, query, context=context,
+                      depth_bounded=(budget is not None
+                                     and budget.max_term_depth is not None))
+    rewriting = rewrite(program, query)
+    work_db = db if (db is not None and in_place) else (db.copy() if db is not None else Database())
+    if rewriting.seed is not None:
+        work_db.add_atom(rewriting.seed)
+    # The rewriting is machine-generated from an already-checked program.
+    evaluator = SemiNaiveEvaluator(rewriting.program, budget, check=False)
+    evaluator.run(work_db)
+    counters = Counters()
+    counters.merge(evaluator.counters)
+    counters.add(f"{context}_rewritten_rules", len(rewriting.program.rules))
+    return rewriting, select(work_db, rewriting.answer_atom), work_db, counters
+
+
 def qsq_evaluate(program: Program, query: Query, db: Database | None = None,
                  budget: EvaluationBudget | None = None,
                  in_place: bool = False, check: bool = True) -> QsqResult:
@@ -289,22 +335,8 @@ def qsq_evaluate(program: Program, query: Query, db: Database | None = None,
     ``db`` holds the EDB facts (program fact-rules are loaded too).  By
     default the database is copied so the caller's store is untouched.
     """
-    if check:
-        from repro.datalog.analysis import check_program
-        check_program(program, query, context="qsq",
-                      depth_bounded=(budget is not None
-                                     and budget.max_term_depth is not None))
-    rewriting = qsq_rewrite(program, query)
-    work_db = db if (db is not None and in_place) else (db.copy() if db is not None else Database())
-    if rewriting.seed is not None:
-        work_db.add_atom(rewriting.seed)
-    # The rewriting is machine-generated from an already-checked program.
-    evaluator = SemiNaiveEvaluator(rewriting.program, budget, check=False)
-    evaluator.run(work_db)
-    answers = select(work_db, rewriting.answer_atom)
-    counters = Counters()
-    counters.merge(evaluator.counters)
-    counters.add("qsq_rewritten_rules", len(rewriting.program.rules))
+    rewriting, answers, work_db, counters = evaluate_rewriting(
+        qsq_rewrite, "qsq", program, query, db, budget, check, in_place)
     counters.add("qsq_adorned_relations", len(rewriting.adorned_relations))
     return QsqResult(answers=answers, rewriting=rewriting, database=work_db,
                      counters=counters)

@@ -103,7 +103,8 @@ class SupervisorEncoder:
         net = petri.net
         if supervisor in net.peers():
             raise EncodingError(
-                f"supervisor name {supervisor!r} collides with a net peer")
+                f"supervisor name {supervisor!r} collides with a net peer; "
+                f"pass DatalogDiagnosisEngine(supervisor=...) another name")
         observation = ObservationSpec.coerce(observation, net)
         self.petri = petri
         self.spec = observation

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from repro.datalog.rule import Program, Query
+from repro.datalog.rule import Program
 from repro.distributed.dqsq import DqsqEngine
 from repro.distributed.network import (FaultPlan, LinkPartition,
                                        NetworkOptions, PeerFaultPlan)
@@ -40,6 +40,16 @@ from repro.utils.counters import Counters
 #: spreads schedule indices across the seed space (any odd prime works;
 #: the point is that schedule i and i+1 share no draws)
 _SCHEDULE_STRIDE = 100_003
+
+#: what a derived schedule draws from, besides ``ChaosConfig.max_drop``:
+#: duplicate probability and delay up to these, a deterministic crash at
+#: up to this many peers, crashes permanent (no restart) and a link
+#: partition included with these probabilities
+_MAX_DUPLICATE = 0.2
+_MAX_DELAY = 4
+_CRASH_PEERS_MAX = 2
+_PERMANENT_PROBABILITY = 0.2
+_PARTITION_PROBABILITY = 0.3
 
 
 @dataclass(frozen=True)
@@ -53,14 +63,6 @@ class ChaosConfig:
     problem: str = "figure3"
     max_deliveries: int = 20_000
     max_drop: float = 0.25
-    max_duplicate: float = 0.2
-    max_delay: int = 4
-    #: up to this many peers get a deterministic crash scheduled
-    crash_peers_max: int = 2
-    #: probability that a schedule's crashes are permanent (no restart)
-    permanent_probability: float = 0.2
-    #: probability that a schedule includes a link partition
-    partition_probability: float = 0.3
 
     def __post_init__(self) -> None:
         if self.schedules < 1:
@@ -142,8 +144,8 @@ def make_schedule(config: ChaosConfig, index: int,
     parts: list[str] = []
 
     drop = round(rng.uniform(0, config.max_drop), 3)
-    duplicate = round(rng.uniform(0, config.max_duplicate), 3)
-    delay = (0, rng.randint(1, config.max_delay)) if rng.random() < 0.5 else None
+    duplicate = round(rng.uniform(0, _MAX_DUPLICATE), 3)
+    delay = (0, rng.randint(1, _MAX_DELAY)) if rng.random() < 0.5 else None
     fault = FaultPlan(drop_probability=drop, duplicate_probability=duplicate,
                       delay_distribution=delay, max_retries=50)
     parts.append(f"drop={drop} dup={duplicate}"
@@ -151,10 +153,10 @@ def make_schedule(config: ChaosConfig, index: int,
 
     crash_at: dict[str, tuple[int, ...]] = {}
     victims = rng.sample(sorted(peers),
-                         k=min(rng.randint(0, config.crash_peers_max), len(peers)))
+                         k=min(rng.randint(0, _CRASH_PEERS_MAX), len(peers)))
     for victim in victims:
         crash_at[victim] = (rng.randint(1, 12),)
-    permanent = bool(crash_at) and rng.random() < config.permanent_probability
+    permanent = bool(crash_at) and rng.random() < _PERMANENT_PROBABILITY
     restart_after = None if permanent else rng.randint(5, 60)
     if crash_at:
         parts.append("crash " + ",".join(f"{p}@{k[0]}"
@@ -162,7 +164,7 @@ def make_schedule(config: ChaosConfig, index: int,
                      + (" permanent" if permanent else f" restart+{restart_after}"))
 
     partitions: tuple[LinkPartition, ...] = ()
-    if len(peers) >= 2 and rng.random() < config.partition_probability:
+    if len(peers) >= 2 and rng.random() < _PARTITION_PROBABILITY:
         a, b = rng.sample(sorted(peers), k=2)
         start = rng.randint(0, 20)
         heal = rng.randint(5, 40)
@@ -204,10 +206,8 @@ class _Figure3Problem:
     name = "figure3"
 
     def __init__(self) -> None:
-        from repro.datalog import parse_atom
-        from repro.experiments.registry import _figure3
-        self._program, self._edb = _figure3()
-        self._query = Query(parse_atom('r@r("1", Y)'))
+        from repro.workloads.scenarios import figure3
+        self._program, self._edb, self._query = figure3()
         self.peers = tuple(sorted(self._program.peers()))
         #: what the sanitizer's commutation oracle analyzes
         self.analysis_program = self._program.program

@@ -5,9 +5,12 @@ This is the deployment half of the transport split (see
 the deterministic simulator run here on real OS processes, exchanging
 pickled frames over ``multiprocessing`` queues.  Local fixpoints at
 distinct peers execute genuinely in parallel -- each worker has its own
-interpreter and its own GIL -- which is what makes multi-peer evaluation
-faster than the serial simulator on computation-heavy workloads
-(``benchmarks/run_transport.py`` measures it).
+interpreter and its own GIL.  No committed measurement shows that making
+a run faster: ``BENCH_transport.json`` was recorded on one cpu, and the
+end-to-end benchmark reads ``fanout-mp`` 1.5x *slower* than
+``fanout-sim`` on two.  Until a recording on real multi-core hardware
+says otherwise, mp is a conformance target (same answers as the
+simulator), not a performance feature.
 
 Architecture
 ------------
@@ -83,18 +86,17 @@ _ERROR = "error"
 
 _CONFLUENCE_CODES = ("DD701", "DD702", "DD703")
 
+#: seconds between counting rounds while the system is active
+_POLL_INTERVAL = 0.002
+
 
 @dataclass(frozen=True)
 class MpConfig:
     """Knobs of the multiprocessing transport."""
 
-    #: "fork" (fast, POSIX) or "spawn"; None picks fork when available
-    start_method: str | None = None
     #: wall-clock budget for one run; exceeding it kills the workers and
     #: raises (a distributed livelock must not hang the caller forever)
     timeout: float = 120.0
-    #: seconds between counting rounds while the system is active
-    poll_interval: float = 0.002
     #: run even when the DD701-DD703 confluence verdict is not clean --
     #: the answers are then schedule-dependent, exactly what the verdict
     #: warns about.  Off by default; the simulator is the right place
@@ -109,8 +111,6 @@ class MpConfig:
             raise ValueError("timeout must be > 0")
         if self.shutdown_grace < 0:
             raise ValueError("shutdown_grace must be >= 0")
-        if self.start_method not in (None, "fork", "spawn", "forkserver"):
-            raise ValueError(f"unknown start method {self.start_method!r}")
 
 
 class _WorkerTransport:
@@ -226,10 +226,9 @@ class MpTransportRuntime:
     # -- the run -------------------------------------------------------------
 
     def _context(self) -> Any:
-        method = self.config.start_method
-        if method is None:
-            method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
-                      else "spawn")
+        """Fork (fast, POSIX) when available, else spawn."""
+        method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+                  else "spawn")
         return multiprocessing.get_context(method)
 
     def run(self, job: TransportJob) -> TransportOutcome:
@@ -385,8 +384,7 @@ class MpTransportRuntime:
                 counters.set_max("mp.messages_total", sent_sum)
                 return round_no
             previous = totals
-            if self.config.poll_interval > 0:
-                time.sleep(self.config.poll_interval)
+            time.sleep(_POLL_INTERVAL)
 
     def _collect(self, names: list[str], inboxes: dict[str, Any],
                  coordinator: Any, processes: dict[str, Any],

@@ -190,15 +190,12 @@ def builtin_scenarios() -> dict[str, RaceScenario]:
     from repro.diagnosis.alarms import AlarmSequence
     from repro.diagnosis.supervisor import SupervisorEncoder
     from repro.distributed.network import PeerFaultPlan
-    from repro.experiments.registry import FIGURE3_TEXT
     from repro.petri.examples import figure1_alarm_scenarios, figure1_net
+    from repro.workloads.scenarios import figure3
 
     out: dict[str, RaceScenario] = {}
 
-    figure3 = parse_program(FIGURE3_TEXT)
-    f3_program = DDatalogProgram(figure3)
-    f3_edb = load_facts(figure3)
-    f3_query = Query(parse_atom('r@r("1", Y)'))
+    f3_program, f3_edb, f3_query = figure3()
     out["figure3"] = _dqsq_scenario(
         "figure3", "Figure 3 dQSQ query (positive, confluent)",
         f3_program, f3_edb, f3_query)

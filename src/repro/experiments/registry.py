@@ -21,8 +21,7 @@ from repro.diagnosis import (AlarmSequence, DatalogDiagnosisEngine,
                              bruteforce_diagnosis)
 from repro.diagnosis.patterns import (AlarmPattern, ObservationSpec,
                                       totalize_and_complement)
-from repro.distributed import (DDatalogProgram, DistributedNaiveEngine,
-                               DqsqEngine)
+from repro.distributed import DistributedNaiveEngine, DqsqEngine
 from repro.errors import BudgetExceeded
 from repro.experiments.harness import ExperimentResult
 from repro.petri.examples import figure1_alarm_scenarios, figure1_net
@@ -30,27 +29,7 @@ from repro.petri.generators import TelecomSpec, random_safe_net, telecom_net
 from repro.petri.product import Observer
 from repro.petri.unfolding import unfold
 from repro.workloads.alarmgen import simulate_alarms
-
-FIGURE3_TEXT = """
-r@r(X, Y) :- a@r(X, Y).
-r@r(X, Y) :- s@s(X, Z), t@t(Z, Y).
-s@s(X, Y) :- r@r(X, Y), b@s(Y, Z).
-t@t(X, Y) :- c@t(X, Y).
-a@r("1", "2").
-a@r("2", "3").
-b@s("2", "x").
-b@s("3", "x").
-c@t("2", "4").
-c@t("3", "5").
-c@t("4", "6").
-"""
-
-
-def _figure3():
-    program = DDatalogProgram(parse_program(FIGURE3_TEXT))
-    edb = load_facts(parse_program(FIGURE3_TEXT))
-    return program, edb
-
+from repro.workloads.scenarios import FIGURE3_TEXT, figure3
 
 def _localized_edb(edb):
     out = Database()
@@ -85,7 +64,7 @@ def e1_running_example() -> ExperimentResult:
 
 def e2_qsq_rewriting() -> ExperimentResult:
     """Figures 3-4: QSQ rewriting shape and materialization advantage."""
-    program, edb = _figure3()
+    program, edb, _query = figure3()
     local = program.local_version()
     local_edb = _localized_edb(edb)
     query = Query(Atom("r@r", parse_atom('q("1", Y)').args, None))
@@ -126,8 +105,7 @@ def e2_qsq_rewriting() -> ExperimentResult:
 
 def e3_dqsq_equivalence() -> ExperimentResult:
     """Figure 5 + Theorem 1: dQSQ == QSQ up to zeta; message costs."""
-    program, edb = _figure3()
-    query = Query(parse_atom('r@r("1", Y)'))
+    program, edb, query = figure3()
     local = program.local_version()
     local_query = Query(Atom("r@r", query.atom.args, None))
 
@@ -440,8 +418,7 @@ def a2_negation_variant() -> ExperimentResult:
 
 def a3_termination_detector_cost() -> ExperimentResult:
     """Message overhead of running Dijkstra-Scholten under dQSQ."""
-    program, edb = _figure3()
-    query = Query(parse_atom('r@r("1", Y)'))
+    program, edb, query = figure3()
     plain = DqsqEngine(program, edb).query(query)
     detected = DqsqEngine(program, edb, use_termination_detector=True).query(query)
     rows = [
@@ -536,8 +513,7 @@ def e9_crash_recovery() -> ExperimentResult:
     from repro.distributed import NetworkOptions, PeerFaultPlan
     from repro.distributed.chaos import ChaosConfig, run_chaos
 
-    program, edb = _figure3()
-    query = Query(parse_atom('r@r("1", Y)'))
+    program, edb, query = figure3()
     oracle = DqsqEngine(program, edb).query(query).answers
 
     rows = []

@@ -52,6 +52,10 @@ _SCHEDULE_STRIDE = 100_003
 #: inexplicable interleaving so the empty-diagnosis path is exercised
 _SCENARIO_POOL = ("figure1-bac", "figure1-bca", "figure1-cba")
 
+#: per-step and client-level retry budget before the harness calls the
+#: schedule livelocked (a violation)
+_MAX_STEPS = 400
+
 
 @dataclass(frozen=True)
 class ServiceFaultPlan:
@@ -102,9 +106,6 @@ class ServiceChaosConfig:
     max_resident: int = 3
     session_queue_limit: int = 2
     global_queue_limit: int = 8
-    #: per-step and client-level retry budget before the harness calls
-    #: the schedule livelocked (a violation)
-    max_steps: int = 400
 
     def __post_init__(self) -> None:
         if self.schedules < 1 or self.sessions < 1:
@@ -251,7 +252,7 @@ async def _reopen(holder: _Holder, session_id: str, scenario: str,
                   report: ServiceChaosReport) -> int | None:
     """Open (fresh or resume); returns the acknowledged seq."""
     request = {"op": "open", "session": session_id, "scenario": scenario}
-    for _attempt in range(config.max_steps):
+    for _attempt in range(_MAX_STEPS):
         response = await _send(holder, request, report)
         if response is None:
             return None
@@ -285,7 +286,7 @@ async def _drive_session(holder: _Holder, session_id: str, scenario: str,
     acked = await _reopen(holder, session_id, scenario, config, report)
     if acked is None:
         return
-    for _step in range(config.max_steps):
+    for _step in range(_MAX_STEPS):
         if acked >= len(alarms):
             break
         if rng.random() < plan.slow_client_probability:
@@ -365,7 +366,7 @@ async def _verdict(holder: _Holder, session_id: str, scenario: str,
         _ORACLES[scenario] = _oracle(scenario)
     oracle, oracle_consistent = _ORACLES[scenario]
     response = None
-    for _attempt in range(config.max_steps):
+    for _attempt in range(_MAX_STEPS):
         response = await _send(
             holder, {"op": "diagnoses", "session": session_id}, report)
         if response is None:

@@ -1,11 +1,15 @@
-"""Named benchmark scenarios for the experiment harness (E1-E7)."""
+"""Named benchmark scenarios for the experiment harness (E1-E7), and the
+paper's Figure-3 program."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.datalog import Database, Query, parse_atom, parse_program
+from repro.datalog.naive import load_facts
 from repro.diagnosis.alarms import AlarmSequence
+from repro.distributed.ddatalog import DDatalogProgram
 from repro.petri.examples import figure1_alarm_scenarios, figure1_net
 from repro.petri.generators import TelecomSpec, telecom_net
 from repro.petri.net import PetriNet
@@ -67,3 +71,25 @@ def get_scenario(name: str) -> Scenario:
         return SCENARIOS[name]
     except KeyError:
         raise KeyError(f"unknown scenario {name!r}; known: {sorted(SCENARIOS)}")
+
+
+FIGURE3_TEXT = """
+r@r(X, Y) :- a@r(X, Y).
+r@r(X, Y) :- s@s(X, Z), t@t(Z, Y).
+s@s(X, Y) :- r@r(X, Y), b@s(Y, Z).
+t@t(X, Y) :- c@t(X, Y).
+a@r("1", "2").
+a@r("2", "3").
+b@s("2", "x").
+b@s("3", "x").
+c@t("2", "4").
+c@t("3", "5").
+c@t("4", "6").
+"""
+
+
+def figure3() -> tuple[DDatalogProgram, Database, Query]:
+    """Figure 3: the located program, its EDB and the query ``r@r("1", Y)``."""
+    parsed = parse_program(FIGURE3_TEXT)
+    return (DDatalogProgram(parsed), load_facts(parsed),
+            Query(parse_atom('r@r("1", Y)')))

@@ -125,8 +125,8 @@ class TestFacade:
         """A new knob is a visible diff here.  What is diagnosed is the
         observation's business (ObservationSpec), not the run's."""
         assert {f.name for f in dataclasses.fields(repro.RunConfig)} == {
-            "budget", "options", "transport", "mp", "supervisor",
-            "use_termination_detector", "max_events", "cost_budget", "window"}
+            "budget", "options", "transport", "mp",
+            "use_termination_detector", "cost_budget", "window"}
 
 
 class TestEvaluationMode:

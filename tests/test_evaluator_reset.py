@@ -19,20 +19,7 @@ from repro.datalog.term import Const
 from repro.distributed.ddatalog import DDatalogProgram
 from repro.distributed.dqsq import DqsqEngine
 from repro.distributed.network import NetworkOptions, PeerFaultPlan
-
-FIGURE3_TEXT = """
-r@r(X, Y) :- a@r(X, Y).
-r@r(X, Y) :- s@s(X, Z), t@t(Z, Y).
-s@s(X, Y) :- r@r(X, Y), b@s(Y, Z).
-t@t(X, Y) :- c@t(X, Y).
-a@r("1", "2").
-a@r("2", "3").
-b@s("2", "x").
-b@s("3", "x").
-c@t("2", "4").
-c@t("3", "5").
-c@t("4", "6").
-"""
+from repro.workloads.scenarios import FIGURE3_TEXT
 
 
 def _rule(text: str):

@@ -9,7 +9,7 @@ from repro.distributed import (DistributedNaiveEngine, DqsqEngine, FaultPlan,
                                LinkPartition, Network, NetworkOptions,
                                PeerFaultPlan)
 from repro.errors import DistributedError, PeerUnavailable
-from repro.experiments.registry import _figure3
+from repro.workloads.scenarios import figure3
 
 QUERY = Query(parse_atom('r@r("1", Y)'))
 
@@ -219,7 +219,7 @@ class TestDqsqRecovery:
     @pytest.mark.parametrize("victim", ["r", "s", "t"])
     @pytest.mark.parametrize("crash_at", [1, 2, 3])
     def test_single_crash_restart_recovers_oracle(self, victim, crash_at):
-        program, edb = _figure3()
+        program, edb, _query = figure3()
         oracle = DqsqEngine(program, edb).query(QUERY).answers
         options = NetworkOptions(seed=7, peer_fault=PeerFaultPlan(
             crash_at={victim: (crash_at,)}, restart_after_deliveries=5))
@@ -231,7 +231,7 @@ class TestDqsqRecovery:
         assert result.counters["net.recovery.checkpoints_restored"] >= 1
 
     def test_permanent_death_degrades_to_sound_subset(self):
-        program, edb = _figure3()
+        program, edb, _query = figure3()
         oracle = DqsqEngine(program, edb).query(QUERY).answers
         options = NetworkOptions(seed=7, peer_fault=PeerFaultPlan(
             crash_at={"s": (1,)}, restart_after_deliveries=None))
@@ -243,7 +243,7 @@ class TestDqsqRecovery:
         assert result.peer_report["s"]["permanently_down"] is True
 
     def test_crash_under_message_faults_too(self):
-        program, edb = _figure3()
+        program, edb, _query = figure3()
         oracle = DqsqEngine(program, edb).query(QUERY).answers
         options = NetworkOptions(
             seed=11,
@@ -258,7 +258,7 @@ class TestDqsqRecovery:
     def test_checkpoint_restore_roundtrip_is_lossless(self):
         # Drive a run, checkpoint a peer mid-flight, clobber it, restore,
         # and check the restored state answers identically.
-        program, edb = _figure3()
+        program, edb, _query = figure3()
         options = NetworkOptions(seed=0, peer_fault=PeerFaultPlan(
             crash_at={"s": (2,)}, restart_after_deliveries=4,
             checkpoint_interval=2))
@@ -270,7 +270,7 @@ class TestDqsqRecovery:
 class TestNaiveDistRecovery:
     @pytest.mark.parametrize("victim", ["r", "s", "t"])
     def test_crash_restart_recovers_oracle(self, victim):
-        program, edb = _figure3()
+        program, edb, _query = figure3()
         oracle = DistributedNaiveEngine(program, edb).query(QUERY).answers
         options = NetworkOptions(seed=3, peer_fault=PeerFaultPlan(
             crash_at={victim: (1,)}, restart_after_deliveries=4))
@@ -281,7 +281,7 @@ class TestNaiveDistRecovery:
         assert result.counters["net.recovery.checkpoints_restored"] >= 1
 
     def test_permanent_death_degrades(self):
-        program, edb = _figure3()
+        program, edb, _query = figure3()
         oracle = DistributedNaiveEngine(program, edb).query(QUERY).answers
         options = NetworkOptions(seed=3, peer_fault=PeerFaultPlan(
             crash_at={"t": (1,)}, restart_after_deliveries=None))

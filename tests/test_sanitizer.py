@@ -23,20 +23,7 @@ from repro.distributed.network import NetworkOptions
 from repro.distributed.race import RACY_TEXT
 from repro.distributed.sanitizer import sanitize
 from repro.distributed.trace import TraceRecorder, vc_concurrent, vc_leq
-
-FIGURE3_TEXT = """
-r@r(X, Y) :- a@r(X, Y).
-r@r(X, Y) :- s@s(X, Z), t@t(Z, Y).
-s@s(X, Y) :- r@r(X, Y), b@s(Y, Z).
-t@t(X, Y) :- c@t(X, Y).
-a@r("1", "2").
-a@r("2", "3").
-b@s("2", "x").
-b@s("3", "x").
-c@t("2", "4").
-c@t("3", "5").
-c@t("4", "6").
-"""
+from repro.workloads.scenarios import FIGURE3_TEXT
 
 
 def _run_figure3(seed: int = 0) -> tuple[TraceRecorder, object]:

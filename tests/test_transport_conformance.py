@@ -46,9 +46,9 @@ from repro.distributed.race import RACY_TEXT, RecordingChooser
 from repro.distributed.transport import (PeerSpec, TransportJob,
                                          resolve_transport)
 from repro.errors import DistributedError
-from repro.experiments.registry import FIGURE3_TEXT
 from repro.petri.examples import figure1_alarm_scenarios, figure1_net
 from repro.utils.counters import Counters
+from repro.workloads.scenarios import FIGURE3_TEXT
 
 TRANSPORTS = ("sim", "mp")
 
