@@ -79,7 +79,7 @@ REPEATS = 5
 #: are the (d)QSQ rewriting without its bookend supplementary relations
 #: (with them: 12792/7901 and 12998/7888, smoke 694/491 and 687/482).
 EXPECTED = {
-    False: {"tc_chain": (32979, 28680), "e6_qsq": (8333, 4901),
+    False: {"tc_chain": (32979, 28680), "e6_qsq": (8337, 4901),
             "e6_dqsq": (8717, 5238)},
     True: {"tc_chain": (2054, 1770), "e6_qsq": (463, 315),
            "e6_dqsq": (486, 350)},

@@ -36,14 +36,6 @@ class Adornment:
             flags.append("b" if arg_vars <= bound else "f")
         return cls("".join(flags))
 
-    @classmethod
-    def all_free(cls, arity: int) -> "Adornment":
-        return cls("f" * arity)
-
-    @classmethod
-    def all_bound(cls, arity: int) -> "Adornment":
-        return cls("b" * arity)
-
     @property
     def arity(self) -> int:
         return len(self.pattern)

@@ -59,9 +59,6 @@ class Atom:
     def with_peer(self, peer: str | None) -> "Atom":
         return Atom(self.relation, self.args, peer)
 
-    def with_relation(self, relation: str) -> "Atom":
-        return Atom(relation, self.args, self.peer)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Atom) and self._hash == other._hash
                 and self.relation == other.relation and self.args == other.args

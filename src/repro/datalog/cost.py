@@ -371,9 +371,6 @@ class CostModel:
     def recursive(self, key: RelationKey) -> bool:
         return key in self._recursive
 
-    def relation_cards(self) -> Mapping[RelationKey, Card]:
-        return dict(self._cards)
-
     def total_facts(self) -> Card:
         """Fixpoint-size bound: every relation's bound summed."""
         total = ZERO

@@ -1,8 +1,8 @@
 """Semi-naive bottom-up evaluation with resource budgets.
 
-Semi-naive evaluation restricts each join so that at least one IDB body
-atom is matched against the *delta* of the previous round, avoiding
-rediscovery of old facts.  It computes the same minimal model as naive
+Semi-naive evaluation restricts each join so that at least one body
+atom is matched against facts its rule has not consumed yet (the
+*delta*), avoiding rediscovery.  It computes the same minimal model as naive
 evaluation (a property-tested invariant) and is the workhorse under the
 QSQ and Magic-Set rewritings: the paper's Figure-4 program is itself a
 Datalog program, and evaluating it semi-naively *is* the QSQ evaluation.
@@ -126,28 +126,38 @@ class RuleFirer:
 
 
 class IncrementalEvaluator(RuleFirer):
-    """Semi-naive evaluation with a persistent frontier.
+    """Semi-naive evaluation with a persistent frontier: the one scheduler.
 
-    Built for the distributed engines: a peer's rule set *grows* over
-    time (lazy rewriting installs fragments; delegations arrive) and its
-    fact store receives external tuples between fixpoints.  The
-    evaluator keeps a per-relation cursor into the (append-only) fact
-    lists: every fact beyond the cursor is an unprocessed delta, and
-    every newly added rule fires once against the full store before
-    joining the delta regime.  Repeated calls to :meth:`run` therefore
-    cost time proportional to the *new* work, not to the whole history.
+    Section 3.1's continuous flow, started (Remark 2) before the program
+    is complete: a peer's rule set *grows* over time (lazy rewriting
+    installs fragments; delegations arrive) and its store receives
+    external tuples between fixpoints.  A per-relation cursor into the
+    (append-only) fact lists marks every fact beyond it as an
+    unprocessed delta, and every newly added rule fires once against the
+    full store before joining the delta regime.  Repeated calls to
+    :meth:`run` therefore cost time proportional to the *new* work.
     """
 
-    def __init__(self, db: Database, budget: EvaluationBudget | None = None,
+    def __init__(self, db: Database | None = None,
+                 budget: EvaluationBudget | None = None,
                  advisor: "PlanAdvisor | None" = None) -> None:
         super().__init__(budget, advisor)
+        if db is not None:  # None: the owner calls bind() before add_rule()
+            self.bind(db)
+
+    def bind(self, db: Database) -> None:
+        """Schedule over ``db`` with no rule installed; plans are kept.
+
+        The frontier starts at the end of what ``db`` holds: those facts
+        reach a rule through its first (full) firing, and replaying them
+        as deltas afterwards would derive them twice.
+        """
         self.db = db
-        self._rules: list[Rule] = []
         self._seen_rules: set[Rule] = set()
         self._pending_rules: list[Rule] = []
         self._by_body: dict[RelationKey, list[tuple[Rule, int]]] = defaultdict(list)
-        self._cursor: dict[RelationKey, int] = {}
-        self._log_position = 0
+        self._cursor: dict[RelationKey, int] = db.snapshot_counts()
+        self._log_position = len(db.change_log())
 
     def reset(self, db: Database) -> None:
         """Rebind to a fresh database and drop every derived structure.
@@ -161,15 +171,9 @@ class IncrementalEvaluator(RuleFirer):
         a plan compiled for a different rule, silently probing the wrong
         indexes.  Counters survive: recovery work is real work.
         """
-        self.db = db
         self._plans.clear()
         self._plan_stats = PlanStats()
-        self._rules = []
-        self._seen_rules = set()
-        self._pending_rules = []
-        self._by_body = defaultdict(list)
-        self._cursor = {}
-        self._log_position = 0
+        self.bind(db)
 
     def add_rule(self, rule: Rule) -> bool:
         """Register a rule; facts go straight to the store."""
@@ -185,15 +189,10 @@ class IncrementalEvaluator(RuleFirer):
 
     def run(self) -> None:
         """Process pending rules and unprocessed facts to a fixpoint."""
-        iterations = 0
-        while True:
-            iterations += 1
-            if iterations > self.budget.max_iterations:
-                raise BudgetExceeded("iterations", self.budget.max_iterations)
+        for _ in range(self.budget.max_iterations):
             progressed = False
             pending, self._pending_rules = self._pending_rules, []
             for rule in pending:
-                self._rules.append(rule)
                 for position, atom in enumerate(rule.body):
                     self._by_body[atom.key()].append((rule, position))
                 self._derive(rule, self.db)
@@ -201,9 +200,7 @@ class IncrementalEvaluator(RuleFirer):
             # Only relations named in the change-log suffix can have new
             # facts: no full scan over the (large) relation space.
             log = self.db.change_log()
-            touched: dict[RelationKey, None] = {}
-            for key in log[self._log_position:]:
-                touched[key] = None
+            touched = dict.fromkeys(log[self._log_position:])
             self._log_position = len(log)
             for key in touched:
                 facts = self.db.facts(key)
@@ -218,10 +215,16 @@ class IncrementalEvaluator(RuleFirer):
             if not progressed:
                 self.flush_stats()
                 return
+        raise BudgetExceeded("iterations", self.budget.max_iterations)
 
 
-class SemiNaiveEvaluator(RuleFirer):
-    """Semi-naive fixpoint evaluation of a program over a database."""
+class SemiNaiveEvaluator:
+    """Semi-naive fixpoint of a whole program: the program-at-once front
+    of :class:`IncrementalEvaluator`, a peer with nothing left to arrive.
+
+    Counters and compiled plans are that scheduler's and outlive a
+    :meth:`run`: the rules that key the plans are the program's own.
+    """
 
     def __init__(self, program: Program,
                  budget: EvaluationBudget | None = None,
@@ -229,47 +232,27 @@ class SemiNaiveEvaluator(RuleFirer):
                  advisor: "PlanAdvisor | None" = None, *,
                  compiled: object = None) -> None:
         # ``compiled`` is accepted and ignored: the frozen benchmark
-        # (benchmarks/e2e/probes.py::_centralized_run) still passes it, and
-        # a TypeError there would count as a failed op.  Nothing selects an
-        # executor; the next benchmark PR drops the argument, then this.
-        super().__init__(budget, advisor)
+        # (benchmarks/e2e/probes.py::_centralized_run) still passes it and a
+        # TypeError there is a failed op; the next benchmark PR drops it.
         self.program = program
+        self._scheduler = IncrementalEvaluator(None, budget, advisor)
+        self.budget = self._scheduler.budget
+        self.counters = self._scheduler.counters
+        self.flush_stats = self._scheduler.flush_stats
         if check:
             from repro.datalog.analysis import check_program
-            check_program(program, context="seminaive",
-                          depth_bounded=self.budget.max_term_depth is not None,
-                          counters=self.counters)
-        self._idb: set[RelationKey] = program.idb_relations()
+            check_program(program, context="seminaive", counters=self.counters,
+                          depth_bounded=self.budget.max_term_depth is not None)
 
     def run(self, db: Database) -> Database:
         """Evaluate to fixpoint in place; returns ``db``."""
         for fact in self.program.facts():
             if db.add_atom(fact.head):
                 self.counters.add("facts_materialized")
-
-        rules = [r for r in self.program.proper_rules()]
-        rules_by_body: dict[RelationKey, list[tuple[Rule, int]]] = defaultdict(list)
-        for rule in rules:
-            for position, atom in enumerate(rule.body):
-                rules_by_body[atom.key()].append((rule, position))
-
-        # Round 0: every rule fires against the initial database.
-        delta: dict[RelationKey, list[Fact]] = {}
-        for rule in rules:
-            self._fire(rule, db, None, None, delta)
-
-        iterations = 0
-        while delta:
-            iterations += 1
-            if iterations > self.budget.max_iterations:
-                raise BudgetExceeded("iterations", self.budget.max_iterations)
-            next_delta: dict[RelationKey, list[Fact]] = {}
-            for key, rows in delta.items():
-                for rule, position in rules_by_body.get(key, ()):
-                    self._fire(rule, db, position, rows, next_delta)
-            delta = next_delta
-        self.counters.add("iterations", iterations)
-        self.flush_stats()
+        self._scheduler.bind(db)
+        for rule in self.program.proper_rules():
+            self._scheduler.add_rule(rule)
+        self._scheduler.run()
         return db
 
     def answers(self, db: Database, query: Query) -> set[Fact]:
@@ -277,10 +260,3 @@ class SemiNaiveEvaluator(RuleFirer):
         from repro.datalog.naive import select
         self.run(db)
         return select(db, query.atom)
-
-    def _fire(self, rule: Rule, db: Database, delta_position: int | None,
-              delta_rows: Sequence[Fact] | None,
-              out_delta: dict[RelationKey, list[Fact]]) -> None:
-        fresh = self._derive(rule, db, delta_position, delta_rows)
-        if fresh:
-            out_delta.setdefault(rule.head.key(), []).extend(fresh)

@@ -156,12 +156,6 @@ class Func:
         return f"{self.name}({inner})"
 
 
-def intern_table_sizes() -> dict[str, int]:
-    """Live entries per intern table (observability for the bench layer)."""
-    return {"const": len(Const._intern), "var": len(Var._intern),
-            "func": len(Func._intern)}
-
-
 def is_ground(term: Term) -> bool:
     """Return True iff ``term`` contains no variables (O(1): cached)."""
     return term._ground

@@ -61,12 +61,6 @@ class DiagnosabilitySpec:
     def classes(self) -> dict[str, frozenset[str]]:
         return dict(self.fault_classes)
 
-    def all_faults(self) -> frozenset[str]:
-        out: set[str] = set()
-        for _name, faults in self.fault_classes:
-            out |= faults
-        return frozenset(out)
-
     def validate(self, petri: PetriNet) -> None:
         """Raise :class:`PetriNetError` unless the spec fits the net."""
         transitions = petri.net.transitions

@@ -34,6 +34,7 @@ from repro.diagnosability.twin import TwinPlant, twin_product
 from repro.petri.marking import enabled_transitions, fire
 from repro.petri.net import PetriNet
 from repro.utils.counters import Counters
+from repro.utils.orders import strongly_connected_components
 
 VERDICT_DIAGNOSABLE = "diagnosable"
 VERDICT_NON_DIAGNOSABLE = "non-diagnosable"
@@ -245,12 +246,12 @@ class _Search:
         """An ambiguous cycle with left progress: ``(entry, pump tids)``.
 
         Finds the strongly connected components of the explored graph
-        (iterative Tarjan), keeps those that are ambiguous and contain
+        (the shared Tarjan), keeps those that are ambiguous and contain
         an internal edge moving the left copy, and returns the
         BFS-earliest entry state plus one pump iteration through such
         an edge.
         """
-        component = self._tarjan()
+        component = self._components()
         best: tuple[int, int, str, int] | None = None  # (entry, u, tid, v)
         for u, outgoing in enumerate(self.edges):
             if not self.states[u][1]:
@@ -307,53 +308,15 @@ class _Search:
             frontier = nxt
         return None
 
-    def _tarjan(self) -> list[int]:
-        """Iterative Tarjan; returns the component id of every state."""
-        n = len(self.states)
-        index_of = [-1] * n
-        lowlink = [0] * n
-        on_stack = [False] * n
-        component = [-1] * n
-        stack: list[int] = []
-        counter = 0
-        components = 0
-        for root in range(n):
-            if index_of[root] != -1:
-                continue
-            work: list[tuple[int, int]] = [(root, 0)]
-            while work:
-                node, edge_pos = work.pop()
-                if edge_pos == 0:
-                    index_of[node] = lowlink[node] = counter
-                    counter += 1
-                    stack.append(node)
-                    on_stack[node] = True
-                recurse = False
-                outgoing = self.edges[node]
-                while edge_pos < len(outgoing):
-                    succ = outgoing[edge_pos][1]
-                    edge_pos += 1
-                    if index_of[succ] == -1:
-                        work.append((node, edge_pos))
-                        work.append((succ, 0))
-                        recurse = True
-                        break
-                    if on_stack[succ]:
-                        lowlink[node] = min(lowlink[node], index_of[succ])
-                if recurse:
-                    continue
-                if lowlink[node] == index_of[node]:
-                    while True:
-                        member = stack.pop()
-                        on_stack[member] = False
-                        component[member] = components
-                        if member == node:
-                            break
-                    components += 1
-                if work:
-                    parent_node = work[-1][0]
-                    lowlink[parent_node] = min(lowlink[parent_node],
-                                               lowlink[node])
+    def _components(self) -> list[int]:
+        """The strongly connected component id of every state."""
+        successors = {u: [v for _tid, v in outgoing]
+                      for u, outgoing in enumerate(self.edges)}
+        component = [0] * len(self.states)
+        for number, members in enumerate(
+                strongly_connected_components(successors, successors)):
+            for state in members:
+                component[state] = number
         return component
 
     def path_to(self, position: int) -> list[str]:

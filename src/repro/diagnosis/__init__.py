@@ -29,7 +29,7 @@ from repro.diagnosis.patterns import AlarmPattern, ObservationSpec
 from repro.diagnosis.report import (decode_event, diagnosis_to_dot,
                                     render_diagnosis_report)
 from repro.diagnosis.online import (OnlineDiagnoser, OnlineResult,
-                                    online_diagnosis, online_diagnosis_result)
+                                    online_diagnosis_result)
 from repro.diagnosis.problem import explains_strict
 
 __all__ = [
@@ -42,6 +42,6 @@ __all__ = [
     "DatalogDiagnosisEngine", "DatalogDiagnosisResult", "EvaluationMode",
     "AlarmPattern", "ObservationSpec",
     "decode_event", "diagnosis_to_dot", "render_diagnosis_report",
-    "OnlineDiagnoser", "OnlineResult", "online_diagnosis",
-    "online_diagnosis_result", "explains_strict",
+    "OnlineDiagnoser", "OnlineResult", "online_diagnosis_result",
+    "explains_strict",
 ]

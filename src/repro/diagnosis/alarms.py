@@ -12,7 +12,7 @@ tests exercise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,3 @@ class AlarmSequence:
 
     def __repr__(self) -> str:
         return f"AlarmSequence({' '.join(str(a) for a in self.alarms)})"
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[tuple[str, str]]) -> "AlarmSequence":
-        return cls(pairs)

@@ -123,7 +123,11 @@ class OnlineDiagnoser:
         roots = [self.bp.add_root(place) for place in sorted(petri.marking)]
         initial = _State(events=frozenset(),
                          cut=frozenset(c.cid for c in roots))
-        self._table: dict[IndexVector, set[_State]] = {(): {initial}}
+        #: per-vector states as insertion-ordered dict keys: a set would
+        #: iterate a rehydrated table in another order than the live one,
+        #: and pushes would add their events in that order
+        self._table: dict[IndexVector, dict[_State, None]] = {
+            (): {initial: None}}
         self._streams: dict[str, list[str]] = {}
         #: (symbol, peer) pairs in arrival order
         self._received: list[tuple[str, str]] = []
@@ -178,12 +182,13 @@ class OnlineDiagnoser:
         new_count = len(stream)
 
         for vector in self._slab(pushed_peer, new_count):
-            states: set[_State] = set()
+            states: dict[_State, None] = {}
             for peer, count in vector:
                 symbol = self._streams[peer][count - 1]
                 previous = self._table.get(_decrement(vector, peer), ())
                 for state in previous:
-                    states.update(self._extensions(state, peer, symbol))
+                    for extended in self._extensions(state, peer, symbol):
+                        states[extended] = None
             self._table[vector] = states
         self._compact(pushed_peer)
         self.counters.set_max("peak_table_vectors", len(self._table))
@@ -357,7 +362,7 @@ class OnlineDiagnoser:
         # decode first, assign after: a refused snapshot changes nothing
         bp = BranchingProcess.from_rows(
             self.petri, snapshot["conditions"], snapshot["events"])
-        table = {vector: {_State(frozenset(events), frozenset(cut))
+        table = {vector: {_State(frozenset(events), frozenset(cut)): None
                           for events, cut in states}
                  for vector, states in snapshot["table"].items()}
         counters = Counters()
@@ -428,14 +433,6 @@ class OnlineResult:
     def peer_report(self) -> dict[str, dict[str, int | bool]] | None:
         """In-process: there are no peers to fail."""
         return None
-
-
-def online_diagnosis(petri: PetriNet, alarms: AlarmSequence,
-                     window: int | None = None) -> DiagnosisSet:
-    """Batch convenience wrapper over the online supervisor."""
-    diagnoser = OnlineDiagnoser(petri, window=window)
-    diagnoser.push_all(alarms)
-    return diagnoser.diagnoses()
 
 
 def online_diagnosis_result(petri: PetriNet, alarms: AlarmSequence,

@@ -45,12 +45,6 @@ class DDatalogProgram:
         """The rules held by ``peer``: those whose head is located at it."""
         return [rule for rule in self.program if rule.head.peer == peer]
 
-    def rules_by_peer(self) -> dict[str, list[Rule]]:
-        out: dict[str, list[Rule]] = defaultdict(list)
-        for rule in self.program:
-            out[rule.head.peer].append(rule)  # type: ignore[index]
-        return dict(out)
-
     def local_version(self) -> Program:
         """The paper's ``P_local``: peer names dropped, relations renamed
         apart first so that distinct peers' relations stay distinct

@@ -1,4 +1,4 @@
-"""Runs the E1-E7 experiments and renders EXPERIMENTS.md.
+"""Runs the registered experiments and renders EXPERIMENTS.md.
 
 Each experiment is a callable returning an :class:`ExperimentResult`;
 the registry maps ids to callables.  ``python -m repro.experiments``

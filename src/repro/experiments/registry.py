@@ -1,4 +1,4 @@
-"""The E1-E7 experiments plus ablations (see DESIGN.md section 4).
+"""The E1-E10 experiments plus ablations (see DESIGN.md section 4).
 
 Every function is deterministic (fixed seeds) and returns an
 :class:`~repro.experiments.harness.ExperimentResult` whose rows are the

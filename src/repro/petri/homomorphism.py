@@ -82,8 +82,3 @@ def verify_branching_process(bp: BranchingProcess) -> list[str]:
             if bp.conditions[cid].depth >= event.depth:
                 problems.append(f"depth not increasing into event {event.eid}")
     return problems
-
-
-def is_homomorphic_image(bp: BranchingProcess) -> bool:
-    """Convenience wrapper: True when no axiom is violated."""
-    return not verify_branching_process(bp)

@@ -21,10 +21,6 @@ def enabled_transitions(net: Net, marking: Marking) -> tuple[str, ...]:
                         if all(p in marking for p in net.parents(t))))
 
 
-def is_enabled(net: Net, marking: Marking, transition: str) -> bool:
-    return all(p in marking for p in net.parents(transition))
-
-
 def fire(net: Net, marking: Marking, transition: str) -> Marking:
     """Fire a transition: ``M' = M - preset + postset`` (Definition 2).
 
@@ -83,20 +79,3 @@ def is_safe(petri: PetriNet, max_markings: int = 100_000) -> bool:
     except NotSafeError:
         return False
     return True
-
-
-def reachability_edges(petri: PetriNet,
-                       max_markings: int = 100_000) -> Iterator[tuple[Marking, str, Marking]]:
-    """Edges of the reachability graph: ``(marking, transition, successor)``."""
-    seen: set[Marking] = {petri.marking}
-    agenda: deque[Marking] = deque([petri.marking])
-    while agenda:
-        marking = agenda.popleft()
-        for transition in enabled_transitions(petri.net, marking):
-            successor = fire(petri.net, marking, transition)
-            yield marking, transition, successor
-            if successor not in seen:
-                if len(seen) >= max_markings:
-                    raise PetriNetError(f"reachability exceeded {max_markings} markings")
-                seen.add(successor)
-                agenda.append(successor)

@@ -80,17 +80,11 @@ class Net:
         """The postset of a node (the paper's bullet-suffix notation)."""
         return self._children[node]
 
-    def is_place(self, node: str) -> bool:
-        return node in self.places
-
     def is_transition(self, node: str) -> bool:
         return node in self.transitions
 
     def peers(self) -> frozenset[str]:
         return frozenset(self.peer.values())
-
-    def nodes_of_peer(self, peer: str) -> frozenset[str]:
-        return frozenset(n for n, p in self.peer.items() if p == peer)
 
     def transitions_of_peer(self, peer: str) -> tuple[str, ...]:
         return tuple(sorted(t for t in self.transitions if self.peer[t] == peer))

@@ -173,15 +173,6 @@ class BranchingProcess:
     def event_alarm(self, eid: str) -> str:
         return self.petri.net.alarm[self.events[eid].transition]
 
-    def parents_of_event(self, eid: str) -> tuple[str, ...]:
-        return self.events[eid].preset
-
-    def parent_of_condition(self, cid: str) -> str | None:
-        return self.conditions[cid].producer
-
-    def node_ids(self) -> frozenset[str]:
-        return frozenset(self.conditions) | frozenset(self.events)
-
     def rho(self, node: str) -> str:
         """The homomorphism to the Petri net (Definition 3)."""
         if node in self.events:

@@ -111,10 +111,6 @@ class ProductNet:
     #: peer -> accepting observer place ids
     accepting_places: dict[str, frozenset[str]] = field(default_factory=dict)
 
-    def project_events(self, event_transitions: Iterable[str]) -> list[str]:
-        """Map product transitions back to system transitions."""
-        return [self.projection[t] for t in event_transitions]
-
 
 def observer_place(peer: str, state: str) -> str:
     """Id of the product place carrying an observer state."""

@@ -37,10 +37,6 @@ class NodeRelations:
             for cid in bp.postset[event.eid]:
                 memo[cid] = memo[event.eid]
 
-    def ancestor_events(self, node: str) -> frozenset[str]:
-        """Events e with e <= node (for an event node, includes itself)."""
-        return self._ancestor_events[node]
-
     def causal_leq(self, u: str, v: str) -> bool:
         """u <= v: u equals v or a path leads from u to v."""
         if u == v:
@@ -77,11 +73,3 @@ class NodeRelations:
 
     def _with_self(self, node: str) -> frozenset[str]:
         return self._ancestor_events[node]
-
-    def is_coset(self, conditions: tuple[str, ...]) -> bool:
-        """True when the conditions are pairwise concurrent."""
-        for i, u in enumerate(conditions):
-            for v in conditions[i + 1:]:
-                if not self.concurrent(u, v):
-                    return False
-        return True

@@ -5,6 +5,7 @@ import pytest
 from repro.datalog import (Database, EvaluationBudget, NaiveEvaluator, Query,
                            SemiNaiveEvaluator, parse_atom, parse_program)
 from repro.datalog.naive import load_facts, select
+from repro.datalog.seminaive import IncrementalEvaluator
 from repro.errors import BudgetExceeded
 
 TC = """
@@ -51,13 +52,39 @@ class TestTransitiveClosure:
         assert semi.counters["facts_materialized"] == naive.counters["facts_materialized"]
 
     def test_firings_are_counted_and_the_empty_ones_told_apart(self):
-        # Round 0 fires both rules; the path delta then fires the
+        # Installing fires both rules; the path delta then fires the
         # recursive rule twice, and the last delta (a-d) joins nothing.
         program = parse_program(TC)
         semi = SemiNaiveEvaluator(program)
         semi.run(load_facts(program))
         assert semi.counters["plan.firings"] == 4
         assert semi.counters["plan.empty_firings"] == 1
+
+    def test_a_populated_store_is_not_replayed_as_a_delta(self):
+        # The edges are in the store before the scheduler is bound to it:
+        # they reach the rules through the install firing only.  Replayed
+        # as deltas as well they make 14 derivations for the 6 facts.
+        program = parse_program(TC)
+        semi = SemiNaiveEvaluator(program)
+        semi.run(Database())
+        db = load_facts(program)
+        bound = IncrementalEvaluator(db)
+        for rule in program.proper_rules():
+            bound.add_rule(rule)
+        bound.run()
+        assert db.count(("path", None)) == 6
+        assert bound.counters["derivations"] == 8
+        assert semi.counters["derivations"] == 8
+
+    def test_a_second_run_compiles_no_plan_again(self):
+        program = parse_program(TC)
+        semi = SemiNaiveEvaluator(program)
+        semi.run(Database())
+        compiled = semi.counters["plan.cache_misses"]
+        assert compiled > 0
+        assert semi.run(Database()).count(("path", None)) == 6
+        assert semi.counters["plan.cache_misses"] == compiled
+        assert semi.counters["plan.firings"] == 8
 
 
 class TestActivation:

@@ -34,13 +34,13 @@ class TestReset:
         db.add(("q", None), (Const("a"),))
         evaluator.run()
         assert evaluator._plans
-        assert evaluator._rules
+        assert evaluator._by_body
+        assert evaluator._cursor
 
         fresh = Database()
         evaluator.reset(fresh)
         assert evaluator.db is fresh
         assert not evaluator._plans
-        assert not evaluator._rules
         assert not evaluator._seen_rules
         assert not evaluator._by_body
         assert not evaluator._cursor

@@ -1,9 +1,22 @@
 """Tests for the experiment harness (fast experiments only)."""
 
+import functools
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import EXPERIMENTS, run_all
 from repro.experiments.harness import ExperimentResult, write_report
+
+#: the experiments the shape tests run anyway, none with a timing cell:
+#: checking their committed sections costs no further run
+NO_CLOCK = ("E1", "E2", "E3", "E4", "A3", "A4")
+
+
+@functools.cache
+def fresh(experiment_id):
+    """One run per experiment, shared by the shape and report tests."""
+    return EXPERIMENTS[experiment_id]()
 
 
 class TestRegistry:
@@ -13,7 +26,7 @@ class TestRegistry:
             assert experiment_id in EXPERIMENTS
 
     def test_e1_shape(self):
-        result = EXPERIMENTS["E1"]()
+        result = fresh("E1")
         assert result.experiment_id == "E1"
         assert len(result.rows) == 3
         # Every solver agrees on every scenario.
@@ -21,30 +34,40 @@ class TestRegistry:
             assert row[-1] is True and row[-2] is True
 
     def test_e2_shape(self):
-        result = EXPERIMENTS["E2"]()
+        result = fresh("E2")
         by_name = {row[0]: row[1] for row in result.rows}
         # QSQ's full materialization is below naive's.
         assert by_name["QSQ (all rewritten rels)"] <= by_name["naive (activated)"] * 3
         assert by_name["semi-naive"] == by_name["naive (activated)"]
 
     def test_e3_shape(self):
-        result = EXPERIMENTS["E3"]()
+        result = fresh("E3")
         assert any("Theorem 1" in note and "True" in note for note in result.notes)
 
     def test_e4_shape(self):
-        result = EXPERIMENTS["E4"]()
+        result = fresh("E4")
         for row in result.rows:
             assert row[-1] is True and row[-2] is True
 
     def test_a3_shape(self):
-        result = EXPERIMENTS["A3"]()
+        result = fresh("A3")
         oracle_row, detector_row = result.rows
         assert detector_row[1] > oracle_row[1]
 
     def test_a4_shape(self):
-        result = EXPERIMENTS["A4"]()
+        result = fresh("A4")
         for row in result.rows:
             assert row[1] > 0 and row[2] > 0
+
+
+class TestCommittedReport:
+    @pytest.mark.parametrize("experiment_id", NO_CLOCK)
+    def test_section_equals_a_fresh_run(self, experiment_id):
+        # EXPERIMENTS.md is generated; a change that moves a count must
+        # regenerate it (python -m repro.experiments) in the same commit.
+        report = Path(__file__).parents[1].joinpath("EXPERIMENTS.md").read_text()
+        section = fresh(experiment_id).to_markdown()
+        assert section[:section.rindex("_Runtime:")] in report
 
 
 class TestHarness:

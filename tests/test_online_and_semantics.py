@@ -19,7 +19,7 @@ import pytest
 
 from repro.diagnosis import (AlarmSequence, DatalogDiagnosisEngine,
                              DedicatedDiagnoser, bruteforce_diagnosis, explains)
-from repro.diagnosis.online import OnlineDiagnoser, online_diagnosis
+from repro.diagnosis.online import OnlineDiagnoser, online_diagnosis_result
 from repro.diagnosis.problem import explains_strict
 from repro.petri.examples import figure1_alarm_scenarios, figure1_net
 from repro.petri.generators import random_safe_net
@@ -71,7 +71,7 @@ class TestOnlineDiagnoser:
     def test_online_equals_batch_on_random_nets(self, seed):
         petri = random_safe_net(seed, branching=0.5)
         alarms = simulate_alarms(petri, steps=4, seed=seed)
-        assert (online_diagnosis(petri, alarms)
+        assert (online_diagnosis_result(petri, alarms).diagnoses
                 == bruteforce_diagnosis(petri, alarms).diagnoses)
 
     def test_asynchronous_race_is_handled(self):

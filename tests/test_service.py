@@ -34,9 +34,39 @@ from repro.workloads.scenarios import get_scenario
 
 BAC = [("b", "p1"), ("a", "p2"), ("c", "p1")]
 
+# One draw of TestSnapshotRoundTrip (seed 244, 11 steps, window 8, cut
+# after 6): under PYTHONHASHSEED=11 the two sessions differ if the
+# diagnoser's state tables iterate in hash order.
+ROUND_TRIP_SCRIPT = '''
+import json
+from repro.service import DiagnosisSession, SessionConfig
+from repro.workloads.alarmgen import simulate_alarms
+from repro.workloads.scenarios import get_scenario
+petri, _alarms = get_scenario("telecom-small").instantiate()
+alarms = list(simulate_alarms(petri, steps=11, seed=244))
+live = DiagnosisSession("s", petri, SessionConfig(window=8, degraded_window=2))
+for alarm in alarms[:6]:
+    live.apply(alarm.symbol, alarm.peer)
+evicted = DiagnosisSession.from_bytes(live.snapshot_bytes())
+for alarm in alarms[6:]:
+    live.apply(alarm.symbol, alarm.peer)
+    evicted.apply(alarm.symbol, alarm.peer)
+print(json.dumps([list(s.diagnoser.bp.events) for s in (live, evicted)]))
+'''
+
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def python_prints(script: str, *args: str, **env: str):
+    """What ``script`` prints as JSON, run by a fresh interpreter."""
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True,
+        text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **env})
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 async def feed(service: DiagnosisService, session: str,
@@ -200,14 +230,10 @@ class TestSession:
             "s = DiagnosisSession.from_bytes(open(sys.argv[1], 'rb').read())\n"
             "s.apply('a', 'p2'); s.apply('c', 'p1')\n"
             "print(json.dumps(s.diagnoses_payload()))")
-        done = subprocess.run(
-            [sys.executable, "-c", script, str(path)], capture_output=True,
-            text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-        assert done.returncode == 0, done.stderr
+        rebuilt = python_prints(script, str(path))
         session.apply("a", "p2")
         session.apply("c", "p1")
-        assert json.loads(done.stdout) == session.diagnoses_payload()
+        assert rebuilt == session.diagnoses_payload()
 
     def test_dirty_flag_follows_apply_and_degrade(self):
         session = DiagnosisSession("s", figure1_net())
@@ -302,6 +328,12 @@ class TestSnapshotRoundTrip:
                 == live.apply(alarm.symbol, alarm.peer)
         assert evicted.diagnoses_payload() == live.diagnoses_payload()
         assert _state(evicted) == _state(live)
+
+    def test_event_order_survives_rehydration_at_the_seed_that_failed(self):
+        live_events, evicted_events = python_prints(ROUND_TRIP_SCRIPT,
+                                                    PYTHONHASHSEED="11")
+        assert len(live_events) > 6
+        assert evicted_events == live_events
 
 
 # -- the service: lifecycle and the alarm path ---------------------------------
