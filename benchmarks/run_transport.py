@@ -7,17 +7,11 @@ projection to a hub peer -- on both registered transports, checks that
 the answer sets are *identical*, and writes a machine-readable report
 to ``BENCH_transport.json``.
 
-The workload is embarrassingly parallel by construction: the K local
-fixpoints are independent, so the serial simulator pays their sum while
-the multiprocessing transport pays roughly the slowest one plus
-process/queue overhead.  On a host with ``min(K, cores) >= 2`` usable
-cores the mp transport must therefore beat the simulator from 4 peers
-up, and the runner exits non-zero when it does not.  On a single-core
-host (CI smoke containers) genuine parallelism is physically
-unavailable -- every mp worker shares the one core and only the
-overhead remains -- so the speedup gate is skipped and the report
-records ``"parallel_hardware": false`` alongside the measured
-overhead; answer equivalence is still enforced.
+Answer equivalence is the only exit gate.  ``sim_s``, ``mp_s`` and
+``cpus`` are plain measurements that support no claim: no committed
+number shows mp faster than the simulator, and on the hosts this runs
+on (1-2 cpus) what mp measures is its overhead -- process start-up,
+pickling and queue hops (see ROADMAP, "mp's fate").
 
 Usage::
 
@@ -36,11 +30,9 @@ from repro.datalog.naive import load_facts
 from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.rule import Query
 from repro.distributed.ddatalog import DDatalogProgram
-from repro.distributed.mp import MpConfig, default_parallelism
+from repro.distributed.mp import (MpConfig, MpTransportRuntime,
+                                  default_parallelism)
 from repro.distributed.naive_dist import DistributedNaiveEngine
-
-#: peers from this count up must beat the simulator on parallel hardware
-GATE_PEERS = 4
 
 
 def _program_text(peers: int, nodes: int) -> str:
@@ -60,8 +52,9 @@ def _program_text(peers: int, nodes: int) -> str:
 
 def _run_once(program: DDatalogProgram, edb, query: Query,
               transport: str) -> tuple[float, frozenset]:
-    engine = DistributedNaiveEngine(program, edb, transport=transport,
-                                    mp_config=MpConfig(timeout=600.0))
+    runtime = (MpTransportRuntime(MpConfig(timeout=600.0))
+               if transport == "mp" else transport)
+    engine = DistributedNaiveEngine(program, edb, transport=runtime)
     t0 = time.perf_counter()
     result = engine.query(query)
     elapsed = time.perf_counter() - t0
@@ -89,12 +82,10 @@ def bench_peers(peers: int, nodes: int) -> dict:
         "answers": len(sim_answers),
         "sim_s": round(sim_s, 6),
         "mp_s": round(mp_s, 6),
-        "speedup": round(sim_s / mp_s, 3),
         "equivalent": sim_answers == mp_answers,
     }
     status = "OK" if report["equivalent"] else "MISMATCH"
     print(f"peers={peers:2d} sim={sim_s:.3f}s mp={mp_s:.3f}s "
-          f"speedup={report['speedup']:.2f}x "
           f"answers={report['answers']} [{status}]")
     return report
 
@@ -108,7 +99,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     cpus = default_parallelism()
-    parallel_hardware = cpus >= 2
     if args.smoke:
         sizes = [(2, 50), (4, 50)]
     else:
@@ -116,15 +106,10 @@ def main(argv=None) -> int:
 
     workloads = [bench_peers(peers, nodes) for peers, nodes in sizes]
 
-    gated = [w for w in workloads if w["peers"] >= GATE_PEERS]
-    mp_wins = bool(gated) and all(w["speedup"] > 1.0 for w in gated)
     payload = {
         "benchmark": "transport",
         "smoke": args.smoke,
         "cpus": cpus,
-        "parallel_hardware": parallel_hardware,
-        "gate_peers": GATE_PEERS,
-        "mp_beats_sim_at_gate": mp_wins,
         "workloads": workloads,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
@@ -134,13 +119,6 @@ def main(argv=None) -> int:
     if failures:
         print(f"EQUIVALENCE MISMATCH at peers={failures}", file=sys.stderr)
         return 1
-    if parallel_hardware and not mp_wins:
-        print(f"PERF GATE: mp did not beat sim at >= {GATE_PEERS} peers "
-              f"on a {cpus}-core host", file=sys.stderr)
-        return 1
-    if not parallel_hardware:
-        print("single-core host: parallel speedup unavailable by "
-              "construction; measured mp overhead instead")
     return 0
 
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
 from repro.datalog.cost import CostBudget
 from repro.datalog.seminaive import EvaluationBudget
@@ -106,11 +106,10 @@ class RunConfig:
     #: raises at run time rather than silently downgrading
     options: NetworkOptions | None = None
     #: ``"sim"`` (deterministic simulator, default), ``"mp"`` (one OS
-    #: process per peer), or a ready
-    #: :class:`~repro.distributed.transport.TransportRuntime`
+    #: process per peer, under ``MpConfig()``), or a ready
+    #: :class:`~repro.distributed.transport.TransportRuntime` -- a
+    #: configured ``MpTransportRuntime(MpConfig(...))`` included
     transport: str | TransportRuntime = "sim"
-    #: optional :class:`repro.distributed.mp.MpConfig` for ``"mp"``
-    mp: Any = None
     #: run the Dijkstra-Scholten detector alongside the evaluation
     use_termination_detector: bool = False
     #: admission control for the Datalog paths: before evaluation the
@@ -164,7 +163,7 @@ def _datalog(mode: EvaluationMode) -> _Solver:
     return lambda petri, spec, config: DatalogDiagnosisEngine(
         petri, mode=mode, budget=config.budget,
         options=config.options, transport=config.transport,
-        mp_config=config.mp, cost_budget=config.cost_budget,
+        cost_budget=config.cost_budget,
         use_termination_detector=config.use_termination_detector,
     ).diagnose(spec)
 

@@ -23,7 +23,7 @@ propagated SCC-by-SCC in dependency order:
 propagation, same indexability rule), so its per-step ``cost`` predicts
 the ``plan.bindings_explored`` counter -- the quantity the benchmark
 gate checks predictions against.  On top of the estimator sit the
-:class:`PlanAdvisor` (cost-based join orders for the evaluators), the
+:class:`PlanAdvisor` (DD805's search for a cheaper join order), the
 DD801-DD805 diagnostics (:func:`check_cost`), and the admission-control
 primitive :func:`evaluate_cost_budget` / :class:`CostBudget` consumed by
 :class:`repro.api.RunConfig`.
@@ -462,18 +462,21 @@ class PlanChoice:
 
 
 class PlanAdvisor:
-    """Cost-based join orders for :func:`repro.datalog.plan.plan_for`.
+    """The cost-based join order of a rule: DD805's search.
 
-    For bodies of up to ``max_exhaustive`` atoms the search is
-    exhaustive over permutations (the delta atom stays pinned first,
-    semi-naive correctness); larger bodies fall back to a greedy
+    Advice for the author, not a seam of the evaluators: a
+    :class:`~repro.datalog.plan.JoinPlan` takes the advised order as
+    ``order=``.  For bodies of up to :attr:`MAX_EXHAUSTIVE` atoms the
+    search is exhaustive over permutations (the delta atom stays pinned
+    first, semi-naive correctness); larger bodies fall back to a greedy
     cheapest-next-step construction.  The default greedy order wins ties
     so the advisor never reorders without a predicted strict win.
     """
 
-    def __init__(self, model: CostModel, max_exhaustive: int = 6) -> None:
+    MAX_EXHAUSTIVE = 6
+
+    def __init__(self, model: CostModel) -> None:
         self.model = model
-        self.max_exhaustive = max_exhaustive
         self._choices: dict[tuple[Rule, int | None], PlanChoice] = {}
 
     def choice(self, rule: Rule, delta_position: int | None = None) -> PlanChoice:
@@ -483,10 +486,6 @@ class PlanAdvisor:
             got = self._search(rule, delta_position)
             self._choices[key] = got
         return got
-
-    def order_for(self, rule: Rule,
-                  delta_position: int | None = None) -> tuple[int, ...]:
-        return self.choice(rule, delta_position).order
 
     def _search(self, rule: Rule, delta_position: int | None) -> PlanChoice:
         default_order = tuple(_order_body(rule, delta_position))
@@ -510,7 +509,7 @@ class PlanAdvisor:
     def _candidates(self, free: list[int], delta_position: int | None,
                     rule: Rule) -> Iterator[tuple[int, ...]]:
         prefix = () if delta_position is None else (delta_position,)
-        if len(free) <= self.max_exhaustive:
+        if len(free) <= self.MAX_EXHAUSTIVE:
             for perm in itertools.permutations(free):
                 yield prefix + perm
             return
@@ -710,9 +709,7 @@ def _check_order_mismatch(model: CostModel,
             f"structural heuristic disagrees with the cardinality "
             f"estimates",
             rule=rule,
-            suggestion="reorder the body atoms as advised, or attach a "
-                       "PlanAdvisor to the evaluator so the estimates pick "
-                       "the order"))
+            suggestion="reorder the body atoms as advised"))
     return out
 
 

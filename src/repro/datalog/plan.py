@@ -33,11 +33,9 @@ compiles ``JoinPlan(rule, order=<written>, bound=<the demand's
 variables>)`` and calls ``bindings(slots=<demand filled in>,
 source=<answer table for an IDB step, else JoinPlan._source>)``.
 
-Plans are cached per ``(rule, delta_position, order)`` -- ``order`` is
-``None`` for the greedy default and an explicit permutation when a
-:class:`~repro.datalog.cost.PlanAdvisor` picks the cost-based order
-instead; :class:`PlanStats` exposes index hit/miss, bindings-explored
-and promotion counts (``plan.*`` counters).
+Plans are cached per ``(rule, delta_position)``; :class:`PlanStats`
+exposes index hit/miss, bindings-explored and promotion counts
+(``plan.*`` counters).
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ from repro.utils.counters import Counters
 
 if TYPE_CHECKING:
     from repro.datalog.batch import Kernel
-    from repro.datalog.cost import PlanAdvisor
 
 #: Complete bindings a plan produces on the step interpreter before
 #: :meth:`JoinPlan.fire` generates its kernel.  Codegen costs ~0.2 ms a
@@ -176,16 +173,10 @@ class PlanStats:
     evaluator flushes the deltas under ``plan.*`` counter names.
     """
 
-    __slots__ = ("bindings_explored", "index_hits", "index_misses",
-                 "full_scans", "delta_scans", "cache_hits", "cache_misses",
-                 "cache_evictions", "promotions", "firings", "empty_firings",
-                 "advisor_rules", "advisor_reorders",
-                 "advisor_predicted_bindings", "_flushed")
-
     _FIELDS = ("bindings_explored", "index_hits", "index_misses",
                "full_scans", "delta_scans", "cache_hits", "cache_misses",
-               "cache_evictions", "promotions", "firings", "empty_firings",
-               "advisor_rules", "advisor_reorders", "advisor_predicted_bindings")
+               "cache_evictions", "promotions", "firings", "empty_firings")
+    __slots__ = _FIELDS + ("_flushed",)
 
     def __init__(self) -> None:
         self.bindings_explored = 0
@@ -202,13 +193,6 @@ class PlanStats:
         #: returned no row: a delta probing a rule that had nothing to join
         self.firings = 0
         self.empty_firings = 0
-        #: rules whose join order a PlanAdvisor chose (advisor_reorders of
-        #: them differing from the greedy default); advisor_predicted_bindings
-        #: accumulates the advisor's cost predictions so the benchmark gate
-        #: can compare them against the measured bindings_explored
-        self.advisor_rules = 0
-        self.advisor_reorders = 0
-        self.advisor_predicted_bindings = 0
         self._flushed: dict[str, int] = {}
 
     def flush_into(self, counters: Counters) -> None:
@@ -556,31 +540,27 @@ def _assign_slots(rule: Rule, order: Sequence[int]) -> dict[Var, int]:
 #: processes that keep generating fresh rewritten rules (every dQSQ
 #: diagnosis mints unique sup-relations) cannot grow it without bound,
 #: while hot plans (recursive rules fired every round) stay resident
-_PLAN_CACHE: OrderedDict[tuple[Rule, int | None, tuple[int, ...] | None],
-                         JoinPlan] = OrderedDict()
+_PLAN_CACHE: OrderedDict[tuple[Rule, int | None], JoinPlan] = OrderedDict()
 _PLAN_CACHE_MAX = 16384
 _PLAN_CACHE_EVICTIONS = 0
 
 
 def compile_join_plan(rule: Rule, delta_position: int | None = None,
                       counters: Counters | None = None,
-                      stats: PlanStats | None = None,
-                      order: tuple[int, ...] | None = None) -> JoinPlan:
+                      stats: PlanStats | None = None) -> JoinPlan:
     """The cached compiled plan for ``rule`` (optionally delta-restricted).
 
     Hits refresh the entry's LRU position; a miss that overflows the
     capacity evicts the least-recently-used plan (recorded under
     ``plan.cache_evictions``).  Eviction only ever costs recompilation:
-    plans are pure functions of ``(rule, delta_position, order)``, so
-    answers are unaffected (a regression-tested invariant).  ``order``,
-    when given (by a :class:`~repro.datalog.cost.PlanAdvisor`), overrides
-    the greedy most-bound-first body order.
+    plans are pure functions of ``(rule, delta_position)``, so answers
+    are unaffected (a regression-tested invariant).
     """
     global _PLAN_CACHE_EVICTIONS
-    key = (rule, delta_position, order)
+    key = (rule, delta_position)
     plan = _PLAN_CACHE.get(key)
     if plan is None:
-        plan = JoinPlan(rule, delta_position, order)
+        plan = JoinPlan(rule, delta_position)
         if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
             _PLAN_CACHE.popitem(last=False)
             _PLAN_CACHE_EVICTIONS += 1
@@ -599,8 +579,7 @@ def compile_join_plan(rule: Rule, delta_position: int | None = None,
 
 
 def plan_for(cache: dict, stats: PlanStats, rule: Rule,
-             delta_position: int | None,
-             advisor: "PlanAdvisor | None" = None) -> JoinPlan:
+             delta_position: int | None) -> JoinPlan:
     """Two-level plan lookup for an evaluator's fire loop.
 
     ``cache`` is the evaluator's own dict keyed by ``(id(rule),
@@ -609,27 +588,11 @@ def plan_for(cache: dict, stats: PlanStats, rule: Rule,
     shared equality-keyed cache, so structurally equal rules from
     repeated rewritings still share one compilation.  The plan (which
     holds the rule strongly) pins the id for the cache's lifetime.
-
-    ``advisor`` (a :class:`~repro.datalog.cost.PlanAdvisor`) is consulted
-    once per evaluator-cache miss: its cost-based join order replaces the
-    greedy default, and its prediction lands in the ``advisor_*`` stats so
-    runs can audit predicted vs measured ``bindings_explored``.
     """
     key = (id(rule), delta_position)
     plan = cache.get(key)
     if plan is None:
-        order: tuple[int, ...] | None = None
-        if advisor is not None and len(rule.body) > 1:
-            choice = advisor.choice(rule, delta_position)
-            order = choice.order
-            stats.advisor_rules += 1
-            if choice.reordered:
-                stats.advisor_reorders += 1
-            predicted = choice.predicted.cost.count
-            if predicted != float("inf"):
-                stats.advisor_predicted_bindings += int(min(predicted, 2**53))
-        plan = compile_join_plan(rule, delta_position, stats=stats,
-                                 order=order)
+        plan = compile_join_plan(rule, delta_position, stats=stats)
         cache[key] = plan
         stats.cache_misses += 1
     else:

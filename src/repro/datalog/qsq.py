@@ -300,14 +300,13 @@ class QsqResult:
 
 def evaluate_rewriting(rewrite: Callable[[Program, Query], R], context: str,
                        program: Program, query: Query, db: Database | None,
-                       budget: EvaluationBudget | None, check: bool,
-                       in_place: bool = False
+                       budget: EvaluationBudget | None, check: bool
                        ) -> tuple[R, set[Fact], Database, Counters]:
     """Check, rewrite, seed, evaluate semi-naively and select the answers
     (QSQ and Magic Sets).
 
     ``db`` holds the EDB facts (program fact-rules are loaded too); it is
-    copied unless ``in_place``.
+    copied, so the caller's store is untouched.
     """
     if check:
         from repro.datalog.analysis import check_program
@@ -315,7 +314,7 @@ def evaluate_rewriting(rewrite: Callable[[Program, Query], R], context: str,
                       depth_bounded=(budget is not None
                                      and budget.max_term_depth is not None))
     rewriting = rewrite(program, query)
-    work_db = db if (db is not None and in_place) else (db.copy() if db is not None else Database())
+    work_db = db.copy() if db is not None else Database()
     if rewriting.seed is not None:
         work_db.add_atom(rewriting.seed)
     # The rewriting is machine-generated from an already-checked program.
@@ -329,14 +328,14 @@ def evaluate_rewriting(rewrite: Callable[[Program, Query], R], context: str,
 
 def qsq_evaluate(program: Program, query: Query, db: Database | None = None,
                  budget: EvaluationBudget | None = None,
-                 in_place: bool = False, check: bool = True) -> QsqResult:
+                 check: bool = True) -> QsqResult:
     """Rewrite ``program`` for ``query`` and evaluate semi-naively.
 
-    ``db`` holds the EDB facts (program fact-rules are loaded too).  By
-    default the database is copied so the caller's store is untouched.
+    ``db`` holds the EDB facts (program fact-rules are loaded too).  The
+    database is copied so the caller's store is untouched.
     """
     rewriting, answers, work_db, counters = evaluate_rewriting(
-        qsq_rewrite, "qsq", program, query, db, budget, check, in_place)
+        qsq_rewrite, "qsq", program, query, db, budget, check)
     counters.add("qsq_adorned_relations", len(rewriting.adorned_relations))
     return QsqResult(answers=answers, rewriting=rewriting, database=work_db,
                      counters=counters)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from repro.datalog.database import Database, Fact, RelationKey
 from repro.datalog.plan import PlanStats, plan_for
@@ -26,9 +26,6 @@ from repro.datalog.rule import Program, Query, Rule
 from repro.datalog.term import Term, term_depth
 from repro.errors import BudgetExceeded
 from repro.utils.counters import Counters
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.datalog.cost import PlanAdvisor
 
 
 @dataclass(frozen=True)
@@ -71,13 +68,9 @@ class RuleFirer:
     against which delta.
     """
 
-    def __init__(self, budget: EvaluationBudget | None,
-                 advisor: "PlanAdvisor | None" = None) -> None:
+    def __init__(self, budget: EvaluationBudget | None) -> None:
         self.budget = budget or EvaluationBudget()
         self.counters = Counters()
-        #: optional cost-based join-order advisor (repro.datalog.cost);
-        #: consulted once per (rule, delta) on plan-cache misses
-        self._advisor = advisor
         self._plan_stats = PlanStats()
         #: id-keyed plan map (see repro.datalog.plan.plan_for)
         self._plans: dict = {}
@@ -103,8 +96,7 @@ class RuleFirer:
         with function symbols.
         """
         stats = self._plan_stats
-        plan = plan_for(self._plans, stats, rule, delta_position,
-                        advisor=self._advisor)
+        plan = plan_for(self._plans, stats, rule, delta_position)
         rows = plan.fire(db, delta_rows, stats=stats)
         stats.firings += 1
         if not rows:
@@ -139,9 +131,8 @@ class IncrementalEvaluator(RuleFirer):
     """
 
     def __init__(self, db: Database | None = None,
-                 budget: EvaluationBudget | None = None,
-                 advisor: "PlanAdvisor | None" = None) -> None:
-        super().__init__(budget, advisor)
+                 budget: EvaluationBudget | None = None) -> None:
+        super().__init__(budget)
         if db is not None:  # None: the owner calls bind() before add_rule()
             self.bind(db)
 
@@ -228,14 +219,13 @@ class SemiNaiveEvaluator:
 
     def __init__(self, program: Program,
                  budget: EvaluationBudget | None = None,
-                 check: bool = True,
-                 advisor: "PlanAdvisor | None" = None, *,
+                 check: bool = True, *,
                  compiled: object = None) -> None:
         # ``compiled`` is accepted and ignored: the frozen benchmark
         # (benchmarks/e2e/probes.py::_centralized_run) still passes it and a
         # TypeError there is a failed op; the next benchmark PR drops it.
         self.program = program
-        self._scheduler = IncrementalEvaluator(None, budget, advisor)
+        self._scheduler = IncrementalEvaluator(None, budget)
         self.budget = self._scheduler.budget
         self.counters = self._scheduler.counters
         self.flush_stats = self._scheduler.flush_stats

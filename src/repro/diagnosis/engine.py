@@ -108,7 +108,6 @@ class DatalogDiagnosisEngine:
                  options: NetworkOptions | None = None,
                  use_termination_detector: bool = False,
                  transport: "str | TransportRuntime" = "sim",
-                 mp_config: object = None,
                  cost_budget: "CostBudget | None" = None) -> None:
         self.petri = petri
         self.mode = EvaluationMode.coerce(mode)
@@ -123,7 +122,6 @@ class DatalogDiagnosisEngine:
         #: ready TransportRuntime); centralized modes evaluate locally
         #: and ignore it
         self.transport = transport
-        self.mp_config = mp_config
 
     def _admit(self, program: "Program", max_events: int,
                counters: Counters) -> tuple[EvaluationBudget, bool]:
@@ -200,8 +198,7 @@ class DatalogDiagnosisEngine:
         if self.mode is EvaluationMode.DQSQ:
             engine = DqsqEngine(program, budget=budget, options=self.options,
                                 use_termination_detector=self.use_termination_detector,
-                                check=False, transport=self.transport,
-                                mp_config=self.mp_config)
+                                check=False, transport=self.transport)
             result = engine.query(Query(query_atom))
             counters.merge(result.counters)
             answers = result.answers

@@ -29,23 +29,21 @@ traffic is (a) delegation requests and (b) streamed tuples of demand
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Any, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterable, Sequence
 
 from repro.datalog.adornment import Adornment, adorned_name, input_name
 from repro.datalog.atom import Atom, Inequality
 from repro.datalog.database import Database, Fact, RelationKey
-from repro.datalog.naive import select
 from repro.datalog.qsq import rewrite_segment
-from repro.datalog.rule import Program, Query, Rule
-from repro.datalog.seminaive import EvaluationBudget, IncrementalEvaluator
+from repro.datalog.rule import Query, Rule
+from repro.datalog.seminaive import EvaluationBudget
 from repro.distributed.ddatalog import DDatalogProgram
 from repro.distributed.network import Message, NetworkOptions
-from repro.distributed.termination import ACK_KIND, DijkstraScholten
-from repro.distributed.transport import (PeerSpec, Transport, TransportJob,
-                                         TransportRuntime, resolve_transport)
-from repro.errors import DistributedError, PeerUnavailable, TransportExhausted
-from repro.utils.counters import Counters
+from repro.distributed.peer import DistributedResult, Peer, run_query
+from repro.distributed.termination import DijkstraScholten
+from repro.distributed.transport import Transport, TransportRuntime
+from repro.errors import DistributedError
 
 KIND_FACTS = "dqsq-facts"
 KIND_DELEGATE = "dqsq-delegate"
@@ -84,136 +82,44 @@ class _Delegation:
     incoming: Atom                   #: relation holding the bindings so far
 
 
-class _DqsqPeer:
-    """One peer: its source rules, installed fragments, and fact store."""
+class _DqsqPeer(Peer):
+    """A dQSQ peer: its source rules, rewritten lazily on demand."""
 
-    def __init__(self, name: str, rules: Sequence[Rule],
-                 budget: EvaluationBudget,
-                 detector: DijkstraScholten | None = None) -> None:
-        self.name = name
-        self.source_rules = Program(rules)
-        self.db = Database()
-        self.budget = budget
-        self.evaluator = IncrementalEvaluator(self.db, budget)
-        self.detector = detector
-        self.counters = Counters()
-        self.processed: set[tuple[str, str]] = set()
-        self.readers: dict[RelationKey, set[str]] = {}
-        self._dispatched: dict[RelationKey, int] = {}
-        self._dispatch_log_position = 0
-        self._demand_log_position = 0
-        self._install_log: list[Rule] = []
-        self._idb: set[str] = {rule.head.relation for rule in self.source_rules
+    KIND_FACTS = KIND_FACTS
+
+    def __init__(self, name: str, rules: Sequence[Rule], budget: EvaluationBudget,
+                 detector: DijkstraScholten | None = None,
+                 facts: dict[RelationKey, list[Fact]] | None = None) -> None:
+        self._idb: set[str] = {rule.head.relation for rule in rules
                                if rule.body or rule.negated}
+        super().__init__(name, rules, budget, detector, facts)
+
+    def load_initial(self) -> None:
         # Fact rules of relations with no proper rules are plain EDB: load
         # them into the store so joins see them directly (matching the
         # centralized QSQ treatment -- Theorem 1's zeta stays a bijection).
         # Fact rules of relations that *also* have proper rules (e.g. the
         # unfolding roots) answer demands through the rewriting instead.
-        for rule in self.source_rules.facts():
+        for rule in self.rules.facts():
             if rule.head.relation not in self._idb:
                 self.db.add_atom(rule.head)
 
-    # -- checkpoint / restore ----------------------------------------------------
+    def state(self) -> set[tuple[str, str]]:
+        return set(self.processed)
 
-    def checkpoint(self) -> dict:
-        """A serializable snapshot of this peer's mutable state.
+    def set_state(self, state: set[tuple[str, str]] | None) -> None:
+        self.processed: set[tuple[str, str]] = state or set()
 
-        Taken at a handler boundary, so the local evaluation is at a
-        fixpoint and dispatch has consumed the whole change log: the
-        snapshot is internally consistent by construction.  Source rules
-        and the budget are static configuration and are not included.
-        """
-        return {
-            "facts": {key: list(self.db.facts(key))
-                      for key in self.db.relations()},
-            "rules": list(self._install_log),
-            "processed": set(self.processed),
-            "readers": {key: set(names) for key, names in self.readers.items()},
-            "dispatched": dict(self._dispatched),
-        }
+    # -- requests ------------------------------------------------------------------
 
-    def restore(self, snapshot: dict | None) -> None:
-        """Replace this peer's state with ``snapshot`` (``None`` = reset
-        to the post-construction state).
-
-        The database and evaluator are rebuilt from scratch: snapshot
-        facts are re-added, installed rule fragments re-installed, and
-        one fixpoint run re-derives the evaluator's internal frontier.
-        The change-log cursors then point at the end of the rebuilt log,
-        so only genuinely new facts (replayed or fresh deliveries) flow
-        through dispatch and demand processing afterwards.  Counters are
-        deliberately *not* rolled back: recovery work is real work.
-        """
-        self.counters.add("net.recovery.restores")
-        self.db = Database()
-        # Reuse the evaluator via reset() rather than rebuilding it: the
-        # reset clears the id-keyed compiled-plan cache, so re-installed
-        # rule fragments can never hit a plan compiled for a pre-crash
-        # rule object whose id() the allocator happened to recycle.
-        self.evaluator.reset(self.db)
-        self.processed = set()
-        self.readers = {}
-        self._dispatched = {}
-        self._install_log = []
-        if snapshot is None:
-            for rule in self.source_rules.facts():
-                if rule.head.relation not in self._idb:
-                    self.db.add_atom(rule.head)
-        else:
-            for key, tuples in snapshot["facts"].items():
-                self.db.add_all(key, tuples, assume_ground=True)
-            for rule in snapshot["rules"]:
-                self._install(rule)
-                self.counters.add("net.recovery.refired_rules")
-            self.evaluator.run()
-            self.processed = set(snapshot["processed"])
-            self.readers = {key: set(names)
-                            for key, names in snapshot["readers"].items()}
-            self._dispatched = dict(snapshot["dispatched"])
-        position = len(self.db.change_log())
-        self._dispatch_log_position = position
-        self._demand_log_position = position
-
-    # -- message handling --------------------------------------------------------
-
-    def on_message(self, message: Message, transport: Transport) -> None:
-        # Replayed deliveries re-run the payload processing (idempotent:
-        # fact stores, rule installation and reader registration all
-        # deduplicate) but must not re-run the termination protocol --
-        # the pre-crash incarnation already counted them.
-        replayed = transport.delivering_replayed
-        if message.kind == ACK_KIND:
-            if self.detector is not None and not replayed:
-                self.detector.on_ack(message, transport)
-            return
-        if self.detector is not None and not replayed:
-            self.detector.on_basic_receive(message)
-        if message.kind == KIND_FACTS:
-            payload = message.payload
-            key = (payload["relation"], payload["home"])
-            # Facts travel columnar (parallel term columns + count).
-            # Shipped tuples come out of a peer's validated store (and are
-            # re-interned on unpickling), so the bulk insert skips
-            # per-fact groundness checks.
-            columns = payload["columns"]
-            rows: list[Fact] = (list(zip(*columns)) if columns
-                                else [()] * payload["count"])
-            added = self.db.add_all(key, rows, assume_ground=True)
-            self.counters.add("tuples_received", added)
-            if key[1] != self.name:
-                # Replicas of remote-homed relations must not be pushed
-                # back to their home: advance the dispatch watermark.
-                self._dispatched[key] = len(self.db.facts(key))
-        elif message.kind == KIND_DELEGATE:
-            self._install_delegation(message.payload, transport)
+    def handle(self, message: Message, transport: Transport) -> None:
+        if message.kind == KIND_DELEGATE:
+            self.counters.add("delegations_received")
+            self._rewrite_segment(message.payload, transport)
         elif message.kind == KIND_QUERY:
             self.pose_demand(payload=message.payload, transport=transport)
         else:
-            raise DistributedError(f"unexpected message kind {message.kind}")
-        self.work(transport)
-        if self.detector is not None:
-            self.detector.peer_passive(self.name, transport)
+            super().handle(message, transport)
 
     def pose_demand(self, payload: dict, transport: Transport) -> None:
         """Handle a query seed: register the asker and record the demand."""
@@ -221,30 +127,17 @@ class _DqsqPeer:
         adornment = Adornment(payload["adornment"])
         reply_to = payload["reply_to"]
         answer_key = (adorned_name(relation, adornment), self.name)
-        self._register_reader(answer_key, reply_to, transport)
+        self.register_reader(answer_key, reply_to, transport)
         in_key = (input_name(relation, adornment), self.name)
         if self.db.add(in_key, tuple(payload["bound"])):
             transport.trace_marker("demand", self.name, (in_key,))
 
     # -- demand-driven local rewriting ----------------------------------------------
 
-    def work(self, transport: Transport) -> None:
-        """Run local fixpoints, trigger rewritings, dispatch new facts."""
-        while True:
-            self.evaluator.run()
-            progressed = self._dispatch(transport)
-            progressed |= self._process_new_demands(transport)
-            if not progressed:
-                return
-
-    def _process_new_demands(self, transport: Transport) -> bool:
+    def after_fixpoint(self, touched: Iterable[RelationKey],
+                       transport: Transport) -> bool:
         """Rewrite local relations for which fresh demands arrived."""
         progressed = False
-        log = self.db.change_log()
-        touched: dict[RelationKey, None] = {}
-        for key in log[self._demand_log_position:]:
-            touched[key] = None
-        self._demand_log_position = len(log)
         for key in touched:
             relation, home = key
             if home != self.name:
@@ -255,13 +148,12 @@ class _DqsqPeer:
             base, adornment = parsed
             if (base, adornment.pattern) in self.processed:
                 continue
+            self.processed.add((base, adornment.pattern))
             if base not in self._idb:
                 # Demand for a relation we hold no rules for: it acts as
                 # an empty relation (EDB facts are joined directly and
                 # never demanded).
-                self.processed.add((base, adornment.pattern))
                 continue
-            self.processed.add((base, adornment.pattern))
             transport.trace_marker("demand", self.name, (key,))
             self._rewrite_relation(base, adornment, transport)
             progressed = True
@@ -271,7 +163,7 @@ class _DqsqPeer:
                           transport: Transport) -> None:
         """The local QSQ rewriting of this peer's rules for a demand."""
         self.counters.add("rewritings")
-        for index, rule in enumerate(self.source_rules.rules_for(relation, self.name)):
+        for index, rule in enumerate(self.rules.rules_for(relation, self.name)):
             head_args = rule.head.args
             self._rewrite_segment(_Delegation(
                 uid=f"{self.name}.{relation}.{adornment}.{index}", position=0,
@@ -280,10 +172,6 @@ class _DqsqPeer:
                 incoming=Atom(input_name(relation, adornment),
                               adornment.select_bound(head_args), self.name)),
                 transport)
-
-    def _install_delegation(self, delegation: _Delegation, transport: Transport) -> None:
-        self.counters.add("delegations_received")
-        self._rewrite_segment(delegation, transport)
 
     def _rewrite_segment(self, work: _Delegation, transport: Transport) -> None:
         """Rewrite body atoms left to right while they are local; delegate
@@ -295,103 +183,21 @@ class _DqsqPeer:
             is_idb=lambda atom: atom.relation in self._idb,
             is_local=lambda atom: atom.peer == self.name)
         for rule in segment.rules:
-            self._install(rule)
+            self.install(rule)
         if segment.cut is None:
             return
         offset, shipped, pending = segment.cut
         remote = work.atoms[offset].peer or ""
-        self._register_reader((shipped.relation, shipped.peer or self.name),
-                              remote, transport)
+        self.register_reader((shipped.relation, shipped.peer or self.name),
+                             remote, transport)
         self.counters.add("delegations_sent")
-        self._send(transport, remote, KIND_DELEGATE, _Delegation(
+        self.send(transport, remote, KIND_DELEGATE, _Delegation(
             uid=work.uid, position=work.position + offset, head=work.head,
             atoms=work.atoms[offset:], inequalities=pending, incoming=shipped))
 
-    def _install(self, rule: Rule) -> None:
-        if self.evaluator.add_rule(rule):
-            self.counters.add("rules_installed")
-            self._install_log.append(rule)
 
-    # -- fact dispatch ---------------------------------------------------------------
-
-    def _register_reader(self, key: RelationKey, reader: str,
-                         transport: Transport) -> None:
-        readers = self.readers.setdefault(key, set())
-        if reader in readers or reader == self.name:
-            return
-        readers.add(reader)
-        current = list(self.db.facts(key))
-        if current:
-            self._send_facts(transport, reader, key, current)
-
-    def _dispatch(self, transport: Transport) -> bool:
-        """Push new facts to their home peer or to registered readers."""
-        progressed = False
-        log = self.db.change_log()
-        touched: dict[RelationKey, None] = {}
-        for key in log[self._dispatch_log_position:]:
-            touched[key] = None
-        self._dispatch_log_position = len(log)
-        for key in touched:
-            relation, home = key
-            facts = self.db.facts(key)
-            start = self._dispatched.get(key, 0)
-            if start >= len(facts):
-                continue
-            new = list(facts[start:])
-            self._dispatched[key] = len(facts)
-            progressed = True
-            if home is not None and home != self.name:
-                self._send_facts(transport, home, key, new)
-            else:
-                for reader in self.readers.get(key, ()):
-                    self._send_facts(transport, reader, key, new)
-        return progressed
-
-    def _send_facts(self, transport: Transport, recipient: str, key: RelationKey,
-                    tuples: list[Fact]) -> None:
-        # Ship the delta columnar: k columns of n interned terms instead
-        # of n k-tuples (fewer containers to pickle on the mp transport,
-        # and the receiver's bulk insert applies it as one batch).  The
-        # explicit count keeps zero-arity deltas visible.
-        self.counters.add("tuples_shipped", len(tuples))
-        columns = tuple(zip(*tuples)) if tuples and tuples[0] else ()
-        self._send(transport, recipient, KIND_FACTS,
-                   {"relation": key[0], "home": key[1],
-                    "columns": columns, "count": len(tuples)})
-
-    def _send(self, transport: Transport, recipient: str, kind: str,
-              payload: Any) -> None:
-        if self.detector is not None:
-            self.detector.on_basic_send(self.name)
-        transport.send(self.name, recipient, kind, payload)
-
-
-@dataclass
-class DqsqResult:
+class DqsqResult(DistributedResult):
     """Answers plus aggregate instrumentation from a dQSQ run."""
-
-    answers: set[Fact]
-    counters: Counters
-    per_peer: dict[str, Counters]
-    databases: dict[str, Database] = field(repr=False, default_factory=dict)
-    terminated_by_detector: bool | None = None
-    #: set when the reliable transport gave up before quiescence; the
-    #: answers then reflect only what was derived before the failure
-    transport_error: TransportExhausted | None = None
-    #: set when one or more peers failed permanently; the answers are
-    #: the sound partial result computed by the surviving peers
-    peer_failure: PeerUnavailable | None = None
-
-    @property
-    def partial(self) -> bool:
-        """True when the evaluation stopped early on transport or peer failure."""
-        return self.transport_error is not None or self.peer_failure is not None
-
-    @property
-    def peer_report(self) -> dict[str, dict[str, int | bool]] | None:
-        """Per-peer failure report of a degraded run, else None."""
-        return self.peer_failure.report if self.peer_failure is not None else None
 
     def homed_fact_counts(self) -> dict[RelationKey, int]:
         """Distinct facts per relation, counted at their home peer only.
@@ -419,17 +225,6 @@ class DqsqResult:
         return out
 
 
-def _build_dqsq_peer(*, name: str, detector: DijkstraScholten | None,
-                     rules: tuple[Rule, ...], budget: EvaluationBudget,
-                     facts: dict[RelationKey, list[Fact]]) -> _DqsqPeer:
-    """Module-level peer factory (picklable, so the multiprocessing
-    transport can build the peer inside its worker process)."""
-    peer = _DqsqPeer(name, rules, budget, detector=detector)
-    for key, tuples in facts.items():
-        peer.db.add_all(key, tuples, assume_ground=True)
-    return peer
-
-
 def _start_dqsq(peer: _DqsqPeer, transport: Transport, *, target: str,
                 seed: dict[str, Any]) -> None:
     """Pose the query at the origin peer, through the transport only."""
@@ -440,7 +235,7 @@ def _start_dqsq(peer: _DqsqPeer, transport: Transport, *, target: str,
         peer.pose_demand(seed, transport)
         peer.work(transport)
     else:
-        peer._send(transport, target, KIND_QUERY, seed)
+        peer.send(transport, target, KIND_QUERY, seed)
     if detector is not None:
         detector.peer_passive(peer.name, transport)
 
@@ -461,14 +256,12 @@ class DqsqEngine:
                  options: NetworkOptions | None = None,
                  use_termination_detector: bool = False,
                  check: bool = True,
-                 transport: str | TransportRuntime = "sim",
-                 mp_config: Any = None) -> None:
+                 transport: str | TransportRuntime = "sim") -> None:
         self.program = program
         self.budget = budget or EvaluationBudget()
         self.options = options or NetworkOptions()
         self.use_termination_detector = use_termination_detector
         self.transport = transport
-        self.mp_config = mp_config
         self._edb = edb or Database()
         if check:
             from repro.datalog.analysis import check_program
@@ -486,16 +279,6 @@ class DqsqEngine:
         if atom.peer is None:
             raise DistributedError("distributed queries must target a located atom")
         origin_name = at_peer or atom.peer
-
-        names = set(self.program.peers()) | {atom.peer, origin_name}
-        edb_by_peer: dict[str, dict[RelationKey, list[Fact]]] = {}
-        for key in self._edb.relations():
-            relation, owner = key
-            if owner is None:
-                raise DistributedError(f"EDB relation {relation} is not located")
-            names.add(owner)
-            edb_by_peer.setdefault(owner, {})[key] = list(self._edb.facts(key))
-
         adornment = Adornment.from_atom(atom)
         seed = {
             "relation": atom.relation,
@@ -503,29 +286,12 @@ class DqsqEngine:
             "bound": adornment.select_bound(atom.args),
             "reply_to": origin_name,
         }
-        specs = {
-            name: PeerSpec(_build_dqsq_peer, {
-                "rules": tuple(self.program.rules_at(name)),
-                "budget": self.budget,
-                "facts": edb_by_peer.get(name, {}),
-            })
-            for name in names}
-        job = TransportJob(
-            peers=specs, origin=origin_name,
+        return run_query(
+            self.program, self._edb,
+            Atom(adorned_name(atom.relation, adornment), atom.args, atom.peer),
+            origin=origin_name, peers=(atom.peer, origin_name),
+            peer_class=_DqsqPeer, result_class=DqsqResult, budget=self.budget,
             start=functools.partial(_start_dqsq, target=atom.peer, seed=seed),
+            transport=self.transport, options=self.options,
             detector_root=(origin_name if self.use_termination_detector
-                           else None),
-            program=self.program.program)
-        runtime = resolve_transport(self.transport, self.options,
-                                    self.mp_config)
-        outcome = runtime.run(job)
-
-        answer_relation = adorned_name(atom.relation, adornment)
-        origin_db = outcome.databases.get(origin_name, Database())
-        answers = select(origin_db, Atom(answer_relation, atom.args, atom.peer))
-        return DqsqResult(
-            answers=answers, counters=outcome.merged_counters(),
-            per_peer=outcome.per_peer, databases=outcome.databases,
-            terminated_by_detector=outcome.terminated_by_detector,
-            transport_error=outcome.transport_error,
-            peer_failure=outcome.peer_failure)
+                           else None))

@@ -6,9 +6,9 @@ the deterministic simulator run here on real OS processes, exchanging
 pickled frames over ``multiprocessing`` queues.  Local fixpoints at
 distinct peers execute genuinely in parallel -- each worker has its own
 interpreter and its own GIL.  No committed measurement shows that making
-a run faster: ``BENCH_transport.json`` was recorded on one cpu, and the
-end-to-end benchmark reads ``fanout-mp`` 1.5x *slower* than
-``fanout-sim`` on two.  Until a recording on real multi-core hardware
+a run faster: on two cpus ``BENCH_transport.json`` reads mp at 1.3-1.7x
+the simulator's time, and the end-to-end benchmark reads ``fanout-mp``
+1.5x *slower* than ``fanout-sim``.  Until a recording on real multi-core hardware
 says otherwise, mp is a conformance target (same answers as the
 simulator), not a performance feature.
 

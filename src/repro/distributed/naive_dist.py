@@ -16,89 +16,46 @@ travel -- which is exactly the inefficiency dQSQ removes.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Sequence
 
-from repro.datalog.atom import Atom
 from repro.datalog.database import Database, Fact, RelationKey
-from repro.datalog.naive import select
-from repro.datalog.rule import Program, Query, Rule
-from repro.datalog.seminaive import EvaluationBudget, IncrementalEvaluator
+from repro.datalog.rule import Query, Rule
+from repro.datalog.seminaive import EvaluationBudget
 from repro.distributed.ddatalog import DDatalogProgram
 from repro.distributed.network import Message, NetworkOptions
-from repro.distributed.transport import (PeerSpec, Transport, TransportJob,
-                                         TransportRuntime, resolve_transport)
-from repro.errors import DistributedError, PeerUnavailable, TransportExhausted
-from repro.utils.counters import Counters
+from repro.distributed.peer import DistributedResult, Peer, run_query
+from repro.distributed.termination import DijkstraScholten
+from repro.distributed.transport import Transport, TransportRuntime
+from repro.errors import DistributedError
 
 KIND_ACTIVATE = "activate"
 KIND_FACTS = "facts"
 
 
-class _NaivePeer:
-    """One peer of the distributed naive evaluation."""
+class _NaivePeer(Peer):
+    """A peer of the distributed naive evaluation: its rules, installed
+    relation by relation as they are activated."""
+
+    KIND_FACTS = KIND_FACTS
 
     def __init__(self, name: str, rules: Sequence[Rule], budget: EvaluationBudget,
+                 detector: DijkstraScholten | None = None,
+                 facts: dict[RelationKey, list[Fact]] | None = None,
                  unsafe_negation: bool = False) -> None:
-        self.name = name
-        self.rules = Program(rules)
-        self.db = Database()
-        self.budget = budget
-        self.evaluator = IncrementalEvaluator(self.db, budget)
-        self.active: set[str] = set()
-        self.subscribers: dict[str, set[str]] = {}
-        self.subscriptions: set[RelationKey] = set()
-        self.counters = Counters()
         #: subscribe to negated atoms too, evaluating the negation at
         #: fire time against whatever replica has arrived -- knowingly
         #: order-sensitive (see DistributedNaiveEngine)
         self.unsafe_negation = unsafe_negation
+        super().__init__(name, rules, budget, detector, facts)
 
-    # -- checkpoint / restore -----------------------------------------------------
+    def state(self) -> tuple[set[str], set[RelationKey]]:
+        return set(self.active), set(self.subscriptions)
 
-    def checkpoint(self) -> dict:
-        """A serializable snapshot taken at a handler boundary (fixpoint)."""
-        return {
-            "facts": {key: list(self.db.facts(key))
-                      for key in self.db.relations()},
-            "active": set(self.active),
-            "subscribers": {rel: set(subs)
-                            for rel, subs in self.subscribers.items()},
-            "subscriptions": set(self.subscriptions),
-        }
-
-    def restore(self, snapshot: dict | None) -> None:
-        """Replace this peer's state with ``snapshot`` (``None`` = reset).
-
-        Active relations re-activate their rules in a fresh evaluator
-        (without re-sending subscriptions: the snapshot's subscription
-        set stands, and lost remote registrations are healed by replay
-        of the ACTIVATE messages that carried them) and one fixpoint run
-        rebuilds the evaluator's frontier.  Counters are kept: recovery
-        work is real work.
-        """
-        self.counters.add("net.recovery.restores")
-        self.db = Database()
-        # reset() also clears the evaluator's compiled-plan cache, which
-        # is keyed by id(rule): re-activated rules must never alias a
-        # plan compiled for a recycled pre-crash rule object.
-        self.evaluator.reset(self.db)
-        self.active = set()
-        self.subscribers = {}
-        self.subscriptions = set()
-        if snapshot is None:
-            return
-        for key, tuples in snapshot["facts"].items():
-            self.db.add_all(key, tuples, assume_ground=True)
-        self.active = set(snapshot["active"])
-        self.subscribers = {rel: set(subs)
-                            for rel, subs in snapshot["subscribers"].items()}
-        self.subscriptions = set(snapshot["subscriptions"])
-        for relation in sorted(self.active):
-            for rule in self.rules.rules_for(relation, self.name):
-                self.evaluator.add_rule(rule)
-                self.counters.add("net.recovery.refired_rules")
-        self.evaluator.run()
+    def set_state(self, state: tuple[set[str], set[RelationKey]] | None) -> None:
+        # The restored subscription set stands without re-sending: lost
+        # remote registrations are healed by replay of the ACTIVATE
+        # messages that carried them.
+        self.active, self.subscriptions = state or (set(), set())
 
     # -- activation -------------------------------------------------------------
 
@@ -110,7 +67,7 @@ class _NaivePeer:
         self.counters.add("relations_activated")
         for rule in self.rules.rules_for(relation, self.name):
             self.counters.add("rules_activated")
-            self.evaluator.add_rule(rule)
+            self.install(rule)
             atoms = rule.body
             if self.unsafe_negation:
                 # Negated atoms need their replica too -- without it the
@@ -121,97 +78,28 @@ class _NaivePeer:
                     self.activate(atom.relation, transport)
                 elif (atom.relation, atom.peer) not in self.subscriptions:
                     self.subscriptions.add((atom.relation, atom.peer))
-                    transport.send(self.name, atom.peer or "", KIND_ACTIVATE,
-                                 {"relation": atom.relation, "subscriber": self.name})
+                    self.send(transport, atom.peer or "", KIND_ACTIVATE,
+                              {"relation": atom.relation, "subscriber": self.name})
 
-    # -- message handling ---------------------------------------------------------
-
-    def on_message(self, message: Message, transport: Transport) -> None:
+    def handle(self, message: Message, transport: Transport) -> None:
         if message.kind == KIND_ACTIVATE:
             relation = message.payload["relation"]
-            subscriber = message.payload["subscriber"]
             self.activate(relation, transport)
-            existing = self.subscribers.setdefault(relation, set())
-            if subscriber not in existing:
-                existing.add(subscriber)
-                current = self.db.facts((relation, self.name))
-                if current:
-                    self._send_facts(transport, subscriber, relation, list(current))
-            self.evaluate(transport)
-        elif message.kind == KIND_FACTS:
-            relation = message.payload["relation"]
-            owner = message.payload["owner"]
-            added = self.db.add_all((relation, owner), message.payload["tuples"])
-            self.counters.add("replica_tuples", added)
-            self.evaluate(transport)
+            self.register_reader((relation, self.name),
+                                 message.payload["subscriber"], transport)
         else:
-            raise DistributedError(f"unexpected message kind {message.kind}")
-
-    # -- local work -----------------------------------------------------------------
-
-    def evaluate(self, transport: Transport) -> None:
-        """Run the local rules to fixpoint and stream new local facts."""
-        lengths_before = {key: len(self.db.facts(key)) for key in self.db.relations()}
-        self.evaluator.run()
-        for key in list(self.db.relations()):
-            relation, owner = key
-            if owner != self.name:
-                continue
-            new = self.db.facts(key)[lengths_before.get(key, 0):]
-            if not new:
-                continue
-            for subscriber in self.subscribers.get(relation, ()):
-                self._send_facts(transport, subscriber, relation, list(new))
-
-    def _send_facts(self, transport: Transport, recipient: str, relation: str,
-                    tuples: list[Fact]) -> None:
-        self.counters.add("tuples_shipped", len(tuples))
-        transport.send(self.name, recipient, KIND_FACTS,
-                     {"relation": relation, "owner": self.name, "tuples": tuples})
+            super().handle(message, transport)
 
 
-@dataclass
-class NaiveDistResult:
+class NaiveDistResult(DistributedResult):
     """Answers plus aggregate instrumentation."""
-
-    answers: set[Fact]
-    counters: Counters
-    per_peer: dict[str, Counters]
-    #: set when the reliable transport gave up before quiescence
-    transport_error: TransportExhausted | None = None
-    #: set when one or more peers failed permanently mid-run
-    peer_failure: PeerUnavailable | None = None
-
-    @property
-    def partial(self) -> bool:
-        return self.transport_error is not None or self.peer_failure is not None
-
-    @property
-    def peer_report(self) -> dict[str, dict[str, int | bool]] | None:
-        """Per-peer failure report of a degraded run, else None."""
-        return self.peer_failure.report if self.peer_failure is not None else None
-
-
-def _build_naive_peer(*, name: str, detector: object = None,
-                      rules: tuple[Rule, ...], budget: EvaluationBudget,
-                      unsafe_negation: bool,
-                      facts: dict[RelationKey, list[Fact]]) -> _NaivePeer:
-    """Module-level peer factory (picklable for the mp transport).
-
-    The naive engine reaches its fixpoint by transport quiescence alone,
-    so the ``detector`` argument of the factory contract is ignored.
-    """
-    peer = _NaivePeer(name, rules, budget, unsafe_negation=unsafe_negation)
-    for key, tuples in facts.items():
-        peer.db.add_all(key, tuples)
-    return peer
 
 
 def _start_naive(peer: _NaivePeer, transport: Transport, *,
                  relation: str) -> None:
     """Activate the queried relation at the origin peer."""
     peer.activate(relation, transport)
-    peer.evaluate(transport)
+    peer.work(transport)
 
 
 class DistributedNaiveEngine:
@@ -229,15 +117,13 @@ class DistributedNaiveEngine:
                  budget: EvaluationBudget | None = None,
                  options: NetworkOptions | None = None,
                  check: bool = True, unsafe_negation: bool = False,
-                 transport: str | TransportRuntime = "sim",
-                 mp_config: object = None) -> None:
+                 transport: str | TransportRuntime = "sim") -> None:
         self.program = program
         self.budget = budget or EvaluationBudget()
         self.options = options or NetworkOptions()
         self._edb = edb or Database()
         self.unsafe_negation = unsafe_negation
         self.transport = transport
-        self.mp_config = mp_config
         if check:
             from repro.datalog.analysis import check_program
             # DD403 escalates to an error here: peers never subscribe to
@@ -258,38 +144,15 @@ class DistributedNaiveEngine:
         atom = query.atom
         if atom.peer is None:
             raise DistributedError("distributed queries must target a located atom")
-        names = set(self.program.peers()) | {atom.peer}
-        edb_by_peer: dict[str, dict[RelationKey, list[Fact]]] = {}
-        for key in self._edb.relations():
-            relation, owner = key
-            if owner is None:
-                raise DistributedError(f"EDB relation {relation} is not located")
-            names.add(owner)
-            edb_by_peer.setdefault(owner, {})[key] = list(self._edb.facts(key))
-
-        specs = {
-            name: PeerSpec(_build_naive_peer, {
-                "rules": tuple(self.program.rules_at(name)),
-                "budget": self.budget,
-                "unsafe_negation": self.unsafe_negation,
-                "facts": edb_by_peer.get(name, {}),
-            })
-            for name in names}
-        job = TransportJob(
-            peers=specs, origin=atom.peer,
+        result = run_query(
+            self.program, self._edb, atom, origin=atom.peer, peers=(atom.peer,),
+            peer_class=_NaivePeer, result_class=NaiveDistResult,
+            budget=self.budget,
             start=functools.partial(_start_naive, relation=atom.relation),
-            program=self.program.program,
-            order_sensitive=self.unsafe_negation)
-        runtime = resolve_transport(self.transport, self.options,
-                                    self.mp_config)
-        outcome = runtime.run(job)
-
-        origin_db = outcome.databases.get(atom.peer, Database())
-        answers = select(origin_db, Atom(atom.relation, atom.args, atom.peer))
-        counters = outcome.merged_counters()
-        counters.add("facts_materialized_global",
-                     sum(db.total_facts() for db in outcome.databases.values()))
-        return NaiveDistResult(answers=answers, counters=counters,
-                               per_peer=outcome.per_peer,
-                               transport_error=outcome.transport_error,
-                               peer_failure=outcome.peer_failure)
+            transport=self.transport, options=self.options,
+            order_sensitive=self.unsafe_negation,
+            unsafe_negation=self.unsafe_negation)
+        result.counters.add(
+            "facts_materialized_global",
+            sum(db.total_facts() for db in result.databases.values()))
+        return result

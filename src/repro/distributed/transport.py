@@ -43,7 +43,7 @@ tracers, choosers) on runtimes that cannot honor them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, runtime_checkable
 
 from repro.datalog.database import Database
 from repro.datalog.rule import Program
@@ -277,15 +277,14 @@ def _options_need_simulator(options: NetworkOptions) -> list[str]:
 
 def resolve_transport(transport: "str | TransportRuntime",
                       options: NetworkOptions | None = None,
-                      mp_config: "Mapping[str, Any] | Any | None" = None,
                       ) -> TransportRuntime:
     """Turn a transport name (or a ready runtime) into a runtime.
 
     ``options`` configures the simulator; passing simulator-only options
     (fault plans, tracer, chooser) together with a non-simulator
-    transport is an error, not a silent downgrade.  ``mp_config`` is an
-    optional :class:`repro.distributed.mp.MpConfig` for the ``"mp"``
-    transport.
+    transport is an error, not a silent downgrade.  ``"mp"`` runs under
+    the default :class:`repro.distributed.mp.MpConfig`; pass a
+    ``MpTransportRuntime(MpConfig(...))`` to configure it.
     """
     if not isinstance(transport, str):
         return transport
@@ -298,9 +297,7 @@ def resolve_transport(transport: "str | TransportRuntime",
                 "the multiprocessing transport cannot honor simulator-only "
                 "options: " + "; ".join(needs)
                 + " (run on transport='sim' instead)")
-        from repro.distributed.mp import MpConfig, MpTransportRuntime
-        if mp_config is None:
-            mp_config = MpConfig()
-        return MpTransportRuntime(mp_config)
+        from repro.distributed.mp import MpTransportRuntime
+        return MpTransportRuntime()
     raise DistributedError(
         f"unknown transport {transport!r}; known: {', '.join(TRANSPORTS)}")

@@ -121,6 +121,10 @@ class PetriNetError(ReproError):
     """Base class for Petri-net-layer errors."""
 
 
+class MarkingBoundExceeded(PetriNetError):
+    """A reachability exploration passed its marking bound and was cut off."""
+
+
 class NotSafeError(PetriNetError):
     """Raised when a firing would violate the 1-safety assumption.
 

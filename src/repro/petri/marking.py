@@ -9,7 +9,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator
 
-from repro.errors import NotFireableError, NotSafeError, PetriNetError
+from repro.errors import (MarkingBoundExceeded, NotFireableError,
+                          NotSafeError, PetriNetError)
 from repro.petri.net import Net, PetriNet
 
 Marking = frozenset[str]
@@ -53,9 +54,9 @@ def run_sequence(petri: PetriNet, transitions: Iterable[str]) -> Marking:
 def reachable_markings(petri: PetriNet, max_markings: int = 100_000) -> Iterator[Marking]:
     """Breadth-first enumeration of the reachable markings.
 
-    Stops with :class:`PetriNetError` if the bound is exceeded (cannot
-    happen for safe nets with few places, but generated nets are checked
-    defensively).
+    Stops with :class:`MarkingBoundExceeded` if the bound is exceeded
+    (cannot happen for safe nets with few places, but generated nets are
+    checked defensively).
     """
     seen: set[Marking] = {petri.marking}
     agenda: deque[Marking] = deque([petri.marking])
@@ -66,7 +67,9 @@ def reachable_markings(petri: PetriNet, max_markings: int = 100_000) -> Iterator
             successor = fire(petri.net, marking, transition)
             if successor not in seen:
                 if len(seen) >= max_markings:
-                    raise PetriNetError(f"reachability exceeded {max_markings} markings")
+                    raise MarkingBoundExceeded(
+                        f"reachability passed the bound of {max_markings} "
+                        f"markings ({len(agenda)} still unexplored)")
                 seen.add(successor)
                 agenda.append(successor)
 

@@ -8,11 +8,14 @@ match, and every non-diagnosable verdict must be backed by a witness
 pair that replays on the original net from scratch.
 """
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import (Phase, example, given, reject, settings,
+                        strategies as st)
 
 from repro.diagnosability import (VERDICT_NON_DIAGNOSABLE,
                                   DiagnosabilitySpec, analyze_class,
                                   bruteforce_class, confirm_witness)
+from repro.errors import MarkingBoundExceeded
 from repro.petri.generators import (FaultSpec, TelecomSpec, fault_mask,
                                     telecom_net)
 from repro.petri.marking import is_safe
@@ -82,7 +85,26 @@ class TestVerifierVsOracle:
         from repro.diagnosability import twin_for_class
         petri, dspec = build_model(spec, mask)
         twin = twin_for_class(petri, dspec, "fault")
-        assert is_safe(twin.petri, max_markings=30_000)
+        try:
+            assert is_safe(twin.petri, max_markings=30_000)
+        except MarkingBoundExceeded:
+            # The exploration was cut off: the draw says nothing about
+            # safety.  Any other PetriNetError is a failed exploration.
+            reject()
+
+    @settings(phases=[Phase.explicit], deadline=None)
+    @example(TelecomSpec(peers=3, ring_length=3, links_per_pair=1,
+                         branching=0.4, topology="ring", seed=116),
+             FaultSpec(faults=1, placement="late", observable_ratio=0.3,
+                       seed=2))
+    @given(specs, masks)
+    def test_twin_plant_past_the_marking_bound_is_its_own_error(self, spec, mask):
+        """The rare draw whose twin plant passes 30 000 markings."""
+        from repro.diagnosability import twin_for_class
+        petri, dspec = build_model(spec, mask)
+        twin = twin_for_class(petri, dspec, "fault")
+        with pytest.raises(MarkingBoundExceeded, match="bound of 30000"):
+            is_safe(twin.petri, max_markings=30_000)
 
     @settings(max_examples=30, deadline=None)
     @given(specs, masks)

@@ -125,7 +125,7 @@ class TestFacade:
         """A new knob is a visible diff here.  What is diagnosed is the
         observation's business (ObservationSpec), not the run's."""
         assert {f.name for f in dataclasses.fields(repro.RunConfig)} == {
-            "budget", "options", "transport", "mp",
+            "budget", "options", "transport",
             "use_termination_detector", "cost_budget", "window"}
 
 

@@ -272,13 +272,17 @@ class TestNaiveDistRecovery:
     def test_crash_restart_recovers_oracle(self, victim):
         program, edb, _query = figure3()
         oracle = DistributedNaiveEngine(program, edb).query(QUERY).answers
-        options = NetworkOptions(seed=3, peer_fault=PeerFaultPlan(
-            crash_at={victim: (1,)}, restart_after_deliveries=4))
-        result = DistributedNaiveEngine(program, edb,
-                                        options=options).query(QUERY)
-        assert result.answers == oracle
-        assert not result.partial
-        assert result.counters["net.recovery.checkpoints_restored"] >= 1
+        for crash_at in (1, 2, 3):  # the axis TestDqsqRecovery has
+            options = NetworkOptions(seed=3, peer_fault=PeerFaultPlan(
+                crash_at={victim: (crash_at,)}, restart_after_deliveries=4))
+            result = DistributedNaiveEngine(program, edb,
+                                            options=options).query(QUERY)
+            assert result.answers == oracle, crash_at
+            assert not result.partial, crash_at
+            # Peer t sees two deliveries in all: its third never comes.
+            crashes = result.counters["net.recovery.crashes"]
+            assert crashes == (0 if (victim, crash_at) == ("t", 3) else 1)
+            assert result.counters["net.recovery.checkpoints_restored"] == crashes
 
     def test_permanent_death_degrades(self):
         program, edb, _query = figure3()

@@ -39,7 +39,7 @@ from repro.diagnosis.alarms import AlarmSequence
 from repro.diagnosis.supervisor import SupervisorEncoder
 from repro.distributed.ddatalog import DDatalogProgram
 from repro.distributed.dqsq import DqsqEngine
-from repro.distributed.mp import MpConfig
+from repro.distributed.mp import MpConfig, MpTransportRuntime
 from repro.distributed.naive_dist import DistributedNaiveEngine
 from repro.distributed.network import FaultPlan, NetworkOptions, PeerFaultPlan
 from repro.distributed.race import RACY_TEXT, RecordingChooser
@@ -58,7 +58,9 @@ MP = MpConfig(timeout=60.0)
 
 
 def _runtime(transport: str, options: NetworkOptions | None = None):
-    return resolve_transport(transport, options, mp_config=MP)
+    if transport == "mp":
+        return MpTransportRuntime(MP)
+    return resolve_transport(transport, options)
 
 
 def _figure3():
@@ -97,8 +99,7 @@ def e6_oracle(e6_problem):
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_figure3_dqsq_answers_identical(transport, figure3_oracle):
     program, edb = _figure3()
-    result = DqsqEngine(program, edb, transport=transport,
-                        mp_config=MP).query(F3_QUERY)
+    result = DqsqEngine(program, edb, transport=_runtime(transport)).query(F3_QUERY)
     assert frozenset(result.answers) == figure3_oracle
     assert not result.partial
 
@@ -107,7 +108,7 @@ def test_figure3_dqsq_answers_identical(transport, figure3_oracle):
 def test_figure3_with_termination_detector(transport, figure3_oracle):
     program, edb = _figure3()
     result = DqsqEngine(program, edb, use_termination_detector=True,
-                        transport=transport, mp_config=MP).query(F3_QUERY)
+                        transport=_runtime(transport)).query(F3_QUERY)
     assert frozenset(result.answers) == figure3_oracle
     assert result.terminated_by_detector is True
 
@@ -115,7 +116,7 @@ def test_figure3_with_termination_detector(transport, figure3_oracle):
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_e6_diagnosis_identical(transport, e6_problem, e6_oracle):
     petri, alarms = e6_problem
-    config = repro.RunConfig(transport=transport, mp=MP)
+    config = repro.RunConfig(transport=_runtime(transport))
     result = repro.diagnose(petri, alarms, method="dqsq", config=config)
     assert result.diagnoses == e6_oracle
 
@@ -129,8 +130,7 @@ def test_e6_supervisor_encoding_direct(transport, e6_problem):
         DqsqEngine(encoder.program(), Database(),
                    check=False).query(Query(encoder.query_atom())).answers)
     result = DqsqEngine(encoder.program(), Database(), check=False,
-                        transport=transport,
-                        mp_config=MP).query(Query(encoder.query_atom()))
+                        transport=_runtime(transport)).query(Query(encoder.query_atom()))
     assert frozenset(result.answers) == oracle
 
 
@@ -145,7 +145,7 @@ def test_pattern_observation_identical_on_mp():
         hidden=frozenset({"v"}), max_events=3)
     simulated = repro.diagnose(petri, spec, method="dqsq")
     parallel = repro.diagnose(petri, spec, method="dqsq",
-                              config=repro.RunConfig(transport="mp", mp=MP))
+                              config=repro.RunConfig(transport=_runtime("mp")))
     assert len(simulated.diagnoses) == 4
     assert parallel.diagnoses == simulated.diagnoses
     assert not parallel.partial
@@ -161,8 +161,7 @@ def test_e9_recovery_matches_mp_fault_free(figure3_oracle):
     recovered = DqsqEngine(program, edb, options=options).query(F3_QUERY)
     assert recovered.counters["net.recovery.crashes"] >= 1
     assert frozenset(recovered.answers) == figure3_oracle
-    parallel = DqsqEngine(program, edb, transport="mp",
-                          mp_config=MP).query(F3_QUERY)
+    parallel = DqsqEngine(program, edb, transport=_runtime("mp")).query(F3_QUERY)
     assert frozenset(parallel.answers) == figure3_oracle
 
 
@@ -196,8 +195,7 @@ def test_plan_counters_match_sim_vs_mp():
         clear_plan_cache()
         parsed = parse_program(SINGLE_PEER_TEXT)
         program, edb = DDatalogProgram(parsed), load_facts(parsed)
-        result = DqsqEngine(program, edb, transport=transport,
-                            mp_config=MP).query(
+        result = DqsqEngine(program, edb, transport=_runtime(transport)).query(
                                 Query(parse_atom('p@a("1", Y)')))
         assert result.answers
         totals[transport] = {
@@ -213,8 +211,7 @@ def test_plan_counters_present_per_peer(transport):
     """Every dQSQ peer reports plan work on every transport (multi-peer:
     presence, not exact totals -- see test_plan_counters_match_sim_vs_mp)."""
     program, edb = _figure3()
-    result = DqsqEngine(program, edb, transport=transport,
-                        mp_config=MP).query(F3_QUERY)
+    result = DqsqEngine(program, edb, transport=_runtime(transport)).query(F3_QUERY)
     merged = result.counters.as_dict()
     assert merged.get("plan.cache_misses", 0) > 0
     busy = [name for name, counters in result.per_peer.items()
@@ -240,8 +237,7 @@ def test_distributed_naive_answers_identical(transport):
     query = Query(parse_atom('goal@c("1", Y)'))
     oracle = frozenset(DistributedNaiveEngine(program, edb).query(query).answers)
     assert oracle
-    result = DistributedNaiveEngine(program, edb, transport=transport,
-                                    mp_config=MP).query(query)
+    result = DistributedNaiveEngine(program, edb, transport=_runtime(transport)).query(query)
     assert frozenset(result.answers) == oracle
 
 
@@ -345,7 +341,7 @@ def test_mp_refuses_order_sensitive_job():
     parsed = parse_program(RACY_TEXT, check=False)
     engine = DistributedNaiveEngine(
         DDatalogProgram(parsed), load_facts(parsed), check=False,
-        unsafe_negation=True, transport="mp", mp_config=MP)
+        unsafe_negation=True, transport=_runtime("mp"))
     with pytest.raises(DistributedError, match="order-sensitive"):
         engine.query(Query(parse_atom("verdict@s(X)")))
 
@@ -356,7 +352,7 @@ def test_mp_refuses_nonconfluent_program():
     parsed = parse_program(RACY_TEXT, check=False)
     engine = DistributedNaiveEngine(
         DDatalogProgram(parsed), load_facts(parsed), check=False,
-        transport="mp", mp_config=MP)
+        transport=_runtime("mp"))
     with pytest.raises(DistributedError, match="confluent"):
         engine.query(Query(parse_atom("verdict@s(X)")))
 
@@ -365,8 +361,8 @@ def test_mp_allow_nonconfluent_override():
     parsed = parse_program(RACY_TEXT, check=False)
     engine = DistributedNaiveEngine(
         DDatalogProgram(parsed), load_facts(parsed), check=False,
-        unsafe_negation=True, transport="mp",
-        mp_config=MpConfig(timeout=60.0, allow_nonconfluent=True))
+        unsafe_negation=True, transport=MpTransportRuntime(
+            MpConfig(timeout=60.0, allow_nonconfluent=True)))
     result = engine.query(Query(parse_atom("verdict@s(X)")))
     # The answers are schedule-dependent by design; the contract here is
     # only that the opt-in actually runs the job to quiescence.
@@ -466,8 +462,6 @@ def test_mp_timeout_kill_fallback_reaps_sigterm_immune_workers():
 
 def test_mp_interrupt_mid_run_leaves_no_orphans(monkeypatch):
     """KeyboardInterrupt while polling still reaps every worker."""
-    from repro.distributed.mp import MpTransportRuntime
-
     runtime = MpTransportRuntime(MpConfig(timeout=30.0))
 
     def _interrupt(*_args, **_kwargs):
