@@ -21,8 +21,8 @@ promotion of its hot plans) and one *warm* run right after it (plans and
 kernels cached); the report carries the median and the min-max spread
 of each.  Timings
 are reported but never gated; the runner exits non-zero only when a
-derivation or fact count differs from the recorded one -- with or
-without ``--smoke``.
+derivation, fact or compiled-plan count differs from the recorded one --
+with or without ``--smoke``.
 
 The runner also validates the static cost model (:mod:`repro.datalog.cost`)
 against reality: for tc_chain and the e6 diagnosis program it compares each
@@ -73,16 +73,19 @@ PATH = ("path", None)
 
 REPEATS = 5
 
-#: (derivations, facts materialized) per workload at full and smoke
-#: sizes; executor choice must not move either.  tc_chain is as the
-#: interpreted oracle of the three-tier runner recorded it; the e6 rows
-#: are the (d)QSQ rewriting without its bookend supplementary relations
-#: (with them: 12792/7901 and 12998/7888, smoke 694/491 and 687/482).
+#: (derivations, facts materialized, plans compiled) per workload at full
+#: and smoke sizes; executor choice must not move any of them.  Every
+#: firing is a delta firing: with a separate install firing per rule the
+#: same facts took 32979 / 8337 / 8717 derivations and 3 / 3357 / 2766
+#: plans (smoke 2054 / 463 / 486 and 3 / 2601 / 1243), so a count that
+#: climbs back there means a second firing regime has returned.  The e6
+#: rows are the (d)QSQ rewriting without its bookend supplementary
+#: relations.
 EXPECTED = {
-    False: {"tc_chain": (32979, 28680), "e6_qsq": (8337, 4901),
-            "e6_dqsq": (8717, 5238)},
-    True: {"tc_chain": (2054, 1770), "e6_qsq": (463, 315),
-           "e6_dqsq": (486, 350)},
+    False: {"tc_chain": (32641, 28680, 2), "e6_qsq": (8314, 4901, 1542),
+            "e6_dqsq": (8651, 5238, 1346)},
+    True: {"tc_chain": (1974, 1770, 2), "e6_qsq": (443, 315, 785),
+           "e6_dqsq": (479, 350, 511)},
 }
 
 
@@ -138,7 +141,8 @@ def bench(workloads: list, smoke: bool) -> list:
                 counters = run_once()
                 times[name][temperature].append(time.perf_counter() - t0)
                 counts[name].add((counters["derivations"],
-                                  counters["facts_materialized"]))
+                                  counters["facts_materialized"],
+                                  counters["plan.cache_misses"]))
                 if temperature == "cold":
                     cold_counters[name] = counters
     reports = []
@@ -150,6 +154,7 @@ def bench(workloads: list, smoke: bool) -> list:
             "cold": _summary(times[name]["cold"]),
             "warm": _summary(times[name]["warm"]),
             "derivations": derivations, "facts_materialized": facts,
+            "plan.compiled_plans": cold_counters[name]["plan.cache_misses"],
             "plan.promotions": cold_counters[name]["plan.promotions"],
             "counts_ok": counts[name] == {EXPECTED[smoke][name]},
         }

@@ -123,11 +123,12 @@ class IncrementalEvaluator(RuleFirer):
     Section 3.1's continuous flow, started (Remark 2) before the program
     is complete: a peer's rule set *grows* over time (lazy rewriting
     installs fragments; delegations arrive) and its store receives
-    external tuples between fixpoints.  A per-relation cursor into the
-    (append-only) fact lists marks every fact beyond it as an
-    unprocessed delta, and every newly added rule fires once against the
-    full store before joining the delta regime.  Repeated calls to
-    :meth:`run` therefore cost time proportional to the *new* work.
+    external tuples between fixpoints.  Rules "consume tuples and produce
+    tuples": each positive body atom of an installed rule is a consumer
+    with its own cursor into its relation's (append-only) fact list, and
+    every firing is a delta firing -- the facts beyond one cursor joined
+    against the full store.  Repeated calls to :meth:`run` therefore cost
+    time proportional to the *new* work.
     """
 
     def __init__(self, db: Database | None = None,
@@ -137,17 +138,13 @@ class IncrementalEvaluator(RuleFirer):
             self.bind(db)
 
     def bind(self, db: Database) -> None:
-        """Schedule over ``db`` with no rule installed; plans are kept.
-
-        The frontier starts at the end of what ``db`` holds: those facts
-        reach a rule through its first (full) firing, and replaying them
-        as deltas afterwards would derive them twice.
-        """
+        """Schedule over ``db`` with no rule installed; plans are kept."""
         self.db = db
         self._seen_rules: set[Rule] = set()
         self._pending_rules: list[Rule] = []
-        self._by_body: dict[RelationKey, list[tuple[Rule, int]]] = defaultdict(list)
-        self._cursor: dict[RelationKey, int] = db.snapshot_counts()
+        #: per relation, its consumers ``[rule, position, cursor]``:
+        #: ``facts[cursor:]`` is what the rule has not joined at that atom
+        self._consumers: dict[RelationKey, list[list]] = defaultdict(list)
         self._log_position = len(db.change_log())
 
     def reset(self, db: Database) -> None:
@@ -180,32 +177,41 @@ class IncrementalEvaluator(RuleFirer):
 
     def run(self) -> None:
         """Process pending rules and unprocessed facts to a fixpoint."""
+        db = self.db
         for _ in range(self.budget.max_iterations):
-            progressed = False
             pending, self._pending_rules = self._pending_rules, []
             for rule in pending:
+                # One more consumer per body atom, at the end of its relation;
+                # what the store holds now is joined by one delta firing over
+                # the whole of the smallest body relation (leftmost on ties),
+                # which fires and compiles nothing while that one is empty.
+                counts = [len(db.facts(atom.key())) for atom in rule.body]
                 for position, atom in enumerate(rule.body):
-                    self._by_body[atom.key()].append((rule, position))
-                self._derive(rule, self.db)
-                progressed = True
+                    self._consumers[atom.key()].append([rule, position, counts[position]])
+                if not counts:
+                    self._derive(rule, db)
+                elif smallest := min(counts):
+                    first = counts.index(smallest)
+                    self._derive(rule, db, first, db.facts(rule.body[first].key())[:])
             # Only relations named in the change-log suffix can have new
             # facts: no full scan over the (large) relation space.
-            log = self.db.change_log()
+            log = db.change_log()
             touched = dict.fromkeys(log[self._log_position:])
             self._log_position = len(log)
-            for key in touched:
-                facts = self.db.facts(key)
-                start = self._cursor.get(key, 0)
-                if start >= len(facts):
-                    continue
-                new = list(facts[start:])
-                self._cursor[key] = len(facts)
-                progressed = True
-                for rule, position in self._by_body.get(key, ()):
-                    self._derive(rule, self.db, position, new)
-            if not progressed:
+            if not pending and not touched:
                 self.flush_stats()
                 return
+            for key in touched:
+                facts = db.facts(key)
+                end = len(facts)
+                slices: dict[int, Sequence[Fact]] = {}  # one per distinct cursor
+                for consumer in self._consumers.get(key, ()):
+                    rule, position, start = consumer
+                    if start < end:
+                        consumer[2] = end
+                        if start not in slices:
+                            slices[start] = facts[start:end]
+                        self._derive(rule, db, position, slices[start])
         raise BudgetExceeded("iterations", self.budget.max_iterations)
 
 
@@ -236,11 +242,8 @@ class SemiNaiveEvaluator:
 
     def run(self, db: Database) -> Database:
         """Evaluate to fixpoint in place; returns ``db``."""
-        for fact in self.program.facts():
-            if db.add_atom(fact.head):
-                self.counters.add("facts_materialized")
         self._scheduler.bind(db)
-        for rule in self.program.proper_rules():
+        for rule in self.program:  # facts go straight to the store
             self._scheduler.add_rule(rule)
         self._scheduler.run()
         return db

@@ -82,7 +82,7 @@ class FaultPlan:
 
     #: probability that a transmitted frame is lost in transit
     drop_probability: float = 0.0
-    #: probability that a delivered frame is delivered a second time
+    #: probability that a delivered frame arrives again (and is suppressed)
     duplicate_probability: float = 0.0
     #: extra in-flight ticks per frame; ``(lo, hi)`` uniform or callable
     delay_distribution: tuple[int, int] | Callable[[random.Random], int] | None = None
@@ -107,7 +107,8 @@ class FaultPlan:
 
     def needs_reliability(self) -> bool:
         """Whether the reliable-delivery layer must engage."""
-        return self.drop_probability > 0 or self.delay_distribution is not None
+        return (self.drop_probability > 0 or self.duplicate_probability > 0
+                or self.delay_distribution is not None)
 
     def sample_delay(self, rng: random.Random) -> int:
         if self.delay_distribution is None:
@@ -813,10 +814,6 @@ class Network:
         """Transport-level arrival: loss, acks, dedup, reorder, delivery."""
         if not self._reliable:
             self._deliver(frame.message)
-            if (self.fault.duplicate_probability > 0
-                    and self._rng.random() < self.fault.duplicate_probability):
-                self.counters.add("messages_duplicated")
-                self._deliver(frame.message)
             return
         state = self._state(channel)
         if not frame.is_ack and not frame.is_replay:

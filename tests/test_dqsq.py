@@ -291,6 +291,21 @@ class TestRobustness:
         assert result.terminated_by_detector is True
         assert {f[1].value for f in result.answers} == {"2", "4"}
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_termination_detector_under_duplication_only(self, seed):
+        # A plan that only duplicates used to leave the reliability layer
+        # off: handlers saw the second copy and the detector's
+        # acknowledgement deficit went negative.
+        dd, edb = setup_figure3()
+        query = Query(parse_atom('r@r("1", Y)'))
+        engine = DqsqEngine(dd, edb, use_termination_detector=True,
+                            options=NetworkOptions(seed=seed, fault=FaultPlan(
+                                duplicate_probability=0.5)))
+        result = engine.query(query)
+        assert result.terminated_by_detector is True
+        assert result.answers == DqsqEngine(dd, edb).query(query).answers
+        assert result.counters["net.duplicates_suppressed"] > 0
+
 
 class TestSplitInputName:
     def test_round_trip(self):

@@ -52,8 +52,9 @@ class TestTransitiveClosure:
         assert semi.counters["facts_materialized"] == naive.counters["facts_materialized"]
 
     def test_firings_are_counted_and_the_empty_ones_told_apart(self):
-        # Installing fires both rules; the path delta then fires the
-        # recursive rule twice, and the last delta (a-d) joins nothing.
+        # Each rule's first firing joins the edges; the path delta then
+        # fires the recursive rule twice, and the last delta (a-d) joins
+        # nothing.
         program = parse_program(TC)
         semi = SemiNaiveEvaluator(program)
         semi.run(load_facts(program))
@@ -62,8 +63,9 @@ class TestTransitiveClosure:
 
     def test_a_populated_store_is_not_replayed_as_a_delta(self):
         # The edges are in the store before the scheduler is bound to it:
-        # they reach the rules through the install firing only.  Replayed
-        # as deltas as well they make 14 derivations for the 6 facts.
+        # each rule joins them once, as the delta of its first firing, and
+        # starts its cursors behind them.  6 facts, each derived once;
+        # replayed as deltas as well the edges make 14 derivations.
         program = parse_program(TC)
         semi = SemiNaiveEvaluator(program)
         semi.run(Database())
@@ -73,8 +75,8 @@ class TestTransitiveClosure:
             bound.add_rule(rule)
         bound.run()
         assert db.count(("path", None)) == 6
-        assert bound.counters["derivations"] == 8
-        assert semi.counters["derivations"] == 8
+        assert bound.counters["derivations"] == 6
+        assert semi.counters["derivations"] == 6
 
     def test_a_second_run_compiles_no_plan_again(self):
         program = parse_program(TC)
@@ -85,6 +87,52 @@ class TestTransitiveClosure:
         assert semi.run(Database()).count(("path", None)) == 6
         assert semi.counters["plan.cache_misses"] == compiled
         assert semi.counters["plan.firings"] == 8
+
+
+class TestRuleEntersAsConsumer:
+    """A rule's first firing is a delta firing like any other."""
+
+    @staticmethod
+    def _rule(text):
+        return next(parse_program(text, check=False).proper_rules())
+
+    def test_a_rule_over_an_empty_relation_compiles_nothing(self):
+        db = Database()
+        evaluator = IncrementalEvaluator(db)
+        evaluator.add_rule(self._rule("p(X) :- q(X), r(X)."))
+        db.add_atom(parse_atom('r("a")'))
+        evaluator.run()
+        assert evaluator.counters["plan.cache_misses"] == 0
+        assert evaluator.counters["plan.firings"] == 0
+        # what fills the relation later reaches the rule as a delta
+        db.add_atom(parse_atom('q("a")'))
+        evaluator.run()
+        assert select(db, parse_atom("p(X)")) == {parse_atom('p("a")').args}
+        assert evaluator.counters["plan.cache_misses"] == 1
+
+    def test_a_fact_stored_between_bind_and_add_rule_is_joined_once(self):
+        db = Database()
+        evaluator = IncrementalEvaluator(db)
+        db.add_atom(parse_atom('q("a")'))
+        db.add_atom(parse_atom('q("b")'))
+        evaluator.add_rule(self._rule("p(X) :- q(X)."))
+        evaluator.run()
+        assert db.count(("p", None)) == 2
+        assert evaluator.counters["derivations"] == 2
+        assert evaluator.counters["plan.firings"] == 1
+
+    def test_a_self_join_over_a_populated_store_derives_the_full_join(self):
+        db = load_facts(parse_program(TC, check=False))
+        evaluator = IncrementalEvaluator(db)
+        evaluator.add_rule(self._rule("hop(X, Z) :- edge(X, Y), edge(Y, Z)."))
+        evaluator.run()
+        assert select(db, parse_atom("hop(X, Z)")) == {
+            parse_atom('hop("a", "c")').args, parse_atom('hop("b", "d")').args}
+        assert evaluator.counters["derivations"] == 2
+        # ... and a later edge joins on either side of it
+        db.add_atom(parse_atom('edge("d", "a")'))
+        evaluator.run()
+        assert db.count(("hop", None)) == 4
 
 
 class TestActivation:

@@ -34,16 +34,15 @@ class TestReset:
         db.add(("q", None), (Const("a"),))
         evaluator.run()
         assert evaluator._plans
-        assert evaluator._by_body
-        assert evaluator._cursor
+        [(_, position, cursor)] = evaluator._consumers[("q", None)]
+        assert (position, cursor) == (0, 1)
 
         fresh = Database()
         evaluator.reset(fresh)
         assert evaluator.db is fresh
         assert not evaluator._plans
         assert not evaluator._seen_rules
-        assert not evaluator._by_body
-        assert not evaluator._cursor
+        assert not evaluator._consumers
 
     def test_reset_keeps_counters(self):
         db = Database()
@@ -83,10 +82,8 @@ class TestStalePlanHazard:
         rule_r = _rule("r(X) :- s(X).")
         db = Database()
         evaluator = IncrementalEvaluator(db)
-        # plans are cached per (id, delta_position); poison both the
-        # full-fire and the position-0 delta entry
-        evaluator._plans[(id(rule_r), None)] = plan_for({}, PlanStats(),
-                                                        rule_p, None)
+        # plans are cached per (id, delta_position) and every firing of a
+        # one-atom rule is a delta firing at position 0
         evaluator._plans[(id(rule_r), 0)] = plan_for({}, PlanStats(),
                                                      rule_p, 0)
 

@@ -115,8 +115,11 @@ class TestDelivery:
         network.register("b", b)
         network.send("a", "b", "x", 1)
         network.run_until_quiescent()
-        assert len(b.received) == 2
+        # exactly once at the handler: duplication engages the reliability
+        # layer, whose dedup path suppresses the second copy
+        assert len(b.received) == 1
         assert network.counters["messages_duplicated"] == 1
+        assert network.counters["net.duplicates_suppressed"] == 1
 
     def test_counters(self):
         network = Network()

@@ -29,7 +29,9 @@ def two_peer_network(fault: FaultPlan, seed: int = 0):
 class TestFaultPlan:
     def test_defaults_keep_reliability_off(self):
         assert not FaultPlan().needs_reliability()
-        assert FaultPlan(duplicate_probability=0.5).needs_reliability() is False
+        # a second copy needs the dedup path as much as a lost one needs
+        # the retransmit: duplication alone turns the layer on
+        assert FaultPlan(duplicate_probability=0.5).needs_reliability()
 
     def test_drop_or_delay_turn_reliability_on(self):
         assert FaultPlan(drop_probability=0.1).needs_reliability()
