@@ -46,7 +46,6 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Protocol, runtime_checkable
 
-from repro.datalog.cost import CostBudget
 from repro.datalog.seminaive import EvaluationBudget
 from repro.diagnosis.alarms import AlarmSequence
 from repro.diagnosis.bruteforce import bruteforce_diagnosis
@@ -112,14 +111,6 @@ class RunConfig:
     transport: str | TransportRuntime = "sim"
     #: run the Dijkstra-Scholten detector alongside the evaluation
     use_termination_detector: bool = False
-    #: admission control for the Datalog paths: before evaluation the
-    #: static cost analyzer (:mod:`repro.datalog.cost`) estimates the
-    #: run's fixpoint size and cross-peer message volume; an over-budget
-    #: estimate either raises :class:`~repro.errors.CostBudgetExceeded`
-    #: (``on_exceeded="refuse"``) or degrades the run to a depth-pruned
-    #: sound subset marked ``partial`` (``on_exceeded="degrade"``).
-    #: Ignored by the dedicated / bruteforce paths.
-    cost_budget: CostBudget | None = None
     #: prefix-index window of the ``"online"`` method (and the default
     #: for service sessions): bound the materialized table to vectors
     #: within this lag of every stream head; ``None`` = exact/unbounded.
@@ -163,7 +154,6 @@ def _datalog(mode: EvaluationMode) -> _Solver:
     return lambda petri, spec, config: DatalogDiagnosisEngine(
         petri, mode=mode, budget=config.budget,
         options=config.options, transport=config.transport,
-        cost_budget=config.cost_budget,
         use_termination_detector=config.use_termination_detector,
     ).diagnose(spec)
 

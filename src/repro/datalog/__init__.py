@@ -23,9 +23,8 @@ from repro.datalog.plan import (JoinPlan, compile_join_plan, clear_plan_cache,
                                 plan_cache_size)
 from repro.datalog.analysis import (AnalysisReport, DependencyGraph, Diagnostic,
                                     analyze, check_program)
-from repro.datalog.cost import (Card, CostBudget, CostModel, CostReport,
-                                PlanAdvisor, analyze_cost, check_cost,
-                                estimate_rule, evaluate_cost_budget)
+from repro.datalog.cost import (Card, CostModel, PlanAdvisor, check_cost,
+                                estimate_rule)
 from repro.datalog.stratified import StratifiedEvaluator, has_negation, stratify
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "JoinPlan", "compile_join_plan", "clear_plan_cache", "plan_cache_size",
     "AnalysisReport", "DependencyGraph", "Diagnostic",
     "analyze", "check_program",
-    "Card", "CostBudget", "CostModel", "CostReport", "PlanAdvisor",
-    "analyze_cost", "check_cost", "estimate_rule", "evaluate_cost_budget",
+    "Card", "CostModel", "PlanAdvisor", "check_cost", "estimate_rule",
     "StratifiedEvaluator", "has_negation", "stratify",
 ]

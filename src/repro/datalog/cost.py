@@ -23,10 +23,10 @@ propagated SCC-by-SCC in dependency order:
 propagation, same indexability rule), so its per-step ``cost`` predicts
 the ``plan.bindings_explored`` counter -- the quantity the benchmark
 gate checks predictions against.  On top of the estimator sit the
-:class:`PlanAdvisor` (DD805's search for a cheaper join order), the
-DD801-DD805 diagnostics (:func:`check_cost`), and the admission-control
-primitive :func:`evaluate_cost_budget` / :class:`CostBudget` consumed by
-:class:`repro.api.RunConfig`.
+:class:`PlanAdvisor` (DD805's search for a cheaper join order) and the
+DD801-DD805 diagnostics (:func:`check_cost`).  No run is admitted or
+refused on these figures: docs/cost.md records the measurement that
+ruled a static admission gate out.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterator
 
 from repro.datalog.adornment import adorn_program
 from repro.datalog.analysis import (DependencyGraph, Diagnostic, RelationKey,
@@ -66,7 +66,7 @@ class Card:
     transitive-closure fixpoint is degree 2, and so on).  The two travel
     together because measured counts answer "how expensive *now*" while
     degrees answer "how does it scale" -- DD802/DD804 gate on degrees,
-    the budget gate on counts.
+    DD801/DD803/DD805 on counts.
     """
 
     count: float
@@ -321,8 +321,8 @@ class CostModel:
         # Depth-discounted term universe: with s function symbols and a
         # depth bound d, D * (s + 1)^d stands in for the active domain.
         # A deliberate under-count of the true depth-d term universe
-        # (which is doubly exponential); what admission control needs is
-        # a finite figure monotone in the instance, not a tight bound.
+        # (which is doubly exponential); what the DD8xx passes need is a
+        # finite figure monotone in the instance, not a tight bound.
         terms = self.domain * float(self._functions + 1) ** self.max_term_depth
         return Card(terms ** max(1, arity), float(max(1, arity)))
 
@@ -751,157 +751,3 @@ def check_cost(program: Program, query: Query | None = None, *,
     out += _check_order_mismatch(model, thresholds)
     return out
 
-
-# -- aggregate report + budget gate ------------------------------------------
-
-
-@dataclass(frozen=True)
-class SccBound:
-    """One recursive SCC and its fixpoint-size bound."""
-
-    members: tuple[RelationKey, ...]
-    bound: Card
-    growing: bool
-
-
-@dataclass(frozen=True)
-class CostReport:
-    """Everything the cost analysis derives for one program."""
-
-    model: CostModel = field(repr=False)
-    rules: tuple[RuleEstimate, ...]
-    scc_bounds: tuple[SccBound, ...]
-    #: (sender, recipient) -> estimated shipped tuples; empty when local
-    traffic: Mapping[tuple[str, str], Card]
-    #: fixpoint-size bound over every relation
-    total_facts: Card
-    #: total cross-peer shipped tuples
-    total_messages: Card
-
-    def costliest_rules(self, limit: int = 5) -> tuple[RuleEstimate, ...]:
-        ranked = sorted(self.rules, key=lambda e: -e.cost.count)
-        return tuple(ranked[:limit])
-
-    def render(self) -> str:
-        symbolic = self.model.symbolic
-        lines = [f"estimated fixpoint size: "
-                 f"{self.total_facts.render(symbolic)}"
-                 + (f" [{self.total_facts.render(False)}]"
-                    if symbolic and not self.total_facts.unbounded else "")]
-        for scc in self.scc_bounds:
-            names = ", ".join(k[0] if k[1] is None else f"{k[0]}@{k[1]}"
-                              for k in scc.members)
-            lines.append(f"  recursive {{{names}}}: "
-                         f"{scc.bound.render(symbolic)}"
-                         + (" (function growth)" if scc.growing else ""))
-        for estimate in self.costliest_rules():
-            lines.append(f"  cost {estimate.cost.render(symbolic):>12s}  "
-                         f"{estimate.rule}")
-        if self.traffic:
-            lines.append(f"estimated cross-peer tuples: "
-                         f"{self.total_messages.render(symbolic)}")
-            for (src, dst), card in sorted(self.traffic.items()):
-                lines.append(f"  {src} -> {dst}: {card.render(symbolic)}")
-        return "\n".join(lines)
-
-
-def analyze_cost(program: Program, query: Query | None = None, *,
-                 database: "Database | None" = None,
-                 symbolic_n: float = DEFAULT_SYMBOLIC_N,
-                 max_term_depth: int | None = None,
-                 graph: DependencyGraph | None = None) -> CostReport:
-    """Build the full :class:`CostReport` for a program.
-
-    ``query`` is accepted for signature parity with :func:`check_cost`
-    (the report itself is query-independent; demand findings are the
-    diagnostics' job).
-    """
-    del query  # the report is query-independent; see docstring
-    if database is None:
-        model = CostModel.from_program(program, symbolic_n=symbolic_n,
-                                       max_term_depth=max_term_depth,
-                                       graph=graph)
-    else:
-        model = CostModel(program, database=database, symbolic_n=symbolic_n,
-                          max_term_depth=max_term_depth, graph=graph)
-    rules = tuple(estimate_rule(rule, model)
-                  for rule in program.proper_rules())
-    sccs: list[SccBound] = []
-    for index, component in enumerate(model.graph.components):
-        node = component[0]
-        if len(component) == 1 and node not in model.graph.successors(node):
-            continue
-        members = tuple(sorted(component, key=str))
-        bound = ZERO
-        for key in members:
-            bound = bound.plus(model.card(key))
-        growing = any(_grows_terms(rule, model.graph, index)
-                      for key in members
-                      for rule in program.rules_for(*key)
-                      if not rule.is_fact())
-        sccs.append(SccBound(members=members, bound=bound, growing=growing))
-    traffic: Mapping[tuple[str, str], Card] = {}
-    total_messages = ZERO
-    if program.peers():
-        from repro.distributed.analysis import estimate_peer_traffic
-        traffic, _per_rule = estimate_peer_traffic(program, model)
-        for card in traffic.values():
-            total_messages = total_messages.plus(card)
-    return CostReport(model=model, rules=rules, scc_bounds=tuple(sccs),
-                      traffic=traffic, total_facts=model.total_facts(),
-                      total_messages=total_messages)
-
-
-@dataclass(frozen=True)
-class CostBudget:
-    """Admission-control limits compared against the static estimates.
-
-    ``on_exceeded="refuse"`` makes :func:`evaluate_cost_budget` callers
-    raise :class:`repro.errors.CostBudgetExceeded`; ``"degrade"`` asks
-    the engine to run anyway under a depth-pruned
-    :class:`~repro.datalog.seminaive.EvaluationBudget`, yielding a sound
-    subset of the answers (the load-shedding mode the streaming service
-    sits on).
-    """
-
-    max_estimated_facts: float | None = None
-    max_estimated_messages: float | None = None
-    on_exceeded: str = "refuse"
-
-    def __post_init__(self) -> None:
-        if self.on_exceeded not in ("refuse", "degrade"):
-            raise ValueError(
-                f"on_exceeded must be 'refuse' or 'degrade', "
-                f"got {self.on_exceeded!r}")
-
-
-@dataclass(frozen=True)
-class CostVerdict:
-    """Result of comparing a program's estimates against a budget."""
-
-    ok: bool
-    breaches: tuple[str, ...]
-    estimated_facts: float
-    estimated_messages: float
-    report: CostReport = field(repr=False)
-
-
-def evaluate_cost_budget(program: Program, budget: CostBudget, *,
-                         database: "Database | None" = None,
-                         symbolic_n: float = DEFAULT_SYMBOLIC_N,
-                         max_term_depth: int | None = None) -> CostVerdict:
-    """Compare the program's static estimates against ``budget``."""
-    report = analyze_cost(program, database=database, symbolic_n=symbolic_n,
-                          max_term_depth=max_term_depth)
-    breaches: list[str] = []
-    facts = report.total_facts.count
-    messages = report.total_messages.count
-    if budget.max_estimated_facts is not None \
-            and facts > budget.max_estimated_facts:
-        breaches.append("facts")
-    if budget.max_estimated_messages is not None \
-            and messages > budget.max_estimated_messages:
-        breaches.append("messages")
-    return CostVerdict(ok=not breaches, breaches=tuple(breaches),
-                       estimated_facts=facts, estimated_messages=messages,
-                       report=report)

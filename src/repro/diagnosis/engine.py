@@ -40,16 +40,10 @@ from repro.diagnosis.supervisor import SUPERVISOR, SupervisorEncoder
 from repro.distributed.dqsq import DqsqEngine
 from repro.distributed.network import NetworkOptions
 from repro.distributed.transport import TransportRuntime
-from repro.errors import CostBudgetExceeded, DiagnosisError
+from repro.errors import DiagnosisError
 from repro.petri.net import PetriNet
 from repro.petri.occurrence import VIRTUAL_ROOT
 from repro.utils.counters import Counters
-
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.datalog.cost import CostBudget
-    from repro.datalog.rule import Program
 
 _EVENT_RELATIONS = (TRANS1, TRANS2)
 
@@ -107,64 +101,17 @@ class DatalogDiagnosisEngine:
                  budget: EvaluationBudget | None = None,
                  options: NetworkOptions | None = None,
                  use_termination_detector: bool = False,
-                 transport: "str | TransportRuntime" = "sim",
-                 cost_budget: "CostBudget | None" = None) -> None:
+                 transport: "str | TransportRuntime" = "sim") -> None:
         self.petri = petri
         self.mode = EvaluationMode.coerce(mode)
         self.supervisor = supervisor
         self.budget = budget or EvaluationBudget(max_facts=2_000_000)
-        #: optional static admission budget (repro.datalog.cost): checked
-        #: against the program's cost estimates before any evaluation
-        self.cost_budget = cost_budget
         self.options = options or NetworkOptions()
         self.use_termination_detector = use_termination_detector
         #: transport substrate for the dqsq path ("sim", "mp", or a
         #: ready TransportRuntime); centralized modes evaluate locally
         #: and ignore it
         self.transport = transport
-
-    def _admit(self, program: "Program", max_events: int,
-               counters: Counters) -> tuple[EvaluationBudget, bool]:
-        """Admission control: static cost estimates vs ``cost_budget``.
-
-        Returns the evaluation budget to run under and whether the run
-        was degraded.  The estimate assumes the Theorem-4 depth: the
-        diagnosis only ever needs the unfolding prefix of depth
-        ``max_events`` (the observation's event bound: ``len(alarms)``
-        for an alarm sequence), whose encoding terms nest to roughly
-        twice that (one ``f``-level per causal ancestor plus one
-        ``conf``-level per explained event) -- so the term universe is
-        bounded by ``2*max_events + 2``, or by an explicitly tighter
-        ``budget.max_term_depth``.  On a breach,
-        ``on_exceeded="refuse"`` raises
-        :class:`~repro.errors.CostBudgetExceeded`; ``"degrade"`` clamps
-        the run to a depth-pruned budget, which yields a *sound subset*
-        of the diagnoses (marked ``partial``) instead of an over-budget
-        exact run.
-        """
-        from repro.datalog.cost import evaluate_cost_budget
-        assert self.cost_budget is not None
-        depth = self.budget.max_term_depth
-        if depth is None:
-            depth = 2 * max(1, max_events) + 2
-        verdict = evaluate_cost_budget(program, self.cost_budget,
-                                       max_term_depth=depth)
-        counters.add("cost.admission_checks")
-        if verdict.ok:
-            return self.budget, False
-        if self.cost_budget.on_exceeded == "refuse":
-            counters.add("cost.refused_runs")
-            raise CostBudgetExceeded(
-                verdict.breaches, verdict.estimated_facts,
-                verdict.estimated_messages,
-                self.cost_budget.max_estimated_facts,
-                self.cost_budget.max_estimated_messages)
-        counters.add("cost.degraded_runs")
-        return EvaluationBudget(
-            max_iterations=self.budget.max_iterations,
-            max_facts=self.budget.max_facts,
-            max_term_depth=depth,
-            prune_depth=True), True
 
     def diagnose(self, observation: AlarmSequence | ObservationSpec
                  ) -> DatalogDiagnosisResult:
@@ -187,16 +134,10 @@ class DatalogDiagnosisEngine:
             counters=counters)
 
         partial = False
-        budget = self.budget
-        if self.cost_budget is not None:
-            budget, degraded = self._admit(program.program,
-                                           encoder.max_events, counters)
-            partial = partial or degraded
-
         transport_stats: dict[str, dict[str, int]] | None = None
         peer_report: dict[str, dict[str, int | bool]] | None = None
         if self.mode is EvaluationMode.DQSQ:
-            engine = DqsqEngine(program, budget=budget, options=self.options,
+            engine = DqsqEngine(program, budget=self.budget, options=self.options,
                                 use_termination_detector=self.use_termination_detector,
                                 check=False, transport=self.transport)
             result = engine.query(Query(query_atom))
@@ -217,13 +158,13 @@ class DatalogDiagnosisEngine:
                                      query_atom.args, None))
             if self.mode is EvaluationMode.QSQ:
                 qsq = qsq_evaluate(local, local_query, Database(),
-                                   budget=budget, check=False)
+                                   budget=self.budget, check=False)
                 counters.merge(qsq.counters)
                 answers = qsq.answers
                 events, conditions = _collect_nodes_from_adorned([qsq.database])
             else:
                 db = Database()
-                evaluator = SemiNaiveEvaluator(local, budget, check=False)
+                evaluator = SemiNaiveEvaluator(local, self.budget, check=False)
                 evaluator.run(db)
                 counters.merge(evaluator.counters)
                 answers = select(db, local_query.atom)

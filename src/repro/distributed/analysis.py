@@ -89,8 +89,8 @@ def check_locality(program: "Program",
 
 
 def _rule_traffic(rule: "Rule", model: "CostModel") \
-        -> tuple[dict[tuple[str, str], "Card"], "Card", "RuleEstimate"]:
-    """Estimated cross-peer tuple flow of one fully-located rule.
+        -> tuple["Card", "RuleEstimate"]:
+    """Estimated cross-peer tuples one fully-located rule ships.
 
     Follows the dQSQ delegation walk: the rule is evaluated at the peer
     of its head, the body is consumed in *written* order, and at the
@@ -103,46 +103,36 @@ def _rule_traffic(rule: "Rule", model: "CostModel") \
     from repro.datalog.cost import ZERO, estimate_rule
     estimate = estimate_rule(rule, model,
                              order=tuple(range(len(rule.body))))
-    pairs: dict[tuple[str, str], "Card"] = {}
     shipped = ZERO
     site = rule.head.peer
     for step in estimate.steps:
         atom = rule.body[step.position]
         if atom.peer is not None and atom.peer != site and site is not None:
-            hop = (site, atom.peer)
-            pairs[hop] = pairs.get(hop, ZERO).plus(step.inputs)
             shipped = shipped.plus(step.inputs)
             site = atom.peer
     if site is not None and rule.head.peer is not None \
             and site != rule.head.peer:
-        hop = (site, rule.head.peer)
-        pairs[hop] = pairs.get(hop, ZERO).plus(estimate.bindings)
         shipped = shipped.plus(estimate.bindings)
-    return pairs, shipped, estimate
+    return shipped, estimate
 
 
 def estimate_peer_traffic(program: "Program", model: "CostModel") \
-        -> tuple[dict[tuple[str, str], "Card"],
-                 list[tuple["Rule", "Card", "RuleEstimate"]]]:
-    """Estimated cross-peer shipped tuples, per (sender, recipient) pair.
+        -> list[tuple["Rule", "Card", "RuleEstimate"]]:
+    """Estimated cross-peer shipped tuples, per rule.
 
-    Returns the aggregated traffic matrix plus the per-rule breakdown
-    ``(rule, shipped, estimate)``.  Only fully-located rules route
-    traffic (mixed rules are DD401 errors; unlocated rules run locally).
+    Returns ``(rule, shipped, estimate)`` for every fully-located rule:
+    only those route traffic (mixed rules are DD401 errors; unlocated
+    rules run locally).
     """
-    traffic: dict[tuple[str, str], "Card"] = {}
     per_rule: list[tuple["Rule", "Card", "RuleEstimate"]] = []
-    from repro.datalog.cost import ZERO
     for rule in program.proper_rules():
         if rule.head.peer is None:
             continue
         if any(atom.peer is None for atom in rule.body):
             continue
-        pairs, shipped, estimate = _rule_traffic(rule, model)
-        for hop, card in pairs.items():
-            traffic[hop] = traffic.get(hop, ZERO).plus(card)
+        shipped, estimate = _rule_traffic(rule, model)
         per_rule.append((rule, shipped, estimate))
-    return traffic, per_rule
+    return per_rule
 
 
 def check_broadcast(program: "Program", model: "CostModel",
@@ -156,8 +146,7 @@ def check_broadcast(program: "Program", model: "CostModel",
     locally first.
     """
     out: list[Diagnostic] = []
-    _traffic, per_rule = estimate_peer_traffic(program, model)
-    for rule, shipped, estimate in per_rule:
+    for rule, shipped, estimate in estimate_peer_traffic(program, model):
         answers = estimate.output
         if not shipped.unbounded:
             if shipped.count < thresholds.broadcast_min:

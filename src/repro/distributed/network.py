@@ -71,6 +71,12 @@ from repro.utils.counters import Counters
 if TYPE_CHECKING:  # pragma: no cover
     from repro.distributed.transport import Transport
 
+#: base retransmission timeout, in global deliveries: a frame is re-sent
+#: once this many deliveries (plus the current wire backlog) elapse
+#: without an ack
+ACK_TIMEOUT_DELIVERIES = 16
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """Failure-injection knobs, grouped (loss, delay, duplication, retry).
@@ -88,8 +94,6 @@ class FaultPlan:
     delay_distribution: tuple[int, int] | Callable[[random.Random], int] | None = None
     #: how many times one frame may be retransmitted before giving up
     max_retries: int = 25
-    #: retransmit a frame once this many deliveries elapse without an ack
-    ack_timeout_deliveries: int = 16
 
     def __post_init__(self) -> None:
         for name in ("drop_probability", "duplicate_probability"):
@@ -98,8 +102,6 @@ class FaultPlan:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.ack_timeout_deliveries < 1:
-            raise ValueError("ack_timeout_deliveries must be >= 1")
         if isinstance(self.delay_distribution, tuple):
             lo, hi = self.delay_distribution
             if lo < 0 or hi < lo:
@@ -151,45 +153,29 @@ class PeerFaultPlan:
 
     ``crash_at`` schedules deterministic crashes: peer ``p`` crashes in
     place of processing its k-th delivery (1-based, each listed k fires
-    once).  ``crash_probability`` adds a seeded random crash draw before
-    every delivery, bounded by ``max_random_crashes`` per peer.  A
-    crashed peer restarts after ``restart_after_deliveries`` further
-    global deliveries (``None`` = permanent failure) by restoring its
-    latest checkpoint.  Any non-default field activates the reliable
-    transport: crash recovery leans on its sequence numbers.
+    once).  A crashed peer restarts after ``restart_after_deliveries``
+    further global deliveries (``None`` = permanent failure) by restoring
+    its latest checkpoint; frames queued to it are retained, and sends
+    to it queue until it is back.  Any non-default field activates the
+    reliable transport: crash recovery leans on its sequence numbers.
+    Every peer a plan names must be registered on the network, or the
+    first delivery raises :class:`~repro.errors.UnknownPeerError`.
     """
 
     #: peer name -> 1-based indices of deliveries-to-that-peer that crash it
     crash_at: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
-    #: probability that a peer crashes instead of processing a delivery
-    crash_probability: float = 0.0
-    #: cap on probabilistic crashes per peer (deterministic ones are exact)
-    max_random_crashes: int = 1
     #: global deliveries until a crashed peer restarts; None = stays dead
     restart_after_deliveries: int | None = None
     #: checkpoint a peer after every k-th delivery to it
     checkpoint_interval: int = 1
-    #: "queue" retains sends to a down peer; "fail" raises PeerUnavailable
-    down_send_policy: str = "queue"
-    #: "retain" keeps frames queued to a crashing peer; "flush" drops them
-    #: (the reliable layer retransmits the flushed data frames later)
-    crash_frame_policy: str = "retain"
     #: link partitions between peer pairs, by delivery-count window
     partitions: tuple[LinkPartition, ...] = ()
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.crash_probability <= 1.0:
-            raise ValueError("crash_probability must be in [0, 1]")
-        if self.max_random_crashes < 0:
-            raise ValueError("max_random_crashes must be >= 0")
         if self.restart_after_deliveries is not None and self.restart_after_deliveries < 1:
             raise ValueError("restart_after_deliveries must be >= 1 (or None)")
         if self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be >= 1")
-        if self.down_send_policy not in ("queue", "fail"):
-            raise ValueError("down_send_policy must be 'queue' or 'fail'")
-        if self.crash_frame_policy not in ("retain", "flush"):
-            raise ValueError("crash_frame_policy must be 'retain' or 'flush'")
         for peer, indices in self.crash_at.items():
             for k in indices:
                 if k < 1:
@@ -197,8 +183,7 @@ class PeerFaultPlan:
 
     def enabled(self) -> bool:
         """Whether any process-level fault can occur."""
-        return (bool(self.crash_at) or self.crash_probability > 0
-                or bool(self.partitions))
+        return bool(self.crash_at) or bool(self.partitions)
 
 
 @dataclass(frozen=True)
@@ -219,7 +204,7 @@ class NetworkOptions:
     def rng(self) -> random.Random:
         """The one seeded generator behind every scheduler and fault draw.
 
-        Loss, delay, duplication, crash and scheduling draws all come
+        Loss, delay, duplication and scheduling draws all come
         from this stream, so a run is replayable from ``seed`` alone
         (recorded in the ``net.seed`` counter of every result).
         """
@@ -430,7 +415,6 @@ class Network:
         self._down: dict[str, int | None] = {}          #: peer -> restart-at (deliveries)
         self._crash_schedule = {peer: sorted(ks)
                                 for peer, ks in self.peer_fault.crash_at.items()}
-        self._random_crashes: dict[str, int] = {}
         self._crash_counts: dict[str, int] = {}
         self._restart_counts: dict[str, int] = {}
         self._deliveries_to: dict[str, int] = {}
@@ -461,13 +445,6 @@ class Network:
     def peers(self) -> tuple[str, ...]:
         return tuple(sorted(self._handlers))
 
-    def handler(self, name: str) -> PeerHandler:
-        """The registered handler for ``name`` (raises for unknown peers)."""
-        try:
-            return self._handlers[name]
-        except KeyError:
-            raise UnknownPeerError(f"unknown peer {name}") from None
-
     def trace_marker(self, kind: str, peer: str, writes: tuple = ()) -> None:
         """Record an intra-handler application event on the active tracer.
 
@@ -493,9 +470,6 @@ class Network:
         self._lifecycle.append(listener)
 
     # -- peer lifecycle ------------------------------------------------------
-
-    def is_up(self, peer: str) -> bool:
-        return peer not in self._down
 
     def failed_peers(self) -> tuple[str, ...]:
         """Peers that are down with no restart scheduled."""
@@ -546,7 +520,21 @@ class Network:
         self.counters.add("net.recovery.checkpoints_taken")
 
     def _capture_baseline(self) -> None:
-        """Checkpoint every checkpointable peer before the first delivery."""
+        """Checkpoint every checkpointable peer before the first delivery.
+
+        Runs once, after every peer has registered, so it is also where
+        the plan's peer names are checked: a crash or partition naming
+        an unregistered peer would never fire, and the run would pass
+        for a faulted one.
+        """
+        named = set(self.peer_fault.crash_at)
+        for part in self.peer_fault.partitions:
+            named.update((part.a, part.b))
+        unknown = sorted(named - set(self._handlers))
+        if unknown:
+            raise UnknownPeerError(
+                f"peer fault plan names unknown peer(s) {', '.join(unknown)} "
+                f"(registered: {', '.join(self.peers())})")
         for name in self.peers():
             if self._checkpointable(name):
                 self._store_checkpoint(name)
@@ -557,11 +545,6 @@ class Network:
         attempt = self._deliveries_to.get(peer, 0) + 1
         if schedule and schedule[0] <= attempt:
             schedule.pop(0)
-            return True
-        if (self.peer_fault.crash_probability > 0
-                and self._random_crashes.get(peer, 0) < self.peer_fault.max_random_crashes
-                and self._rng.random() < self.peer_fault.crash_probability):
-            self._random_crashes[peer] = self._random_crashes.get(peer, 0) + 1
             return True
         return False
 
@@ -587,22 +570,6 @@ class Network:
             self._ds_watermark[channel] = max(self._ds_watermark.get(channel, 0),
                                               state.expected)
             state.reorder.clear()
-        if self.peer_fault.crash_frame_policy == "flush":
-            for channel in list(self._channels):
-                if channel[1] != peer:
-                    continue
-                queue = self._channels[channel]
-                state = self._state(channel)
-                for frame in queue:
-                    if frame.is_ack:
-                        continue
-                    pending = state.outstanding.get(frame.channel_seq)
-                    if pending is not None and pending.in_flight > 0:
-                        # The copy is gone from the wire; let the
-                        # retransmission timer re-send it later.
-                        pending.in_flight -= 1
-                    self.counters.add("net.recovery.frames_flushed")
-                queue.clear()
         for listener in self._lifecycle:
             listener.on_peer_crash(peer, self)
 
@@ -700,12 +667,6 @@ class Network:
             raise NetworkClosedError("network is closed")
         if recipient not in self._handlers:
             raise UnknownPeerError(f"unknown peer {recipient}")
-        if (recipient in self._down
-                and self.peer_fault.down_send_policy == "fail"):
-            raise PeerUnavailable(
-                peers=(recipient,), report=self.peer_report(),
-                reason=f"send of a {kind!r} message refused: peer {recipient} "
-                       f"is down (down_send_policy='fail')")
         self._seq += 1
         message = Message(sender=sender, recipient=recipient, kind=kind,
                           payload=payload, seq=self._seq)
@@ -919,7 +880,7 @@ class Network:
         # The clock ticks once per global delivery, so an ack's queueing
         # time grows with the wire backlog; waiting out the backlog keeps
         # the fixed part of the timeout a loss signal, not a load signal.
-        timeout = self.fault.ack_timeout_deliveries + self.pending()
+        timeout = ACK_TIMEOUT_DELIVERIES + self.pending()
         resent = False
         for channel in sorted(self._states):
             if not self._channel_open(channel):

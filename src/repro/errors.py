@@ -84,39 +84,6 @@ class BudgetExceeded(ReproError):
         self.limit = limit
 
 
-class CostBudgetExceeded(ReproError):
-    """Raised when a static cost estimate exceeds an admission budget.
-
-    Unlike :class:`BudgetExceeded` (a *runtime* limit hit mid-run), this
-    fires *before* evaluation starts: the cost analyzer
-    (:mod:`repro.datalog.cost`) predicted the run would exceed the
-    :class:`~repro.datalog.cost.CostBudget` attached to the
-    :class:`~repro.api.RunConfig`, and ``on_exceeded="refuse"`` asked for
-    rejection over degradation.  Carries the structured estimates so an
-    admission controller can log, re-budget, or route the session.
-    """
-
-    def __init__(self, breaches: tuple[str, ...], estimated_facts: float,
-                 estimated_messages: float,
-                 max_estimated_facts: float | None,
-                 max_estimated_messages: float | None):
-        parts = []
-        if "facts" in breaches:
-            parts.append(f"estimated facts {estimated_facts:.3g} > "
-                         f"budget {max_estimated_facts:.3g}")
-        if "messages" in breaches:
-            parts.append(f"estimated cross-peer messages "
-                         f"{estimated_messages:.3g} > "
-                         f"budget {max_estimated_messages:.3g}")
-        super().__init__("cost budget exceeded before evaluation: "
-                         + "; ".join(parts))
-        self.breaches = tuple(breaches)
-        self.estimated_facts = estimated_facts
-        self.estimated_messages = estimated_messages
-        self.max_estimated_facts = max_estimated_facts
-        self.max_estimated_messages = max_estimated_messages
-
-
 class PetriNetError(ReproError):
     """Base class for Petri-net-layer errors."""
 
@@ -146,7 +113,8 @@ class NetworkClosedError(DistributedError):
 
 
 class UnknownPeerError(DistributedError):
-    """Raised when a message is addressed to a peer that does not exist."""
+    """Raised when a message or a peer fault plan names a peer that does
+    not exist."""
 
 
 class TransportExhausted(DistributedError):
@@ -199,13 +167,12 @@ class ServiceOverloaded(ServiceError):
     """Raised (or returned as a structured refusal) when admission
     control sheds an alarm instead of queueing it unboundedly.
 
-    Mirrors the :class:`CostBudgetExceeded` refuse/degrade split at the
-    serving layer: a session whose bounded queue is full -- or a server
-    above its global high watermark -- either refuses the alarm with
-    this error (``on_overload="shed"``) or degrades the session to a
-    tighter compaction window and answers ``partial=True``
-    (``on_overload="degrade"``).  Carries the queue depths so clients
-    can implement informed backoff.
+    The limit is measured, not estimated: a session whose bounded queue
+    is full -- or a server above its global high watermark -- either
+    refuses the alarm with this error (``on_overload="shed"``) or
+    degrades the session to a tighter compaction window and answers
+    ``partial=True`` (``on_overload="degrade"``).  Carries the queue
+    depths so clients can implement informed backoff.
     """
 
     def __init__(self, session_id: str, queued: int, limit: int,

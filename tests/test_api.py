@@ -126,7 +126,7 @@ class TestFacade:
         observation's business (ObservationSpec), not the run's."""
         assert {f.name for f in dataclasses.fields(repro.RunConfig)} == {
             "budget", "options", "transport",
-            "use_termination_detector", "cost_budget", "window"}
+            "use_termination_detector", "window"}
 
 
 class TestEvaluationMode:

@@ -1,9 +1,12 @@
 """The chaos harness: invariant checking, determinism, and the CLI."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import main
 from repro.distributed.chaos import (ChaosConfig, make_schedule, run_chaos)
+from repro.distributed.network import FaultPlan, PeerFaultPlan
 
 
 class TestScheduleDerivation:
@@ -21,6 +24,22 @@ class TestScheduleDerivation:
         options = [make_schedule(config, i, peers).options for i in range(20)]
         assert len({o.seed for o in options}) == 20
         assert len({o.fault.drop_probability for o in options}) > 1
+
+    def test_every_fault_plan_field_is_drawn(self):
+        """A plan field no campaign sets is a knob nobody turns: delete
+        it, or teach make_schedule to draw it."""
+        config = ChaosConfig(seed=0)
+        options = [make_schedule(config, i, ("r", "s", "t")).options
+                   for i in range(100)]
+        undrawn = []
+        for plan_type, attr in ((FaultPlan, "fault"),
+                                (PeerFaultPlan, "peer_fault")):
+            default = plan_type()
+            undrawn += [f"{plan_type.__name__}.{f.name}"
+                        for f in dataclasses.fields(plan_type)
+                        if all(getattr(getattr(o, attr), f.name)
+                               == getattr(default, f.name) for o in options)]
+        assert undrawn == []
 
     def test_validation(self):
         with pytest.raises(ValueError):

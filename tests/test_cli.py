@@ -112,6 +112,14 @@ class TestCommands:
         assert code == 2
         assert "unknown hidden" in capsys.readouterr().err
 
+    def test_diagnose_crash_at_unknown_peer_is_refused(self, capsys):
+        # A crash plan naming a peer the net lacks used to be ignored:
+        # the run answered fault-free and exited 0.
+        code = main(["diagnose", "--scenario", "figure1-bac",
+                     "--crash", "zz@2", "--restart-after", "6"])
+        assert code == 2
+        assert "zz" in capsys.readouterr().err
+
     def test_experiments_subset(self, capsys):
         assert main(["experiments", "E1"]) == 0
         out = capsys.readouterr().out

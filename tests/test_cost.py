@@ -7,12 +7,10 @@ import pytest
 
 from repro.datalog import Query, SemiNaiveEvaluator, parse_atom, parse_program
 from repro.datalog.analysis import CODES, analyze
-from repro.datalog.cost import (Card, CostBudget, CostModel, CostThresholds,
-                                PlanAdvisor, analyze_cost, check_cost,
-                                estimate_rule, evaluate_cost_budget)
+from repro.datalog.cost import (Card, CostModel, CostThresholds, PlanAdvisor,
+                                check_cost, estimate_rule)
 from repro.datalog.naive import load_facts
 from repro.datalog.plan import JoinPlan, PlanStats, compile_join_plan
-from repro.errors import CostBudgetExceeded
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
@@ -252,87 +250,6 @@ class TestDiagnostics:
         lax = CostThresholds(scc_degree=99.0)
         assert not any(d.code == "DD802"
                        for d in check_cost(program, thresholds=lax))
-
-
-class TestCostReport:
-    def test_report_renders_and_ranks(self):
-        program = parse_program(TC)
-        report = analyze_cost(program)
-        assert report.scc_bounds and not report.scc_bounds[0].growing
-        top = report.costliest_rules(1)[0]
-        assert len(top.rule.body) == 2  # the recursive rule is costlier
-        assert "fixpoint size" in report.render()
-
-    def test_located_program_estimates_traffic(self):
-        text = (EXAMPLES / "costly.dl").read_text()
-        program = parse_program(text, check=False)
-        report = analyze_cost(program)
-        assert report.total_messages.count > 0
-        assert ("a", "b") in report.traffic
-
-
-class TestCostBudget:
-    def test_on_exceeded_is_validated(self):
-        with pytest.raises(ValueError):
-            CostBudget(on_exceeded="explode")
-
-    def test_verdict_ok_under_generous_budget(self):
-        program = parse_program(TC)
-        verdict = evaluate_cost_budget(program,
-                                       CostBudget(max_estimated_facts=1e9))
-        assert verdict.ok and verdict.breaches == ()
-
-    def test_verdict_breaches_facts(self):
-        program = parse_program(TC)
-        verdict = evaluate_cost_budget(program,
-                                       CostBudget(max_estimated_facts=1.0))
-        assert not verdict.ok and verdict.breaches == ("facts",)
-
-    def test_exception_carries_structured_fields(self):
-        err = CostBudgetExceeded(("facts",), 100.0, 0.0, 10.0, None)
-        assert err.breaches == ("facts",)
-        assert err.estimated_facts == 100.0
-        assert "100" in str(err) and "10" in str(err)
-
-
-class TestEngineAdmission:
-    def scenario(self):
-        from repro.petri.generators import TelecomSpec, telecom_net
-        from repro.workloads.alarmgen import simulate_alarms
-        petri = telecom_net(TelecomSpec(peers=2, ring_length=3,
-                                        branching=0.3, topology="chain",
-                                        seed=21))
-        return petri, simulate_alarms(petri, steps=2, seed=21)
-
-    def test_generous_budget_admits_exact_run(self):
-        from repro.api import RunConfig, diagnose
-        petri, alarms = self.scenario()
-        config = RunConfig(cost_budget=CostBudget(max_estimated_facts=1e30))
-        result = diagnose(petri, alarms, method="qsq", config=config)
-        baseline = diagnose(petri, alarms, method="qsq")
-        assert result.diagnoses == baseline.diagnoses
-        assert not result.partial
-        assert result.counters["cost.admission_checks"] == 1
-
-    def test_tight_budget_refuses_with_structured_error(self):
-        from repro.api import RunConfig, diagnose
-        petri, alarms = self.scenario()
-        config = RunConfig(cost_budget=CostBudget(max_estimated_facts=10))
-        with pytest.raises(CostBudgetExceeded) as excinfo:
-            diagnose(petri, alarms, method="qsq", config=config)
-        assert excinfo.value.breaches == ("facts",)
-        assert excinfo.value.max_estimated_facts == 10
-
-    def test_degrade_yields_sound_partial_subset(self):
-        from repro.api import RunConfig, diagnose
-        petri, alarms = self.scenario()
-        config = RunConfig(cost_budget=CostBudget(max_estimated_facts=10,
-                                                  on_exceeded="degrade"))
-        degraded = diagnose(petri, alarms, method="qsq", config=config)
-        baseline = diagnose(petri, alarms, method="qsq")
-        assert degraded.partial
-        assert degraded.counters["cost.degraded_runs"] == 1
-        assert set(degraded.diagnoses) <= set(baseline.diagnoses)
 
 
 class TestSeverityPinning:

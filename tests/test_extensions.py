@@ -9,7 +9,7 @@ from repro.diagnosis import (AlarmSequence, DedicatedDiagnoser,
 from repro.diagnosis.patterns import (AlarmPattern, ObservationSpec,
                                       totalize_and_complement)
 from repro.diagnosis.supervisor import SupervisorEncoder
-from repro.errors import CostBudgetExceeded, DiagnosisError, EncodingError
+from repro.errors import DiagnosisError, EncodingError
 from repro.petri.examples import figure1_alarm_scenarios, figure1_net
 from repro.petri.product import Observer
 from repro.workloads import get_scenario
@@ -265,14 +265,6 @@ class TestPatterns:
         got = repro.diagnose(petri, spec, method="qsq")
         for diagnosis in got.diagnoses:
             assert len(diagnosis) <= 1
-
-    def test_cost_budget_refuses_a_pattern_spec(self):
-        from repro.datalog.cost import CostBudget
-        config = repro.RunConfig(cost_budget=CostBudget(
-            max_estimated_facts=10, on_exceeded="refuse"))
-        with pytest.raises(CostBudgetExceeded):
-            repro.diagnose(figure1_net(), star_spec(), method="qsq",
-                           config=config)
 
     def test_every_method_answers_a_pattern_or_refuses_it(self):
         """The oracles used to refuse any ObservationSpec at the door.

@@ -43,7 +43,9 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan(max_retries=-1)
         with pytest.raises(ValueError):
-            FaultPlan(ack_timeout_deliveries=0)
+            FaultPlan(duplicate_probability=-0.1)
+        with pytest.raises(ValueError):
+            FaultPlan(delay_distribution=(-1, 2))
         with pytest.raises(ValueError):
             FaultPlan(delay_distribution=(3, 1))
 
