@@ -26,7 +26,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.datalog.naive import load_facts
+from repro.datalog.database import load_facts
 from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.rule import Query
 from repro.distributed.ddatalog import DDatalogProgram

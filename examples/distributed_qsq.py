@@ -11,8 +11,7 @@ Run:  python examples/distributed_qsq.py
 
 from repro.datalog import Query, parse_atom, parse_program, qsq_rewrite, qsq_evaluate
 from repro.datalog.atom import Atom
-from repro.datalog.database import Database
-from repro.datalog.naive import load_facts
+from repro.datalog.database import Database, load_facts
 from repro.datalog.pretty import program_by_relation
 from repro.distributed import DDatalogProgram, DistributedNaiveEngine, DqsqEngine
 

@@ -5,7 +5,7 @@ Asynchronous Discrete Event Systems: Datalog to the Rescue!" (PODS
 2005).  The public API re-exports the main entry points of each layer;
 see the subpackages for the full surface:
 
-* :mod:`repro.datalog` -- Datalog with function symbols, QSQ, Magic Sets;
+* :mod:`repro.datalog` -- Datalog with function symbols, semi-naive, QSQ;
 * :mod:`repro.petri` -- safe Petri nets, unfoldings, products;
 * :mod:`repro.distributed` -- dDatalog, dQSQ, the simulated network;
 * :mod:`repro.diagnosis` -- the diagnosis problem and its three solvers;

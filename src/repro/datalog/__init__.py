@@ -2,9 +2,10 @@
 
 This package implements the deductive-database substrate of the paper
 (Section 3): terms with function symbols, rules with inequality
-constraints, naive and semi-naive bottom-up evaluation, adornments, the
-Query-Sub-Query rewriting of Figure 4, and Magic Sets as a sibling
-technique.  The distributed extensions (dDatalog programs spread over
+constraints, one semi-naive bottom-up fixpoint, adornments, and the
+Query-Sub-Query rewriting of Figure 4, which that fixpoint evaluates.
+Stratified negation (Remark 4) runs the same fixpoint stratum by
+stratum.  The distributed extensions (dDatalog programs spread over
 peers, dQSQ) live in :mod:`repro.distributed`.
 """
 
@@ -13,12 +14,9 @@ from repro.datalog.atom import Atom, Inequality
 from repro.datalog.rule import Rule, Program, Query
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_program, parse_rule, parse_atom, parse_term
-from repro.datalog.naive import NaiveEvaluator
 from repro.datalog.seminaive import SemiNaiveEvaluator, EvaluationBudget
 from repro.datalog.adornment import Adornment, adorn_program
 from repro.datalog.qsq import QsqRewriting, qsq_rewrite, qsq_evaluate
-from repro.datalog.qsqr import QsqrEvaluator, qsqr_evaluate
-from repro.datalog.magic import magic_rewrite, magic_evaluate
 from repro.datalog.plan import (JoinPlan, compile_join_plan, clear_plan_cache,
                                 plan_cache_size)
 from repro.datalog.analysis import (AnalysisReport, DependencyGraph, Diagnostic,
@@ -33,11 +31,9 @@ __all__ = [
     "Rule", "Program", "Query",
     "Database",
     "parse_program", "parse_rule", "parse_atom", "parse_term",
-    "NaiveEvaluator", "SemiNaiveEvaluator", "EvaluationBudget",
+    "SemiNaiveEvaluator", "EvaluationBudget",
     "Adornment", "adorn_program",
     "QsqRewriting", "qsq_rewrite", "qsq_evaluate",
-    "QsqrEvaluator", "qsqr_evaluate",
-    "magic_rewrite", "magic_evaluate",
     "JoinPlan", "compile_join_plan", "clear_plan_cache", "plan_cache_size",
     "AnalysisReport", "DependencyGraph", "Diagnostic",
     "analyze", "check_program",

@@ -84,9 +84,9 @@ def adorn_program(program: Program, query_atom: Atom) -> list[tuple[str, str | N
     """All adorned IDB relations reachable from the query, by left-to-right SIP.
 
     Returns ``(relation, peer, adornment)`` triples in discovery order.
-    This is the static reachability analysis underlying both QSQ and
-    Magic-Set rewritings; the dQSQ engine performs the same computation
-    lazily and locally at each peer.
+    This is the static reachability analysis underlying the QSQ
+    rewriting; the dQSQ engine performs the same computation lazily and
+    locally at each peer.
     """
     idb = program.idb_relations()
     start = (query_atom.relation, query_atom.peer,

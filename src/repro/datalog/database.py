@@ -12,7 +12,9 @@ from collections import defaultdict
 from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from repro.datalog.atom import Atom
+from repro.datalog.rule import Program
 from repro.datalog.term import Term, Var, is_ground
+from repro.datalog.unify import match_tuple
 
 Fact = tuple[Term, ...]
 RelationKey = tuple[str, str | None]
@@ -244,3 +246,21 @@ class Database:
 
     def __repr__(self) -> str:
         return f"Database({self.total_facts()} facts, {len(self._facts)} relations)"
+
+
+def select(db: Database, pattern: Atom) -> set[Fact]:
+    """All facts of ``pattern``'s relation matching its argument patterns."""
+    out: set[Fact] = set()
+    for fact in db.candidates(pattern.key(), pattern.args, {}):
+        binding: dict = {}
+        if match_tuple(pattern.args, fact, binding):
+            out.add(fact)
+    return out
+
+
+def load_facts(program: Program, db: Database | None = None) -> Database:
+    """Load the program's fact-rules into a database (creating one if needed)."""
+    db = db if db is not None else Database()
+    for fact in program.facts():
+        db.add_atom(fact.head)
+    return db

@@ -1,9 +1,9 @@
 """Join plans: the one join IR of every engine.
 
-Semi-naive, QSQ/magic (rewritings evaluated semi-naively), dQSQ
-(incremental evaluators at each peer), naive and stratified evaluation
-and QSQR's top-down tabling all funnel through one join, so each
-:class:`Rule` is compiled once into a :class:`JoinPlan`:
+Semi-naive, QSQ (the rewriting evaluated semi-naively), dQSQ
+(incremental evaluators at each peer) and stratified evaluation all
+funnel through one join, so each :class:`Rule` is compiled once into a
+:class:`JoinPlan`:
 
 * variables get integer **slots**; a binding is a flat list, extended in
   place (no copying: a slot written at step *k* is only ever read at
@@ -17,21 +17,14 @@ and QSQR's top-down tabling all funnel through one join, so each
   step after which both sides are ground), as are the negated-atom
   checks and the head-tuple builders.
 
-Engines differ in what they schedule, never in how a join runs.  The
-bottom-up ones call :meth:`JoinPlan.fire`: a plan starts on the
+Engines differ in what they schedule, never in how a join runs.  They
+all call :meth:`JoinPlan.fire`: a plan starts on the
 tuple-at-a-time step interpreter (:meth:`JoinPlan.bindings`) and, once
 it has produced :data:`KERNEL_AFTER_BINDINGS` complete bindings,
 generates its specialized kernel (:mod:`repro.datalog.batch`) and runs
 on that from then on.  Both executors return the same rows in the same
 order and increment :class:`PlanStats` identically; the reference
 interpreter they are tested against lives in ``tests/reference.py``.
-
-QSQR (:mod:`repro.datalog.qsqr`) starts a join from a demand, not from
-nothing, and its IDB steps read answer tables that are not
-:class:`Database` relations, so it stays on the step interpreter: it
-compiles ``JoinPlan(rule, order=<written>, bound=<the demand's
-variables>)`` and calls ``bindings(slots=<demand filled in>,
-source=<answer table for an IDB step, else JoinPlan._source>)``.
 
 Plans are cached per ``(rule, delta_position)``; :class:`PlanStats`
 exposes index hit/miss, bindings-explored and promotion counts
@@ -41,7 +34,7 @@ exposes index hit/miss, bindings-explored and promotion counts
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.datalog.batch import compile_batched_kernel
 from repro.datalog.database import Database, Fact, RelationKey
@@ -231,23 +224,14 @@ class JoinStep:
 
 
 class JoinPlan:
-    """A rule's body join, compiled (optionally delta-restricted).
-
-    ``bound`` names the variables the caller fills in before the first
-    step (QSQR: those of the demand's bound head positions): step 0 may
-    probe an index on them, their body occurrences are checks, not
-    writes, and an inequality over them alone is a pre-check.  Such a
-    plan runs through ``bindings(slots=...)`` only; :meth:`fire` and the
-    kernels start from empty slots.
-    """
+    """A rule's body join, compiled (optionally delta-restricted)."""
 
     __slots__ = ("rule", "delta_position", "nslots", "var_slots", "steps",
                  "pre_checks", "negated", "head_key", "head_builders",
                  "produced", "kernel")
 
     def __init__(self, rule: Rule, delta_position: int | None = None,
-                 order: Sequence[int] | None = None,
-                 bound: Iterable[Var] = ()) -> None:
+                 order: Sequence[int] | None = None) -> None:
         self.rule = rule
         self.delta_position = delta_position
         #: complete bindings produced on the step interpreter so far, and
@@ -275,12 +259,10 @@ class JoinPlan:
         slot_of = self.var_slots
 
         # Schedule inequalities at the earliest execution step where both
-        # sides are ground; those decidable from ``bound`` alone (without
-        # it: the variable-free ones) run once up front.
-        seen = set(bound)
-        remaining = [c for c in rule.inequalities]
-        pre = [c for c in remaining if set(c.variables()) <= seen]
-        remaining = [c for c in remaining if c not in pre]
+        # sides are ground; the variable-free ones run once up front.
+        seen: set[Var] = set()
+        pre = [c for c in rule.inequalities if not set(c.variables())]
+        remaining = [c for c in rule.inequalities if c not in pre]
         self.pre_checks = tuple(
             (compile_builder(c.left, slot_of), compile_builder(c.right, slot_of))
             for c in pre)
@@ -379,25 +361,14 @@ class JoinPlan:
     def bindings(self, db: Database,
                  delta_facts: Sequence[Fact] | None = None,
                  neg_db: Database | None = None,
-                 stats: PlanStats | None = None, *,
-                 slots: list | None = None,
-                 source: Callable | None = None) -> Iterator[list]:
+                 stats: PlanStats | None = None) -> Iterator[list]:
         """Yield the slot array for every complete body binding.
 
         The *same* list object is yielded each time and mutated in place
         between yields; consumers must read (e.g. build the head tuple)
         before advancing the iterator.
-
-        A plan compiled with ``bound`` variables is handed ``slots`` with
-        those variables' slots already filled.  ``source(step, db,
-        delta_facts, slots, stats) -> (iterator, ops)`` replaces
-        :meth:`_source` as what opens a step (QSQR reads its answer
-        tables there and falls back to :meth:`_source` for EDB atoms).
         """
-        if slots is None:
-            slots = [None] * self.nslots
-        if source is None:
-            source = self._source
+        slots: list = [None] * self.nslots
         if self.pre_checks and not ineqs_hold(self.pre_checks, slots):
             return
         neg = neg_db if neg_db is not None else db
@@ -410,8 +381,8 @@ class JoinPlan:
         iterators: list = [None] * n
         ops_at: list = [None] * n
         depth = 0
-        iterators[0], ops_at[0] = source(steps[0], db, delta_facts, slots,
-                                         stats)
+        iterators[0], ops_at[0] = self._source(steps[0], db, delta_facts,
+                                               slots, stats)
         while True:
             step = steps[depth]
             ops = ops_at[depth]
@@ -433,7 +404,7 @@ class JoinPlan:
                     yield slots
                 continue
             depth += 1
-            iterators[depth], ops_at[depth] = source(
+            iterators[depth], ops_at[depth] = self._source(
                 steps[depth], db, delta_facts, slots, stats)
 
     def head_args(self, slots: list) -> Fact:

@@ -27,12 +27,11 @@ it against the pattern instantiates them).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence
 
 from repro.datalog.adornment import Adornment, adorned_name, input_name
 from repro.datalog.atom import Atom, Inequality
-from repro.datalog.database import Database, Fact, RelationKey
-from repro.datalog.naive import select
+from repro.datalog.database import Database, Fact, RelationKey, select
 from repro.datalog.rule import Program, Query, Rule
 from repro.datalog.seminaive import EvaluationBudget, SemiNaiveEvaluator
 from repro.datalog.term import Var
@@ -42,8 +41,8 @@ AdornedKey = tuple[str, str | None, Adornment]
 
 
 @dataclass
-class DemandRewriting:
-    """A program rewritten around the demands of one query."""
+class QsqRewriting:
+    """A program rewritten around the demands of one query (Figure 4)."""
 
     original: Program
     query: Query
@@ -51,12 +50,6 @@ class DemandRewriting:
     answer_atom: Atom
     seed: Atom | None
     adorned_relations: list[AdornedKey] = field(default_factory=list)
-
-
-@dataclass
-class QsqRewriting(DemandRewriting):
-    """The QSQ rewriting: a :class:`DemandRewriting` with supplementaries."""
-
     sup_index: dict[str, tuple[Rule, Adornment, int]] = field(default_factory=dict)
 
     def sup_relation_names(self) -> list[str]:
@@ -75,21 +68,15 @@ class QsqRewriting(DemandRewriting):
         return kinds
 
 
-R = TypeVar("R", bound=DemandRewriting)
+def qsq_rewrite(program: Program, query: Query) -> QsqRewriting:
+    """Rewrite ``program`` for ``query`` following the QSQ construction.
 
-
-def demand_rewrite(rewriting: R, demand_name: Callable[[str, Adornment], str],
-                   rewrite_rule: Callable[..., list[AdornedKey]]) -> R:
-    """Walk the adorned relations the query reaches; QSQ and Magic Sets both.
-
-    ``rewriting`` arrives fresh (empty program, the query atom as answer,
-    no seed).  ``demand_name`` names an adorned relation's demand relation
-    (``in-R^ad`` / ``magic-R^ad``); ``rewrite_rule(rule, adornment,
-    rule_id, idb, rewriting)`` adds one rule's rewritten rules to
-    ``rewriting.program`` and returns the adorned IDB relations its body
-    demands.  Rules are numbered in the order the LIFO agenda reaches them.
+    Walks the adorned relations the query reaches and emits each reached
+    rule's supplementary chain.  Rules are numbered in the order the LIFO
+    agenda reaches them.
     """
-    program, atom = rewriting.original, rewriting.query.atom
+    atom = query.atom
+    rewriting = QsqRewriting(program, query, Program(), atom, None)
     idb = program.idb_relations()
     # Keep the EDB facts so evaluation can still load them; a query on an
     # EDB relation needs nothing else.
@@ -102,7 +89,7 @@ def demand_rewrite(rewriting: R, demand_name: Callable[[str, Adornment], str],
     query_adornment = Adornment.from_atom(atom)
     rewriting.answer_atom = Atom(adorned_name(atom.relation, query_adornment),
                                  atom.args, atom.peer)
-    rewriting.seed = Atom(demand_name(atom.relation, query_adornment),
+    rewriting.seed = Atom(input_name(atom.relation, query_adornment),
                           query_adornment.select_bound(atom.args), atom.peer)
 
     seen: set[AdornedKey] = set()
@@ -117,18 +104,11 @@ def demand_rewrite(rewriting: R, demand_name: Callable[[str, Adornment], str],
         relation, peer, adornment = entry
         for rule in program.rules_for(relation, peer):
             rule_id += 1
-            for demanded in rewrite_rule(rule, adornment, rule_id, idb,
-                                         rewriting):
+            for demanded in _rewrite_rule(rule, adornment, rule_id, idb,
+                                          rewriting):
                 if demanded not in seen:
                     agenda.append(demanded)
     return rewriting
-
-
-def qsq_rewrite(program: Program, query: Query) -> QsqRewriting:
-    """Rewrite ``program`` for ``query`` following the QSQ construction."""
-    return demand_rewrite(
-        QsqRewriting(program, query, Program(), query.atom, None),
-        input_name, _rewrite_rule)
 
 
 def _rewrite_rule(rule: Rule, adornment: Adornment, rule_id: int,
@@ -298,22 +278,21 @@ class QsqResult:
         return totals
 
 
-def evaluate_rewriting(rewrite: Callable[[Program, Query], R], context: str,
-                       program: Program, query: Query, db: Database | None,
-                       budget: EvaluationBudget | None, check: bool
-                       ) -> tuple[R, set[Fact], Database, Counters]:
-    """Check, rewrite, seed, evaluate semi-naively and select the answers
-    (QSQ and Magic Sets).
+def qsq_evaluate(program: Program, query: Query, db: Database | None = None,
+                 budget: EvaluationBudget | None = None,
+                 check: bool = True) -> QsqResult:
+    """Check, rewrite ``program`` for ``query``, seed, evaluate semi-naively
+    and select the answers.
 
-    ``db`` holds the EDB facts (program fact-rules are loaded too); it is
-    copied, so the caller's store is untouched.
+    ``db`` holds the EDB facts (program fact-rules are loaded too).  The
+    database is copied so the caller's store is untouched.
     """
     if check:
         from repro.datalog.analysis import check_program
-        check_program(program, query, context=context,
+        check_program(program, query, context="qsq",
                       depth_bounded=(budget is not None
                                      and budget.max_term_depth is not None))
-    rewriting = rewrite(program, query)
+    rewriting = qsq_rewrite(program, query)
     work_db = db.copy() if db is not None else Database()
     if rewriting.seed is not None:
         work_db.add_atom(rewriting.seed)
@@ -322,20 +301,7 @@ def evaluate_rewriting(rewrite: Callable[[Program, Query], R], context: str,
     evaluator.run(work_db)
     counters = Counters()
     counters.merge(evaluator.counters)
-    counters.add(f"{context}_rewritten_rules", len(rewriting.program.rules))
-    return rewriting, select(work_db, rewriting.answer_atom), work_db, counters
-
-
-def qsq_evaluate(program: Program, query: Query, db: Database | None = None,
-                 budget: EvaluationBudget | None = None,
-                 check: bool = True) -> QsqResult:
-    """Rewrite ``program`` for ``query`` and evaluate semi-naively.
-
-    ``db`` holds the EDB facts (program fact-rules are loaded too).  The
-    database is copied so the caller's store is untouched.
-    """
-    rewriting, answers, work_db, counters = evaluate_rewriting(
-        qsq_rewrite, "qsq", program, query, db, budget, check)
+    counters.add("qsq_rewritten_rules", len(rewriting.program.rules))
     counters.add("qsq_adorned_relations", len(rewriting.adorned_relations))
-    return QsqResult(answers=answers, rewriting=rewriting, database=work_db,
-                     counters=counters)
+    return QsqResult(answers=select(work_db, rewriting.answer_atom),
+                     rewriting=rewriting, database=work_db, counters=counters)

@@ -2,10 +2,11 @@
 
 Semi-naive evaluation restricts each join so that at least one body
 atom is matched against facts its rule has not consumed yet (the
-*delta*), avoiding rediscovery.  It computes the same minimal model as naive
-evaluation (a property-tested invariant) and is the workhorse under the
-QSQ and Magic-Set rewritings: the paper's Figure-4 program is itself a
-Datalog program, and evaluating it semi-naively *is* the QSQ evaluation.
+*delta*), avoiding rediscovery.  It computes the program's minimal model
+(property-tested against the reference interpreter in
+``tests/reference.py``) and is the one fixpoint of the package: the
+paper's Figure-4 program is itself a Datalog program, and evaluating it
+semi-naively *is* the QSQ evaluation.
 
 Because dDatalog has function symbols, fixpoints may be infinite; the
 :class:`EvaluationBudget` makes every run either terminate, raise
@@ -20,7 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.datalog.database import Database, Fact, RelationKey
+from repro.datalog.database import Database, Fact, RelationKey, select
 from repro.datalog.plan import PlanStats, plan_for
 from repro.datalog.rule import Program, Query, Rule
 from repro.datalog.term import Term, term_depth
@@ -60,20 +61,67 @@ class EvaluationBudget:
         raise BudgetExceeded("term_depth", self.max_term_depth)
 
 
-class RuleFirer:
-    """What the bottom-up evaluators share: budget, counters, the plan
-    cache, and the one derive -> depth-prune -> insert step.
+class IncrementalEvaluator:
+    """Semi-naive evaluation with a persistent frontier: the one scheduler.
 
-    Subclasses keep only their scheduling loops: which rule fires next,
-    against which delta.
+    Section 3.1's continuous flow, started (Remark 2) before the program
+    is complete: a peer's rule set *grows* over time (lazy rewriting
+    installs fragments; delegations arrive) and its store receives
+    external tuples between fixpoints.  Rules "consume tuples and produce
+    tuples": each positive body atom of an installed rule is a consumer
+    with its own cursor into its relation's (append-only) fact list, and
+    every firing is a delta firing -- the facts beyond one cursor joined
+    against the full store.  Repeated calls to :meth:`run` therefore cost
+    time proportional to the *new* work.
     """
 
-    def __init__(self, budget: EvaluationBudget | None) -> None:
+    def __init__(self, db: Database | None = None,
+                 budget: EvaluationBudget | None = None) -> None:
         self.budget = budget or EvaluationBudget()
         self.counters = Counters()
         self._plan_stats = PlanStats()
         #: id-keyed plan map (see repro.datalog.plan.plan_for)
         self._plans: dict = {}
+        if db is not None:  # None: the owner calls bind() before add_rule()
+            self.bind(db)
+
+    def bind(self, db: Database) -> None:
+        """Schedule over ``db`` with no rule installed; plans are kept."""
+        self.db = db
+        self._seen_rules: set[Rule] = set()
+        self._pending_rules: list[Rule] = []
+        #: per relation, its consumers ``[rule, position, cursor]``:
+        #: ``facts[cursor:]`` is what the rule has not joined at that atom
+        self._consumers: dict[RelationKey, list[list]] = defaultdict(list)
+        self._log_position = len(db.change_log())
+
+    def reset(self, db: Database) -> None:
+        """Rebind to a fresh database and drop every derived structure.
+
+        The checkpoint/restore path on the distributed peers calls this
+        instead of constructing a new evaluator.  Crucially it clears the
+        compiled-plan cache: plans are keyed by ``id(rule)``
+        (see :func:`repro.datalog.plan.plan_for`), and after a restore
+        the re-installed rule objects are *new* allocations -- a stale
+        entry whose key id got recycled by the allocator would hand back
+        a plan compiled for a different rule, silently probing the wrong
+        indexes.  Counters survive: recovery work is real work.
+        """
+        self._plans.clear()
+        self._plan_stats = PlanStats()
+        self.bind(db)
+
+    def add_rule(self, rule: Rule) -> bool:
+        """Register a rule; facts go straight to the store."""
+        if rule in self._seen_rules:
+            return False
+        self._seen_rules.add(rule)
+        if rule.is_fact():
+            if self.db.add_atom(rule.head):
+                self.counters.add("facts_materialized")
+            return True
+        self._pending_rules.append(rule)
+        return True
 
     def flush_stats(self) -> None:
         """Flush pending plan counters into :attr:`counters` (idempotent).
@@ -115,65 +163,6 @@ class RuleFirer:
             if db.total_facts() > budget.max_facts:
                 raise BudgetExceeded("facts", budget.max_facts)
         return fresh
-
-
-class IncrementalEvaluator(RuleFirer):
-    """Semi-naive evaluation with a persistent frontier: the one scheduler.
-
-    Section 3.1's continuous flow, started (Remark 2) before the program
-    is complete: a peer's rule set *grows* over time (lazy rewriting
-    installs fragments; delegations arrive) and its store receives
-    external tuples between fixpoints.  Rules "consume tuples and produce
-    tuples": each positive body atom of an installed rule is a consumer
-    with its own cursor into its relation's (append-only) fact list, and
-    every firing is a delta firing -- the facts beyond one cursor joined
-    against the full store.  Repeated calls to :meth:`run` therefore cost
-    time proportional to the *new* work.
-    """
-
-    def __init__(self, db: Database | None = None,
-                 budget: EvaluationBudget | None = None) -> None:
-        super().__init__(budget)
-        if db is not None:  # None: the owner calls bind() before add_rule()
-            self.bind(db)
-
-    def bind(self, db: Database) -> None:
-        """Schedule over ``db`` with no rule installed; plans are kept."""
-        self.db = db
-        self._seen_rules: set[Rule] = set()
-        self._pending_rules: list[Rule] = []
-        #: per relation, its consumers ``[rule, position, cursor]``:
-        #: ``facts[cursor:]`` is what the rule has not joined at that atom
-        self._consumers: dict[RelationKey, list[list]] = defaultdict(list)
-        self._log_position = len(db.change_log())
-
-    def reset(self, db: Database) -> None:
-        """Rebind to a fresh database and drop every derived structure.
-
-        The checkpoint/restore path on the distributed peers calls this
-        instead of constructing a new evaluator.  Crucially it clears the
-        compiled-plan cache: plans are keyed by ``id(rule)``
-        (see :func:`repro.datalog.plan.plan_for`), and after a restore
-        the re-installed rule objects are *new* allocations -- a stale
-        entry whose key id got recycled by the allocator would hand back
-        a plan compiled for a different rule, silently probing the wrong
-        indexes.  Counters survive: recovery work is real work.
-        """
-        self._plans.clear()
-        self._plan_stats = PlanStats()
-        self.bind(db)
-
-    def add_rule(self, rule: Rule) -> bool:
-        """Register a rule; facts go straight to the store."""
-        if rule in self._seen_rules:
-            return False
-        self._seen_rules.add(rule)
-        if rule.is_fact():
-            if self.db.add_atom(rule.head):
-                self.counters.add("facts_materialized")
-            return True
-        self._pending_rules.append(rule)
-        return True
 
     def run(self) -> None:
         """Process pending rules and unprocessed facts to a fixpoint."""
@@ -250,6 +239,5 @@ class SemiNaiveEvaluator:
 
     def answers(self, db: Database, query: Query) -> set[Fact]:
         """Evaluate and return the facts matching the query atom."""
-        from repro.datalog.naive import select
         self.run(db)
         return select(db, query.atom)

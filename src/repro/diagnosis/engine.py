@@ -26,11 +26,10 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.datalog.analysis import check_program
-from repro.datalog.database import Database, Fact
+from repro.datalog.database import Database, Fact, select
 from repro.datalog.qsq import qsq_evaluate
 from repro.datalog.rule import Query
 from repro.datalog.seminaive import EvaluationBudget, SemiNaiveEvaluator
-from repro.datalog.naive import select
 from repro.datalog.atom import Atom
 from repro.diagnosis.alarms import AlarmSequence
 from repro.diagnosis.encoding import PLACES, TRANS1, TRANS2, node_id_of_term

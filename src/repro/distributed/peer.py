@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from repro.datalog.atom import Atom
-from repro.datalog.database import Database, Fact, RelationKey
-from repro.datalog.naive import select
+from repro.datalog.database import Database, Fact, RelationKey, select
 from repro.datalog.rule import Program, Rule
 from repro.datalog.seminaive import EvaluationBudget, IncrementalEvaluator
 from repro.distributed.ddatalog import DDatalogProgram

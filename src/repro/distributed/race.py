@@ -28,8 +28,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from repro.datalog.analysis import analyze
-from repro.datalog.database import Database, Fact
-from repro.datalog.naive import load_facts
+from repro.datalog.database import Database, Fact, load_facts
 from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.rule import Program, Query
 from repro.distributed.ddatalog import DDatalogProgram

@@ -11,12 +11,17 @@ from __future__ import annotations
 import os
 import sys
 
+from repro.errors import ReproError
 from repro.experiments.harness import run_all, write_report
 
 
 def main(argv: list[str]) -> int:
     only = argv or None
-    results = run_all(only=only)
+    try:
+        results = run_all(only=only)
+    except ReproError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     if not only:
         root = os.path.dirname(os.path.dirname(os.path.dirname(
             os.path.dirname(os.path.abspath(__file__)))))

@@ -11,6 +11,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.errors import ValidationError
 from repro.utils.tables import render_markdown_table, render_table
 
 
@@ -52,10 +53,17 @@ def run_all(only: Sequence[str] | None = None,
             verbose: bool = True) -> list[ExperimentResult]:
     """Run all (or the selected) experiments in registry order.
 
-    The registered paper programs are linted first: an analyzer error in
-    any of them aborts the run before any experiment starts.
+    An unknown id in ``only`` raises :class:`~repro.errors.ValidationError`
+    before anything runs.  The registered paper programs are linted next:
+    an analyzer error in any of them aborts the run before any experiment
+    starts.
     """
     from repro.experiments.registry import EXPERIMENTS, lint_registered
+    unknown = [i for i in only or () if i not in EXPERIMENTS]
+    if unknown:
+        raise ValidationError(
+            f"unknown experiment id(s): {', '.join(unknown)}; "
+            f"known: {', '.join(EXPERIMENTS)}")
     lint_registered()
     results = []
     for experiment_id, runner in EXPERIMENTS.items():

@@ -12,11 +12,10 @@ from typing import Callable, NamedTuple
 
 from repro.api import diagnose
 from repro.datalog import (Database, EvaluationBudget, Program, Query,
-                           SemiNaiveEvaluator, NaiveEvaluator, parse_atom,
-                           parse_program, qsq_evaluate, qsq_rewrite)
+                           SemiNaiveEvaluator, parse_atom, parse_program,
+                           qsq_evaluate, qsq_rewrite)
 from repro.datalog.atom import Atom
-from repro.datalog.magic import magic_evaluate
-from repro.datalog.naive import load_facts
+from repro.datalog.database import load_facts
 from repro.diagnosis import (AlarmSequence, DatalogDiagnosisEngine,
                              bruteforce_diagnosis)
 from repro.diagnosis.patterns import (AlarmPattern, ObservationSpec,
@@ -74,21 +73,16 @@ def e2_qsq_rewriting() -> ExperimentResult:
     adorned = sorted(k for k, v in kinds.items() if v == "adorned")
     sups = rewriting.sup_relation_names()
 
-    naive = NaiveEvaluator(local)
-    naive.answers(local_edb.copy(), query)
     semi = SemiNaiveEvaluator(local)
-    semi.answers(local_edb.copy(), query)
+    semi_answers = semi.answers(local_edb.copy(), query)
     qsq = qsq_evaluate(local, query, local_edb)
-    magic_answers, magic_counters, _mdb = magic_evaluate(local, query, local_edb)
 
     qsq_kinds = qsq.materialized_by_kind()
     edb_count = local_edb.total_facts()
     rows = [
-        ["naive (activated)", naive.counters["facts_materialized"], ""],
         ["semi-naive", semi.counters["facts_materialized"], ""],
         ["QSQ (all rewritten rels)", qsq.counters["facts_materialized"],
          f"adorned answers only: {qsq_kinds.get('adorned', 0)}"],
-        ["Magic Sets", magic_counters["facts_materialized"], ""],
     ]
     return ExperimentResult(
         "E2", "QSQ rewriting of the Figure-3 program", "Figures 3 and 4",
@@ -98,8 +92,8 @@ def e2_qsq_rewriting() -> ExperimentResult:
                f"supplementary relations: {len(sups)} "
                f"(Figure 4 draws body+1 per rule, 10 here; the sup_0 and "
                f"sup_n bookends are not emitted, body-1 per rule remain)",
-               f"answers agree across all engines: "
-               f"{qsq.answers == magic_answers}",
+               f"answers agree (QSQ = semi-naive): "
+               f"{qsq.answers == semi_answers}",
                f"EDB size (excluded from counts above where applicable): {edb_count}"])
 
 
@@ -433,59 +427,6 @@ def a3_termination_detector_cost() -> ExperimentResult:
                f"{detected.terminated_by_detector}"])
 
 
-def a4_qsq_vs_magic() -> ExperimentResult:
-    """QSQ vs. Magic Sets materialization on chain programs."""
-    rows = []
-    for length in (20, 40, 80):
-        edges = "\n".join(f'edge("n{i}", "n{i+1}").' for i in range(length))
-        text = ("path(X, Y) :- edge(X, Y).\n"
-                "path(X, Y) :- edge(X, Z), path(Z, Y).\n" + edges)
-        program = parse_program(text)
-        db = load_facts(program)
-        query = Query(parse_atom(f'path("n0", Y)'))
-        qsq = qsq_evaluate(program, query, db)
-        _answers, magic_counters, _mdb = magic_evaluate(program, query, db)
-        rows.append([length,
-                     qsq.counters["facts_materialized"],
-                     magic_counters["facts_materialized"],
-                     qsq.counters["derivations"],
-                     magic_counters["derivations"]])
-    return ExperimentResult(
-        "A4", "QSQ vs. Magic Sets", "Section 3.1 (sibling techniques)",
-        ["chain length", "QSQ facts", "Magic facts", "QSQ derivations",
-         "Magic derivations"], rows,
-        notes=["Both techniques materialize the demand-restricted portion; "
-               "the supplementary-relation form trades extra sup tuples for "
-               "non-recomputed join prefixes."])
-
-
-def a5_qsq_rewriting_vs_qsqr() -> ExperimentResult:
-    """Rewriting-based QSQ vs recursive QSQR: storage vs recomputation."""
-    from repro.datalog.qsqr import qsqr_evaluate
-    rows = []
-    for length in (20, 40, 80):
-        edges = "\n".join(f'edge("n{i}", "n{i+1}").' for i in range(length))
-        text = ("path(X, Y) :- edge(X, Y).\n"
-                "path(X, Y) :- edge(X, Z), path(Z, Y).\n" + edges)
-        program = parse_program(text)
-        db = load_facts(program)
-        query = Query(parse_atom('path("n0", Y)'))
-        qsq = qsq_evaluate(program, query, db)
-        qsqr = qsqr_evaluate(program, query, db)
-        assert qsq.answers == qsqr.answers
-        rows.append([length,
-                     qsq.counters["facts_materialized"],
-                     qsqr.counters["qsqr_answer_tuples"]
-                     + qsqr.counters["qsqr_demand_tuples"],
-                     qsqr.counters["qsqr_passes"]])
-    return ExperimentResult(
-        "A5", "QSQ rewriting vs recursive QSQR", "Section 3.1 (QSQ variants)",
-        ["chain length", "rewriting facts (incl. sup)", "QSQR table tuples",
-         "QSQR passes"], rows,
-        notes=["Identical answers; QSQR stores only answer/demand tables "
-               "but replays prefix joins on every global pass."])
-
-
 def e8_online_diagnosis() -> ExperimentResult:
     """[8]'s online regime: per-alarm supervision with a growing prefix."""
     from repro.diagnosis.online import OnlineDiagnoser
@@ -594,8 +535,6 @@ EXPERIMENTS: dict[str, Callable[[], ExperimentResult]] = {
     "A1": a1_space_variant,
     "A2": a2_negation_variant,
     "A3": a3_termination_detector_cost,
-    "A4": a4_qsq_vs_magic,
-    "A5": a5_qsq_rewriting_vs_qsqr,
 }
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.datalog import Database, Query, parse_atom, parse_program
-from repro.datalog.naive import load_facts
+from repro.datalog.database import load_facts
 from repro.diagnosis.alarms import AlarmSequence
 from repro.distributed.ddatalog import DDatalogProgram
 from repro.petri.examples import figure1_alarm_scenarios, figure1_net

@@ -55,7 +55,7 @@ class TestTheorem1:
         """Theorem 1: dQSQ computes the same facts (up to zeta) as QSQ on
         P_local and terminates on P iff QSQ does on P_local."""
         program = DDatalogProgram(parse_program(FIGURE3))
-        from repro.datalog.naive import load_facts
+        from repro.datalog.database import load_facts
         edb = load_facts(parse_program(FIGURE3))
         query = Query(parse_atom('r@r("1", Y)'))
         dqsq = DqsqEngine(program, edb).query(query)
@@ -158,7 +158,7 @@ class TestRemark2:
         the (distributed) rewriting is complete -- delegations and tuples
         interleave on the network, under any schedule."""
         program = DDatalogProgram(parse_program(FIGURE3))
-        from repro.datalog.naive import load_facts
+        from repro.datalog.database import load_facts
         edb = load_facts(parse_program(FIGURE3))
         query = Query(parse_atom('r@r("1", Y)'))
         baseline = None

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.datalog import (Database, Query, SemiNaiveEvaluator, parse_atom,
                            parse_program, qsq_evaluate)
-from repro.datalog.naive import select
+from repro.datalog.database import select
 from repro.datalog.plan import PlanStats, compile_join_plan
 from repro.datalog.stratified import StratifiedEvaluator
 from repro.datalog.term import Const

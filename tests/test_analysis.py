@@ -6,11 +6,8 @@ from repro.datalog.analysis import (DependencyGraph, analyze, check_program,
                                     render_cycle)
 from repro.datalog.atom import Atom
 from repro.datalog.database import Database
-from repro.datalog.magic import magic_evaluate
-from repro.datalog.naive import NaiveEvaluator
 from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.qsq import qsq_evaluate
-from repro.datalog.qsqr import QsqrEvaluator
 from repro.datalog.rule import Program, Query, Rule
 from repro.datalog.seminaive import EvaluationBudget, SemiNaiveEvaluator
 from repro.datalog.stratified import StratifiedEvaluator, stratify
@@ -328,21 +325,9 @@ class TestEngineFailFast:
             SemiNaiveEvaluator(self._program())
         assert "DD103" in str(err.value)
 
-    def test_naive_rejects(self):
-        with pytest.raises(ProgramAnalysisError):
-            NaiveEvaluator(self._program())
-
-    def test_qsqr_rejects(self):
-        with pytest.raises(ProgramAnalysisError):
-            QsqrEvaluator(self._program())
-
     def test_qsq_evaluate_rejects(self):
         with pytest.raises(ProgramAnalysisError):
             qsq_evaluate(self._program(), Query(parse_atom('p("a")')))
-
-    def test_magic_evaluate_rejects(self):
-        with pytest.raises(ProgramAnalysisError):
-            magic_evaluate(self._program(), Query(parse_atom('p("a")')))
 
     def test_stratified_rejects(self):
         with pytest.raises(ProgramAnalysisError):

@@ -20,15 +20,13 @@ import sys
 import pytest
 
 import repro
-from repro.datalog import (Database, NaiveEvaluator, Query,
-                           SemiNaiveEvaluator, parse_atom, parse_program)
+from repro.datalog import (Database, Query, SemiNaiveEvaluator, parse_atom,
+                           parse_program)
 from repro.datalog import plan as plan_module
-from repro.datalog.magic import magic_evaluate
-from repro.datalog.naive import load_facts, select
+from repro.datalog.database import load_facts, select
 from repro.datalog.plan import (clear_plan_cache, compile_join_plan,
                                 plan_cache_evictions, set_plan_cache_limit)
 from repro.datalog.qsq import qsq_evaluate
-from repro.datalog.qsqr import QsqrEvaluator, qsqr_evaluate
 from repro.datalog.seminaive import EvaluationBudget, IncrementalEvaluator
 from repro.datalog.stratified import StratifiedEvaluator
 from repro.datalog.term import Const
@@ -108,16 +106,6 @@ class TestTierEquivalence:
         model, _derivations = at_each_setting(run)
         assert unordered(model) == snapshot(reference_model(program))
 
-    def test_naive_answers(self):
-        program = parse_program(FIGURE3)
-        query = Query(parse_atom('r@r("1", Y)'))
-
-        def run():
-            return NaiveEvaluator(program).answers(load_facts(program), query)
-        answers = at_each_setting(run)
-        assert answers == select(reference_model(program), query.atom)
-        assert answers
-
     def test_function_symbols_with_depth_prune(self):
         program = parse_program(FUNC_RULES)
         budget = EvaluationBudget(max_term_depth=6, prune_depth=True)
@@ -142,20 +130,6 @@ class TestTierEquivalence:
         unreachable = {f[0].value
                        for f in model[("unreachable", None)]}
         assert unreachable == {"c", "e"}
-
-    def test_qsq_qsqr_magic_answers(self):
-        program = parse_program(FIGURE3)
-        query = Query(parse_atom('r@r("1", Y)'))
-
-        def run():
-            db = load_facts(program)
-            qsq = qsq_evaluate(program, query, db)
-            qsqr = qsqr_evaluate(program, query, db)
-            magic, _counters, _db = magic_evaluate(program, query, db)
-            assert qsq.answers == qsqr.answers == magic
-            return frozenset(qsq.answers)
-        answers = at_each_setting(run)
-        assert answers == select(reference_model(program), query.atom)
 
     def test_dqsq_answers(self):
         parsed = parse_program(FIGURE3)
@@ -276,9 +250,8 @@ class TestInvalidTier:
         # still accepts (and ignores) ``compiled`` for the frozen
         # benchmark probe; see its constructor.
         program = parse_program(FIGURE3)
-        for engine in (NaiveEvaluator, StratifiedEvaluator, QsqrEvaluator):
-            with pytest.raises(TypeError):
-                engine(program, compiled="batched")
+        with pytest.raises(TypeError):
+            StratifiedEvaluator(program, compiled="batched")
         with pytest.raises(TypeError):
             IncrementalEvaluator(Database(), compiled=True)
         with pytest.raises(TypeError):
@@ -286,38 +259,12 @@ class TestInvalidTier:
         with pytest.raises(TypeError):
             DatalogDiagnosisEngine(figure1_net(), compiled=True)
         query = Query(parse_atom('r@r("1", Y)'))
-        for evaluate in (qsq_evaluate, qsqr_evaluate, magic_evaluate):
-            with pytest.raises(TypeError):
-                evaluate(program, query, compiled=False)
+        with pytest.raises(TypeError):
+            qsq_evaluate(program, query, compiled=False)
         assert not hasattr(plan_module, "coerce_compiled")
         db = Database()
         SemiNaiveEvaluator(program, compiled="anything").run(db)
         assert snapshot(db) == snapshot(reference_model(program))
-
-
-class TestQsqrFactBudget:
-    def test_max_facts_fires_at_the_same_count(self):
-        # QSQR enforces max_facts from a running total of its answer
-        # tables; the limit must trip on exactly the first answer beyond it.
-        program = parse_program(FIGURE3)
-        query = Query(parse_atom("r@r(X, Y)"))
-        db = load_facts(program)
-        full = qsqr_evaluate(program, query, db)
-        total = full.counters["qsqr_answer_tuples"]
-        assert total == sum(len(t) for t in full.answer_tables.values()) > 3
-        assert (full.counters["qsqr_demand_tuples"]
-                == sum(len(t) for t in full.demand_tables.values()))
-
-        exact = qsqr_evaluate(program, query, db,
-                              budget=EvaluationBudget(max_facts=total))
-        assert exact.answers == full.answers
-        for limit in (total - 1, 3):
-            evaluator = QsqrEvaluator(program,
-                                      EvaluationBudget(max_facts=limit))
-            with pytest.raises(BudgetExceeded) as raised:
-                evaluator.query(query, db.copy())
-            assert (raised.value.resource, raised.value.limit) == ("facts", limit)
-            assert evaluator.counters["facts_materialized"] == limit + 1
 
 
 class TestBottomUpFactBudget:
@@ -326,8 +273,7 @@ class TestBottomUpFactBudget:
     path(X, Z) :- path(X, Y), edge(Y, Z).
     """ + "".join(f'edge("{i}", "{i + 1}").\n' for i in range(6))
 
-    @pytest.mark.parametrize("evaluator_class",
-                             [NaiveEvaluator, SemiNaiveEvaluator])
+    @pytest.mark.parametrize("evaluator_class", [SemiNaiveEvaluator])
     def test_max_facts_fires_after_the_whole_firing(self, evaluator_class):
         # max_facts is checked once per firing, after its rows are
         # bulk-inserted: the limit still trips on the first firing that

@@ -125,6 +125,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "E1" in out
 
+    def test_experiments_unknown_id_is_refused(self, capsys):
+        # Unknown ids used to be skipped in silence: nothing ran, exit 0.
+        assert main(["experiments", "E6", "Z9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "E6, Z9" in captured.err and "E6a" in captured.err
+
+    def test_experiments_module_refuses_unknown_id(self, capsys):
+        from repro.experiments.__main__ import main as experiments_main
+        assert experiments_main(["Z9"]) == 2
+        assert "Z9" in capsys.readouterr().err
+
 
 class TestHelpSnapshot:
     #: every subcommand the CLI promises; --help must list them all

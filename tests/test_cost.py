@@ -9,7 +9,7 @@ from repro.datalog import Query, SemiNaiveEvaluator, parse_atom, parse_program
 from repro.datalog.analysis import CODES, analyze
 from repro.datalog.cost import (Card, CostModel, CostThresholds, PlanAdvisor,
                                 check_cost, estimate_rule)
-from repro.datalog.naive import load_facts
+from repro.datalog.database import load_facts
 from repro.datalog.plan import JoinPlan, PlanStats, compile_join_plan
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"

@@ -4,7 +4,7 @@ import pytest
 
 from repro.datalog import (Database, Query, SemiNaiveEvaluator, parse_atom,
                            parse_program)
-from repro.datalog.naive import load_facts, select
+from repro.datalog.database import load_facts, select
 from repro.distributed.ddatalog import (DDatalogProgram, global_translation,
                                         globalize_database, localize_facts)
 from repro.errors import ValidationError

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.datalog import Database, parse_program, parse_rule
-from repro.datalog.naive import load_facts
+from repro.datalog.database import load_facts
 from repro.datalog.term import Const, Var
 from repro.diagnosis import (AlarmSequence, DedicatedDiagnoser,
                              ObservationSpec)

@@ -11,7 +11,7 @@ import pytest
 from repro.datalog import (Database, EvaluationBudget, Query, parse_atom,
                            parse_program, qsq_evaluate)
 from repro.datalog.atom import Atom
-from repro.datalog.naive import load_facts, select
+from repro.datalog.database import load_facts, select
 from repro.distributed import (DDatalogProgram, DqsqEngine, FaultPlan,
                                NetworkOptions)
 from repro.distributed.dqsq import split_input_name

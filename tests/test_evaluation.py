@@ -1,10 +1,10 @@
-"""Tests for naive and semi-naive bottom-up evaluation."""
+"""Tests for semi-naive bottom-up evaluation."""
 
 import pytest
 
-from repro.datalog import (Database, EvaluationBudget, NaiveEvaluator, Query,
+from repro.datalog import (Database, EvaluationBudget, Query,
                            SemiNaiveEvaluator, parse_atom, parse_program)
-from repro.datalog.naive import load_facts, select
+from repro.datalog.database import load_facts, select
 from repro.datalog.seminaive import IncrementalEvaluator
 from repro.errors import BudgetExceeded
 
@@ -25,31 +25,14 @@ def answers_of(evaluator_cls, text, query_text, budget=None):
 
 
 class TestTransitiveClosure:
-    def test_naive(self):
-        answers = answers_of(NaiveEvaluator, TC, "path(X, Y)")
-        assert len(answers) == 6
-
     def test_seminaive(self):
         answers = answers_of(SemiNaiveEvaluator, TC, "path(X, Y)")
         assert len(answers) == 6
-
-    def test_engines_agree(self):
-        assert (answers_of(NaiveEvaluator, TC, 'path("a", Y)')
-                == answers_of(SemiNaiveEvaluator, TC, 'path("a", Y)'))
 
     def test_query_selection(self):
         answers = answers_of(SemiNaiveEvaluator, TC, 'path("b", Y)')
         values = {fact[1].value for fact in answers}
         assert values == {"c", "d"}
-
-    def test_seminaive_does_less_work(self):
-        program = parse_program(TC)
-        naive = NaiveEvaluator(program)
-        naive.run(load_facts(program))
-        semi = SemiNaiveEvaluator(program)
-        semi.run(load_facts(program))
-        assert semi.counters["derivations"] <= naive.counters["derivations"]
-        assert semi.counters["facts_materialized"] == naive.counters["facts_materialized"]
 
     def test_firings_are_counted_and_the_empty_ones_told_apart(self):
         # Each rule's first firing joins the edges; the path delta then
@@ -135,21 +118,6 @@ class TestRuleEntersAsConsumer:
         assert db.count(("hop", None)) == 4
 
 
-class TestActivation:
-    def test_naive_activates_only_reachable_rules(self):
-        text = TC + """
-        unrelated(X) :- huge(X).
-        huge("x1").
-        """
-        program = parse_program(text)
-        db = load_facts(program)
-        evaluator = NaiveEvaluator(program)
-        evaluator.answers(db, Query(parse_atom("path(X, Y)")))
-        # 'unrelated' is never activated, hence never materialized.
-        assert db.count(("unrelated", None)) == 0
-        assert evaluator.counters["rules_activated"] == 2
-
-
 class TestInequalities:
     TEXT = """
     sibling(X, Y) :- parent(Z, X), parent(Z, Y), X != Y.
@@ -161,10 +129,6 @@ class TestInequalities:
         answers = answers_of(SemiNaiveEvaluator, self.TEXT, "sibling(X, Y)")
         pairs = {(f[0].value, f[1].value) for f in answers}
         assert pairs == {("a", "b"), ("b", "a")}
-
-    def test_naive_agrees(self):
-        assert (answers_of(NaiveEvaluator, self.TEXT, "sibling(X, Y)")
-                == answers_of(SemiNaiveEvaluator, self.TEXT, "sibling(X, Y)"))
 
 
 class TestFunctionSymbols:

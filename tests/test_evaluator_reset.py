@@ -9,8 +9,7 @@ tests pin the invalidation contract and demonstrate the hazard it
 prevents.
 """
 
-from repro.datalog.database import Database
-from repro.datalog.naive import load_facts
+from repro.datalog.database import Database, load_facts
 from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.plan import PlanStats, plan_for
 from repro.datalog.rule import Query

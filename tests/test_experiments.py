@@ -1,6 +1,7 @@
 """Tests for the experiment harness (fast experiments only)."""
 
 import functools
+import re
 from pathlib import Path
 
 import pytest
@@ -8,10 +9,12 @@ import pytest
 from repro.experiments import EXPERIMENTS, run_all
 from repro.experiments.harness import ExperimentResult, write_report
 
-#: every experiment whose section has no timing cell, bar A5 (waits on the
-#: QSQR decision); the shape tests run the first six anyway
-NO_CLOCK = ("E1", "E2", "E3", "E4", "A3", "A4",
+#: every experiment whose section has no timing cell (E5, E6b and E6c
+#: print wall-clock times); the shape tests run the first five anyway
+NO_CLOCK = ("E1", "E2", "E3", "E4", "A3",
             "E6a", "E7", "E8", "E9", "E10", "A1", "A2")
+
+REPORT = Path(__file__).parents[1].joinpath("EXPERIMENTS.md")
 
 
 @functools.cache
@@ -23,7 +26,7 @@ def fresh(experiment_id):
 class TestRegistry:
     def test_all_ids_present(self):
         for experiment_id in ("E1", "E2", "E3", "E4", "E5", "E6a", "E6b",
-                              "E7", "A1", "A2", "A3", "A4"):
+                              "E7", "A1", "A2", "A3"):
             assert experiment_id in EXPERIMENTS
 
     def test_e1_shape(self):
@@ -36,10 +39,12 @@ class TestRegistry:
 
     def test_e2_shape(self):
         result = fresh("E2")
-        by_name = {row[0]: row[1] for row in result.rows}
-        # QSQ's full materialization is below naive's.
-        assert by_name["QSQ (all rewritten rels)"] <= by_name["naive (activated)"] * 3
-        assert by_name["semi-naive"] == by_name["naive (activated)"]
+        assert "answers agree (QSQ = semi-naive): True" in result.notes
+        rows = {row[0]: row for row in result.rows}
+        detail = rows["QSQ (all rewritten rels)"][2]
+        adorned = int(detail.removeprefix("adorned answers only: "))
+        # QSQ's answers are no more than the whole model semi-naive builds
+        assert 0 < adorned <= rows["semi-naive"][1]
 
     def test_e3_shape(self):
         result = fresh("E3")
@@ -55,20 +60,18 @@ class TestRegistry:
         oracle_row, detector_row = result.rows
         assert detector_row[1] > oracle_row[1]
 
-    def test_a4_shape(self):
-        result = fresh("A4")
-        for row in result.rows:
-            assert row[1] > 0 and row[2] > 0
-
 
 class TestCommittedReport:
     @pytest.mark.parametrize("experiment_id", NO_CLOCK)
     def test_section_equals_a_fresh_run(self, experiment_id):
         # EXPERIMENTS.md is generated; a change that moves a count must
         # regenerate it (python -m repro.experiments) in the same commit.
-        report = Path(__file__).parents[1].joinpath("EXPERIMENTS.md").read_text()
         section = fresh(experiment_id).to_markdown()
-        assert section[:section.rindex("_Runtime:")] in report
+        assert section[:section.rindex("_Runtime:")] in REPORT.read_text()
+
+    def test_sections_are_the_registry_in_order(self):
+        ids = re.findall(r"^### (\S+) — ", REPORT.read_text(), re.MULTILINE)
+        assert ids == list(EXPERIMENTS)
 
 
 class TestHarness:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.datalog import EvaluationBudget, Query, parse_atom, parse_program
-from repro.datalog.naive import load_facts
+from repro.datalog.database import load_facts
 from repro.distributed import (DDatalogProgram, DistributedNaiveEngine,
                                DqsqEngine, NetworkOptions)
 from repro.errors import DistributedError

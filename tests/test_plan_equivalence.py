@@ -18,12 +18,10 @@ import pickle
 import pytest
 
 import repro
-from repro.datalog import (Database, NaiveEvaluator, Query, SemiNaiveEvaluator,
-                           parse_atom, parse_program)
-from repro.datalog.naive import load_facts, select
-from repro.datalog.plan import JoinPlan, JoinStep, PlanStats
+from repro.datalog import (Database, Query, SemiNaiveEvaluator, parse_atom,
+                           parse_program)
+from repro.datalog.database import load_facts, select
 from repro.datalog.qsq import qsq_evaluate
-from repro.datalog.qsqr import qsqr_evaluate
 from repro.datalog.seminaive import EvaluationBudget
 from repro.datalog.term import Const, Func, Var
 from repro.diagnosis import DatalogDiagnosisEngine
@@ -77,14 +75,6 @@ class TestBottomUpEquivalence:
         assert (derived <= derivations
                 <= _reference_seminaive_derivations(program))
 
-    def test_naive_figure3_model(self):
-        program = parse_program(FIGURE3)
-        query = Query(parse_atom('r@r("1", Y)'))
-        answers = at_each_setting(lambda: NaiveEvaluator(program).answers(
-            load_facts(program), query))
-        assert answers == select(reference_model(program), query.atom)
-        assert answers
-
     def test_seminaive_function_symbols_with_budget(self):
         program = parse_program(FUNC_RULES)
         budget = EvaluationBudget(max_term_depth=6, prune_depth=True)
@@ -131,85 +121,6 @@ class TestQsqEquivalence:
             lambda: qsq_evaluate(program, query, db).answers)
         assert answers == select(reference_model(program), query.atom)
         assert len(answers) > 0
-
-    def test_qsqr_answers(self):
-        program = parse_program(FIGURE3)
-        db = load_facts(program)
-        query = Query(parse_atom('r@r("1", Y)'))
-        result = qsqr_evaluate(program, query, db)
-        assert result.answers == select(reference_model(program), query.atom)
-        # QSQR's answer tables hold, per adorned relation, a subset of
-        # the relation's facts in the model
-        model = reference_model(program)
-        assert result.answer_tables
-        for (relation, peer, _pattern), table in result.answer_tables.items():
-            assert table <= set(model.facts((relation, peer)))
-
-
-class TestBoundVariables:
-    """``JoinPlan(bound=...)``: variables the caller fills in before step 0
-    (QSQR compiles its top-down join against this)."""
-
-    CHAIN = """
-    path(X, Y) :- edge(X, Z), path(Z, Y).
-    edge("a", "b"). edge("b", "c"). edge("c", "d").
-    path("b", "c"). path("b", "d"). path("c", "d").
-    """
-
-    def test_step_zero_probes_the_index_on_a_bound_variable(self):
-        program = parse_program(self.CHAIN)
-        rule, = program.proper_rules()
-        db = load_facts(program)
-        x = Var("X")
-        plan = JoinPlan(rule, order=(0, 1), bound={x})
-        slots = [None] * plan.nslots
-        slots[plan.var_slots[x]] = Const("a")
-        stats = PlanStats()
-        rows = [plan.head_args(binding)
-                for binding in plan.bindings(db, stats=stats, slots=slots)]
-        assert rows == [(Const("a"), Const("c")), (Const("a"), Const("d"))]
-        assert stats.index_hits > 0
-        assert stats.full_scans == 0
-
-    def test_inequality_over_bound_variables_is_a_pre_check(self):
-        program = parse_program(
-            'p(X, Y) :- e(X, Z), e(Z, Y), X != "a", X != Y.\n'
-            'e("a", "b"). e("b", "c").')
-        rule, = program.proper_rules()
-        db = load_facts(program)
-        x = Var("X")
-        plan = JoinPlan(rule, bound={x})
-        assert len(plan.pre_checks) == 1
-        assert [len(step.ineqs) for step in plan.steps] == [0, 1]
-        assert len(JoinPlan(rule).pre_checks) == 0
-
-        opened = []
-
-        def source(step, *rest):
-            opened.append(step.position)
-            return plan._source(step, *rest)
-
-        slots = [None] * plan.nslots
-        slots[plan.var_slots[x]] = Const("a")
-        assert list(plan.bindings(db, slots=slots, source=source)) == []
-        assert opened == []  # refused before any source was opened
-        slots[plan.var_slots[x]] = Const("b")
-        assert list(plan.bindings(db, slots=slots, source=source)) == []
-        assert opened == [0, 1]
-
-    @pytest.mark.parametrize("text", [FIGURE3, FUNC_RULES, CHAIN])
-    def test_no_bound_variables_is_the_plan_every_engine_compiles(self, text):
-        def step_fields(plan):
-            return [[getattr(step, name) for name in JoinStep.__slots__]
-                    for step in plan.steps]
-
-        for rule in parse_program(text).proper_rules():
-            for delta in (None, *range(len(rule.body))):
-                plain = JoinPlan(rule, delta)
-                empty = JoinPlan(rule, delta, bound=())
-                assert plain.var_slots == empty.var_slots
-                assert plain.pre_checks == empty.pre_checks
-                assert step_fields(plain) == step_fields(empty)
 
 
 class TestDiagnosisEquivalence:

@@ -7,6 +7,7 @@ The central claims checked here:
 * QSQ materializes only a demand-restricted set of tuples.
 * QSQ terminates on function-symbol programs whenever the demanded
   portion is finite, where bottom-up evaluation diverges.
+* The rewritten program passes the static analyzer it is checked by.
 """
 
 import pytest
@@ -15,8 +16,9 @@ from repro.datalog import (Database, EvaluationBudget, Query,
                            SemiNaiveEvaluator, parse_atom, parse_program,
                            qsq_evaluate, qsq_rewrite)
 from repro.datalog.adornment import Adornment, adorned_name, input_name
+from repro.datalog.analysis import analyze
 from repro.datalog.atom import Atom
-from repro.datalog.naive import load_facts
+from repro.datalog.database import load_facts
 from repro.diagnosis import AlarmSequence
 from repro.diagnosis.supervisor import SupervisorEncoder
 from repro.errors import BudgetExceeded
@@ -277,3 +279,57 @@ class TestInequalitiesInQsq:
         result = qsq_evaluate(program, Query(parse_atom('apart("a", Y)')), db)
         values = {f[1].value for f in result.answers}
         assert values == {"b", "c"}
+
+
+class TestAnalyzerOnTheRewriting:
+    """Every rewritten rule is reachable from the rewritten query by
+    construction, and the demands *add* bound positions, never remove
+    them: the rewriting must trip neither the reachability pass (DD501)
+    nor the plan passes (DD601/DD602)."""
+
+    TC = """
+    path(X, Y) :- edge(X, Y).
+    path(X, Z) :- edge(X, Y), path(Y, Z).
+    edge("a", "b").
+    edge("b", "c").
+    """
+
+    @staticmethod
+    def rewrite(text, query_text):
+        return qsq_rewrite(parse_program(text), Query(parse_atom(query_text)))
+
+    @staticmethod
+    def codes(program, query=None):
+        return [d.code for d in analyze(program, query).diagnostics]
+
+    def test_no_dd501_on_rewritten_figure3(self):
+        rewriting = self.rewrite(FIGURE3_LOCAL + FIGURE3_FACTS, 'r("1", Y)')
+        assert "DD501" not in self.codes(rewriting.program,
+                                         Query(rewriting.answer_atom))
+
+    def test_no_dd501_on_rewritten_tc(self):
+        # path(X, Y) gets DD601 (an all-free demand), so the plan checks
+        # below stay off that query
+        for query_text in ('path("a", Y)', "path(X, Y)"):
+            rewriting = self.rewrite(self.TC, query_text)
+            assert "DD501" not in self.codes(
+                rewriting.program, Query(rewriting.answer_atom)), query_text
+
+    def test_rewriting_introduces_no_new_plan_warnings(self):
+        program, _db = figure3()
+        rewriting = qsq_rewrite(program, Query(parse_atom('r("1", Y)')))
+        plan_codes = {"DD601", "DD602"}
+        assert (plan_codes & set(self.codes(rewriting.program))
+                <= plan_codes & set(self.codes(program)))
+
+    def test_clean_tc_stays_clean_after_rewriting(self):
+        rewriting = self.rewrite(self.TC, 'path("a", Y)')
+        codes = self.codes(rewriting.program, Query(rewriting.answer_atom))
+        assert not {"DD601", "DD602"} & set(codes)
+
+    def test_rewritten_program_has_no_errors_at_all(self):
+        for text, query_text in ((FIGURE3_LOCAL + FIGURE3_FACTS, 'r("1", Y)'),
+                                 (self.TC, 'path("a", Y)')):
+            rewriting = self.rewrite(text, query_text)
+            report = analyze(rewriting.program, Query(rewriting.answer_atom))
+            assert report.errors == (), query_text

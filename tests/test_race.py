@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.datalog.naive import load_facts
+from repro.datalog.database import load_facts
 from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.rule import Query
 from repro.distributed.ddatalog import DDatalogProgram

@@ -12,8 +12,7 @@ from dataclasses import replace
 import pytest
 
 from repro.datalog.analysis import analyze, non_commuting_pairs
-from repro.datalog.database import Database
-from repro.datalog.naive import load_facts
+from repro.datalog.database import Database, load_facts
 from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.rule import Query
 from repro.distributed.ddatalog import DDatalogProgram

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.datalog import parse_atom, parse_program, Query
-from repro.datalog.database import Database
-from repro.datalog.naive import load_facts, select
+from repro.datalog.database import Database, load_facts, select
 from repro.datalog.stratified import StratifiedEvaluator, has_negation, stratify
 from repro.errors import ValidationError
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datalog import Query, parse_atom, parse_program
-from repro.datalog.naive import load_facts
+from repro.datalog.database import load_facts
 from repro.distributed import (DDatalogProgram, DijkstraScholten, DqsqEngine,
                                LinkPartition, NetworkOptions, PeerFaultPlan)
 from repro.distributed.network import Message, Network

@@ -30,8 +30,7 @@ import functools
 import pytest
 
 import repro
-from repro.datalog.database import Database
-from repro.datalog.naive import load_facts
+from repro.datalog.database import Database, load_facts
 from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.plan import clear_plan_cache
 from repro.datalog.rule import Query
