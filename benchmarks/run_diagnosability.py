@@ -11,7 +11,8 @@ must carry a witness pair that replays on the original net.  Timings
 are reported but never gated; the runner exits non-zero only on a
 verdict/witness mismatch -- with or without ``--smoke``.
 
-The report goes to ``BENCH_diagnosability.json``.
+A full run's report goes to ``BENCH_diagnosability.json``, a
+``--smoke`` run's only to ``--out``.
 
 Usage::
 
@@ -104,8 +105,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="small sweep for CI (shape check, not perf)")
-    parser.add_argument("--out", default="BENCH_diagnosability.json",
-                        help="output JSON path")
+    parser.add_argument("--out", help="output JSON path (default: "
+                        "BENCH_diagnosability.json for a full run; a "
+                        "--smoke run writes only where --out points)")
     args = parser.parse_args(argv)
 
     models = [(f"builtin:{name}", *INSTANCES[name].build())
@@ -131,8 +133,10 @@ def main(argv=None) -> int:
         "models": len(workloads),
         "workloads": workloads,
     }
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    out = args.out or (None if args.smoke else "BENCH_diagnosability.json")
+    if out is not None:
+        Path(out).write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"wrote {out}")
 
     failures = [w["name"] for w in workloads
                 if not (w["oracle_agrees"] and w["witnesses_confirmed"])]

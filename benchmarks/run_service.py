@@ -3,7 +3,8 @@
 
 Drives an in-process :class:`repro.service.DiagnosisService` (the very
 ``handle`` surface the TCP loop wraps) with a sweep of concurrent
-sessions x pipelining depth, and writes ``BENCH_service.json``:
+sessions x pipelining depth, and writes ``BENCH_service.json`` (a
+``--smoke`` run only ``--out``):
 
 * **push latency** -- p50/p99 wall-clock per accepted alarm;
 * **shed / degraded fractions** -- how much of the offered load each
@@ -161,8 +162,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="small sizes for CI (shape check, not perf)")
-    parser.add_argument("--out", default="BENCH_service.json",
-                        help="output JSON path")
+    parser.add_argument("--out", help="output JSON path (default: "
+                        "BENCH_service.json for a full run; a --smoke "
+                        "run writes only where --out points)")
     args = parser.parse_args(argv)
 
     if args.smoke:
@@ -186,8 +188,10 @@ def main(argv=None) -> int:
         "sweep": points,
         "windowing": windowing,
     }
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    out = args.out or (None if args.smoke else "BENCH_service.json")
+    if out is not None:
+        Path(out).write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"wrote {out}")
 
     if not windowing["bounded"] or not windowing["exact_grows"]:
         print("WINDOWING GATE: compaction failed to bound the table "

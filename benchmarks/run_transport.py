@@ -5,7 +5,7 @@ Runs the same distributed evaluation -- K peers each computing a local
 transitive-closure fixpoint over its own chain, shipping a small
 projection to a hub peer -- on both registered transports, checks that
 the answer sets are *identical*, and writes a machine-readable report
-to ``BENCH_transport.json``.
+to ``BENCH_transport.json`` (a ``--smoke`` run only to ``--out``).
 
 Answer equivalence is the only exit gate.  ``sim_s``, ``mp_s`` and
 ``cpus`` are plain measurements that support no claim: no committed
@@ -94,8 +94,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="small sizes for CI (shape check, not perf)")
-    parser.add_argument("--out", default="BENCH_transport.json",
-                        help="output JSON path")
+    parser.add_argument("--out", help="output JSON path (default: "
+                        "BENCH_transport.json for a full run; a --smoke "
+                        "run writes only where --out points)")
     args = parser.parse_args(argv)
 
     cpus = default_parallelism()
@@ -112,8 +113,10 @@ def main(argv=None) -> int:
         "cpus": cpus,
         "workloads": workloads,
     }
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out} (cpus={cpus})")
+    out = args.out or (None if args.smoke else "BENCH_transport.json")
+    if out is not None:
+        Path(out).write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"wrote {out} (cpus={cpus})")
 
     failures = [w["peers"] for w in workloads if not w["equivalent"]]
     if failures:

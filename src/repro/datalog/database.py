@@ -97,26 +97,33 @@ class Database:
         One call inserts a whole derived block (indices and the change
         log maintained incrementally, exactly as :meth:`add_ground`
         would) and hands back the *genuinely new* facts -- which is the
-        next semi-naive delta.
+        next semi-naive delta.  Each row is hashed once: it is new when
+        adding it grew the set.
         """
         store = self._facts[key]
-        ordered = self._ordered[key]
-        registry = self._indices.get(key)
-        log = self._change_log
         fresh: list[Fact] = []
+        add, keep = store.add, fresh.append
+        size = len(store)
         for row in rows:
             tup = tuple(row)
-            if tup in store:
-                continue
-            store.add(tup)
-            ordered.append(tup)
-            log.append(key)
-            fresh.append(tup)
-            if registry:
-                for positions, index in registry.items():
-                    index_key = tuple(tup[i] for i in positions)
-                    index.setdefault(index_key, []).append(tup)
+            add(tup)
+            if len(store) > size:
+                size += 1
+                keep(tup)
+        if not fresh:
+            return fresh
+        self._ordered[key].extend(fresh)
+        self._change_log.extend([key] * len(fresh))
         self._size += len(fresh)
+        for positions, index in self._indices.get(key, {}).items():
+            setdefault = index.setdefault
+            if len(positions) == 1:
+                position = positions[0]
+                for tup in fresh:
+                    setdefault((tup[position],), []).append(tup)
+            else:
+                for tup in fresh:
+                    setdefault(tuple([tup[i] for i in positions]), []).append(tup)
         return fresh
 
     # -- lookup -----------------------------------------------------------

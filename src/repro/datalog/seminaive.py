@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.datalog.database import Database, Fact, RelationKey, select
-from repro.datalog.plan import PlanStats, plan_for
+from repro.datalog.plan import JoinPlan, PlanStats, plan_for
 from repro.datalog.rule import Program, Query, Rule
 from repro.datalog.term import Term, term_depth
 from repro.errors import BudgetExceeded
@@ -73,25 +73,40 @@ class IncrementalEvaluator:
     every firing is a delta firing -- the facts beyond one cursor joined
     against the full store.  Repeated calls to :meth:`run` therefore cost
     time proportional to the *new* work.
+
+    A delta that arrives while another body relation of its rule is
+    empty joins nothing, so the consumer moves its cursor past it
+    without firing or compiling: when that relation fills, its own
+    consumer joins the new facts against the full store, skipped facts
+    included.
     """
 
     def __init__(self, db: Database | None = None,
                  budget: EvaluationBudget | None = None) -> None:
         self.budget = budget or EvaluationBudget()
-        self.counters = Counters()
+        self._counters = Counters()
         self._plan_stats = PlanStats()
         #: id-keyed plan map (see repro.datalog.plan.plan_for)
         self._plans: dict = {}
         if db is not None:  # None: the owner calls bind() before add_rule()
             self.bind(db)
 
+    @property
+    def counters(self) -> Counters:
+        """The evaluator's counters, plan counters flushed in."""
+        self.flush_stats()
+        return self._counters
+
     def bind(self, db: Database) -> None:
         """Schedule over ``db`` with no rule installed; plans are kept."""
         self.db = db
         self._seen_rules: set[Rule] = set()
         self._pending_rules: list[Rule] = []
-        #: per relation, its consumers ``[rule, position, cursor]``:
-        #: ``facts[cursor:]`` is what the rule has not joined at that atom
+        #: per relation, its consumers ``[rule, position, cursor, partners,
+        #: plan]``: ``facts[cursor:]`` is what the rule has not joined at
+        #: that atom, ``partners`` the rule's other body relations (a delta
+        #: is skipped while one is empty) and ``plan`` the delta plan,
+        #: resolved at the first firing
         self._consumers: dict[RelationKey, list[list]] = defaultdict(list)
         self._log_position = len(db.change_log())
 
@@ -108,7 +123,6 @@ class IncrementalEvaluator:
         indexes.  Counters survive: recovery work is real work.
         """
         self._plans.clear()
-        self._plan_stats = PlanStats()
         self.bind(db)
 
     def add_rule(self, rule: Rule) -> bool:
@@ -118,7 +132,7 @@ class IncrementalEvaluator:
         self._seen_rules.add(rule)
         if rule.is_fact():
             if self.db.add_atom(rule.head):
-                self.counters.add("facts_materialized")
+                self._counters.add("facts_materialized")
             return True
         self._pending_rules.append(rule)
         return True
@@ -126,17 +140,22 @@ class IncrementalEvaluator:
     def flush_stats(self) -> None:
         """Flush pending plan counters into :attr:`counters` (idempotent).
 
-        Every ``run`` flushes at its fixpoint; the transports call this
-        at collection time so plan work done since the last successful
-        fixpoint (e.g. a run aborted by ``BudgetExceeded``) still lands
-        in the per-peer counters instead of dying with the worker.
+        A fixpoint does not flush: reading :attr:`counters` does, and the
+        transports call this at collection time, so plan work done since
+        the last read (e.g. a run aborted by ``BudgetExceeded``) still
+        lands in the per-peer counters instead of dying with the worker.
         """
-        self._plan_stats.flush_into(self.counters)
+        self._plan_stats.flush_into(self._counters)
 
-    def _derive(self, rule: Rule, db: Database,
-                delta_position: int | None = None,
-                delta_rows: Sequence[Fact] | None = None) -> list[Fact]:
-        """Fire ``rule`` once against ``db``; returns the new facts.
+    def _plan(self, consumer: list) -> JoinPlan:
+        """The consumer's delta plan, resolved (and kept) on first use."""
+        consumer[4] = plan_for(self._plans, self._plan_stats,
+                               consumer[0], consumer[1])
+        return consumer[4]
+
+    def _derive(self, plan: JoinPlan, db: Database,
+                delta_rows: Sequence[Fact] | None = None) -> None:
+        """Fire ``plan`` once against ``db`` and store what is new.
 
         Derived heads are inserted only after the join completes:
         inserting mid-join would extend the very fact lists being
@@ -144,13 +163,12 @@ class IncrementalEvaluator:
         with function symbols.
         """
         stats = self._plan_stats
-        plan = plan_for(self._plans, stats, rule, delta_position)
         rows = plan.fire(db, delta_rows, stats=stats)
         stats.firings += 1
         if not rows:
             stats.empty_firings += 1
-            return rows
-        counters, budget = self.counters, self.budget
+            return
+        counters, budget = self._counters, self.budget
         counters.add("derivations", len(rows))
         if budget.max_term_depth is not None:
             kept = [args for args in rows if not budget.prunes_fact(args)]
@@ -162,11 +180,13 @@ class IncrementalEvaluator:
             counters.add("facts_materialized", len(fresh))
             if db.total_facts() > budget.max_facts:
                 raise BudgetExceeded("facts", budget.max_facts)
-        return fresh
 
     def run(self) -> None:
         """Process pending rules and unprocessed facts to a fixpoint."""
         db = self.db
+        facts_of = db.facts
+        derive = self._derive
+        consumers = self._consumers
         for _ in range(self.budget.max_iterations):
             pending, self._pending_rules = self._pending_rules, []
             for rule in pending:
@@ -174,33 +194,43 @@ class IncrementalEvaluator:
                 # what the store holds now is joined by one delta firing over
                 # the whole of the smallest body relation (leftmost on ties),
                 # which fires and compiles nothing while that one is empty.
-                counts = [len(db.facts(atom.key())) for atom in rule.body]
-                for position, atom in enumerate(rule.body):
-                    self._consumers[atom.key()].append([rule, position, counts[position]])
+                keys = [atom.key() for atom in rule.body]
+                counts = [len(facts_of(key)) for key in keys]
+                distinct = dict.fromkeys(keys)
+                entering: list[list] = []
+                for position, key in enumerate(keys):
+                    partners = tuple(k for k in distinct if k != key)
+                    consumer = [rule, position, counts[position], partners, None]
+                    entering.append(consumer)
+                    consumers[key].append(consumer)
                 if not counts:
-                    self._derive(rule, db)
+                    derive(plan_for(self._plans, self._plan_stats, rule, None), db)
                 elif smallest := min(counts):
                     first = counts.index(smallest)
-                    self._derive(rule, db, first, db.facts(rule.body[first].key())[:])
+                    derive(self._plan(entering[first]), db, facts_of(keys[first])[:])
             # Only relations named in the change-log suffix can have new
             # facts: no full scan over the (large) relation space.
             log = db.change_log()
             touched = dict.fromkeys(log[self._log_position:])
             self._log_position = len(log)
             if not pending and not touched:
-                self.flush_stats()
                 return
             for key in touched:
-                facts = db.facts(key)
+                facts = facts_of(key)
                 end = len(facts)
                 slices: dict[int, Sequence[Fact]] = {}  # one per distinct cursor
-                for consumer in self._consumers.get(key, ()):
-                    rule, position, start = consumer
-                    if start < end:
-                        consumer[2] = end
+                for consumer in consumers.get(key, ()):
+                    start = consumer[2]
+                    if start >= end:
+                        continue
+                    consumer[2] = end
+                    for partner in consumer[3]:
+                        if not facts_of(partner):
+                            break  # the join is empty: skip, compile nothing
+                    else:
                         if start not in slices:
                             slices[start] = facts[start:end]
-                        self._derive(rule, db, position, slices[start])
+                        derive(consumer[4] or self._plan(consumer), db, slices[start])
         raise BudgetExceeded("iterations", self.budget.max_iterations)
 
 
@@ -235,6 +265,7 @@ class SemiNaiveEvaluator:
         for rule in self.program:  # facts go straight to the store
             self._scheduler.add_rule(rule)
         self._scheduler.run()
+        self.flush_stats()
         return db
 
     def answers(self, db: Database, query: Query) -> set[Fact]:

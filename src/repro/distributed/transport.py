@@ -173,9 +173,9 @@ def snapshot_peer_counters(peer: Any) -> Counters:
 
     Evaluators exposing ``flush_stats`` are flushed first: per-plan
     accumulators (``plan.*``) not yet folded into the counter bag --
-    e.g. work since the last fixpoint, or a run aborted mid-fire --
-    would otherwise be dropped, and on the ``mp`` transport lost for
-    good when the worker process exits.  Flushing at snapshot time is
+    a fixpoint does not flush them, and neither does a run aborted
+    mid-fire -- would otherwise be dropped, and on the ``mp`` transport
+    lost for good when the worker process exits.  Flushing at snapshot time is
     what keeps ``plan.*`` totals equal between ``sim`` and ``mp`` runs
     of the same schedule.
     """

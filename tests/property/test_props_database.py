@@ -6,6 +6,9 @@ indices through ``index_lookup``.  An index that dropped, duplicated or
 mis-bucketed a fact would silently corrupt every evaluator, so the
 oracle here is the brute-force definition: scan all facts and keep the
 ones whose indexed positions equal the bound values.
+
+``Database.add_batch`` is the semi-naive insert path; its oracle is the
+same rows inserted one at a time through ``add_ground``.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -96,3 +99,31 @@ class TestCandidatesAgreeWithFullScan:
         for fact in db.facts(KEY):
             if match_tuple(pattern, fact, dict(binding)):
                 assert fact in candidates
+
+
+INDEXED_POSITIONS = [(0,), (2,), (0, 1), (2, 0), (0, 1, 2)]
+
+
+class TestAddBatchEqualsAddGround:
+    @settings(max_examples=80, deadline=None)
+    @given(facts, facts, st.lists(st.sampled_from(INDEXED_POSITIONS), unique=True),
+           st.integers(min_value=0, max_value=5))
+    def test_a_batch_is_its_rows_added_one_at_a_time(self, stored, batch,
+                                                     indexed, repeats):
+        # in-batch duplicates: the batch's first rows once more at its end
+        batch = batch + batch[:repeats]
+        one_by_one, batched = Database(), Database()
+        for db in (one_by_one, batched):
+            for fact in stored:
+                db.add_ground(KEY, fact)
+            for positions in indexed:
+                db.index_map(KEY, positions)
+        expected = [fact for fact in batch if one_by_one.add_ground(KEY, fact)]
+        assert batched.add_batch(KEY, batch) == expected
+        assert list(batched.facts(KEY)) == list(one_by_one.facts(KEY))
+        assert batched.change_log() == one_by_one.change_log()
+        assert batched.total_facts() == one_by_one.total_facts()
+        for positions in indexed:
+            # bucket keys and bucket contents, both in insertion order
+            assert (list(batched.index_map(KEY, positions).items())
+                    == list(one_by_one.index_map(KEY, positions).items()))

@@ -93,6 +93,25 @@ class TestRuleEntersAsConsumer:
         assert select(db, parse_atom("p(X)")) == {parse_atom('p("a")').args}
         assert evaluator.counters["plan.cache_misses"] == 1
 
+    def test_a_delta_while_a_partner_is_empty_compiles_and_fires_nothing(self):
+        db = Database()
+        evaluator = IncrementalEvaluator(db)
+        evaluator.add_rule(self._rule("p(X) :- q(X), r(X)."))
+        evaluator.run()
+        for value in ("a", "b", "c"):
+            db.add_atom(parse_atom(f'q("{value}")'))
+            evaluator.run()
+        assert evaluator.counters["plan.cache_misses"] == 0
+        assert evaluator.counters["plan.firings"] == 0
+        # r's delta joins the full q, the facts skipped above included
+        db.add_atom(parse_atom('r("a")'))
+        db.add_atom(parse_atom('r("c")'))
+        evaluator.run()
+        assert select(db, parse_atom("p(X)")) == {
+            parse_atom('p("a")').args, parse_atom('p("c")').args}
+        assert evaluator.counters["plan.cache_misses"] == 1
+        assert evaluator.counters["plan.firings"] == 1
+
     def test_a_fact_stored_between_bind_and_add_rule_is_joined_once(self):
         db = Database()
         evaluator = IncrementalEvaluator(db)

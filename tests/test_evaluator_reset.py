@@ -29,12 +29,15 @@ class TestReset:
     def test_reset_clears_plans_rules_and_cursors(self):
         db = Database()
         evaluator = IncrementalEvaluator(db)
-        evaluator.add_rule(_rule("p(X) :- q(X)."))
+        rule = _rule("p(X) :- q(X).")
+        evaluator.add_rule(rule)
         db.add(("q", None), (Const("a"),))
         evaluator.run()
         assert evaluator._plans
-        [(_, position, cursor)] = evaluator._consumers[("q", None)]
-        assert (position, cursor) == (0, 1)
+        [(_, position, cursor, partners, plan)] = evaluator._consumers[("q", None)]
+        assert (position, cursor, partners) == (0, 1, ())
+        # the consumer holds the plan the id-keyed map resolved for it
+        assert plan is evaluator._plans[(id(rule), 0)]
 
         fresh = Database()
         evaluator.reset(fresh)
