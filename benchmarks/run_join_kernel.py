@@ -25,17 +25,9 @@ are reported but never gated; the runner exits non-zero only when a
 derivation, fact or compiled-plan count differs from the recorded one --
 with or without ``--smoke``.
 
-The runner also validates the static cost model (:mod:`repro.datalog.cost`)
-against reality: for tc_chain and the e6 diagnosis program it compares each
-rule's *predicted* join cost with the bindings actually explored by that
-rule's compiled plan over the final database, and fails if the predicted
-cost ranking disagrees with the measured one.  ``--cost-only`` runs just
-that validation (the CI cost smoke).
-
 Usage::
 
-    PYTHONPATH=src python benchmarks/run_join_kernel.py \\
-        [--smoke] [--cost-only] [--out PATH]
+    PYTHONPATH=src python benchmarks/run_join_kernel.py [--smoke] [--out PATH]
 """
 
 from __future__ import annotations
@@ -52,14 +44,11 @@ from pathlib import Path
 from typing import Callable
 
 from repro.datalog import Const, parse_program
-from repro.datalog.cost import CostModel, estimate_rule
 from repro.datalog.database import Database
-from repro.datalog.plan import (KERNEL_AFTER_BINDINGS, PlanStats,
-                                clear_plan_cache, compile_join_plan,
+from repro.datalog.plan import (KERNEL_AFTER_BINDINGS, clear_plan_cache,
                                 plan_cache_evictions, plan_cache_size)
-from repro.datalog.seminaive import EvaluationBudget, SemiNaiveEvaluator
+from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.diagnosis import DatalogDiagnosisEngine
-from repro.diagnosis.supervisor import SupervisorEncoder
 from repro.petri.generators import TelecomSpec, telecom_net
 from repro.utils.counters import Counters
 from repro.workloads.alarmgen import simulate_alarms
@@ -195,166 +184,10 @@ def _fingerprint() -> dict:
                          or "").split()}
 
 
-# -- cost-model validation ----------------------------------------------------
-
-
-def _measured_bindings(rule, db: Database) -> int:
-    """Replay ``rule``'s compiled plan over ``db``; bindings explored."""
-    stats = PlanStats()
-    plan = compile_join_plan(rule)
-    for _slots in plan.bindings(db, stats=stats):
-        pass
-    return stats.bindings_explored
-
-
-def _spearman(xs: list[float], ys: list[float]) -> float | None:
-    """Spearman rank correlation (average ranks for ties)."""
-    def ranks(vals: list[float]) -> list[float]:
-        order = sorted(range(len(vals)), key=lambda i: vals[i])
-        out = [0.0] * len(vals)
-        i = 0
-        while i < len(order):
-            j = i
-            while j + 1 < len(order) and vals[order[j + 1]] == vals[order[i]]:
-                j += 1
-            for k in range(i, j + 1):
-                out[order[k]] = (i + j) / 2
-            i = j + 1
-        return out
-    n = len(xs)
-    if n < 3:
-        return None
-    rx, ry = ranks(xs), ranks(ys)
-    mx, my = sum(rx) / n, sum(ry) / n
-    num = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
-    den = (sum((a - mx) ** 2 for a in rx)
-           * sum((b - my) ** 2 for b in ry)) ** 0.5
-    return num / den if den else None
-
-#: gate thresholds for the cost-model validation.  No uniform
-#: estimator gets every pair right on correlated data (real joins die
-#: earlier than the expectation), so the gate is statistical: the
-#: ranking must be strongly correlated, order-of-magnitude inversions
-#: must stay rare, and the predicted-costliest rules must be where the
-#: measured work actually is.  A broken estimator (e.g. one ranking
-#: rules backwards) fails all three by a wide margin.
-MIN_SPEARMAN = 0.5     # rank correlation across all rules
-STRONG_RATIO = 8.0     # predicted separation counted as order-of-magnitude
-NOISE_FLOOR = 8        # ignore rules below this much measured work
-MEASURED_SLACK = 2.0   # tolerated measured inversion on strong pairs
-MAX_INVERSION_FRACTION = 0.10   # strong pairs allowed to invert
-TOP_FRACTION = 0.2     # predicted-costliest slice that must cover ...
-MIN_TOP_COVERAGE = 0.5  # ... this share of total measured bindings
-
-
-def _validate_ranking(name: str, program, db: Database, params: dict,
-                      max_term_depth: int | None = None) -> dict:
-    """Predicted rule cost vs. measured plan counters over the final db.
-
-    The gate is *ranking* agreement, not absolute agreement -- ordering
-    is what the plan advisor consumes.  Three checks:
-
-    1. Spearman rank correlation between predicted cost and measured
-       ``plan.bindings_explored`` across all rules must clear
-       ``MIN_SPEARMAN``.
-    2. Among rule pairs separated by >= ``STRONG_RATIO`` in predicted
-       cost (both above the counting-noise floor), at most
-       ``MAX_INVERSION_FRACTION`` may invert by more than
-       ``MEASURED_SLACK``.
-    3. The top ``TOP_FRACTION`` of rules by predicted cost must cover
-       at least ``MIN_TOP_COVERAGE`` of the total measured bindings.
-    """
-    model = CostModel(program, database=db, max_term_depth=max_term_depth,
-                      measured=True)
-    rows = []
-    for rule in program.proper_rules():
-        if not rule.body:
-            continue
-        predicted = estimate_rule(rule, model).cost.count
-        rows.append({
-            "rule": str(rule),
-            "predicted_cost": round(predicted, 1),
-            "measured_bindings": _measured_bindings(rule, db),
-        })
-    spearman = _spearman([r["predicted_cost"] for r in rows],
-                         [float(r["measured_bindings"]) for r in rows])
-    strong_pairs = 0
-    disagreements = []
-    for low in rows:
-        for high in rows:
-            if (low["predicted_cost"] * STRONG_RATIO
-                    > high["predicted_cost"]):
-                continue
-            if (low["measured_bindings"] < NOISE_FLOOR
-                    or high["measured_bindings"] < NOISE_FLOOR):
-                continue
-            strong_pairs += 1
-            if (low["measured_bindings"]
-                    > MEASURED_SLACK * high["measured_bindings"]):
-                disagreements.append({"predicted_cheaper": low["rule"],
-                                      "predicted_costlier": high["rule"]})
-    inversion_fraction = (len(disagreements) / strong_pairs
-                          if strong_pairs else 0.0)
-    total_measured = sum(r["measured_bindings"] for r in rows)
-    top_k = max(1, int(len(rows) * TOP_FRACTION))
-    by_predicted = sorted(rows, key=lambda r: -r["predicted_cost"])
-    top_coverage = (sum(r["measured_bindings"] for r in by_predicted[:top_k])
-                    / total_measured if total_measured else 1.0)
-    ok = ((spearman is None or spearman >= MIN_SPEARMAN)
-          and inversion_fraction <= MAX_INVERSION_FRACTION
-          and top_coverage >= MIN_TOP_COVERAGE)
-    report = {
-        "name": name,
-        "params": params,
-        "rules": rows,
-        "spearman": round(spearman, 3) if spearman is not None else None,
-        "strong_pairs": strong_pairs,
-        "inversion_fraction": round(inversion_fraction, 4),
-        "top_coverage": round(top_coverage, 4),
-        "disagreements": disagreements[:20],
-        "ranking_ok": ok,
-    }
-    status = "OK" if ok else "RANK MISMATCH"
-    rho = f"{spearman:.2f}" if spearman is not None else "n/a"
-    print(f"{name:12s} cost model: {len(rows)} rules, spearman={rho}, "
-          f"{len(disagreements)}/{strong_pairs} strong-pair inversions, "
-          f"top-{int(TOP_FRACTION * 100)}% covers "
-          f"{top_coverage:.0%} of work [{status}]")
-    return report
-
-
-def cost_validate_tc(nodes: int) -> dict:
-    program = parse_program(TC_PROGRAM)
-    db = _tc_database(nodes)
-    SemiNaiveEvaluator(program).run(db)
-    return _validate_ranking("tc_chain", program, db, {"nodes": nodes})
-
-
-def cost_validate_e6(steps: int) -> dict:
-    spec = TelecomSpec(peers=2, ring_length=3, branching=0.3,
-                       topology="chain", seed=21)
-    petri = telecom_net(spec)
-    alarms = simulate_alarms(petri, steps=steps, seed=21)
-    encoder = SupervisorEncoder(petri, alarms)
-    local = encoder.program().local_version()
-    # Bottom-up ground truth under the Theorem-4 depth bound (encoding
-    # terms nest ~2 levels per alarm); prune_depth keeps it finite.
-    depth = 2 * max(1, len(alarms)) + 2
-    db = Database()
-    budget = EvaluationBudget(max_facts=2_000_000, max_term_depth=depth,
-                              prune_depth=True)
-    SemiNaiveEvaluator(local, budget).run(db)
-    return _validate_ranking("e6_diag", local, db,
-                             {"steps": steps, "alarms": len(alarms)},
-                             max_term_depth=depth)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="small sizes for CI (shape check, not perf)")
-    parser.add_argument("--cost-only", action="store_true",
-                        help="run only the cost-model ranking validation")
     parser.add_argument("--out", help="output JSON path (default: "
                         "BENCH_join_kernel.json for a full run; a --smoke "
                         "run writes only where --out points)")
@@ -363,16 +196,9 @@ def main(argv=None) -> int:
     nodes = 60 if args.smoke else 240
     steps = 2 if args.smoke else 6
 
-    workloads = []
-    if not args.cost_only:
-        workloads = bench([tc_workload(nodes), e6_workload("qsq", steps),
-                           e6_workload("dqsq", steps)],
-                          args.smoke)
-
-    cost_validation = [
-        cost_validate_tc(nodes),
-        cost_validate_e6(steps),
-    ]
+    workloads = bench([tc_workload(nodes), e6_workload("qsq", steps),
+                       e6_workload("dqsq", steps)],
+                      args.smoke)
 
     payload = {
         "benchmark": "join_kernel",
@@ -383,7 +209,6 @@ def main(argv=None) -> int:
         "plan_cache_size": plan_cache_size(),
         "plan_cache_evictions": plan_cache_evictions(),
         "workloads": workloads,
-        "cost_validation": cost_validation,
     }
     out = args.out or (None if args.smoke else "BENCH_join_kernel.json")
     if out is not None:
@@ -393,12 +218,6 @@ def main(argv=None) -> int:
     failures = [w["name"] for w in workloads if not w["counts_ok"]]
     if failures:
         print(f"COUNT MISMATCH in: {', '.join(failures)}", file=sys.stderr)
-        return 1
-    rank_failures = [c["name"] for c in cost_validation
-                     if not c["ranking_ok"]]
-    if rank_failures:
-        print(f"COST RANKING MISMATCH in: {', '.join(rank_failures)}",
-              file=sys.stderr)
         return 1
     return 0
 

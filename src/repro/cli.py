@@ -170,8 +170,11 @@ def cmd_lint(args) -> int:
     if not args.paths and not args.registered:
         raise ReproError("provide program files and/or --registered")
     query = Query(parse_atom(args.query)) if args.query else None
-    known_peers = ([p.strip() for p in args.peers.split(",") if p.strip()]
-                   if args.peers else None)
+    known_peers = None
+    if args.peers:
+        known_peers = [p.strip() for p in args.peers.split(",") if p.strip()]
+        if not known_peers:
+            raise ReproError(f"--peers {args.peers!r} names no peer")
     runs = []
     for path in args.paths:
         try:
@@ -182,8 +185,7 @@ def cmd_lint(args) -> int:
         spans: dict[Rule, tuple[int, int]] = {}
         program = parse_program(text, check=False, spans=spans)
         report = analyze(program, query, known_peers=known_peers,
-                         depth_bounded=args.depth_bounded, spans=spans,
-                         cost=args.cost)
+                         depth_bounded=args.depth_bounded, spans=spans)
         runs.append((path, report))
     if args.registered:
         from repro.datalog.analysis import index_spans
@@ -195,8 +197,7 @@ def cmd_lint(args) -> int:
             report = analyze(entry.program, entry.query,
                              known_peers=entry.known_peers,
                              depth_bounded=entry.depth_bounded,
-                             spans=index_spans(entry.program),
-                             cost=args.cost)
+                             spans=index_spans(entry.program))
             runs.append((f"<registered:{name}>", report))
         # Registered *models* ride along: every named diagnosability
         # instance is analyzed and reported as <model:NAME>, so one
@@ -468,10 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
                       default="text",
                       help="output format: human-readable text (default), "
                            "a JSON summary, or SARIF 2.1.0 for CI/editors")
-    lint.add_argument("--cost", action="store_true",
-                      help="also run the DD801-DD805 cardinality/cost "
-                           "passes (EDB statistics from the program's own "
-                           "facts, symbolic n^k bounds otherwise)")
     lint.add_argument("--depth-bounded", action="store_true",
                       help="assume a Section-4.4 depth-bound gadget guards "
                            "evaluation (downgrades DD301 to info)")

@@ -15,14 +15,12 @@ from repro.datalog.rule import Rule, Program, Query
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_program, parse_rule, parse_atom, parse_term
 from repro.datalog.seminaive import SemiNaiveEvaluator, EvaluationBudget
-from repro.datalog.adornment import Adornment, adorn_program
+from repro.datalog.adornment import Adornment
 from repro.datalog.qsq import QsqRewriting, qsq_rewrite, qsq_evaluate
 from repro.datalog.plan import (JoinPlan, compile_join_plan, clear_plan_cache,
                                 plan_cache_size)
 from repro.datalog.analysis import (AnalysisReport, DependencyGraph, Diagnostic,
                                     analyze, check_program)
-from repro.datalog.cost import (Card, CostModel, PlanAdvisor, check_cost,
-                                estimate_rule)
 from repro.datalog.stratified import StratifiedEvaluator, has_negation, stratify
 
 __all__ = [
@@ -32,11 +30,10 @@ __all__ = [
     "Database",
     "parse_program", "parse_rule", "parse_atom", "parse_term",
     "SemiNaiveEvaluator", "EvaluationBudget",
-    "Adornment", "adorn_program",
+    "Adornment",
     "QsqRewriting", "qsq_rewrite", "qsq_evaluate",
     "JoinPlan", "compile_join_plan", "clear_plan_cache", "plan_cache_size",
     "AnalysisReport", "DependencyGraph", "Diagnostic",
     "analyze", "check_program",
-    "Card", "CostModel", "PlanAdvisor", "check_cost", "estimate_rule",
     "StratifiedEvaluator", "has_negation", "stratify",
 ]

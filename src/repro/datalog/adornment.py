@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.datalog.atom import Atom
-from repro.datalog.rule import Program
 from repro.datalog.term import Term, Var, variables_of
 
 
@@ -46,9 +45,6 @@ class Adornment:
     def free_positions(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.pattern) if c == "f")
 
-    def is_all_free(self) -> bool:
-        return "b" not in self.pattern
-
     def select_bound(self, args: Sequence[Term]) -> tuple[Term, ...]:
         """Project an argument list onto the bound positions."""
         return tuple(args[i] for i in self.bound_positions())
@@ -78,47 +74,3 @@ def adorned_name(relation: str, adornment: Adornment) -> str:
 def input_name(relation: str, adornment: Adornment) -> str:
     """Name of the demand ("input") relation, the paper's ``in-R^bf``."""
     return f"in-{relation}^{adornment}"
-
-
-def adorn_program(program: Program, query_atom: Atom) -> list[tuple[str, str | None, Adornment]]:
-    """All adorned IDB relations reachable from the query, by left-to-right SIP.
-
-    Returns ``(relation, peer, adornment)`` triples in discovery order.
-    This is the static reachability analysis underlying the QSQ
-    rewriting; the dQSQ engine performs the same computation lazily and
-    locally at each peer.
-    """
-    idb = program.idb_relations()
-    start = (query_atom.relation, query_atom.peer,
-             Adornment.from_atom(query_atom))
-    seen: set[tuple[str, str | None, Adornment]] = set()
-    order: list[tuple[str, str | None, Adornment]] = []
-    agenda = [start]
-    while agenda:
-        entry = agenda.pop()
-        if entry in seen:
-            continue
-        seen.add(entry)
-        order.append(entry)
-        relation, peer, adornment = entry
-        for rule in program.rules_for(relation, peer):
-            if rule.is_fact():
-                continue
-            bound = _bound_head_vars(rule.head, adornment)
-            for atom in rule.body:
-                key = atom.key()
-                body_adornment = Adornment.from_atom(atom, bound)
-                if key in idb:
-                    nxt = (atom.relation, atom.peer, body_adornment)
-                    if nxt not in seen:
-                        agenda.append(nxt)
-                bound |= set(atom.variables())
-    return order
-
-
-def _bound_head_vars(head: Atom, adornment: Adornment) -> set[Var]:
-    """Variables bound by unifying a ground demand with the head's bound args."""
-    bound: set[Var] = set()
-    for position in adornment.bound_positions():
-        bound.update(variables_of(head.args[position]))
-    return bound

@@ -27,20 +27,14 @@ Diagnostic codes (see docs/datalog.md for minimal examples and fixes)::
     DD701 non-confluent-rule-pair       a rule pair whose firings do not commute
     DD702 order-sensitive-remainder     located rule negatively depending cross-peer
     DD703 racy-negation-delegation      negated atom located at a remote peer
-    DD801 estimated-join-blowup         join step with large estimated fan-out
-    DD802 quadratic-or-worse-scc        recursive SCC with a big fixpoint bound
-    DD803 broadcast-heavy-rule          located rule shipping far more than it answers
-    DD804 demand-explosion              query demands a recursive relation all-free
-    DD805 estimate-index-mismatch       cost-based join order beats the default
     DD901 non-diagnosable-fault         ambiguous cycle/deadlock in the twin plant
     DD902 bounded-diagnosability-verdict verdict only certified up to a bound
     DD903 silent-unobservable-fault     fault with no observable causal future
     DD904 locally-undiagnosable-fault   fault a peer can only diagnose by communicating
 
-The DD8xx family is the cardinality/cost analysis of
-:mod:`repro.datalog.cost`; it runs only on request (``analyze(...,
-cost=True)`` / ``repro lint --cost``) because it estimates expense, not
-correctness.
+There is no static cost family: the DD8xx cardinality estimates were
+measured against the rules that do the work and deleted
+(docs/datalog.md, "Why there is no cost lint").
 
 The DD9xx family analyzes *models* rather than programs -- it is the
 static diagnosability verifier of :mod:`repro.diagnosability`, reported
@@ -58,7 +52,7 @@ from __future__ import annotations
 import logging
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.datalog.atom import Atom
 from repro.datalog.rule import Program, Query, Rule
@@ -66,9 +60,6 @@ from repro.datalog.term import Func, Term, Var, variables_of
 from repro.errors import ProgramAnalysisError
 from repro.utils.counters import Counters
 from repro.utils.orders import strongly_connected_components
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.datalog.database import Database
 
 logger = logging.getLogger(__name__)
 
@@ -98,11 +89,6 @@ CODES: dict[str, tuple[str, str]] = {
     "DD701": ("non-confluent-rule-pair", WARNING),
     "DD702": ("order-sensitive-remainder", WARNING),
     "DD703": ("racy-negation-delegation", WARNING),
-    "DD801": ("estimated-join-blowup", WARNING),
-    "DD802": ("quadratic-or-worse-scc", INFO),
-    "DD803": ("broadcast-heavy-rule", WARNING),
-    "DD804": ("demand-explosion", WARNING),
-    "DD805": ("estimate-index-mismatch", WARNING),
     "DD901": ("non-diagnosable-fault", WARNING),
     "DD902": ("bounded-diagnosability-verdict", WARNING),
     "DD903": ("silent-unobservable-fault", WARNING),
@@ -124,7 +110,7 @@ class Diagnostic:
 
     @property
     def slug(self) -> str:
-        return CODES.get(self.code, ("unknown", WARNING))[0]
+        return CODES[self.code][0]
 
     def render(self, show_rule: bool = True) -> str:
         location = f" (line {self.span[0]})" if self.span else ""
@@ -141,8 +127,8 @@ def make_diagnostic(code: str, message: str, rule: Rule | None = None,
                     suggestion: str | None = None,
                     severity: str | None = None) -> Diagnostic:
     """Build a diagnostic with the code's default severity (overridable)."""
-    default = CODES.get(code, ("unknown", WARNING))[1]
-    return Diagnostic(code=code, severity=severity or default, message=message,
+    return Diagnostic(code=code, severity=severity or CODES[code][1],
+                      message=message,
                       rule=rule, suggestion=suggestion)
 
 
@@ -789,9 +775,7 @@ def analyze(program: Program, query: Query | None = None, *,
             known_peers: Iterable[str] | None = None,
             depth_bounded: bool = False,
             plan_warnings: bool = True,
-            spans: Mapping[Rule, tuple[int, int]] | None = None,
-            cost: bool = False,
-            database: "Database | None" = None) -> AnalysisReport:
+            spans: Mapping[Rule, tuple[int, int]] | None = None) -> AnalysisReport:
     """Run every analysis pass over ``program``; returns the full report.
 
     ``query`` enables dead-rule detection (DD501); ``known_peers``
@@ -799,11 +783,7 @@ def analyze(program: Program, query: Query | None = None, *,
     Section-4.4 depth-bound gadget, downgrading DD301 to informational;
     ``plan_warnings`` controls the (lint-oriented) DD601/DD602 pass;
     ``spans`` maps rules to source (line, column) as produced by
-    :func:`repro.datalog.parser.parse_program`; ``cost`` adds the
-    DD801-DD805 cardinality passes (``database``, a
-    :class:`~repro.datalog.database.Database`, supplies EDB statistics
-    -- without one the model falls back to the program's own facts,
-    then to symbolic ``n^k`` bounds).
+    :func:`repro.datalog.parser.parse_program`.
     """
     graph = DependencyGraph(program)
     diagnostics: list[Diagnostic] = []
@@ -823,12 +803,6 @@ def analyze(program: Program, query: Query | None = None, *,
     if plan_warnings:
         unsafe = {d.rule for d in safety if d.rule is not None}
         diagnostics += check_plans(program, skip=unsafe)
-    if cost:
-        # The DD8xx passes live in repro.datalog.cost (which imports this
-        # module); the lazy import keeps the two cycle-free.
-        from repro.datalog.cost import check_cost
-        diagnostics += check_cost(program, query, database=database,
-                                  depth_bounded=depth_bounded, graph=graph)
     if spans:
         diagnostics = [replace(d, span=spans.get(d.rule)) if d.rule is not None
                        else d for d in diagnostics]

@@ -230,8 +230,7 @@ class JoinPlan:
                  "pre_checks", "negated", "head_key", "head_builders",
                  "produced", "kernel")
 
-    def __init__(self, rule: Rule, delta_position: int | None = None,
-                 order: Sequence[int] | None = None) -> None:
+    def __init__(self, rule: Rule, delta_position: int | None = None) -> None:
         self.rule = rule
         self.delta_position = delta_position
         #: complete bindings produced on the step interpreter so far, and
@@ -241,19 +240,7 @@ class JoinPlan:
         #: compilation, and evicting the plan evicts its kernel.
         self.produced = 0
         self.kernel: Kernel | None = None
-        if order is None:
-            order = _order_body(rule, delta_position)
-        else:
-            order = list(order)
-            if sorted(order) != list(range(len(rule.body))):
-                raise ValueError(
-                    f"join order {order} is not a permutation of the "
-                    f"{len(rule.body)} body positions of {rule}")
-            if delta_position is not None and (
-                    not order or order[0] != delta_position):
-                raise ValueError(
-                    f"join order {order} must start with the delta "
-                    f"position {delta_position} (semi-naive soundness)")
+        order = _order_body(rule, delta_position)
         self.var_slots = _assign_slots(rule, order)
         self.nslots = len(self.var_slots)
         slot_of = self.var_slots

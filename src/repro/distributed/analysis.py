@@ -21,8 +21,7 @@ from typing import TYPE_CHECKING, Iterable
 from repro.datalog.analysis import Diagnostic, make_diagnostic
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.datalog.cost import Card, CostModel, CostThresholds, RuleEstimate
-    from repro.datalog.rule import Program, Rule
+    from repro.datalog.rule import Program
     from repro.diagnosability.spec import DiagnosabilitySpec
     from repro.diagnosability.verifier import (DiagnosabilityReport,
                                                VerifierLimits)
@@ -85,87 +84,6 @@ def check_locality(program: "Program",
                 suggestion="define the complement positively (as the paper "
                            "does for notCausal/notConf) or evaluate the "
                            "stratified program locally"))
-    return out
-
-
-def _rule_traffic(rule: "Rule", model: "CostModel") \
-        -> tuple["Card", "RuleEstimate"]:
-    """Estimated cross-peer tuples one fully-located rule ships.
-
-    Follows the dQSQ delegation walk: the rule is evaluated at the peer
-    of its head, the body is consumed in *written* order, and at the
-    first atom located elsewhere the partial bindings accumulated so far
-    are shipped to that atom's peer (and so on down the remainder).
-    Answers hop back to the head peer at the end.  The per-step binding
-    cardinalities come from :func:`repro.datalog.cost.estimate_rule`
-    evaluated under the same written order.
-    """
-    from repro.datalog.cost import ZERO, estimate_rule
-    estimate = estimate_rule(rule, model,
-                             order=tuple(range(len(rule.body))))
-    shipped = ZERO
-    site = rule.head.peer
-    for step in estimate.steps:
-        atom = rule.body[step.position]
-        if atom.peer is not None and atom.peer != site and site is not None:
-            shipped = shipped.plus(step.inputs)
-            site = atom.peer
-    if site is not None and rule.head.peer is not None \
-            and site != rule.head.peer:
-        shipped = shipped.plus(estimate.bindings)
-    return shipped, estimate
-
-
-def estimate_peer_traffic(program: "Program", model: "CostModel") \
-        -> list[tuple["Rule", "Card", "RuleEstimate"]]:
-    """Estimated cross-peer shipped tuples, per rule.
-
-    Returns ``(rule, shipped, estimate)`` for every fully-located rule:
-    only those route traffic (mixed rules are DD401 errors; unlocated
-    rules run locally).
-    """
-    per_rule: list[tuple["Rule", "Card", "RuleEstimate"]] = []
-    for rule in program.proper_rules():
-        if rule.head.peer is None:
-            continue
-        if any(atom.peer is None for atom in rule.body):
-            continue
-        shipped, estimate = _rule_traffic(rule, model)
-        per_rule.append((rule, shipped, estimate))
-    return per_rule
-
-
-def check_broadcast(program: "Program", model: "CostModel",
-                    thresholds: "CostThresholds") -> list[Diagnostic]:
-    """DD803: a located rule shipping far more tuples than it answers.
-
-    Fires when a rule's estimated cross-peer shipment is unbounded, or
-    exceeds both the absolute floor (``broadcast_min``) and
-    ``broadcast_ratio`` times the rule's estimated answers — the
-    signature of delegating an unselective prefix instead of joining
-    locally first.
-    """
-    out: list[Diagnostic] = []
-    for rule, shipped, estimate in estimate_peer_traffic(program, model):
-        answers = estimate.output
-        if not shipped.unbounded:
-            if shipped.count < thresholds.broadcast_min:
-                continue
-            if shipped.count < thresholds.broadcast_ratio \
-                    * max(1.0, answers.count):
-                continue
-        volume = ("unbounded" if shipped.unbounded
-                  else f"~{shipped.count:.3g}")
-        out.append(make_diagnostic(
-            "DD803",
-            f"located rule ships an estimated {volume} tuples across "
-            f"peers for ~{answers.count:.3g} answer(s): the dQSQ "
-            f"remainder delegates most of the work's volume over the "
-            f"wire",
-            rule=rule,
-            suggestion="reorder the body so selective same-peer atoms "
-                       "come first (the remainder then ships fewer "
-                       "bindings), or co-locate the joined relations"))
     return out
 
 

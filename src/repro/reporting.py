@@ -114,7 +114,7 @@ def lint_sarif(runs: Iterable[Run]) -> str:
         "defaultConfiguration": {
             "level": SARIF_LEVELS.get(CODES[code][1], "warning")},
         "helpUri": _help_uri(code),
-    } for code in sorted(used) if code in CODES]
+    } for code in sorted(used)]
     results = []
     for label, report in runs:
         for d in report.diagnostics:

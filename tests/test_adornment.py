@@ -1,10 +1,9 @@
-"""Tests for binding patterns and the reachable-adornment analysis."""
+"""Tests for binding patterns (adornments) and the names they mint."""
 
 import pytest
 
-from repro.datalog.adornment import (Adornment, adorn_program, adorned_name,
-                                     input_name)
-from repro.datalog.parser import parse_atom, parse_program
+from repro.datalog.adornment import Adornment, adorned_name, input_name
+from repro.datalog.parser import parse_atom
 from repro.datalog.term import Var
 
 
@@ -42,43 +41,3 @@ class TestAdornment:
     def test_names(self):
         assert adorned_name("r", Adornment("bf")) == "r^bf"
         assert input_name("r", Adornment("bf")) == "in-r^bf"
-
-
-FIGURE3 = """
-r@r(X, Y) :- a@r(X, Y).
-r@r(X, Y) :- s@s(X, Z), t@t(Z, Y).
-s@s(X, Y) :- r@r(X, Y), b@s(Y, Z).
-t@t(X, Y) :- c@t(X, Y).
-"""
-
-
-class TestAdornProgram:
-    def test_figure3_reachable_adornments(self):
-        program = parse_program(FIGURE3)
-        query = parse_atom('r@r("1", Y)')
-        reached = adorn_program(program, query)
-        as_set = {(rel, peer, ad.pattern) for rel, peer, ad in reached}
-        # The paper's Figure 4: R^bf, S^bf and T^bf are the reachable
-        # adorned relations.
-        assert as_set == {("r", "r", "bf"), ("s", "s", "bf"), ("t", "t", "bf")}
-
-    def test_free_query_adornment(self):
-        program = parse_program(FIGURE3)
-        reached = adorn_program(program, parse_atom("r@r(X, Y)"))
-        patterns = {(rel, ad.pattern) for rel, _peer, ad in reached}
-        assert ("r", "ff") in patterns
-        # s is demanded with its first argument free, second free.
-        assert ("s", "ff") in patterns
-        # t's first argument is bound by s's answers flowing sideways.
-        assert ("t", "bf") in patterns
-
-    def test_multiple_adornments_of_same_relation(self):
-        text = """
-        p(X, Y) :- q(X, Y).
-        q(X, Y) :- e(X, Y).
-        p(X, Y) :- q(Y, X).
-        """
-        program = parse_program(text)
-        reached = adorn_program(program, parse_atom('p("1", Y)'))
-        q_patterns = {ad.pattern for rel, _p, ad in reached if rel == "q"}
-        assert q_patterns == {"bf", "fb"}

@@ -1,8 +1,12 @@
 """Tests for the static analyzer (repro.datalog.analysis) and its wiring."""
 
+import pathlib
+import re
+
 import pytest
 
-from repro.datalog.analysis import (DependencyGraph, analyze, check_program,
+from repro.datalog.analysis import (CODES, DependencyGraph, analyze,
+                                    check_program, make_diagnostic,
                                     render_cycle)
 from repro.datalog.atom import Atom
 from repro.datalog.database import Database
@@ -93,6 +97,35 @@ class TestArities:
         found = report.by_code("DD104")
         assert found and all(d.severity == "info" for d in found)
         assert report.ok
+
+
+class TestSeverityPinning:
+    """The DD103/DD104 asymmetry is deliberate; see docs/datalog.md.
+
+    A relation used at two arities (DD103) breaks join planning and
+    indexing -- facts of different widths cannot share a fact table --
+    so it is an ERROR.  A *function symbol* used at two arities (DD104)
+    is the paper's own Skolem idiom (``f`` builds both 2- and 3-ary
+    unfolding node ids) and distinct-arity terms never unify, so it is
+    informational only.
+    """
+
+    def test_dd103_stays_error_and_dd104_stays_info(self):
+        assert CODES["DD103"][1] == "error"
+        assert CODES["DD104"][1] == "info"
+
+    def test_behavior_on_a_program_with_both(self):
+        program = parse_program("""
+            p(X) :- q(X).
+            p(X, X) :- q(X).
+            r(f(X)) :- q(X).
+            s(f(X, X)) :- q(X).
+            q("a").
+        """, check=False)
+        report = analyze(program)
+        by_code = {d.code: d for d in report.diagnostics}
+        assert by_code["DD103"].severity == "error"
+        assert by_code["DD104"].severity == "info"
 
 
 # -- stratification -----------------------------------------------------------
@@ -457,3 +490,23 @@ class TestIndexSpans:
         """, check=False)
         spans = index_spans(program)
         assert sorted(spans.values()) == [(1, 1), (2, 1), (3, 1)]
+
+
+class TestCodeRegistry:
+    """``CODES`` is the one catalog: every code has a doc entry and back."""
+
+    DOCS = pathlib.Path(__file__).resolve().parent.parent / "docs"
+    HEADING = re.compile(r"^### (DD\d{3}) `([\w-]+)` \((\w+)", re.MULTILINE)
+
+    def test_doc_headings_are_exactly_the_registry(self):
+        documented = {}
+        for page in ("datalog.md", "diagnosability.md"):
+            for code, slug, severity in self.HEADING.findall(
+                    (self.DOCS / page).read_text()):
+                assert code not in documented, f"{code} documented twice"
+                documented[code] = (slug, severity)
+        assert documented == CODES
+
+    def test_unregistered_code_is_refused(self):
+        with pytest.raises(KeyError):
+            make_diagnostic("DD999", "no such code")
