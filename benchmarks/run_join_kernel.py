@@ -22,8 +22,8 @@ promotion of its hot plans) and one *warm* run right after it (plans and
 kernels cached); the report carries the median and the min-max spread
 of each.  Timings
 are reported but never gated; the runner exits non-zero only when a
-derivation, fact or compiled-plan count differs from the recorded one --
-with or without ``--smoke``.
+derivation, fact, compiled-plan or promoted-plan count differs from the
+recorded one -- with or without ``--smoke``.
 
 Usage::
 
@@ -45,7 +45,7 @@ from typing import Callable
 
 from repro.datalog import Const, parse_program
 from repro.datalog.database import Database
-from repro.datalog.plan import (KERNEL_AFTER_BINDINGS, clear_plan_cache,
+from repro.datalog.plan import (KERNEL_AFTER_ROWS, clear_plan_cache,
                                 plan_cache_evictions, plan_cache_size)
 from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.diagnosis import DatalogDiagnosisEngine
@@ -63,9 +63,13 @@ PATH = ("path", None)
 
 REPEATS = 5
 
-#: (derivations, facts materialized, plans compiled) per workload at full
-#: and smoke sizes; executor choice must not move any of them.  Every
-#: firing is a delta firing: with a separate install firing per rule the
+#: (derivations, facts materialized, plans compiled, plans promoted by
+#: the cold run, plans promoted by the warm run) per workload at full and
+#: smoke sizes.  Executor choice must not move the first three; the last
+#: two move only with the promotion policy (counting produced rows alone,
+#: the full e6 rows promoted 37 / 30 and 42 / 31 plans; at smoke sizes no
+#: e6 plan is promoted under either policy).  Every firing is a delta
+#: firing: with a separate install firing per rule the
 #: same facts took 32979 / 8337 / 8717 derivations and 3 / 3357 / 2766
 #: plans (smoke 2054 / 463 / 486 and 3 / 2601 / 1243), so a count that
 #: climbs back there means a second firing regime has returned.  A delta
@@ -74,11 +78,18 @@ REPEATS = 5
 #: (smoke 785 / 511) at these derivations and facts.  The e6 rows are the
 #: (d)QSQ rewriting without its bookend supplementary relations.
 EXPECTED = {
-    False: {"tc_chain": (32641, 28680, 2), "e6_qsq": (8314, 4901, 1053),
-            "e6_dqsq": (8651, 5238, 1097)},
-    True: {"tc_chain": (1974, 1770, 2), "e6_qsq": (443, 315, 374),
-           "e6_dqsq": (479, 350, 384)},
+    False: {"tc_chain": (32641, 28680, 2, 1, 1),
+            "e6_qsq": (8314, 4901, 1053, 69, 72),
+            "e6_dqsq": (8651, 5238, 1097, 71, 70)},
+    True: {"tc_chain": (1974, 1770, 2, 1, 1), "e6_qsq": (443, 315, 374, 0, 0),
+           "e6_dqsq": (479, 350, 384, 0, 0)},
 }
+
+
+def _expected_runs(expected: tuple) -> set:
+    """The (temperature, counts...) rows every round must reproduce."""
+    *work, cold, warm = expected
+    return {("cold", *work, cold), ("warm", *work, warm)}
 
 
 def _tc_database(nodes: int) -> Database:
@@ -132,9 +143,10 @@ def bench(workloads: list, smoke: bool) -> list:
                 t0 = time.perf_counter()
                 counters = run_once()
                 times[name][temperature].append(time.perf_counter() - t0)
-                counts[name].add((counters["derivations"],
+                counts[name].add((temperature, counters["derivations"],
                                   counters["facts_materialized"],
-                                  counters["plan.cache_misses"]))
+                                  counters["plan.cache_misses"],
+                                  counters["plan.promotions"]))
                 if temperature == "cold":
                     cold_counters[name] = counters
     reports = []
@@ -148,7 +160,7 @@ def bench(workloads: list, smoke: bool) -> list:
             "derivations": derivations, "facts_materialized": facts,
             "plan.compiled_plans": cold_counters[name]["plan.cache_misses"],
             "plan.promotions": cold_counters[name]["plan.promotions"],
-            "counts_ok": counts[name] == {EXPECTED[smoke][name]},
+            "counts_ok": counts[name] == _expected_runs(EXPECTED[smoke][name]),
         }
         warm = report["warm"]["median_s"]
         report["derivations_per_sec"] = round(derivations / warm, 1)
@@ -205,7 +217,7 @@ def main(argv=None) -> int:
         "smoke": args.smoke,
         "fingerprint": _fingerprint(),
         "repeats": REPEATS,
-        "kernel_after_bindings": KERNEL_AFTER_BINDINGS,
+        "kernel_after_rows": KERNEL_AFTER_ROWS,
         "plan_cache_size": plan_cache_size(),
         "plan_cache_evictions": plan_cache_evictions(),
         "workloads": workloads,

@@ -27,10 +27,21 @@ The generated code preserves the step interpreter's semantics exactly:
 * rows come out in the same order, and the stats counters (bindings
   explored, index hits/misses, scans) are accumulated in locals and
   returned for the caller to merge into :class:`PlanStats`.
+
+Every relation key, index position tuple, constant and functor name
+reaches the source only as an environment name (``K0``, ``P1``, ``C2``,
+``N3`` ...), so plans that differ only in those values generate the same
+source text: a kernel *shape*.  Each shape is compiled once
+(:data:`_SHAPES`) and every plan of that shape gets its own function
+over the shared code object and its own environment.  The table holds
+the code weakly, so a shape dies with its last kernel and clearing the
+plan cache leaves a process as cold as a fresh one.
 """
 
 from __future__ import annotations
 
+import weakref
+from types import CodeType, FunctionType
 from typing import TYPE_CHECKING, Callable, Sequence, cast
 
 from repro.datalog.term import Func, Term
@@ -170,6 +181,21 @@ def _never_kernel(db: "Database", batch: "Sequence[Fact] | None",
 
 _RETURN = "return (explored, hits, misses, fulls, deltas)"
 
+#: kernel code per generated source text, held weakly: a shape lives
+#: exactly as long as some plan's kernel runs it
+_SHAPES: weakref.WeakValueDictionary[str, CodeType] = (
+    weakref.WeakValueDictionary())
+
+
+def _shape_code(source: str) -> CodeType:
+    """The ``_kernel`` code object of ``source``, compiled once per shape."""
+    code = _SHAPES.get(source)
+    if code is None:
+        module = compile(source, "<batched-kernel>", "exec")
+        code = next(c for c in module.co_consts if isinstance(c, CodeType))
+        _SHAPES[source] = code
+    return code
+
 
 def compile_batched_kernel(plan: "JoinPlan") -> "Kernel":
     """Generate the specialized kernel for one compiled plan.
@@ -264,7 +290,4 @@ def compile_batched_kernel(plan: "JoinPlan") -> "Kernel":
 
     source = ("def _kernel(db, batch, neg, out_append):\n"
               + "\n".join(em.lines) + "\n")
-    code = compile(source, f"<batched-kernel:{plan.rule!s}>", "exec")
-    namespace: dict[str, object] = dict(em.env)
-    exec(code, namespace)  # noqa: S102 -- trusted, plan-derived source
-    return cast("Kernel", namespace["_kernel"])
+    return cast("Kernel", FunctionType(_shape_code(source), em.env))

@@ -20,9 +20,10 @@ funnel through one join, so each :class:`Rule` is compiled once into a
 Engines differ in what they schedule, never in how a join runs.  They
 all call :meth:`JoinPlan.fire`: a plan starts on the
 tuple-at-a-time step interpreter (:meth:`JoinPlan.bindings`) and, once
-it has produced :data:`KERNEL_AFTER_BINDINGS` complete bindings,
-generates its specialized kernel (:mod:`repro.datalog.batch`) and runs
-on that from then on.  Both executors return the same rows in the same
+the delta rows it has scanned plus the rows it has produced reach
+:data:`KERNEL_AFTER_ROWS`, gets its specialized kernel
+(:mod:`repro.datalog.batch`, compiled once per kernel shape) and runs on
+that from then on.  Both executors return the same rows in the same
 order and increment :class:`PlanStats` identically; the reference
 interpreter they are tested against lives in ``tests/reference.py``.
 
@@ -45,19 +46,13 @@ from repro.utils.counters import Counters
 if TYPE_CHECKING:
     from repro.datalog.batch import Kernel
 
-#: Complete bindings a plan produces on the step interpreter before
-#: :meth:`JoinPlan.fire` generates its kernel.  Codegen costs ~0.2 ms a
-#: plan and a kernel joins ~2x faster, so a plan is promoted only once
-#: it has shown it is hot; firings are skewed enough (at 32, ~3 % of
-#: plans hold 77-97 % of the derivations) that the choice is flat around
-#: the constant and bad only at the extremes.  benchmarks/e2e op_p50_ms,
-#: seed 0, median of 3 runs, cold-start / deep-join:
-#:     0 (always kernel)  434 / 404 ms   (and +35 % peak RSS on deep-join)
-#:     8                  210 / 480
-#:     32                 199 / 453
-#:     128                204 / 444
-#:     never              209 / 594
-KERNEL_AFTER_BINDINGS = 32
+#: Rows a plan handles on the step interpreter -- delta rows scanned
+#: plus head rows produced -- before :meth:`JoinPlan.fire` gives it a
+#: kernel.  Counting scanned rows promotes the plans fired over and over
+#: with deltas that join nothing, which never produce a row but pay the
+#: interpreter's per-firing cost every time.  See docs/datalog.md
+#: "Executor choice" for the sweep behind the value.
+KERNEL_AFTER_ROWS = 64
 
 
 # -- term-level compilation ------------------------------------------------------
@@ -228,17 +223,17 @@ class JoinPlan:
 
     __slots__ = ("rule", "delta_position", "nslots", "var_slots", "steps",
                  "pre_checks", "negated", "head_key", "head_builders",
-                 "produced", "kernel")
+                 "rows", "kernel")
 
     def __init__(self, rule: Rule, delta_position: int | None = None) -> None:
         self.rule = rule
         self.delta_position = delta_position
-        #: complete bindings produced on the step interpreter so far, and
-        #: the kernel generated once that count reached
-        #: KERNEL_AFTER_BINDINGS.  Both live on the plan, so the shared
-        #: cache amortizes codegen across runs exactly as it amortizes
-        #: compilation, and evicting the plan evicts its kernel.
-        self.produced = 0
+        #: rows scanned from deltas plus rows produced on the step
+        #: interpreter so far, and the kernel generated once that count
+        #: reached KERNEL_AFTER_ROWS.  Both live on the plan, so the
+        #: shared cache amortizes codegen across runs exactly as it
+        #: amortizes compilation, and evicting the plan evicts its kernel.
+        self.rows = 0
         self.kernel: Kernel | None = None
         order = _order_body(rule, delta_position)
         self.var_slots = _assign_slots(rule, order)
@@ -317,14 +312,13 @@ class JoinPlan:
         ``delta_rows`` feeds the delta step of a delta-restricted plan.
         Duplicates are included and nothing is inserted: the caller owns
         deduplication, budget pruning and insertion.  The plan picks its
-        own executor (see :data:`KERNEL_AFTER_BINDINGS`); the choice
-        changes neither the rows, their order, nor the ``stats``
-        increments.
+        own executor (see :data:`KERNEL_AFTER_ROWS`); the choice changes
+        neither the rows, their order, nor the ``stats`` increments.
         """
         if self.delta_position is not None and not delta_rows:
             return []
         kernel = self.kernel
-        if kernel is None and self.produced >= KERNEL_AFTER_BINDINGS:
+        if kernel is None and self.rows >= KERNEL_AFTER_ROWS:
             kernel = self.kernel = compile_batched_kernel(self)
             if stats is not None:
                 stats.promotions += 1
@@ -332,7 +326,7 @@ class JoinPlan:
             head_args = self.head_args
             out = [head_args(slots) for slots in
                    self.bindings(db, delta_rows, neg_db, stats)]
-            self.produced += len(out)
+            self.rows += len(out) + (len(delta_rows) if delta_rows else 0)
             return out
         out = []
         explored, hits, misses, fulls, deltas = kernel(

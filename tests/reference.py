@@ -157,21 +157,21 @@ def snapshot(db: Database) -> dict[RelationKey, frozenset[Fact]]:
 #: the two extremes (never / always the generated kernel), then the
 #: shipped constant
 EXECUTOR_SETTINGS = {"interpreter": sys.maxsize, "kernel": 0,
-                     "default": plan.KERNEL_AFTER_BINDINGS}
+                     "default": plan.KERNEL_AFTER_ROWS}
 
 T = TypeVar("T")
 
 
 @contextmanager
 def pinned_executor(threshold: int) -> Iterator[None]:
-    """Pin ``plan.KERNEL_AFTER_BINDINGS`` -- the only way to force a side.
+    """Pin ``plan.KERNEL_AFTER_ROWS`` -- the only way to force a side.
 
     Promotion state lives on the plans in the shared cache, so the cache
     is cleared on the way in (a plan promoted earlier would keep its
     kernel whatever the constant says) and on the way out.
     """
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(plan, "KERNEL_AFTER_BINDINGS", threshold)
+        patch.setattr(plan, "KERNEL_AFTER_ROWS", threshold)
         plan.clear_plan_cache()
         try:
             yield

@@ -1,19 +1,22 @@
 """Executor parity: the step interpreter and the generated kernels agree.
 
 :meth:`repro.datalog.plan.JoinPlan.fire` picks its executor per plan,
-from the bindings the plan has produced.  The choice must be invisible:
-identical models (in identical insertion order), answers, derivation
-counts and diagnosis sets on every engine and every program, whichever
-side runs -- and all of them equal to the reference interpreter of
+from the rows the plan has scanned and produced.  The choice must be
+invisible: identical models (in identical insertion order), answers,
+derivation counts and diagnosis sets on every engine and every program,
+whichever side runs -- and all of them equal to the reference interpreter of
 ``tests/reference.py``.  Every test here runs with the threshold pinned
 at both extremes (never / always the kernel) and at the shipped default.
 
 The same file pins what rides on the plans: a threshold crossed in the
-middle of a fixpoint, the bounded LRU plan cache (eviction recompiles
-and drops the kernel, never changes answers), zero-arity relations and
-pickled programs re-interning before evaluation (the mp worker path).
+middle of a fixpoint or by firings that produce nothing, kernel shapes
+shared across plans and dying with them, the bounded LRU plan cache
+(eviction recompiles and drops the kernel, never changes answers),
+zero-arity relations and pickled programs re-interning before
+evaluation (the mp worker path).
 """
 
+import gc
 import pickle
 import sys
 
@@ -22,6 +25,7 @@ import pytest
 import repro
 from repro.datalog import (Database, Query, SemiNaiveEvaluator, parse_atom,
                            parse_program)
+from repro.datalog import batch as batch_module
 from repro.datalog import plan as plan_module
 from repro.datalog.database import load_facts, select
 from repro.datalog.plan import (clear_plan_cache, compile_join_plan,
@@ -182,9 +186,10 @@ class TestTierEquivalence:
         assert {f[0].value for f in model[("q", None)]} == {"1", "2"}
 
     def test_threshold_crossed_mid_fixpoint(self):
-        # The recursive rules derive one fact a round, so at threshold 3
-        # their delta plans run three rounds on the step interpreter and
-        # every later round on the kernel generated in between.
+        # The recursive rules scan one delta row and derive one fact a
+        # round, so at threshold 3 their delta plans run two rounds on
+        # the step interpreter and every later round on the kernel
+        # generated in between.
         program = parse_program(MID_FIXPOINT, check=False)
         budget = EvaluationBudget(max_term_depth=9, prune_depth=True)
 
@@ -201,7 +206,7 @@ class TestTierEquivalence:
             recursive = next(r for r in program.proper_rules()
                              if str(r.head).startswith("nat"))
             delta_plan = compile_join_plan(recursive, 0)
-            assert delta_plan.produced == 3 and delta_plan.kernel is not None
+            assert delta_plan.rows == 4 and delta_plan.kernel is not None
         assert crossed == model
         assert crossed_counters["plan.promotions"] >= 2
         for name in ("derivations", "facts_materialized", "pruned_deep_facts",
@@ -213,6 +218,61 @@ class TestTierEquivalence:
         assert unordered(model) == snapshot(
             reference_model(program, budget=budget))
         assert len(model[("even", None)]) == 5
+
+
+class TestKernelPromotion:
+    def test_scanned_rows_promote_a_plan_that_produces_nothing(self):
+        # Probes arrive four at a time and never meet a target: the
+        # probe delta plan produces no row, ever, and is still promoted
+        # once the delta rows it scanned reach the threshold.
+        rule = next(parse_program("hit(X) :- probe(X), target(X).",
+                                  check=False).proper_rules())
+
+        def run():
+            db = Database()
+            db.add(("target", None), (Const("none"),))
+            evaluator = IncrementalEvaluator(db)
+            evaluator.add_rule(rule)
+            for installment in range(5):
+                for i in range(4):
+                    db.add(("probe", None), (Const(4 * installment + i),))
+                evaluator.run()
+            return ordered_snapshot(db), evaluator.counters.as_dict()
+        with pinned_executor(sys.maxsize):
+            model, counters = run()
+        with pinned_executor(8):
+            promoted, promoted_counters = run()
+            probe_plan = compile_join_plan(rule, 0)
+            assert probe_plan.kernel is not None and probe_plan.rows == 8
+        assert promoted == model and ("hit", None) not in model
+        assert counters["plan.firings"] == counters["plan.empty_firings"] > 2
+        assert "plan.promotions" not in counters
+        assert promoted_counters.pop("plan.promotions") == 1
+        assert promoted_counters == counters
+
+    def test_plans_of_one_shape_share_compiled_code(self):
+        # The rules differ only in relation names and constants, which
+        # the generated source reads from each plan's own environment.
+        first, second = parse_program("""
+        p(X) :- a(X, "1"), b(X).
+        q(Y) :- c(Y, "2"), d(Y).
+        """, check=False).proper_rules()
+        clear_plan_cache()
+        gc.collect()
+        assert not batch_module._SHAPES
+        with pinned_executor(0):
+            kernels = []
+            for rule in (first, second):
+                plan = compile_join_plan(rule)
+                plan.fire(Database())
+                kernels.append(plan.kernel)
+            assert kernels[0] is not kernels[1]
+            assert kernels[0].__code__ is kernels[1].__code__
+            assert kernels[0].__globals__ is not kernels[1].__globals__
+            assert len(batch_module._SHAPES) == 1
+            del kernels, plan
+        gc.collect()
+        assert not batch_module._SHAPES
 
 
 class TestDiagnosisEquivalence:
@@ -335,7 +395,7 @@ class TestLruPlanCache:
                 run()
                 recompiled = compile_join_plan(rule)
                 assert recompiled is not promoted
-                assert recompiled.kernel is None and recompiled.produced == 0
+                assert recompiled.kernel is None and recompiled.rows == 0
         finally:
             set_plan_cache_limit(previous)
             clear_plan_cache()
