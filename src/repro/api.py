@@ -100,7 +100,7 @@ class RunConfig:
 
     #: evaluation budget of the Datalog paths (``None`` = engine default)
     budget: EvaluationBudget | None = None
-    #: simulated-network options (seed, faults, tracer, chooser);
+    #: simulated-network options (seed, delivery cap, fault plans);
     #: simulator-only -- combining fault plans with ``transport="mp"``
     #: raises at run time rather than silently downgrading
     options: NetworkOptions | None = None

@@ -515,9 +515,9 @@ def build_parser() -> argparse.ArgumentParser:
     diagnosability.set_defaults(func=cmd_diagnosability)
 
     race = sub.add_parser(
-        "race", help="DPOR-style schedule exploration: replay a run's "
-                     "concurrent delivery pairs in both orders and diff "
-                     "the answer sets")
+        "race", help="seeded schedule exploration: run the program under "
+                     "consecutive scheduler seeds, diff the answer sets and "
+                     "attach the DD701-DD703 verdict")
     race.add_argument("--scenario", default="",
                       help="built-in subject: e6 (Figure 1 diagnosis), "
                            "e9 (Figure 3 + crash/recovery), figure3, racy")
@@ -531,9 +531,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "engine with fire-time negation (the "
                            "deliberately order-sensitive mode)")
     race.add_argument("--budget", type=int, default=50,
-                      help="max runs, baseline included")
+                      help="seeded schedules to run, baseline included")
     race.add_argument("--seed", type=int, default=0,
-                      help="baseline schedule seed")
+                      help="baseline schedule seed; run k uses seed+k")
     race.add_argument("--expect-race", action="store_true",
                       help="invert the exit code: succeed only if a "
                            "divergence was found (CI regression mode)")

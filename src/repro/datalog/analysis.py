@@ -569,11 +569,11 @@ def check_plans(program: Program,
 # incoming facts never changes the fixpoint (Theorem 2's confluence).
 # Stratified negation breaks that: the distributed engines check ``not S``
 # against the database *at fire time*, so a delivery that grows ``S``
-# races against any delivery that triggers the negating rule.  The
-# functions below compute, purely statically, which relation pairs
-# provably commute; the run-time sanitizer (repro.distributed.sanitizer)
-# uses :func:`non_commuting_pairs` to prune benign concurrent deliveries
-# and :func:`check_confluence` reports the DD701/DD702/DD703 findings.
+# races against any delivery that triggers the negating rule.
+# :func:`check_confluence` reports those hazards, purely statically, as
+# DD701/DD702/DD703; the ``repro race`` explorer
+# (repro.distributed.race) attaches them to the seeded schedules it runs.
+# A program with none of them is positive and needs no run-time check.
 
 
 def _relation_name(key: RelationKey) -> str:
@@ -655,33 +655,6 @@ def negative_reach(program: Program) -> dict[RelationKey, set[RelationKey]]:
             if len(reach) != before:
                 changed = True
     return out
-
-
-def non_commuting_pairs(program: Program) -> set[frozenset[RelationKey]]:
-    """Relation pairs {A, B} whose delivery order can change the fixpoint.
-
-    A pair fails to commute when some rule ``r`` with a negated atom
-    ``not N`` and positive body atom ``P`` can observe both: ``A`` feeds
-    ``N`` (growing the blocked set) while ``B`` feeds ``P`` (triggering
-    the firing), or vice versa.  Every pair *not* returned provably
-    commutes: both deliveries then only feed monotone (positive)
-    derivations, and set union is order-independent.  Singleton
-    ``frozenset({A})`` entries mean two deliveries writing ``A`` itself
-    race (``A`` feeds both sides of some negation).
-    """
-    down = _downward_closure(program)
-    pairs: set[frozenset[RelationKey]] = set()
-    for rule in program.proper_rules():
-        if not rule.negated:
-            continue
-        for neg_atom in rule.negated:
-            feeds_negation = down.get(neg_atom.key(), {neg_atom.key()})
-            for pos_atom in rule.body:
-                feeds_firing = down.get(pos_atom.key(), {pos_atom.key()})
-                for a in feeds_negation:
-                    for b in feeds_firing:
-                        pairs.add(frozenset((a, b)))
-    return pairs
 
 
 def check_confluence(program: Program) -> list[Diagnostic]:

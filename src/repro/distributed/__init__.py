@@ -31,8 +31,6 @@ from repro.distributed.transport import (PeerSpec, SimTransportRuntime,
 from repro.distributed.analysis import check_locality
 from repro.distributed.chaos import (ChaosConfig, ChaosReport, make_schedule,
                                      run_chaos)
-from repro.distributed.trace import TraceEvent, TraceRecorder
-from repro.distributed.sanitizer import Conflict, SanitizerReport, sanitize
 from repro.distributed.race import (RaceReport, RaceScenario,
                                     builtin_scenarios, explore,
                                     file_scenario)
@@ -48,8 +46,6 @@ __all__ = [
     "PeerSpec", "SimTransportRuntime", "resolve_transport",
     "check_locality",
     "ChaosConfig", "ChaosReport", "make_schedule", "run_chaos",
-    "TraceEvent", "TraceRecorder",
-    "Conflict", "SanitizerReport", "sanitize",
     "RaceReport", "RaceScenario", "builtin_scenarios", "explore",
     "file_scenario",
 ]

@@ -30,7 +30,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from repro.datalog.rule import Program
 from repro.distributed.dqsq import DqsqEngine
 from repro.distributed.network import (FaultPlan, LinkPartition,
                                        NetworkOptions, PeerFaultPlan)
@@ -93,11 +92,6 @@ class ScheduleOutcome:
     violation: str | None
     description: str
     counters: Counters | None = None
-    #: sanitizer verdict of a violating schedule, from a traced replay:
-    #: either the concrete delivery races that explain the divergence or
-    #: the statement that the schedule was race-free (pointing the blame
-    #: at the recovery machinery itself)
-    explanation: str | None = None
 
 
 @dataclass
@@ -130,8 +124,6 @@ class ChaosReport:
         for outcome in self.violations():
             lines.append(f"  VIOLATION schedule {outcome.index} "
                          f"[{outcome.description}]: {outcome.violation}")
-            if outcome.explanation:
-                lines.append("    " + outcome.explanation.replace("\n", "\n    "))
         if self.ok():
             lines.append("  invariants held: completed == oracle, degraded <= oracle")
         return "\n".join(lines)
@@ -193,8 +185,6 @@ class ChaosProblem(Protocol):
 
     name: str
     peers: tuple[str, ...]
-    #: what the sanitizer's commutation oracle analyzes on a violation
-    analysis_program: Program
 
     def run(self, options: NetworkOptions | None) -> _RunResult:  # pragma: no cover
         ...
@@ -209,8 +199,6 @@ class _Figure3Problem:
         from repro.workloads.scenarios import figure3
         self._program, self._edb, self._query = figure3()
         self.peers = tuple(sorted(self._program.peers()))
-        #: what the sanitizer's commutation oracle analyzes
-        self.analysis_program = self._program.program
 
     def run(self, options: NetworkOptions | None) -> _RunResult:
         engine = DqsqEngine(self._program, self._edb,
@@ -228,15 +216,10 @@ class _DiagnosisProblem:
     """A full dQSQ diagnosis of a named workload scenario."""
 
     def __init__(self, scenario: str) -> None:
-        from repro.diagnosis.supervisor import SupervisorEncoder
         from repro.workloads.scenarios import get_scenario
         self.name = scenario
         self._petri, self._alarms = get_scenario(scenario).instantiate()
         self.peers = tuple(sorted(self._petri.net.peers()))
-        #: what the sanitizer's commutation oracle analyzes -- the same
-        #: encoding diagnose() builds internally
-        self.analysis_program = SupervisorEncoder(
-            self._petri, self._alarms).program().program
 
     def run(self, options: NetworkOptions | None) -> _RunResult:
         import repro
@@ -251,8 +234,12 @@ class _DiagnosisProblem:
 
 
 def _make_problem(name: str) -> ChaosProblem:
+    from repro.workloads.scenarios import SCENARIOS
     if name == "figure3":
         return _Figure3Problem()
+    if name not in SCENARIOS:
+        raise ReproError(f"unknown chaos problem {name!r}; known: "
+                         f"{', '.join(['figure3', *sorted(SCENARIOS)])}")
     return _DiagnosisProblem(name)
 
 
@@ -301,40 +288,7 @@ def _run_schedule(problem: ChaosProblem, schedule: ChaosSchedule,
             extra = sorted(answers - oracle)
             violation = (f"completed run differs from oracle "
                          f"(missing {missing}, extra {extra})")
-    explanation = None
-    if violation is not None:
-        explanation = _explain_violation(problem, schedule)
     return ScheduleOutcome(index=schedule.index, status=status, equal=equal,
                            subset=subset, violation=violation,
-                           description=schedule.description, counters=counters,
-                           explanation=explanation)
+                           description=schedule.description, counters=counters)
 
-
-def _explain_violation(problem: ChaosProblem,
-                       schedule: ChaosSchedule) -> str:
-    """Replay a violating schedule under the sanitizer.
-
-    The replay is deterministic (same options, the tracer only observes),
-    so the happens-before verdict speaks about the very run that broke
-    the invariant: a conflict names the racing deliveries; a clean
-    verdict rules races out and points the blame at the recovery
-    machinery instead.
-    """
-    from dataclasses import replace
-
-    from repro.distributed.sanitizer import sanitize
-    from repro.distributed.trace import TraceRecorder
-
-    recorder = TraceRecorder()
-    try:
-        problem.run(replace(schedule.options, tracer=recorder))
-    except (NetworkClosedError, BudgetExceeded, ReproError) as err:
-        return f"sanitizer replay aborted ({err})"
-    report = sanitize(recorder, problem.analysis_program)
-    if report.schedule_independent:
-        return ("sanitizer: replayed schedule is race-free "
-                f"({report.deliveries} deliveries, "
-                f"{report.pairs_concurrent} concurrent pair(s), all "
-                "commuting) -- suspect the recovery machinery, not "
-                "message reordering")
-    return report.render()

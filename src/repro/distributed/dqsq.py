@@ -130,8 +130,7 @@ class _DqsqPeer(Peer):
         answer_key = (adorned_name(relation, adornment), self.name)
         self.register_reader(answer_key, reply_to, transport)
         in_key = (input_name(relation, adornment), self.name)
-        if self.db.add(in_key, tuple(payload["bound"])):
-            transport.trace_marker("demand", self.name, (in_key,))
+        self.db.add(in_key, tuple(payload["bound"]))
 
     # -- demand-driven local rewriting ----------------------------------------------
 
@@ -155,7 +154,6 @@ class _DqsqPeer(Peer):
                 # an empty relation (EDB facts are joined directly and
                 # never demanded).
                 continue
-            transport.trace_marker("demand", self.name, (key,))
             self._rewrite_relation(base, adornment, transport)
             progressed = True
         return progressed

@@ -52,8 +52,8 @@ out-of-order apply is coordination-free only for the monotone/confluent
 fragment -- and refuses order-sensitive jobs unless explicitly
 overridden with :attr:`MpConfig.allow_nonconfluent`.
 
-Simulator-only features (fault injection, crash/recovery, partitions,
-vector-clocked tracing, DPOR choosers) are rejected up front by
+Simulator-only features (fault injection, crash/recovery, partitions)
+are rejected up front by
 :func:`repro.distributed.transport.resolve_transport`.
 """
 
@@ -136,11 +136,6 @@ class _WorkerTransport:
         self.counters.add("messages_sent")
         self.counters.add(f"messages_sent[{kind}]")
         inbox.put((_MSG, sender, kind, payload))
-
-    def trace_marker(self, kind: str, peer: str, writes: tuple = ()) -> None:
-        # Tracing is a simulator feature; the marker is still counted so
-        # instrumentation-only assertions hold on both transports.
-        self.counters.add(f"markers[{kind}]")
 
 
 def _snapshot_database(peer: Any) -> dict[RelationKey, list[Fact]] | None:

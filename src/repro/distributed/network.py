@@ -48,11 +48,10 @@ which the engines turn into a sound degraded (partial) result.
 Since PR 6 the network is the ``"sim"`` implementation of the pluggable
 transport API (:mod:`repro.distributed.transport`): it structurally
 satisfies the peer-facing :class:`~repro.distributed.transport.Transport`
-protocol (``send`` / ``trace_marker`` / ``delivering_replayed``), and
+protocol (``send`` / ``delivering_replayed``), and
 :class:`~repro.distributed.transport.SimTransportRuntime` drives whole
 evaluations over it.  Everything above this paragraph -- seeded
-schedules, fault plans, crash/recovery, tracing, choosers -- is
-simulator-only capability that the multiprocessing transport
+schedules, fault plans, crash/recovery -- is simulator-only capability that the multiprocessing transport
 deliberately does not offer.
 """
 
@@ -194,12 +193,6 @@ class NetworkOptions:
     max_deliveries: int = 1_000_000
     fault: FaultPlan = FaultPlan()
     peer_fault: PeerFaultPlan = PeerFaultPlan()
-    #: observer of sends/deliveries/lifecycle events (vector-clocked
-    #: tracing for the sanitizer); None = no tracing overhead
-    tracer: "RunTracer | None" = None
-    #: overrides the scheduler's channel choice (DPOR-style replay);
-    #: None = the default seeded ``rng.choice`` draw
-    chooser: "ScheduleChooser | None" = None
 
     def rng(self) -> random.Random:
         """The one seeded generator behind every scheduler and fault draw.
@@ -232,51 +225,6 @@ class PeerHandler(Protocol):
     """
 
     def on_message(self, message: Message, transport: "Transport") -> None:  # pragma: no cover
-        ...
-
-
-class RunTracer(Protocol):
-    """Observer of a run's causally ordered events.
-
-    Implemented by :class:`repro.distributed.trace.TraceRecorder`; the
-    network calls the hooks but never depends on the concrete type, so
-    the trace/sanitizer layer stays an optional import.  ``on_send``
-    fires for every logical message (transport acks are invisible: they
-    never reach a handler); ``on_deliver_begin`` fires before the
-    recipient's handler runs (so sends from inside the handler are
-    ordered after the delivery) and ``on_deliver_end`` after it, carrying
-    the relation keys the handler wrote.
-    """
-
-    def on_send(self, message: Message) -> None:  # pragma: no cover
-        ...
-
-    def on_deliver_begin(self, message: Message, replay: bool,
-                         pick_index: int | None) -> None:  # pragma: no cover
-        ...
-
-    def on_deliver_end(self, writes: tuple) -> None:  # pragma: no cover
-        ...
-
-    def on_marker(self, kind: str, peer: str,
-                  writes: tuple = ()) -> None:  # pragma: no cover
-        ...
-
-    def on_lifecycle(self, kind: str, peer: str) -> None:  # pragma: no cover
-        ...
-
-
-class ScheduleChooser(Protocol):
-    """Overrides the scheduler's channel choice (see repro.distributed.race).
-
-    ``choose`` receives the sorted eligible channels and the network's
-    seeded generator; drawing from the generator (or not) is part of the
-    contract -- a chooser that wants to reproduce the default schedule
-    must draw exactly like ``rng.choice``.
-    """
-
-    def choose(self, eligible: list[tuple[str, str]],
-               rng: random.Random) -> tuple[str, str]:  # pragma: no cover
         ...
 
 
@@ -396,10 +344,6 @@ class Network:
         self.counters = Counters()
         self.counters.set_max("net.seed", self.options.seed)
         self._rng = self.options.rng()
-        self._tracer = self.options.tracer
-        self._chooser = self.options.chooser
-        #: ordinal of the latest scheduler pick (see ScheduleChooser)
-        self._pick_index = 0
         self._handlers: dict[str, PeerHandler] = {}
         self._channels: dict[tuple[str, str], deque[_Frame]] = {}
         self._states: dict[tuple[str, str], _ChannelState] = {}
@@ -444,17 +388,6 @@ class Network:
 
     def peers(self) -> tuple[str, ...]:
         return tuple(sorted(self._handlers))
-
-    def trace_marker(self, kind: str, peer: str, writes: tuple = ()) -> None:
-        """Record an intra-handler application event on the active tracer.
-
-        Peers call this for causally significant local events that are
-        not deliveries -- the dQSQ engine marks every demand-tuple
-        installation.  A no-op without a tracer, so peers need no
-        tracing-enabled check of their own.
-        """
-        if self._tracer is not None:
-            self._tracer.on_marker(kind, peer, writes)
 
     def add_monitor(self, callback: Callable[[Message], None]) -> None:
         """Observe every handler delivery (used by the termination tests).
@@ -515,8 +448,6 @@ class Network:
                    for channel, state in self._states.items()
                    if channel[1] == peer}
         self._checkpoints[peer] = _PeerCheckpoint(blob, inbound)
-        if self._tracer is not None:
-            self._tracer.on_lifecycle("checkpoint", peer)
         self.counters.add("net.recovery.checkpoints_taken")
 
     def _capture_baseline(self) -> None:
@@ -558,8 +489,6 @@ class Network:
         self._down[peer] = (self._delivered_total + restart_after
                             if restart_after is not None else None)
         self._crash_counts[peer] = self._crash_counts.get(peer, 0) + 1
-        if self._tracer is not None:
-            self._tracer.on_lifecycle("crash", peer)
         self.counters.add("net.recovery.crashes")
         for channel, state in self._states.items():
             if channel[1] != peer:
@@ -577,8 +506,6 @@ class Network:
         """Bring ``peer`` back: restore its checkpoint and replay the gap."""
         del self._down[peer]
         self._restart_counts[peer] = self._restart_counts.get(peer, 0) + 1
-        if self._tracer is not None:
-            self._tracer.on_lifecycle("restart", peer)
         self.counters.add("net.recovery.restarts")
         checkpoint = self._checkpoints.get(peer)
         handler = self._handlers[peer]
@@ -684,8 +611,6 @@ class Network:
         if self._peer_faults:
             self._history.setdefault(channel, []).append(message)
         self._enqueue(channel, frame)
-        if self._tracer is not None:
-            self._tracer.on_send(message)
         self.counters.add("messages_sent")
         self.counters.add(f"messages_sent[{kind}]")
 
@@ -737,16 +662,7 @@ class Network:
                     self._clock = min(self._channels[key][0].eligible_at
                                       for key in deliverable)
                     continue
-                ordered = sorted(eligible)
-                if self._chooser is not None:
-                    channel = self._chooser.choose(ordered, self._rng)
-                    if channel not in ordered:
-                        raise UnknownPeerError(
-                            f"chooser picked channel {channel} which is not "
-                            f"eligible")
-                else:
-                    channel = self._rng.choice(ordered)
-                self._pick_index += 1
+                channel = self._rng.choice(sorted(eligible))
                 if self._peer_faults and self._should_crash(channel[1]):
                     self._crash_peer(channel[1])
                     self._clock += 1
@@ -914,29 +830,7 @@ class Network:
         self._delivered_total += 1
         for monitor in self._monitors:
             monitor(message)
-        handler = self._handlers[message.recipient]
-        if self._tracer is None:
-            handler.on_message(message, self)
-        else:
-            # The begin hook runs before the handler so that messages
-            # the handler sends are causally ordered after the delivery;
-            # the end hook attaches the write set probed from the peer
-            # database's change log (peers without a ``db`` attribute
-            # trace with an empty write set).
-            self._tracer.on_deliver_begin(message, self.delivering_replayed,
-                                          self._pick_index)
-            db = getattr(handler, "db", None)
-            log = db.change_log() if db is not None else None
-            before = len(log) if log is not None else 0
-            try:
-                handler.on_message(message, self)
-            finally:
-                db = getattr(handler, "db", None)
-                writes: tuple = ()
-                if db is not None:
-                    log = db.change_log()
-                    writes = tuple(dict.fromkeys(log[before:]))
-                self._tracer.on_deliver_end(writes)
+        self._handlers[message.recipient].on_message(message, self)
         if self._peer_faults:
             self._after_delivery(message.recipient)
 

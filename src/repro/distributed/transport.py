@@ -5,8 +5,8 @@ the deterministic in-process simulator in :mod:`repro.distributed.network`.
 This module is the seam that separates the two halves:
 
 * the **peer-facing surface** -- :class:`Transport` -- is everything a
-  peer runtime may touch while handling a message: ``send``,
-  ``trace_marker`` and the ``delivering_replayed`` flag.  The simulated
+  peer runtime may touch while handling a message: ``send`` and the
+  ``delivering_replayed`` flag.  The simulated
   :class:`~repro.distributed.network.Network` satisfies it structurally,
   and so does the per-process stub of the multiprocessing transport;
 * the **driver-facing surface** -- :class:`TransportRuntime` -- runs one
@@ -19,9 +19,8 @@ Two runtimes ship:
 
 ``"sim"``
     :class:`SimTransportRuntime` -- the existing deterministic simulator.
-    Seeded scheduling, fault injection, crash/recovery, vector-clocked
-    tracing, DPOR choosers: the full PR-1..PR-5 machinery.  This remains
-    the test double for the chaos, race and sanitizer suites.
+    Seeded scheduling, fault injection and crash/recovery.  This remains
+    the test double for the chaos and race suites.
 
 ``"mp"``
     :class:`repro.distributed.mp.MpTransportRuntime` -- each peer in its
@@ -35,9 +34,9 @@ Two runtimes ship:
 
 Feature capabilities are explicit: :attr:`TransportRuntime.features`
 names what a runtime supports (``"faults"``, ``"checkpoints"``,
-``"trace"``, ``"chooser"``, ``"deterministic"``, ``"parallel"``), and
-:func:`resolve_transport` rejects simulator-only options (fault plans,
-tracers, choosers) on runtimes that cannot honor them.
+``"deterministic"``, ``"parallel"``), and :func:`resolve_transport`
+rejects simulator-only options (fault plans) on runtimes that cannot
+honor them.
 """
 
 from __future__ import annotations
@@ -76,12 +75,6 @@ class Transport(Protocol):
     def send(self, sender: str, recipient: str, kind: str,
              payload: Any) -> None:  # pragma: no cover - protocol
         """Enqueue one logical message for exactly-once FIFO delivery."""
-        ...
-
-    def trace_marker(self, kind: str, peer: str,
-                     writes: tuple = ()) -> None:  # pragma: no cover - protocol
-        """Record an intra-handler event on the active tracer (no-op
-        when the transport does not trace)."""
         ...
 
 
@@ -202,8 +195,7 @@ class SimTransportRuntime:
     attribution) so that engines speak only the job/outcome contract.
     """
 
-    features = frozenset({"faults", "checkpoints", "trace", "chooser",
-                          "deterministic"})
+    features = frozenset({"faults", "checkpoints", "deterministic"})
 
     def __init__(self, options: NetworkOptions | None = None) -> None:
         self.options = options or NetworkOptions()
@@ -268,10 +260,6 @@ def _options_need_simulator(options: NetworkOptions) -> list[str]:
         needs.append("fault injection (FaultPlan)")
     if options.peer_fault != PeerFaultPlan():
         needs.append("crash/partition injection (PeerFaultPlan)")
-    if options.tracer is not None:
-        needs.append("vector-clocked tracing (tracer)")
-    if options.chooser is not None:
-        needs.append("schedule replay (chooser)")
     return needs
 
 
@@ -281,7 +269,7 @@ def resolve_transport(transport: "str | TransportRuntime",
     """Turn a transport name (or a ready runtime) into a runtime.
 
     ``options`` configures the simulator; passing simulator-only options
-    (fault plans, tracer, chooser) together with a non-simulator
+    (fault plans) together with a non-simulator
     transport is an error, not a silent downgrade.  ``"mp"`` runs under
     the default :class:`repro.distributed.mp.MpConfig`; pass a
     ``MpTransportRuntime(MpConfig(...))`` to configure it.

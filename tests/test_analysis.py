@@ -19,8 +19,10 @@ from repro.datalog.term import Var
 from repro.distributed.ddatalog import DDatalogProgram
 from repro.distributed.dqsq import DqsqEngine
 from repro.distributed.naive_dist import DistributedNaiveEngine
+from repro.distributed.race import RACY_TEXT
 from repro.errors import ProgramAnalysisError, ValidationError
 from repro.utils.counters import Counters
+from repro.workloads.scenarios import FIGURE3_TEXT
 
 
 def codes(report):
@@ -510,3 +512,17 @@ class TestCodeRegistry:
     def test_unregistered_code_is_refused(self):
         with pytest.raises(KeyError):
             make_diagnostic("DD999", "no such code")
+
+
+class TestAnalyzerRaceCodes:
+    def test_racy_program_flagged(self):
+        report = analyze(parse_program(RACY_TEXT, check=False))
+        codes = {d.code for d in report.diagnostics}
+        assert {"DD701", "DD702", "DD703"} <= codes
+        dd701 = [d for d in report.diagnostics if d.code == "DD701"]
+        assert any("suspect@p2" in d.message for d in dd701)
+
+    def test_positive_program_clean(self):
+        report = analyze(parse_program(FIGURE3_TEXT))
+        codes = {d.code for d in report.diagnostics}
+        assert not codes & {"DD701", "DD702", "DD703"}

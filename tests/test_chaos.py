@@ -93,3 +93,10 @@ class TestChaosCli:
         out = capsys.readouterr().out
         assert code == 0
         assert out.count("[") >= 3
+
+    @pytest.mark.parametrize("problem", ["nope", "figure1", "e6"])
+    def test_unknown_problem_is_a_usage_error(self, capsys, problem):
+        assert main(["chaos", "--problem", problem, "--schedules", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown chaos problem {problem!r}" in err
+        assert "figure3" in err and "figure1-bac" in err

@@ -34,9 +34,6 @@ class _Outbox:
     def send(self, sender, recipient, kind, payload):
         self.sent.append((recipient, payload))
 
-    def trace_marker(self, kind, peer, writes=()):
-        pass
-
 
 def _shipped_to(outbox, reader):
     return [row[0].value for recipient, payload in outbox.sent

@@ -1,131 +1,133 @@
-"""Tests for the DPOR-style schedule explorer and the ``repro race`` CLI."""
+"""Tests for the seeded schedule explorer and the ``repro race`` CLI."""
 
-import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import repro.distributed.transport as transport_module
 from repro.cli import main
-from repro.datalog.database import load_facts
-from repro.datalog.parser import parse_atom, parse_program
-from repro.datalog.rule import Query
-from repro.distributed.ddatalog import DDatalogProgram
-from repro.distributed.dqsq import DqsqEngine
-from repro.distributed.network import NetworkOptions
-from repro.distributed.race import (FlipChooser, RecordingChooser,
-                                    builtin_scenarios, explore, file_scenario)
-from repro.errors import DistributedError
+from repro.datalog.analysis import analyze
+from repro.diagnosis.supervisor import SupervisorEncoder
+from repro.distributed.network import Network
+from repro.distributed.race import builtin_scenarios, explore, file_scenario
+from repro.errors import DistributedError, ReproError
+from repro.workloads.scenarios import figure3, get_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-FIGURE3 = REPO_ROOT / "examples" / "figure3.dl"
 RACY = REPO_ROOT / "examples" / "racy.dl"
 
-
-class TestRecordingChooser:
-    def test_draws_like_default_scheduler(self):
-        # a run under the RecordingChooser must be bit-identical to an
-        # unobserved run with the same seed
-        parsed = parse_program(FIGURE3.read_text())
-        query = Query(parse_atom('r@r("1", Y)'))
-        plain = DqsqEngine(DDatalogProgram(parsed), load_facts(parsed),
-                           options=NetworkOptions(seed=5)).query(query)
-        chooser = RecordingChooser()
-        recorded = DqsqEngine(
-            DDatalogProgram(parsed), load_facts(parsed),
-            options=NetworkOptions(seed=5, chooser=chooser)).query(query)
-        assert recorded.answers == plain.answers
-        assert chooser.picks
-
-    def test_replay_is_deterministic(self):
-        parsed = parse_program(FIGURE3.read_text())
-        query = Query(parse_atom('r@r("1", Y)'))
-        picks = []
-        for _ in range(2):
-            chooser = RecordingChooser()
-            DqsqEngine(DDatalogProgram(parsed), load_facts(parsed),
-                       options=NetworkOptions(seed=5, chooser=chooser)) \
-                .query(query)
-            picks.append(tuple(chooser.picks))
-        assert picks[0] == picks[1]
-
-
-class TestFlipChooser:
-    def test_replays_prefix_then_prefers(self):
-        baseline = [("a", "s"), ("b", "s"), ("a", "s")]
-        chooser = FlipChooser(baseline, flip_at=2, avoid=("b", "s"),
-                              prefer=("c", "s"))
-        rng = random.Random(0)
-        eligible = [("a", "s"), ("b", "s"), ("c", "s")]
-        assert chooser.choose(eligible, rng) == ("a", "s")   # replayed
-        assert chooser.choose(eligible, rng) == ("c", "s")   # flipped
-        # after the flip the avoided channel is allowed again
-        picks = {chooser.choose(eligible, rng) for _ in range(20)}
-        assert ("b", "s") in picks
-
-    def test_avoids_first_channel_until_flip_done(self):
-        chooser = FlipChooser([], flip_at=1, avoid=("b", "s"),
-                              prefer=("c", "s"))
-        rng = random.Random(0)
-        # prefer not yet eligible: must dodge the avoided channel
-        for _ in range(10):
-            assert chooser.choose([("a", "s"), ("b", "s")], rng) == ("a", "s")
-        assert chooser.choose([("b", "s"), ("c", "s")], rng) == ("c", "s")
-
-    def test_gives_up_when_only_avoid_is_eligible(self):
-        chooser = FlipChooser([], flip_at=1, avoid=("b", "s"),
-                              prefer=("c", "s"))
-        rng = random.Random(0)
-        assert chooser.choose([("b", "s")], rng) == ("b", "s")
-        assert chooser.prefer_remaining == 0
-
-    def test_shared_channel_rejected(self):
-        with pytest.raises(DistributedError):
-            FlipChooser([], flip_at=1, avoid=("a", "s"), prefer=("a", "s"))
+_RACE_CODES = {"DD701", "DD702", "DD703"}
 
 
 class TestExplore:
     def test_racy_scenario_detects_divergence(self):
         report = explore(builtin_scenarios()["racy"], budget=10, seed=7)
         assert report.race_detected
-        assert report.schedules_explored >= 2
         diverged = report.divergences[0]
         assert diverged.outcome != report.baseline.outcome
-        # the static prediction rides along with the dynamic witness
+        # the static verdict rides along with the dynamic witness
         codes = {d.code for d in report.diagnostics}
-        assert "DD701" in codes and "DD702" in codes
-        assert "RACE" in report.render()
+        assert _RACE_CODES <= codes
+        text = report.render()
+        assert "RACE" in text
+        assert f"seed(s) {diverged.seed}" in text
+
+    def test_divergence_replays_from_its_seed(self):
+        scenario = builtin_scenarios()["racy"]
+        diverged = explore(scenario, budget=10, seed=7).divergences[0]
+        replay = explore(scenario, budget=1, seed=diverged.seed)
+        assert replay.baseline.outcome == diverged.outcome
+
+    def test_racy_diverges_from_seed_zero(self):
+        assert explore(builtin_scenarios()["racy"], seed=0).race_detected
 
     def test_figure3_is_confluent(self):
         report = explore(builtin_scenarios()["figure3"], budget=10, seed=0)
         assert not report.race_detected
-        assert not report.sanitizer.conflicts
-
-    def test_e6_explores_inequivalent_schedules_without_divergence(self):
-        report = explore(builtin_scenarios()["e6"], budget=5, seed=7)
-        assert report.schedules_explored >= 2
-        assert not report.race_detected
-        assert report.sanitizer.schedule_independent
+        assert not report.diagnostics
+        assert "no divergence" in report.render()
 
     def test_budget_bounds_runs(self):
-        report = explore(builtin_scenarios()["racy"], budget=1, seed=7)
+        scenario = builtin_scenarios()["racy"]
+        report = explore(scenario, budget=1, seed=7)
         assert not report.runs
         assert report.counters["race.runs"] == 1
+        report = explore(scenario, budget=4, seed=7)
+        assert [run.seed for run in report.runs] == [8, 9, 10]
+        assert report.counters["race.runs"] == 4
         with pytest.raises(DistributedError):
-            explore(builtin_scenarios()["racy"], budget=0)
+            explore(scenario, budget=0)
 
     def test_counters_are_namespaced(self):
         report = explore(builtin_scenarios()["racy"], budget=10, seed=7)
-        assert report.counters["race.runs"] >= 2
-        assert report.counters["race.divergences"] >= 1
-        assert report.counters["race.schedules_explored"] >= 2
+        assert report.counters["race.runs"] == 10
+        assert report.counters["race.divergences"] == len(report.divergences)
+        assert report.counters["race.answer_sets"] == 2
         for name in report.counters:
-            assert name.startswith(("race.", "sanitizer."))
+            assert name.startswith("race.")
 
     def test_file_scenario_matches_builtin(self):
         scenario = file_scenario(str(RACY), "verdict@s(X)",
                                  unsafe_negation=True)
         report = explore(scenario, budget=10, seed=7)
         assert report.race_detected
+
+    @pytest.mark.parametrize("unsafe_negation", [False, True])
+    def test_file_scenario_rejects_undefined_query_relation(
+            self, unsafe_negation):
+        # No rule or fact writes nope@s: every schedule would answer the
+        # empty set, so "no divergence" would be vacuous.
+        with pytest.raises(ReproError, match="nope@s"):
+            file_scenario(str(RACY), "nope@s(X)",
+                          unsafe_negation=unsafe_negation)
+
+
+def _delivery_orders(monkeypatch, scenario, seeds):
+    """Run ``scenario`` once per seed; return (answer sets, orders).
+
+    An order is the (sender, recipient, kind) sequence of handler
+    deliveries of every network the run built, seen through
+    :meth:`Network.add_monitor`.
+    """
+    current: list = []
+
+    class MonitoredNetwork(Network):
+        def __init__(self, options=None):
+            super().__init__(options)
+            self.add_monitor(lambda message: current.append(
+                (message.sender, message.recipient, message.kind)))
+
+    monkeypatch.setattr(transport_module, "Network", MonitoredNetwork)
+    answers, orders = set(), set()
+    for seed in seeds:
+        current.clear()
+        answers.add(scenario.run(replace(scenario.base_options, seed=seed)))
+        orders.add(tuple(current))
+    return answers, orders
+
+
+class TestSeededConfluence:
+    """A positive program gives one model under every delivery order
+    (CALM); the DD70x verdict is what licenses that."""
+
+    @pytest.mark.parametrize("name", ["figure3", "e6", "e9"])
+    def test_seeded_schedules_agree(self, monkeypatch, name):
+        scenario = builtin_scenarios()[name]
+        answers, orders = _delivery_orders(monkeypatch, scenario,
+                                           range(7, 17))
+        assert len(answers) == 1
+        assert len(orders) >= 2
+
+    @pytest.mark.parametrize("problem", ["figure3", "figure1-bac"])
+    def test_chaos_problem_is_statically_confluent(self, problem):
+        if problem == "figure3":
+            program = figure3()[0].program
+        else:
+            petri, alarms = get_scenario(problem).instantiate()
+            program = SupervisorEncoder(petri, alarms).program().program
+        codes = {d.code for d in analyze(program).diagnostics}
+        assert not codes & _RACE_CODES
 
 
 class TestRaceCli:
@@ -151,6 +153,14 @@ class TestRaceCli:
         assert main(["race", "--program", str(RACY), "--query",
                      "verdict@s(X)", "--unsafe-negation", "--seed", "7",
                      "--expect-race"]) == 0
+        out = capsys.readouterr().out
+        for code in sorted(_RACE_CODES):
+            assert code in out
 
     def test_program_requires_query(self, capsys):
         assert main(["race", "--program", str(RACY)]) == 2
+
+    def test_undefined_query_relation_errors(self, capsys):
+        assert main(["race", "--program", str(RACY), "--query", "nope@s(X)",
+                     "--unsafe-negation"]) == 2
+        assert "nope@s" in capsys.readouterr().err

@@ -41,7 +41,7 @@ from repro.distributed.dqsq import DqsqEngine
 from repro.distributed.mp import MpConfig, MpTransportRuntime
 from repro.distributed.naive_dist import DistributedNaiveEngine
 from repro.distributed.network import FaultPlan, NetworkOptions, PeerFaultPlan
-from repro.distributed.race import RACY_TEXT, RecordingChooser
+from repro.distributed.race import RACY_TEXT
 from repro.distributed.transport import (PeerSpec, TransportJob,
                                          resolve_transport)
 from repro.errors import DistributedError
@@ -322,7 +322,6 @@ def test_mp_rejects_simulator_only_options():
     cases = [
         NetworkOptions(fault=FaultPlan(drop_probability=0.1)),
         NetworkOptions(peer_fault=PeerFaultPlan(crash_at={"r": (1,)})),
-        NetworkOptions(chooser=RecordingChooser()),
     ]
     for options in cases:
         with pytest.raises(DistributedError, match="simulator-only"):
