@@ -12,7 +12,8 @@ Usage::
     python -m repro diagnosability --list
     python -m repro diagnosability ambiguous-loop needs-communication
     python -m repro diagnosability --net net.json --faults t3 --format sarif
-    python -m repro chaos --schedules 30 --max-deliveries 500
+    python -m repro chaos --schedules 100 --max-deliveries 500
+    python -m repro race --scenario figure1-bac --budget 50 --seed 7
     python -m repro diagnose --scenario figure1-bac --crash p1@2 --restart-after 6
     python -m repro serve --port 8750 --snapshot-dir /tmp/repro-sessions
     python -m repro serve --self-check --schedules 10      # chaos the server
@@ -44,7 +45,11 @@ def _parse_alarm_spec(text: str) -> AlarmSequence:
 
 def _load_instance(args) -> tuple:
     if args.scenario:
-        return get_scenario(args.scenario).instantiate()
+        try:
+            return get_scenario(args.scenario).instantiate()
+        except KeyError:
+            raise ReproError(f"unknown scenario {args.scenario!r}; known: "
+                             f"{', '.join(sorted(SCENARIOS))}") from None
     if not args.net:
         raise ReproError("provide --scenario or --net")
     with open(args.net) as handle:
@@ -75,13 +80,13 @@ def _parse_crash_spec(text: str) -> dict[str, tuple[int, ...]]:
 
 
 def _network_options(args) -> NetworkOptions:
-    peer_fault = PeerFaultPlan()
     crash_spec = getattr(args, "crash", "")
-    if crash_spec:
-        peer_fault = PeerFaultPlan(
-            crash_at=_parse_crash_spec(crash_spec),
-            restart_after_deliveries=getattr(args, "restart_after", None))
     try:
+        peer_fault = PeerFaultPlan()
+        if crash_spec:
+            peer_fault = PeerFaultPlan(
+                crash_at=_parse_crash_spec(crash_spec),
+                restart_after_deliveries=getattr(args, "restart_after", None))
         return NetworkOptions(seed=args.seed,
                               fault=FaultPlan(drop_probability=args.drop),
                               peer_fault=peer_fault)
@@ -302,29 +307,25 @@ def cmd_diagnosability(args) -> int:
 
 
 def cmd_race(args) -> int:
-    from repro.distributed.race import builtin_scenarios, explore, file_scenario
+    from repro.distributed.chaos import file_problem, get_problem, run_race
 
     if args.program:
         if not args.query:
             raise ReproError("--program requires --query")
         try:
-            scenario = file_scenario(args.program, args.query,
-                                     unsafe_negation=args.unsafe_negation)
+            problem = file_problem(args.program, args.query,
+                                   unsafe_negation=args.unsafe_negation)
         except OSError as err:
             raise ReproError(str(err)) from err
     elif args.scenario:
-        scenarios = builtin_scenarios()
-        if args.scenario not in scenarios:
-            raise ReproError(f"unknown race scenario {args.scenario!r}; "
-                             f"choose from {', '.join(sorted(scenarios))}")
-        scenario = scenarios[args.scenario]
+        problem = get_problem(args.scenario)
     else:
         raise ReproError("provide --scenario or --program")
-    report = explore(scenario, budget=args.budget, seed=args.seed)
+    report = run_race(problem, budget=args.budget, seed=args.seed)
     print(report.render())
     if args.expect_race:
-        return 0 if report.race_detected else 1
-    return 1 if report.race_detected else 0
+        return 1 if report.ok() else 0
+    return 0 if report.ok() else 1
 
 
 def cmd_chaos(args) -> int:
@@ -353,8 +354,11 @@ def cmd_serve(args) -> int:
                                run_service_chaos)
 
     if args.self_check:
-        config = ServiceChaosConfig(schedules=args.schedules, seed=args.seed,
-                                    sessions=args.sessions)
+        try:
+            config = ServiceChaosConfig(schedules=args.schedules,
+                                        seed=args.seed, sessions=args.sessions)
+        except ValueError as err:
+            raise ReproError(str(err)) from err
         report = run_service_chaos(config)
         print(report.render())
         return 0 if report.ok() else 1
@@ -519,8 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
                      "consecutive scheduler seeds, diff the answer sets and "
                      "attach the DD701-DD703 verdict")
     race.add_argument("--scenario", default="",
-                      help="built-in subject: e6 (Figure 1 diagnosis), "
-                           "e9 (Figure 3 + crash/recovery), figure3, racy")
+                      help="a chaos problem: figure3, figure3-crash (Figure "
+                           "3 + crash/recovery), racy, or a diagnosis "
+                           "scenario such as figure1-bac")
     race.add_argument("--program", default="",
                       help="a .dl program file to explore instead")
     race.add_argument("--query", default="",
@@ -531,9 +536,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "engine with fire-time negation (the "
                            "deliberately order-sensitive mode)")
     race.add_argument("--budget", type=int, default=50,
-                      help="seeded schedules to run, baseline included")
+                      help="seeded schedules to run, reference run included")
     race.add_argument("--seed", type=int, default=0,
-                      help="baseline schedule seed; run k uses seed+k")
+                      help="seed of the reference run; run k uses seed+k")
     race.add_argument("--expect-race", action="store_true",
                       help="invert the exit code: succeed only if a "
                            "divergence was found (CI regression mode)")
@@ -547,8 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed", type=int, default=0,
                        help="campaign seed (schedule i derives from seed+i)")
     chaos.add_argument("--problem", default="figure3",
-                       help="'figure3' (fast dQSQ query) or a diagnosis "
-                            "scenario name such as 'figure1-bac'")
+                       help="'figure3' (fast dQSQ query), 'figure3-crash', "
+                            "'racy' or a diagnosis scenario name such as "
+                            "'figure1-bac'")
     chaos.add_argument("--max-deliveries", type=int, default=20_000,
                        help="per-run delivery budget (exceeding it aborts "
                             "the schedule, which is not a violation)")

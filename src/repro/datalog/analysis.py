@@ -571,8 +571,9 @@ def check_plans(program: Program,
 # against the database *at fire time*, so a delivery that grows ``S``
 # races against any delivery that triggers the negating rule.
 # :func:`check_confluence` reports those hazards, purely statically, as
-# DD701/DD702/DD703; the ``repro race`` explorer
-# (repro.distributed.race) attaches them to the seeded schedules it runs.
+# DD701/DD702/DD703; the campaign runner behind ``repro race`` and
+# ``repro chaos`` (repro.distributed.chaos) attaches them to the seeded
+# schedules it runs.
 # A program with none of them is positive and needs no run-time check.
 
 

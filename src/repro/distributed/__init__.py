@@ -29,11 +29,9 @@ from repro.distributed.transport import (PeerSpec, SimTransportRuntime,
                                          TransportOutcome, TransportRuntime,
                                          resolve_transport)
 from repro.distributed.analysis import check_locality
-from repro.distributed.chaos import (ChaosConfig, ChaosReport, make_schedule,
-                                     run_chaos)
-from repro.distributed.race import (RaceReport, RaceScenario,
-                                    builtin_scenarios, explore,
-                                    file_scenario)
+from repro.distributed.chaos import (ChaosConfig, ChaosProblem, ChaosReport,
+                                     file_problem, get_problem, make_schedule,
+                                     run_chaos, run_race)
 
 __all__ = [
     "Network", "Message", "NetworkOptions", "FaultPlan",
@@ -45,7 +43,6 @@ __all__ = [
     "Transport", "TransportJob", "TransportOutcome", "TransportRuntime",
     "PeerSpec", "SimTransportRuntime", "resolve_transport",
     "check_locality",
-    "ChaosConfig", "ChaosReport", "make_schedule", "run_chaos",
-    "RaceReport", "RaceScenario", "builtin_scenarios", "explore",
-    "file_scenario",
+    "ChaosConfig", "ChaosProblem", "ChaosReport", "file_problem",
+    "get_problem", "make_schedule", "run_chaos", "run_race",
 ]

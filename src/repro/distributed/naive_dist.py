@@ -131,9 +131,9 @@ class DistributedNaiveEngine:
             # ``unsafe_negation=True`` opts out: peers then *do* subscribe
             # to negated atoms and check the negation at fire time against
             # whatever replica has arrived.  That is deliberately
-            # order-sensitive -- it exists so the ``repro race``
-            # explorer has a live subject whose races (DD701/DD702/
-            # DD703) are observable, not masked.
+            # order-sensitive -- it exists so ``repro race`` has a
+            # live subject whose races (DD701/DD702/DD703) are
+            # observable, not masked.
             escalate = () if unsafe_negation else ("DD403",)
             check_program(program.program, context="naive-dist",
                           depth_bounded=self.budget.max_term_depth is not None,

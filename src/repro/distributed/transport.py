@@ -20,7 +20,7 @@ Two runtimes ship:
 ``"sim"``
     :class:`SimTransportRuntime` -- the existing deterministic simulator.
     Seeded scheduling, fault injection and crash/recovery.  This remains
-    the test double for the chaos and race suites.
+    the test double for the chaos and race campaigns.
 
 ``"mp"``
     :class:`repro.distributed.mp.MpTransportRuntime` -- each peer in its

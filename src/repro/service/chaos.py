@@ -37,16 +37,13 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.diagnosis.online import OnlineDiagnoser
+from repro.distributed.chaos import schedule_seed, verdict
 from repro.service.protocol import ERROR_CODES
 from repro.service.server import DiagnosisService, ServiceConfig
 from repro.service.session import SessionConfig
 from repro.service.store import FlakySnapshotStore, MemorySnapshotStore
 from repro.utils.counters import Counters
 from repro.workloads.scenarios import get_scenario
-
-#: same role as the distributed harness' stride: schedule i and i+1
-#: share no random draws
-_SCHEDULE_STRIDE = 100_003
 
 #: scenarios the campaign cycles sessions through -- includes the
 #: inexplicable interleaving so the empty-diagnosis path is exercised
@@ -179,7 +176,7 @@ class ServiceChaosReport:
 def make_service_plan(config: ServiceChaosConfig,
                       index: int) -> ServiceFaultPlan:
     """Derive schedule ``index``'s fault plan from the campaign seed."""
-    rng = random.Random(config.seed * _SCHEDULE_STRIDE + index)
+    rng = random.Random(schedule_seed(config.seed, index))
     kill_at = (rng.randint(3, 3 * config.sessions)
                if rng.random() < 0.5 else None)
     return ServiceFaultPlan(
@@ -391,25 +388,13 @@ async def _verdict(holder: _Holder, session_id: str, scenario: str,
             f"{response['seq']} != {len(alarms)}")
         return
     got = frozenset(frozenset(d) for d in response["diagnoses"])
-    partial = bool(response["partial"])
-    equal = got == oracle
-    subset = got <= oracle
-    violation: str | None = None
-    if partial:
-        status = "degraded"
-        if not subset:
-            violation = (f"partial answer is not a subset of the oracle "
-                         f"(extra: {sorted(map(sorted, got - oracle))})")
-    else:
-        status = "completed"
-        if not equal:
-            violation = (f"non-partial answer differs from oracle "
-                         f"(missing {sorted(map(sorted, oracle - got))}, "
-                         f"extra {sorted(map(sorted, got - oracle))})")
-        elif bool(response["consistent"]) != oracle_consistent:
-            violation = (f"non-partial consistency verdict "
-                         f"{response['consistent']} != oracle "
-                         f"{oracle_consistent}")
+    status, equal, subset, violation = verdict(got, oracle,
+                                               bool(response["partial"]))
+    if (status == "completed" and violation is None
+            and bool(response["consistent"]) != oracle_consistent):
+        violation = (f"non-partial consistency verdict "
+                     f"{response['consistent']} != oracle "
+                     f"{oracle_consistent}")
     report.outcomes.append(SessionOutcome(
         schedule=-1, session_id=session_id, scenario=scenario,
         status=status, equal=equal, subset=subset, violation=violation))
@@ -418,12 +403,12 @@ async def _verdict(holder: _Holder, session_id: str, scenario: str,
 async def _run_schedule(config: ServiceChaosConfig, index: int,
                         report: ServiceChaosReport) -> None:
     plan = make_service_plan(config, index)
-    rng = random.Random(config.seed * _SCHEDULE_STRIDE + index + 1)
+    rng = random.Random(schedule_seed(config.seed, index) + 1)
     #: alternate the overload policy so both paths see every fault mix
     on_overload = "shed" if index % 2 == 0 else "degrade"
     store = FlakySnapshotStore(
         MemorySnapshotStore(),
-        seed=config.seed * _SCHEDULE_STRIDE + index,
+        seed=schedule_seed(config.seed, index),
         write_failure_probability=plan.snapshot_write_failure,
         load_failure_probability=plan.snapshot_load_failure)
     service_config = ServiceConfig(

@@ -16,10 +16,10 @@ from repro.datalog.rule import Program, Query, Rule
 from repro.datalog.seminaive import EvaluationBudget, SemiNaiveEvaluator
 from repro.datalog.stratified import StratifiedEvaluator, stratify
 from repro.datalog.term import Var
+from repro.distributed.chaos import RACY_TEXT
 from repro.distributed.ddatalog import DDatalogProgram
 from repro.distributed.dqsq import DqsqEngine
 from repro.distributed.naive_dist import DistributedNaiveEngine
-from repro.distributed.race import RACY_TEXT
 from repro.errors import ProgramAnalysisError, ValidationError
 from repro.utils.counters import Counters
 from repro.workloads.scenarios import FIGURE3_TEXT

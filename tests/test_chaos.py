@@ -46,6 +46,9 @@ class TestScheduleDerivation:
             ChaosConfig(schedules=0)
         with pytest.raises(ValueError):
             ChaosConfig(max_deliveries=0)
+        for max_drop in (-1, 2):
+            with pytest.raises(ValueError, match="max_drop"):
+                ChaosConfig(max_drop=max_drop)
 
 
 class TestInvariants:

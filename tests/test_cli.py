@@ -120,6 +120,25 @@ class TestCommands:
         assert code == 2
         assert "zz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--self-check", "--schedules", "0"],
+        ["serve", "--self-check", "--sessions", "0"],
+        ["chaos", "--max-drop", "2"],
+        ["diagnose", "--scenario", "figure1-bac", "--crash", "p1@0"],
+        ["diagnose", "--scenario", "nope"],
+        ["render", "--scenario", "nope"],
+    ], ids=["schedules-0", "sessions-0", "max-drop-2", "crash-at-0",
+            "diagnose-unknown-scenario", "render-unknown-scenario"])
+    def test_bad_arguments_are_usage_errors(self, capsys, argv):
+        # Each used to escape as a traceback with exit 1.
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_unknown_scenario_names_the_known_ones(self, capsys):
+        assert main(["render", "--scenario", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert "'nope'" in err and "figure1-bac" in err
+
     def test_experiments_subset(self, capsys):
         assert main(["experiments", "E1"]) == 0
         out = capsys.readouterr().out

@@ -1,4 +1,5 @@
-"""Tests for the seeded schedule explorer and the ``repro race`` CLI."""
+"""Tests for ``repro race``: the seeded schedule source of the campaign
+runner in :mod:`repro.distributed.chaos`."""
 
 from dataclasses import replace
 from pathlib import Path
@@ -8,11 +9,9 @@ import pytest
 import repro.distributed.transport as transport_module
 from repro.cli import main
 from repro.datalog.analysis import analyze
-from repro.diagnosis.supervisor import SupervisorEncoder
+from repro.distributed.chaos import file_problem, get_problem, run_race
 from repro.distributed.network import Network
-from repro.distributed.race import builtin_scenarios, explore, file_scenario
 from repro.errors import DistributedError, ReproError
-from repro.workloads.scenarios import figure3, get_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RACY = REPO_ROOT / "examples" / "racy.dl"
@@ -22,56 +21,57 @@ _RACE_CODES = {"DD701", "DD702", "DD703"}
 
 class TestExplore:
     def test_racy_scenario_detects_divergence(self):
-        report = explore(builtin_scenarios()["racy"], budget=10, seed=7)
-        assert report.race_detected
-        diverged = report.divergences[0]
-        assert diverged.outcome != report.baseline.outcome
+        report = run_race(get_problem("racy"), budget=10, seed=7)
+        assert not report.ok()
+        diverged = report.violations()[0]
+        assert diverged.status == "completed"
+        assert diverged.answers != report.reference
         # the static verdict rides along with the dynamic witness
         codes = {d.code for d in report.diagnostics}
         assert _RACE_CODES <= codes
         text = report.render()
-        assert "RACE" in text
-        assert f"seed(s) {diverged.seed}" in text
+        assert "VIOLATION" in text
+        assert f"seed(s) {diverged.index}" in text
+        assert "statically predicted by:" in text
 
     def test_divergence_replays_from_its_seed(self):
-        scenario = builtin_scenarios()["racy"]
-        diverged = explore(scenario, budget=10, seed=7).divergences[0]
-        replay = explore(scenario, budget=1, seed=diverged.seed)
-        assert replay.baseline.outcome == diverged.outcome
+        problem = get_problem("racy")
+        diverged = run_race(problem, budget=10, seed=7).violations()[0]
+        replay = run_race(problem, budget=1, seed=diverged.index)
+        assert replay.reference == diverged.answers
 
     def test_racy_diverges_from_seed_zero(self):
-        assert explore(builtin_scenarios()["racy"], seed=0).race_detected
+        assert not run_race(get_problem("racy"), seed=0).ok()
 
     def test_figure3_is_confluent(self):
-        report = explore(builtin_scenarios()["figure3"], budget=10, seed=0)
-        assert not report.race_detected
+        report = run_race(get_problem("figure3"), budget=10, seed=0)
+        assert report.ok()
         assert not report.diagnostics
-        assert "no divergence" in report.render()
+        assert len(report.answer_sets()) == 1
+        assert "invariants held" in report.render()
 
     def test_budget_bounds_runs(self):
-        scenario = builtin_scenarios()["racy"]
-        report = explore(scenario, budget=1, seed=7)
-        assert not report.runs
-        assert report.counters["race.runs"] == 1
-        report = explore(scenario, budget=4, seed=7)
-        assert [run.seed for run in report.runs] == [8, 9, 10]
-        assert report.counters["race.runs"] == 4
+        problem = get_problem("racy")
+        calls = []
+        counted = replace(problem, run=lambda options: (
+            calls.append(options.seed) or problem.run(options)))
+        report = run_race(counted, budget=1, seed=7)
+        assert not report.outcomes
+        assert calls == [7]
+        calls.clear()
+        report = run_race(counted, budget=4, seed=7)
+        assert [o.index for o in report.outcomes] == [8, 9, 10]
+        assert calls == [7, 8, 9, 10]
         with pytest.raises(DistributedError):
-            explore(scenario, budget=0)
-
-    def test_counters_are_namespaced(self):
-        report = explore(builtin_scenarios()["racy"], budget=10, seed=7)
-        assert report.counters["race.runs"] == 10
-        assert report.counters["race.divergences"] == len(report.divergences)
-        assert report.counters["race.answer_sets"] == 2
-        for name in report.counters:
-            assert name.startswith("race.")
+            run_race(problem, budget=0)
 
     def test_file_scenario_matches_builtin(self):
-        scenario = file_scenario(str(RACY), "verdict@s(X)",
-                                 unsafe_negation=True)
-        report = explore(scenario, budget=10, seed=7)
-        assert report.race_detected
+        problem = file_problem(str(RACY), "verdict@s(X)",
+                               unsafe_negation=True)
+        report = run_race(problem, budget=10, seed=7)
+        builtin = run_race(get_problem("racy"), budget=10, seed=7)
+        assert not report.ok()
+        assert report.answer_sets() == builtin.answer_sets()
 
     @pytest.mark.parametrize("unsafe_negation", [False, True])
     def test_file_scenario_rejects_undefined_query_relation(
@@ -79,12 +79,12 @@ class TestExplore:
         # No rule or fact writes nope@s: every schedule would answer the
         # empty set, so "no divergence" would be vacuous.
         with pytest.raises(ReproError, match="nope@s"):
-            file_scenario(str(RACY), "nope@s(X)",
-                          unsafe_negation=unsafe_negation)
+            file_problem(str(RACY), "nope@s(X)",
+                         unsafe_negation=unsafe_negation)
 
 
-def _delivery_orders(monkeypatch, scenario, seeds):
-    """Run ``scenario`` once per seed; return (answer sets, orders).
+def _delivery_orders(monkeypatch, problem, seeds):
+    """Run ``problem`` once per seed; return (answer sets, orders).
 
     An order is the (sender, recipient, kind) sequence of handler
     deliveries of every network the run built, seen through
@@ -102,7 +102,10 @@ def _delivery_orders(monkeypatch, scenario, seeds):
     answers, orders = set(), set()
     for seed in seeds:
         current.clear()
-        answers.add(scenario.run(replace(scenario.base_options, seed=seed)))
+        run_answers, partial, _attributed, _counters = problem.run(
+            replace(problem.base_options, seed=seed))
+        assert not partial
+        answers.add(run_answers)
         orders.add(tuple(current))
     return answers, orders
 
@@ -111,22 +114,18 @@ class TestSeededConfluence:
     """A positive program gives one model under every delivery order
     (CALM); the DD70x verdict is what licenses that."""
 
-    @pytest.mark.parametrize("name", ["figure3", "e6", "e9"])
+    @pytest.mark.parametrize("name", ["figure3", "figure1-bac",
+                                      "figure3-crash"])
     def test_seeded_schedules_agree(self, monkeypatch, name):
-        scenario = builtin_scenarios()[name]
-        answers, orders = _delivery_orders(monkeypatch, scenario,
+        answers, orders = _delivery_orders(monkeypatch, get_problem(name),
                                            range(7, 17))
         assert len(answers) == 1
         assert len(orders) >= 2
 
     @pytest.mark.parametrize("problem", ["figure3", "figure1-bac"])
     def test_chaos_problem_is_statically_confluent(self, problem):
-        if problem == "figure3":
-            program = figure3()[0].program
-        else:
-            petri, alarms = get_scenario(problem).instantiate()
-            program = SupervisorEncoder(petri, alarms).program().program
-        codes = {d.code for d in analyze(program).diagnostics}
+        codes = {d.code for d in analyze(get_problem(problem).program)
+                 .diagnostics}
         assert not codes & _RACE_CODES
 
 
@@ -135,7 +134,7 @@ class TestRaceCli:
         assert main(["race", "--scenario", "racy", "--seed", "7",
                      "--expect-race"]) == 0
         out = capsys.readouterr().out
-        assert "RACE" in out
+        assert "VIOLATION" in out
         assert "DD701" in out
 
     def test_race_found_fails_without_expect(self, capsys):
@@ -143,11 +142,11 @@ class TestRaceCli:
 
     def test_confluent_scenario_exits_zero(self, capsys):
         assert main(["race", "--scenario", "figure3", "--seed", "0"]) == 0
-        assert "no divergence" in capsys.readouterr().out
+        assert "invariants held" in capsys.readouterr().out
 
     def test_unknown_scenario_errors(self, capsys):
         assert main(["race", "--scenario", "nope"]) == 2
-        assert "unknown race scenario" in capsys.readouterr().err
+        assert "unknown chaos problem 'nope'" in capsys.readouterr().err
 
     def test_program_file_mode(self, capsys):
         assert main(["race", "--program", str(RACY), "--query",

@@ -36,12 +36,12 @@ from repro.datalog.plan import clear_plan_cache
 from repro.datalog.rule import Query
 from repro.diagnosis.alarms import AlarmSequence
 from repro.diagnosis.supervisor import SupervisorEncoder
+from repro.distributed.chaos import RACY_TEXT
 from repro.distributed.ddatalog import DDatalogProgram
 from repro.distributed.dqsq import DqsqEngine
 from repro.distributed.mp import MpConfig, MpTransportRuntime
 from repro.distributed.naive_dist import DistributedNaiveEngine
 from repro.distributed.network import FaultPlan, NetworkOptions, PeerFaultPlan
-from repro.distributed.race import RACY_TEXT
 from repro.distributed.transport import (PeerSpec, TransportJob,
                                          resolve_transport)
 from repro.errors import DistributedError
