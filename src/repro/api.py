@@ -25,14 +25,13 @@ product construction or the Datalog encoding: it is everyone's reference.
 
 Run configuration is consolidated in :class:`RunConfig`::
 
-    config = repro.RunConfig(options=NetworkOptions(seed=7),
-                             transport="mp",
-                             use_termination_detector=True)
+    config = repro.RunConfig(options=NetworkOptions(seed=7), transport="mp")
     result = repro.diagnose(petri, alarms, method="dqsq", config=config)
 
 ``transport="sim"`` (default) evaluates on the deterministic simulator;
 ``transport="mp"`` runs each peer in its own OS process (see
-:mod:`repro.distributed.mp`).
+:mod:`repro.distributed.mp`).  Either way the run carries the paper's
+Dijkstra-Scholten termination detector.
 
 The concrete result types differ per solver (they carry solver-specific
 extras such as the product branching process or per-peer databases),
@@ -109,8 +108,6 @@ class RunConfig:
     #: :class:`~repro.distributed.transport.TransportRuntime` -- a
     #: configured ``MpTransportRuntime(MpConfig(...))`` included
     transport: str | TransportRuntime = "sim"
-    #: run the Dijkstra-Scholten detector alongside the evaluation
-    use_termination_detector: bool = False
     #: prefix-index window of the ``"online"`` method (and the default
     #: for service sessions): bound the materialized table to vectors
     #: within this lag of every stream head; ``None`` = exact/unbounded.
@@ -154,7 +151,6 @@ def _datalog(mode: EvaluationMode) -> _Solver:
     return lambda petri, spec, config: DatalogDiagnosisEngine(
         petri, mode=mode, budget=config.budget,
         options=config.options, transport=config.transport,
-        use_termination_detector=config.use_termination_detector,
     ).diagnose(spec)
 
 

@@ -139,14 +139,12 @@ class DatalogDiagnosisEngine:
                  supervisor: str = SUPERVISOR,
                  budget: EvaluationBudget | None = None,
                  options: NetworkOptions | None = None,
-                 use_termination_detector: bool = False,
                  transport: "str | TransportRuntime" = "sim") -> None:
         self.petri = petri
         self.mode = EvaluationMode.coerce(mode)
         self.supervisor = supervisor
         self.budget = budget or EvaluationBudget(max_facts=2_000_000)
         self.options = options or NetworkOptions()
-        self.use_termination_detector = use_termination_detector
         #: transport substrate for the dqsq path ("sim", "mp", or a
         #: ready TransportRuntime); centralized modes evaluate locally
         #: and ignore it
@@ -179,7 +177,6 @@ class DatalogDiagnosisEngine:
             program = encoder.program()
             self._check(program, query_atom, counters)
             engine = DqsqEngine(program, budget=self.budget, options=self.options,
-                                use_termination_detector=self.use_termination_detector,
                                 check=False, transport=self.transport)
             result = engine.query(Query(query_atom))
             counters.merge(result.counters)

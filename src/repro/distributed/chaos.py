@@ -108,8 +108,7 @@ def _query_problem(name: str, program: DDatalogProgram, edb: Database,
             engine = DistributedNaiveEngine(program, edb, options=options,
                                             check=False, unsafe_negation=True)
         else:
-            engine = DqsqEngine(program, edb, options=options,
-                                use_termination_detector=True, check=False)
+            engine = DqsqEngine(program, edb, options=options, check=False)
         result = engine.query(query)
         attributed = (result.peer_failure is not None
                       or result.transport_error is not None)
@@ -129,8 +128,7 @@ def _diagnosis_problem(name: str) -> ChaosProblem:
     petri, alarms = get_scenario(name).instantiate()
 
     def run(options: NetworkOptions) -> RunResult:
-        config = repro.RunConfig(options=options,
-                                 use_termination_detector=True)
+        config = repro.RunConfig(options=options)
         result = repro.diagnose(petri, alarms, method="dqsq", config=config)
         attributed = (result.peer_report is not None
                       or result.transport_stats is not None)

@@ -41,7 +41,6 @@ from repro.datalog.seminaive import EvaluationBudget
 from repro.distributed.ddatalog import DDatalogProgram
 from repro.distributed.network import Message, NetworkOptions
 from repro.distributed.peer import DistributedResult, Peer, run_query
-from repro.distributed.termination import DijkstraScholten
 from repro.distributed.transport import Transport, TransportRuntime
 from repro.errors import DistributedError
 
@@ -89,11 +88,10 @@ class _DqsqPeer(Peer):
     KIND_FACTS = KIND_FACTS
 
     def __init__(self, name: str, rules: Sequence[Rule], budget: EvaluationBudget,
-                 detector: DijkstraScholten | None = None,
                  facts: dict[RelationKey, list[Fact]] | None = None) -> None:
         self._idb: set[str] = {rule.head.relation for rule in rules
                                if rule.body or rule.negated}
-        super().__init__(name, rules, budget, detector, facts)
+        super().__init__(name, rules, budget, facts)
 
     def load_initial(self) -> None:
         # Fact rules of relations with no proper rules are plain EDB: load
@@ -190,7 +188,7 @@ class _DqsqPeer(Peer):
         self.register_reader((shipped.relation, shipped.peer or self.name),
                              remote, transport)
         self.counters.add("delegations_sent")
-        self.send(transport, remote, KIND_DELEGATE, _Delegation(
+        transport.send(self.name, remote, KIND_DELEGATE, _Delegation(
             uid=work.uid, position=work.position + offset, head=work.head,
             atoms=work.atoms[offset:], inequalities=pending, incoming=shipped))
 
@@ -227,16 +225,11 @@ class DqsqResult(DistributedResult):
 def _start_dqsq(peer: _DqsqPeer, transport: Transport, *, target: str,
                 seed: dict[str, Any]) -> None:
     """Pose the query at the origin peer, through the transport only."""
-    detector = peer.detector
-    if detector is not None:
-        detector.root_activated()
     if target == peer.name:
         peer.pose_demand(seed, transport)
         peer.work(transport)
     else:
-        peer.send(transport, target, KIND_QUERY, seed)
-    if detector is not None:
-        detector.peer_passive(peer.name, transport)
+        transport.send(peer.name, target, KIND_QUERY, seed)
 
 
 class DqsqEngine:
@@ -247,19 +240,24 @@ class DqsqEngine:
     ``"mp"`` runs each peer in its own OS process (genuinely parallel,
     no seeded schedule -- see :mod:`repro.distributed.mp`).  A ready
     :class:`~repro.distributed.transport.TransportRuntime` instance is
-    accepted too.
+    accepted too.  The query's origin is the root of the run's
+    Dijkstra-Scholten detector, whose verdict the result carries
+    (``terminated_by_detector``).
     """
 
     def __init__(self, program: DDatalogProgram, edb: Database | None = None,
                  budget: EvaluationBudget | None = None,
                  options: NetworkOptions | None = None,
-                 use_termination_detector: bool = False,
                  check: bool = True,
-                 transport: str | TransportRuntime = "sim") -> None:
+                 transport: str | TransportRuntime = "sim", *,
+                 use_termination_detector: object = None) -> None:
+        # ``use_termination_detector`` is accepted and ignored: every run
+        # carries the detector, and the frozen benchmark
+        # (benchmarks/e2e/probes.py::_dqsq_query) still passes it; the
+        # next benchmark PR drops it.
         self.program = program
         self.budget = budget or EvaluationBudget()
         self.options = options or NetworkOptions()
-        self.use_termination_detector = use_termination_detector
         self.transport = transport
         self._edb = edb or Database()
         if check:
@@ -291,6 +289,4 @@ class DqsqEngine:
             origin=origin_name, peers=(atom.peer, origin_name),
             peer_class=_DqsqPeer, result_class=DqsqResult, budget=self.budget,
             start=functools.partial(_start_dqsq, target=atom.peer, seed=seed),
-            transport=self.transport, options=self.options,
-            detector_root=(origin_name if self.use_termination_detector
-                           else None))
+            transport=self.transport, options=self.options)

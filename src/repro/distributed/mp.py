@@ -19,27 +19,25 @@ Architecture
 * one **worker process** per peer.  A worker builds its peer from the
   job's :class:`~repro.distributed.transport.PeerSpec` (so peer state
   never crosses a process boundary mid-run), then loops on its inbox
-  queue: data frames run the peer's ``on_message`` handler, control
-  frames answer the coordinator.  Handlers see a
+  queue: data frames run the peer's ``on_message`` handler, the
+  collect frame ends the loop.  Handlers see a
   :class:`_WorkerTransport`, which satisfies the peer-facing
   :class:`~repro.distributed.transport.Transport` protocol -- ``send``
   puts a frame directly on the recipient worker's inbox (full mesh, no
   router hop);
-* the **coordinator** (the calling process) owns termination and
-  collection.  Quiescence is detected by repeated counting rounds: it
-  polls every worker for its monotone (sent, received) totals and
-  declares quiescence when two consecutive rounds report identical
-  totals with globally ``sent == received`` -- at that instant no frame
-  can be on any queue.  The classic double-round argument makes this
-  sound: a frame sent before a worker's first reply but not yet received
-  by the second would leave the totals unequal or changing;
-* when the job requests a termination detector, every worker runs its
-  *own* :class:`~repro.distributed.termination.DijkstraScholten`
-  instance -- the algorithm is naturally decentralized (a node touches
-  only its own state; engagement acks travel as ordinary messages), so
-  per-process instances implement exactly the distributed protocol the
-  paper alludes to.  The root worker reports its verdict at collection
-  time; the coordinator's counting rounds remain the stop authority.
+* every worker runs its *own*
+  :class:`~repro.distributed.termination.DijkstraScholten` instance in
+  its delivery loop -- the algorithm is naturally decentralized (a node
+  touches only its own state; engagement acks travel as ordinary
+  messages), so per-process instances implement exactly the distributed
+  protocol the paper points to.  The origin's worker is the root: once
+  its detector declares termination (possibly right after the start
+  action, when the query needs no message) it puts a ``done`` item on
+  the coordinator queue.  At that instant no basic message is in
+  flight anywhere;
+* the **coordinator** (the calling process) blocks on that ``done``
+  item, watching every worker for an error report or a silent death
+  meanwhile, then collects each worker's store and counters.
 
 Delivery guarantees: queues are reliable and per-sender FIFO, so every
 logical message is delivered exactly once and each channel preserves
@@ -69,7 +67,7 @@ from typing import Any
 
 from repro.datalog.database import Database, Fact, RelationKey
 from repro.distributed.network import Message
-from repro.distributed.termination import DijkstraScholten
+from repro.distributed.termination import ACK_KIND, DijkstraScholten
 from repro.distributed.transport import (TransportJob, TransportOutcome,
                                          snapshot_peer_counters)
 from repro.errors import DistributedError, UnknownPeerError
@@ -79,16 +77,12 @@ from repro.utils.counters import Counters
 # everything else is coordinator traffic on the same inbox queue, so a
 # worker needs exactly one blocking get() point.
 _MSG = "msg"
-_POLL = "poll"
 _COLLECT = "collect"
-_POLL_REPLY = "poll-reply"
+_DONE = "done"
 _SNAPSHOT = "snapshot"
 _ERROR = "error"
 
 _CONFLUENCE_CODES = ("DD701", "DD702", "DD703")
-
-#: seconds between counting rounds while the system is active
-_POLL_INTERVAL = 0.002
 
 
 @dataclass(frozen=True)
@@ -117,22 +111,20 @@ class MpConfig:
 class _WorkerTransport:
     """The peer-facing transport stub inside one worker process."""
 
-    #: no crash/replay support: handlers never see a replayed frame
-    delivering_replayed = False
-
-    def __init__(self, name: str, inboxes: dict[str, Any]) -> None:
+    def __init__(self, name: str, inboxes: dict[str, Any],
+                 detector: DijkstraScholten) -> None:
         self.name = name
         self.inboxes = inboxes
+        self.detector = detector
         self.counters = Counters()
-        self.sent_total = 0
-        self.received_total = 0
 
     def send(self, sender: str, recipient: str, kind: str,
              payload: Any) -> None:
         inbox = self.inboxes.get(recipient)
         if inbox is None:
             raise UnknownPeerError(f"unknown peer {recipient}")
-        self.sent_total += 1
+        if kind != ACK_KIND:
+            self.detector.on_basic_send(sender)
         self.counters.add("messages_sent")
         self.counters.add(f"messages_sent[{kind}]")
         inbox.put((_MSG, sender, kind, payload))
@@ -148,35 +140,34 @@ def _snapshot_database(peer: Any) -> dict[RelationKey, list[Fact]] | None:
 def _worker_main(name: str, job: TransportJob,
                  inboxes: dict[str, Any], coordinator: Any) -> None:
     """Entry point of one peer process."""
-    transport = _WorkerTransport(name, inboxes)
+    detector = DijkstraScholten(job.origin)
+    transport = _WorkerTransport(name, inboxes, detector)
     try:
-        detector = (DijkstraScholten(job.detector_root)
-                    if job.detector_root is not None else None)
-        peer = job.peers[name].build(name, detector)
-        if name == job.origin:
-            job.start(peer, transport)
+        peer = job.peers[name].build(name)
+        is_root = name == job.origin
+        if is_root:
+            detector.start(lambda: job.start(peer, transport), transport)
+        reported = False
+        received = 0
         inbox = inboxes[name]
         while True:
+            if is_root and detector.terminated and not reported:
+                coordinator.put((_DONE, name))
+                reported = True
             item = inbox.get()
             tag = item[0]
             if tag == _MSG:
                 _tag, sender, kind, payload = item
-                transport.received_total += 1
+                received += 1
                 transport.counters.add("messages_delivered")
                 message = Message(sender=sender, recipient=name, kind=kind,
-                                  payload=payload, seq=transport.received_total)
-                peer.on_message(message, transport)
-            elif tag == _POLL:
-                coordinator.put((_POLL_REPLY, name, item[1],
-                                 transport.sent_total,
-                                 transport.received_total))
+                                  payload=payload, seq=received)
+                detector.deliver(peer, message, transport)
             elif tag == _COLLECT:
                 counters = snapshot_peer_counters(peer)
                 counters.merge(transport.counters)
-                terminated = (detector.terminated
-                              if detector is not None else None)
                 coordinator.put((_SNAPSHOT, name, _snapshot_database(peer),
-                                 counters, terminated))
+                                 counters))
                 return
             else:  # pragma: no cover - defensive
                 raise DistributedError(f"unknown control tag {tag!r}")
@@ -244,9 +235,7 @@ class MpTransportRuntime:
         try:
             for process in processes.values():
                 process.start()
-            rounds = self._await_quiescence(names, inboxes, coordinator,
-                                            processes, counters, deadline)
-            counters.add("mp.polling_rounds", rounds)
+            self._await_verdict(job.origin, coordinator, processes, deadline)
             snapshots = self._collect(names, inboxes, coordinator,
                                       processes, deadline)
         finally:
@@ -256,9 +245,8 @@ class MpTransportRuntime:
         databases: dict[str, Database] = {}
         per_peer: dict[str, Counters] = {}
         deliveries = 0
-        terminated: bool | None = None
         for name in names:
-            facts, peer_counters, peer_terminated = snapshots[name]
+            facts, peer_counters = snapshots[name]
             if facts is not None:
                 db = Database()
                 for key, tuples in facts.items():
@@ -266,12 +254,11 @@ class MpTransportRuntime:
                 databases[name] = db
             per_peer[name] = peer_counters
             deliveries += peer_counters["messages_delivered"]
-            if name == job.origin:
-                terminated = peer_terminated
         counters.set_max("mp.deliveries", deliveries)
+        # collection starts only on the root's verdict
         return TransportOutcome(
             databases=databases, per_peer=per_peer, counters=counters,
-            deliveries=deliveries, terminated_by_detector=terminated)
+            deliveries=deliveries, terminated_by_detector=True)
 
     def _shutdown(self, processes: dict[str, Any], queues: tuple[Any, ...],
                   counters: Counters) -> None:
@@ -324,10 +311,18 @@ class MpTransportRuntime:
 
     def _drain_coordinator(self, coordinator: Any, processes: dict[str, Any],
                            deadline: float, expect: str,
-                           round_no: int | None = None) -> list[tuple]:
-        """Gather one reply per worker, surfacing worker errors."""
+                           pending: set[str]) -> list[tuple]:
+        """Gather one ``expect`` item from each ``pending`` worker.
+
+        Meanwhile every worker that has not replied is watched, not only
+        the awaited ones: an error report or a silent death anywhere
+        fails the run at once (a dead non-root worker would otherwise
+        leave the root waiting for its acknowledgements until the
+        timeout).
+        """
         replies: list[tuple] = []
-        pending = set(processes)
+        replied: set[str] = set()
+        pending = set(pending)
         while pending:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -338,8 +333,9 @@ class MpTransportRuntime:
             try:
                 item = coordinator.get(timeout=min(remaining, 1.0))
             except queue_module.Empty:
-                dead = [name for name in pending
-                        if not processes[name].is_alive()]
+                dead = [name for name in sorted(processes)
+                        if name not in replied
+                        and not processes[name].is_alive()]
                 if dead:
                     raise self._fail(
                         processes,
@@ -347,52 +343,33 @@ class MpTransportRuntime:
                         f"(exitcodes "
                         f"{[processes[d].exitcode for d in dead]})") from None
                 continue
-            tag = item[0]
-            if tag == _ERROR:
+            if item[0] == _ERROR:
                 _tag, name, trace = item
                 raise self._fail(processes,
                                  f"peer {name!r} raised in its worker "
                                  f"process:\n{trace}")
-            if tag != expect:
-                continue  # a stale reply from an earlier round
-            if expect == _POLL_REPLY and round_no is not None and item[2] != round_no:
-                continue
             replies.append(item)
+            replied.add(item[1])
             pending.discard(item[1])
         return replies
 
-    def _await_quiescence(self, names: list[str], inboxes: dict[str, Any],
-                          coordinator: Any, processes: dict[str, Any],
-                          counters: Counters, deadline: float) -> int:
-        previous: dict[str, tuple[int, int]] | None = None
-        round_no = 0
-        while True:
-            round_no += 1
-            for name in names:
-                inboxes[name].put((_POLL, round_no))
-            replies = self._drain_coordinator(coordinator, processes, deadline,
-                                              _POLL_REPLY, round_no)
-            totals = {name: (sent, received)
-                      for _tag, name, _round, sent, received in replies}
-            sent_sum = sum(sent for sent, _ in totals.values())
-            received_sum = sum(received for _, received in totals.values())
-            if totals == previous and sent_sum == received_sum:
-                counters.set_max("mp.messages_total", sent_sum)
-                return round_no
-            previous = totals
-            time.sleep(_POLL_INTERVAL)
+    def _await_verdict(self, origin: str, coordinator: Any,
+                       processes: dict[str, Any], deadline: float) -> None:
+        """Block until the root worker's detector declares termination."""
+        self._drain_coordinator(coordinator, processes, deadline, _DONE,
+                                {origin})
 
     def _collect(self, names: list[str], inboxes: dict[str, Any],
                  coordinator: Any, processes: dict[str, Any],
                  deadline: float,
                  ) -> dict[str, tuple[dict[RelationKey, list[Fact]] | None,
-                                      Counters, bool | None]]:
+                                      Counters]]:
         for name in names:
             inboxes[name].put((_COLLECT,))
         replies = self._drain_coordinator(coordinator, processes, deadline,
-                                          _SNAPSHOT)
-        return {name: (facts, counters, terminated)
-                for _tag, name, facts, counters, terminated in replies}
+                                          _SNAPSHOT, set(names))
+        return {name: (facts, counters)
+                for _tag, name, facts, counters in replies}
 
 
 def default_parallelism() -> int:

@@ -24,7 +24,6 @@ from repro.datalog.seminaive import EvaluationBudget
 from repro.distributed.ddatalog import DDatalogProgram
 from repro.distributed.network import Message, NetworkOptions
 from repro.distributed.peer import DistributedResult, Peer, run_query
-from repro.distributed.termination import DijkstraScholten
 from repro.distributed.transport import Transport, TransportRuntime
 from repro.errors import DistributedError
 
@@ -39,14 +38,13 @@ class _NaivePeer(Peer):
     KIND_FACTS = KIND_FACTS
 
     def __init__(self, name: str, rules: Sequence[Rule], budget: EvaluationBudget,
-                 detector: DijkstraScholten | None = None,
                  facts: dict[RelationKey, list[Fact]] | None = None,
                  unsafe_negation: bool = False) -> None:
         #: subscribe to negated atoms too, evaluating the negation at
         #: fire time against whatever replica has arrived -- knowingly
         #: order-sensitive (see DistributedNaiveEngine)
         self.unsafe_negation = unsafe_negation
-        super().__init__(name, rules, budget, detector, facts)
+        super().__init__(name, rules, budget, facts)
 
     def state(self) -> tuple[set[str], set[RelationKey]]:
         return set(self.active), set(self.subscriptions)
@@ -78,8 +76,9 @@ class _NaivePeer(Peer):
                     self.activate(atom.relation, transport)
                 elif (atom.relation, atom.peer) not in self.subscriptions:
                     self.subscriptions.add((atom.relation, atom.peer))
-                    self.send(transport, atom.peer or "", KIND_ACTIVATE,
-                              {"relation": atom.relation, "subscriber": self.name})
+                    transport.send(self.name, atom.peer or "", KIND_ACTIVATE,
+                                   {"relation": atom.relation,
+                                    "subscriber": self.name})
 
     def handle(self, message: Message, transport: Transport) -> None:
         if message.kind == KIND_ACTIVATE:

@@ -37,22 +37,31 @@ and on restart the network restores the snapshot, rolls the peer's
 inbound channel cursors back to the checkpointed sequence numbers, and
 *replays* the retained per-channel message log across the gap.  Replayed
 frames are exempt from loss injection (a recovering peer reads them from
-the sender-side log, not the lossy wire) and are flagged so protocol
-layers above (the termination detector) can tell a recovery re-delivery
-from a first delivery.  A peer that is down with no scheduled restart is
-*permanently failed*: once only frames to failed peers (or across
-unhealed partitions) remain, the network raises
+the sender-side log, not the lossy wire), and the network tells the
+termination detector which deliveries are replays, so the protocol
+counts first deliveries only.  A peer that is down with no scheduled
+restart is *permanently failed*: once only frames to failed peers (or
+across unhealed partitions) remain, the network raises
 :class:`repro.errors.PeerUnavailable` with a per-peer failure report,
 which the engines turn into a sound degraded (partial) result.
 
-Since PR 6 the network is the ``"sim"`` implementation of the pluggable
+Seeded schedules, fault plans and crash/recovery are simulator-only
+capability that the multiprocessing transport deliberately does not
+offer.  The network is the ``"sim"`` implementation of the pluggable
 transport API (:mod:`repro.distributed.transport`): it structurally
 satisfies the peer-facing :class:`~repro.distributed.transport.Transport`
-protocol (``send`` / ``delivering_replayed``), and
+protocol (``send``), and
 :class:`~repro.distributed.transport.SimTransportRuntime` drives whole
-evaluations over it.  Everything above this paragraph -- seeded
-schedules, fault plans, crash/recovery -- is simulator-only capability that the multiprocessing transport
-deliberately does not offer.
+evaluations over it.
+
+A run's Dijkstra-Scholten detector (:attr:`Network.detector`) lives in
+the delivery loop: ``send`` counts basic messages, ``_deliver`` runs
+each handler under the protocol and consumes ``ds-ack`` messages, and
+crashes, restarts and recoveries go to the detector's lifecycle hooks.
+The run still ends by draining to global quiescence: the drain is what
+raises :class:`repro.errors.TransportExhausted` /
+:class:`repro.errors.PeerUnavailable` for partial results, and it is the
+oracle the detector's verdict is tested against.
 """
 
 from __future__ import annotations
@@ -63,6 +72,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol
 
+from repro.distributed.termination import ACK_KIND, DijkstraScholten
 from repro.errors import (NetworkClosedError, PeerUnavailable,
                           TransportExhausted, UnknownPeerError)
 from repro.utils.counters import Counters
@@ -245,24 +255,6 @@ class CheckpointablePeer(PeerHandler, Protocol):
         ...
 
 
-class LifecycleListener(Protocol):
-    """Observer of peer crash/restart/recovery events.
-
-    The Dijkstra-Scholten detector registers as one so it can settle the
-    crashed peer's acknowledgement obligations and treat the restarted
-    peer as the root of a recovery sub-computation.
-    """
-
-    def on_peer_crash(self, peer: str, network: "Network") -> None:  # pragma: no cover
-        ...
-
-    def on_peer_restart(self, peer: str, network: "Network") -> None:  # pragma: no cover
-        ...
-
-    def on_peer_recovered(self, peer: str, network: "Network") -> None:  # pragma: no cover
-        ...
-
-
 _ACK = "__transport-ack__"
 
 
@@ -374,10 +366,9 @@ class Network:
         self._catching_up: set[str] = set()
         self._partitions = [_PartitionState(spec)
                             for spec in self.peer_fault.partitions]
-        self._lifecycle: list[LifecycleListener] = []
-        #: True exactly while a replayed frame's handler runs; protocol
-        #: layers (Dijkstra-Scholten) use it to skip double accounting
-        self.delivering_replayed = False
+        #: the run's termination detector, set before the first send; a
+        #: bare network of test handlers carries none
+        self.detector: DijkstraScholten | None = None
 
     # -- registration --------------------------------------------------------
 
@@ -390,17 +381,14 @@ class Network:
         return tuple(sorted(self._handlers))
 
     def add_monitor(self, callback: Callable[[Message], None]) -> None:
-        """Observe every handler delivery (used by the termination tests).
+        """Observe every delivery (used by the termination tests).
 
-        Monitors see exactly the messages handlers see: first deliveries
-        only, never drops, transport acks or suppressed duplicates.
-        Recovery replays re-run handlers, so monitors see those too.
+        Monitors see the messages handlers see plus the detector's
+        ``ds-ack`` messages: first deliveries only, never drops, transport
+        acks or suppressed duplicates.  Recovery replays re-run handlers,
+        so monitors see those too.
         """
         self._monitors.append(callback)
-
-    def add_lifecycle_listener(self, listener: LifecycleListener) -> None:
-        """Observe peer crash / restart / recovery events."""
-        self._lifecycle.append(listener)
 
     # -- peer lifecycle ------------------------------------------------------
 
@@ -499,8 +487,8 @@ class Network:
             self._ds_watermark[channel] = max(self._ds_watermark.get(channel, 0),
                                               state.expected)
             state.reorder.clear()
-        for listener in self._lifecycle:
-            listener.on_peer_crash(peer, self)
+        if self.detector is not None:
+            self.detector.on_peer_crash(peer, self)
 
     def _restart_peer(self, peer: str) -> None:
         """Bring ``peer`` back: restore its checkpoint and replay the gap."""
@@ -535,8 +523,8 @@ class Network:
                     queue.appendleft(frame)
                 replayed += len(replay)
         self.counters.add("net.recovery.frames_replayed", replayed)
-        for listener in self._lifecycle:
-            listener.on_peer_restart(peer, self)
+        if self.detector is not None:
+            self.detector.on_peer_restart(peer, self)
         if self._caught_up(peer):
             self._notify_recovered(peer)
         else:
@@ -548,8 +536,8 @@ class Network:
                    if channel[1] == peer)
 
     def _notify_recovered(self, peer: str) -> None:
-        for listener in self._lifecycle:
-            listener.on_peer_recovered(peer, self)
+        if self.detector is not None:
+            self.detector.on_peer_recovered(peer, self)
 
     def _process_due_restarts(self) -> None:
         for peer in sorted(self._down):
@@ -594,6 +582,8 @@ class Network:
             raise NetworkClosedError("network is closed")
         if recipient not in self._handlers:
             raise UnknownPeerError(f"unknown peer {recipient}")
+        if self.detector is not None and kind != ACK_KIND:
+            self.detector.on_basic_send(sender)
         self._seq += 1
         message = Message(sender=sender, recipient=recipient, kind=kind,
                           payload=payload, seq=self._seq)
@@ -750,17 +740,11 @@ class Network:
                                   self._clock - pending.sent_at)
         # Below the crash watermark means the pre-crash incarnation
         # already consumed (and protocol-settled) this sequence number:
-        # flag the re-run so layers above skip double accounting.
+        # the re-run skips the detector's accounting.
         replayed = frame.channel_seq < self._ds_watermark.get(channel, 0)
         if replayed:
             self.counters.add("net.recovery.deliveries_replayed")
-            self.delivering_replayed = True
-            try:
-                self._deliver(frame.message)
-            finally:
-                self.delivering_replayed = False
-        else:
-            self._deliver(frame.message)
+        self._deliver(frame.message, replayed)
 
     def _send_ack(self, channel: tuple[str, str], ack_value: int) -> None:
         """Queue a cumulative transport ack on the reverse channel."""
@@ -825,12 +809,16 @@ class Network:
                 resent = True
         return resent
 
-    def _deliver(self, message: Message) -> None:
+    def _deliver(self, message: Message, replayed: bool = False) -> None:
         self.counters.add("messages_delivered")
         self._delivered_total += 1
         for monitor in self._monitors:
             monitor(message)
-        self._handlers[message.recipient].on_message(message, self)
+        handler = self._handlers[message.recipient]
+        if self.detector is None:
+            handler.on_message(message, self)
+        else:
+            self.detector.deliver(handler, message, self, replayed)
         if self._peer_faults:
             self._after_delivery(message.recipient)
 

@@ -5,9 +5,11 @@ them differ in one thing, binding propagation.  So do the engines here:
 :mod:`repro.distributed.naive_dist` and :mod:`repro.distributed.dqsq`
 subclass :class:`Peer` and keep only *what they install* and *what they
 ask each other for*.  How a peer stores facts, schedules its rules,
-remembers who reads a relation, ships a delta, takes part in termination
-detection, checkpoints and restores is written once, below (Ameloot,
-Neven & Van den Bussche's one transducer run at every node).
+remembers who reads a relation, ships a delta, checkpoints and restores
+is written once, below (Ameloot, Neven & Van den Bussche's one transducer
+run at every node).  Termination detection is not a peer's business: the
+transport runs it around every delivery
+(:mod:`repro.distributed.termination`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from repro.datalog.rule import Program, Rule
 from repro.datalog.seminaive import EvaluationBudget, IncrementalEvaluator
 from repro.distributed.ddatalog import DDatalogProgram
 from repro.distributed.network import Message, NetworkOptions
-from repro.distributed.termination import ACK_KIND, DijkstraScholten
 from repro.distributed.transport import (PeerSpec, Transport, TransportJob,
                                          TransportRuntime, resolve_transport)
 from repro.errors import DistributedError, PeerUnavailable, TransportExhausted
@@ -45,11 +46,9 @@ class Peer:
     KIND_FACTS: str
 
     def __init__(self, name: str, rules: Sequence[Rule], budget: EvaluationBudget,
-                 detector: DijkstraScholten | None = None,
                  facts: dict[RelationKey, list[Fact]] | None = None) -> None:
         self.name = name
         self.rules = Program(rules)
-        self.detector = detector
         self.counters = Counters()
         self.evaluator = IncrementalEvaluator(None, budget)
         self._edb = facts or {}
@@ -145,17 +144,8 @@ class Peer:
     # -- message handling --------------------------------------------------------
 
     def on_message(self, message: Message, transport: Transport) -> None:
-        # Replayed deliveries re-run the payload processing (idempotent:
-        # fact stores, rule installation and reader registration all
-        # deduplicate) but must not re-run the termination protocol --
-        # the pre-crash incarnation already counted them.
-        replayed = transport.delivering_replayed
-        if message.kind == ACK_KIND:
-            if self.detector is not None and not replayed:
-                self.detector.on_ack(message, transport)
-            return
-        if self.detector is not None and not replayed:
-            self.detector.on_basic_receive(message)
+        # A recovery replay re-runs this too: fact stores, rule
+        # installation and reader registration all deduplicate.
         if message.kind == self.KIND_FACTS:
             payload = message.payload
             key = (payload["relation"], payload["home"])
@@ -175,8 +165,6 @@ class Peer:
         else:
             self.handle(message, transport)
         self.work(transport)
-        if self.detector is not None:
-            self.detector.peer_passive(self.name, transport)
 
     def work(self, transport: Transport) -> None:
         """Run local fixpoints and dispatch new facts, to a standstill."""
@@ -240,15 +228,9 @@ class Peer:
         # explicit count keeps zero-arity deltas visible.
         self.counters.add("tuples_shipped", len(tuples))
         columns = tuple(zip(*tuples)) if tuples and tuples[0] else ()
-        self.send(transport, recipient, self.KIND_FACTS,
-                  {"relation": key[0], "home": key[1],
-                   "columns": columns, "count": len(tuples)})
-
-    def send(self, transport: Transport, recipient: str, kind: str,
-             payload: Any) -> None:
-        if self.detector is not None:
-            self.detector.on_basic_send(self.name)
-        transport.send(self.name, recipient, kind, payload)
+        transport.send(self.name, recipient, self.KIND_FACTS,
+                       {"relation": key[0], "home": key[1],
+                        "columns": columns, "count": len(tuples)})
 
 
 @dataclass
@@ -259,7 +241,8 @@ class DistributedResult:
     counters: Counters
     per_peer: dict[str, Counters]
     databases: dict[str, Database] = field(repr=False, default_factory=dict)
-    terminated_by_detector: bool | None = None
+    #: the Dijkstra-Scholten detector's verdict at the origin
+    terminated_by_detector: bool = False
     #: set when the reliable transport gave up before quiescence; the
     #: answers then reflect only what was derived before the failure
     transport_error: TransportExhausted | None = None
@@ -283,14 +266,14 @@ def run_query(program: DDatalogProgram, edb: Database, answer: Atom, *,
               result_class: type[R], budget: EvaluationBudget,
               start: Callable[[Any, Transport], None],
               transport: str | TransportRuntime, options: NetworkOptions,
-              detector_root: str | None = None, order_sensitive: bool = False,
-              **peer_options: Any) -> R:
+              order_sensitive: bool = False, **peer_options: Any) -> R:
     """Run one distributed evaluation and read the facts matching
     ``answer`` off ``origin``'s final store.
 
     There is a ``peer_class`` peer per name (the program's, ``peers`` and
     every EDB owner), each holding its rules and its share of ``edb``;
-    ``start`` runs at ``origin``.  The peer class itself is the
+    ``start`` runs at ``origin``, the root of the run's termination
+    detector.  The peer class itself is the
     :class:`PeerSpec` factory: a module-level class pickles by reference,
     so the multiprocessing transport builds the peer inside its worker
     process.
@@ -308,7 +291,7 @@ def run_query(program: DDatalogProgram, edb: Database, answer: Atom, *,
                  "facts": facts.get(name, {}), **peer_options})
              for name in names}
     job = TransportJob(peers=specs, origin=origin, start=start,
-                       detector_root=detector_root, program=program.program,
+                       program=program.program,
                        order_sensitive=order_sensitive)
     outcome = resolve_transport(transport, options).run(job)
     return result_class(

@@ -11,11 +11,18 @@ acknowledged.  The root declares termination when it is passive with no
 outstanding acknowledgements -- at that instant no basic message can be
 in flight.
 
-In our synchronous-handler simulation a peer is passive exactly between
-message deliveries, so the protocol hooks are: ``on_basic_send`` /
-``on_basic_receive`` around the engine's messages, ``on_ack`` for
-acknowledgement traffic, and ``peer_passive`` after each handler run.
-Acknowledgements are queued and flushed through the same network, so
+Every distributed run carries the detector, and the two runtimes run
+it in their delivery loops, so a peer handler never sees the protocol:
+
+* the transport calls ``on_basic_send`` when it sends a non-ack message;
+* around each delivery it calls ``on_basic_receive``, then the handler,
+  then ``peer_passive`` (:meth:`DijkstraScholten.deliver`) -- a handler
+  runs synchronously, so a peer is passive exactly between deliveries;
+* ``ds-ack`` messages go to ``on_ack`` and never reach a handler;
+* the root's start action runs between ``root_activated`` and
+  ``peer_passive`` (:meth:`DijkstraScholten.start`).
+
+Acknowledgements are queued and flushed through the same transport, so
 they interleave with basic traffic like any other message.
 
 The detector assumes reliable exactly-once channels, and the transport
@@ -26,7 +33,7 @@ and the deficit accounting stays balanced.  Transport-level acks and
 retransmissions are invisible here -- they are frames, not messages.
 
 Peer crashes need help from a failure detector, which the simulated
-network provides through its lifecycle events:
+network provides by calling the detector's lifecycle hooks:
 
 * ``on_peer_crash`` settles the crashed peer's obligations: any
   acknowledgements it owed its parent are synthesised on its behalf
@@ -38,32 +45,32 @@ network provides through its lifecycle events:
 * ``on_peer_restart`` re-engages the peer as the root of a *recovery
   sub-computation*: engaged with no parent, like the root.  It owes
   nobody acknowledgements (its checkpoint predates the crash and the
-  replayed deliveries are flagged, see below), but global termination
+  replayed deliveries are skipped, see below), but global termination
   now additionally requires every such recovery root to retire --
   caught up on replay, passive, deficit zero.
-* replayed deliveries (``network.delivering_replayed``) must be
-  **skipped** by ``on_basic_receive`` and ``on_ack`` alike: the
-  pre-crash incarnation already counted them, and counting a replayed
-  DS acknowledgement twice would drive some deficit negative.
+* replayed deliveries skip ``on_basic_receive`` and ``on_ack`` alike:
+  the pre-crash incarnation already counted them, and counting a
+  replayed DS acknowledgement twice would drive some deficit negative.
+  The network knows which deliveries are replays and says so to
+  :meth:`DijkstraScholten.deliver`.
 
 The detector speaks only the peer-facing
 :class:`~repro.distributed.transport.Transport` protocol.  On the
-simulator a single instance is shared by all peers (and doubles as the
-network's lifecycle listener); on the multiprocessing transport each
-worker process runs its *own* instance -- the algorithm is naturally
-decentralized (every hook touches only one node's state, and engagement
-acknowledgements travel as ordinary messages), so per-process instances
-implement exactly the distributed protocol the paper points to.
+simulator one instance serves all peers; on the multiprocessing
+transport each worker process runs its *own* instance -- the algorithm
+is naturally decentralized (every hook touches only one node's state,
+and engagement acknowledgements travel as ordinary messages), so
+per-process instances implement exactly the distributed protocol the
+paper points to, and the root worker's verdict is what ends the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-from repro.distributed.network import Message
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.distributed.network import Message, PeerHandler
     from repro.distributed.transport import Transport
 
 ACK_KIND = "ds-ack"
@@ -107,7 +114,33 @@ class DijkstraScholten:
     def terminated(self) -> bool:
         return self._terminated
 
-    # -- hooks called by the engine -------------------------------------------
+    # -- the delivery loop ------------------------------------------------------
+
+    def start(self, action: Callable[[], None], transport: Transport) -> None:
+        """Run the root's start action (posing the query) as its first
+        active period."""
+        self.root_activated()
+        action()
+        self.peer_passive(self.root, transport)
+
+    def deliver(self, handler: PeerHandler, message: Message,
+                transport: Transport, replayed: bool = False) -> None:
+        """Hand ``message`` to ``handler`` under the protocol.
+
+        A ``ds-ack`` is consumed here and never reaches the handler.  A
+        recovery replay (``replayed``) re-runs the handler but not the
+        accounting its first delivery already did.
+        """
+        if message.kind == ACK_KIND:
+            if not replayed:
+                self.on_ack(message, transport)
+            return
+        if not replayed:
+            self.on_basic_receive(message)
+        handler.on_message(message, transport)
+        self.peer_passive(message.recipient, transport)
+
+    # -- protocol hooks -----------------------------------------------------------
 
     def root_activated(self) -> None:
         """The root starts the computation (poses the query)."""
@@ -116,7 +149,7 @@ class DijkstraScholten:
         self._state(self.root).engaged = True
 
     def on_basic_send(self, sender: str) -> None:
-        """The engine is sending a basic (non-ack) message."""
+        """The transport is sending a basic (non-ack) message."""
         self._state(sender).deficit += 1
 
     def on_basic_receive(self, message: Message) -> None:
@@ -159,7 +192,7 @@ class DijkstraScholten:
                     self._ack_queue.append((peer, parent, count))
         self.flush(transport)
 
-    # -- crash recovery (driven by the network's lifecycle events) -------------
+    # -- crash recovery (driven by the simulated network) ----------------------
 
     def on_peer_crash(self, peer: str, transport: Transport) -> None:
         """``peer`` died, losing its volatile protocol state.

@@ -5,15 +5,24 @@ the deterministic in-process simulator in :mod:`repro.distributed.network`.
 This module is the seam that separates the two halves:
 
 * the **peer-facing surface** -- :class:`Transport` -- is everything a
-  peer runtime may touch while handling a message: ``send`` and the
-  ``delivering_replayed`` flag.  The simulated
-  :class:`~repro.distributed.network.Network` satisfies it structurally,
-  and so does the per-process stub of the multiprocessing transport;
+  peer runtime may touch while handling a message: ``send``.  The
+  simulated :class:`~repro.distributed.network.Network` satisfies it
+  structurally, and so does the per-process stub of the multiprocessing
+  transport;
 * the **driver-facing surface** -- :class:`TransportRuntime` -- runs one
   distributed evaluation described by a :class:`TransportJob` (peer
-  factories, the origin's start action, an optional termination-detector
-  root) to quiescence and returns a :class:`TransportOutcome` (final
-  databases, per-peer counters, failure attribution).
+  factories, the origin's start action) to its end and returns a
+  :class:`TransportOutcome` (final databases, per-peer counters, the
+  termination verdict, failure attribution).
+
+Every run carries the paper's Dijkstra-Scholten detector
+(:mod:`repro.distributed.termination`) rooted at the job's origin, and
+both runtimes run it in their delivery loops: the transport counts each
+basic send, wraps each delivery in the receive / passive hooks, consumes
+``ds-ack`` messages before any handler sees them, and runs the origin's
+start action as the root's first active period.  A peer handler is a
+plain handler.  On mp the root's verdict is what ends the run; the
+simulator drains to global quiescence and reports the verdict beside it.
 
 Two runtimes ship:
 
@@ -68,10 +77,6 @@ class Transport(Protocol):
     simulator has.
     """
 
-    #: True exactly while a recovery-replayed frame's handler runs;
-    #: always False on transports without crash/replay support
-    delivering_replayed: bool
-
     def send(self, sender: str, recipient: str, kind: str,
              payload: Any) -> None:  # pragma: no cover - protocol
         """Enqueue one logical message for exactly-once FIFO delivery."""
@@ -83,19 +88,15 @@ class PeerSpec:
     """How to build one peer: a picklable factory plus its keyword args.
 
     ``factory`` must be a module-level callable (so the multiprocessing
-    runtime can ship it to a worker) accepting ``name=`` and
-    ``detector=`` keyword arguments in addition to ``kwargs``.  The
-    detector argument receives the run's :class:`DijkstraScholten`
-    instance -- shared across peers on the simulator, one per worker
-    process on the multiprocessing transport -- or ``None`` when the job
-    has no detector root.
+    runtime can ship it to a worker) accepting a ``name=`` keyword
+    argument in addition to ``kwargs``.
     """
 
     factory: Callable[..., PeerHandler]
     kwargs: dict[str, Any] = field(default_factory=dict)
 
-    def build(self, name: str, detector: DijkstraScholten | None) -> PeerHandler:
-        return self.factory(name=name, detector=detector, **self.kwargs)
+    def build(self, name: str) -> PeerHandler:
+        return self.factory(name=name, **self.kwargs)
 
 
 @dataclass
@@ -105,8 +106,9 @@ class TransportJob:
     ``start`` is a picklable callable (module-level function or a
     :func:`functools.partial` over one) invoked once at the origin peer
     before deliveries begin: it poses the query / activates the seed
-    relation through the transport, exactly as a real client would.
-    ``program`` feeds the multiprocessing runtime's confluence gate;
+    relation through the transport, exactly as a real client would.  The
+    origin is the root of the run's termination detector.  ``program``
+    feeds the multiprocessing runtime's confluence gate;
     ``order_sensitive`` marks jobs that are *known* non-confluent (the
     fire-time-negation naive engine) independent of any analysis.
     """
@@ -114,7 +116,6 @@ class TransportJob:
     peers: dict[str, PeerSpec]
     origin: str
     start: Callable[[Any, Transport], None]
-    detector_root: str | None = None
     program: Program | None = None
     order_sensitive: bool = False
 
@@ -135,8 +136,10 @@ class TransportOutcome:
     per_peer: dict[str, Counters]
     #: transport-level counters (scheduler, reliability, recovery / mp)
     counters: Counters
+    #: deliveries of every message, ``ds-ack`` included
     deliveries: int = 0
-    terminated_by_detector: bool | None = None
+    #: the root's Dijkstra-Scholten verdict
+    terminated_by_detector: bool = False
     transport_error: TransportExhausted | None = None
     peer_failure: PeerUnavailable | None = None
     channel_stats: dict[str, dict[str, int]] = field(default_factory=dict)
@@ -190,9 +193,9 @@ class SimTransportRuntime:
     """The deterministic in-process simulator behind the transport API.
 
     A thin driver over :class:`~repro.distributed.network.Network`: it
-    owns the run orchestration that used to live in each engine (peer
-    construction, the shared termination detector, quiescence, failure
-    attribution) so that engines speak only the job/outcome contract.
+    owns the run orchestration (peer construction, the run's termination
+    detector, quiescence, failure attribution) so that engines speak only
+    the job/outcome contract.
     """
 
     features = frozenset({"faults", "checkpoints", "deterministic"})
@@ -205,16 +208,13 @@ class SimTransportRuntime:
     def run(self, job: TransportJob) -> TransportOutcome:
         network = Network(self.options)
         self.network = network
-        detector = (DijkstraScholten(job.detector_root)
-                    if job.detector_root is not None else None)
-        if detector is not None:
-            network.add_lifecycle_listener(detector)
+        detector = network.detector = DijkstraScholten(job.origin)
         peers: dict[str, PeerHandler] = {}
         for name in sorted(job.peers):
-            peer = job.peers[name].build(name, detector)
+            peer = job.peers[name].build(name)
             peers[name] = peer
             network.register(name, peer)
-        job.start(peers[job.origin], network)
+        detector.start(lambda: job.start(peers[job.origin], network), network)
 
         deliveries = 0
         transport_error: TransportExhausted | None = None
@@ -247,8 +247,7 @@ class SimTransportRuntime:
         return TransportOutcome(
             databases=databases, per_peer=per_peer, counters=counters,
             deliveries=deliveries,
-            terminated_by_detector=(detector.terminated
-                                    if detector is not None else None),
+            terminated_by_detector=detector.terminated,
             transport_error=transport_error, peer_failure=peer_failure,
             channel_stats=network.channel_stats())
 

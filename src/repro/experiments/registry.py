@@ -21,6 +21,7 @@ from repro.diagnosis import (AlarmSequence, DatalogDiagnosisEngine,
 from repro.diagnosis.patterns import (AlarmPattern, ObservationSpec,
                                       totalize_and_complement)
 from repro.distributed import DistributedNaiveEngine, DqsqEngine
+from repro.distributed.termination import ACK_KIND
 from repro.errors import BudgetExceeded
 from repro.experiments.harness import ExperimentResult
 from repro.petri.examples import figure1_alarm_scenarios, figure1_net
@@ -29,6 +30,12 @@ from repro.petri.product import Observer
 from repro.petri.unfolding import unfold
 from repro.workloads.alarmgen import simulate_alarms
 from repro.workloads.scenarios import FIGURE3_TEXT, figure3
+
+def _basic_messages(counters) -> int:
+    """Messages the evaluation sent: every run also carries the
+    termination detector, whose ``ds-ack`` traffic A3 reports."""
+    return counters["messages_sent"] - counters[f"messages_sent[{ACK_KIND}]"]
+
 
 def _localized_edb(edb):
     out = Database()
@@ -124,11 +131,11 @@ def e3_dqsq_equivalence() -> ExperimentResult:
 
     rows = [
         ["QSQ (centralized)", len(qsq.answers), "-", "-", ""],
-        ["dQSQ", len(dqsq.answers), dqsq.counters["messages_sent"],
+        ["dQSQ", len(dqsq.answers), _basic_messages(dqsq.counters),
          dqsq.counters["tuples_shipped"],
          f"delegations={dqsq.counters['delegations_sent']}"],
         ["distributed naive", len(naive.answers),
-         naive.counters["messages_sent"], naive.counters["tuples_shipped"],
+         _basic_messages(naive.counters), naive.counters["tuples_shipped"],
          f"global facts={naive.counters['facts_materialized_global']}"],
     ]
     return ExperimentResult(
@@ -245,7 +252,7 @@ def e6_scaling() -> ExperimentResult:
         elapsed = time.perf_counter() - start
         rows.append([peers, steps, len(alarms), len(result.diagnoses),
                      len(result.materialized_events),
-                     result.counters["messages_sent"],
+                     _basic_messages(result.counters),
                      result.counters["tuples_shipped"],
                      f"{elapsed:.2f}s"])
     return ExperimentResult(
@@ -411,20 +418,19 @@ def a2_negation_variant() -> ExperimentResult:
 
 
 def a3_termination_detector_cost() -> ExperimentResult:
-    """Message overhead of running Dijkstra-Scholten under dQSQ."""
+    """Message overhead of the Dijkstra-Scholten detector every dQSQ run
+    carries."""
     program, edb, query = figure3()
-    plain = DqsqEngine(program, edb).query(query)
-    detected = DqsqEngine(program, edb, use_termination_detector=True).query(query)
-    rows = [
-        ["oracle quiescence", plain.counters["messages_sent"], "-"],
-        ["Dijkstra-Scholten", detected.counters["messages_sent"],
-         detected.counters["messages_sent[ds-ack]"]],
-    ]
+    result = DqsqEngine(program, edb).query(query)
+    rows = [["Figure 3 dQSQ", _basic_messages(result.counters),
+             result.counters[f"messages_sent[{ACK_KIND}]"],
+             result.terminated_by_detector]]
     return ExperimentResult(
         "A3", "termination-detection overhead", "Section 3.2 (termination)",
-        ["mode", "total messages", "ack messages"], rows,
-        notes=[f"detector announced termination: "
-               f"{detected.terminated_by_detector}"])
+        ["run", "basic messages", "ds-ack messages", "detector fired"], rows,
+        notes=["Every distributed run carries the detector, so the ack "
+               "messages are the whole cost of the paper's termination "
+               "detection."])
 
 
 def e8_online_diagnosis() -> ExperimentResult:
@@ -461,13 +467,12 @@ def e9_crash_recovery() -> ExperimentResult:
     for victim in sorted(program.peers()):
         options = NetworkOptions(seed=9, peer_fault=PeerFaultPlan(
             crash_at={victim: (2,)}, restart_after_deliveries=8))
-        result = DqsqEngine(program, edb, options=options,
-                            use_termination_detector=True).query(query)
+        result = DqsqEngine(program, edb, options=options).query(query)
         rows.append([f"crash {victim}@2, restart+8",
                      result.answers == oracle,
                      result.counters["net.recovery.checkpoints_restored"],
                      result.counters["net.recovery.deliveries_replayed"],
-                     bool(result.terminated_by_detector)])
+                     result.terminated_by_detector])
 
     report = run_chaos(ChaosConfig(schedules=12, seed=9))
     counts = report.counts()

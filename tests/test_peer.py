@@ -26,8 +26,6 @@ class _StoreThenRegister(Peer):
 
 
 class _Outbox:
-    delivering_replayed = False
-
     def __init__(self):
         self.sent = []
 

@@ -2,7 +2,9 @@
 
 Soundness is the critical property: when the detector declares
 termination, no basic message may be in flight anywhere.  We check it by
-monitoring every delivery of the dQSQ engine under many schedules.
+monitoring every delivery under many schedules, holding the detector's
+verdict to the simulator's drain to global quiescence.  The handlers are
+plain: the network runs the protocol around every delivery.
 """
 
 import pytest
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 
 from repro.datalog import Query, parse_atom, parse_program
 from repro.datalog.database import load_facts
-from repro.distributed import (DDatalogProgram, DijkstraScholten, DqsqEngine,
+from repro.distributed import (DDatalogProgram, DijkstraScholten,
+                               DistributedNaiveEngine, DqsqEngine,
                                LinkPartition, NetworkOptions, PeerFaultPlan)
 from repro.distributed.network import Message, Network
 from repro.distributed.termination import ACK_KIND
@@ -39,15 +42,14 @@ class TestWithDqsq:
     def test_detects_termination_under_many_schedules(self, seed):
         dd = DDatalogProgram(parse_program(RULES))
         edb = load_facts(parse_program(FACTS))
-        engine = DqsqEngine(dd, edb, options=NetworkOptions(seed=seed),
-                            use_termination_detector=True)
+        engine = DqsqEngine(dd, edb, options=NetworkOptions(seed=seed))
         result = engine.query(Query(parse_atom('r@r("1", Y)')))
         assert result.terminated_by_detector is True
         assert {f[1].value for f in result.answers} == {"2", "4"}
 
     def test_trivial_local_query_terminates(self):
         dd = DDatalogProgram(parse_program('p@a(X) :- base@a(X).\nbase@a("1").'))
-        engine = DqsqEngine(dd, use_termination_detector=True)
+        engine = DqsqEngine(dd)
         result = engine.query(Query(parse_atom("p@a(X)")))
         assert result.terminated_by_detector is True
         assert len(result.answers) == 1
@@ -55,24 +57,39 @@ class TestWithDqsq:
     def test_acks_flow(self):
         dd = DDatalogProgram(parse_program(RULES))
         edb = load_facts(parse_program(FACTS))
-        engine = DqsqEngine(dd, edb, use_termination_detector=True)
+        engine = DqsqEngine(dd, edb)
         result = engine.query(Query(parse_atom('r@r("1", Y)')))
         assert result.counters[f"messages_sent[{ACK_KIND}]"] >= 1
 
 
+class TestVerdictOnEveryRun:
+    """The detector rides every distributed run: a run the simulator
+    drains to completion has the root's verdict, on both engines."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000),
+           engine=st.sampled_from((DqsqEngine, DistributedNaiveEngine)))
+    def test_complete_runs_are_detected(self, seed, engine):
+        dd = DDatalogProgram(parse_program(RULES))
+        edb = load_facts(parse_program(FACTS))
+        result = engine(dd, edb, options=NetworkOptions(seed=seed)).query(
+            Query(parse_atom('r@r("1", Y)')))
+        assert not result.partial
+        assert result.terminated_by_detector is True
+        assert {f[1].value for f in result.answers} == {"2", "4"}
+
+
 class _Relay:
-    """A peer doing a fixed amount of relayed work, instrumented for DS.
+    """A peer doing a fixed amount of relayed work: a plain handler, the
+    network runs the termination protocol around it.
 
     Checkpointable, so crash schedules can target it: the whole state is
-    the ``fired`` flag.  Replayed deliveries re-run the work sends (the
-    pre-crash incarnation's outputs are deduplicated downstream in a real
-    engine; here the relay only fires once per incarnation anyway) but
-    skip the termination protocol, exactly like the dQSQ peers.
+    the ``fired`` flag.  Replayed deliveries re-run the handler (the
+    relay only fires once per incarnation anyway).
     """
 
-    def __init__(self, name: str, detector: DijkstraScholten, plan: dict):
+    def __init__(self, name: str, plan: dict):
         self.name = name
-        self.detector = detector
         self.plan = plan  # recipient -> count of messages to send on first receipt
         self.fired = False
 
@@ -83,74 +100,67 @@ class _Relay:
         self.fired = bool(snapshot["fired"]) if snapshot else False
 
     def on_message(self, message: Message, network: Network) -> None:
-        replayed = network.delivering_replayed
-        if message.kind == ACK_KIND:
-            if not replayed:
-                self.detector.on_ack(message, network)
-            return
-        if not replayed:
-            self.detector.on_basic_receive(message)
+        assert message.kind != ACK_KIND, "the network consumes ds-acks"
+        self.fire(network)
+
+    def fire(self, network: Network) -> None:
         if not self.fired:
             self.fired = True
             for recipient, count in self.plan.items():
                 for _ in range(count):
-                    self.detector.on_basic_send(self.name)
                     network.send(self.name, recipient, "work", None)
-        self.detector.peer_passive(self.name, network)
+
+
+def _relay_network(options: NetworkOptions):
+    detector = DijkstraScholten("root")
+    network = Network(options)
+    network.detector = detector
+    peers = {
+        "root": _Relay("root", {"a": 2, "b": 1}),
+        "a": _Relay("a", {"b": 1, "c": 1}),
+        "b": _Relay("b", {"c": 2}),
+        "c": _Relay("c", {}),
+    }
+    for name, peer in peers.items():
+        network.register(name, peer)
+    return detector, network, peers
+
+
+def _kick_off(detector, network, peers) -> None:
+    detector.start(lambda: peers["root"].fire(network), network)
 
 
 class TestProtocolDirectly:
-    def build(self, seed: int):
-        detector = DijkstraScholten("root")
-        network = Network(NetworkOptions(seed=seed))
-        peers = {
-            "root": _Relay("root", detector, {"a": 2, "b": 1}),
-            "a": _Relay("a", detector, {"b": 1, "c": 1}),
-            "b": _Relay("b", detector, {"c": 2}),
-            "c": _Relay("c", detector, {}),
-        }
-        for name, peer in peers.items():
-            network.register(name, peer)
-        return detector, network, peers
-
     @pytest.mark.parametrize("seed", range(10))
     def test_sound_and_live(self, seed):
-        detector, network, peers = self.build(seed)
-        basic_in_flight = [0]
-        pending_basic = set()
+        detector, network, peers = _relay_network(NetworkOptions(seed=seed))
 
         def monitor(message: Message) -> None:
-            if message.kind != ACK_KIND:
-                pending_basic.discard(message.seq)
             if detector.terminated:
-                assert not pending_basic, "termination declared with messages in flight"
+                in_flight = (_unsettled_basic(network)
+                             + int(message.kind != ACK_KIND))
+                assert not in_flight, "termination declared with messages in flight"
 
         network.add_monitor(monitor)
-        detector.root_activated()
-        root = peers["root"]
-        root.fired = True
-        for recipient, count in root.plan.items():
-            for _ in range(count):
-                detector.on_basic_send("root")
-                network.send("root", recipient, "work", None)
-        detector.peer_passive("root", network)
-        # Track in-flight basic messages.
-        while True:
-            nonempty = network.pending()
-            if not nonempty:
-                break
+        _kick_off(detector, network, peers)
+        while network.pending():
             network.step()
         assert detector.terminated, "detector failed to detect termination (liveness)"
 
     def test_no_false_positive_before_work_done(self):
-        detector, network, peers = self.build(seed=0)
-        detector.root_activated()
-        detector.on_basic_send("root")
-        network.send("root", "a", "work", None)
-        detector.peer_passive("root", network)
+        detector, network, _peers = _relay_network(NetworkOptions(seed=0))
+        detector.start(lambda: network.send("root", "a", "work", None),
+                       network)
         # Work is still in flight: not terminated yet.
         assert not detector.terminated
         network.run_until_quiescent()
+        assert detector.terminated
+
+    def test_handlers_never_see_acks(self):
+        detector, network, peers = _relay_network(NetworkOptions(seed=0))
+        _kick_off(detector, network, peers)
+        network.run_until_quiescent()
+        assert network.counters[f"messages_sent[{ACK_KIND}]"] > 0
         assert detector.terminated
 
 
@@ -192,30 +202,6 @@ class TestProtocolUnderCrashes:
     so crash schedules also have to preserve liveness and the answers.
     """
 
-    def build(self, seed: int, peer_fault: PeerFaultPlan):
-        detector = DijkstraScholten("root")
-        network = Network(NetworkOptions(seed=seed, peer_fault=peer_fault))
-        peers = {
-            "root": _Relay("root", detector, {"a": 2, "b": 1}),
-            "a": _Relay("a", detector, {"b": 1, "c": 1}),
-            "b": _Relay("b", detector, {"c": 2}),
-            "c": _Relay("c", detector, {}),
-        }
-        for name, peer in peers.items():
-            network.register(name, peer)
-        network.add_lifecycle_listener(detector)
-        return detector, network, peers
-
-    def kick_off(self, detector, network, peers) -> None:
-        detector.root_activated()
-        root = peers["root"]
-        root.fired = True
-        for recipient, count in root.plan.items():
-            for _ in range(count):
-                detector.on_basic_send("root")
-                network.send("root", recipient, "work", None)
-        detector.peer_passive("root", network)
-
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000),
            victim=st.sampled_from(("a", "b", "c")),
@@ -227,22 +213,26 @@ class TestProtocolUnderCrashes:
         plan = PeerFaultPlan(crash_at={victim: (crash_at,)},
                              restart_after_deliveries=restart_after,
                              checkpoint_interval=checkpoint_interval)
-        detector, network, peers = self.build(seed, plan)
+        detector, network, peers = _relay_network(
+            NetworkOptions(seed=seed, peer_fault=plan))
 
         def monitor(message: Message) -> None:
             if not detector.terminated:
                 return
             # The frame being delivered right now has left the queues but
-            # not yet reached its handler: it is in flight too.
-            this_one = int(message.kind != ACK_KIND
-                           and not network.delivering_replayed)
+            # not yet reached its handler: unless it is a replay, it is
+            # in flight too.
+            channel = (message.sender, message.recipient)
+            seq = network._states[channel].expected - 1
+            replayed = seq < network._ds_watermark.get(channel, 0)
+            this_one = int(message.kind != ACK_KIND and not replayed)
             unsettled = _unsettled_basic(network) + this_one
             assert unsettled == 0, (
                 f"termination declared with {unsettled} basic message(s) "
                 f"unsettled (delivering {message.kind})")
 
         network.add_monitor(monitor)
-        self.kick_off(detector, network, peers)
+        _kick_off(detector, network, peers)
         network.run_until_quiescent()
         assert detector.terminated, "liveness: detector never fired"
         assert _unsettled_basic(network) == 0
@@ -261,8 +251,7 @@ class TestProtocolUnderCrashes:
         dd = DDatalogProgram(parse_program(RULES))
         edb = load_facts(parse_program(FACTS))
         engine = DqsqEngine(dd, edb,
-                            options=NetworkOptions(seed=seed, peer_fault=plan),
-                            use_termination_detector=True)
+                            options=NetworkOptions(seed=seed, peer_fault=plan))
         result = engine.query(Query(parse_atom('r@r("1", Y)')))
         assert result.terminated_by_detector is True
         assert not result.partial
@@ -279,8 +268,7 @@ class TestProtocolUnderCrashes:
         dd = DDatalogProgram(parse_program(RULES))
         edb = load_facts(parse_program(FACTS))
         engine = DqsqEngine(dd, edb,
-                            options=NetworkOptions(seed=seed, peer_fault=plan),
-                            use_termination_detector=True)
+                            options=NetworkOptions(seed=seed, peer_fault=plan))
         result = engine.query(Query(parse_atom('r@r("1", Y)')))
         assert result.terminated_by_detector is True
         assert {f[1].value for f in result.answers} == {"2", "4"}

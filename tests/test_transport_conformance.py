@@ -105,8 +105,10 @@ def test_figure3_dqsq_answers_identical(transport, figure3_oracle):
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_figure3_with_termination_detector(transport, figure3_oracle):
+    """Every run carries the detector, and every transport reports its
+    verdict (on mp the verdict is what ends the run)."""
     program, edb = _figure3()
-    result = DqsqEngine(program, edb, use_termination_detector=True,
+    result = DqsqEngine(program, edb,
                         transport=_runtime(transport)).query(F3_QUERY)
     assert frozenset(result.answers) == figure3_oracle
     assert result.terminated_by_detector is True
@@ -244,7 +246,11 @@ def test_distributed_naive_answers_identical(transport):
 
 
 class _RecorderPeer:
-    """Appends every delivery to its database, in arrival order."""
+    """Appends every delivery to its database, in arrival order.
+
+    A plain handler: the transport runs the termination protocol around
+    it, and ``ds-ack`` messages never reach it.
+    """
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -257,7 +263,7 @@ class _RecorderPeer:
                         assume_ground=True)
 
 
-def _build_recorder(*, name, detector=None, **_kwargs):
+def _build_recorder(*, name, **_kwargs):
     return _RecorderPeer(name)
 
 
@@ -276,12 +282,20 @@ def _burst_job(count: int) -> TransportJob:
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_fifo_exactly_once(transport):
-    """One channel, N messages: delivered exactly once, in send order."""
+    """One channel, N messages: delivered exactly once, in send order.
+
+    The sink acknowledges each ping to the root (``ds-ack``); the
+    transport consumes those, so only the pings reach a handler.
+    """
     outcome = _runtime(transport).run(_burst_job(25))
     seen = list(outcome.databases["sink"].facts(("seen", "sink")))
     assert seen == [("ping", f"m{i:03d}") for i in range(1, 26)]
     assert outcome.per_peer["sink"]["recorded"] == 25
-    assert outcome.deliveries == 25
+    assert outcome.per_peer["src"]["recorded"] == 0
+    acks = outcome.merged_counters()["messages_sent[ds-ack]"]
+    assert acks == 25
+    assert outcome.deliveries == 25 + acks
+    assert outcome.terminated_by_detector is True
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
@@ -380,12 +394,15 @@ def test_sim_runtime_features():
 
 def test_legacy_diagnose_kwarg_is_a_type_error(e6_problem):
     petri, alarms = e6_problem
-    for legacy in ({"use_termination_detector": True},
+    for legacy in ({"transport": "sim"},
                    {"options": NetworkOptions(seed=3)}):
         with pytest.raises(TypeError):
             repro.diagnose(petri, alarms, **legacy)
         assert repro.diagnose(petri, alarms,
                               config=repro.RunConfig(**legacy)).diagnoses
+    # the detector is not a knob: every distributed run carries it
+    with pytest.raises(TypeError):
+        repro.RunConfig(use_termination_detector=True)
 
 
 def test_runconfig_rejects_faults_on_mp(e6_problem):
@@ -417,7 +434,7 @@ class _HangingPeer:
         time.sleep(3600)
 
 
-def _build_hanging(*, name, detector=None, ignore_sigterm=False, **_kwargs):
+def _build_hanging(*, name, ignore_sigterm=False, **_kwargs):
     return _HangingPeer(name, ignore_sigterm)
 
 
@@ -459,13 +476,49 @@ def test_mp_timeout_kill_fallback_reaps_sigterm_immune_workers():
 
 
 def test_mp_interrupt_mid_run_leaves_no_orphans(monkeypatch):
-    """KeyboardInterrupt while polling still reaps every worker."""
+    """KeyboardInterrupt while awaiting the root's verdict still reaps
+    every worker."""
     runtime = MpTransportRuntime(MpConfig(timeout=30.0))
 
     def _interrupt(*_args, **_kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(MpTransportRuntime, "_await_quiescence", _interrupt)
+    monkeypatch.setattr(MpTransportRuntime, "_await_verdict", _interrupt)
     with pytest.raises(KeyboardInterrupt):
         runtime.run(_hanging_job())
+    assert _no_repro_children() == []
+
+
+class _ExitingPeer:
+    """Dies in its first handler without a word (no error report)."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def on_message(self, message, transport) -> None:
+        import os
+
+        os._exit(3)
+
+
+def _build_exiting(*, name, **_kwargs):
+    return _ExitingPeer(name)
+
+
+def test_mp_silent_non_root_death_fails_fast():
+    """The coordinator waits on the root's verdict only, but watches
+    every worker: a non-root worker dying mid-handler surfaces as a
+    DistributedError naming it and its exit code, long before the
+    timeout, and leaves no worker behind."""
+    import time
+
+    job = TransportJob(
+        peers={"src": PeerSpec(_build_recorder),
+               "sink": PeerSpec(_build_exiting)},
+        origin="src", start=_start_one_ping)
+    runtime = MpTransportRuntime(MpConfig(timeout=60.0))
+    began = time.monotonic()
+    with pytest.raises(DistributedError, match=r"\['sink'\].*\[3\]"):
+        runtime.run(job)
+    assert time.monotonic() - began < 15.0
     assert _no_repro_children() == []
