@@ -45,16 +45,16 @@ def main() -> None:
         print(f"  {name:22s} {result.counters[name]}")
     print()
 
-    # The same diagnosis over a lossy network: the reliability layer
-    # retransmits until every message is delivered exactly once, so the
-    # diagnosis set is unchanged.
+    # The same diagnosis over a lossy network: a lost frame stays at the
+    # head of its channel and is retransmitted until it arrives, so every
+    # message is delivered exactly once and the diagnosis set is unchanged.
     lossy = repro.RunConfig(options=repro.NetworkOptions(
         seed=7, fault=repro.FaultPlan(drop_probability=0.2,
                                       delay_distribution=(0, 3))))
     faulty = repro.diagnose(petri, alarms, method="dqsq", config=lossy)
     assert faulty.diagnoses == result.diagnoses
-    print("With 20% frame loss and random delays (reliability layer on):")
-    for name in ("net.dropped", "net.retransmits", "net.acks",
+    print("With 20% frame loss and random delays:")
+    for name in ("net.dropped", "net.retransmits",
                  "net.delivery_latency_max"):
         print(f"  {name:24s} {faulty.counters[name]}")
 

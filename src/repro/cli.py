@@ -111,7 +111,6 @@ def cmd_diagnose(args) -> int:
         print("transport: "
               f"dropped={counters['net.dropped']} "
               f"retransmits={counters['net.retransmits']} "
-              f"acks={counters['net.acks']} "
               f"latency_max={counters['net.delivery_latency_max']}")
     if args.crash and args.mode == "dqsq":
         counters = result.counters
@@ -417,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=[m.value for m in DiagnosisMethod])
     diagnose.add_argument("--drop", type=float, default=0.0,
                           help="per-frame drop probability for the simulated "
-                               "network (dqsq mode); the reliability layer "
-                               "retransmits until delivery or retry exhaustion")
+                               "network (dqsq mode); a lost frame is "
+                               "retransmitted until delivery or retry exhaustion")
     diagnose.add_argument("--seed", type=int, default=0,
                           help="scheduler / fault-injection seed")
     diagnose.add_argument("--transport", default="sim",

@@ -15,9 +15,9 @@ problem under its base options at the campaign seed ``S``:
   applies.
 
 Two schedule sources feed the runner.  ``repro chaos`` derives fault
-schedules (:func:`make_schedule`: message loss, delay, duplication,
-deterministic crashes, restart timing, checkpoint cadence, link
-partitions) from the seed; ``repro race`` runs the base options
+schedules (:func:`make_schedule`: message loss, delay, deterministic
+crashes, restart timing, checkpoint cadence, link partitions) from the
+seed; ``repro race`` runs the base options
 fault-free under the scheduler seeds ``S+1 .. S+budget-1``.  The static
 analyzer says which programs may break the statement -- DD701-DD703 flag
 the negations a delivery can race against -- and the report attaches
@@ -47,10 +47,9 @@ from repro.utils.counters import Counters
 _SCHEDULE_STRIDE = 100_003
 
 #: what a derived schedule draws from, besides ``ChaosConfig.max_drop``:
-#: duplicate probability and delay up to these, a deterministic crash at
-#: up to this many peers, crashes permanent (no restart) and a link
-#: partition included with these probabilities
-_MAX_DUPLICATE = 0.2
+#: delay up to this, a deterministic crash at up to this many peers,
+#: crashes permanent (no restart) and a link partition included with
+#: these probabilities
 _MAX_DELAY = 4
 _CRASH_PEERS_MAX = 2
 _PERMANENT_PROBABILITY = 0.2
@@ -239,11 +238,10 @@ def make_schedule(config: ChaosConfig, index: int,
     parts: list[str] = []
 
     drop = round(rng.uniform(0, config.max_drop), 3)
-    duplicate = round(rng.uniform(0, _MAX_DUPLICATE), 3)
     delay = (0, rng.randint(1, _MAX_DELAY)) if rng.random() < 0.5 else None
-    fault = FaultPlan(drop_probability=drop, duplicate_probability=duplicate,
-                      delay_distribution=delay, max_retries=50)
-    parts.append(f"drop={drop} dup={duplicate}"
+    fault = FaultPlan(drop_probability=drop, delay_distribution=delay,
+                      max_retries=50)
+    parts.append(f"drop={drop}"
                  + (f" delay={delay}" if delay else ""))
 
     crash_at: dict[str, tuple[int, ...]] = {}

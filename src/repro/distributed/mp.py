@@ -42,7 +42,7 @@ Architecture
 Delivery guarantees: queues are reliable and per-sender FIFO, so every
 logical message is delivered exactly once and each channel preserves
 send order -- the paper's network assumptions, this time provided by the
-operating system rather than restored by a reliability layer.  What the
+operating system rather than kept by the simulator's channels.  What the
 OS does *not* provide is a seeded cross-sender schedule: arrival order
 between senders is real nondeterminism.  The runtime therefore gates
 jobs on the DD701-DD703 confluence verdict of the static analyzer --

@@ -1,4 +1,4 @@
-"""A simulated asynchronous message-passing network with a reliability layer.
+"""A simulated asynchronous message-passing network over lossy FIFO channels.
 
 This is the substitution for the paper's real distributed deployment:
 peers are in-process objects, channels are FIFO queues per (sender,
@@ -11,21 +11,19 @@ next.  The base model matches the paper's assumptions exactly:
   relative order of its alarms ... respects the order in which they
   were sent".
 
-The paper additionally assumes the network is *reliable*: no message is
-ever lost.  Real supervisor deployments do not get that for free, so a
-:class:`FaultPlan` can inject loss, delay and duplication, and the
-network then activates a reliable-delivery layer (per-channel sequence
-numbers, cumulative acknowledgements, receiver-side deduplication and
-reordering buffers, sender-side retransmission with a bounded retry
-budget).  The layer restores exactly the paper's contract at the handler
-boundary: every logical message is delivered to its recipient's handler
-**exactly once, in per-channel FIFO order** -- so the dQSQ peers, the
-distributed naive engine and the Dijkstra-Scholten termination detector
-(which must count only first deliveries of basic messages) run unchanged
-on a lossy substrate.  When the retry budget is exhausted the network
-raises :class:`repro.errors.TransportExhausted` carrying per-channel
-delivery statistics, which the diagnosis engine turns into a
-partial-result report.
+The paper additionally assumes the network is *reliable*: every sent
+message is eventually delivered.  A :class:`FaultPlan` can inject loss
+and delay, and the channel's data structure keeps that contract without
+a protocol: a channel is a FIFO queue whose *head* is the only frame
+that can arrive, and a lost transmission stays at the head and is sent
+again.  Nothing can overtake it or arrive twice, so every logical
+message reaches its recipient's handler **exactly once, in per-channel
+FIFO order** -- the dQSQ peers, the distributed naive engine and the
+Dijkstra-Scholten termination detector run unchanged on a lossy
+substrate.  When one frame is lost more than ``max_retries`` times in a
+row the network raises :class:`repro.errors.TransportExhausted` carrying
+per-channel delivery statistics, which the diagnosis engine turns into
+a partial-result report.
 
 A :class:`PeerFaultPlan` extends the fault model from channels to
 *processes*: peers can crash (losing all in-memory state), restart from
@@ -35,11 +33,11 @@ of the run.  The network owns the checkpoint store: peers implementing
 isolated from later mutation) every ``checkpoint_interval`` deliveries,
 and on restart the network restores the snapshot, rolls the peer's
 inbound channel cursors back to the checkpointed sequence numbers, and
-*replays* the retained per-channel message log across the gap.  Replayed
-frames are exempt from loss injection (a recovering peer reads them from
-the sender-side log, not the lossy wire), and the network tells the
-termination detector which deliveries are replays, so the protocol
-counts first deliveries only.  A peer that is down with no scheduled
+*replays* the retained per-channel message log across the gap, ahead of
+the frames still queued.  Replayed frames are exempt from loss injection
+(a recovering peer reads them from the sender-side log, not the lossy
+wire), and the network tells the termination detector which deliveries
+are replays, so the protocol counts first deliveries only.  A peer that is down with no scheduled
 restart is *permanently failed*: once only frames to failed peers (or
 across unhealed partitions) remain, the network raises
 :class:`repro.errors.PeerUnavailable` with a per-peer failure report,
@@ -80,46 +78,33 @@ from repro.utils.counters import Counters
 if TYPE_CHECKING:  # pragma: no cover
     from repro.distributed.transport import Transport
 
-#: base retransmission timeout, in global deliveries: a frame is re-sent
-#: once this many deliveries (plus the current wire backlog) elapse
-#: without an ack
-ACK_TIMEOUT_DELIVERIES = 16
-
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Failure-injection knobs, grouped (loss, delay, duplication, retry).
+    """Failure-injection knobs, grouped (loss, delay, retry).
 
     The defaults describe the paper's idealized network: nothing is
-    dropped, delayed or duplicated, and the reliability layer stays out
-    of the way entirely.
+    dropped or delayed, and the scheduler makes no draw but its choice
+    of channel.
     """
 
     #: probability that a transmitted frame is lost in transit
     drop_probability: float = 0.0
-    #: probability that a delivered frame arrives again (and is suppressed)
-    duplicate_probability: float = 0.0
     #: extra in-flight ticks per frame; ``(lo, hi)`` uniform or callable
     delay_distribution: tuple[int, int] | Callable[[random.Random], int] | None = None
     #: how many times one frame may be retransmitted before giving up
     max_retries: int = 25
 
     def __post_init__(self) -> None:
-        for name in ("drop_probability", "duplicate_probability"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
+        if not 0.0 <= self.drop_probability <= 1.0:
+            raise ValueError(f"drop_probability must be in [0, 1], "
+                             f"got {self.drop_probability}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if isinstance(self.delay_distribution, tuple):
             lo, hi = self.delay_distribution
             if lo < 0 or hi < lo:
                 raise ValueError(f"bad delay range ({lo}, {hi})")
-
-    def needs_reliability(self) -> bool:
-        """Whether the reliable-delivery layer must engage."""
-        return (self.drop_probability > 0 or self.duplicate_probability > 0
-                or self.delay_distribution is not None)
 
     def sample_delay(self, rng: random.Random) -> int:
         if self.delay_distribution is None:
@@ -165,9 +150,7 @@ class PeerFaultPlan:
     once).  A crashed peer restarts after ``restart_after_deliveries``
     further global deliveries (``None`` = permanent failure) by restoring
     its latest checkpoint; frames queued to it are retained, and sends
-    to it queue until it is back.  Any non-default field activates the
-    reliable transport: crash recovery leans on its sequence numbers.
-    Every peer a plan names must be registered on the network, or the
+    to it queue until it is back.  Every peer a plan names must be registered on the network, or the
     first delivery raises :class:`~repro.errors.UnknownPeerError`.
     """
 
@@ -207,7 +190,7 @@ class NetworkOptions:
     def rng(self) -> random.Random:
         """The one seeded generator behind every scheduler and fault draw.
 
-        Loss, delay, duplication and scheduling draws all come
+        Loss, delay and scheduling draws all come
         from this stream, so a run is replayable from ``seed`` alone
         (recorded in the ``net.seed`` counter of every result).
         """
@@ -255,48 +238,28 @@ class CheckpointablePeer(PeerHandler, Protocol):
         ...
 
 
-_ACK = "__transport-ack__"
-
-
 @dataclass
 class _Frame:
-    """One transmission on the wire (a logical message or a transport ack)."""
+    """One logical message on the wire, with its transmission history."""
 
     message: Message
     channel_seq: int            #: per-channel sequence number (1-based)
     eligible_at: int            #: earliest clock tick this frame may arrive
-    is_ack: bool = False
-    ack_value: int = 0          #: cumulative: all channel_seq <= value received
+    sent_at: int                #: clock tick of the original transmission
+    retries: int = 0            #: transmissions lost so far
     #: recovery re-delivery from the retained log: exempt from loss
     #: injection (a restarted peer reads the log, not the lossy wire)
     is_replay: bool = False
 
 
 @dataclass
-class _Pending:
-    """Sender-side bookkeeping for an unacknowledged frame."""
-
-    message: Message
-    channel_seq: int
-    sent_at: int                #: clock tick of the original transmission
-    last_tx: int                #: clock tick of the latest (re)transmission
-    retries: int = 0
-    #: copies currently on the wire; retransmitting while one is still
-    #: queued would only amplify traffic, so the timer waits for zero
-    in_flight: int = 1
-
-
-@dataclass
 class _ChannelState:
-    """Reliability state for one directed (sender, recipient) channel."""
+    """Cursors and statistics for one directed (sender, recipient) channel."""
 
     next_seq: int = 1                                   # sender side
-    outstanding: dict[int, _Pending] = field(default_factory=dict)
     expected: int = 1                                   # receiver side
-    reorder: dict[int, _Frame] = field(default_factory=dict)
     stats: dict[str, int] = field(default_factory=lambda: {
-        "sent": 0, "delivered": 0, "dropped": 0, "retransmits": 0,
-        "acked": 0, "duplicates_suppressed": 0})
+        "sent": 0, "delivered": 0, "dropped": 0, "retransmits": 0})
 
 
 @dataclass
@@ -327,7 +290,7 @@ class _PartitionState:
 
 
 class Network:
-    """Registry of peers plus the delivery scheduler and transport layer."""
+    """Registry of peers plus the delivery scheduler and its channels."""
 
     def __init__(self, options: NetworkOptions | None = None) -> None:
         self.options = options or NetworkOptions()
@@ -344,9 +307,6 @@ class Network:
         self._closed = False
         self._monitors: list[Callable[[Message], None]] = []
         self._peer_faults = self.peer_fault.enabled()
-        # Crash recovery leans on the sequence/ack machinery (watermarks,
-        # dedup of re-sent frames), so peer faults force the layer on.
-        self._reliable = self.fault.needs_reliability() or self._peer_faults
         # -- peer lifecycle state -------------------------------------------
         self._down: dict[str, int | None] = {}          #: peer -> restart-at (deliveries)
         self._crash_schedule = {peer: sorted(ks)
@@ -384,9 +344,8 @@ class Network:
         """Observe every delivery (used by the termination tests).
 
         Monitors see the messages handlers see plus the detector's
-        ``ds-ack`` messages: first deliveries only, never drops, transport
-        acks or suppressed duplicates.  Recovery replays re-run handlers,
-        so monitors see those too.
+        ``ds-ack`` messages, never a lost transmission.  Recovery replays
+        re-run handlers, so monitors see those too.
         """
         self._monitors.append(callback)
 
@@ -486,7 +445,6 @@ class Network:
             # them after restore is a replay, not a first delivery.
             self._ds_watermark[channel] = max(self._ds_watermark.get(channel, 0),
                                               state.expected)
-            state.reorder.clear()
         if self.detector is not None:
             self.detector.on_peer_crash(peer, self)
 
@@ -502,26 +460,26 @@ class Network:
         if checkpoint is not None:
             self.counters.add("net.recovery.checkpoints_restored")
         replayed = 0
-        inbound = {channel for channel in (set(self._history) | set(self._states))
-                   if channel[1] == peer}
-        for channel in sorted(inbound):
-            state = self._state(channel)
+        for channel in sorted(c for c in self._states if c[1] == peer):
+            state = self._states[channel]
             restored = (checkpoint.inbound_expected.get(channel, 1)
                         if checkpoint else 1)
             state.expected = restored
-            state.reorder.clear()
-            watermark = self._ds_watermark.get(channel, 0)
+            queue = self._channels.setdefault(channel, deque())
+            # Replays left from an earlier restart sit at the head; the
+            # log regenerates them, so drop them before replaying again.
+            while queue and queue[0].is_replay:
+                queue.popleft()
             log = self._history.get(channel, ())
-            replay = [_Frame(message=log[seq - 1], channel_seq=seq,
-                             eligible_at=self._clock, is_replay=True)
-                      for seq in range(restored, watermark)]
-            if replay:
-                queue = self._channels.setdefault(channel, deque())
-                # Replays carry the oldest sequence numbers on the
-                # channel: deliver them ahead of whatever is queued.
-                for frame in reversed(replay):
-                    queue.appendleft(frame)
-                replayed += len(replay)
+            watermark = self._ds_watermark.get(channel, 0)
+            # Replays carry the oldest sequence numbers on the channel:
+            # deliver them ahead of whatever is queued.
+            queue.extendleft(
+                _Frame(message=log[seq - 1], channel_seq=seq,
+                       eligible_at=self._clock, sent_at=self._clock,
+                       is_replay=True)
+                for seq in range(watermark - 1, restored - 1, -1))
+            replayed += max(0, watermark - restored)
         self.counters.add("net.recovery.frames_replayed", replayed)
         if self.detector is not None:
             self.detector.on_peer_restart(peer, self)
@@ -531,7 +489,7 @@ class Network:
             self._catching_up.add(peer)
 
     def _caught_up(self, peer: str) -> bool:
-        return all(self._state(channel).expected >= watermark
+        return all(self._states[channel].expected >= watermark
                    for channel, watermark in self._ds_watermark.items()
                    if channel[1] == peer)
 
@@ -593,14 +551,11 @@ class Network:
         state.next_seq += 1
         state.stats["sent"] += 1
         frame = _Frame(message=message, channel_seq=channel_seq,
-                       eligible_at=self._eligible_tick(channel))
-        if self._reliable:
-            state.outstanding[channel_seq] = _Pending(
-                message=message, channel_seq=channel_seq,
-                sent_at=self._clock, last_tx=self._clock)
+                       eligible_at=self._eligible_tick(channel),
+                       sent_at=self._clock)
         if self._peer_faults:
             self._history.setdefault(channel, []).append(message)
-        self._enqueue(channel, frame)
+        self._channels.setdefault(channel, deque()).append(frame)
         self.counters.add("messages_sent")
         self.counters.add(f"messages_sent[{kind}]")
 
@@ -612,30 +567,21 @@ class Network:
             eligible = max(eligible, queue[-1].eligible_at)
         return eligible
 
-    def _enqueue(self, channel: tuple[str, str], frame: _Frame) -> None:
-        self._channels.setdefault(channel, deque()).append(frame)
-
     def pending(self) -> int:
-        """Frames still on the wire (including transport acks)."""
+        """Frames still on the wire (recovery replays included)."""
         return sum(len(q) for q in self._channels.values())
-
-    def in_flight(self) -> int:
-        """Logical messages not yet delivered to their handler."""
-        if not self._reliable:
-            return self.pending()
-        return sum(len(s.outstanding) for s in self._states.values())
 
     # -- the scheduler -------------------------------------------------------
 
     def step(self) -> bool:
-        """Deliver (or drop) one frame from a scheduler-chosen channel.
+        """Transmit the head frame of one scheduler-chosen channel.
 
-        Returns False when nothing is in flight and nothing awaits a
-        retransmission -- i.e. the network is globally quiescent.  A
-        crash event consumes a step.  Raises
-        :class:`repro.errors.PeerUnavailable` when undeliverable work
-        remains but every holding channel leads to a permanently failed
-        peer or across a permanent partition.
+        The frame is delivered, or lost and left at the head for its
+        retransmission.  Returns False when no frame is on the wire --
+        i.e. the network is globally quiescent.  A crash event consumes
+        a step.  Raises :class:`repro.errors.PeerUnavailable` when
+        undeliverable work remains but every holding channel leads to a
+        permanently failed peer or across a permanent partition.
         """
         if self._peer_faults and not self._baseline_taken:
             self._capture_baseline()
@@ -653,22 +599,13 @@ class Network:
                                       for key in deliverable)
                     continue
                 channel = self._rng.choice(sorted(eligible))
+                self._clock += 1
                 if self._peer_faults and self._should_crash(channel[1]):
                     self._crash_peer(channel[1])
-                    self._clock += 1
                     return True
-                frame = self._channels[channel].popleft()
-                self._clock += 1
-                self._receive(channel, frame)
-                if self._reliable:
-                    self._retransmit(force=False)
+                self._receive(channel)
                 return True
-            # Nothing deliverable right now.
-            if self._reliable and self._retransmit(force=True):
-                continue
-            blocked = bool(nonempty) or any(
-                state.outstanding for state in self._states.values())
-            if not blocked:
+            if not nonempty:
                 return False
             if self._force_next_event():
                 continue
@@ -677,67 +614,30 @@ class Network:
                 reason="undeliverable frames remain and no restart or "
                        "partition heal is scheduled")
 
-    def _receive(self, channel: tuple[str, str], frame: _Frame) -> None:
-        """Transport-level arrival: loss, acks, dedup, reorder, delivery."""
-        if not self._reliable:
-            self._deliver(frame.message)
-            return
-        state = self._state(channel)
-        if not frame.is_ack and not frame.is_replay:
-            consumed = state.outstanding.get(frame.channel_seq)
-            if consumed is not None and consumed.in_flight > 0:
-                consumed.in_flight -= 1
-                # The copy left the wire: the ack round-trip starts now,
-                # so restart the retransmission timer from here (queueing
-                # latency must not masquerade as loss).
-                consumed.last_tx = self._clock
-        # Loss applies to every frame on the wire, acks included --
-        # except recovery replays, which come out of the retained log.
+    def _receive(self, channel: tuple[str, str]) -> None:
+        """The head of ``channel`` arrives -- or is lost and stays put."""
+        queue = self._channels[channel]
+        frame = queue[0]
+        state = self._states[channel]
+        # Recovery replays come out of the retained log, not the wire.
         if (not frame.is_replay and self.fault.drop_probability > 0
                 and self._rng.random() < self.fault.drop_probability):
             self.counters.add("net.dropped")
-            if not frame.is_ack:
-                self._state(channel).stats["dropped"] += 1
+            state.stats["dropped"] += 1
+            if frame.retries >= self.fault.max_retries:
+                raise TransportExhausted(
+                    channel=channel, kind=frame.message.kind,
+                    retries=frame.retries, stats=self.channel_stats())
+            frame.retries += 1
+            frame.eligible_at = self._clock + self.fault.sample_delay(self._rng)
+            self.counters.add("net.retransmits")
+            state.stats["retransmits"] += 1
             return
-        if frame.is_ack:
-            self._accept_ack(channel, frame)
-            return
-        if frame.channel_seq < state.expected:
-            # Duplicate of an already-delivered frame (retransmit raced
-            # the ack, or injected duplication): suppress, but re-ack so
-            # the sender stops retransmitting.
-            self.counters.add("net.duplicates_suppressed")
-            state.stats["duplicates_suppressed"] += 1
-            self._send_ack(channel, state.expected - 1)
-            return
-        if frame.channel_seq > state.expected:
-            # A predecessor was dropped: buffer, never deliver out of
-            # order (the paper's per-channel FIFO assumption).
-            state.reorder.setdefault(frame.channel_seq, frame)
-            self.counters.add("net.out_of_order_buffered")
-            self._send_ack(channel, state.expected - 1)
-            return
-        self._accept_data(channel, state, frame)
-        while state.expected in state.reorder:
-            self._accept_data(channel, state,
-                              state.reorder.pop(state.expected))
-        self._send_ack(channel, state.expected - 1)
-        if (self.fault.duplicate_probability > 0
-                and self._rng.random() < self.fault.duplicate_probability):
-            # A duplicated delivery: it re-arrives below the expected
-            # sequence number, so the dedup path suppresses it.
-            self.counters.add("messages_duplicated")
-            self.counters.add("net.duplicates_suppressed")
-            state.stats["duplicates_suppressed"] += 1
-
-    def _accept_data(self, channel: tuple[str, str], state: _ChannelState,
-                     frame: _Frame) -> None:
+        queue.popleft()
         state.expected = frame.channel_seq + 1
         state.stats["delivered"] += 1
-        pending = state.outstanding.get(frame.channel_seq)
-        if pending is not None:
-            self.counters.set_max("net.delivery_latency_max",
-                                  self._clock - pending.sent_at)
+        self.counters.set_max("net.delivery_latency_max",
+                              self._clock - frame.sent_at)
         # Below the crash watermark means the pre-crash incarnation
         # already consumed (and protocol-settled) this sequence number:
         # the re-run skips the detector's accounting.
@@ -746,70 +646,7 @@ class Network:
             self.counters.add("net.recovery.deliveries_replayed")
         self._deliver(frame.message, replayed)
 
-    def _send_ack(self, channel: tuple[str, str], ack_value: int) -> None:
-        """Queue a cumulative transport ack on the reverse channel."""
-        sender, recipient = channel
-        reverse = (recipient, sender)
-        ack_message = Message(sender=recipient, recipient=sender,
-                              kind=_ACK, payload=ack_value, seq=0)
-        self._enqueue(reverse, _Frame(message=ack_message, channel_seq=0,
-                                      eligible_at=self._eligible_tick(reverse),
-                                      is_ack=True, ack_value=ack_value))
-        self.counters.add("net.acks")
-
-    def _accept_ack(self, reverse: tuple[str, str], frame: _Frame) -> None:
-        """A cumulative ack arrived: settle the forward channel's frames."""
-        forward = (reverse[1], reverse[0])
-        state = self._state(forward)
-        for seq in [s for s in state.outstanding if s <= frame.ack_value]:
-            del state.outstanding[seq]
-            state.stats["acked"] += 1
-
-    def _retransmit(self, force: bool) -> bool:
-        """Re-send timed-out unacknowledged frames.
-
-        With ``force`` (wire empty but frames unsettled) every outstanding
-        frame is resent immediately: nothing else can advance the clock.
-        Channels to down peers or across active partitions are skipped --
-        retries must not burn while the destination cannot receive -- and
-        so are channels whose *reverse* direction is closed: re-sending
-        is pointless while the sender cannot receive the acknowledgement
-        that would settle the frame.
-        Returns True when anything was retransmitted.
-        """
-        # The clock ticks once per global delivery, so an ack's queueing
-        # time grows with the wire backlog; waiting out the backlog keeps
-        # the fixed part of the timeout a loss signal, not a load signal.
-        timeout = ACK_TIMEOUT_DELIVERIES + self.pending()
-        resent = False
-        for channel in sorted(self._states):
-            if not self._channel_open(channel):
-                continue
-            if self._peer_faults and not self._channel_open((channel[1], channel[0])):
-                continue
-            state = self._states[channel]
-            for seq in sorted(state.outstanding):
-                pending = state.outstanding[seq]
-                if pending.in_flight > 0:
-                    continue
-                if not force and self._clock - pending.last_tx < timeout:
-                    continue
-                if pending.retries >= self.fault.max_retries:
-                    raise TransportExhausted(
-                        channel=channel, kind=pending.message.kind,
-                        retries=pending.retries, stats=self.channel_stats())
-                pending.retries += 1
-                pending.last_tx = self._clock
-                pending.in_flight = 1
-                state.stats["retransmits"] += 1
-                self.counters.add("net.retransmits")
-                self._enqueue(channel, _Frame(
-                    message=pending.message, channel_seq=seq,
-                    eligible_at=self._eligible_tick(channel)))
-                resent = True
-        return resent
-
-    def _deliver(self, message: Message, replayed: bool = False) -> None:
+    def _deliver(self, message: Message, replayed: bool) -> None:
         self.counters.add("messages_delivered")
         self._delivered_total += 1
         for monitor in self._monitors:
@@ -833,10 +670,10 @@ class Network:
             self._notify_recovered(peer)
 
     def run_until_quiescent(self) -> int:
-        """Deliver until no message is in flight; returns delivery count.
+        """Step until no frame is on the wire; returns the step count.
 
-        Handlers run synchronously, so an empty network with no
-        unacknowledged frame means global quiescence.  Deliveries are
+        Handlers run synchronously, so an empty network means global
+        quiescence.  Deliveries are
         capped by ``max_deliveries`` to turn livelock into an explicit
         error.  Raises :class:`TransportExhausted` when a frame runs out
         of retries and :class:`PeerUnavailable` when only permanently

@@ -243,7 +243,7 @@ class DistributedResult:
     databases: dict[str, Database] = field(repr=False, default_factory=dict)
     #: the Dijkstra-Scholten detector's verdict at the origin
     terminated_by_detector: bool = False
-    #: set when the reliable transport gave up before quiescence; the
+    #: set when a frame ran out of retries before quiescence; the
     #: answers then reflect only what was derived before the failure
     transport_error: TransportExhausted | None = None
     #: set when one or more peers failed permanently; the answers are

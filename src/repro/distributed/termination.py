@@ -25,12 +25,12 @@ it in their delivery loops, so a peer handler never sees the protocol:
 Acknowledgements are queued and flushed through the same transport, so
 they interleave with basic traffic like any other message.
 
-The detector assumes reliable exactly-once channels, and the transport
-guarantees it: over a lossy/delaying ``FaultPlan`` the reliability layer
-in ``network.py`` acknowledges, deduplicates and reorders frames *below*
-this protocol, so ``on_basic_receive`` fires only for first deliveries
-and the deficit accounting stays balanced.  Transport-level acks and
-retransmissions are invisible here -- they are frames, not messages.
+The detector assumes reliable exactly-once FIFO channels, and both
+transports give it: on the simulator a lost frame stays at the head of
+its channel until a retransmission arrives, so ``on_basic_receive``
+fires once per message and the deficit accounting stays balanced.
+Retransmissions are invisible here -- they are transmissions, not
+messages.
 
 Peer crashes need help from a failure detector, which the simulated
 network provides by calling the detector's lifecycle hooks:

@@ -134,7 +134,7 @@ class TransportOutcome:
     databases: dict[str, Database]
     #: per-peer counters, evaluator counters already folded in
     per_peer: dict[str, Counters]
-    #: transport-level counters (scheduler, reliability, recovery / mp)
+    #: transport-level counters (scheduler, loss, recovery / mp)
     counters: Counters
     #: deliveries of every message, ``ds-ack`` included
     deliveries: int = 0

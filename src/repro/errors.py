@@ -118,11 +118,11 @@ class UnknownPeerError(DistributedError):
 
 
 class TransportExhausted(DistributedError):
-    """Raised when the reliable-delivery layer runs out of retries.
+    """Raised when one frame is lost more than ``max_retries`` times.
 
     Carries the poisoned channel, the kind of the undeliverable message
     and a per-channel snapshot of delivery statistics (sent / delivered /
-    dropped / retransmits / acked), so callers can degrade gracefully --
+    dropped / retransmits), so callers can degrade gracefully --
     the diagnosis engine reports a partial result instead of crashing.
     """
 

@@ -12,7 +12,7 @@ concurrent client tasks against an in-process
 :class:`~repro.service.server.DiagnosisService` (through the very
 ``handle`` surface the TCP loop uses), and compares every session's
 final diagnoses against the fault-free oracle computed once per
-scenario:
+scenario by the dedicated solver (not the online engine under test):
 
 * a session that ends **non-partial** must equal the oracle exactly
   (and agree on consistency);
@@ -36,7 +36,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.diagnosis.online import OnlineDiagnoser
+from repro.api import diagnose
 from repro.distributed.chaos import schedule_seed, verdict
 from repro.service.protocol import ERROR_CODES
 from repro.service.server import DiagnosisService, ServiceConfig
@@ -345,11 +345,11 @@ async def _drive_session(holder: _Holder, session_id: str, scenario: str,
 
 
 def _oracle(scenario: str) -> tuple[frozenset, bool]:
-    """The exact (unwindowed) diagnoses and consistency of the stream."""
+    """The exact diagnoses and consistency of the stream, from the
+    dedicated solver -- not the online engine the sessions run on."""
     petri, alarms = get_scenario(scenario).instantiate()
-    diagnoser = OnlineDiagnoser(petri)
-    diagnoser.push_all(alarms)
-    return diagnoser.diagnoses(), diagnoser.is_consistent()
+    diagnoses = diagnose(petri, alarms, method="dedicated").diagnoses
+    return diagnoses, bool(diagnoses)
 
 
 _ORACLES: dict[str, tuple[frozenset, bool]] = {}

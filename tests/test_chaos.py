@@ -62,6 +62,12 @@ class TestInvariants:
         assert report.ok(), report.render()
         counts = report.counts()
         assert counts["completed"] > 0
+        # A lost frame is retried in place: one retransmission per drop.
+        completed = [o for o in report.outcomes if o.status == "completed"]
+        assert sum(o.counters["net.dropped"] for o in completed) > 0
+        for outcome in completed:
+            assert (outcome.counters["net.retransmits"]
+                    == outcome.counters["net.dropped"]), outcome.description
 
     def test_campaign_is_replayable(self):
         config = ChaosConfig(schedules=15, seed=21)

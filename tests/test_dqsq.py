@@ -12,8 +12,7 @@ from repro.datalog import (Database, EvaluationBudget, Query, parse_atom,
                            parse_program, qsq_evaluate)
 from repro.datalog.atom import Atom
 from repro.datalog.database import load_facts, select
-from repro.distributed import (DDatalogProgram, DqsqEngine, FaultPlan,
-                               NetworkOptions)
+from repro.distributed import DDatalogProgram, DqsqEngine, NetworkOptions
 from repro.distributed.dqsq import split_input_name
 from repro.datalog.adornment import Adornment
 from repro.errors import BudgetExceeded, DistributedError
@@ -259,13 +258,6 @@ class TestRobustness:
             results.add(frozenset(result.answers))
         assert len(results) == 1
 
-    def test_duplicate_deliveries_are_harmless(self):
-        dd, edb = setup_figure3()
-        engine = DqsqEngine(dd, edb, options=NetworkOptions(
-            seed=2, fault=FaultPlan(duplicate_probability=0.5)))
-        result = engine.query(Query(parse_atom('r@r("1", Y)')))
-        assert {f[1].value for f in result.answers} == {"2", "4"}
-
     def test_query_posed_at_non_owner_peer(self):
         dd, edb = setup_figure3()
         result = DqsqEngine(dd, edb).query(Query(parse_atom('r@r("1", Y)')),
@@ -290,21 +282,6 @@ class TestRobustness:
         result = engine.query(Query(parse_atom('r@r("1", Y)')))
         assert result.terminated_by_detector is True
         assert {f[1].value for f in result.answers} == {"2", "4"}
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_termination_detector_under_duplication_only(self, seed):
-        # A plan that only duplicates used to leave the reliability layer
-        # off: handlers saw the second copy and the detector's
-        # acknowledgement deficit went negative.
-        dd, edb = setup_figure3()
-        query = Query(parse_atom('r@r("1", Y)'))
-        engine = DqsqEngine(dd, edb,
-                            options=NetworkOptions(seed=seed, fault=FaultPlan(
-                                duplicate_probability=0.5)))
-        result = engine.query(query)
-        assert result.terminated_by_detector is True
-        assert result.answers == DqsqEngine(dd, edb).query(query).answers
-        assert result.counters["net.duplicates_suppressed"] > 0
 
 
 class TestSplitInputName:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.distributed.network import FaultPlan, Message, Network, NetworkOptions
+from repro.distributed.network import Message, Network, NetworkOptions
 from repro.errors import NetworkClosedError, UnknownPeerError
 
 
@@ -106,20 +106,6 @@ class TestDelivery:
         network.send("a", "b", "ping", 0)
         with pytest.raises(NetworkClosedError):
             network.run_until_quiescent()
-
-    def test_duplicate_injection(self):
-        network = Network(NetworkOptions(
-            seed=1, fault=FaultPlan(duplicate_probability=1.0)))
-        b = Recorder("b")
-        network.register("a", Recorder("a"))
-        network.register("b", b)
-        network.send("a", "b", "x", 1)
-        network.run_until_quiescent()
-        # exactly once at the handler: duplication engages the reliability
-        # layer, whose dedup path suppresses the second copy
-        assert len(b.received) == 1
-        assert network.counters["messages_duplicated"] == 1
-        assert network.counters["net.duplicates_suppressed"] == 1
 
     def test_counters(self):
         network = Network()

@@ -1,6 +1,8 @@
 """Peer crash/recovery: network-level lifecycle, engine checkpointing,
 and degraded (partial) diagnosis."""
 
+from collections import Counter
+
 import pytest
 
 from repro.datalog import parse_atom
@@ -8,6 +10,7 @@ from repro.datalog.rule import Query
 from repro.distributed import (DijkstraScholten, DistributedNaiveEngine,
                                DqsqEngine, FaultPlan, LinkPartition, Network,
                                NetworkOptions, PeerFaultPlan)
+from repro.distributed import transport as transport_module
 from repro.errors import DistributedError, PeerUnavailable, UnknownPeerError
 from repro.workloads.scenarios import figure3
 
@@ -42,6 +45,24 @@ class PlainRecorder:
 
     def on_message(self, message, network):
         self.received.append(message.payload)
+
+
+def naive_figure3_deliveries(monkeypatch, seed):
+    """Deliveries per peer (``ds-ack`` included) of the fault-free
+    distributed naive Figure-3 run at ``seed``, seen by a monitor."""
+    counts: Counter[str] = Counter()
+
+    class MonitoredNetwork(Network):
+        def __init__(self, options=None):
+            super().__init__(options)
+            self.add_monitor(lambda message: counts.update((message.recipient,)))
+
+    program, edb, _query = figure3()
+    with monkeypatch.context() as patch:
+        patch.setattr(transport_module, "Network", MonitoredNetwork)
+        DistributedNaiveEngine(program, edb, options=NetworkOptions(
+            seed=seed)).query(QUERY)
+    return counts
 
 
 def crash_network(peer_fault, fault=None, seed=0, names=("a", "b")):
@@ -109,6 +130,21 @@ class TestNetworkLifecycle:
         assert network.counters["net.recovery.restarts"] == 1
         assert network.counters["net.recovery.checkpoints_restored"] == 1
         assert network.peer_report()["b"]["up"] is True
+
+    def test_crash_during_replay_replays_each_message_once(self):
+        # b crashes in place of its third delivery, restarts from the
+        # baseline and crashes again while its replay is under way: the
+        # second restart must regenerate the replay, not stack a copy on
+        # top of what was left of the first.
+        network, handlers = crash_network(PeerFaultPlan(
+            crash_at={"b": (3, 4)}, checkpoint_interval=3,
+            restart_after_deliveries=1), seed=0)
+        for i in range(12):
+            network.send("a", "b", "n", i)
+        network.run_until_quiescent()
+        assert handlers["b"].received == list(range(12))
+        assert network.counters["net.recovery.crashes"] == 2
+        assert network.counters["net.recovery.restarts"] == 2
 
     def test_seed_is_recorded_for_replay(self):
         network, _handlers = crash_network(PeerFaultPlan(), seed=1234)
@@ -246,20 +282,37 @@ class TestDqsqRecovery:
 
 class TestNaiveDistRecovery:
     @pytest.mark.parametrize("victim", ["r", "s", "t"])
-    def test_crash_restart_recovers_oracle(self, victim):
+    def test_crash_restart_recovers_oracle(self, monkeypatch, victim):
         program, edb, _query = figure3()
         oracle = DistributedNaiveEngine(program, edb).query(QUERY).answers
-        for crash_at in (1, 2, 3):  # the axis TestDqsqRecovery has
+        # Up to the axis TestDqsqRecovery has (1, 2, 3), but only the
+        # deliveries the victim gets: the run is the fault-free one until
+        # the crash, so each of these indices fires.
+        deliveries = naive_figure3_deliveries(monkeypatch, seed=3)[victim]
+        for crash_at in range(1, min(deliveries, 3) + 1):
             options = NetworkOptions(seed=3, peer_fault=PeerFaultPlan(
                 crash_at={victim: (crash_at,)}, restart_after_deliveries=4))
             result = DistributedNaiveEngine(program, edb,
                                             options=options).query(QUERY)
             assert result.answers == oracle, crash_at
             assert not result.partial, crash_at
-            # Every peer sees at least three deliveries (the detector's
-            # ds-acks count too), so each scheduled crash fires.
             assert result.counters["net.recovery.crashes"] == 1, crash_at
             assert result.counters["net.recovery.checkpoints_restored"] == 1
+
+    def test_crash_at_counts_deliveries_not_transmissions(self, monkeypatch):
+        # t has two deliveries at seed 3, so a crash in place of its
+        # third never fires -- no other frame heading to t may stand in
+        # for one.
+        assert naive_figure3_deliveries(monkeypatch, seed=3)["t"] == 2
+        program, edb, _query = figure3()
+        oracle = DistributedNaiveEngine(program, edb).query(QUERY).answers
+        options = NetworkOptions(seed=3, peer_fault=PeerFaultPlan(
+            crash_at={"t": (3,)}))
+        result = DistributedNaiveEngine(program, edb,
+                                        options=options).query(QUERY)
+        assert result.counters["net.recovery.crashes"] == 0
+        assert not result.partial
+        assert result.answers == oracle
 
     def test_permanent_death_degrades(self):
         program, edb, _query = figure3()

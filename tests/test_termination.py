@@ -167,29 +167,21 @@ class TestProtocolDirectly:
 def _unsettled_basic(network: Network) -> int:
     """Basic (non-ack) messages still owed a first delivery.
 
-    Frames below a channel's crash watermark were already consumed and
-    protocol-settled by the pre-crash incarnation of the recipient; their
-    re-delivery is a replay, not outstanding work, so they are excluded.
-    Sender-side ``outstanding`` entries with no copy on the wire (dropped
-    or flushed, awaiting retransmission) still count: the message has not
-    had its first delivery yet.
+    Every such frame is on the wire: a lost transmission stays at the
+    head of its channel.  Frames below a channel's crash watermark were
+    already consumed and protocol-settled by the pre-crash incarnation
+    of the recipient; their re-delivery is a replay, not outstanding
+    work, so they are excluded.
     """
     count = 0
     for channel, queue in network._channels.items():
         watermark = network._ds_watermark.get(channel, 0)
         for frame in queue:
-            if frame.is_ack or frame.message.kind == ACK_KIND:
+            if frame.message.kind == ACK_KIND:
                 continue
             if frame.is_replay or frame.channel_seq < watermark:
                 continue
             count += 1
-    for channel, state in network._states.items():
-        watermark = network._ds_watermark.get(channel, 0)
-        for seq, pending in state.outstanding.items():
-            if pending.message.kind == ACK_KIND:
-                continue
-            if pending.in_flight == 0 and seq >= watermark:
-                count += 1
     return count
 
 

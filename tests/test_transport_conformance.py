@@ -10,7 +10,7 @@ runtimes where the capability exists:
 * **delivery contract** -- per-channel FIFO and exactly-once delivery,
   observed directly through a recording peer driven by a raw
   :class:`TransportJob` (and, on the simulator, preserved under seeded
-  drops/duplicates and under crash + checkpoint-replay recovery);
+  drops and under crash + checkpoint-replay recovery);
 * **capability fences** -- simulator-only options are rejected on mp,
   the confluence gate refuses order-sensitive jobs and non-confluent
   programs, and ``MpConfig(allow_nonconfluent=True)`` opts out;
@@ -300,12 +300,11 @@ def test_fifo_exactly_once(transport):
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_exactly_once_under_seeded_drops(transport):
-    """Seeded loss + duplication: the reliability layer restores the
-    exactly-once FIFO contract (simulator capability)."""
+    """Seeded loss: head-of-line retransmission keeps the exactly-once
+    FIFO contract (simulator capability)."""
     if "faults" not in _runtime(transport).features:
         pytest.skip("fault injection is a simulator-only capability")
-    options = NetworkOptions(seed=11, fault=FaultPlan(
-        drop_probability=0.3, duplicate_probability=0.2))
+    options = NetworkOptions(seed=11, fault=FaultPlan(drop_probability=0.3))
     outcome = _runtime(transport, options).run(_burst_job(25))
     seen = list(outcome.databases["sink"].facts(("seen", "sink")))
     assert seen == [("ping", f"m{i:03d}") for i in range(1, 26)]
