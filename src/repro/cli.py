@@ -555,8 +555,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "'racy' or a diagnosis scenario name such as "
                             "'figure1-bac'")
     chaos.add_argument("--max-deliveries", type=int, default=20_000,
-                       help="per-run delivery budget (exceeding it aborts "
-                            "the schedule, which is not a violation)")
+                       help="per-run budget of delivered messages "
+                            "(exceeding it aborts the schedule, which is "
+                            "not a violation)")
     chaos.add_argument("--max-drop", type=float, default=0.25,
                        help="upper bound for sampled drop probabilities")
     chaos.add_argument("--verbose", action="store_true",

@@ -209,6 +209,7 @@ class ChaosConfig:
     seed: int = 0
     #: a :func:`get_problem` name
     problem: str = "figure3"
+    #: delivered messages per run before the schedule is aborted
     max_deliveries: int = 20_000
     max_drop: float = 0.25
 

@@ -8,10 +8,11 @@ distinct peers execute genuinely in parallel -- each worker has its own
 interpreter and its own GIL.  No committed measurement shows that making
 a run faster: on two cpus ``BENCH_transport.json`` reads mp at 1.3-1.7x
 the simulator's time, and the end-to-end benchmark reads ``fanout-mp``
-1.76x *slower* than ``fanout-sim`` (``op_p50_ms`` 326.7 against 185.1
-ms, medians of three runs each on a 2-cpu Linux host).  Until a recording
-on real multi-core hardware says otherwise, mp is a conformance target
-(same answers as the simulator), not a performance feature.
+1.98x *slower* than ``fanout-sim`` (``op_p50_ms`` 260.8 against 131.4
+ms at ``--seed 0``, medians of three and ten runs on a 2-cpu Linux
+host).  Until a recording on real multi-core hardware says otherwise,
+mp is a conformance target (same answers as the simulator), not a
+performance feature.
 
 Architecture
 ------------
@@ -19,8 +20,10 @@ Architecture
 * one **worker process** per peer.  A worker builds its peer from the
   job's :class:`~repro.distributed.transport.PeerSpec` (so peer state
   never crosses a process boundary mid-run), then loops on its inbox
-  queue: data frames run the peer's ``on_message`` handler, the
-  collect frame ends the loop.  Handlers see a
+  queue: one blocking ``get``, then ``get_nowait`` until the queue is
+  empty or a control item arrives.  The data frames taken so far are one
+  batch and run the peer's ``on_messages`` handler once; a collect item
+  found behind them ends the loop after that batch.  Handlers see a
   :class:`_WorkerTransport`, which satisfies the peer-facing
   :class:`~repro.distributed.transport.Transport` protocol -- ``send``
   puts a frame directly on the recipient worker's inbox (full mesh, no
@@ -127,6 +130,8 @@ class _WorkerTransport:
             self.detector.on_basic_send(sender)
         self.counters.add("messages_sent")
         self.counters.add(f"messages_sent[{kind}]")
+        if kind == ACK_KIND:
+            self.counters.add("messages_acked", payload)
         inbox.put((_MSG, sender, kind, payload))
 
 
@@ -154,16 +159,28 @@ def _worker_main(name: str, job: TransportJob,
             if is_root and detector.terminated and not reported:
                 coordinator.put((_DONE, name))
                 reported = True
+            # One batch: everything queued, up to the first control item,
+            # which is acted on once the batch is delivered.
+            batch: list[tuple[Message, bool]] = []
             item = inbox.get()
-            tag = item[0]
-            if tag == _MSG:
+            while item is not None and item[0] == _MSG:
                 _tag, sender, kind, payload = item
                 received += 1
-                transport.counters.add("messages_delivered")
-                message = Message(sender=sender, recipient=name, kind=kind,
-                                  payload=payload, seq=received)
-                detector.deliver(peer, message, transport)
-            elif tag == _COLLECT:
+                batch.append((Message(sender=sender, recipient=name,
+                                      kind=kind, payload=payload,
+                                      seq=received), False))
+                try:
+                    item = inbox.get_nowait()
+                except queue_module.Empty:
+                    item = None
+            if batch:
+                transport.counters.add("messages_delivered", len(batch))
+                transport.counters.add("batches_delivered")
+                detector.deliver(peer, name, batch, transport)
+            if item is None:
+                continue
+            tag = item[0]
+            if tag == _COLLECT:
                 counters = snapshot_peer_counters(peer)
                 counters.merge(transport.counters)
                 coordinator.put((_SNAPSHOT, name, _snapshot_database(peer),

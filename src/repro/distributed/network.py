@@ -2,11 +2,17 @@
 
 This is the substitution for the paper's real distributed deployment:
 peers are in-process objects, channels are FIFO queues per (sender,
-recipient) pair, and a seeded scheduler picks which channel delivers
-next.  The base model matches the paper's assumptions exactly:
+recipient) pair, and a seeded scheduler picks which peer receives next.
+That peer takes a *batch*: every frame that can arrive on its channels
+now, channel after channel in a seeded order, each channel's frames in
+send order.  Its handler runs once per batch (Ameloot, Neven & Van den
+Bussche's transducer transition reads a multiset of buffered messages,
+then computes once).  The base model matches the paper's assumptions
+exactly:
 
 * communication is asynchronous -- messages from *different* senders
-  interleave arbitrarily (scheduler choice);
+  interleave arbitrarily (the scheduler's choice of recipient and of
+  channel order within a batch);
 * per-channel order is preserved -- "for each individual peer the
   relative order of its alarms ... respects the order in which they
   were sent".
@@ -30,16 +36,17 @@ A :class:`PeerFaultPlan` extends the fault model from channels to
 their latest checkpoint, and peer pairs can be partitioned for a window
 of the run.  The network owns the checkpoint store: peers implementing
 :class:`CheckpointablePeer` are snapshotted (pickled, so the snapshot is
-isolated from later mutation) every ``checkpoint_interval`` deliveries,
-and on restart the network restores the snapshot, rolls the peer's
-inbound channel cursors back to the checkpointed sequence numbers, and
-*replays* the retained per-channel message log across the gap, ahead of
-the frames still queued.  Replayed frames are exempt from loss injection
-(a recovering peer reads them from the sender-side log, not the lossy
-wire), and the network tells the termination detector which deliveries
-are replays, so the protocol counts first deliveries only.  A peer that is down with no scheduled
-restart is *permanently failed*: once only frames to failed peers (or
-across unhealed partitions) remain, the network raises
+isolated from later mutation) after each batch that crosses a multiple
+of ``checkpoint_interval`` deliveries, and on restart the network
+restores the snapshot, rolls the peer's inbound channel cursors back to
+the checkpointed sequence numbers, and *replays* the retained
+per-channel message log across the gap, ahead of the frames still
+queued.  Replayed frames are exempt from loss injection (a recovering
+peer reads them from the sender-side log, not the lossy wire), and the
+network tells the termination detector which deliveries are replays, so
+the protocol counts first deliveries only.  A peer that is down with no
+scheduled restart is *permanently failed*: once only frames to failed
+peers (or across unhealed partitions) remain, the network raises
 :class:`repro.errors.PeerUnavailable` with a per-peer failure report,
 which the engines turn into a sound degraded (partial) result.
 
@@ -53,9 +60,10 @@ protocol (``send``), and
 evaluations over it.
 
 A run's Dijkstra-Scholten detector (:attr:`Network.detector`) lives in
-the delivery loop: ``send`` counts basic messages, ``_deliver`` runs
-each handler under the protocol and consumes ``ds-ack`` messages, and
-crashes, restarts and recoveries go to the detector's lifecycle hooks.
+the delivery loop: ``send`` counts basic messages, each batch goes
+through :meth:`~repro.distributed.termination.DijkstraScholten.deliver`
+(accounting per message, the handler once, ``ds-ack`` messages consumed),
+and crashes, restarts and recoveries go to the detector's lifecycle hooks.
 The run still ends by draining to global quiescence: the drain is what
 raises :class:`repro.errors.TransportExhausted` /
 :class:`repro.errors.PeerUnavailable` for partial results, and it is the
@@ -68,7 +76,7 @@ import pickle
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol, Sequence
 
 from repro.distributed.termination import ACK_KIND, DijkstraScholten
 from repro.errors import (NetworkClosedError, PeerUnavailable,
@@ -119,8 +127,9 @@ class FaultPlan:
 class LinkPartition:
     """A bidirectional cut between two peers over a delivery window.
 
-    The cut opens once ``start`` handler deliveries have happened and
-    heals after ``heal_after`` further deliveries (``None`` = never).
+    The cut opens once ``start`` messages have been delivered and heals
+    after ``heal_after`` further deliveries (``None`` = never); the
+    scheduler looks at the window before each batch.
     While active, frames on the ``a<->b`` channels are retained, not
     lost; if the whole run stalls on a cut that has a heal scheduled,
     the heal is brought forward (delivery counts cannot advance through
@@ -147,18 +156,22 @@ class PeerFaultPlan:
 
     ``crash_at`` schedules deterministic crashes: peer ``p`` crashes in
     place of processing its k-th delivery (1-based, each listed k fires
-    once).  A crashed peer restarts after ``restart_after_deliveries``
-    further global deliveries (``None`` = permanent failure) by restoring
-    its latest checkpoint; frames queued to it are retained, and sends
-    to it queue until it is back.  Every peer a plan names must be registered on the network, or the
-    first delivery raises :class:`~repro.errors.UnknownPeerError`.
+    once) -- a batch is cut just before it, so the peer handles
+    deliveries 1..k-1 and the crash takes the place of the k-th.  A
+    crashed peer restarts after ``restart_after_deliveries`` further
+    global deliveries (``None`` = permanent failure) by restoring its
+    latest checkpoint; frames queued to it are retained, and sends to it
+    queue until it is back.  Every peer a plan names must be registered
+    on the network, or the first delivery raises
+    :class:`~repro.errors.UnknownPeerError`.
     """
 
     #: peer name -> 1-based indices of deliveries-to-that-peer that crash it
     crash_at: Mapping[str, tuple[int, ...]] = field(default_factory=dict)
     #: global deliveries until a crashed peer restarts; None = stays dead
     restart_after_deliveries: int | None = None
-    #: checkpoint a peer after every k-th delivery to it
+    #: checkpoint a peer after each batch that crosses a multiple of k
+    #: deliveries to it
     checkpoint_interval: int = 1
     #: link partitions between peer pairs, by delivery-count window
     partitions: tuple[LinkPartition, ...] = ()
@@ -183,6 +196,7 @@ class NetworkOptions:
     """Scheduler knobs plus the grouped failure-injection plans."""
 
     seed: int = 0
+    #: messages a run may deliver before it is declared diverging
     max_deliveries: int = 1_000_000
     fault: FaultPlan = FaultPlan()
     peer_fault: PeerFaultPlan = PeerFaultPlan()
@@ -211,13 +225,16 @@ class Message:
 class PeerHandler(Protocol):
     """Anything that can receive messages from a transport.
 
+    A transport hands a peer a batch -- every message it takes for that
+    peer at once, per-channel FIFO -- and the handler runs once on it.
     Handlers are written against the peer-facing
     :class:`~repro.distributed.transport.Transport` protocol only, so
     the same peer runtime runs on the simulator and on the
     multiprocessing transport.
     """
 
-    def on_message(self, message: Message, transport: "Transport") -> None:  # pragma: no cover
+    def on_messages(self, batch: Sequence[Message],
+                    transport: "Transport") -> None:  # pragma: no cover
         ...
 
 
@@ -225,7 +242,7 @@ class CheckpointablePeer(PeerHandler, Protocol):
     """A peer whose state can be snapshotted and rolled back.
 
     ``checkpoint`` returns a picklable snapshot of the peer's mutable
-    state taken at a handler boundary (the network pickles it, so the
+    state taken at a batch boundary (the network pickles it, so the
     stored copy is isolated from later mutation).  ``restore`` replaces
     the peer's state with a snapshot -- or, given ``None``, resets the
     peer to its post-construction state.
@@ -344,8 +361,9 @@ class Network:
         """Observe every delivery (used by the termination tests).
 
         Monitors see the messages handlers see plus the detector's
-        ``ds-ack`` messages, never a lost transmission.  Recovery replays
-        re-run handlers, so monitors see those too.
+        ``ds-ack`` messages, never a lost transmission, one call per
+        message as its batch is taken (before the handler runs).
+        Recovery replays re-run handlers, so monitors see those too.
         """
         self._monitors.append(callback)
 
@@ -558,6 +576,8 @@ class Network:
         self._channels.setdefault(channel, deque()).append(frame)
         self.counters.add("messages_sent")
         self.counters.add(f"messages_sent[{kind}]")
+        if kind == ACK_KIND:
+            self.counters.add("messages_acked", payload)
 
     def _eligible_tick(self, channel: tuple[str, str]) -> int:
         """Sample a delivery delay, monotone per channel (FIFO on the wire)."""
@@ -574,14 +594,18 @@ class Network:
     # -- the scheduler -------------------------------------------------------
 
     def step(self) -> bool:
-        """Transmit the head frame of one scheduler-chosen channel.
+        """Deliver one batch to one scheduler-chosen recipient.
 
-        The frame is delivered, or lost and left at the head for its
-        retransmission.  Returns False when no frame is on the wire --
-        i.e. the network is globally quiescent.  A crash event consumes
-        a step.  Raises :class:`repro.errors.PeerUnavailable` when
-        undeliverable work remains but every holding channel leads to a
-        permanently failed peer or across a permanent partition.
+        The recipient is drawn among the peers with a frame due on an
+        open channel.  Those of its channels are visited in one seeded
+        shuffle, and each gives up its head frames in send order until a
+        head is lost (it stays put for its retransmission) or is not yet
+        due.  The batch is cut just before a scheduled crash, which then
+        takes a step of its own in place of that delivery.  Returns
+        False when no frame is on the wire -- i.e. the network is
+        globally quiescent.  Raises :class:`repro.errors.PeerUnavailable`
+        when undeliverable work remains but every holding channel leads
+        to a permanently failed peer or across a permanent partition.
         """
         if self._peer_faults and not self._baseline_taken:
             self._capture_baseline()
@@ -590,20 +614,31 @@ class Network:
             nonempty = [key for key, queue in self._channels.items() if queue]
             deliverable = [key for key in nonempty if self._channel_open(key)]
             if deliverable:
-                eligible = [key for key in deliverable
-                            if self._channels[key][0].eligible_at <= self._clock]
-                if not eligible:
+                now = self._clock
+                due = [key for key in deliverable
+                       if self._channels[key][0].eligible_at <= now]
+                if not due:
                     # Fast-forward the clock to the next arrival: delays are
                     # relative ticks, not wall time.
                     self._clock = min(self._channels[key][0].eligible_at
                                       for key in deliverable)
                     continue
-                channel = self._rng.choice(sorted(eligible))
+                recipient = self._rng.choice(sorted({key[1] for key in due}))
                 self._clock += 1
-                if self._peer_faults and self._should_crash(channel[1]):
-                    self._crash_peer(channel[1])
+                if self._peer_faults and self._should_crash(recipient):
+                    self._crash_peer(recipient)
                     return True
-                self._receive(channel)
+                channels = sorted(key for key in due if key[1] == recipient)
+                self._rng.shuffle(channels)
+                batch: list[tuple[Message, bool]] = []
+                try:
+                    self._drain(channels, now, self._batch_limit(recipient),
+                                batch)
+                finally:
+                    # Frames taken before a head ran out of retries did
+                    # arrive: their recipient handles them before the
+                    # run degrades.
+                    self._deliver(recipient, batch)
                 return True
             if not nonempty:
                 return False
@@ -614,26 +649,51 @@ class Network:
                 reason="undeliverable frames remain and no restart or "
                        "partition heal is scheduled")
 
-    def _receive(self, channel: tuple[str, str]) -> None:
-        """The head of ``channel`` arrives -- or is lost and stays put."""
-        queue = self._channels[channel]
-        frame = queue[0]
-        state = self._states[channel]
+    def _batch_limit(self, peer: str) -> int | None:
+        """How many deliveries ``peer`` may take before its next crash."""
+        schedule = self._crash_schedule.get(peer)
+        if not schedule:
+            return None
+        return schedule[0] - self._deliveries_to.get(peer, 0) - 1
+
+    def _drain(self, channels: list[tuple[str, str]], now: int,
+               limit: int | None, batch: list[tuple[Message, bool]]) -> None:
+        """Take the due head frames of ``channels``, in that order, into
+        ``batch`` (at most ``limit`` of them)."""
+        for channel in channels:
+            queue = self._channels[channel]
+            while (queue and queue[0].eligible_at <= now
+                   and (limit is None or len(batch) < limit)):
+                frame = queue[0]
+                if self._lost(channel, frame):
+                    break
+                queue.popleft()
+                batch.append(self._arrive(channel, frame))
+
+    def _lost(self, channel: tuple[str, str], frame: _Frame) -> bool:
+        """Draw the loss of ``frame``'s transmission; a lost frame stays at
+        the head of its channel with a fresh delay."""
         # Recovery replays come out of the retained log, not the wire.
-        if (not frame.is_replay and self.fault.drop_probability > 0
-                and self._rng.random() < self.fault.drop_probability):
-            self.counters.add("net.dropped")
-            state.stats["dropped"] += 1
-            if frame.retries >= self.fault.max_retries:
-                raise TransportExhausted(
-                    channel=channel, kind=frame.message.kind,
-                    retries=frame.retries, stats=self.channel_stats())
-            frame.retries += 1
-            frame.eligible_at = self._clock + self.fault.sample_delay(self._rng)
-            self.counters.add("net.retransmits")
-            state.stats["retransmits"] += 1
-            return
-        queue.popleft()
+        if (frame.is_replay or self.fault.drop_probability <= 0
+                or self._rng.random() >= self.fault.drop_probability):
+            return False
+        state = self._states[channel]
+        self.counters.add("net.dropped")
+        state.stats["dropped"] += 1
+        if frame.retries >= self.fault.max_retries:
+            raise TransportExhausted(
+                channel=channel, kind=frame.message.kind,
+                retries=frame.retries, stats=self.channel_stats())
+        frame.retries += 1
+        frame.eligible_at = self._clock + self.fault.sample_delay(self._rng)
+        self.counters.add("net.retransmits")
+        state.stats["retransmits"] += 1
+        return True
+
+    def _arrive(self, channel: tuple[str, str],
+                frame: _Frame) -> tuple[Message, bool]:
+        """Account for one delivered frame; returns it with its replay flag."""
+        state = self._states[channel]
         state.expected = frame.channel_seq + 1
         state.stats["delivered"] += 1
         self.counters.set_max("net.delivery_latency_max",
@@ -644,49 +704,54 @@ class Network:
         replayed = frame.channel_seq < self._ds_watermark.get(channel, 0)
         if replayed:
             self.counters.add("net.recovery.deliveries_replayed")
-        self._deliver(frame.message, replayed)
-
-    def _deliver(self, message: Message, replayed: bool) -> None:
         self.counters.add("messages_delivered")
         self._delivered_total += 1
         for monitor in self._monitors:
-            monitor(message)
-        handler = self._handlers[message.recipient]
-        if self.detector is None:
-            handler.on_message(message, self)
-        else:
-            self.detector.deliver(handler, message, self, replayed)
-        if self._peer_faults:
-            self._after_delivery(message.recipient)
+            monitor(frame.message)
+        return frame.message, replayed
 
-    def _after_delivery(self, peer: str) -> None:
-        count = self._deliveries_to.get(peer, 0) + 1
-        self._deliveries_to[peer] = count
-        if (self._checkpointable(peer)
-                and count % self.peer_fault.checkpoint_interval == 0):
+    def _deliver(self, recipient: str,
+                 batch: list[tuple[Message, bool]]) -> None:
+        """Run ``recipient``'s handler once on ``batch``."""
+        if not batch:
+            return
+        self.counters.add("batches_delivered")
+        handler = self._handlers[recipient]
+        if self.detector is None:
+            handler.on_messages([message for message, _ in batch], self)
+        else:
+            self.detector.deliver(handler, recipient, batch, self)
+        if self._peer_faults:
+            self._after_batch(recipient, len(batch))
+
+    def _after_batch(self, peer: str, size: int) -> None:
+        before = self._deliveries_to.get(peer, 0)
+        count = self._deliveries_to[peer] = before + size
+        interval = self.peer_fault.checkpoint_interval
+        if self._checkpointable(peer) and count // interval > before // interval:
             self._store_checkpoint(peer)
         if peer in self._catching_up and self._caught_up(peer):
             self._catching_up.discard(peer)
             self._notify_recovered(peer)
 
     def run_until_quiescent(self) -> int:
-        """Step until no frame is on the wire; returns the step count.
+        """Step until no frame is on the wire; returns the messages
+        delivered (``ds-ack`` and recovery replays included).
 
         Handlers run synchronously, so an empty network means global
-        quiescence.  Deliveries are
-        capped by ``max_deliveries`` to turn livelock into an explicit
-        error.  Raises :class:`TransportExhausted` when a frame runs out
-        of retries and :class:`PeerUnavailable` when only permanently
-        unreachable peers hold up the run.
+        quiescence.  More than ``max_deliveries`` delivered messages turn
+        livelock into an explicit error.  Raises
+        :class:`TransportExhausted` when a frame runs out of retries and
+        :class:`PeerUnavailable` when only permanently unreachable peers
+        hold up the run.
         """
-        delivered = 0
+        start = self._delivered_total
         while self.step():
-            delivered += 1
-            if delivered > self.options.max_deliveries:
+            if self._delivered_total - start > self.options.max_deliveries:
                 raise NetworkClosedError(
                     f"exceeded {self.options.max_deliveries} deliveries; "
                     f"evaluation is probably diverging")
-        return delivered
+        return self._delivered_total - start
 
     # -- introspection --------------------------------------------------------
 

@@ -7,9 +7,11 @@ subclass :class:`Peer` and keep only *what they install* and *what they
 ask each other for*.  How a peer stores facts, schedules its rules,
 remembers who reads a relation, ships a delta, checkpoints and restores
 is written once, below (Ameloot, Neven & Van den Bussche's one transducer
-run at every node).  Termination detection is not a peer's business: the
-transport runs it around every delivery
-(:mod:`repro.distributed.termination`).
+run at every node).  As in their transducer transition, a peer reads a
+whole batch of buffered messages and then computes once: one local
+fixpoint and dispatch per batch, whatever its size.  Termination
+detection is not a peer's business: the transport runs it around every
+batch (:mod:`repro.distributed.termination`).
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ class Peer:
     def checkpoint(self) -> dict:
         """A serializable snapshot of this peer's mutable state.
 
-        Taken at a handler boundary, so the local evaluation is at a
+        Taken at a batch boundary, so the local evaluation is at a
         fixpoint and every stored fact has been dispatched: the snapshot
         is internally consistent by construction and needs no cursor.
         Source rules and the budget are static configuration and are not
@@ -143,33 +145,40 @@ class Peer:
 
     # -- message handling --------------------------------------------------------
 
-    def on_message(self, message: Message, transport: Transport) -> None:
+    def on_messages(self, batch: Sequence[Message],
+                    transport: Transport) -> None:
+        """Store every delta and apply every request of ``batch``, then
+        run one :meth:`work`."""
         # A recovery replay re-runs this too: fact stores, rule
         # installation and reader registration all deduplicate.
-        if message.kind == self.KIND_FACTS:
-            payload = message.payload
-            key = (payload["relation"], payload["home"])
-            # Facts travel columnar (parallel term columns + count).
-            # Shipped tuples come out of a peer's validated store (and are
-            # re-interned on unpickling), so the bulk insert skips
-            # per-fact groundness checks.
-            columns = payload["columns"]
-            rows: list[Fact] = (list(zip(*columns)) if columns
-                                else [()] * payload["count"])
-            added = self.db.add_all(key, rows, assume_ground=True)
-            self.counters.add("tuples_received", added)
-            if key[1] != self.name:
-                # Replicas of remote-homed relations must not be pushed
-                # back to their home: advance the dispatch cursor.
-                self._dispatched[key] = len(self.db.facts(key))
-        else:
-            self.handle(message, transport)
+        for message in batch:
+            if message.kind == self.KIND_FACTS:
+                self._store_delta(message.payload)
+            else:
+                self.handle(message, transport)
         self.work(transport)
+
+    def _store_delta(self, payload: dict) -> None:
+        key = (payload["relation"], payload["home"])
+        # Facts travel columnar (parallel term columns + count).  Shipped
+        # tuples come out of a peer's validated store (and are re-interned
+        # on unpickling), so the bulk insert skips per-fact groundness
+        # checks.
+        columns = payload["columns"]
+        rows: list[Fact] = (list(zip(*columns)) if columns
+                            else [()] * payload["count"])
+        added = self.db.add_all(key, rows, assume_ground=True)
+        self.counters.add("tuples_received", added)
+        if key[1] != self.name:
+            # Replicas of remote-homed relations must not be pushed back
+            # to their home: advance the dispatch cursor.
+            self._dispatched[key] = len(self.db.facts(key))
 
     def work(self, transport: Transport) -> None:
         """Run local fixpoints and dispatch new facts, to a standstill."""
         while True:
             self.evaluator.run()
+            self.counters.add("fixpoint_runs")
             log = self.db.change_log()
             touched = dict.fromkeys(log[self._log_position:])
             self._log_position = len(log)

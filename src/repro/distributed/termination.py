@@ -15,15 +15,21 @@ Every distributed run carries the detector, and the two runtimes run
 it in their delivery loops, so a peer handler never sees the protocol:
 
 * the transport calls ``on_basic_send`` when it sends a non-ack message;
-* around each delivery it calls ``on_basic_receive``, then the handler,
-  then ``peer_passive`` (:meth:`DijkstraScholten.deliver`) -- a handler
-  runs synchronously, so a peer is passive exactly between deliveries;
-* ``ds-ack`` messages go to ``on_ack`` and never reach a handler;
+* the unit of delivery is a *batch*: every frame a transport hands one
+  peer at once (:meth:`DijkstraScholten.deliver`).  The detector first
+  does each message's accounting -- a ``ds-ack`` decrements the
+  recipient's deficit, a basic message engages it -- then runs the
+  handler once on the batch's basic messages and calls ``peer_passive``
+  once.  A handler runs synchronously, so a peer is passive exactly
+  between batches;
+* ``ds-ack`` messages never reach a handler;
 * the root's start action runs between ``root_activated`` and
   ``peer_passive`` (:meth:`DijkstraScholten.start`).
 
 Acknowledgements are queued and flushed through the same transport, so
-they interleave with basic traffic like any other message.
+they interleave with basic traffic like any other message.  A flush
+sums the queued acknowledgements per (sender, recipient): one ``ds-ack``
+carries a count, so a peer owes at most one frame per channel per batch.
 
 The detector assumes reliable exactly-once FIFO channels, and both
 transports give it: on the simulator a lost frame stays at the head of
@@ -51,8 +57,8 @@ network provides by calling the detector's lifecycle hooks:
 * replayed deliveries skip ``on_basic_receive`` and ``on_ack`` alike:
   the pre-crash incarnation already counted them, and counting a
   replayed DS acknowledgement twice would drive some deficit negative.
-  The network knows which deliveries are replays and says so to
-  :meth:`DijkstraScholten.deliver`.
+  The network knows which deliveries are replays and marks them in the
+  batch it passes to :meth:`DijkstraScholten.deliver`.
 
 The detector speaks only the peer-facing
 :class:`~repro.distributed.transport.Transport` protocol.  On the
@@ -67,7 +73,7 @@ paper points to, and the root worker's verdict is what ends the run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.distributed.network import Message, PeerHandler
@@ -90,7 +96,9 @@ class DijkstraScholten:
     def __init__(self, root: str) -> None:
         self.root = root
         self._states: dict[str, _NodeState] = {}
-        self._ack_queue: list[tuple[str, str, int]] = []
+        #: acknowledgements owed, summed per (sender, recipient) until
+        #: the next flush
+        self._owed: dict[tuple[str, str], int] = {}
         self._terminated = False
         self._root_started = False
         #: restarted peers acting as recovery roots: peer -> caught up
@@ -123,22 +131,31 @@ class DijkstraScholten:
         action()
         self.peer_passive(self.root, transport)
 
-    def deliver(self, handler: PeerHandler, message: Message,
-                transport: Transport, replayed: bool = False) -> None:
-        """Hand ``message`` to ``handler`` under the protocol.
+    def deliver(self, handler: PeerHandler, recipient: str,
+                batch: Sequence[tuple[Message, bool]],
+                transport: Transport) -> None:
+        """Hand one batch of ``(message, replayed)`` pairs for ``recipient``
+        to ``handler`` under the protocol.
 
-        A ``ds-ack`` is consumed here and never reaches the handler.  A
-        recovery replay (``replayed``) re-runs the handler but not the
-        accounting its first delivery already did.
+        Each message's accounting comes first: a ``ds-ack`` lowers the
+        deficit and is consumed here, a basic message engages the peer.
+        A recovery replay (``replayed``) skips the accounting its first
+        delivery already did, but its basic message still reaches the
+        handler.  Then the handler runs once on the basic messages, and
+        the peer turns passive once.
         """
-        if message.kind == ACK_KIND:
+        basic: list[Message] = []
+        for message, replayed in batch:
+            if message.kind == ACK_KIND:
+                if not replayed:
+                    self.on_ack(message)
+                continue
             if not replayed:
-                self.on_ack(message, transport)
-            return
-        if not replayed:
-            self.on_basic_receive(message)
-        handler.on_message(message, transport)
-        self.peer_passive(message.recipient, transport)
+                self.on_basic_receive(message)
+            basic.append(message)
+        if basic:
+            handler.on_messages(basic, transport)
+        self.peer_passive(recipient, transport)
 
     # -- protocol hooks -----------------------------------------------------------
 
@@ -163,18 +180,17 @@ class DijkstraScholten:
             state.pending_parent_acks += 1
         else:
             # Already engaged elsewhere: acknowledge immediately.
-            self._ack_queue.append((message.recipient, message.sender, 1))
+            self._owe(message.recipient, message.sender, 1)
 
-    def on_ack(self, message: Message, transport: Transport) -> None:
+    def on_ack(self, message: Message) -> None:
         """An acknowledgement arrived for ``message.recipient``."""
         state = self._state(message.recipient)
         state.deficit -= int(message.payload)
         if state.deficit < 0:
             raise AssertionError("acknowledgement deficit went negative")
-        self.peer_passive(message.recipient, transport)
 
     def peer_passive(self, peer: str, transport: Transport) -> None:
-        """Called when ``peer`` finishes local work (end of its handler)."""
+        """Called when ``peer`` finishes local work (end of a batch)."""
         state = self._state(peer)
         if peer in self._recovering:
             self._try_retire(peer, transport)
@@ -189,7 +205,7 @@ class DijkstraScholten:
                 state.pending_parent_acks = 0
                 state.engaged = False
                 if count:
-                    self._ack_queue.append((peer, parent, count))
+                    self._owe(peer, parent, count)
         self.flush(transport)
 
     # -- crash recovery (driven by the simulated network) ----------------------
@@ -206,8 +222,7 @@ class DijkstraScholten:
         self._terminated = False
         state = self._state(peer)
         if state.engaged and state.parent is not None and state.pending_parent_acks:
-            self._ack_queue.append((peer, state.parent,
-                                    state.pending_parent_acks))
+            self._owe(peer, state.parent, state.pending_parent_acks)
         state.parent = None
         state.pending_parent_acks = 0
         state.engaged = False
@@ -248,8 +263,13 @@ class DijkstraScholten:
 
     # -- ack transport ----------------------------------------------------------
 
+    def _owe(self, sender: str, recipient: str, count: int) -> None:
+        self._owed[sender, recipient] = (
+            self._owed.get((sender, recipient), 0) + count)
+
     def flush(self, transport: Transport) -> None:
-        """Send queued acknowledgements through the network."""
-        while self._ack_queue:
-            sender, recipient, count = self._ack_queue.pop()
+        """Send the owed acknowledgements through the network: one
+        ``ds-ack`` per (sender, recipient), carrying their summed count."""
+        owed, self._owed = self._owed, {}
+        for (sender, recipient), count in owed.items():
             transport.send(sender, recipient, ACK_KIND, count)

@@ -18,11 +18,14 @@ This module is the seam that separates the two halves:
 Every run carries the paper's Dijkstra-Scholten detector
 (:mod:`repro.distributed.termination`) rooted at the job's origin, and
 both runtimes run it in their delivery loops: the transport counts each
-basic send, wraps each delivery in the receive / passive hooks, consumes
-``ds-ack`` messages before any handler sees them, and runs the origin's
-start action as the root's first active period.  A peer handler is a
-plain handler.  On mp the root's verdict is what ends the run; the
-simulator drains to global quiescence and reports the verdict beside it.
+basic send, hands each *batch* -- every message it takes for one peer at
+once, per-channel FIFO -- to the detector, which does each message's
+accounting, consumes the ``ds-ack`` messages, runs the handler once and
+turns the peer passive once; and it runs the origin's start action as
+the root's first active period.  A peer handler is a plain
+``on_messages(batch, transport)`` handler.  On mp the root's verdict is
+what ends the run; the simulator drains to global quiescence and
+reports the verdict beside it.
 
 Two runtimes ship:
 
@@ -136,7 +139,8 @@ class TransportOutcome:
     per_peer: dict[str, Counters]
     #: transport-level counters (scheduler, loss, recovery / mp)
     counters: Counters
-    #: deliveries of every message, ``ds-ack`` included
+    #: messages delivered, ``ds-ack`` and recovery replays included (not
+    #: batches, and not crash events)
     deliveries: int = 0
     #: the root's Dijkstra-Scholten verdict
     terminated_by_detector: bool = False
@@ -216,11 +220,10 @@ class SimTransportRuntime:
             network.register(name, peer)
         detector.start(lambda: job.start(peers[job.origin], network), network)
 
-        deliveries = 0
         transport_error: TransportExhausted | None = None
         peer_failure: PeerUnavailable | None = None
         try:
-            deliveries = network.run_until_quiescent()
+            network.run_until_quiescent()
         except TransportExhausted as err:
             # Graceful degradation: keep every fact derived so far and
             # report a partial result instead of crashing the evaluation.
@@ -246,7 +249,8 @@ class SimTransportRuntime:
         counters.merge(network.counters)
         return TransportOutcome(
             databases=databases, per_peer=per_peer, counters=counters,
-            deliveries=deliveries,
+            # a degraded run delivered messages too
+            deliveries=network.counters["messages_delivered"],
             terminated_by_detector=detector.terminated,
             transport_error=transport_error, peer_failure=peer_failure,
             channel_stats=network.channel_stats())

@@ -15,11 +15,13 @@ class Recorder:
         self.forward_to = forward_to
         self.forward_count = count
 
-    def on_message(self, message: Message, network: Network) -> None:
-        self.received.append(message)
-        if self.forward_to and self.forward_count > 0:
-            self.forward_count -= 1
-            network.send(self.name, self.forward_to, "fwd", message.payload)
+    def on_messages(self, batch: list[Message], network: Network) -> None:
+        for message in batch:
+            self.received.append(message)
+            if self.forward_to and self.forward_count > 0:
+                self.forward_count -= 1
+                network.send(self.name, self.forward_to, "fwd",
+                             message.payload)
 
 
 class TestDelivery:

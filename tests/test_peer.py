@@ -8,6 +8,7 @@ from repro.datalog import EvaluationBudget, parse_atom
 from repro.datalog.rule import Query
 from repro.datalog.term import Const
 from repro.distributed import DistributedNaiveEngine, DqsqEngine
+from repro.distributed.dqsq import KIND_FACTS, _DqsqPeer
 from repro.distributed.network import Message
 from repro.distributed.peer import Peer
 from repro.workloads.scenarios import figure3, get_scenario
@@ -42,11 +43,11 @@ class TestDispatchRules:
     def test_fact_stored_before_its_reader_registers_is_shipped_once(self):
         peer = _StoreThenRegister("home", (), EvaluationBudget())
         outbox = _Outbox()
-        peer.on_message(Message("a", "home", "ask", "1", 1), outbox)
+        peer.on_messages([Message("a", "home", "ask", "1", 1)], outbox)
         assert _shipped_to(outbox, "a") == ["1"]
         # A later reader gets what the first already has, and the new fact
         # together with it -- each exactly once.
-        peer.on_message(Message("b", "home", "ask", "2", 1), outbox)
+        peer.on_messages([Message("b", "home", "ask", "2", 1)], outbox)
         assert _shipped_to(outbox, "a") == ["1", "2"]
         assert sorted(_shipped_to(outbox, "b")) == ["1", "2"]
         assert peer.counters["tuples_shipped"] == 4
@@ -57,8 +58,30 @@ class TestDispatchRules:
         outbox = _Outbox()
         peer.work(outbox)
         assert outbox.sent == []
-        peer.on_message(Message("a", "home", "ask", "1", 1), outbox)
+        peer.on_messages([Message("a", "home", "ask", "1", 1)], outbox)
         assert _shipped_to(outbox, "a") == ["0", "1"]
+
+
+class TestOneFixpointPerBatch:
+    """A batch is one transducer transition: however many deltas it
+    carries, the peer runs one local fixpoint."""
+
+    @staticmethod
+    def _delta(i):
+        return Message("a", "home", KIND_FACTS, {
+            "relation": "q", "home": "a", "columns": ((Const(str(i)),),),
+            "count": 1}, i)
+
+    def test_batch_of_deltas_costs_one_fixpoint(self):
+        batch = [self._delta(i) for i in range(5)]
+        peer = _DqsqPeer("home", (), EvaluationBudget())
+        peer.on_messages(batch, _Outbox())
+        assert peer.counters["tuples_received"] == 5
+        assert peer.counters["fixpoint_runs"] == 1
+        one_by_one = _DqsqPeer("home", (), EvaluationBudget())
+        for message in batch:
+            one_by_one.on_messages([message], _Outbox())
+        assert one_by_one.counters["fixpoint_runs"] == 5
 
 
 class TestNothingShippedTwice:

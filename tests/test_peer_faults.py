@@ -25,10 +25,12 @@ class CheckpointableRecorder:
         self.forward_to = forward_to
         self.received = []
 
-    def on_message(self, message, network):
-        self.received.append(message.payload)
-        if self.forward_to is not None:
-            network.send(self.name, self.forward_to, "fwd", message.payload)
+    def on_messages(self, batch, network):
+        for message in batch:
+            self.received.append(message.payload)
+            if self.forward_to is not None:
+                network.send(self.name, self.forward_to, "fwd",
+                             message.payload)
 
     def checkpoint(self):
         return list(self.received)
@@ -43,8 +45,8 @@ class PlainRecorder:
     def __init__(self):
         self.received = []
 
-    def on_message(self, message, network):
-        self.received.append(message.payload)
+    def on_messages(self, batch, network):
+        self.received.extend(message.payload for message in batch)
 
 
 def naive_figure3_deliveries(monkeypatch, seed):

@@ -14,8 +14,8 @@ class Recorder:
         self.name = name
         self.received = []
 
-    def on_message(self, message: Message, network: Network) -> None:
-        self.received.append(message)
+    def on_messages(self, batch: list[Message], network: Network) -> None:
+        self.received.extend(batch)
 
 
 def two_peer_network(fault: FaultPlan, seed: int = 0):

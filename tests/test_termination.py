@@ -99,8 +99,9 @@ class _Relay:
     def restore(self, snapshot):
         self.fired = bool(snapshot["fired"]) if snapshot else False
 
-    def on_message(self, message: Message, network: Network) -> None:
-        assert message.kind != ACK_KIND, "the network consumes ds-acks"
+    def on_messages(self, batch: list[Message], network: Network) -> None:
+        assert all(message.kind != ACK_KIND for message in batch), \
+            "the network consumes ds-acks"
         self.fire(network)
 
     def fire(self, network: Network) -> None:

@@ -42,8 +42,8 @@ from repro.distributed.dqsq import DqsqEngine
 from repro.distributed.mp import MpConfig, MpTransportRuntime
 from repro.distributed.naive_dist import DistributedNaiveEngine
 from repro.distributed.network import FaultPlan, NetworkOptions, PeerFaultPlan
-from repro.distributed.transport import (PeerSpec, TransportJob,
-                                         resolve_transport)
+from repro.distributed.transport import (PeerSpec, SimTransportRuntime,
+                                         TransportJob, resolve_transport)
 from repro.errors import DistributedError
 from repro.petri.examples import figure1_alarm_scenarios, figure1_net
 from repro.utils.counters import Counters
@@ -257,9 +257,10 @@ class _RecorderPeer:
         self.db = Database()
         self.counters = Counters()
 
-    def on_message(self, message, transport) -> None:
-        self.counters.add("recorded")
-        self.db.add_all(("seen", self.name), [(message.kind, message.payload)],
+    def on_messages(self, batch, transport) -> None:
+        self.counters.add("recorded", len(batch))
+        self.db.add_all(("seen", self.name),
+                        [(message.kind, message.payload) for message in batch],
                         assume_ground=True)
 
 
@@ -284,18 +285,43 @@ def _burst_job(count: int) -> TransportJob:
 def test_fifo_exactly_once(transport):
     """One channel, N messages: delivered exactly once, in send order.
 
-    The sink acknowledges each ping to the root (``ds-ack``); the
-    transport consumes those, so only the pings reach a handler.
+    The sink acknowledges the pings to the root (``ds-ack``), one frame
+    per batch carrying a count; the transport consumes those, so only
+    the pings reach a handler, and the counts sum to the pings.
     """
     outcome = _runtime(transport).run(_burst_job(25))
     seen = list(outcome.databases["sink"].facts(("seen", "sink")))
     assert seen == [("ping", f"m{i:03d}") for i in range(1, 26)]
     assert outcome.per_peer["sink"]["recorded"] == 25
     assert outcome.per_peer["src"]["recorded"] == 0
-    acks = outcome.merged_counters()["messages_sent[ds-ack]"]
-    assert acks == 25
+    counters = outcome.merged_counters()
+    acks = counters["messages_sent[ds-ack]"]
+    assert 1 <= acks <= counters["batches_delivered"]
+    assert counters["messages_acked"] == 25
     assert outcome.deliveries == 25 + acks
     assert outcome.terminated_by_detector is True
+
+
+class _KeepOutcome(SimTransportRuntime):
+    """The simulator runtime, keeping the outcome an engine consumed."""
+
+    def run(self, job):
+        self.outcome = super().run(job)
+        return self.outcome
+
+
+@pytest.mark.parametrize("restart", [6, None], ids=["restart", "degraded"])
+def test_sim_deliveries_count_messages(restart):
+    """``deliveries`` counts delivered messages, not scheduler steps: a
+    crash is no delivery, and a degraded run delivered messages too."""
+    program, edb = _figure3()
+    runtime = _KeepOutcome(NetworkOptions(peer_fault=PeerFaultPlan(
+        crash_at={"r": (2,)}, restart_after_deliveries=restart)))
+    result = DqsqEngine(program, edb, transport=runtime).query(F3_QUERY)
+    assert result.counters["net.recovery.crashes"] == 1
+    assert result.partial is (restart is None)
+    outcome = runtime.outcome
+    assert outcome.deliveries == outcome.counters["messages_delivered"] > 0
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
@@ -424,7 +450,7 @@ class _HangingPeer:
         self.counters = Counters()
         self._ignore_sigterm = ignore_sigterm
 
-    def on_message(self, message, transport) -> None:
+    def on_messages(self, batch, transport) -> None:
         import signal
         import time
 
@@ -494,7 +520,7 @@ class _ExitingPeer:
     def __init__(self, name: str) -> None:
         self.name = name
 
-    def on_message(self, message, transport) -> None:
+    def on_messages(self, batch, transport) -> None:
         import os
 
         os._exit(3)
