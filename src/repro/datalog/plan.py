@@ -500,9 +500,11 @@ def _assign_slots(rule: Rule, order: Sequence[int]) -> dict[Var, int]:
 _PLAN_CACHE: OrderedDict[tuple[Rule, int | None], JoinPlan] = OrderedDict()
 _PLAN_CACHE_MAX = 16384
 _PLAN_CACHE_EVICTIONS = 0
-#: ``clear`` of each table that keeps plans beyond this cache (the
-#: prepared diagnoses of :mod:`repro.diagnosis.engine`), so a cleared
-#: plan cache leaves no plan warm anywhere
+#: ``clear`` of each table that keeps plans or the rules that key them
+#: beyond this cache (the prepared diagnoses of
+#: :mod:`repro.diagnosis.engine`, the peer rewritings of
+#: :mod:`repro.distributed.dqsq`), so a cleared plan cache leaves no
+#: plan or rewriting warm anywhere
 _PLAN_HOLDERS: list[Callable[[], None]] = []
 
 

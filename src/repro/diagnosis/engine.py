@@ -19,11 +19,16 @@ The result carries the diagnosis set and the set of *materialized
 unfolding nodes* -- the quantity Theorem 4 compares against the
 dedicated algorithm's prefix.
 
-A ``qsq`` diagnosis encodes, checks, rewrites and compiles its plans
-once per (net, observation, depth bound): the result is kept in a table
-keyed weakly by the net, so asking the same question again only
-evaluates.  The table empties with
-:func:`repro.datalog.plan.clear_plan_cache`.
+A ``qsq`` or ``dqsq`` diagnosis encodes and checks its program once
+per (net, observation, depth bound), in a table keyed weakly by the net
+that empties with :func:`repro.datalog.plan.clear_plan_cache`.  A
+``qsq`` entry also holds the rewriting and its compiled plans, so asking
+the same question again only evaluates.  A ``dqsq`` entry holds the
+encoded program: its peers still rewrite lazily, on the first demand
+for each adorned relation (Remark 2), but what a peer installs depends
+only on the program and that demand, so :mod:`repro.distributed.dqsq`
+keeps each peer's rewriting per program and a repeated question pays
+only for evaluation and transport.
 """
 
 from __future__ import annotations
@@ -102,7 +107,7 @@ class DatalogDiagnosisResult:
 
 
 @dataclass
-class _Prepared:
+class _PreparedQsq:
     """What the ``qsq`` diagnoses of one (net, observation, depth bound)
     share: the local program's rewriting -- its rules (EDB facts first),
     seed and answer atoms and adorned-relation count -- and the id-keyed
@@ -118,10 +123,20 @@ class _Prepared:
     plans: dict = field(default_factory=dict)
 
 
-#: net -> (supervisor, observation, depth bounded) -> its
-#: :class:`_Prepared`; an entry dies with its net and every entry with
-#: the plan cache
-_PREPARED: "weakref.WeakKeyDictionary[PetriNet, dict[tuple, _Prepared]]" = \
+@dataclass
+class _PreparedDqsq:
+    """What the ``dqsq`` diagnoses of one (net, observation, depth bound)
+    share: the encoded program, which also keys its peers' rewritings."""
+
+    #: the ``analysis.*`` counters of the check that accepted the program
+    analysis: Counters
+    program: DDatalogProgram
+
+
+#: net -> (mode, supervisor, observation, depth bounded) -> its prepared
+#: entry; an entry dies with its net and every entry with the plan cache
+_PREPARED: ("weakref.WeakKeyDictionary[PetriNet, "
+            "dict[tuple, _PreparedQsq | _PreparedDqsq]]") = \
     weakref.WeakKeyDictionary()
 hold_plans(_PREPARED.clear)
 
@@ -164,7 +179,7 @@ class DatalogDiagnosisEngine:
         transport_stats: dict[str, dict[str, int]] | None = None
         peer_report: dict[str, dict[str, int | bool]] | None = None
         if self.mode is EvaluationMode.QSQ:
-            prepared = self._prepare_qsq(encoder, query_atom)
+            prepared = self._prepare(encoder, query_atom)
             counters.merge(prepared.analysis)
             answers, db, evaluated = evaluate_rewriting(
                 prepared.rules, prepared.seed, prepared.answer,
@@ -174,10 +189,11 @@ class DatalogDiagnosisEngine:
             counters.add("qsq_adorned_relations", prepared.adorned)
             events, conditions = _collect_nodes_from_adorned([db])
         elif self.mode is EvaluationMode.DQSQ:
-            program = encoder.program()
-            self._check(program, query_atom, counters)
-            engine = DqsqEngine(program, budget=self.budget, options=self.options,
-                                check=False, transport=self.transport)
+            prepared = self._prepare(encoder, query_atom)
+            counters.merge(prepared.analysis)
+            engine = DqsqEngine(prepared.program, budget=self.budget,
+                                options=self.options, check=False,
+                                transport=self.transport)
             result = engine.query(Query(query_atom))
             counters.merge(result.counters)
             answers = result.answers
@@ -224,14 +240,15 @@ class DatalogDiagnosisEngine:
             escalate=("DD403",) if self.mode is EvaluationMode.DQSQ else (),
             counters=counters)
 
-    def _prepare_qsq(self, encoder: SupervisorEncoder,
-                     query_atom: Atom) -> _Prepared:
+    def _prepare(self, encoder: SupervisorEncoder,
+                 query_atom: Atom) -> "_PreparedQsq | _PreparedDqsq":
         """This call's entry in the prepared table, made on a miss.  The
-        key holds everything the encoded program depends on besides the
-        net; a hit replays the check's counters (its verdict is the
+        key holds the mode -- the check escalates DD403 for ``dqsq``
+        only -- and everything the encoded program depends on besides
+        the net; a hit replays the check's counters (its verdict is the
         program's) and logs nothing."""
         spec = encoder.spec
-        key = (self.supervisor, tuple(spec.observers.items()),
+        key = (self.mode, self.supervisor, tuple(spec.observers.items()),
                frozenset(spec.hidden), spec.max_events,
                self.budget.max_term_depth is not None)
         table = _PREPARED.setdefault(self.petri, {})
@@ -240,11 +257,15 @@ class DatalogDiagnosisEngine:
             program = encoder.program()
             analysis = Counters()
             self._check(program, query_atom, analysis)
-            rewriting = qsq_rewrite(program.local_version(),
-                                    Query(_local(query_atom)))
-            prepared = table[key] = _Prepared(
-                analysis, tuple(rewriting.program), rewriting.seed,
-                rewriting.answer_atom, len(rewriting.adorned_relations))
+            if self.mode is EvaluationMode.DQSQ:
+                prepared = _PreparedDqsq(analysis, program)
+            else:
+                rewriting = qsq_rewrite(program.local_version(),
+                                        Query(_local(query_atom)))
+                prepared = _PreparedQsq(
+                    analysis, tuple(rewriting.program), rewriting.seed,
+                    rewriting.answer_atom, len(rewriting.adorned_relations))
+            table[key] = prepared
         return prepared
 
 

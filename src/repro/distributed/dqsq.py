@@ -12,7 +12,13 @@ Faithfulness points implemented here:
 * every peer rewrites **only its own rules**, lazily, when the first
   demand for an adorned relation arrives (Remark 2's "computation may
   start even before the rewriting is complete" holds: delegations and
-  tuples interleave freely on the simulated network);
+  tuples interleave freely on the simulated network).  What a demand or
+  a delegation makes a peer install depends only on the program, not on
+  the data or the schedule, so each peer's rewriting is kept per
+  program (a table weak on the :class:`DDatalogProgram`, emptied by
+  :func:`repro.datalog.plan.clear_plan_cache`): a later query of the
+  same program installs the very same rule objects at the same points,
+  and sends the same delegations, without rewriting again;
 * supplementary relations are *located*: a handoff ships the current
   supplementary relation's tuples to the next peer, exactly like the
   bold ``sup22`` / ``sup32`` rules of Figure 5 (the chain itself is
@@ -29,12 +35,14 @@ traffic is (a) delegation requests and (b) streamed tuples of demand
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from repro.datalog.adornment import Adornment, adorned_name, input_name
 from repro.datalog.atom import Atom, Inequality
 from repro.datalog.database import Database, Fact, RelationKey
+from repro.datalog.plan import hold_plans
 from repro.datalog.qsq import rewrite_segment
 from repro.datalog.rule import Query, Rule
 from repro.datalog.seminaive import EvaluationBudget
@@ -69,10 +77,12 @@ def split_input_name(relation: str) -> tuple[str, Adornment] | None:
         return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Delegation:
     """The remainder of a rule, for the peer owning its next atom (a whole
-    rule at its home peer is the remainder after zero atoms)."""
+    rule at its home peer is the remainder after zero atoms).  Immutable:
+    it keys the rewriting table, and one payload object may travel in
+    several runs."""
 
     uid: str
     position: int                    #: body atoms already consumed
@@ -82,15 +92,53 @@ class _Delegation:
     incoming: Atom                   #: relation holding the bindings so far
 
 
+@dataclass(frozen=True)
+class _Rewritten:
+    """What rewriting one :class:`_Delegation` at a peer produced: the
+    rules to install and, when a remote atom cut the segment, the peer
+    it goes to, the shipped relation that peer reads and the remainder
+    it is delegated."""
+
+    rules: tuple[Rule, ...]
+    cut: tuple[str, RelationKey, _Delegation] | None
+
+
+#: program -> (its size when first queried, peer name -> delegation ->
+#: :class:`_Rewritten`); an entry dies with its program and every entry
+#: with the plan cache.  The size retires an entry once the program
+#: gains a rule (:meth:`DDatalogProgram.add` only appends)
+_REWRITTEN: ("weakref.WeakKeyDictionary[DDatalogProgram, "
+             "tuple[int, dict[str, dict[_Delegation, _Rewritten]]]]") = \
+    weakref.WeakKeyDictionary()
+hold_plans(_REWRITTEN.clear)
+
+
+def _rewritings(program: DDatalogProgram) -> dict[str, dict[_Delegation, _Rewritten]]:
+    """The per-peer rewriting tables of ``program``, empty on first use."""
+    size, peers = _REWRITTEN.get(program, (None, None))
+    if size != len(program):
+        peers = {}
+        _REWRITTEN[program] = (len(program), peers)
+    return peers
+
+
 class _DqsqPeer(Peer):
-    """A dQSQ peer: its source rules, rewritten lazily on demand."""
+    """A dQSQ peer: its source rules, rewritten lazily on demand.
+
+    ``rewritings`` holds what this peer's program rewrote before, per
+    peer name (see :func:`_rewritings`); the peer adds to it.
+    """
 
     KIND_FACTS = KIND_FACTS
 
     def __init__(self, name: str, rules: Sequence[Rule], budget: EvaluationBudget,
-                 facts: dict[RelationKey, list[Fact]] | None = None) -> None:
+                 facts: dict[RelationKey, list[Fact]] | None = None,
+                 rewritings: dict[str, dict[_Delegation, _Rewritten]] | None = None
+                 ) -> None:
         self._idb: set[str] = {rule.head.relation for rule in rules
                                if rule.body or rule.negated}
+        self._rewritten: dict[_Delegation, _Rewritten] = (
+            {} if rewritings is None else rewritings.setdefault(name, {}))
         super().__init__(name, rules, budget, facts)
 
     def load_initial(self) -> None:
@@ -171,26 +219,37 @@ class _DqsqPeer(Peer):
                 transport)
 
     def _rewrite_segment(self, work: _Delegation, transport: Transport) -> None:
-        """Rewrite body atoms left to right while they are local; delegate
-        the remainder at the first remote atom."""
+        """Install ``work``'s local rewriting and delegate its remainder."""
+        done = self._rewritten.get(work)
+        if done is None:
+            done = self._rewritten[work] = self._rewrite(work)
+        for rule in done.rules:
+            self.install(rule)
+        if done.cut is None:
+            return
+        remote, shipped, onward = done.cut
+        self.register_reader(shipped, remote, transport)
+        self.counters.add("delegations_sent")
+        transport.send(self.name, remote, KIND_DELEGATE, onward)
+
+    def _rewrite(self, work: _Delegation) -> _Rewritten:
+        """Rewrite body atoms left to right while they are local; cut at
+        the first remote atom."""
         segment = rewrite_segment(
             work.incoming, work.atoms, work.inequalities, work.head,
             sup_atom=lambda k, args: Atom(
                 sup_relation_name(work.uid, work.position + k), args, self.name),
             is_idb=lambda atom: atom.relation in self._idb,
             is_local=lambda atom: atom.peer == self.name)
-        for rule in segment.rules:
-            self.install(rule)
         if segment.cut is None:
-            return
+            return _Rewritten(tuple(segment.rules), None)
         offset, shipped, pending = segment.cut
-        remote = work.atoms[offset].peer or ""
-        self.register_reader((shipped.relation, shipped.peer or self.name),
-                             remote, transport)
-        self.counters.add("delegations_sent")
-        transport.send(self.name, remote, KIND_DELEGATE, _Delegation(
-            uid=work.uid, position=work.position + offset, head=work.head,
-            atoms=work.atoms[offset:], inequalities=pending, incoming=shipped))
+        return _Rewritten(tuple(segment.rules), (
+            work.atoms[offset].peer or "",
+            (shipped.relation, shipped.peer or self.name),
+            _Delegation(uid=work.uid, position=work.position + offset,
+                        head=work.head, atoms=work.atoms[offset:],
+                        inequalities=pending, incoming=shipped)))
 
 
 class DqsqResult(DistributedResult):
@@ -289,4 +348,5 @@ class DqsqEngine:
             origin=origin_name, peers=(atom.peer, origin_name),
             peer_class=_DqsqPeer, result_class=DqsqResult, budget=self.budget,
             start=functools.partial(_start_dqsq, target=atom.peer, seed=seed),
-            transport=self.transport, options=self.options)
+            transport=self.transport, options=self.options,
+            rewritings=_rewritings(self.program))

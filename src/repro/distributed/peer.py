@@ -175,16 +175,17 @@ class Peer:
             self._dispatched[key] = len(self.db.facts(key))
 
     def work(self, transport: Transport) -> None:
-        """Run local fixpoints and dispatch new facts, to a standstill."""
+        """Run a local fixpoint and dispatch its new facts; go round
+        again only while :meth:`after_fixpoint` installs something
+        (a dispatch ships facts but stores none)."""
         while True:
             self.evaluator.run()
             self.counters.add("fixpoint_runs")
             log = self.db.change_log()
             touched = dict.fromkeys(log[self._log_position:])
             self._log_position = len(log)
-            progressed = self._dispatch(touched, transport)
-            progressed |= self.after_fixpoint(touched, transport)
-            if not progressed:
+            self._dispatch(touched, transport)
+            if not self.after_fixpoint(touched, transport):
                 return
 
     def install(self, rule: Rule) -> None:
@@ -210,9 +211,8 @@ class Peer:
             self._send_facts(transport, reader, key, sent)
 
     def _dispatch(self, touched: Iterable[RelationKey],
-                  transport: Transport) -> bool:
+                  transport: Transport) -> None:
         """Push new facts to their home peer or to registered readers."""
-        progressed = False
         for key in touched:
             facts = self.db.facts(key)
             start = self._dispatched.get(key, 0)
@@ -220,14 +220,12 @@ class Peer:
                 continue
             new = facts[start:]
             self._dispatched[key] = len(facts)
-            progressed = True
             home = key[1]
             if home is not None and home != self.name:
                 self._send_facts(transport, home, key, new)
             else:
                 for reader in self.readers.get(key, ()):
                     self._send_facts(transport, reader, key, new)
-        return progressed
 
     def _send_facts(self, transport: Transport, recipient: str, key: RelationKey,
                     tuples: Sequence[Fact]) -> None:

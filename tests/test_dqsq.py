@@ -6,17 +6,25 @@ centralized QSQ on the local version of the program, up to the renaming
 terminates iff QSQ does.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.datalog import (Database, EvaluationBudget, Query, parse_atom,
                            parse_program, qsq_evaluate)
 from repro.datalog.atom import Atom
 from repro.datalog.database import load_facts, select
+from repro.datalog.parser import parse_rule
+from repro.datalog.plan import clear_plan_cache
 from repro.distributed import DDatalogProgram, DqsqEngine, NetworkOptions
-from repro.distributed.dqsq import split_input_name
+from repro.distributed import dqsq as dqsq_module
+from repro.distributed.dqsq import _DqsqPeer, split_input_name
+from repro.distributed.network import PeerFaultPlan
 from repro.datalog.adornment import Adornment
 from repro.errors import BudgetExceeded, DistributedError
 from tests.reference import reference_model
+from tests.test_prepared import PLAN_LOOKUPS
 
 FIGURE3_RULES = """
 r@r(X, Y) :- a@r(X, Y).
@@ -292,3 +300,88 @@ class TestSplitInputName:
         assert split_input_name("r^bf") is None
         assert split_input_name("in-r") is None
         assert split_input_name("in-r^zz") is None
+
+
+def run_counters(result) -> dict:
+    """Every counter but those a plan compiled or promoted by an earlier
+    run moves."""
+    return {name: value for name, value in result.counters.as_dict().items()
+            if name not in PLAN_LOOKUPS}
+
+
+class TestRewritingTable:
+    """Each peer's rewriting is kept per program: a later query installs
+    the very same rule objects, at the same points, and answers what a
+    first query does."""
+
+    QUERY = Query(parse_atom('r@r("1", Y)'))
+
+    @pytest.fixture
+    def installs(self, monkeypatch):
+        """Every (peer, rule object) handed to ``install``, in order."""
+        seen = []
+        install = _DqsqPeer.install
+
+        def recording(peer, rule):
+            seen.append((peer.name, rule))
+            install(peer, rule)
+
+        monkeypatch.setattr(_DqsqPeer, "install", recording)
+        return seen
+
+    def test_a_second_query_installs_the_same_rule_objects(self, installs):
+        dd, edb = setup_figure3()
+        clear_plan_cache()
+        first = DqsqEngine(dd, edb).query(self.QUERY)
+        cold = list(installs)
+        installs.clear()
+        second = DqsqEngine(dd, edb).query(self.QUERY)
+        assert cold and len(installs) == len(cold)
+        for (peer, rule), (cold_peer, cold_rule) in zip(installs, cold):
+            assert peer == cold_peer and rule is cold_rule
+        assert second.answers == first.answers
+        assert run_counters(second) == run_counters(first)
+        assert second.counters["rewritings"] > 0
+
+    def test_table_empties_with_the_plan_cache(self):
+        dd, edb = setup_figure3()
+        DqsqEngine(dd, edb).query(self.QUERY)
+        assert dd in dqsq_module._REWRITTEN
+        clear_plan_cache()
+        assert len(dqsq_module._REWRITTEN) == 0
+
+    def test_entry_dies_with_its_program(self):
+        clear_plan_cache()
+        dd, edb = setup_figure3()
+        DqsqEngine(dd, edb).query(self.QUERY)
+        assert len(dqsq_module._REWRITTEN) == 1
+        program = weakref.ref(dd)
+        del dd
+        gc.collect()
+        assert program() is None
+        assert len(dqsq_module._REWRITTEN) == 0
+
+    def test_an_extended_program_answers_what_a_fresh_one_does(self):
+        dd, edb = setup_figure3()
+        before = DqsqEngine(dd, edb).query(self.QUERY).answers
+        # c@t was EDB at t: now it is derived, so the rewriting of the
+        # rules that read it must change, not only gain a rule
+        dd.add(parse_rule("c@t(X, Y) :- a@r(X, Y)."))
+        fresh = DDatalogProgram(list(dd))
+        expected = DqsqEngine(fresh, edb).query(self.QUERY).answers
+        assert DqsqEngine(dd, edb).query(self.QUERY).answers == expected
+        assert expected != before
+
+    @pytest.mark.parametrize("victim", ["r", "s", "t"])
+    def test_a_crash_after_a_warm_run_answers_what_it_does_cold(self, victim):
+        dd, edb = setup_figure3()
+        options = NetworkOptions(seed=9, peer_fault=PeerFaultPlan(
+            crash_at={victim: (2,)}, restart_after_deliveries=8))
+        clear_plan_cache()
+        cold = DqsqEngine(dd, edb, options=options).query(self.QUERY)
+        clear_plan_cache()
+        DqsqEngine(dd, edb).query(self.QUERY)
+        warm = DqsqEngine(dd, edb, options=options).query(self.QUERY)
+        assert cold.counters["net.recovery.restores"] >= 1
+        assert warm.answers == cold.answers
+        assert run_counters(warm) == run_counters(cold)

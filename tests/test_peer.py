@@ -83,6 +83,16 @@ class TestOneFixpointPerBatch:
             one_by_one.on_messages([message], _Outbox())
         assert one_by_one.counters["fixpoint_runs"] == 5
 
+    def test_a_round_that_only_ships_is_not_run_again(self):
+        # shipping a fixpoint's new facts stores nothing locally, and
+        # this peer installs nothing after a fixpoint: one run per batch
+        peer = _StoreThenRegister("home", (), EvaluationBudget())
+        outbox = _Outbox()
+        for i in range(2):
+            peer.on_messages([Message("a", "home", "ask", str(i), i)], outbox)
+        assert _shipped_to(outbox, "a") == ["0", "1"]
+        assert peer.counters["fixpoint_runs"] == 2
+
 
 class TestNothingShippedTwice:
     """Fault-free, every shipped tuple is new to its receiver."""

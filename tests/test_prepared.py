@@ -1,16 +1,17 @@
 """The prepared diagnosis table of :mod:`repro.diagnosis.engine`.
 
 A ``qsq`` diagnosis encodes, checks, rewrites and compiles its plans
-once per (net, observation, depth bound).  These tests pin what makes
-that safe:
+once per (net, observation, depth bound); a ``dqsq`` diagnosis encodes
+and checks once, and its peers reuse their rewritings of the encoded
+program.  These tests pin what makes that safe:
 
 * **hit equivalence** -- a call that reuses an entry answers exactly what
   a call after :func:`~repro.datalog.plan.clear_plan_cache` answers, with
   every counter equal except the plan-cache lookups, and compiles no
   plan;
 * **key** -- an equal observation hits even as a fresh object; another
-  observation, supervisor or depth bound gets its own entry; ``dqsq``
-  and ``bottomup`` keep none;
+  observation, supervisor, depth bound or mode gets its own entry;
+  ``bottomup`` keeps none;
 * **lifetime** -- the table empties with the plan cache, and an entry
   dies with its net.
 """
@@ -20,7 +21,7 @@ import weakref
 
 import pytest
 
-from repro.datalog.plan import clear_plan_cache
+from repro.datalog.plan import clear_plan_cache, plan_cache_size
 from repro.datalog.seminaive import EvaluationBudget
 from repro.diagnosis import AlarmSequence, DatalogDiagnosisEngine
 from repro.diagnosis import engine as engine_module
@@ -63,6 +64,8 @@ def observed(result) -> tuple:
 
 
 class TestHitEquivalence:
+    mode = "qsq"
+
     @pytest.mark.parametrize("case", ["figure1", "pattern", "pool"])
     def test_hit_answers_what_a_cold_call_does(self, case):
         if case == "pool":
@@ -70,15 +73,24 @@ class TestHitEquivalence:
         else:
             petri = figure1_net()
             observation = bac() if case == "figure1" else star_spec()
-        engine = DatalogDiagnosisEngine(petri, mode="qsq")
+        engine = DatalogDiagnosisEngine(petri, mode=self.mode)
         clear_plan_cache()
         cold = engine.diagnose(observation)
         (entry,) = engine_module._PREPARED[petri].values()
+        compiled = plan_cache_size()
         hit = engine.diagnose(observation)
         assert list(engine_module._PREPARED[petri].values()) == [entry]
         assert observed(hit) == observed(cold)
         assert cold.counters["plan.cache_misses"] > 0
-        assert hit.counters["plan.cache_misses"] == 0
+        assert plan_cache_size() == compiled
+        if self.mode == "qsq":
+            # the entry holds the id-keyed plans too; a dqsq peer's plan
+            # map is its own, so its misses hit the shared cache
+            assert hit.counters["plan.cache_misses"] == 0
+
+
+class TestDqsqHitEquivalence(TestHitEquivalence):
+    mode = "dqsq"
 
 
 class TestKey:
@@ -106,7 +118,15 @@ class TestKey:
             engine.diagnose(alarms)
         assert entries(petri) == 4
 
-    @pytest.mark.parametrize("mode", ["dqsq", "bottomup"])
+    def test_each_mode_gets_its_own_entry(self):
+        petri = figure1_net()
+        clear_plan_cache()
+        for mode in ("qsq", "dqsq", "qsq", "dqsq"):
+            DatalogDiagnosisEngine(petri, mode=mode).diagnose(bac())
+        assert sorted(key[0] for key in engine_module._PREPARED[petri]) \
+            == ["dqsq", "qsq"]
+
+    @pytest.mark.parametrize("mode", ["bottomup"])
     def test_other_modes_keep_no_entry(self, mode):
         petri = figure1_net()
         clear_plan_cache()
