@@ -83,10 +83,10 @@ REPEATS = 5
 EXPECTED = {
     False: {"tc_chain": (32641, 28680, 2, 2, 1, 1),
             "e6_qsq": (8314, 4901, 1053, 0, 69, 72),
-            "e6_dqsq": (8651, 5238, 1097, 1097, 71, 70)},
+            "e6_dqsq": (8663, 5238, 1098, 1098, 71, 73)},
     True: {"tc_chain": (1974, 1770, 2, 2, 1, 1),
            "e6_qsq": (443, 315, 374, 0, 0, 0),
-           "e6_dqsq": (479, 350, 384, 384, 0, 0)},
+           "e6_dqsq": (480, 350, 387, 387, 0, 0)},
 }
 
 

@@ -153,7 +153,6 @@ def _worker_main(name: str, job: TransportJob,
         if is_root:
             detector.start(lambda: job.start(peer, transport), transport)
         reported = False
-        received = 0
         inbox = inboxes[name]
         while True:
             if is_root and detector.terminated and not reported:
@@ -165,10 +164,8 @@ def _worker_main(name: str, job: TransportJob,
             item = inbox.get()
             while item is not None and item[0] == _MSG:
                 _tag, sender, kind, payload = item
-                received += 1
                 batch.append((Message(sender=sender, recipient=name,
-                                      kind=kind, payload=payload,
-                                      seq=received), False))
+                                      kind=kind, payload=payload), False))
                 try:
                     item = inbox.get_nowait()
                 except queue_module.Empty:

@@ -37,14 +37,15 @@ their latest checkpoint, and peer pairs can be partitioned for a window
 of the run.  The network owns the checkpoint store: peers implementing
 :class:`CheckpointablePeer` are snapshotted (pickled, so the snapshot is
 isolated from later mutation) after each batch that crosses a multiple
-of ``checkpoint_interval`` deliveries, and on restart the network
-restores the snapshot, rolls the peer's inbound channel cursors back to
-the checkpointed sequence numbers, and *replays* the retained
-per-channel message log across the gap, ahead of the frames still
-queued.  Replayed frames are exempt from loss injection (a recovering
-peer reads them from the sender-side log, not the lossy wire), and the
-network tells the termination detector which deliveries are replays, so
-the protocol counts first deliveries only.  A peer that is down with no
+of ``checkpoint_interval`` deliveries.  A peer is its state plus its
+message buffer, so a channel keeps every frame its recipient took since
+that recipient's latest checkpoint; the checkpoint releases them.  On
+restart the network restores the snapshot and puts those frames back
+at the head of their channels, in send order.  A frame that reaches its
+recipient a second time is a recovery *replay*: it is exempt from loss
+injection (the recovering peer rereads its own buffer, not the lossy
+wire), and the termination detector skips the accounting its first
+delivery did.  A peer that is down with no
 scheduled restart is *permanently failed*: once only frames to failed
 peers (or across unhealed partitions) remain, the network raises
 :class:`repro.errors.PeerUnavailable` with a per-peer failure report,
@@ -63,7 +64,7 @@ A run's Dijkstra-Scholten detector (:attr:`Network.detector`) lives in
 the delivery loop: ``send`` counts basic messages, each batch goes
 through :meth:`~repro.distributed.termination.DijkstraScholten.deliver`
 (accounting per message, the handler once, ``ds-ack`` messages consumed),
-and crashes, restarts and recoveries go to the detector's lifecycle hooks.
+and crashes and restarts go to the detector's lifecycle hooks.
 The run still ends by draining to global quiescence: the drain is what
 raises :class:`repro.errors.TransportExhausted` /
 :class:`repro.errors.PeerUnavailable` for partial results, and it is the
@@ -79,8 +80,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Protocol, Sequence
 
 from repro.distributed.termination import ACK_KIND, DijkstraScholten
-from repro.errors import (NetworkClosedError, PeerUnavailable,
-                          TransportExhausted, UnknownPeerError)
+from repro.errors import (DistributedError, NetworkClosedError,
+                          PeerUnavailable, TransportExhausted,
+                          UnknownPeerError)
 from repro.utils.counters import Counters
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -98,8 +100,8 @@ class FaultPlan:
 
     #: probability that a transmitted frame is lost in transit
     drop_probability: float = 0.0
-    #: extra in-flight ticks per frame; ``(lo, hi)`` uniform or callable
-    delay_distribution: tuple[int, int] | Callable[[random.Random], int] | None = None
+    #: extra in-flight ticks per frame, drawn uniformly from ``(lo, hi)``
+    delay_distribution: tuple[int, int] | None = None
     #: how many times one frame may be retransmitted before giving up
     max_retries: int = 25
 
@@ -109,7 +111,7 @@ class FaultPlan:
                              f"got {self.drop_probability}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if isinstance(self.delay_distribution, tuple):
+        if self.delay_distribution is not None:
             lo, hi = self.delay_distribution
             if lo < 0 or hi < lo:
                 raise ValueError(f"bad delay range ({lo}, {hi})")
@@ -117,10 +119,7 @@ class FaultPlan:
     def sample_delay(self, rng: random.Random) -> int:
         if self.delay_distribution is None:
             return 0
-        if isinstance(self.delay_distribution, tuple):
-            lo, hi = self.delay_distribution
-            return rng.randint(lo, hi)
-        return max(0, int(self.delay_distribution(rng)))
+        return rng.randint(*self.delay_distribution)
 
 
 @dataclass(frozen=True)
@@ -219,7 +218,6 @@ class Message:
     recipient: str
     kind: str
     payload: Any
-    seq: int
 
 
 class PeerHandler(Protocol):
@@ -260,31 +258,13 @@ class _Frame:
     """One logical message on the wire, with its transmission history."""
 
     message: Message
-    channel_seq: int            #: per-channel sequence number (1-based)
     eligible_at: int            #: earliest clock tick this frame may arrive
     sent_at: int                #: clock tick of the original transmission
     retries: int = 0            #: transmissions lost so far
-    #: recovery re-delivery from the retained log: exempt from loss
-    #: injection (a restarted peer reads the log, not the lossy wire)
-    is_replay: bool = False
-
-
-@dataclass
-class _ChannelState:
-    """Cursors and statistics for one directed (sender, recipient) channel."""
-
-    next_seq: int = 1                                   # sender side
-    expected: int = 1                                   # receiver side
-    stats: dict[str, int] = field(default_factory=lambda: {
-        "sent": 0, "delivered": 0, "dropped": 0, "retransmits": 0})
-
-
-@dataclass
-class _PeerCheckpoint:
-    """One stored snapshot: peer state blob + inbound channel cursors."""
-
-    blob: bytes
-    inbound_expected: dict[tuple[str, str], int]
+    #: set when the frame first reaches its recipient; a delivered frame
+    #: back on the wire is a recovery replay, exempt from loss injection
+    #: (a restarted peer rereads its own buffer, not the lossy wire)
+    delivered: bool = False
 
 
 @dataclass
@@ -318,8 +298,8 @@ class Network:
         self._rng = self.options.rng()
         self._handlers: dict[str, PeerHandler] = {}
         self._channels: dict[tuple[str, str], deque[_Frame]] = {}
-        self._states: dict[tuple[str, str], _ChannelState] = {}
-        self._seq = 0
+        #: per-channel delivery statistics (see :meth:`channel_stats`)
+        self._stats: dict[tuple[str, str], dict[str, int]] = {}
         self._clock = 0
         self._closed = False
         self._monitors: list[Callable[[Message], None]] = []
@@ -332,15 +312,11 @@ class Network:
         self._restart_counts: dict[str, int] = {}
         self._deliveries_to: dict[str, int] = {}
         self._delivered_total = 0
-        self._checkpoints: dict[str, _PeerCheckpoint] = {}
+        self._checkpoints: dict[str, bytes] = {}
+        #: per checkpointed peer: the frames it took since its latest
+        #: checkpoint, in arrival order -- what a restart puts back
+        self._retained: dict[str, list[_Frame]] = {}
         self._baseline_taken = False
-        #: retained per-channel log of every logical message ever sent
-        #: (index i holds channel_seq i+1); the replay source on restart
-        self._history: dict[tuple[str, str], list[Message]] = {}
-        #: per inbound channel: highest `expected` observed at any crash
-        #: of the recipient -- deliveries below it are recovery replays
-        self._ds_watermark: dict[tuple[str, str], int] = {}
-        self._catching_up: set[str] = set()
         self._partitions = [_PartitionState(spec)
                             for spec in self.peer_fault.partitions]
         #: the run's termination detector, set before the first send; a
@@ -389,34 +365,25 @@ class Network:
             }
         return report
 
-    def _partition_active(self, a: str, b: str) -> bool:
-        return any(part.active(self._delivered_total)
-                   and {a, b} == {part.spec.a, part.spec.b}
-                   for part in self._partitions)
-
     def _channel_open(self, channel: tuple[str, str]) -> bool:
-        """Whether frames on ``channel`` may currently be delivered."""
-        sender, recipient = channel
-        if recipient in self._down:
-            return False
-        return not self._partition_active(sender, recipient)
-
-    def _checkpointable(self, peer: str) -> bool:
-        handler = self._handlers.get(peer)
-        return hasattr(handler, "checkpoint") and hasattr(handler, "restore")
+        """Whether frames on ``channel`` may currently be delivered: its
+        recipient is up and no active partition cuts it."""
+        return channel[1] not in self._down and not any(
+            part.active(self._delivered_total)
+            and set(channel) == {part.spec.a, part.spec.b}
+            for part in self._partitions)
 
     def _store_checkpoint(self, peer: str) -> None:
         handler = self._handlers[peer]
-        blob = pickle.dumps(handler.checkpoint(),  # type: ignore[attr-defined]
-                            protocol=pickle.HIGHEST_PROTOCOL)
-        inbound = {channel: state.expected
-                   for channel, state in self._states.items()
-                   if channel[1] == peer}
-        self._checkpoints[peer] = _PeerCheckpoint(blob, inbound)
+        self._checkpoints[peer] = pickle.dumps(
+            handler.checkpoint(),  # type: ignore[attr-defined]
+            protocol=pickle.HIGHEST_PROTOCOL)
+        self._retained[peer] = []
         self.counters.add("net.recovery.checkpoints_taken")
 
     def _capture_baseline(self) -> None:
-        """Checkpoint every checkpointable peer before the first delivery.
+        """Checkpoint every checkpointable peer before the first delivery;
+        only those can crash.
 
         Runs once, after every peer has registered, so it is also where
         the plan's peer names are checked: a crash or partition naming
@@ -431,8 +398,8 @@ class Network:
             raise UnknownPeerError(
                 f"peer fault plan names unknown peer(s) {', '.join(unknown)} "
                 f"(registered: {', '.join(self.peers())})")
-        for name in self.peers():
-            if self._checkpointable(name):
+        for name, handler in sorted(self._handlers.items()):
+            if hasattr(handler, "checkpoint") and hasattr(handler, "restore"):
                 self._store_checkpoint(name)
         self._baseline_taken = True
 
@@ -446,8 +413,7 @@ class Network:
 
     def _crash_peer(self, peer: str) -> None:
         """Take ``peer`` down, losing all state since its last checkpoint."""
-        if not self._checkpointable(peer):
-            from repro.errors import DistributedError
+        if peer not in self._checkpoints:
             raise DistributedError(
                 f"peer {peer} cannot crash: its handler is not checkpointable")
         restart_after = self.peer_fault.restart_after_deliveries
@@ -455,65 +421,36 @@ class Network:
                             if restart_after is not None else None)
         self._crash_counts[peer] = self._crash_counts.get(peer, 0) + 1
         self.counters.add("net.recovery.crashes")
-        for channel, state in self._states.items():
-            if channel[1] != peer:
-                continue
-            # Deliveries below this cursor were already consumed (and
-            # protocol-settled) by the pre-crash incarnation: re-running
-            # them after restore is a replay, not a first delivery.
-            self._ds_watermark[channel] = max(self._ds_watermark.get(channel, 0),
-                                              state.expected)
         if self.detector is not None:
             self.detector.on_peer_crash(peer, self)
 
     def _restart_peer(self, peer: str) -> None:
-        """Bring ``peer`` back: restore its checkpoint and replay the gap."""
+        """Bring ``peer`` back: restore its checkpoint and put the frames
+        it took since then back at the head of their channels."""
         del self._down[peer]
         self._restart_counts[peer] = self._restart_counts.get(peer, 0) + 1
         self.counters.add("net.recovery.restarts")
-        checkpoint = self._checkpoints.get(peer)
-        handler = self._handlers[peer]
-        snapshot = pickle.loads(checkpoint.blob) if checkpoint else None
-        handler.restore(snapshot)  # type: ignore[attr-defined]
-        if checkpoint is not None:
-            self.counters.add("net.recovery.checkpoints_restored")
+        self._handlers[peer].restore(  # type: ignore[attr-defined]
+            pickle.loads(self._checkpoints[peer]))
+        self.counters.add("net.recovery.checkpoints_restored")
+        for frame in reversed(self._retained[peer]):
+            self._channels[frame.message.sender, peer].appendleft(frame)
+        self._retained[peer] = []
+        # Each inbound channel now leads with the frames the restored
+        # state has not seen: these, plus any replays an earlier restart
+        # left queued, all go out again now, ahead of the rest.
         replayed = 0
-        for channel in sorted(c for c in self._states if c[1] == peer):
-            state = self._states[channel]
-            restored = (checkpoint.inbound_expected.get(channel, 1)
-                        if checkpoint else 1)
-            state.expected = restored
-            queue = self._channels.setdefault(channel, deque())
-            # Replays left from an earlier restart sit at the head; the
-            # log regenerates them, so drop them before replaying again.
-            while queue and queue[0].is_replay:
-                queue.popleft()
-            log = self._history.get(channel, ())
-            watermark = self._ds_watermark.get(channel, 0)
-            # Replays carry the oldest sequence numbers on the channel:
-            # deliver them ahead of whatever is queued.
-            queue.extendleft(
-                _Frame(message=log[seq - 1], channel_seq=seq,
-                       eligible_at=self._clock, sent_at=self._clock,
-                       is_replay=True)
-                for seq in range(watermark - 1, restored - 1, -1))
-            replayed += max(0, watermark - restored)
+        for (_sender, recipient), queue in self._channels.items():
+            if recipient != peer:
+                continue
+            for frame in queue:
+                if not frame.delivered:
+                    break
+                frame.eligible_at = frame.sent_at = self._clock
+                replayed += 1
         self.counters.add("net.recovery.frames_replayed", replayed)
         if self.detector is not None:
-            self.detector.on_peer_restart(peer, self)
-        if self._caught_up(peer):
-            self._notify_recovered(peer)
-        else:
-            self._catching_up.add(peer)
-
-    def _caught_up(self, peer: str) -> bool:
-        return all(self._states[channel].expected >= watermark
-                   for channel, watermark in self._ds_watermark.items()
-                   if channel[1] == peer)
-
-    def _notify_recovered(self, peer: str) -> None:
-        if self.detector is not None:
-            self.detector.on_peer_recovered(peer, self)
+            self.detector.on_peer_restart(peer, replayed, self)
 
     def _process_due_restarts(self) -> None:
         for peer in sorted(self._down):
@@ -545,13 +482,6 @@ class Network:
 
     # -- sending / delivery ---------------------------------------------------
 
-    def _state(self, channel: tuple[str, str]) -> _ChannelState:
-        state = self._states.get(channel)
-        if state is None:
-            state = _ChannelState()
-            self._states[channel] = state
-        return state
-
     def send(self, sender: str, recipient: str, kind: str, payload: Any) -> None:
         """Enqueue a logical message; raises for unknown recipients."""
         if self._closed:
@@ -560,19 +490,17 @@ class Network:
             raise UnknownPeerError(f"unknown peer {recipient}")
         if self.detector is not None and kind != ACK_KIND:
             self.detector.on_basic_send(sender)
-        self._seq += 1
         message = Message(sender=sender, recipient=recipient, kind=kind,
-                          payload=payload, seq=self._seq)
+                          payload=payload)
         channel = (sender, recipient)
-        state = self._state(channel)
-        channel_seq = state.next_seq
-        state.next_seq += 1
-        state.stats["sent"] += 1
-        frame = _Frame(message=message, channel_seq=channel_seq,
+        stats = self._stats.get(channel)
+        if stats is None:
+            stats = self._stats[channel] = {
+                "sent": 0, "delivered": 0, "dropped": 0, "retransmits": 0}
+        stats["sent"] += 1
+        frame = _Frame(message=message,
                        eligible_at=self._eligible_tick(channel),
                        sent_at=self._clock)
-        if self._peer_faults:
-            self._history.setdefault(channel, []).append(message)
         self._channels.setdefault(channel, deque()).append(frame)
         self.counters.add("messages_sent")
         self.counters.add(f"messages_sent[{kind}]")
@@ -673,13 +601,12 @@ class Network:
     def _lost(self, channel: tuple[str, str], frame: _Frame) -> bool:
         """Draw the loss of ``frame``'s transmission; a lost frame stays at
         the head of its channel with a fresh delay."""
-        # Recovery replays come out of the retained log, not the wire.
-        if (frame.is_replay or self.fault.drop_probability <= 0
+        if (frame.delivered or self.fault.drop_probability <= 0
                 or self._rng.random() >= self.fault.drop_probability):
             return False
-        state = self._states[channel]
+        stats = self._stats[channel]
         self.counters.add("net.dropped")
-        state.stats["dropped"] += 1
+        stats["dropped"] += 1
         if frame.retries >= self.fault.max_retries:
             raise TransportExhausted(
                 channel=channel, kind=frame.message.kind,
@@ -687,23 +614,26 @@ class Network:
         frame.retries += 1
         frame.eligible_at = self._clock + self.fault.sample_delay(self._rng)
         self.counters.add("net.retransmits")
-        state.stats["retransmits"] += 1
+        stats["retransmits"] += 1
         return True
 
     def _arrive(self, channel: tuple[str, str],
                 frame: _Frame) -> tuple[Message, bool]:
-        """Account for one delivered frame; returns it with its replay flag."""
-        state = self._states[channel]
-        state.expected = frame.channel_seq + 1
-        state.stats["delivered"] += 1
+        """Account for one delivered frame; returns it with its replay flag.
+
+        A frame that arrives a second time was taken by the recipient
+        before a crash: the re-run skips the detector's accounting.
+        """
+        self._stats[channel]["delivered"] += 1
         self.counters.set_max("net.delivery_latency_max",
                               self._clock - frame.sent_at)
-        # Below the crash watermark means the pre-crash incarnation
-        # already consumed (and protocol-settled) this sequence number:
-        # the re-run skips the detector's accounting.
-        replayed = frame.channel_seq < self._ds_watermark.get(channel, 0)
+        replayed = frame.delivered
+        frame.delivered = True
         if replayed:
             self.counters.add("net.recovery.deliveries_replayed")
+        retained = self._retained.get(channel[1])
+        if retained is not None:
+            retained.append(frame)
         self.counters.add("messages_delivered")
         self._delivered_total += 1
         for monitor in self._monitors:
@@ -728,11 +658,8 @@ class Network:
         before = self._deliveries_to.get(peer, 0)
         count = self._deliveries_to[peer] = before + size
         interval = self.peer_fault.checkpoint_interval
-        if self._checkpointable(peer) and count // interval > before // interval:
+        if peer in self._checkpoints and count // interval > before // interval:
             self._store_checkpoint(peer)
-        if peer in self._catching_up and self._caught_up(peer):
-            self._catching_up.discard(peer)
-            self._notify_recovered(peer)
 
     def run_until_quiescent(self) -> int:
         """Step until no frame is on the wire; returns the messages
@@ -757,9 +684,9 @@ class Network:
 
     def channel_stats(self) -> dict[str, dict[str, int]]:
         """Per-channel delivery statistics, keyed ``"sender->recipient"``."""
-        return {f"{s}->{r}": dict(state.stats)
-                for (s, r), state in sorted(self._states.items())
-                if any(state.stats.values())}
+        return {f"{s}->{r}": dict(stats)
+                for (s, r), stats in sorted(self._stats.items())
+                if any(stats.values())}
 
     def close(self) -> None:
         self._closed = True

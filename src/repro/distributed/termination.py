@@ -53,12 +53,14 @@ network provides by calling the detector's lifecycle hooks:
   nobody acknowledgements (its checkpoint predates the crash and the
   replayed deliveries are skipped, see below), but global termination
   now additionally requires every such recovery root to retire --
-  caught up on replay, passive, deficit zero.
+  passive, deficit zero, and past the replays the network put back for
+  it (the hook says how many; a root with none retires at once).
 * replayed deliveries skip ``on_basic_receive`` and ``on_ack`` alike:
   the pre-crash incarnation already counted them, and counting a
   replayed DS acknowledgement twice would drive some deficit negative.
   The network knows which deliveries are replays and marks them in the
-  batch it passes to :meth:`DijkstraScholten.deliver`.
+  batch it passes to :meth:`DijkstraScholten.deliver`, which counts
+  them off the recovery root's replays.
 
 The detector speaks only the peer-facing
 :class:`~repro.distributed.transport.Transport` protocol.  On the
@@ -101,9 +103,9 @@ class DijkstraScholten:
         self._owed: dict[tuple[str, str], int] = {}
         self._terminated = False
         self._root_started = False
-        #: restarted peers acting as recovery roots: peer -> caught up
-        #: on replay yet.  Termination is blocked while any remain.
-        self._recovering: dict[str, bool] = {}
+        #: restarted peers acting as recovery roots: peer -> replays it
+        #: has yet to take.  Termination is blocked while any remain.
+        self._recovering: dict[str, int] = {}
         #: crashed peers not yet restarted.  Synthesising their parent
         #: acks detaches their whole subtree from the root's deficit, so
         #: termination must stay blocked until each comes back (and then
@@ -140,12 +142,15 @@ class DijkstraScholten:
         Each message's accounting comes first: a ``ds-ack`` lowers the
         deficit and is consumed here, a basic message engages the peer.
         A recovery replay (``replayed``) skips the accounting its first
-        delivery already did, but its basic message still reaches the
-        handler.  Then the handler runs once on the basic messages, and
-        the peer turns passive once.
+        delivery already did and counts off the recovery root's replays,
+        but its basic message still reaches the handler.  Then the
+        handler runs once on the basic messages, and the peer turns
+        passive once.
         """
         basic: list[Message] = []
         for message, replayed in batch:
+            if replayed:
+                self._recovering[recipient] -= 1
             if message.kind == ACK_KIND:
                 if not replayed:
                     self.on_ack(message)
@@ -230,26 +235,25 @@ class DijkstraScholten:
         self._down.add(peer)
         self.flush(transport)
 
-    def on_peer_restart(self, peer: str, transport: Transport) -> None:
-        """``peer`` is back: engage it as a recovery root."""
+    def on_peer_restart(self, peer: str, replays: int,
+                        transport: Transport) -> None:
+        """``peer`` is back: engage it as a recovery root that owes
+        ``replays`` replayed deliveries before it can retire."""
         state = self._state(peer)
         state.engaged = True
         state.parent = None
         state.pending_parent_acks = 0
         self._down.discard(peer)
-        self._recovering[peer] = False
+        self._recovering[peer] = replays
         self._terminated = False
-
-    def on_peer_recovered(self, peer: str, transport: Transport) -> None:
-        """``peer`` finished replaying its checkpoint gap."""
-        if peer in self._recovering:
-            self._recovering[peer] = True
+        if not replays:
             self._try_retire(peer, transport)
 
     def _try_retire(self, peer: str, transport: Transport) -> None:
-        """Retire a recovery root once caught up, passive and settled."""
+        """Retire a recovery root once past its replays, passive and
+        settled."""
         state = self._state(peer)
-        if not self._recovering.get(peer, False) or state.deficit != 0:
+        if self._recovering[peer] or state.deficit != 0:
             self.flush(transport)
             return
         del self._recovering[peer]

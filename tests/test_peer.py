@@ -43,11 +43,11 @@ class TestDispatchRules:
     def test_fact_stored_before_its_reader_registers_is_shipped_once(self):
         peer = _StoreThenRegister("home", (), EvaluationBudget())
         outbox = _Outbox()
-        peer.on_messages([Message("a", "home", "ask", "1", 1)], outbox)
+        peer.on_messages([Message("a", "home", "ask", "1")], outbox)
         assert _shipped_to(outbox, "a") == ["1"]
         # A later reader gets what the first already has, and the new fact
         # together with it -- each exactly once.
-        peer.on_messages([Message("b", "home", "ask", "2", 1)], outbox)
+        peer.on_messages([Message("b", "home", "ask", "2")], outbox)
         assert _shipped_to(outbox, "a") == ["1", "2"]
         assert sorted(_shipped_to(outbox, "b")) == ["1", "2"]
         assert peer.counters["tuples_shipped"] == 4
@@ -58,7 +58,7 @@ class TestDispatchRules:
         outbox = _Outbox()
         peer.work(outbox)
         assert outbox.sent == []
-        peer.on_messages([Message("a", "home", "ask", "1", 1)], outbox)
+        peer.on_messages([Message("a", "home", "ask", "1")], outbox)
         assert _shipped_to(outbox, "a") == ["0", "1"]
 
 
@@ -70,7 +70,7 @@ class TestOneFixpointPerBatch:
     def _delta(i):
         return Message("a", "home", KIND_FACTS, {
             "relation": "q", "home": "a", "columns": ((Const(str(i)),),),
-            "count": 1}, i)
+            "count": 1})
 
     def test_batch_of_deltas_costs_one_fixpoint(self):
         batch = [self._delta(i) for i in range(5)]
@@ -89,7 +89,7 @@ class TestOneFixpointPerBatch:
         peer = _StoreThenRegister("home", (), EvaluationBudget())
         outbox = _Outbox()
         for i in range(2):
-            peer.on_messages([Message("a", "home", "ask", str(i), i)], outbox)
+            peer.on_messages([Message("a", "home", "ask", str(i))], outbox)
         assert _shipped_to(outbox, "a") == ["0", "1"]
         assert peer.counters["fixpoint_runs"] == 2
 

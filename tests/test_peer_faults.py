@@ -212,24 +212,27 @@ class TestNetworkLifecycle:
                 events.append(("crash", peer))
                 super().on_peer_crash(peer, network)
 
-            def on_peer_restart(self, peer, network):
-                events.append(("restart", peer))
-                super().on_peer_restart(peer, network)
+            def on_peer_restart(self, peer, replays, network):
+                events.append(("restart", peer, replays))
+                super().on_peer_restart(peer, replays, network)
 
-            def on_peer_recovered(self, peer, network):
-                events.append(("recovered", peer))
-                super().on_peer_recovered(peer, network)
-
+        # b's first delivery is not checkpointed before the crash, so the
+        # restart replays it.
         network, _handlers = crash_network(PeerFaultPlan(
-            crash_at={"b": (2,)}, restart_after_deliveries=2))
-        network.detector = RecordingDetector("a")
-        for i in range(5):
-            network.send("a", "b", "n", i)
+            crash_at={"b": (2,)}, restart_after_deliveries=2,
+            checkpoint_interval=5))
+        detector = network.detector = RecordingDetector("a")
+
+        def pose():
+            for i in range(5):
+                network.send("a", "b", "n", i)
+
+        detector.start(pose, network)
         network.run_until_quiescent()
-        assert events[0] == ("crash", "b")
-        assert ("restart", "b") in events
-        assert ("recovered", "b") in events
-        assert events.index(("restart", "b")) < events.index(("recovered", "b"))
+        replayed = network.counters["net.recovery.frames_replayed"]
+        assert replayed >= 1
+        assert events == [("crash", "b"), ("restart", "b", replayed)]
+        assert detector.terminated
 
 
 class TestDqsqRecovery:
@@ -245,6 +248,36 @@ class TestDqsqRecovery:
         assert not result.partial
         assert result.terminated_by_detector is True
         assert result.counters["net.recovery.checkpoints_restored"] >= 1
+
+    @pytest.mark.parametrize("interval", [1, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_channels_retain_only_what_no_checkpoint_covers(
+            self, monkeypatch, interval, seed):
+        networks = []
+
+        class KeptNetwork(Network):
+            def __init__(self, options=None):
+                super().__init__(options)
+                networks.append(self)
+
+        program, edb, _query = figure3()
+        options = NetworkOptions(
+            seed=seed, fault=FaultPlan(drop_probability=0.1),
+            peer_fault=PeerFaultPlan(crash_at={"s": (2,)},
+                                     restart_after_deliveries=5,
+                                     checkpoint_interval=interval))
+        with monkeypatch.context() as patch:
+            patch.setattr(transport_module, "Network", KeptNetwork)
+            result = DqsqEngine(program, edb, options=options).query(QUERY)
+        assert not result.partial
+        assert result.counters["net.recovery.crashes"] == 1
+        (network,) = networks
+        report = network.peer_report()
+        # A checkpoint is stored after the batch that crosses a multiple
+        # of the interval and releases every frame the peer took before:
+        # with interval 1 nothing stays behind.
+        for peer, frames in network._retained.items():
+            assert len(frames) <= report[peer]["deliveries"] % interval
 
     def test_permanent_death_degrades_to_sound_subset(self):
         program, edb, _query = figure3()

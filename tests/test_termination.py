@@ -169,21 +169,13 @@ def _unsettled_basic(network: Network) -> int:
     """Basic (non-ack) messages still owed a first delivery.
 
     Every such frame is on the wire: a lost transmission stays at the
-    head of its channel.  Frames below a channel's crash watermark were
-    already consumed and protocol-settled by the pre-crash incarnation
-    of the recipient; their re-delivery is a replay, not outstanding
-    work, so they are excluded.
+    head of its channel.  A frame that already reached its recipient
+    was consumed and protocol-settled by the pre-crash incarnation of
+    the recipient; its re-delivery is a replay, not outstanding work,
+    so it is excluded.
     """
-    count = 0
-    for channel, queue in network._channels.items():
-        watermark = network._ds_watermark.get(channel, 0)
-        for frame in queue:
-            if frame.message.kind == ACK_KIND:
-                continue
-            if frame.is_replay or frame.channel_seq < watermark:
-                continue
-            count += 1
-    return count
+    return sum(1 for queue in network._channels.values() for frame in queue
+               if frame.message.kind != ACK_KIND and not frame.delivered)
 
 
 class TestProtocolUnderCrashes:
@@ -209,15 +201,18 @@ class TestProtocolUnderCrashes:
         detector, network, peers = _relay_network(
             NetworkOptions(seed=seed, peer_fault=plan))
 
+        replays_seen = [0]
+
         def monitor(message: Message) -> None:
+            # The network counts a replay before monitors see it.
+            replays = network.counters["net.recovery.deliveries_replayed"]
+            replayed = replays > replays_seen[0]
+            replays_seen[0] = replays
             if not detector.terminated:
                 return
             # The frame being delivered right now has left the queues but
             # not yet reached its handler: unless it is a replay, it is
             # in flight too.
-            channel = (message.sender, message.recipient)
-            seq = network._states[channel].expected - 1
-            replayed = seq < network._ds_watermark.get(channel, 0)
             this_one = int(message.kind != ACK_KIND and not replayed)
             unsettled = _unsettled_basic(network) + this_one
             assert unsettled == 0, (
