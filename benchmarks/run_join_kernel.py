@@ -79,14 +79,18 @@ REPEATS = 5
 #: over a rule whose other body relation is still empty is skipped
 #: uncompiled; firing it anyway took the e6 rows to 1542 / 1346 plans
 #: (smoke 785 / 511) at these derivations and facts.  The e6 rows are the
-#: (d)QSQ rewriting without its bookend supplementary relations.
+#: (d)QSQ rewriting without its bookend supplementary relations, of the
+#: supervisor that checks parents against its configuration's cut; with
+#: Section 4.2's notParent the full rows were 8314 / 8663 derivations and
+#: 4901 / 5238 facts, the smoke rows 443 / 480 and 315 / 350 (on the tiny
+#: instance, maintaining the cut costs more than notParent's recursion).
 EXPECTED = {
     False: {"tc_chain": (32641, 28680, 2, 2, 1, 1),
-            "e6_qsq": (8314, 4901, 1053, 0, 69, 72),
-            "e6_dqsq": (8663, 5238, 1098, 1098, 71, 73)},
+            "e6_qsq": (4595, 2922, 1148, 0, 39, 98),
+            "e6_dqsq": (4870, 3183, 1185, 1185, 38, 98)},
     True: {"tc_chain": (1974, 1770, 2, 2, 1, 1),
-           "e6_qsq": (443, 315, 374, 0, 0, 0),
-           "e6_dqsq": (480, 350, 387, 387, 0, 0)},
+           "e6_qsq": (475, 340, 461, 0, 0, 0),
+           "e6_dqsq": (519, 373, 482, 482, 0, 0)},
 }
 
 

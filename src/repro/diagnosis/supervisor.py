@@ -16,9 +16,11 @@ supervisor builds the configurations that explain them:
   extends ``id'`` with event ``x``, the k-ary index recording each
   watched peer's automaton state (the paper's multi-peer
   generalization);
-* ``transInConf@p0(id, x)`` -- membership of events in configurations;
-* ``notParent@p0(id, m)`` -- place instance ``m`` not yet consumed in
-  ``id`` (built monotonically, "in the style of notCausal");
+* ``cut@p0(id, m)`` -- condition ``m`` is in the cut of configuration
+  ``id``: produced by an event of ``id`` (or initially marked) and
+  consumed by none; a candidate event's parents must all be in it;
+* ``transInConf@p0(id, x)`` -- membership of events in configurations,
+  read only by ``diag``;
 * ``diag@p0(id, x)`` -- the answer relation (the paper's ``q``).
 
 What Section 4.4 adds is emitted only when the observation needs it:
@@ -36,7 +38,13 @@ What Section 4.4 adds is emitted only when the observation needs it:
   ``accepting<i>@p0`` atom in the ``diag`` rule; a single accepting
   state is pinned there as a constant.
 
-A chain observation therefore yields exactly the Section-4.2 program.
+A chain observation therefore yields the Section-4.2 program, with one
+departure (documented in DESIGN.md): the paper checks a parent ``g(u, c)``
+with ``transInConf(z, u)`` and ``notParent(z, g(u, c))``, where
+``notParent`` recurses down ``z``'s ancestry for every demanded pair.
+In a safe net the same question is membership in the cut, built forward
+and monotonically ("in the style of notCausal") by
+cut(z.y) = cut(z) - parents(y) + children(y).
 
 Crucially, the supervisor's rules are written from its local view only:
 the observation plus the public ``petriNet``/``trans``/``map``/
@@ -68,7 +76,7 @@ SUPERVISOR = "supervisor"
 ALARMSEQ = "alarmSeq"
 CONFIGPREFIXES = "configPrefixes"
 TRANSINCONF = "transInConf"
-NOTPARENT = "notParent"
+CUT = "cut"
 DIAG = "diag"
 GASSTEP = "gasStep"
 ACCEPTING = "accepting"
@@ -242,9 +250,8 @@ class SupervisorEncoder:
             *observe,
             Atom(CONFIGPREFIXES, [z, w, y, *body_indices], sup),
             *gas,
-            *(Atom(TRANSINCONF, [z, producer], sup)
-              for producer in (u, v)[:arity]),
-            *(Atom(NOTPARENT, [z, parent], sup) for parent in parents),
+            # every parent is in Z's cut: produced in Z, consumed by none
+            *(Atom(CUT, [z, parent], sup) for parent in parents),
             Atom(TRANS1 if arity == 1 else TRANS2, [event, *parents], peer),
         ]
         head = Atom(CONFIGPREFIXES,
@@ -263,9 +270,10 @@ class SupervisorEncoder:
                   Atom(TRANSINCONF, [w, x], sup)]),
         ]
 
-    def not_parent_rules(self) -> list[Rule]:
-        """Monotone construction of "place m is unconsumed in config z":
-        one recursion rule per extension rule's (peer, arity)."""
+    def cut_rules(self) -> list[Rule]:
+        """The cut of each configuration, built forward: the initially
+        marked conditions for ``h(r)``, and cut(z.y) = cut(z) - parents(y)
+        + children(y), two rules per extension rule's (peer, arity)."""
         sup = self.supervisor
         out: list[Rule] = []
         z, w, y, m = Var("Z"), Var("W"), Var("Y"), Var("M")
@@ -274,24 +282,21 @@ class SupervisorEncoder:
             arities = (self._reported.get(peer, set())
                        | self._unreported.get(peer, set()))
             for arity in sorted(arities):
-                u, v = Var("U"), Var("V")
-                if arity == 1:
-                    trans_atom = Atom(TRANS1, [y, u], peer)
-                    inequalities = [Inequality(m, u)]
-                else:
-                    trans_atom = Atom(TRANS2, [y, u, v], peer)
-                    inequalities = [Inequality(m, u), Inequality(m, v)]
-                out.append(Rule(
-                    Atom(NOTPARENT, [z, m], sup),
-                    [Atom(CONFIGPREFIXES, [z, w, y, *indices], sup),
-                     trans_atom,
-                     Atom(NOTPARENT, [w, m], sup)],
-                    inequalities))
-        # Base: nothing is consumed in the empty configuration; m must be
-        # a place instance (one locator rule per place-home peer).
-        for home in self._encoder.place_home_peers():
-            out.append(Rule(Atom(NOTPARENT, [h_root(), m], sup),
-                            [Atom(PLACES, [m, Var("P_")], home)]))
+                consumed = [Var("U")] if arity == 1 else [Var("U"), Var("V")]
+                extend = [Atom(CONFIGPREFIXES, [z, w, y, *indices], sup),
+                          Atom(TRANS1 if arity == 1 else TRANS2,
+                               [y, *consumed], peer)]
+                # what y leaves of w's cut ...
+                out.append(Rule(Atom(CUT, [z, m], sup),
+                                [*extend, Atom(CUT, [w, m], sup)],
+                                [Inequality(m, parent) for parent in consumed]))
+                # ... and what it adds: its children, homed at its peer
+                out.append(Rule(Atom(CUT, [z, m], sup),
+                                [*extend, Atom(PLACES, [m, y], peer)]))
+        net = self.petri.net
+        for home in sorted({net.peer[place] for place in self.petri.marking}):
+            out.append(Rule(Atom(CUT, [h_root(), m], sup),
+                            [Atom(PLACES, [m, ROOT], home)]))
         return out
 
     def query_rules(self) -> list[Rule]:
@@ -317,7 +322,7 @@ class SupervisorEncoder:
     def rules(self) -> list[Rule]:
         return (self.alarm_facts() + self.seed_facts()
                 + self.config_prefix_rules() + self.trans_in_conf_rules()
-                + self.not_parent_rules() + self.query_rules())
+                + self.cut_rules() + self.query_rules())
 
     def program(self) -> DDatalogProgram:
         """The complete diagnosis program: unfolding rules + supervisor

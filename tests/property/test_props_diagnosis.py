@@ -87,11 +87,17 @@ class TestSolverAgreement:
     @settings(max_examples=12, deadline=None)
     @given(seeds, step_counts)
     def test_theorem4_parity(self, seed, steps):
+        """Both halves of Theorem 4, on both QSQ flavours: the events
+        materialized are the dedicated prefix's, and the conditions are
+        among its conditions."""
         petri = random_safe_net(seed, branching=0.4)
         alarms = simulate_alarms(petri, steps=steps, seed=seed)
         dedicated = DedicatedDiagnoser(petri).diagnose(alarms)
-        datalog = DatalogDiagnosisEngine(petri, mode="qsq").diagnose(alarms)
-        assert datalog.materialized_events == dedicated.projected_events
+        for mode in ("qsq", "dqsq"):
+            datalog = DatalogDiagnosisEngine(petri, mode=mode).diagnose(alarms)
+            assert datalog.materialized_events == dedicated.projected_events, mode
+            assert (datalog.materialized_conditions
+                    <= dedicated.projected_conditions), mode
 
 
 class TestLiveness:

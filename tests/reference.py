@@ -10,7 +10,10 @@ is the point: :func:`reference_model` is a stratified naive fixpoint
 over it, slow and obviously right.
 
 Also here: :func:`methods_that_answer`, the cross-solver check of
-``repro.diagnose`` against the brute-force diagnoser.
+``repro.diagnose`` against the brute-force diagnoser, and
+:class:`PaperSupervisorEncoder`, the supervisor program as Section 4.2
+writes it (``transInConf`` + ``notParent`` parent checks), which the
+shipped ``cut`` program is tested against.
 """
 
 from __future__ import annotations
@@ -32,6 +35,10 @@ from repro.datalog.stratified import stratify
 from repro.datalog.term import Term, Var
 from repro.datalog.unify import match_tuple
 from repro.diagnosis import AlarmSequence, ObservationSpec
+from repro.diagnosis import engine as datalog_engine
+from repro.diagnosis.encoding import PLACES, TRANS1, TRANS2
+from repro.diagnosis.supervisor import (CONFIGPREFIXES, CUT, TRANSINCONF,
+                                        SupervisorEncoder, h_root)
 from repro.errors import DiagnosisError
 from repro.petri.net import PetriNet
 
@@ -234,3 +241,75 @@ def methods_that_answer(petri: PetriNet,
         assert outcome.partial is False, method.value
         answered[method.value] = outcome
     return answered
+
+
+# -- the Section-4.2 supervisor, as the paper writes it ---------------------------
+
+NOTPARENT = "notParent"
+
+
+class PaperSupervisorEncoder(SupervisorEncoder):
+    """The supervisor with the paper's parent check: a parent ``g(u, c)``
+    of a candidate event needs ``transInConf(z, u)`` and ``notParent(z,
+    g(u, c))``, where ``notParent`` recurses down ``z``'s ancestry ("in
+    the style of notCausal").  The shipped encoder asks ``cut(z, g(u,
+    c))`` instead; in a safe net both say "produced in ``z`` and
+    consumed by none of its events"."""
+
+    def _extension_rule(self, peer: str, arity: int,
+                        position: int | None) -> Rule:
+        """The shipped rule with its run of ``cut(Z, g(U, C))`` atoms
+        replaced by ``transInConf(Z, U)`` atoms, then ``notParent(Z,
+        g(U, C))`` atoms, in the paper's order."""
+        rule = super()._extension_rule(peer, arity, position)
+        sup = self.supervisor
+        cuts = [atom for atom in rule.body if atom.relation == CUT]
+        first = rule.body.index(cuts[0])
+        z = cuts[0].args[0]
+        parents = [atom.args[1] for atom in cuts]
+        check = [*(Atom(TRANSINCONF, [z, parent.args[0]], sup)
+                   for parent in parents),
+                 *(Atom(NOTPARENT, [z, parent], sup) for parent in parents)]
+        rest = [atom for atom in rule.body if atom.relation != CUT]
+        return Rule(rule.head, rest[:first] + check + rest[first:],
+                    rule.inequalities)
+
+    def cut_rules(self) -> list[Rule]:
+        """``notParent``: one recursion rule per extension rule's (peer,
+        arity), and a base rule per place-home peer."""
+        sup = self.supervisor
+        out: list[Rule] = []
+        z, w, y, m = Var("Z"), Var("W"), Var("Y"), Var("M")
+        indices = self._index_vars()
+        for peer in sorted({*self._reported, *self._unreported}):
+            arities = (self._reported.get(peer, set())
+                       | self._unreported.get(peer, set()))
+            for arity in sorted(arities):
+                consumed = [Var("U")] if arity == 1 else [Var("U"), Var("V")]
+                out.append(Rule(
+                    Atom(NOTPARENT, [z, m], sup),
+                    [Atom(CONFIGPREFIXES, [z, w, y, *indices], sup),
+                     Atom(TRANS1 if arity == 1 else TRANS2, [y, *consumed], peer),
+                     Atom(NOTPARENT, [w, m], sup)],
+                    [Inequality(m, parent) for parent in consumed]))
+        # nothing is consumed in the empty configuration; m must be a
+        # place instance (one locator rule per place-home peer)
+        for home in self._encoder.place_home_peers():
+            out.append(Rule(Atom(NOTPARENT, [h_root(), m], sup),
+                            [Atom(PLACES, [m, Var("P_")], home)]))
+        return out
+
+
+@contextmanager
+def paper_supervisor() -> Iterator[None]:
+    """Let :class:`~repro.diagnosis.engine.DatalogDiagnosisEngine` encode
+    with :class:`PaperSupervisorEncoder`.  Prepared programs are keyed
+    by the observation, not by the encoder, so the plan cache (which
+    empties them) is cleared on the way in and on the way out."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(datalog_engine, "SupervisorEncoder", PaperSupervisorEncoder)
+        plan.clear_plan_cache()
+        try:
+            yield
+        finally:
+            plan.clear_plan_cache()

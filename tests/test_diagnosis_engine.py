@@ -2,8 +2,9 @@
 
 Covers Theorem 3 (the computed configuration set is exactly the
 diagnosis set), Proposition 1 (dQSQ terminates on the diagnosis query,
-despite the function symbols and cyclic nets), and Theorem 4 (the
-materialized unfolding prefix equals the dedicated algorithm's).
+despite the function symbols and cyclic nets), Theorem 4 (the
+materialized unfolding prefix equals the dedicated algorithm's), and
+the supervisor's ``cut`` parent check against the paper's ``notParent``.
 """
 
 import pytest
@@ -18,6 +19,7 @@ from repro.petri.examples import figure1_alarm_scenarios, figure1_net
 from repro.petri.generators import random_safe_net
 from repro.petri.product import Observer, ObserverEdge
 from repro.workloads.alarmgen import simulate_alarms
+from tests.reference import PaperSupervisorEncoder, paper_supervisor
 
 
 def scenario(name):
@@ -199,3 +201,38 @@ class TestEmptySequence:
         got = DatalogDiagnosisEngine(petri, mode="qsq").diagnose(AlarmSequence([]))
         # The empty configuration is the unique explanation.
         assert got.diagnoses == frozenset({frozenset()})
+
+
+class TestCutAgainstThePaper:
+    """The shipped supervisor checks a parent with ``cut(z, g(u, c))``;
+    Section 4.2 checks ``transInConf(z, u)`` and ``notParent(z, g(u, c))``.
+    In a safe net both mean "produced in z and consumed by none of its
+    events", so the two programs explain the same alarms with the same
+    events."""
+
+    def test_the_programs_differ_in_the_parent_check_only(self):
+        petri, alarms = figure1_net(), scenario("bac")
+        shipped = {rule.head.relation
+                   for rule in SupervisorEncoder(petri, alarms).rules()}
+        paper = {rule.head.relation
+                 for rule in PaperSupervisorEncoder(petri, alarms).rules()}
+        assert shipped - paper == {"cut"}
+        assert paper - shipped == {"notParent"}
+
+    @pytest.mark.parametrize("seed", [None, 0, 3, 8, 13], ids=lambda seed:
+                             "figure1-bac" if seed is None else f"random{seed}")
+    @pytest.mark.parametrize("mode", ["qsq", "dqsq"])
+    def test_same_diagnoses_and_events(self, seed, mode):
+        if seed is None:
+            petri, alarms = figure1_net(), scenario("bac")
+        else:
+            petri = random_safe_net(seed, branching=0.4)
+            alarms = simulate_alarms(petri, steps=4, seed=seed)
+        dedicated = DedicatedDiagnoser(petri).diagnose(alarms)
+        cut = DatalogDiagnosisEngine(petri, mode=mode).diagnose(alarms)
+        with paper_supervisor():
+            paper = DatalogDiagnosisEngine(petri, mode=mode).diagnose(alarms)
+        assert cut.diagnoses == paper.diagnoses == dedicated.diagnoses
+        assert cut.materialized_events == paper.materialized_events
+        assert cut.materialized_conditions <= dedicated.projected_conditions
+        assert paper.materialized_conditions <= dedicated.projected_conditions
