@@ -489,14 +489,12 @@ def _assign_slots(rule: Rule, order: Sequence[int]) -> dict[Var, int]:
 # -- the plan cache --------------------------------------------------------------
 
 #: plans per (rule, delta_position), a bounded LRU.  Rewritten rules
-#: are repeatable -- QSQ names its supplementary relations
-#: ``sup_{rule}_{j}``, dQSQ ``sup[peer.relation.adornment.index]k`` --
-#: so running one program again hits.  What grows in a long-running
+#: are repeatable -- the Figure-4 rewriting names its supplementary
+#: relations ``sup_{rule}_{j}``, (d)QSQ ``sup[peer.relation.adornment.index]k``
+#: -- so running one program again hits.  What grows in a long-running
 #: process is the number of *different* programs (every net and
-#: observation brings its own rules).  The LRU bounds only the
-#: plans no prepared diagnosis holds (those live as long as their net,
-#: see :func:`hold_plans`), while hot plans (recursive rules fired every
-#: round) stay resident
+#: observation brings its own rules), while hot plans (recursive rules
+#: fired every round) stay resident
 _PLAN_CACHE: OrderedDict[tuple[Rule, int | None], JoinPlan] = OrderedDict()
 _PLAN_CACHE_MAX = 16384
 _PLAN_CACHE_EVICTIONS = 0

@@ -12,11 +12,15 @@ the program, given a query, around *binding propagation*:
   the demand itself at the first atom, into the answer at the last
   (:func:`rewrite_segment`, shared with dQSQ).
 
-Evaluating the rewritten program semi-naively *is* the QSQ evaluation:
-it computes the correct answers while materializing only the demanded
-portion of each relation, and -- unlike plain Datalog -- stays finite on
-function-symbol programs whenever the demanded portion is finite
-(Proposition 1 instantiates this for the diagnosis program).
+:func:`qsq_rewrite` builds the whole rewriting at once (for the static
+analyzer, E2 and the tests' reference evaluation); :func:`qsq_evaluate`
+is dQSQ with the program at one peer, which rewrites lazily, per demand,
+through the same :func:`rewrite_segment` (Theorem 1: same answers, same
+materialization).  Either computes the correct answers while
+materializing only the demanded portion of each relation, and -- unlike
+plain Datalog -- stays finite on function-symbol programs whenever the
+demanded portion is finite (Proposition 1 instantiates this for the
+diagnosis program).  Neither evaluates negated atoms: both refuse them.
 
 The construction below generalizes the textbook one to function terms in
 heads and bodies: a bound head position whose argument is a function term
@@ -31,10 +35,11 @@ from typing import Callable, Iterable, Sequence
 
 from repro.datalog.adornment import Adornment, adorned_name, input_name
 from repro.datalog.atom import Atom, Inequality
-from repro.datalog.database import Database, Fact, RelationKey, select
+from repro.datalog.database import Database, Fact, RelationKey
 from repro.datalog.rule import Program, Query, Rule
-from repro.datalog.seminaive import EvaluationBudget, IncrementalEvaluator
+from repro.datalog.seminaive import EvaluationBudget
 from repro.datalog.term import Var
+from repro.errors import ValidationError
 from repro.utils.counters import Counters
 
 AdornedKey = tuple[str, str | None, Adornment]
@@ -74,6 +79,11 @@ def qsq_rewrite(program: Program, query: Query) -> QsqRewriting:
     rule's supplementary chain.  Rules are numbered in the order the LIFO
     agenda reaches them.
     """
+    for rule in program:
+        if rule.negated:
+            raise ValidationError(
+                f"QSQ rewrites positive rules only: {rule} negates "
+                f"{rule.negated[0]}")
     atom = query.atom
     rewriting = QsqRewriting(query, Program(), atom, None)
     idb = program.idb_relations()
@@ -263,65 +273,54 @@ class QsqResult:
     """Answers plus instrumentation from a QSQ evaluation."""
 
     answers: set[Fact]
-    rewriting: QsqRewriting
     database: Database
     counters: Counters
 
     def materialized_by_kind(self) -> dict[str, int]:
-        """Facts materialized, grouped by relation kind (sup/input/adorned/edb)."""
-        kinds = self.rewriting.relation_kinds()
+        """Facts materialized, grouped by relation kind (sup/input/adorned/edb),
+        read off each relation's name."""
         totals: dict[str, int] = {}
         for (relation, _peer), count in self.database.snapshot_counts().items():
-            kind = kinds.get(relation, "edb")
+            kind = ("input" if relation.startswith("in-") else
+                    "sup" if relation.startswith("sup[") else
+                    "adorned" if "^" in relation else "edb")
             totals[kind] = totals.get(kind, 0) + count
         return totals
+
+
+#: the peer a :func:`qsq_evaluate` run places its program at
+_LOCAL_PEER = "local"
 
 
 def qsq_evaluate(program: Program, query: Query, db: Database | None = None,
                  budget: EvaluationBudget | None = None,
                  check: bool = True) -> QsqResult:
-    """Check, rewrite ``program`` for ``query``, seed, evaluate semi-naively
-    and select the answers.
+    """Check ``program`` and answer ``query`` by dQSQ with the program at
+    one peer (:func:`repro.distributed.ddatalog.place`).
 
-    ``db`` holds the EDB facts (program fact-rules are loaded too).  The
-    database is copied so the caller's store is untouched.
+    ``db`` holds the EDB facts (program fact-rules are loaded too); the
+    caller's store is untouched.  The check sees the query (its arity)
+    and, as :class:`~repro.distributed.dqsq.DqsqEngine`'s does, escalates
+    DD403: the rewriting would drop a negated atom.
     """
+    from repro.datalog.analysis import check_program
+    from repro.distributed.ddatalog import place, placed_at
+    from repro.distributed.dqsq import DqsqEngine
+
+    placed = place(program, _LOCAL_PEER)
+    placed_query = Query(placed_at(query.atom, _LOCAL_PEER))
     if check:
-        from repro.datalog.analysis import check_program
-        check_program(program, query, context="qsq",
+        check_program(placed.program, placed_query, context="qsq",
                       depth_bounded=(budget is not None
-                                     and budget.max_term_depth is not None))
-    rewriting = qsq_rewrite(program, query)
-    answers, work_db, counters = evaluate_rewriting(
-        rewriting.program, rewriting.seed, rewriting.answer_atom, db, budget)
-    counters.add("qsq_rewritten_rules", len(rewriting.program))
-    counters.add("qsq_adorned_relations", len(rewriting.adorned_relations))
-    return QsqResult(answers=answers, rewriting=rewriting, database=work_db,
-                     counters=counters)
-
-
-def evaluate_rewriting(rules: Iterable[Rule], seed: Atom | None, answer: Atom,
-                       db: Database | None = None,
-                       budget: EvaluationBudget | None = None, *,
-                       plans: dict | None = None
-                       ) -> tuple[set[Fact], Database, Counters]:
-    """The evaluation half of QSQ: seed a copy of ``db``, run ``rules``
-    (a rewriting's) semi-naively, and select the answers.  Returns them
-    with the store and the evaluator's counters.
-
-    ``plans`` is the evaluator's id-keyed plan map
-    (:func:`repro.datalog.plan.plan_for`): a caller that evaluates the
-    same rule objects again keeps it, and compiles nothing the second
-    time.
-    """
-    work_db = db.copy() if db is not None else Database()
-    if seed is not None:
-        work_db.add_atom(seed)
-    # The rewriting is machine-generated from an already-checked program.
-    evaluator = IncrementalEvaluator(work_db, budget, plans)
-    for rule in rules:  # facts go straight to the store
-        evaluator.add_rule(rule)
-    evaluator.run()
-    counters = Counters()
-    counters.merge(evaluator.counters)
-    return select(work_db, answer), work_db, counters
+                                     and budget.max_term_depth is not None),
+                      escalate=("DD403",))
+    edb = Database()
+    if db is not None:
+        for key in db.relations():
+            edb.add_all(placed_at(Atom(key[0], (), key[1]), _LOCAL_PEER).key(),
+                        db.facts(key), assume_ground=True)
+    result = DqsqEngine(placed, edb, budget=budget,
+                        check=False).query(placed_query)
+    return QsqResult(answers=result.answers,
+                     database=result.databases[_LOCAL_PEER],
+                     counters=result.counters)

@@ -82,15 +82,12 @@ class IncrementalEvaluator:
     """
 
     def __init__(self, db: Database | None = None,
-                 budget: EvaluationBudget | None = None,
-                 plans: dict | None = None) -> None:
+                 budget: EvaluationBudget | None = None) -> None:
         self.budget = budget or EvaluationBudget()
         self._counters = Counters()
         self._plan_stats = PlanStats()
-        #: id-keyed plan map (see repro.datalog.plan.plan_for); a caller
-        #: that installs the same rule objects again passes one that
-        #: outlives this evaluator
-        self._plans: dict = {} if plans is None else plans
+        #: id-keyed plan map (see repro.datalog.plan.plan_for)
+        self._plans: dict = {}
         if db is not None:  # None: the owner calls bind() before add_rule()
             self.bind(db)
 

@@ -9,8 +9,9 @@ strategy:
 
 * ``mode="dqsq"`` -- the paper's proposal: distributed evaluation with
   per-peer lazy rewriting and delegation;
-* ``mode="qsq"``  -- centralized QSQ on the local version (Theorem 1
-  guarantees the same results and materialization);
+* ``mode="qsq"``  -- centralized QSQ on the local version: the same
+  dQSQ run on the program placed at the supervisor alone, so it sends no
+  message (Theorem 1 guarantees the same results and materialization);
 * ``mode="bottomup"`` -- unoptimized semi-naive evaluation: it builds
   the unfolding breadth-first and only terminates under an explicit
   depth budget (the strawman that motivates QSQ).
@@ -21,14 +22,13 @@ dedicated algorithm's prefix.
 
 A ``qsq`` or ``dqsq`` diagnosis encodes and checks its program once
 per (net, observation, depth bound), in a table keyed weakly by the net
-that empties with :func:`repro.datalog.plan.clear_plan_cache`.  A
-``qsq`` entry also holds the rewriting and its compiled plans, so asking
-the same question again only evaluates.  A ``dqsq`` entry holds the
-encoded program: its peers still rewrite lazily, on the first demand
-for each adorned relation (Remark 2), but what a peer installs depends
-only on the program and that demand, so :mod:`repro.distributed.dqsq`
-keeps each peer's rewriting per program and a repeated question pays
-only for evaluation and transport.
+that empties with :func:`repro.datalog.plan.clear_plan_cache`.  The
+entry holds the program the peers run: the encoded one for ``dqsq``,
+its one-peer placement for ``qsq``.  The peers still rewrite lazily, on
+the first demand for each adorned relation (Remark 2), but what a peer
+installs depends only on the program and that demand, so
+:mod:`repro.distributed.dqsq` keeps each peer's rewriting per program
+and a repeated question pays only for evaluation and transport.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from dataclasses import dataclass, field
 from repro.datalog.analysis import check_program
 from repro.datalog.database import Database, Fact, select
 from repro.datalog.plan import hold_plans
-from repro.datalog.qsq import evaluate_rewriting, qsq_rewrite
-from repro.datalog.rule import Query, Rule
+from repro.datalog.rule import Query
 from repro.datalog.seminaive import EvaluationBudget, SemiNaiveEvaluator
 from repro.datalog.atom import Atom
 from repro.diagnosis.alarms import AlarmSequence
@@ -49,7 +48,7 @@ from repro.diagnosis.encoding import PLACES, TRANS1, TRANS2, node_id_of_term
 from repro.diagnosis.patterns import ObservationSpec
 from repro.diagnosis.problem import DiagnosisSet, diagnosis_set
 from repro.diagnosis.supervisor import SUPERVISOR, SupervisorEncoder
-from repro.distributed.ddatalog import DDatalogProgram
+from repro.distributed.ddatalog import DDatalogProgram, place, placed_at
 from repro.distributed.dqsq import DqsqEngine
 from repro.distributed.network import NetworkOptions
 from repro.distributed.transport import TransportRuntime
@@ -107,26 +106,9 @@ class DatalogDiagnosisResult:
 
 
 @dataclass
-class _PreparedQsq:
-    """What the ``qsq`` diagnoses of one (net, observation, depth bound)
-    share: the local program's rewriting -- its rules (EDB facts first),
-    seed and answer atoms and adorned-relation count -- and the id-keyed
-    plans of those rules.  Not the source program, nor a
-    :class:`~repro.datalog.qsq.QsqRewriting` with its containers."""
-
-    #: the ``analysis.*`` counters of the check that accepted the program
-    analysis: Counters
-    rules: tuple[Rule, ...]
-    seed: Atom | None
-    answer: Atom
-    adorned: int
-    plans: dict = field(default_factory=dict)
-
-
-@dataclass
-class _PreparedDqsq:
-    """What the ``dqsq`` diagnoses of one (net, observation, depth bound)
-    share: the encoded program, which also keys its peers' rewritings."""
+class _Prepared:
+    """What the diagnoses of one (mode, net, observation, depth bound)
+    share: the program the peers run, which also keys their rewritings."""
 
     #: the ``analysis.*`` counters of the check that accepted the program
     analysis: Counters
@@ -135,16 +117,9 @@ class _PreparedDqsq:
 
 #: net -> (mode, supervisor, observation, depth bounded) -> its prepared
 #: entry; an entry dies with its net and every entry with the plan cache
-_PREPARED: ("weakref.WeakKeyDictionary[PetriNet, "
-            "dict[tuple, _PreparedQsq | _PreparedDqsq]]") = \
+_PREPARED: "weakref.WeakKeyDictionary[PetriNet, dict[tuple, _Prepared]]" = \
     weakref.WeakKeyDictionary()
 hold_plans(_PREPARED.clear)
-
-
-def _local(atom: Atom) -> Atom:
-    """``atom`` as the paper's ``P_local`` spells it (peer folded into the
-    relation name)."""
-    return Atom(f"{atom.relation}@{atom.peer}", atom.args, None)
 
 
 class DatalogDiagnosisEngine:
@@ -178,22 +153,27 @@ class DatalogDiagnosisEngine:
         partial = False
         transport_stats: dict[str, dict[str, int]] | None = None
         peer_report: dict[str, dict[str, int | bool]] | None = None
-        if self.mode is EvaluationMode.QSQ:
+        if self.mode is EvaluationMode.BOTTOMUP:
+            program = encoder.program()
+            self._check(program, query_atom, counters)
+            db = Database()
+            evaluator = SemiNaiveEvaluator(program.local_version(), self.budget,
+                                           check=False)
+            evaluator.run(db)
+            counters.merge(evaluator.counters)
+            answers = select(db, placed_at(query_atom, None))
+            events, conditions = _collect_nodes_plain([db])
+        else:
             prepared = self._prepare(encoder, query_atom)
             counters.merge(prepared.analysis)
-            answers, db, evaluated = evaluate_rewriting(
-                prepared.rules, prepared.seed, prepared.answer,
-                budget=self.budget, plans=prepared.plans)
-            counters.merge(evaluated)
-            counters.add("qsq_rewritten_rules", len(prepared.rules))
-            counters.add("qsq_adorned_relations", prepared.adorned)
-            events, conditions = _collect_nodes_from_adorned([db])
-        elif self.mode is EvaluationMode.DQSQ:
-            prepared = self._prepare(encoder, query_atom)
-            counters.merge(prepared.analysis)
+            transport, options = self.transport, self.options
+            if self.mode is EvaluationMode.QSQ:
+                # one peer: nothing to send, so nothing to configure
+                transport, options = "sim", NetworkOptions()
+                query_atom = placed_at(query_atom, self.supervisor)
             engine = DqsqEngine(prepared.program, budget=self.budget,
-                                options=self.options, check=False,
-                                transport=self.transport)
+                                options=options, check=False,
+                                transport=transport)
             result = engine.query(Query(query_atom))
             counters.merge(result.counters)
             answers = result.answers
@@ -206,16 +186,6 @@ class DatalogDiagnosisEngine:
                 partial = True
                 peer_report = result.peer_failure.report
                 counters.add("net.peer_unavailable")
-        else:
-            program = encoder.program()
-            self._check(program, query_atom, counters)
-            db = Database()
-            evaluator = SemiNaiveEvaluator(program.local_version(), self.budget,
-                                           check=False)
-            evaluator.run(db)
-            counters.merge(evaluator.counters)
-            answers = select(db, _local(query_atom))
-            events, conditions = _collect_nodes_plain([db])
 
         diagnoses = _answers_to_diagnoses(answers)
         counters.add("diagnoses", len(diagnoses))
@@ -237,16 +207,17 @@ class DatalogDiagnosisEngine:
             program.program, Query(query_atom), context=f"diagnose[{self.mode.value}]",
             known_peers=set(program.peers()) | {self.supervisor},
             depth_bounded=self.budget.max_term_depth is not None,
-            escalate=("DD403",) if self.mode is EvaluationMode.DQSQ else (),
+            escalate=(() if self.mode is EvaluationMode.BOTTOMUP
+                      else ("DD403",)),
             counters=counters)
 
     def _prepare(self, encoder: SupervisorEncoder,
-                 query_atom: Atom) -> "_PreparedQsq | _PreparedDqsq":
+                 query_atom: Atom) -> _Prepared:
         """This call's entry in the prepared table, made on a miss.  The
-        key holds the mode -- the check escalates DD403 for ``dqsq``
-        only -- and everything the encoded program depends on besides
-        the net; a hit replays the check's counters (its verdict is the
-        program's) and logs nothing."""
+        key holds the mode -- ``qsq`` places the program at the
+        supervisor -- and everything the encoded program depends on
+        besides the net; a hit replays the check's counters (its verdict
+        is the program's) and logs nothing."""
         spec = encoder.spec
         key = (self.mode, self.supervisor, tuple(spec.observers.items()),
                frozenset(spec.hidden), spec.max_events,
@@ -257,15 +228,9 @@ class DatalogDiagnosisEngine:
             program = encoder.program()
             analysis = Counters()
             self._check(program, query_atom, analysis)
-            if self.mode is EvaluationMode.DQSQ:
-                prepared = _PreparedDqsq(analysis, program)
-            else:
-                rewriting = qsq_rewrite(program.local_version(),
-                                        Query(_local(query_atom)))
-                prepared = _PreparedQsq(
-                    analysis, tuple(rewriting.program), rewriting.seed,
-                    rewriting.answer_atom, len(rewriting.adorned_relations))
-            table[key] = prepared
+            if self.mode is EvaluationMode.QSQ:
+                program = place(program.program, self.supervisor)
+            prepared = table[key] = _Prepared(analysis, program)
         return prepared
 
 
@@ -285,9 +250,9 @@ def _answers_to_diagnoses(answers: set[Fact]) -> DiagnosisSet:
 def _collect_nodes_from_adorned(databases) -> tuple[set[str], set[str]]:
     """Node ids materialized in adorned trans/places answer relations.
 
-    Handles both naming schemes: dQSQ homes ``trans2^fbb`` at a peer;
-    centralized QSQ qualifies first (``trans2@p1^fbb``).  Demand (in-)
-    and supplementary relations are not unfolding nodes and are skipped.
+    A peer homes ``trans2^fbb``; in the one-peer ``qsq`` run the relation
+    carries its ``P_local`` name (``trans2@p1^fbb``).  Demand (in-) and
+    supplementary relations are not unfolding nodes and are skipped.
     """
     events: set[str] = set()
     conditions: set[str] = set()

@@ -61,6 +61,23 @@ class DDatalogProgram:
         return str(self.program)
 
 
+def placed_at(atom: Atom, peer: str | None) -> Atom:
+    """``atom`` under its ``P_local`` name (its peer, if any, folded into
+    the relation name: footnote 2), located at ``peer``."""
+    relation = atom.relation if atom.peer is None else f"{atom.relation}@{atom.peer}"
+    return Atom(relation, atom.args, peer)
+
+
+def place(program: Program, peer: str) -> DDatalogProgram:
+    """The paper's ``P_local`` held by the one peer ``peer``: dQSQ on it
+    is centralized QSQ, and sends no message."""
+    return DDatalogProgram(
+        Rule(placed_at(rule.head, peer), [placed_at(a, peer) for a in rule.body],
+             rule.inequalities, [placed_at(a, peer) for a in rule.negated],
+             check=False)
+        for rule in program)
+
+
 def global_translation(ddatalog: DDatalogProgram) -> Program:
     """The canonical translation ``P -> P^g`` of Section 3.
 

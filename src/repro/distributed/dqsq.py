@@ -143,8 +143,8 @@ class _DqsqPeer(Peer):
 
     def load_initial(self) -> None:
         # Fact rules of relations with no proper rules are plain EDB: load
-        # them into the store so joins see them directly (matching the
-        # centralized QSQ treatment -- Theorem 1's zeta stays a bijection).
+        # them into the store so joins see them directly (as the Figure-4
+        # rewriting does -- Theorem 1's zeta stays a bijection).
         # Fact rules of relations that *also* have proper rules (e.g. the
         # unfolding roots) answer demands through the rewriting instead.
         for rule in self.rules.facts():
@@ -173,7 +173,9 @@ class _DqsqPeer(Peer):
         relation = payload["relation"]
         adornment = Adornment(payload["adornment"])
         reply_to = payload["reply_to"]
-        answer_key = (adorned_name(relation, adornment), self.name)
+        # a query on a relation held as EDB here reads the stored facts
+        answer_key = (adorned_name(relation, adornment)
+                      if relation in self._idb else relation, self.name)
         self.register_reader(answer_key, reply_to, transport)
         in_key = (input_name(relation, adornment), self.name)
         self.db.add(in_key, tuple(payload["bound"]))
@@ -342,9 +344,13 @@ class DqsqEngine:
             "bound": adornment.select_bound(atom.args),
             "reply_to": origin_name,
         }
+        answer = atom
+        if any(rule.body or rule.negated for rule in
+               self.program.program.rules_for(atom.relation, atom.peer)):
+            answer = Atom(adorned_name(atom.relation, adornment), atom.args,
+                          atom.peer)
         return run_query(
-            self.program, self._edb,
-            Atom(adorned_name(atom.relation, adornment), atom.args, atom.peer),
+            self.program, self._edb, answer,
             origin=origin_name, peers=(atom.peer, origin_name),
             peer_class=_DqsqPeer, result_class=DqsqResult, budget=self.budget,
             start=functools.partial(_start_dqsq, target=atom.peer, seed=seed),

@@ -114,14 +114,14 @@ def e3_dqsq_equivalence() -> ExperimentResult:
     dqsq = DqsqEngine(program, edb).query(query)
     naive = DistributedNaiveEngine(program, edb).query(query)
 
-    kinds = qsq.rewriting.relation_kinds()
+    # zeta: the adorned answer R@p^ad of P_local is dQSQ's R^ad at p
     qsq_adorned = {}
-    for (relation, _peer), _count in qsq.database.snapshot_counts().items():
-        if kinds.get(relation) == "adorned":
+    for key in qsq.database.relations():
+        relation = key[0]
+        if "^" in relation and not relation.startswith(("in-", "sup[")):
             base, _sep, pattern = relation.rpartition("^")
             name, _at, peer = base.rpartition("@")
-            qsq_adorned[(name, peer, pattern)] = set(
-                qsq.database.facts((relation, None)))
+            qsq_adorned[(name, peer, pattern)] = set(qsq.database.facts(key))
     theorem1 = dqsq.adorned_fact_sets() == qsq_adorned
 
     sup_peers = set()

@@ -8,10 +8,12 @@ pattern):
 
 * the rewritten program means what the engine computes: the reference
   interpreter's model of it (``tests/reference.py``, a naive fixpoint
-  sharing no code with the planner) equals ``qsq_evaluate``'s store,
-  relation by relation -- supplementary, input and adorned alike;
-* the rewriting preserves the query: the answers equal the reference
-  model of the *original* program restricted to the query atom.
+  sharing no code with the planner) equals the store of its semi-naive
+  evaluation (``figure4_qsq``), relation by relation -- supplementary,
+  input and adorned alike;
+* the rewriting preserves the query: its answers, and those of the lazy
+  ``qsq_evaluate``, equal the reference model of the *original* program
+  restricted to the query atom.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,7 @@ from repro.datalog.atom import Atom, Inequality
 from repro.datalog.database import select
 from repro.datalog.rule import Program, Rule
 from repro.datalog.term import Const, Var
-from tests.reference import reference_model, snapshot
+from tests.reference import figure4_qsq, reference_model, snapshot
 
 NODES = [Const(f"n{i}") for i in range(3)]
 VARS = [Var(name) for name in "XYZW"]
@@ -83,7 +85,7 @@ class TestRewritingAgainstTheOracle:
             self, rule_list, facts, query):
         program = Program(BASE_RULES + rule_list)
         db = database_from(facts)
-        result = qsq_evaluate(program, query, db)
+        result = figure4_qsq(program, query, db)
 
         seeded = db.copy()
         if result.rewriting.seed is not None:
@@ -92,3 +94,4 @@ class TestRewritingAgainstTheOracle:
                 == snapshot(result.database))
         expected = select(reference_model(program, db), query.atom)
         assert result.answers == expected
+        assert qsq_evaluate(program, query, db).answers == expected

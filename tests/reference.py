@@ -9,7 +9,10 @@ shares no code with :mod:`repro.datalog.plan` or
 is the point: :func:`reference_model` is a stratified naive fixpoint
 over it, slow and obviously right.
 
-Also here: :func:`methods_that_answer`, the cross-solver check of
+Also here: :func:`figure4_qsq`, centralized QSQ as Figure 4 draws it
+(the whole rewriting first, then a semi-naive run of it), which the
+lazy one-peer ``qsq_evaluate`` and dQSQ are held to by Theorem 1;
+:func:`methods_that_answer`, the cross-solver check of
 ``repro.diagnose`` against the brute-force diagnoser, and
 :class:`PaperSupervisorEncoder`, the supervisor program as Section 4.2
 writes it (``transInConf`` + ``notParent`` parent checks), which the
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from typing import Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import pytest
 
@@ -28,9 +31,10 @@ import repro
 from repro.api import DiagnosisOutcome
 from repro.datalog import plan
 from repro.datalog.atom import Atom, Inequality
-from repro.datalog.database import Database, Fact, RelationKey
-from repro.datalog.rule import Program, Rule
-from repro.datalog.seminaive import EvaluationBudget
+from repro.datalog.database import Database, Fact, RelationKey, select
+from repro.datalog.qsq import QsqRewriting, qsq_rewrite
+from repro.datalog.rule import Program, Query, Rule
+from repro.datalog.seminaive import EvaluationBudget, SemiNaiveEvaluator
 from repro.datalog.stratified import stratify
 from repro.datalog.term import Term, Var
 from repro.datalog.unify import match_tuple
@@ -157,6 +161,29 @@ def snapshot(db: Database) -> dict[RelationKey, frozenset[Fact]]:
     """The non-empty relations of ``db`` as comparable fact sets."""
     return {key: frozenset(db.facts(key)) for key in db.relations()
             if db.facts(key)}
+
+
+# -- centralized QSQ, eagerly (Figure 4) -----------------------------------------
+
+
+class Figure4Run(NamedTuple):
+    rewriting: QsqRewriting
+    answers: set[Fact]
+    database: Database
+
+
+def figure4_qsq(program: Program, query: Query,
+                edb: Database | None = None) -> Figure4Run:
+    """Rewrite ``program`` for ``query`` as a whole
+    (:func:`repro.datalog.qsq.qsq_rewrite`), seed a copy of ``edb`` and
+    evaluate the rewriting semi-naively.  The engines rewrite lazily, per
+    demand; this evaluation shares only the supplementary chain with them."""
+    rewriting = qsq_rewrite(program, query)
+    db = edb.copy() if edb is not None else Database()
+    if rewriting.seed is not None:
+        db.add_atom(rewriting.seed)
+    SemiNaiveEvaluator(rewriting.program, check=False).run(db)
+    return Figure4Run(rewriting, select(db, rewriting.answer_atom), db)
 
 
 # -- forcing a side of JoinPlan.fire's executor choice ----------------------------

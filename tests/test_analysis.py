@@ -364,6 +364,11 @@ class TestEngineFailFast:
         with pytest.raises(ProgramAnalysisError):
             qsq_evaluate(self._program(), Query(parse_atom('p("a")')))
 
+    def test_qsq_evaluate_rejects_a_query_of_another_arity(self):
+        program = parse_program('q("a").\np(X) :- q(X).')
+        with pytest.raises(ProgramAnalysisError, match="DD103"):
+            qsq_evaluate(program, Query(parse_atom('p("a", Y)')))
+
     def test_stratified_rejects(self):
         with pytest.raises(ProgramAnalysisError):
             StratifiedEvaluator(self._program())

@@ -12,7 +12,7 @@ import weakref
 import pytest
 
 from repro.datalog import (Database, EvaluationBudget, Query, parse_atom,
-                           parse_program, qsq_evaluate)
+                           parse_program)
 from repro.datalog.atom import Atom
 from repro.datalog.database import load_facts, select
 from repro.datalog.parser import parse_rule
@@ -23,7 +23,7 @@ from repro.distributed.dqsq import _DqsqPeer, split_input_name
 from repro.distributed.network import PeerFaultPlan
 from repro.datalog.adornment import Adornment
 from repro.errors import BudgetExceeded, DistributedError
-from tests.reference import reference_model
+from tests.reference import figure4_qsq, reference_model
 from tests.test_prepared import PLAN_LOOKUPS
 
 FIGURE3_RULES = """
@@ -62,9 +62,10 @@ def localized(dd, facts_text, query):
 
 
 def local_reference_answers(dd, facts_text, query):
-    """Answers of centralized QSQ on the paper's P_local."""
+    """Centralized QSQ on the paper's P_local, evaluated eagerly (the
+    Figure 4 oracle)."""
     local, local_query, local_edb = localized(dd, facts_text, query)
-    return qsq_evaluate(local, local_query, local_edb)
+    return figure4_qsq(local, local_query, local_edb)
 
 
 class TestFigure5:
@@ -95,6 +96,15 @@ class TestFigure5:
         assert result.per_peer["r"]["rewritings"] >= 1
         assert result.per_peer["s"]["rewritings"] == 1
         assert result.per_peer["t"]["rewritings"] == 1
+
+    @pytest.mark.parametrize("at_peer", [None, "s"])
+    def test_query_on_an_edb_relation_reads_its_facts(self, at_peer):
+        # no rule defines a@r: the demand has nothing to rewrite, and the
+        # answer is the stored facts (shipped when asked from elsewhere)
+        dd, edb = setup_figure3()
+        result = DqsqEngine(dd, edb).query(Query(parse_atom('a@r("1", Y)')),
+                                           at_peer=at_peer)
+        assert {f[1].value for f in result.answers} == {"2"}
 
     def test_reuse_of_machinery(self):
         # Two queries to the same engine instance are independent runs;

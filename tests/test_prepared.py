@@ -1,14 +1,14 @@
 """The prepared diagnosis table of :mod:`repro.diagnosis.engine`.
 
-A ``qsq`` diagnosis encodes, checks, rewrites and compiles its plans
-once per (net, observation, depth bound); a ``dqsq`` diagnosis encodes
-and checks once, and its peers reuse their rewritings of the encoded
-program.  These tests pin what makes that safe:
+A ``qsq`` or ``dqsq`` diagnosis encodes and checks its program once per
+(net, observation, depth bound) -- ``qsq`` then places it at the
+supervisor -- and its peers reuse their rewritings of that program
+object.  These tests pin what makes that safe:
 
 * **hit equivalence** -- a call that reuses an entry answers exactly what
   a call after :func:`~repro.datalog.plan.clear_plan_cache` answers, with
-  every counter equal except the plan-cache lookups, and compiles no
-  plan;
+  every counter equal except the plan-cache lookups, runs the entry's
+  program object, and compiles no plan;
 * **key** -- an equal observation hits even as a fresh object; another
   observation, supervisor, depth bound or mode gets its own entry;
   ``bottomup`` keeps none;
@@ -26,6 +26,7 @@ from repro.datalog.seminaive import EvaluationBudget
 from repro.diagnosis import AlarmSequence, DatalogDiagnosisEngine
 from repro.diagnosis import engine as engine_module
 from repro.diagnosis.patterns import AlarmPattern, ObservationSpec
+from repro.distributed import dqsq as dqsq_module
 from repro.petri.examples import figure1_alarm_scenarios, figure1_net
 from repro.petri.generators import TelecomSpec, telecom_net
 from repro.workloads.alarmgen import simulate_alarms
@@ -67,7 +68,7 @@ class TestHitEquivalence:
     mode = "qsq"
 
     @pytest.mark.parametrize("case", ["figure1", "pattern", "pool"])
-    def test_hit_answers_what_a_cold_call_does(self, case):
+    def test_hit_answers_what_a_cold_call_does(self, case, monkeypatch):
         if case == "pool":
             petri, observation = pool_alarms()
         else:
@@ -78,15 +79,22 @@ class TestHitEquivalence:
         cold = engine.diagnose(observation)
         (entry,) = engine_module._PREPARED[petri].values()
         compiled = plan_cache_size()
+        # the program objects whose rewriting tables the hit's peers use
+        keyed = []
+        rewritings = dqsq_module._rewritings
+        monkeypatch.setattr(dqsq_module, "_rewritings",
+                            lambda program: keyed.append(program)
+                            or rewritings(program))
         hit = engine.diagnose(observation)
         assert list(engine_module._PREPARED[petri].values()) == [entry]
         assert observed(hit) == observed(cold)
         assert cold.counters["plan.cache_misses"] > 0
         assert plan_cache_size() == compiled
+        # a fresh placement per call would be a fresh key: rewrite again
+        assert len(keyed) == 1 and keyed[0] is entry.program
         if self.mode == "qsq":
-            # the entry holds the id-keyed plans too; a dqsq peer's plan
-            # map is its own, so its misses hit the shared cache
-            assert hit.counters["plan.cache_misses"] == 0
+            # P_local at one peer: nothing crosses a channel
+            assert hit.counters["messages_sent"] == 0
 
 
 class TestDqsqHitEquivalence(TestHitEquivalence):

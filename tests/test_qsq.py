@@ -21,7 +21,7 @@ from repro.datalog.atom import Atom
 from repro.datalog.database import load_facts
 from repro.diagnosis import AlarmSequence
 from repro.diagnosis.supervisor import SupervisorEncoder
-from repro.errors import BudgetExceeded
+from repro.errors import BudgetExceeded, ProgramAnalysisError, ValidationError
 from repro.petri.examples import figure1_net
 
 FIGURE3_LOCAL = """
@@ -279,6 +279,28 @@ class TestInequalitiesInQsq:
         result = qsq_evaluate(program, Query(parse_atom('apart("a", Y)')), db)
         values = {f[1].value for f in result.answers}
         assert values == {"b", "c"}
+
+
+class TestNegationIsRejected:
+    """The rewriting walks body atoms and inequalities only: a negated
+    atom would be dropped, and ``ok("2")`` answered.  Both entry points
+    refuse the program instead."""
+
+    NEGATION = """
+    e("1"). e("2"). bad("2").
+    ok(X) :- e(X), not bad(X).
+    """
+
+    def test_qsq_evaluate_raises(self):
+        program = parse_program(self.NEGATION)
+        with pytest.raises(ProgramAnalysisError) as err:
+            qsq_evaluate(program, Query(parse_atom("ok(X)")))
+        assert "DD403" in str(err.value)
+
+    def test_qsq_rewrite_raises(self):
+        program = parse_program(self.NEGATION)
+        with pytest.raises(ValidationError, match="negates"):
+            qsq_rewrite(program, Query(parse_atom("ok(X)")))
 
 
 class TestAnalyzerOnTheRewriting:
