@@ -27,14 +27,15 @@ that from then on.  Both executors return the same rows in the same
 order and increment :class:`PlanStats` identically; the reference
 interpreter they are tested against lives in ``tests/reference.py``.
 
-Plans are cached per ``(rule, delta_position)``; :class:`PlanStats`
-exposes index hit/miss, bindings-explored and promotion counts
-(``plan.*`` counters).
+Plans are kept per ``(rule, delta_position)`` in one table, weak on
+the rule and keyed by equality (:func:`compile_join_plan`);
+:class:`PlanStats` exposes index hit/miss, bindings-explored and
+promotion counts (``plan.*`` counters).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import weakref
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.datalog.batch import compile_batched_kernel
@@ -163,7 +164,7 @@ class PlanStats:
 
     _FIELDS = ("bindings_explored", "index_hits", "index_misses",
                "full_scans", "delta_scans", "cache_hits", "cache_misses",
-               "cache_evictions", "promotions", "firings", "empty_firings")
+               "promotions", "firings", "empty_firings")
     __slots__ = _FIELDS + ("_flushed",)
 
     def __init__(self) -> None:
@@ -174,7 +175,6 @@ class PlanStats:
         self.delta_scans = 0
         self.cache_hits = 0
         self.cache_misses = 0
-        self.cache_evictions = 0
         #: plans whose kernel this evaluator's firing generated
         self.promotions = 0
         #: rule firings (one plan.fire call each) and how many of them
@@ -221,18 +221,17 @@ class JoinStep:
 class JoinPlan:
     """A rule's body join, compiled (optionally delta-restricted)."""
 
-    __slots__ = ("rule", "delta_position", "nslots", "var_slots", "steps",
+    __slots__ = ("delta_position", "nslots", "var_slots", "steps",
                  "pre_checks", "negated", "head_key", "head_builders",
                  "rows", "kernel")
 
     def __init__(self, rule: Rule, delta_position: int | None = None) -> None:
-        self.rule = rule
         self.delta_position = delta_position
         #: rows scanned from deltas plus rows produced on the step
         #: interpreter so far, and the kernel generated once that count
         #: reached KERNEL_AFTER_ROWS.  Both live on the plan, so the
-        #: shared cache amortizes codegen across runs exactly as it
-        #: amortizes compilation, and evicting the plan evicts its kernel.
+        #: plan table amortizes codegen across runs exactly as it
+        #: amortizes compilation, and the kernel dies with its plan.
         self.rows = 0
         self.kernel: Kernel | None = None
         order = _order_body(rule, delta_position)
@@ -429,7 +428,7 @@ class JoinPlan:
 
     def __repr__(self) -> str:
         order = [s.position for s in self.steps]
-        return (f"JoinPlan({self.rule!s}, order={order}, "
+        return (f"JoinPlan({self.head_key}, order={order}, "
                 f"delta={self.delta_position})")
 
 
@@ -486,113 +485,56 @@ def _assign_slots(rule: Rule, order: Sequence[int]) -> dict[Var, int]:
     return slot_of
 
 
-# -- the plan cache --------------------------------------------------------------
+# -- the plan table --------------------------------------------------------------
 
-#: plans per (rule, delta_position), a bounded LRU.  Rewritten rules
-#: are repeatable -- the Figure-4 rewriting names its supplementary
-#: relations ``sup_{rule}_{j}``, (d)QSQ ``sup[peer.relation.adornment.index]k``
-#: -- so running one program again hits.  What grows in a long-running
-#: process is the number of *different* programs (every net and
-#: observation brings its own rules), while hot plans (recursive rules
-#: fired every round) stay resident
-_PLAN_CACHE: OrderedDict[tuple[Rule, int | None], JoinPlan] = OrderedDict()
-_PLAN_CACHE_MAX = 16384
-_PLAN_CACHE_EVICTIONS = 0
-#: ``clear`` of each table that keeps plans or the rules that key them
-#: beyond this cache (the prepared diagnoses of
-#: :mod:`repro.diagnosis.engine`, the peer rewritings of
-#: :mod:`repro.distributed.dqsq`), so a cleared plan cache leaves no
-#: plan or rewriting warm anywhere
+#: rule -> delta position -> its plan, weak on the rule and keyed by
+#: equality: structurally equal rules share their plans (a repeated
+#: rewriting names its supplementary relations the same way), and an
+#: entry lives as long as the rule object that keys it, the first equal
+#: rule that asked.  A plan does not refer to its rule, so an entry
+#: never keeps its own key alive
+_PLANS: "weakref.WeakKeyDictionary[Rule, dict[int | None, JoinPlan]]" = \
+    weakref.WeakKeyDictionary()
+#: ``clear`` of each table that keeps the rules that key plans (the
+#: prepared diagnoses of :mod:`repro.diagnosis.engine`, the peer
+#: rewritings of :mod:`repro.distributed.dqsq`), so a cleared plan table
+#: leaves no plan or rewriting warm anywhere
 _PLAN_HOLDERS: list[Callable[[], None]] = []
 
 
 def compile_join_plan(rule: Rule, delta_position: int | None = None,
-                      counters: Counters | None = None,
                       stats: PlanStats | None = None) -> JoinPlan:
-    """The cached compiled plan for ``rule`` (optionally delta-restricted).
-
-    Hits refresh the entry's LRU position; a miss that overflows the
-    capacity evicts the least-recently-used plan (recorded under
-    ``plan.cache_evictions``).  Eviction only ever costs recompilation:
-    plans are pure functions of ``(rule, delta_position)``, so answers
-    are unaffected (a regression-tested invariant).
-    """
-    global _PLAN_CACHE_EVICTIONS
-    key = (rule, delta_position)
-    plan = _PLAN_CACHE.get(key)
+    """The plan of ``rule`` (optionally delta-restricted), compiled on
+    the first lookup of an equal rule (``plan.cache_misses``); a later
+    lookup counts under ``plan.cache_hits``.  Plans are pure functions
+    of ``(rule, delta_position)``, so sharing one never changes an
+    answer."""
+    plans = _PLANS.get(rule)
+    if plans is None:
+        plans = _PLANS[rule] = {}
+    plan = plans.get(delta_position)
     if plan is None:
-        plan = JoinPlan(rule, delta_position)
-        if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
-            _PLAN_CACHE.popitem(last=False)
-            _PLAN_CACHE_EVICTIONS += 1
-            if stats is not None:
-                stats.cache_evictions += 1
-            if counters is not None:
-                counters.add("plan.cache_evictions")
-        _PLAN_CACHE[key] = plan
-        if counters is not None:
-            counters.add("plan.cache_misses")
-    else:
-        _PLAN_CACHE.move_to_end(key)
-        if counters is not None:
-            counters.add("plan.cache_hits")
-    return plan
-
-
-def plan_for(cache: dict, stats: PlanStats, rule: Rule,
-             delta_position: int | None) -> JoinPlan:
-    """Two-level plan lookup for an evaluator's fire loop.
-
-    ``cache`` is the evaluator's own dict keyed by ``(id(rule),
-    delta_position)``: identity keys skip the deep ``Rule.__eq__`` chains
-    a per-fire equality lookup would pay.  Misses fall through to the
-    shared equality-keyed cache, so structurally equal rules from
-    repeated rewritings still share one compilation.  The plan (which
-    holds the rule strongly) pins the id for the cache's lifetime.
-    """
-    key = (id(rule), delta_position)
-    plan = cache.get(key)
-    if plan is None:
-        plan = compile_join_plan(rule, delta_position, stats=stats)
-        cache[key] = plan
-        stats.cache_misses += 1
-    else:
+        plan = plans[delta_position] = JoinPlan(rule, delta_position)
+        if stats is not None:
+            stats.cache_misses += 1
+    elif stats is not None:
         stats.cache_hits += 1
     return plan
 
 
 def plan_cache_size() -> int:
-    return len(_PLAN_CACHE)
-
-
-def plan_cache_evictions() -> int:
-    """Process-lifetime LRU evictions from the shared plan cache."""
-    return _PLAN_CACHE_EVICTIONS
-
-
-def set_plan_cache_limit(limit: int) -> int:
-    """Set the shared cache's LRU capacity; returns the previous limit.
-
-    Mainly a test hook (the eviction regression suite shrinks the cache
-    to force churn); shrinking evicts immediately, oldest first.
-    """
-    global _PLAN_CACHE_MAX, _PLAN_CACHE_EVICTIONS
-    previous = _PLAN_CACHE_MAX
-    _PLAN_CACHE_MAX = max(1, limit)
-    while len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
-        _PLAN_CACHE.popitem(last=False)
-        _PLAN_CACHE_EVICTIONS += 1
-    return previous
+    """How many plans the table holds."""
+    return sum(len(plans) for plans in _PLANS.values())
 
 
 def hold_plans(clear: Callable[[], None]) -> None:
-    """Register a table that keeps plans: :func:`clear_plan_cache` calls
-    ``clear`` too."""
+    """Register a table that keeps plan-keying rules:
+    :func:`clear_plan_cache` calls ``clear`` too."""
     _PLAN_HOLDERS.append(clear)
 
 
 def clear_plan_cache() -> None:
-    """Drop every compiled plan: this cache's and every holder's."""
-    _PLAN_CACHE.clear()
+    """Drop every compiled plan: this table's and every holder's rules."""
+    _PLANS.clear()
     for clear in _PLAN_HOLDERS:
         clear()

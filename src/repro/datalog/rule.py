@@ -26,7 +26,10 @@ class Rule:
     the stratified-negation extension (Remark 4).
     """
 
-    __slots__ = ("head", "body", "inequalities", "negated", "_hash")
+    #: ``__weakref__``: the plan table (:mod:`repro.datalog.plan`) is
+    #: weak on its rules
+    __slots__ = ("head", "body", "inequalities", "negated", "_hash",
+                 "__weakref__")
 
     def __init__(self, head: Atom, body: Iterable[Atom] = (),
                  inequalities: Iterable[Inequality] = (),
@@ -90,10 +93,13 @@ class Rule:
         return {a.key() for a in self.body} | {a.key() for a in self.negated}
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Rule) and self._hash == other._hash
-                and self.head == other.head and self.body == other.body
-                and self.inequalities == other.inequalities
-                and self.negated == other.negated)
+        # identity first: the plan table's weak keys compare their
+        # referents with ``==``, which has no identity shortcut of its own
+        return self is other or (
+            isinstance(other, Rule) and self._hash == other._hash
+            and self.head == other.head and self.body == other.body
+            and self.inequalities == other.inequalities
+            and self.negated == other.negated)
 
     def __hash__(self) -> int:
         return self._hash

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.datalog.database import Database, Fact, RelationKey, select
-from repro.datalog.plan import JoinPlan, PlanStats, plan_for
+from repro.datalog.plan import JoinPlan, PlanStats, compile_join_plan
 from repro.datalog.rule import Program, Query, Rule
 from repro.datalog.term import Term, term_depth
 from repro.errors import BudgetExceeded
@@ -86,8 +86,6 @@ class IncrementalEvaluator:
         self.budget = budget or EvaluationBudget()
         self._counters = Counters()
         self._plan_stats = PlanStats()
-        #: id-keyed plan map (see repro.datalog.plan.plan_for)
-        self._plans: dict = {}
         if db is not None:  # None: the owner calls bind() before add_rule()
             self.bind(db)
 
@@ -98,7 +96,8 @@ class IncrementalEvaluator:
         return self._counters
 
     def bind(self, db: Database) -> None:
-        """Schedule over ``db`` with no rule installed; plans are kept."""
+        """Schedule over ``db`` with no rule installed; counters are kept
+        (a peer restore rebinds: recovery work is real work)."""
         self.db = db
         self._seen_rules: set[Rule] = set()
         self._pending_rules: list[Rule] = []
@@ -110,29 +109,14 @@ class IncrementalEvaluator:
         self._consumers: dict[RelationKey, list[list]] = defaultdict(list)
         self._log_position = len(db.change_log())
 
-    def reset(self, db: Database) -> None:
-        """Rebind to a fresh database and drop every derived structure.
-
-        The checkpoint/restore path on the distributed peers calls this
-        instead of constructing a new evaluator.  Crucially it clears the
-        compiled-plan cache: plans are keyed by ``id(rule)``
-        (see :func:`repro.datalog.plan.plan_for`), and after a restore
-        the re-installed rule objects are *new* allocations -- a stale
-        entry whose key id got recycled by the allocator would hand back
-        a plan compiled for a different rule, silently probing the wrong
-        indexes.  Counters survive: recovery work is real work.
-        """
-        self._plans.clear()
-        self.bind(db)
-
     def add_rule(self, rule: Rule) -> bool:
-        """Register a rule; facts go straight to the store."""
+        """Register a rule; facts go straight to the store (a stored
+        fact rule is not a materialized fact: only firings count)."""
         if rule in self._seen_rules:
             return False
         self._seen_rules.add(rule)
         if rule.is_fact():
-            if self.db.add_atom(rule.head):
-                self._counters.add("facts_materialized")
+            self.db.add_atom(rule.head)
             return True
         self._pending_rules.append(rule)
         return True
@@ -149,8 +133,8 @@ class IncrementalEvaluator:
 
     def _plan(self, consumer: list) -> JoinPlan:
         """The consumer's delta plan, resolved (and kept) on first use."""
-        consumer[4] = plan_for(self._plans, self._plan_stats,
-                               consumer[0], consumer[1])
+        consumer[4] = compile_join_plan(consumer[0], consumer[1],
+                                        self._plan_stats)
         return consumer[4]
 
     def _derive(self, plan: JoinPlan, db: Database,
@@ -204,7 +188,7 @@ class IncrementalEvaluator:
                     entering.append(consumer)
                     consumers[key].append(consumer)
                 if not counts:
-                    derive(plan_for(self._plans, self._plan_stats, rule, None), db)
+                    derive(compile_join_plan(rule, None, self._plan_stats), db)
                 elif smallest := min(counts):
                     first = counts.index(smallest)
                     derive(self._plan(entering[first]), db, facts_of(keys[first])[:])
@@ -238,8 +222,8 @@ class SemiNaiveEvaluator:
     """Semi-naive fixpoint of a whole program: the program-at-once front
     of :class:`IncrementalEvaluator`, a peer with nothing left to arrive.
 
-    Counters and compiled plans are that scheduler's and outlive a
-    :meth:`run`: the rules that key the plans are the program's own.
+    Counters are that scheduler's and outlive a :meth:`run`; the plans
+    live in the plan table as long as the program's rules do.
     """
 
     def __init__(self, program: Program,

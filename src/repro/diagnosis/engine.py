@@ -20,15 +20,17 @@ The result carries the diagnosis set and the set of *materialized
 unfolding nodes* -- the quantity Theorem 4 compares against the
 dedicated algorithm's prefix.
 
-A ``qsq`` or ``dqsq`` diagnosis encodes and checks its program once
-per (net, observation, depth bound), in a table keyed weakly by the net
-that empties with :func:`repro.datalog.plan.clear_plan_cache`.  The
-entry holds the program the peers run: the encoded one for ``dqsq``,
-its one-peer placement for ``qsq``.  The peers still rewrite lazily, on
-the first demand for each adorned relation (Remark 2), but what a peer
-installs depends only on the program and that demand, so
-:mod:`repro.distributed.dqsq` keeps each peer's rewriting per program
-and a repeated question pays only for evaluation and transport.
+A diagnosis encodes and checks its program once per (mode, net,
+observation, depth bound), in a table keyed weakly by the net that
+empties with :func:`repro.datalog.plan.clear_plan_cache`.  The entry
+holds the program that is evaluated: the encoded one for ``dqsq``, its
+one-peer placement for ``qsq``, its local version for ``bottomup``.
+The peers still rewrite lazily, on the first demand for each adorned
+relation (Remark 2), but what a peer installs depends only on the
+program and that demand, so :mod:`repro.distributed.dqsq` keeps each
+peer's rewriting per program.  A repeated question therefore runs the
+same rule objects, whose join plans the plan table keeps, and pays only
+for evaluation and transport.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 from repro.datalog.analysis import check_program
 from repro.datalog.database import Database, Fact, select
 from repro.datalog.plan import hold_plans
-from repro.datalog.rule import Query
+from repro.datalog.rule import Program, Query
 from repro.datalog.seminaive import EvaluationBudget, SemiNaiveEvaluator
 from repro.datalog.atom import Atom
 from repro.diagnosis.alarms import AlarmSequence
@@ -108,11 +110,12 @@ class DatalogDiagnosisResult:
 @dataclass
 class _Prepared:
     """What the diagnoses of one (mode, net, observation, depth bound)
-    share: the program the peers run, which also keys their rewritings."""
+    share: the checked program they evaluate, which also keys the peers'
+    rewritings (``bottomup``: the local version, evaluated in place)."""
 
     #: the ``analysis.*`` counters of the check that accepted the program
     analysis: Counters
-    program: DDatalogProgram
+    program: DDatalogProgram | Program
 
 
 #: net -> (mode, supervisor, observation, depth bounded) -> its prepared
@@ -149,29 +152,27 @@ class DatalogDiagnosisEngine:
                 "must bound its own explanations")
         query_atom = encoder.query_atom()
         counters = Counters()
+        prepared = self._prepare(encoder, query_atom)
+        counters.merge(prepared.analysis)
 
         partial = False
         transport_stats: dict[str, dict[str, int]] | None = None
         peer_report: dict[str, dict[str, int | bool]] | None = None
-        if self.mode is EvaluationMode.BOTTOMUP:
-            program = encoder.program()
-            self._check(program, query_atom, counters)
+        program = prepared.program
+        if isinstance(program, Program):  # bottomup: P_local, in one place
             db = Database()
-            evaluator = SemiNaiveEvaluator(program.local_version(), self.budget,
-                                           check=False)
+            evaluator = SemiNaiveEvaluator(program, self.budget, check=False)
             evaluator.run(db)
             counters.merge(evaluator.counters)
             answers = select(db, placed_at(query_atom, None))
             events, conditions = _collect_nodes_plain([db])
         else:
-            prepared = self._prepare(encoder, query_atom)
-            counters.merge(prepared.analysis)
             transport, options = self.transport, self.options
             if self.mode is EvaluationMode.QSQ:
                 # one peer: nothing to send, so nothing to configure
                 transport, options = "sim", NetworkOptions()
                 query_atom = placed_at(query_atom, self.supervisor)
-            engine = DqsqEngine(prepared.program, budget=self.budget,
+            engine = DqsqEngine(program, budget=self.budget,
                                 options=options, check=False,
                                 transport=transport)
             result = engine.query(Query(query_atom))
@@ -215,9 +216,10 @@ class DatalogDiagnosisEngine:
                  query_atom: Atom) -> _Prepared:
         """This call's entry in the prepared table, made on a miss.  The
         key holds the mode -- ``qsq`` places the program at the
-        supervisor -- and everything the encoded program depends on
-        besides the net; a hit replays the check's counters (its verdict
-        is the program's) and logs nothing."""
+        supervisor, ``bottomup`` takes its local version -- and
+        everything the encoded program depends on besides the net; a hit
+        replays the check's counters (its verdict is the program's) and
+        logs nothing."""
         spec = encoder.spec
         key = (self.mode, self.supervisor, tuple(spec.observers.items()),
                frozenset(spec.hidden), spec.max_events,
@@ -228,9 +230,12 @@ class DatalogDiagnosisEngine:
             program = encoder.program()
             analysis = Counters()
             self._check(program, query_atom, analysis)
+            evaluated: DDatalogProgram | Program = program
             if self.mode is EvaluationMode.QSQ:
-                program = place(program.program, self.supervisor)
-            prepared = table[key] = _Prepared(analysis, program)
+                evaluated = place(program.program, self.supervisor)
+            elif self.mode is EvaluationMode.BOTTOMUP:
+                evaluated = program.local_version()
+            prepared = table[key] = _Prepared(analysis, evaluated)
         return prepared
 
 

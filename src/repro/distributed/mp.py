@@ -5,14 +5,12 @@ This is the deployment half of the transport split (see
 the deterministic simulator run here on real OS processes, exchanging
 pickled frames over ``multiprocessing`` queues.  Local fixpoints at
 distinct peers execute genuinely in parallel -- each worker has its own
-interpreter and its own GIL.  No committed measurement shows that making
-a run faster: on two cpus ``BENCH_transport.json`` reads mp at 1.3-1.7x
-the simulator's time, and the end-to-end benchmark reads ``fanout-mp``
-1.98x *slower* than ``fanout-sim`` (``op_p50_ms`` 260.8 against 131.4
-ms at ``--seed 0``, medians of three and ten runs on a 2-cpu Linux
-host).  Until a recording on real multi-core hardware says otherwise,
-mp is a conformance target (same answers as the simulator), not a
-performance feature.
+interpreter and its own GIL.  No measurement shows that making a run
+faster: on a 2-cpu Linux host the end-to-end benchmark reads
+``fanout-mp`` 3.6x *slower* than ``fanout-sim`` (``op_p50_ms`` 283.1
+against 79.3 ms at ``--seed 0``, medians).  Until a recording on real
+multi-core hardware says otherwise, mp is a conformance target (same
+answers as the simulator), not a performance feature.
 
 Architecture
 ------------

@@ -115,11 +115,7 @@ class Peer:
         """Fresh store and scheduler, filled from ``snapshot`` (``None``:
         from the peer's own initial facts)."""
         self.db = Database()
-        # Reuse the evaluator via reset() rather than rebuilding it: the
-        # reset clears the id-keyed compiled-plan cache, so re-installed
-        # rules can never hit a plan compiled for a pre-crash rule object
-        # whose id() the allocator happened to recycle.
-        self.evaluator.reset(self.db)
+        self.evaluator.bind(self.db)
         self.readers: dict[RelationKey, set[str]] = {}
         self._install_log: list[Rule] = []
         if snapshot is None:

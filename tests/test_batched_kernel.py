@@ -10,9 +10,7 @@ at both extremes (never / always the kernel) and at the shipped default.
 
 The same file pins what rides on the plans: a threshold crossed in the
 middle of a fixpoint or by firings that produce nothing, kernel shapes
-shared across plans and dying with them, the bounded LRU plan cache
-(eviction recompiles and drops the kernel, never changes answers),
-zero-arity relations and pickled programs re-interning before
+shared across plans and dying with them, zero-arity relations and pickled programs re-interning before
 evaluation (the mp worker path).
 """
 
@@ -28,8 +26,7 @@ from repro.datalog import (Database, Query, SemiNaiveEvaluator, parse_atom,
 from repro.datalog import batch as batch_module
 from repro.datalog import plan as plan_module
 from repro.datalog.database import load_facts, select
-from repro.datalog.plan import (clear_plan_cache, compile_join_plan,
-                                plan_cache_evictions, set_plan_cache_limit)
+from repro.datalog.plan import clear_plan_cache, compile_join_plan
 from repro.datalog.qsq import qsq_evaluate
 from repro.datalog.seminaive import EvaluationBudget, IncrementalEvaluator
 from repro.datalog.stratified import StratifiedEvaluator
@@ -365,67 +362,6 @@ class TestBottomUpFactBudget:
         stopped = at_each_setting(lambda: run_over(8))
         assert sum(map(len, stopped.values())) == 12
         assert all(set(rows) <= model[key] for key, rows in stopped.items())
-
-
-class TestLruPlanCache:
-    def test_eviction_never_changes_answers(self):
-        # A cache of 2 entries forces evictions on a program with more
-        # distinct rules than slots: every firing beyond the cap
-        # recompiles (and starts again on the step interpreter: the
-        # kernel is evicted with its plan), and the model must not notice.
-        program = parse_program(FIGURE3)
-        reference = snapshot(reference_model(program))
-        rule = next(program.proper_rules())
-
-        def run():
-            db = Database()
-            SemiNaiveEvaluator(program).run(db)
-            return snapshot(db)
-        assert at_each_setting(run) == reference
-
-        previous = set_plan_cache_limit(2)
-        try:
-            before = plan_cache_evictions()
-            assert at_each_setting(run) == reference
-            assert plan_cache_evictions() > before
-            with pinned_executor(0):
-                promoted = compile_join_plan(rule)
-                promoted.fire(load_facts(program))
-                assert promoted.kernel is not None
-                run()
-                recompiled = compile_join_plan(rule)
-                assert recompiled is not promoted
-                assert recompiled.kernel is None and recompiled.rows == 0
-        finally:
-            set_plan_cache_limit(previous)
-            clear_plan_cache()
-
-    def test_shrinking_limit_evicts_immediately(self):
-        program = parse_program(FIGURE3)
-        previous = set_plan_cache_limit(16384)
-        try:
-            clear_plan_cache()
-            db = Database()
-            SemiNaiveEvaluator(program).run(db)
-            before = plan_cache_evictions()
-            set_plan_cache_limit(1)
-            assert plan_cache_evictions() > before
-        finally:
-            set_plan_cache_limit(previous)
-            clear_plan_cache()
-
-    def test_eviction_counter_surfaces_in_evaluator_counters(self):
-        program = parse_program(FIGURE3)
-        previous = set_plan_cache_limit(2)
-        try:
-            clear_plan_cache()
-            evaluator = SemiNaiveEvaluator(program)
-            evaluator.run(Database())
-            evaluator.flush_stats()
-            assert evaluator.counters["plan.cache_evictions"] > 0
-        finally:
-            set_plan_cache_limit(previous)
-            clear_plan_cache()
 
 
 class TestPickledProgramsBatchCleanly:

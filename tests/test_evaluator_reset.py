@@ -1,112 +1,96 @@
-"""Regression tests for :meth:`IncrementalEvaluator.reset`.
+"""The plan table across peer restores and program lifetimes.
 
-The distributed peers' ``restore()`` path reuses one evaluator across a
-crash.  The evaluator's compiled-plan cache is keyed by ``id(rule)``
-(:func:`repro.datalog.plan.plan_for`): if restore kept the cache while
-re-installing freshly allocated rule objects, an id recycled by the
-allocator would silently hand a rule another rule's join plan.  These
-tests pin the invalidation contract and demonstrate the hazard it
-prevents.
+Join plans are kept per rule, by equality and weakly
+(:func:`repro.datalog.plan.compile_join_plan`): a rule equal to one
+that compiled a plan gets that plan, and a plan dies with the rule
+object that keys it.  A restored peer re-installs *unpickled* rules --
+new objects, equal to the old ones -- so it finds its plans again
+without compiling, and nothing about a recycled ``id()`` can reach a
+lookup.
 """
+
+import gc
+import pickle
 
 from repro.datalog.database import Database, load_facts
 from repro.datalog.parser import parse_atom, parse_program
-from repro.datalog.plan import PlanStats, plan_for
+from repro.datalog.plan import clear_plan_cache, plan_cache_size
 from repro.datalog.rule import Query
-from repro.datalog.seminaive import IncrementalEvaluator
+from repro.datalog.seminaive import EvaluationBudget, SemiNaiveEvaluator
 from repro.datalog.term import Const
 from repro.distributed.ddatalog import DDatalogProgram
 from repro.distributed.dqsq import DqsqEngine
-from repro.distributed.network import NetworkOptions, PeerFaultPlan
+from repro.distributed.network import Message, NetworkOptions, PeerFaultPlan
+from repro.distributed.peer import Peer
 from repro.workloads.scenarios import FIGURE3_TEXT
 
-
-def _rule(text: str):
-    return next(parse_program(text, check=False).proper_rules())
-
-
-class TestReset:
-    def test_reset_clears_plans_rules_and_cursors(self):
-        db = Database()
-        evaluator = IncrementalEvaluator(db)
-        rule = _rule("p(X) :- q(X).")
-        evaluator.add_rule(rule)
-        db.add(("q", None), (Const("a"),))
-        evaluator.run()
-        assert evaluator._plans
-        [(_, position, cursor, partners, plan)] = evaluator._consumers[("q", None)]
-        assert (position, cursor, partners) == (0, 1, ())
-        # the consumer holds the plan the id-keyed map resolved for it
-        assert plan is evaluator._plans[(id(rule), 0)]
-
-        fresh = Database()
-        evaluator.reset(fresh)
-        assert evaluator.db is fresh
-        assert not evaluator._plans
-        assert not evaluator._seen_rules
-        assert not evaluator._consumers
-
-    def test_reset_keeps_counters(self):
-        db = Database()
-        evaluator = IncrementalEvaluator(db)
-        evaluator.add_rule(_rule("p(X) :- q(X)."))
-        db.add(("q", None), (Const("a"),))
-        evaluator.run()
-        derived = evaluator.counters["facts_materialized"]
-        assert derived >= 1
-        evaluator.reset(Database())
-        assert evaluator.counters["facts_materialized"] == derived
-
-    def test_rules_reinstall_after_reset(self):
-        db = Database()
-        evaluator = IncrementalEvaluator(db)
-        rule_text = "p(X) :- q(X)."
-        evaluator.add_rule(_rule(rule_text))
-        db.add(("q", None), (Const("a"),))
-        evaluator.run()
-        assert db.facts(("p", None))
-
-        fresh = Database()
-        evaluator.reset(fresh)
-        # add_rule must accept the (structurally equal) rule again: the
-        # seen-set was dropped with everything else
-        assert evaluator.add_rule(_rule(rule_text))
-        fresh.add(("q", None), (Const("b"),))
-        evaluator.run()
-        assert list(fresh.facts(("p", None))) == [(Const("b"),)]
+TC = """
+edge(1, 2). edge(2, 3). edge(3, 4).
+path(X, Y) :- edge(X, Y).
+path(X, Z) :- path(X, Y), edge(Y, Z).
+"""
 
 
-class TestStalePlanHazard:
-    def test_aliased_cache_entry_misfires_and_reset_heals_it(self):
-        # Emulate the allocator recycling an id: pre-seed the cache so
-        # the key for rule_r points at the plan compiled for rule_p.
-        rule_p = _rule("p(X) :- q(X).")
-        rule_r = _rule("r(X) :- s(X).")
-        db = Database()
-        evaluator = IncrementalEvaluator(db)
-        # plans are cached per (id, delta_position) and every firing of a
-        # one-atom rule is a delta firing at position 0
-        evaluator._plans[(id(rule_r), 0)] = plan_for({}, PlanStats(),
-                                                     rule_p, 0)
+class _Installer(Peer):
+    """A request installs the rule it carries."""
 
-        db.add(("q", None), (Const("a"),))
-        db.add(("s", None), (Const("z"),))
-        evaluator.add_rule(rule_r)
-        evaluator.run()
-        # the aliased plans fired p from q instead of r from s
-        assert db.facts(("p", None))
-        assert not db.facts(("r", None))
+    KIND_FACTS = "facts"
 
-        # reset() drops the poisoned cache; the same rule now compiles
-        # its own plan and derives the right relation
-        fresh = Database()
-        evaluator.reset(fresh)
-        assert not evaluator._plans
-        evaluator.add_rule(rule_r)
-        fresh.add(("s", None), (Const("z"),))
-        evaluator.run()
-        assert list(fresh.facts(("r", None))) == [(Const("z"),)]
-        assert not fresh.facts(("p", None))
+    def handle(self, message, transport):
+        self.install(message.payload)
+
+
+class _Outbox:
+    def send(self, sender, recipient, kind, payload):
+        pass
+
+
+def _run(program):
+    evaluator = SemiNaiveEvaluator(program, check=False)
+    evaluator.run(Database())
+    return evaluator.counters
+
+
+class TestPlanTable:
+    def test_restored_peer_resolves_the_same_plans(self):
+        rule = next(parse_program("p(X) :- q(X).").proper_rules())
+        peer = _Installer("home", (), EvaluationBudget(),
+                          facts={("q", None): [(Const("a"),)]})
+        peer.on_messages([Message("a", "home", "install", rule)], _Outbox())
+        [(_, _, _, _, plan)] = peer.evaluator._consumers[("q", None)]
+        assert plan is not None
+        compiled = peer.evaluator.counters["plan.cache_misses"]
+
+        # the checkpoint travels pickled, as the network stores it
+        peer.restore(pickle.loads(pickle.dumps(peer.checkpoint())))
+        [(reinstalled, _, _, _, replan)] = \
+            peer.evaluator._consumers[("q", None)]
+        assert reinstalled == rule and reinstalled is not rule
+        assert replan is plan
+        assert peer.evaluator.counters["plan.cache_misses"] == compiled
+        assert list(peer.db.facts(("p", None))) == [(Const("a"),)]
+
+    def test_plans_die_with_their_program(self):
+        clear_plan_cache()
+        gc.collect()
+        before = plan_cache_size()
+        program = parse_program(TC)
+        _run(program)
+        assert plan_cache_size() > before
+        del program
+        gc.collect()
+        assert plan_cache_size() == before
+
+    def test_clear_plan_cache_recompiles_a_held_program(self):
+        program = parse_program(TC)
+        clear_plan_cache()
+        compiled = _run(program)["plan.cache_misses"]
+        assert compiled > 0
+        warm = _run(program)
+        assert warm["plan.cache_misses"] == 0
+        assert warm["plan.cache_hits"] > 0
+        clear_plan_cache()
+        assert _run(program)["plan.cache_misses"] == compiled
 
 
 class TestRestoreInvalidatesPlans:

@@ -1,17 +1,17 @@
 """The prepared diagnosis table of :mod:`repro.diagnosis.engine`.
 
-A ``qsq`` or ``dqsq`` diagnosis encodes and checks its program once per
-(net, observation, depth bound) -- ``qsq`` then places it at the
-supervisor -- and its peers reuse their rewritings of that program
-object.  These tests pin what makes that safe:
+A diagnosis encodes and checks its program once per (mode, net,
+observation, depth bound) -- ``qsq`` then places it at the supervisor,
+``bottomup`` takes its local version -- and dQSQ peers reuse their
+rewritings of that program object.  These tests pin what makes that
+safe:
 
 * **hit equivalence** -- a call that reuses an entry answers exactly what
   a call after :func:`~repro.datalog.plan.clear_plan_cache` answers, with
-  every counter equal except the plan-cache lookups, runs the entry's
+  every counter equal except the plan-table lookups, runs the entry's
   program object, and compiles no plan;
 * **key** -- an equal observation hits even as a fresh object; another
   observation, supervisor, depth bound or mode gets its own entry;
-  ``bottomup`` keeps none;
 * **lifetime** -- the table empties with the plan cache, and an entry
   dies with its net.
 """
@@ -22,6 +22,7 @@ import weakref
 import pytest
 
 from repro.datalog.plan import clear_plan_cache, plan_cache_size
+from repro.datalog.rule import Program
 from repro.datalog.seminaive import EvaluationBudget
 from repro.diagnosis import AlarmSequence, DatalogDiagnosisEngine
 from repro.diagnosis import engine as engine_module
@@ -89,6 +90,8 @@ class TestHitEquivalence:
         assert list(engine_module._PREPARED[petri].values()) == [entry]
         assert observed(hit) == observed(cold)
         assert cold.counters["plan.cache_misses"] > 0
+        # the entry keeps its rules, and so their plans, alive
+        assert hit.counters["plan.cache_misses"] == 0
         assert plan_cache_size() == compiled
         # a fresh placement per call would be a fresh key: rewrite again
         assert len(keyed) == 1 and keyed[0] is entry.program
@@ -99,6 +102,28 @@ class TestHitEquivalence:
 
 class TestDqsqHitEquivalence(TestHitEquivalence):
     mode = "dqsq"
+
+
+class TestBottomupHitEquivalence:
+    """``bottomup`` runs the entry's local program in place: a hit skips
+    encode and check, and its rules' plans are still there."""
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_hit_answers_what_a_cold_call_does(self, bounded):
+        petri = figure1_net()
+        budget = (EvaluationBudget(max_term_depth=8, prune_depth=True)
+                  if bounded else None)
+        engine = DatalogDiagnosisEngine(petri, mode="bottomup", budget=budget)
+        clear_plan_cache()
+        cold = engine.diagnose(bac())
+        (entry,) = engine_module._PREPARED[petri].values()
+        compiled = plan_cache_size()
+        hit = engine.diagnose(bac())
+        assert list(engine_module._PREPARED[petri].values()) == [entry]
+        assert observed(hit) == observed(cold)
+        assert cold.counters["plan.cache_misses"] > 0
+        assert hit.counters["plan.cache_misses"] == 0
+        assert plan_cache_size() == compiled
 
 
 class TestKey:
@@ -129,17 +154,18 @@ class TestKey:
     def test_each_mode_gets_its_own_entry(self):
         petri = figure1_net()
         clear_plan_cache()
-        for mode in ("qsq", "dqsq", "qsq", "dqsq"):
+        for mode in ("qsq", "dqsq", "bottomup", "qsq", "dqsq", "bottomup"):
             DatalogDiagnosisEngine(petri, mode=mode).diagnose(bac())
         assert sorted(key[0] for key in engine_module._PREPARED[petri]) \
-            == ["dqsq", "qsq"]
+            == ["bottomup", "dqsq", "qsq"]
 
-    @pytest.mark.parametrize("mode", ["bottomup"])
-    def test_other_modes_keep_no_entry(self, mode):
+    def test_bottomup_keeps_its_local_program(self):
         petri = figure1_net()
         clear_plan_cache()
-        DatalogDiagnosisEngine(petri, mode=mode).diagnose(bac())
-        assert entries(petri) == 0
+        DatalogDiagnosisEngine(petri, mode="bottomup").diagnose(bac())
+        DatalogDiagnosisEngine(petri, mode="bottomup").diagnose(bac())
+        [entry] = engine_module._PREPARED[petri].values()
+        assert isinstance(entry.program, Program)
 
 
 class TestLifetime:
