@@ -188,8 +188,7 @@ def cmd_lint(args) -> int:
             raise ReproError(str(err)) from err
         spans: dict[Rule, tuple[int, int]] = {}
         program = parse_program(text, check=False, spans=spans)
-        report = analyze(program, query, known_peers=known_peers,
-                         depth_bounded=args.depth_bounded, spans=spans)
+        report = analyze(program, query, known_peers=known_peers, spans=spans)
         runs.append((path, report))
     if args.registered:
         from repro.datalog.analysis import index_spans
@@ -200,7 +199,6 @@ def cmd_lint(args) -> int:
             # reports navigable instead of span-less.
             report = analyze(entry.program, entry.query,
                              known_peers=entry.known_peers,
-                             depth_bounded=entry.depth_bounded,
                              spans=index_spans(entry.program))
             runs.append((f"<registered:{name}>", report))
         # Registered *models* ride along: every named diagnosability
@@ -472,9 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
                       default="text",
                       help="output format: human-readable text (default), "
                            "a JSON summary, or SARIF 2.1.0 for CI/editors")
-    lint.add_argument("--depth-bounded", action="store_true",
-                      help="assume a Section-4.4 depth-bound gadget guards "
-                           "evaluation (downgrades DD301 to info)")
     lint.set_defaults(func=cmd_lint)
 
     diagnosability = sub.add_parser(
@@ -502,8 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="declare a verifier depth bound: the "
                                      "search stops there and a clean verdict "
                                      "becomes 'diagnosable up to the bound' "
-                                     "(DD902 at info severity, like "
-                                     "lint --depth-bounded)")
+                                     "(DD902 at info severity)")
     diagnosability.add_argument("--max-states", type=int, default=50_000,
                                 help="verifier state-space safety limit; "
                                      "hitting it downgrades the verdict "

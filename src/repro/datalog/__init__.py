@@ -21,7 +21,7 @@ from repro.datalog.plan import (JoinPlan, compile_join_plan, clear_plan_cache,
                                 plan_cache_size)
 from repro.datalog.analysis import (AnalysisReport, DependencyGraph, Diagnostic,
                                     analyze, check_program)
-from repro.datalog.stratified import StratifiedEvaluator, has_negation, stratify
+from repro.datalog.stratified import has_negation, stratify
 
 __all__ = [
     "Const", "Var", "Func", "Term",
@@ -35,5 +35,5 @@ __all__ = [
     "JoinPlan", "compile_join_plan", "clear_plan_cache", "plan_cache_size",
     "AnalysisReport", "DependencyGraph", "Diagnostic",
     "analyze", "check_program",
-    "StratifiedEvaluator", "has_negation", "stratify",
+    "has_negation", "stratify",
 ]

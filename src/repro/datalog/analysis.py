@@ -3,27 +3,23 @@
 The paper's correctness claims rest on static properties of the
 diagnosis program: safety / range restriction (Lemma 1), stratifiability
 of the Remark-4 negation, peer-locality of the ``R@peer`` atoms that
-makes dQSQ remainder delegation sound (Section 3.2), and the depth-bound
-gadget of Section 4.4 that tames function-symbol recursion.  This module
-checks those properties *before* evaluation and reports structured
-:class:`Diagnostic` records instead of letting a malformed program fail
-deep inside an engine with an opaque error.
+makes dQSQ remainder delegation sound (Section 3.2), and the confluence
+of distributed evaluation.  This module checks those properties
+*before* evaluation and reports structured :class:`Diagnostic` records
+instead of letting a malformed program fail deep inside an engine with
+an opaque error.
 
 Diagnostic codes (see docs/datalog.md for minimal examples and fixes)::
 
     DD101 unsafe-variable               head var unbound by the positive body
     DD102 unbound-inequality-variable   inequality var unbound
     DD103 arity-mismatch                relation used at several arities
-    DD104 function-arity-mismatch       function symbol used at several arities
     DD105 unbound-negation-variable     negated-atom var unbound
     DD201 unstratified-negation         negation through recursion (full cycle)
-    DD301 unbounded-term-growth         function growth around a recursive SCC
     DD401 mixed-locality                located and unlocated atoms in one rule
     DD402 unknown-peer                  atom located at an undeclared peer
     DD403 non-delegable-negation        negated atom in a located rule
     DD501 unreachable-rule              rule unreachable from the query
-    DD601 cross-product-join            join step with no shared bindings
-    DD602 unindexable-join              probe that can never use an index
     DD701 non-confluent-rule-pair       a rule pair whose firings do not commute
     DD702 order-sensitive-remainder     located rule negatively depending cross-peer
     DD703 racy-negation-delegation      negated atom located at a remote peer
@@ -32,9 +28,11 @@ Diagnostic codes (see docs/datalog.md for minimal examples and fixes)::
     DD903 silent-unobservable-fault     fault with no observable causal future
     DD904 locally-undiagnosable-fault   fault a peer can only diagnose by communicating
 
-There is no static cost family: the DD8xx cardinality estimates were
-measured against the rules that do the work and deleted
-(docs/datalog.md, "Why there is no cost lint").
+There is no static cost family, and no function-arity (DD104),
+term-growth (DD301) or join-shape (DD601/DD602) pass: each was measured
+against the paper's program, found to gate nothing, and deleted
+(docs/datalog.md, "Why there is no cost lint" and "Why these codes
+went").
 
 The DD9xx family analyzes *models* rather than programs -- it is the
 static diagnosability verifier of :mod:`repro.diagnosability`, reported
@@ -54,9 +52,8 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
-from repro.datalog.atom import Atom
 from repro.datalog.rule import Program, Query, Rule
-from repro.datalog.term import Func, Term, Var, variables_of
+from repro.datalog.term import Var
 from repro.errors import ProgramAnalysisError
 from repro.utils.counters import Counters
 from repro.utils.orders import strongly_connected_components
@@ -76,16 +73,12 @@ CODES: dict[str, tuple[str, str]] = {
     "DD101": ("unsafe-variable", ERROR),
     "DD102": ("unbound-inequality-variable", ERROR),
     "DD103": ("arity-mismatch", ERROR),
-    "DD104": ("function-arity-mismatch", INFO),
     "DD105": ("unbound-negation-variable", ERROR),
     "DD201": ("unstratified-negation", ERROR),
-    "DD301": ("unbounded-term-growth", WARNING),
     "DD401": ("mixed-locality", ERROR),
     "DD402": ("unknown-peer", WARNING),
     "DD403": ("non-delegable-negation", WARNING),
     "DD501": ("unreachable-rule", WARNING),
-    "DD601": ("cross-product-join", WARNING),
-    "DD602": ("unindexable-join", WARNING),
     "DD701": ("non-confluent-rule-pair", WARNING),
     "DD702": ("order-sensitive-remainder", WARNING),
     "DD703": ("racy-negation-delegation", WARNING),
@@ -124,10 +117,9 @@ class Diagnostic:
 
 
 def make_diagnostic(code: str, message: str, rule: Rule | None = None,
-                    suggestion: str | None = None,
-                    severity: str | None = None) -> Diagnostic:
-    """Build a diagnostic with the code's default severity (overridable)."""
-    return Diagnostic(code=code, severity=severity or CODES[code][1],
+                    suggestion: str | None = None) -> Diagnostic:
+    """Build a diagnostic with the code's registered severity."""
+    return Diagnostic(code=code, severity=CODES[code][1],
                       message=message,
                       rule=rule, suggestion=suggestion)
 
@@ -214,18 +206,6 @@ class DependencyGraph:
 
     def successors(self, node: RelationKey) -> set[RelationKey]:
         return self.positive.get(node, set()) | self.negative.get(node, set())
-
-    def recursive_relations(self) -> set[RelationKey]:
-        """Relations on a cycle: in a component of size > 1 or self-looping."""
-        out: set[RelationKey] = set()
-        for component in self.components:
-            if len(component) > 1:
-                out.update(component)
-            else:
-                node = component[0]
-                if node in self.successors(node):
-                    out.add(node)
-        return out
 
     def negative_intra_component_edges(self) -> list[tuple[RelationKey, RelationKey]]:
         """Negative edges whose endpoints share a component, sorted."""
@@ -341,36 +321,21 @@ def check_safety(program: Program) -> list[Diagnostic]:
     return out
 
 
-def _function_arities(term: Term, into: dict[str, dict[int, Term]]) -> None:
-    if isinstance(term, Func):
-        into.setdefault(term.name, {}).setdefault(len(term.args), term)
-        for arg in term.args:
-            _function_arities(arg, into)
-
-
 def check_arities(program: Program,
                   query: Query | None = None) -> list[Diagnostic]:
-    """Arity consistency: DD103 (relations, error) / DD104 (functions, info).
+    """Relation arity consistency: DD103.
 
-    Function-symbol overloading is deliberate in the paper's encoding
-    (the Skolem ``f`` builds both 2- and 3-ary node ids, ``h`` both
-    roots and extensions), so DD104 is informational only.
+    Function symbols are not censused: the paper's encoding overloads
+    its Skolem symbols on purpose (``f`` builds both 2- and 3-ary node
+    ids, ``h`` both roots and extensions), and terms of distinct arity
+    never unify.
     """
     out: list[Diagnostic] = []
     relation_arities: dict[RelationKey, dict[int, Rule]] = {}
-    functions: dict[str, dict[int, Term]] = {}
-
-    def visit(atom: Atom, rule: Rule) -> None:
-        relation_arities.setdefault(atom.key(), {}).setdefault(atom.arity, rule)
-        for arg in atom.args:
-            _function_arities(arg, functions)
-
     for rule in program:
-        visit(rule.head, rule)
-        for atom in rule.body:
-            visit(atom, rule)
-        for atom in rule.negated:
-            visit(atom, rule)
+        for atom in (rule.head, *rule.body, *rule.negated):
+            relation_arities.setdefault(atom.key(), {}).setdefault(atom.arity,
+                                                                   rule)
     if query is not None:
         key = query.atom.key()
         if key in relation_arities and \
@@ -395,17 +360,6 @@ def check_arities(program: Program,
                 rule=arities[sorted(arities)[1]],
                 suggestion=f"give every use of {relation} the same number of "
                            f"arguments (first use: {first})"))
-    for name in sorted(functions):
-        arities2 = functions[name]
-        if len(arities2) > 1:
-            listing = ", ".join(str(a) for a in sorted(arities2))
-            samples = " vs ".join(str(arities2[a]) for a in sorted(arities2))
-            out.append(make_diagnostic(
-                "DD104",
-                f"function symbol {name} is used with {len(arities2)} "
-                f"different arities ({listing}): {samples}",
-                suggestion="intended for Skolem overloading? distinct ids "
-                           "never clash; rename otherwise"))
     return out
 
 
@@ -431,55 +385,6 @@ def check_stratification(program: Program,
             suggestion="break the cycle (define the negated relation in an "
                        "earlier stratum) or define the complement positively "
                        "as the paper does for notCausal/notConf"))
-    return out
-
-
-def check_termination(program: Program, graph: DependencyGraph,
-                      depth_bounded: bool = False) -> list[Diagnostic]:
-    """Function-symbol growth around a recursive SCC: DD301.
-
-    A recursive rule whose head nests a variable of an in-SCC body atom
-    inside a function term makes each round derive strictly deeper
-    terms, so bottom-up evaluation diverges (the unfolding rules
-    ``transTree``/``placesTree`` are the paper's example).  With a
-    Section-4.4 depth-bound gadget in place (``depth_bounded=True``,
-    i.e. an :class:`EvaluationBudget` with ``max_term_depth``) the
-    growth is guarded and the finding is informational.
-    """
-    out: list[Diagnostic] = []
-    recursive = graph.recursive_relations()
-    for rule in program.proper_rules():
-        head_key = rule.head.key()
-        if head_key not in recursive:
-            continue
-        component = graph.component_of.get(head_key)
-        in_scc_vars: set[Var] = set()
-        for atom in rule.body:
-            if graph.component_of.get(atom.key()) == component:
-                in_scc_vars.update(atom.variables())
-        if not in_scc_vars:
-            continue
-        for arg in rule.head.args:
-            if not isinstance(arg, Func):
-                continue
-            if any(v in in_scc_vars for v in variables_of(arg)):
-                if depth_bounded:
-                    out.append(make_diagnostic(
-                        "DD301",
-                        f"recursive rule grows function-term depth in the "
-                        f"head ({arg}); guarded by the configured depth "
-                        f"bound (Section 4.4 gadget)",
-                        rule=rule, severity=INFO))
-                else:
-                    out.append(make_diagnostic(
-                        "DD301",
-                        f"recursive rule grows function-term depth in the "
-                        f"head ({arg}): bottom-up evaluation diverges on it",
-                        rule=rule,
-                        suggestion="evaluate demand-driven (QSQ/dQSQ) or set "
-                                   "EvaluationBudget(max_term_depth=...) -- "
-                                   "the Section-4.4 depth-bound gadget"))
-                break
     return out
 
 
@@ -512,54 +417,6 @@ def check_reachability(program: Program, query: Query) -> list[Diagnostic]:
             rule=rules[0],
             suggestion="dead code: remove the rules or query a relation that "
                        "depends on them"))
-    return out
-
-
-def check_plans(program: Program,
-                skip: Iterable[Rule] = ()) -> list[Diagnostic]:
-    """Plan-level join warnings via the compiled plans: DD601 / DD602.
-
-    Reuses :func:`repro.datalog.plan.compile_join_plan`: a non-first
-    step with no usable index positions is a full scan.  If the step
-    still constrains the scanned facts (a residual ``check``/``match``
-    op), the probe exists but can never use an index -- typically a
-    partially bound function term (DD602).  With no constraint at all
-    the step is a plain cross product (DD601).
-    """
-    from repro.datalog.plan import compile_join_plan
-
-    excluded = set(skip)
-    out: list[Diagnostic] = []
-    for rule in program.proper_rules():
-        if rule in excluded or len(rule.body) < 2:
-            continue
-        try:
-            plan = compile_join_plan(rule, None)
-        except Exception:  # pragma: no cover - unsafe rules are pre-filtered
-            continue
-        for index, step in enumerate(plan.steps):
-            if index == 0 or step.index_positions:
-                continue
-            atom = rule.body[step.position]
-            constraining = [op for op in step.scan_ops if op[0] != "store"]
-            if constraining:
-                out.append(make_diagnostic(
-                    "DD602",
-                    f"join step {index + 1} ({atom}) can never probe an "
-                    f"index: its bound argument positions are function terms "
-                    f"with free variables, forcing a full scan with residual "
-                    f"matching",
-                    rule=rule,
-                    suggestion="expose the bound variables as top-level "
-                               "argument positions of the relation"))
-            else:
-                out.append(make_diagnostic(
-                    "DD601",
-                    f"join step {index + 1} ({atom}) shares no bound "
-                    f"variable with the preceding steps: cross-product join",
-                    rule=rule,
-                    suggestion="reorder or connect the body atoms through a "
-                               "shared variable"))
     return out
 
 
@@ -747,25 +604,19 @@ def index_spans(program: Program) -> dict[Rule, tuple[int, int]]:
 
 def analyze(program: Program, query: Query | None = None, *,
             known_peers: Iterable[str] | None = None,
-            depth_bounded: bool = False,
-            plan_warnings: bool = True,
             spans: Mapping[Rule, tuple[int, int]] | None = None) -> AnalysisReport:
     """Run every analysis pass over ``program``; returns the full report.
 
     ``query`` enables dead-rule detection (DD501); ``known_peers``
-    enables unknown-peer detection (DD402); ``depth_bounded`` declares a
-    Section-4.4 depth-bound gadget, downgrading DD301 to informational;
-    ``plan_warnings`` controls the (lint-oriented) DD601/DD602 pass;
-    ``spans`` maps rules to source (line, column) as produced by
+    enables unknown-peer detection (DD402); ``spans`` maps rules to
+    source (line, column) as produced by
     :func:`repro.datalog.parser.parse_program`.
     """
     graph = DependencyGraph(program)
     diagnostics: list[Diagnostic] = []
-    safety = check_safety(program)
-    diagnostics += safety
+    diagnostics += check_safety(program)
     diagnostics += check_arities(program, query)
     diagnostics += check_stratification(program, graph)
-    diagnostics += check_termination(program, graph, depth_bounded)
     if program.peers():
         # Located-atom passes live with the distributed layer; the import
         # is deferred to keep repro.datalog free of package cycles.
@@ -774,9 +625,6 @@ def analyze(program: Program, query: Query | None = None, *,
         diagnostics += check_confluence(program)
     if query is not None:
         diagnostics += check_reachability(program, query)
-    if plan_warnings:
-        unsafe = {d.rule for d in safety if d.rule is not None}
-        diagnostics += check_plans(program, skip=unsafe)
     if spans:
         diagnostics = [replace(d, span=spans.get(d.rule)) if d.rule is not None
                        else d for d in diagnostics]
@@ -787,19 +635,15 @@ def analyze(program: Program, query: Query | None = None, *,
 def check_program(program: Program, query: Query | None = None, *,
                   context: str = "engine",
                   known_peers: Iterable[str] | None = None,
-                  depth_bounded: bool = False,
                   escalate: Iterable[str] = (),
                   counters: Counters | None = None) -> AnalysisReport:
     """Fail-fast analysis for the engine constructors.
 
     Raises :class:`ProgramAnalysisError` when the report contains errors
     (or any diagnostic whose code is listed in ``escalate``); warnings
-    are added to ``counters`` (``analysis.*``) and logged.  The
-    plan-warning pass is skipped here: it is lint-level advice, not a
-    correctness property.
+    are added to ``counters`` (``analysis.*``) and logged.
     """
-    report = analyze(program, query, known_peers=known_peers,
-                     depth_bounded=depth_bounded, plan_warnings=False)
+    report = analyze(program, query, known_peers=known_peers)
     escalated = set(escalate)
     fatal = [d for d in report.diagnostics
              if d.severity == ERROR or d.code in escalated]

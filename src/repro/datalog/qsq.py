@@ -311,8 +311,6 @@ def qsq_evaluate(program: Program, query: Query, db: Database | None = None,
     placed_query = Query(placed_at(query.atom, _LOCAL_PEER))
     if check:
         check_program(placed.program, placed_query, context="qsq",
-                      depth_bounded=(budget is not None
-                                     and budget.max_term_depth is not None),
                       escalate=("DD403",))
     edb = Database()
     if db is not None:

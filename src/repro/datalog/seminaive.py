@@ -21,9 +21,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.datalog.analysis import check_program
 from repro.datalog.database import Database, Fact, RelationKey, select
 from repro.datalog.plan import JoinPlan, PlanStats, compile_join_plan
 from repro.datalog.rule import Program, Query, Rule
+from repro.datalog.stratified import has_negation, stratify
 from repro.datalog.term import Term, term_depth
 from repro.errors import BudgetExceeded
 from repro.utils.counters import Counters
@@ -222,6 +224,12 @@ class SemiNaiveEvaluator:
     """Semi-naive fixpoint of a whole program: the program-at-once front
     of :class:`IncrementalEvaluator`, a peer with nothing left to arrive.
 
+    A program that negates is run stratum by stratum (Remark 4) on the
+    one scheduler: each stratum's rules are installed and run to their
+    fixpoint before the next stratum's, so a negated relation is
+    complete before any rule tests it.  A positive program is one
+    stratum and is not stratified.
+
     Counters are that scheduler's and outlive a :meth:`run`; the plans
     live in the plan table as long as the program's rules do.
     """
@@ -239,16 +247,16 @@ class SemiNaiveEvaluator:
         self.counters = self._scheduler.counters
         self.flush_stats = self._scheduler.flush_stats
         if check:
-            from repro.datalog.analysis import check_program
-            check_program(program, context="seminaive", counters=self.counters,
-                          depth_bounded=self.budget.max_term_depth is not None)
+            check_program(program, context="seminaive", counters=self.counters)
+        self.strata = stratify(program) if has_negation(program) else [program]
 
     def run(self, db: Database) -> Database:
-        """Evaluate to fixpoint in place; returns ``db``."""
+        """Evaluate to fixpoint in place, stratum by stratum; returns ``db``."""
         self._scheduler.bind(db)
-        for rule in self.program:  # facts go straight to the store
-            self._scheduler.add_rule(rule)
-        self._scheduler.run()
+        for stratum in self.strata:
+            for rule in stratum:  # facts go straight to the store
+                self._scheduler.add_rule(rule)
+            self._scheduler.run()
         self.flush_stats()
         return db
 

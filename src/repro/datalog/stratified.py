@@ -3,9 +3,10 @@
 The diagnosis program defines ``causal`` and ``notCausal`` positively,
 noting that one of the two could be saved by using negation "with a
 stratified flavor".  This module provides the machinery: stratification
-of a program with negated body atoms, and stratum-by-stratum semi-naive
-evaluation.  The ablation A2 of DESIGN.md evaluates the diagnosis
-encoding in both styles.
+of a program with negated body atoms, which
+:class:`~repro.datalog.seminaive.SemiNaiveEvaluator` runs stratum by
+stratum on its one scheduler.  The ablation A2 of DESIGN.md evaluates
+the diagnosis encoding in both styles.
 
 Stratifiability itself is a property of the predicate dependency graph,
 so :func:`stratify` delegates to the analyzer's shared
@@ -16,13 +17,10 @@ implementation, and a non-stratifiable program is rejected with the
 
 from __future__ import annotations
 
-from repro.datalog.analysis import (DependencyGraph, check_program,
-                                    check_stratification)
-from repro.datalog.database import Database, RelationKey
+from repro.datalog.analysis import DependencyGraph, check_stratification
+from repro.datalog.database import RelationKey
 from repro.datalog.rule import Program
-from repro.datalog.seminaive import EvaluationBudget, SemiNaiveEvaluator
 from repro.errors import ProgramAnalysisError
-from repro.utils.counters import Counters
 
 
 def stratify(program: Program) -> list[Program]:
@@ -67,31 +65,6 @@ def stratify(program: Program) -> list[Program]:
     for rule in program.proper_rules():
         strata[stratum_of[rule.head.key()]].add(rule)
     return strata
-
-
-class StratifiedEvaluator:
-    """Evaluates a stratified program stratum by stratum, semi-naively."""
-
-    def __init__(self, program: Program,
-                 budget: EvaluationBudget | None = None,
-                 check: bool = True) -> None:
-        self.program = program
-        self.budget = budget or EvaluationBudget()
-        self.counters = Counters()
-        if check:
-            check_program(program, context="stratified",
-                          depth_bounded=self.budget.max_term_depth is not None,
-                          counters=self.counters)
-        self.strata = stratify(program)
-
-    def run(self, db: Database) -> Database:
-        """Evaluate all strata in order over the shared database."""
-        for index, stratum in enumerate(self.strata):
-            evaluator = SemiNaiveEvaluator(stratum, self.budget, check=False)
-            evaluator.run(db)
-            self.counters.merge(evaluator.counters)
-            self.counters.add(f"stratum_{index}_rules", len(stratum))
-        return db
 
 
 def has_negation(program: Program) -> bool:

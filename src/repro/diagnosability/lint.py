@@ -1,6 +1,6 @@
 """Model lint: diagnosability verdicts as DD9xx diagnostics.
 
-The DD1xx-DD8xx families analyze the *program*; the DD9xx family
+The DD1xx-DD7xx families analyze the *program*; the DD9xx family
 analyzes the *model* (the Petri net plus a fault/observability spec)
 and reports through the same :class:`~repro.datalog.analysis.Diagnostic`
 machinery so ``repro lint``'s text/json/sarif emitters, severities and
@@ -14,10 +14,10 @@ exit codes apply unchanged::
                                        communication); see
                                        repro.distributed.analysis
 
-DD902 mirrors DD301's depth-bound treatment: when the caller *declared*
-the bound (``assume_bounded=True``, the CLI's ``--depth``), the finding
-is informational -- the user opted into a bounded verdict; when the
-search was cut off by the default safety limits instead, it stays a
+DD902's severity depends on who set the bound: when the caller
+*declared* it (``assume_bounded=True``, the CLI's ``--depth``), the
+finding is informational -- the user opted into a bounded verdict; when
+the search was cut off by the default safety limits instead, it stays a
 warning.
 """
 

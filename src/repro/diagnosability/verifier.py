@@ -19,8 +19,8 @@ Otherwise every sufficiently long continuation of every faulty run
 eventually produces an observation no fault-free run can match, i.e.
 the class is **diagnosable**.  When the search is cut off by
 :class:`VerifierLimits` before either conclusion, the verdict is
-*diagnosable-up-to-bound* -- surfaced as DD902 and downgraded exactly
-like DD301's depth-bound treatment.
+*diagnosable-up-to-bound* -- surfaced as DD902, informational when the
+caller declared the bound and a warning otherwise.
 """
 
 from __future__ import annotations

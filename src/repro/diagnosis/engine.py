@@ -21,7 +21,7 @@ unfolding nodes* -- the quantity Theorem 4 compares against the
 dedicated algorithm's prefix.
 
 A diagnosis encodes and checks its program once per (mode, net,
-observation, depth bound), in a table keyed weakly by the net that
+observation), in a table keyed weakly by the net that
 empties with :func:`repro.datalog.plan.clear_plan_cache`.  The entry
 holds the program that is evaluated: the encoded one for ``dqsq``, its
 one-peer placement for ``qsq``, its local version for ``bottomup``.
@@ -109,8 +109,7 @@ class DatalogDiagnosisResult:
 
 @dataclass
 class _Prepared:
-    """What the diagnoses of one (mode, net, observation, depth bound)
-    share: the checked program they evaluate, which also keys the peers'
+    """What the diagnoses of one (mode, net, observation) share: the checked program they evaluate, which also keys the peers'
     rewritings (``bottomup``: the local version, evaluated in place)."""
 
     #: the ``analysis.*`` counters of the check that accepted the program
@@ -118,7 +117,7 @@ class _Prepared:
     program: DDatalogProgram | Program
 
 
-#: net -> (mode, supervisor, observation, depth bounded) -> its prepared
+#: net -> (mode, supervisor, observation) -> its prepared
 #: entry; an entry dies with its net and every entry with the plan cache
 _PREPARED: "weakref.WeakKeyDictionary[PetriNet, dict[tuple, _Prepared]]" = \
     weakref.WeakKeyDictionary()
@@ -207,7 +206,6 @@ class DatalogDiagnosisEngine:
         check_program(
             program.program, Query(query_atom), context=f"diagnose[{self.mode.value}]",
             known_peers=set(program.peers()) | {self.supervisor},
-            depth_bounded=self.budget.max_term_depth is not None,
             escalate=(() if self.mode is EvaluationMode.BOTTOMUP
                       else ("DD403",)),
             counters=counters)
@@ -222,8 +220,7 @@ class DatalogDiagnosisEngine:
         logs nothing."""
         spec = encoder.spec
         key = (self.mode, self.supervisor, tuple(spec.observers.items()),
-               frozenset(spec.hidden), spec.max_events,
-               self.budget.max_term_depth is not None)
+               frozenset(spec.hidden), spec.max_events)
         table = _PREPARED.setdefault(self.petri, {})
         prepared = table.get(key)
         if prepared is None:

@@ -327,7 +327,6 @@ class DqsqEngine:
             # walks body+inequalities only, so a negated atom would be
             # silently ignored rather than evaluated.
             check_program(program.program, context="dqsq",
-                          depth_bounded=self.budget.max_term_depth is not None,
                           escalate=("DD403",))
 
     def query(self, query: Query, at_peer: str | None = None) -> DqsqResult:

@@ -135,7 +135,6 @@ class DistributedNaiveEngine:
             # observable, not masked.
             escalate = () if unsafe_negation else ("DD403",)
             check_program(program.program, context="naive-dist",
-                          depth_bounded=self.budget.max_term_depth is not None,
                           escalate=escalate)
 
     def query(self, query: Query) -> NaiveDistResult:

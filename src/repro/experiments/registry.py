@@ -367,7 +367,6 @@ def a1_space_variant() -> ExperimentResult:
 
 def a2_negation_variant() -> ExperimentResult:
     """Remark 4: positive notCausal vs. stratified negation."""
-    from repro.datalog.stratified import StratifiedEvaluator
     from repro.diagnosis.encoding import node_id_of_term
 
     bp = unfold(figure1_net())
@@ -400,7 +399,7 @@ def a2_negation_variant() -> ExperimentResult:
     notancestor(X, Y) :- event(X), event(Y), not ancestor(X, Y).
     """)
     stratified_db = load_facts(stratified_program)
-    stratified = StratifiedEvaluator(stratified_program)
+    stratified = SemiNaiveEvaluator(stratified_program)
     stratified.run(stratified_db)
 
     rows = [
@@ -549,7 +548,6 @@ class RegisteredProgram(NamedTuple):
     program: Program
     query: Query | None
     known_peers: frozenset[str] | None
-    depth_bounded: bool
 
 
 def registered_programs() -> dict[str, RegisteredProgram]:
@@ -567,13 +565,13 @@ def registered_programs() -> dict[str, RegisteredProgram]:
     figure3 = parse_program(FIGURE3_TEXT)
     out["figure3"] = RegisteredProgram(
         figure3, Query(parse_atom('r@r("1", Y)')),
-        frozenset(figure3.peers()), False)
+        frozenset(figure3.peers()))
 
     local = figure3.qualify_relations().strip_peers()
     local_query = Query(Atom("r@r", parse_atom('q("1", Y)').args, None))
     rewriting = qsq_rewrite(local, local_query)
     out["figure4-qsq"] = RegisteredProgram(
-        rewriting.program, Query(rewriting.answer_atom), None, False)
+        rewriting.program, Query(rewriting.answer_atom), None)
 
     petri = figure1_net()
     alarms = AlarmSequence(figure1_alarm_scenarios()["bac"])
@@ -581,7 +579,7 @@ def registered_programs() -> dict[str, RegisteredProgram]:
     program = encoder.program()
     out["figure1-diagnosis"] = RegisteredProgram(
         program.program, Query(encoder.query_atom()),
-        frozenset(set(program.peers()) | {encoder.supervisor}), False)
+        frozenset(set(program.peers()) | {encoder.supervisor}))
     return out
 
 
@@ -598,5 +596,4 @@ def lint_registered(counters=None) -> None:
         check_program(entry.program, entry.query,
                       context=f"registered[{name}]",
                       known_peers=entry.known_peers,
-                      depth_bounded=entry.depth_bounded,
                       counters=counters)

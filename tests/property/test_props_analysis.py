@@ -32,8 +32,7 @@ class TestEncodedProgramsLintClean:
         program = encoder.program()
         report = analyze(program.program, Query(encoder.query_atom()),
                          known_peers=set(program.peers())
-                         | {encoder.supervisor},
-                         depth_bounded=True)
+                         | {encoder.supervisor})
         assert report.ok, report.render()
 
     @settings(max_examples=10, deadline=None)

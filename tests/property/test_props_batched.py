@@ -23,7 +23,6 @@ from repro.datalog import (Database, Query, SemiNaiveEvaluator, parse_atom,
                            parse_program, qsq_evaluate)
 from repro.datalog.database import select
 from repro.datalog.plan import PlanStats, compile_join_plan
-from repro.datalog.stratified import StratifiedEvaluator
 from repro.datalog.term import Const
 from tests.reference import (at_each_setting, pinned_executor,
                              reference_model, snapshot)
@@ -109,7 +108,7 @@ class TestTiersAgree:
 
         def run():
             db = database_from(edge_list)
-            StratifiedEvaluator(program).run(db)
+            SemiNaiveEvaluator(program).run(db)
             return snapshot(db)
         assert at_each_setting(run) == snapshot(
             reference_model(program, database_from(edge_list)))
@@ -135,7 +134,7 @@ class TestTiersAgree:
 
         def run():
             db_clone = database_from(edge_list)
-            StratifiedEvaluator(clone).run(db_clone)
+            SemiNaiveEvaluator(clone).run(db_clone)
             return snapshot(db_clone)
         assert at_each_setting(run) == snapshot(
             reference_model(program, database_from(edge_list)))

@@ -13,8 +13,8 @@ from repro.datalog.database import Database
 from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.qsq import qsq_evaluate
 from repro.datalog.rule import Program, Query, Rule
-from repro.datalog.seminaive import EvaluationBudget, SemiNaiveEvaluator
-from repro.datalog.stratified import StratifiedEvaluator, stratify
+from repro.datalog.seminaive import SemiNaiveEvaluator
+from repro.datalog.stratified import stratify
 from repro.datalog.term import Var
 from repro.distributed.chaos import RACY_TEXT
 from repro.distributed.ddatalog import DDatalogProgram
@@ -89,46 +89,6 @@ class TestArities:
         report = analyze(program, Query(parse_atom('p("a", "b")')))
         assert "DD103" in codes(report)
 
-    def test_function_arity_overload_is_info_only(self):
-        program = parse_program("""
-            p(f(X)) :- q(X).
-            r(f(X, X)) :- q(X).
-            q("a").
-        """)
-        report = analyze(program)
-        found = report.by_code("DD104")
-        assert found and all(d.severity == "info" for d in found)
-        assert report.ok
-
-
-class TestSeverityPinning:
-    """The DD103/DD104 asymmetry is deliberate; see docs/datalog.md.
-
-    A relation used at two arities (DD103) breaks join planning and
-    indexing -- facts of different widths cannot share a fact table --
-    so it is an ERROR.  A *function symbol* used at two arities (DD104)
-    is the paper's own Skolem idiom (``f`` builds both 2- and 3-ary
-    unfolding node ids) and distinct-arity terms never unify, so it is
-    informational only.
-    """
-
-    def test_dd103_stays_error_and_dd104_stays_info(self):
-        assert CODES["DD103"][1] == "error"
-        assert CODES["DD104"][1] == "info"
-
-    def test_behavior_on_a_program_with_both(self):
-        program = parse_program("""
-            p(X) :- q(X).
-            p(X, X) :- q(X).
-            r(f(X)) :- q(X).
-            s(f(X, X)) :- q(X).
-            q("a").
-        """, check=False)
-        report = analyze(program)
-        by_code = {d.code: d for d in report.diagnostics}
-        assert by_code["DD103"].severity == "error"
-        assert by_code["DD104"].severity == "info"
-
 
 # -- stratification -----------------------------------------------------------
 
@@ -185,42 +145,6 @@ class TestStratification:
         edges = [(("a", None), ("b", None), True),
                  (("b", None), ("a", None), False)]
         assert render_cycle(edges) == "a -not-> b -> a"
-
-
-# -- termination risk ---------------------------------------------------------
-
-
-class TestTermination:
-    GROWING = """
-        tree(f(X, X)) :- tree(X).
-        tree("leaf").
-    """
-
-    def test_depth_growth_flagged(self):
-        report = analyze(parse_program(self.GROWING))
-        found = report.by_code("DD301")
-        assert found and found[0].severity == "warning"
-
-    def test_depth_bound_gadget_downgrades(self):
-        report = analyze(parse_program(self.GROWING), depth_bounded=True)
-        found = report.by_code("DD301")
-        assert found and found[0].severity == "info"
-        assert "guarded" in found[0].message
-
-    def test_nonrecursive_function_head_not_flagged(self):
-        program = parse_program("""
-            wrap(f(X)) :- base(X).
-            base("a").
-        """)
-        assert "DD301" not in codes(analyze(program))
-
-    def test_recursion_without_growth_not_flagged(self):
-        program = parse_program("""
-            t(X, Z) :- e(X, Y), t(Y, Z).
-            t(X, Y) :- e(X, Y).
-            e("a", "b").
-        """)
-        assert "DD301" not in codes(analyze(program))
 
 
 # -- locality / distributability ----------------------------------------------
@@ -285,46 +209,6 @@ class TestReachability:
         assert "DD501" not in codes(analyze(program))
 
 
-# -- plan warnings ------------------------------------------------------------
-
-
-class TestPlanWarnings:
-    def test_cross_product(self):
-        program = parse_program("""
-            pair(X, Y) :- a(X), b(Y).
-            a("1").
-            b("2").
-        """)
-        assert "DD601" in codes(analyze(program))
-
-    def test_never_indexable_probe(self):
-        program = parse_program("""
-            p(X) :- q(X), r(f(X, Y)).
-            q("1").
-            r(f("1", "2")).
-        """)
-        report = analyze(program)
-        assert "DD602" in codes(report)
-
-    def test_connected_join_is_clean(self):
-        program = parse_program("""
-            p(X, Z) :- q(X, Y), r(Y, Z).
-            q("1", "2").
-            r("2", "3").
-        """)
-        assert "DD601" not in codes(analyze(program))
-        assert "DD602" not in codes(analyze(program))
-
-    def test_plan_pass_skipped_by_check_program(self):
-        program = parse_program("""
-            pair(X, Y) :- a(X), b(Y).
-            a("1").
-            b("2").
-        """)
-        report = check_program(program)
-        assert "DD601" not in codes(report)
-
-
 # -- dependency graph ---------------------------------------------------------
 
 
@@ -337,8 +221,9 @@ class TestDependencyGraph:
             e("a", "b").
         """)
         graph = DependencyGraph(program)
-        assert ("t", None) in graph.recursive_relations()
-        assert ("top", None) not in graph.recursive_relations()
+        t, top = ("t", None), ("top", None)
+        assert t in graph.successors(t)
+        assert graph.component_of[t] != graph.component_of[top]
         assert graph.negative_cycle() is None
 
 
@@ -370,8 +255,11 @@ class TestEngineFailFast:
             qsq_evaluate(program, Query(parse_atom('p("a", Y)')))
 
     def test_stratified_rejects(self):
-        with pytest.raises(ProgramAnalysisError):
-            StratifiedEvaluator(self._program())
+        # a negating program is checked before it is stratified
+        program = parse_program(ARITY_CLASH + "r(X) :- q(X), not p(X).",
+                                check=False)
+        with pytest.raises(ProgramAnalysisError, match="DD103"):
+            SemiNaiveEvaluator(program)
 
     def test_check_false_bypasses(self):
         evaluator = SemiNaiveEvaluator(self._program(), check=False)
@@ -415,15 +303,15 @@ class TestEngineFailFast:
             DistributedNaiveEngine(program)
 
     def test_stratified_local_negation_still_allowed(self):
-        # The *local* stratified evaluator handles negation fine; only
-        # the distributed engines escalate DD403.
+        # Local semi-naive evaluation stratifies negation; only the
+        # distributed engines escalate DD403.
         program = parse_program("""
             reach(X) :- edge("root", X).
             unreach(X) :- node(X), not reach(X).
             edge("root", "a").
             node("b").
         """)
-        db = StratifiedEvaluator(program).run(Database())
+        db = SemiNaiveEvaluator(program).run(Database())
         from repro.datalog.term import Const
         assert (Const("b"),) in db.facts(("unreach", None))
 
@@ -434,11 +322,13 @@ class TestEngineFailFast:
 class TestCheckProgram:
     def test_warnings_go_to_counters(self):
         program = parse_program("""
-            tree(f(X, X)) :- tree(X).
-            tree("leaf").
+            alive(X) :- e(X).
+            dead(X) :- e(X).
+            e("1").
         """)
         counters = Counters()
-        report = check_program(program, counters=counters)
+        report = check_program(program, Query(parse_atom("alive(X)")),
+                               counters=counters)
         assert report.ok
         assert counters["analysis.warnings"] >= 1
         assert counters["analysis.programs_checked"] == 1
@@ -448,39 +338,22 @@ class TestCheckProgram:
         report = check_program(program)
         assert report.ok and report.diagnostics == ()
 
-    def test_depth_budget_silences_warning_counter(self):
-        program = parse_program("""
-            tree(f(X, X)) :- tree(X).
-            tree("leaf").
-        """)
-        counters = Counters()
-        check_program(program, depth_bounded=True, counters=counters)
-        assert counters["analysis.warnings"] == 0
-        assert counters["analysis.infos"] >= 1
-
-    def test_engine_depth_budget_downgrades(self):
-        program = parse_program("""
-            tree(f(X, X)) :- tree(X).
-            tree("leaf").
-        """)
-        budget = EvaluationBudget(max_term_depth=3, prune_depth=True)
-        evaluator = SemiNaiveEvaluator(program, budget)
-        assert evaluator.counters["analysis.warnings"] == 0
-
 
 # -- the registered paper programs lint clean ---------------------------------
 
 
 class TestRegisteredPrograms:
     def test_all_registered_programs_have_zero_errors(self):
+        # nor any finding but dead rules: the paper's programs are safe,
+        # stratified, local and confluent
         from repro.experiments.registry import registered_programs
         entries = registered_programs()
         assert {"figure1-diagnosis", "figure3", "figure4-qsq"} <= set(entries)
         for name, entry in entries.items():
             report = analyze(entry.program, entry.query,
-                             known_peers=entry.known_peers,
-                             depth_bounded=entry.depth_bounded)
+                             known_peers=entry.known_peers)
             assert report.ok, f"{name}: {report.render()}"
+            assert report.codes() <= {"DD501"}, f"{name}: {report.render()}"
 
     def test_lint_registered_passes(self):
         from repro.experiments.registry import lint_registered

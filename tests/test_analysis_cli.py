@@ -60,24 +60,13 @@ class TestLintCommand:
         assert main(["lint", path]) == 1
         assert "DD401 mixed-locality" in capsys.readouterr().out
 
-    def test_unguarded_depth_growth_warns(self, tmp_path, capsys):
-        path = write_program(tmp_path, """
-            tree(f(X, X)) :- tree(X).
-            tree("leaf").
-        """)
-        # A warning, not an error: exit 0 but the code is reported.
-        assert main(["lint", path]) == 0
-        out = capsys.readouterr().out
-        assert "DD301 unbounded-term-growth warning" in out
-
-    def test_depth_bounded_flag_downgrades(self, tmp_path, capsys):
-        path = write_program(tmp_path, """
-            tree(f(X, X)) :- tree(X).
-            tree("leaf").
-        """)
-        assert main(["lint", path, "--depth-bounded"]) == 0
-        out = capsys.readouterr().out
-        assert "DD301 unbounded-term-growth info" in out
+    def test_depth_bounded_flag_is_gone(self, tmp_path, capsys):
+        path = write_program(tmp_path, 'p(X) :- q(X).\nq("a").\n')
+        with pytest.raises(SystemExit) as exit_:
+            main(["lint", path, "--depth-bounded"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --depth-bounded" in \
+            capsys.readouterr().err
 
     def test_query_enables_dead_rule_detection(self, tmp_path, capsys):
         path = write_program(tmp_path, """
@@ -128,15 +117,14 @@ class TestLintRegisteredSpans:
         # synthetic rule-index spans so diagnostics still point somewhere
         main(["lint", "--registered"])
         out = capsys.readouterr().out
-        # rule-level diagnostics (e.g. DD301) must carry a rule-index
-        # span; only program-level ones (e.g. DD104 arity census, which
-        # has no single offending rule) may stay span-less
+        # rule-level diagnostics (e.g. DD501, which names the first rule
+        # of a dead relation) must carry a rule-index span
         import re
         rule_level = [line for line in out.splitlines()
-                      if line.startswith("<registered:") and " DD301 " in line]
+                      if line.startswith("<registered:") and " DD501 " in line]
         assert rule_level
         for line in rule_level:
-            assert re.match(r"^<registered:[\w-]+>:\d+:\d+: DD301", line), line
+            assert re.match(r"^<registered:[\w-]+>:\d+:\d+: DD501", line), line
         # the span-less fallback ("    rule: ...") is gone for them
         assert "    rule:" not in out
 
@@ -181,18 +169,14 @@ class TestLintFormats:
         region = dd101["locations"][0]["physicalLocation"]["region"]
         assert region["startLine"] == 1
 
-    def test_sarif_info_maps_to_note_level(self, tmp_path, capsys):
+    def test_sarif_info_maps_to_note_level(self, capsys):
+        # DD904 (info) is reported on the registered models
         import json
-        path = write_program(tmp_path, """
-            r(f(X)) :- q(X).
-            s(f(X, X)) :- q(X).
-            q("a").
-        """)
-        main(["lint", path, "--format", "sarif"])
+        main(["lint", "--registered", "--format", "sarif"])
         sarif = json.loads(capsys.readouterr().out)
-        dd104 = [r for r in sarif["runs"][0]["results"]
-                 if r["ruleId"] == "DD104"]
-        assert dd104 and dd104[0]["level"] == "note"
+        dd904 = [r for run in sarif["runs"] for r in run["results"]
+                 if r["ruleId"] == "DD904"]
+        assert dd904 and {r["level"] for r in dd904} == {"note"}
 
     def test_json_covers_registered_programs(self, capsys):
         import json

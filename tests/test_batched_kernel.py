@@ -29,7 +29,6 @@ from repro.datalog.database import load_facts, select
 from repro.datalog.plan import clear_plan_cache, compile_join_plan
 from repro.datalog.qsq import qsq_evaluate
 from repro.datalog.seminaive import EvaluationBudget, IncrementalEvaluator
-from repro.datalog.stratified import StratifiedEvaluator
 from repro.datalog.term import Const
 from repro.diagnosis import DatalogDiagnosisEngine
 from repro.distributed.ddatalog import DDatalogProgram
@@ -124,7 +123,7 @@ class TestTierEquivalence:
 
         def run():
             db = load_facts(program)
-            StratifiedEvaluator(program).run(db)
+            SemiNaiveEvaluator(program).run(db)
             return snapshot(db)
         model = at_each_setting(run)
         assert model == snapshot(reference_model(program))
@@ -192,7 +191,7 @@ class TestTierEquivalence:
 
         def run():
             db = Database()
-            evaluator = StratifiedEvaluator(program, budget, check=False)
+            evaluator = SemiNaiveEvaluator(program, budget, check=False)
             evaluator.run(db)
             return ordered_snapshot(db), evaluator.counters
         with pinned_executor(sys.maxsize):
@@ -307,8 +306,6 @@ class TestInvalidTier:
         # still accepts (and ignores) ``compiled`` for the frozen
         # benchmark probe; see its constructor.
         program = parse_program(FIGURE3)
-        with pytest.raises(TypeError):
-            StratifiedEvaluator(program, compiled="batched")
         with pytest.raises(TypeError):
             IncrementalEvaluator(Database(), compiled=True)
         with pytest.raises(TypeError):

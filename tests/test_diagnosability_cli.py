@@ -96,7 +96,7 @@ class TestDiagnosabilityCommand:
 
 
 class TestDepthBoundSeverity:
-    """DD902 mirrors DD301: declared bounds downgrade to info."""
+    """DD902: a declared bound downgrades the verdict to info."""
 
     def test_undeclared_truncation_is_warning(self):
         petri, spec = get_instance("diagnosable-chain").build()

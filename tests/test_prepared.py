@@ -1,7 +1,7 @@
 """The prepared diagnosis table of :mod:`repro.diagnosis.engine`.
 
 A diagnosis encodes and checks its program once per (mode, net,
-observation, depth bound) -- ``qsq`` then places it at the supervisor,
+observation) -- ``qsq`` then places it at the supervisor,
 ``bottomup`` takes its local version -- and dQSQ peers reuse their
 rewritings of that program object.  These tests pin what makes that
 safe:
@@ -11,7 +11,8 @@ safe:
   every counter equal except the plan-table lookups, runs the entry's
   program object, and compiles no plan;
 * **key** -- an equal observation hits even as a fresh object; another
-  observation, supervisor, depth bound or mode gets its own entry;
+  observation, supervisor or mode gets its own entry, and the budget
+  shares it;
 * **lifetime** -- the table empties with the plan cache, and an entry
   dies with its net.
 """
@@ -144,12 +145,19 @@ class TestKey:
                 (DatalogDiagnosisEngine(petri, mode="qsq"),
                  AlarmSequence([("b", "p1")])),
                 (DatalogDiagnosisEngine(petri, mode="qsq", supervisor="sup"),
-                 bac()),
-                (DatalogDiagnosisEngine(
-                    petri, mode="qsq",
-                    budget=EvaluationBudget(max_term_depth=50)), bac())):
+                 bac())):
             engine.diagnose(alarms)
-        assert entries(petri) == 4
+        assert entries(petri) == 3
+
+    def test_a_depth_bound_shares_the_entry(self):
+        # the budget changes neither the program nor the check's verdict
+        petri = figure1_net()
+        clear_plan_cache()
+        DatalogDiagnosisEngine(petri, mode="qsq").diagnose(bac())
+        DatalogDiagnosisEngine(
+            petri, mode="qsq",
+            budget=EvaluationBudget(max_term_depth=50)).diagnose(bac())
+        assert entries(petri) == 1
 
     def test_each_mode_gets_its_own_entry(self):
         petri = figure1_net()
