@@ -76,10 +76,11 @@ REPEATS = 5
 #: QSQ kept the rewritten rules' plans per (net, observation) and compiled
 #: 0 warm (full 1148 cold, smoke 461) before it became dQSQ at one peer;
 #: that move also stopped counting the 13 (smoke 9) EDB facts among the
-#: e6_qsq facts materialized.  The promotions move only with the promotion policy (counting produced
-#: rows alone, the full e6 rows promoted 37 / 30 and 42 / 31 plans; at smoke sizes no
-#: e6 plan is promoted under either policy).  Every firing is a delta
-#: firing: with a separate install firing per rule the
+#: e6_qsq facts materialized.  For one program the promotions move only
+#: with the promotion policy (counting produced rows alone, the full e6
+#: rows of the trans-joining cut promoted 37 / 30 and 42 / 31 plans; at
+#: smoke sizes no e6 plan is promoted under either policy).  Every firing
+#: is a delta firing: with a separate install firing per rule the
 #: same facts took 32979 / 8337 / 8717 derivations and 3 / 3357 / 2766
 #: plans (smoke 2054 / 463 / 486 and 3 / 2601 / 1243), so a count that
 #: climbs back there means a second firing regime has returned.  A delta
@@ -87,17 +88,21 @@ REPEATS = 5
 #: uncompiled; firing it anyway took the e6 rows to 1542 / 1346 plans
 #: (smoke 785 / 511) at these derivations and facts.  The e6 rows are the
 #: (d)QSQ rewriting without its bookend supplementary relations, of the
-#: supervisor that checks parents against its configuration's cut; with
-#: Section 4.2's notParent the full rows were 8314 / 8663 derivations and
-#: 4901 / 5238 facts, the smoke rows 443 / 480 and 315 / 350 (on the tiny
-#: instance, maintaining the cut costs more than notParent's recursion).
+#: supervisor that checks parents against its configuration's cut, which
+#: reads an event's parents off its Skolem id.  While the cut joined
+#: ``trans1/trans2@peer`` per (peer, arity) and seeded ``h(r)`` by rules
+#: of its own, the full rows were 4595 / 4870 derivations, 2909 / 3183
+#: facts and 1071 / 1185 plans (promotions 38 / 105 and 38 / 98), the
+#: smoke rows 474 / 519, 331 / 373 and 462 / 482.  With Section 4.2's
+#: notParent the full rows were 8314 / 8663 derivations and 4901 / 5238
+#: facts, the smoke rows 443 / 480 and 315 / 350.
 EXPECTED = {
     False: {"tc_chain": (32641, 28680, 2, 0, 1, 1),
-            "e6_qsq": (4595, 2909, 1071, 0, 38, 105),
-            "e6_dqsq": (4870, 3183, 1185, 0, 38, 98)},
+            "e6_qsq": (3176, 2240, 992, 0, 20, 95),
+            "e6_dqsq": (3430, 2496, 1107, 0, 24, 95)},
     True: {"tc_chain": (1974, 1770, 2, 0, 1, 1),
-           "e6_qsq": (474, 331, 462, 0, 0, 0),
-           "e6_dqsq": (519, 373, 482, 0, 0, 0)},
+           "e6_qsq": (355, 274, 387, 0, 0, 0),
+           "e6_dqsq": (392, 308, 409, 0, 0, 0)},
 }
 
 

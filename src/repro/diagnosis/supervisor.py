@@ -44,7 +44,8 @@ with ``transInConf(z, u)`` and ``notParent(z, g(u, c))``, where
 ``notParent`` recurses down ``z``'s ancestry for every demanded pair.
 In a safe net the same question is membership in the cut, built forward
 and monotonically ("in the style of notCausal") by
-cut(z.y) = cut(z) - parents(y) + children(y).
+cut(z.y) = cut(z) - parents(y) + children(y), where y = f(t, p1[, p2])
+names its parents itself.
 
 Crucially, the supervisor's rules are written from its local view only:
 the observation plus the public ``petriNet``/``trans``/``map``/
@@ -271,32 +272,29 @@ class SupervisorEncoder:
         ]
 
     def cut_rules(self) -> list[Rule]:
-        """The cut of each configuration, built forward: the initially
-        marked conditions for ``h(r)``, and cut(z.y) = cut(z) - parents(y)
-        + children(y), two rules per extension rule's (peer, arity)."""
+        """The cut of each configuration, built forward by
+        cut(z.y) = cut(z) - parents(y) + children(y).  A keep rule per
+        event arity reads y's parents off its Skolem id ``f(t, p1[, p2])``;
+        an add rule per place-home peer joins y's children.  The seed
+        ``configPrefixes(h(r), h(r), r, ..)`` extends by the root ``r``, so
+        the add rules also give ``h(r)`` the initially marked conditions."""
         sup = self.supervisor
-        out: list[Rule] = []
-        z, w, y, m = Var("Z"), Var("W"), Var("Y"), Var("M")
+        z, w, y, t, m = Var("Z"), Var("W"), Var("Y"), Var("T"), Var("M")
         indices = self._index_vars()
-        for peer in sorted({*self._reported, *self._unreported}):
-            arities = (self._reported.get(peer, set())
-                       | self._unreported.get(peer, set()))
-            for arity in sorted(arities):
-                consumed = [Var("U")] if arity == 1 else [Var("U"), Var("V")]
-                extend = [Atom(CONFIGPREFIXES, [z, w, y, *indices], sup),
-                          Atom(TRANS1 if arity == 1 else TRANS2,
-                               [y, *consumed], peer)]
-                # what y leaves of w's cut ...
-                out.append(Rule(Atom(CUT, [z, m], sup),
-                                [*extend, Atom(CUT, [w, m], sup)],
-                                [Inequality(m, parent) for parent in consumed]))
-                # ... and what it adds: its children, homed at its peer
-                out.append(Rule(Atom(CUT, [z, m], sup),
-                                [*extend, Atom(PLACES, [m, y], peer)]))
-        net = self.petri.net
-        for home in sorted({net.peer[place] for place in self.petri.marking}):
-            out.append(Rule(Atom(CUT, [h_root(), m], sup),
-                            [Atom(PLACES, [m, ROOT], home)]))
+        arities = set().union(*self._reported.values(),
+                              *self._unreported.values())
+        out: list[Rule] = []
+        for arity in sorted(arities):
+            consumed = [Var(f"P{i}") for i in range(1, arity + 1)]
+            event = Func("f", [t, *consumed])
+            out.append(Rule(Atom(CUT, [z, m], sup),
+                            [Atom(CONFIGPREFIXES, [z, w, event, *indices], sup),
+                             Atom(CUT, [w, m], sup)],
+                            [Inequality(m, parent) for parent in consumed]))
+        for home in self._encoder.place_home_peers():
+            out.append(Rule(Atom(CUT, [z, m], sup),
+                            [Atom(CONFIGPREFIXES, [z, w, y, *indices], sup),
+                             Atom(PLACES, [m, y], home)]))
         return out
 
     def query_rules(self) -> list[Rule]:

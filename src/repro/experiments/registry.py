@@ -304,8 +304,8 @@ def e6_naive_crossover() -> ExperimentResult:
         rows,
         notes=["Acyclic nets so that naive evaluation terminates at all; on "
                "the cyclic telecom nets it diverges outright (E5).",
-               "At 4x3 (not shown) naive ships 36k tuples in ~100s while "
-               "dQSQ ships 238 in under 0.1s: the crossover is immediate "
+               "At 4x3 (not shown) naive ships 36k tuples in ~2s while "
+               "dQSQ ships 164 in under 0.1s: the crossover is immediate "
                "and the gap grows with the unfolding."])
 
 

@@ -11,8 +11,9 @@ import pytest
 
 from repro.diagnosis import (AlarmSequence, DatalogDiagnosisEngine,
                              DedicatedDiagnoser, bruteforce_diagnosis)
+from repro.diagnosis.encoding import UnfoldingEncoder
 from repro.diagnosis.patterns import ObservationSpec
-from repro.diagnosis.supervisor import SupervisorEncoder
+from repro.diagnosis.supervisor import SupervisorEncoder, h_root
 from repro.datalog.seminaive import EvaluationBudget
 from repro.errors import DiagnosisError, EncodingError
 from repro.petri.examples import figure1_alarm_scenarios, figure1_net
@@ -211,13 +212,33 @@ class TestCutAgainstThePaper:
     events."""
 
     def test_the_programs_differ_in_the_parent_check_only(self):
-        petri, alarms = figure1_net(), scenario("bac")
-        shipped = {rule.head.relation
-                   for rule in SupervisorEncoder(petri, alarms).rules()}
-        paper = {rule.head.relation
-                 for rule in PaperSupervisorEncoder(petri, alarms).rules()}
-        assert shipped - paper == {"cut"}
-        assert paper - shipped == {"notParent"}
+        petri = figure1_net()
+        net = petri.net
+        arities = {len(net.parents(transition))
+                   for transition in net.transitions}
+        # Figure 1, and Section 4.4: v fires unreported, so configurations
+        # carry gas
+        hidden = ObservationSpec(
+            observers={"p1": Observer.chain("p1", ["b", "c"]),
+                       "p2": Observer.chain("p2", [])},
+            hidden=frozenset({"v"}), max_events=4)
+        for observation in (scenario("bac"), hidden):
+            encoder = SupervisorEncoder(petri, observation)
+            shipped = {rule.head.relation for rule in encoder.rules()}
+            paper = {rule.head.relation for rule in
+                     PaperSupervisorEncoder(petri, observation).rules()}
+            assert shipped - paper == {"cut"}
+            assert paper - shipped == {"notParent"}
+            # cut(z.y) = cut(z) - parents(y) + children(y): a keep rule per
+            # event arity, which reads y's parents off its Skolem id, and
+            # an add rule per place-home peer; h(r) is the seed's
+            # extension by the root r, not a case of its own
+            cut = encoder.cut_rules()
+            assert len(cut) == (len(arities)
+                                + len(UnfoldingEncoder(petri).place_home_peers()))
+            assert not [atom for rule in cut for atom in rule.body
+                        if atom.relation in ("trans1", "trans2")]
+            assert h_root() not in {rule.head.args[0] for rule in cut}
 
     @pytest.mark.parametrize("seed", [None, 0, 3, 8, 13], ids=lambda seed:
                              "figure1-bac" if seed is None else f"random{seed}")

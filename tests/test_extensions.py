@@ -118,7 +118,7 @@ class TestGeneralizedEncoder:
         basic = SupervisorEncoder(petri, alarms).program()
         assert set(SupervisorEncoder(petri, spec).program()) == set(basic)
         if instance == "figure1":
-            assert len(basic) == 182
+            assert len(basic) == 176
 
     def test_gas_and_hidden_rules_appear_only_when_needed(self):
         def relations(spec):
