@@ -26,6 +26,8 @@ transport would slot into the same suite.
 from __future__ import annotations
 
 import functools
+import queue
+import threading
 
 import pytest
 
@@ -189,8 +191,9 @@ def test_plan_counters_match_sim_vs_mp():
     """
     totals = {}
     for transport in TRANSPORTS:
-        # a forked worker inherits the parent's plan table: clearing
-        # first makes both runs compile what they fire
+        # clearing tears the mp worker fleet down, and the fleet forked
+        # next inherits the emptied plan table: both runs compile what
+        # they fire
         clear_plan_cache()
         parsed = parse_program(SINGLE_PEER_TEXT)
         program, edb = DDatalogProgram(parsed), load_facts(parsed)
@@ -545,3 +548,213 @@ def test_mp_silent_non_root_death_fails_fast():
         runtime.run(job)
     assert time.monotonic() - began < 15.0
     assert _no_repro_children() == []
+
+
+# -- the fleet: one worker per peer name for the life of the process -----------
+
+
+def test_mp_second_diagnosis_compiles_what_the_first_left(e6_problem,
+                                                          e6_oracle):
+    """A second mp diagnosis runs on the workers of the first, which kept
+    its rewritings, their plans and their kernels.
+
+    Which delta positions of a rule fire is schedule-dependent (a
+    consumer fires only once its partner relations are non-empty), so a
+    second run may still compile a plan for a position the first never
+    fired: a handful, against the first run's hundreds."""
+    petri, alarms = e6_problem
+    clear_plan_cache()
+    # mp first: the fleet forks from a cold caller, and the simulator's
+    # runs, in the caller, cannot warm it
+    runs = {transport: [repro.diagnose(
+                petri, alarms, method="dqsq",
+                config=repro.RunConfig(transport=_runtime(transport)))
+                for _ in range(2)]
+            for transport in ("mp", "sim")}
+    for result in runs["mp"]:
+        assert result.diagnoses == e6_oracle
+    first, second = (result.counters for result in runs["mp"])
+    assert first["plan.cache_misses"] > 100
+    assert second["plan.cache_misses"] * 20 <= first["plan.cache_misses"]
+    assert (second["plan.promotions"]
+            <= runs["sim"][1].counters["plan.promotions"])
+
+
+class _ScriptSpent(Exception):
+    """The scripted inbox has nothing left: the worker would block."""
+
+
+class _ScriptedInbox(queue.Queue):
+    """An inbox stand-in that ends the worker loop once it is spent."""
+
+    def get(self, block=True, timeout=None):
+        if block and self.empty():
+            raise _ScriptSpent
+        return super().get(block, timeout)
+
+
+def test_mp_worker_holds_frames_ahead_of_its_run():
+    """A frame a peer sends before this worker took its run item is
+    delivered in that run; a later run under the same handle builds a
+    fresh peer from the kept spec, until the handle is forgotten."""
+    from repro.distributed import mp
+
+    inboxes = {"src": queue.Queue(), "sink": _ScriptedInbox()}
+    coordinator = queue.Queue()
+    sink = inboxes["sink"]
+    sink.put((mp._MSG, "src", "ping", "early"))
+    sink.put((mp._RUN, 7, PeerSpec(_build_recorder), "src", None))
+    sink.put((mp._COLLECT,))
+    sink.put((mp._MSG, "src", "ping", "second"))
+    sink.put((mp._RUN, 7, None, "src", None))
+    sink.put((mp._COLLECT,))
+    sink.put((mp._FORGET, 7))
+    sink.put((mp._RUN, 7, None, "src", None))
+    with pytest.raises(KeyError):  # the forgotten spec is gone
+        mp._worker_loop("sink", inboxes, coordinator)
+    seen = []
+    while not coordinator.empty():
+        tag, name, facts, _counters = coordinator.get_nowait()
+        assert (tag, name) == (mp._SNAPSHOT, "sink")
+        seen.append(facts[("seen", "sink")])
+    assert seen == [[("ping", "early")], [("ping", "second")]]
+    # each run acknowledged its ping to the root
+    assert [inboxes["src"].get_nowait()[2] for _ in range(2)] == ["ds-ack"] * 2
+
+
+def test_mp_fleet_forgets_a_dead_program(figure3_oracle):
+    """The specs kept for a program's jobs go once the program dies."""
+    import gc
+
+    from repro.distributed import mp
+
+    program, edb = _figure3()
+    assert frozenset(DqsqEngine(program, edb, transport=_runtime("mp"))
+                     .query(F3_QUERY).answers) == figure3_oracle
+    handle = mp._HANDLES[program.program]
+    assert handle in mp._FLEET.kept
+    del program
+    gc.collect()
+    assert handle not in mp._FLEET.kept
+
+
+def _start_ping_to(peer, transport, *, target):
+    transport.send(peer.name, target, "ping", "x")
+
+
+def _figure3_peer_job(victim: PeerSpec) -> TransportJob:
+    """A job over Figure 3's peer names whose peer ``s`` is ``victim``."""
+    return TransportJob(
+        peers={"r": PeerSpec(_build_recorder), "s": victim,
+               "t": PeerSpec(_build_recorder)},
+        origin="r", start=functools.partial(_start_ping_to, target="s"))
+
+
+@pytest.mark.parametrize("failure", ["timeout", "interrupt", "death"])
+def test_mp_runs_after_a_failed_run(failure, figure3_oracle, monkeypatch):
+    """A run that fails on the live fleet tears it down, and the next
+    run over the same peer names answers the oracle on a fresh one."""
+    program, edb = _figure3()
+    runtime = _runtime("mp")
+    assert frozenset(DqsqEngine(program, edb, transport=runtime)
+                     .query(F3_QUERY).answers) == figure3_oracle
+    if failure == "timeout":
+        with pytest.raises(DistributedError, match="timed out"):
+            MpTransportRuntime(MpConfig(timeout=1.0)).run(
+                _figure3_peer_job(PeerSpec(_build_hanging)))
+    elif failure == "interrupt":
+        def _interrupt(*_args, **_kwargs):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MpTransportRuntime, "_await_verdict", _interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                runtime.run(_figure3_peer_job(PeerSpec(_build_hanging)))
+    else:
+        with pytest.raises(DistributedError, match="died without reporting"):
+            runtime.run(_figure3_peer_job(PeerSpec(_build_exiting)))
+    assert _no_repro_children() == []
+    result = DqsqEngine(program, edb, transport=runtime).query(F3_QUERY)
+    assert frozenset(result.answers) == figure3_oracle
+
+
+def test_mp_fleet_follows_the_peer_set():
+    """A job over other peer names leaves exactly its own workers, and
+    clearing the plan cache leaves none (a cold run stays cold)."""
+    program, edb = _figure3()
+    assert DqsqEngine(program, edb, transport=_runtime("mp")).query(
+        F3_QUERY).answers
+    assert {p.name for p in _no_repro_children()} == {
+        "repro-peer-r", "repro-peer-s", "repro-peer-t"}
+    _runtime("mp").run(_burst_job(3))
+    assert {p.name for p in _no_repro_children()} == {
+        "repro-peer-sink", "repro-peer-src"}
+    clear_plan_cache()
+    assert _no_repro_children() == []
+
+
+def test_mp_concurrent_diagnoses(e6_problem, e6_oracle):
+    """Runs from several threads (more than the host's cores, switching
+    often) share the fleet one at a time."""
+    import sys
+
+    petri, alarms = e6_problem
+    config = repro.RunConfig(transport=_runtime("mp"))
+    results: dict[int, object] = {}
+
+    def _diagnose(index: int) -> None:
+        results[index] = repro.diagnose(petri, alarms, method="dqsq",
+                                        config=config).diagnoses
+
+    threads = [threading.Thread(target=_diagnose, args=(i,))
+               for i in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == dict.fromkeys(range(3), e6_oracle)
+
+
+_PRINT_WORKERS = """
+import multiprocessing
+import repro
+from repro.diagnosis.alarms import AlarmSequence
+from repro.petri.examples import figure1_alarm_scenarios, figure1_net
+repro.diagnose(figure1_net(), AlarmSequence(figure1_alarm_scenarios()["bac"]),
+               method="dqsq", config=repro.RunConfig(transport="mp"))
+print(*(p.pid for p in multiprocessing.active_children()
+        if p.name.startswith("repro-peer-")))
+"""
+
+
+def test_mp_fleet_dies_with_its_process():
+    """The fleet outlives runs, not the process that forked it."""
+    import os
+    import subprocess
+    import sys
+    import time
+
+    done = subprocess.run(
+        [sys.executable, "-c", _PRINT_WORKERS], capture_output=True,
+        text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) == 3
+
+    def _alive(pid: int) -> bool:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+    deadline = time.monotonic() + 10.0
+    while any(map(_alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    assert not any(map(_alive, pids))
