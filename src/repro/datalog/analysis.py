@@ -533,7 +533,12 @@ def check_confluence(program: Program) -> list[Diagnostic]:
     DD703 (warning): the direct form -- a located rule negating an atom
     that lives on a remote peer.  The negation check races against the
     network delivering that peer's facts.
+
+    All three need a negated atom, so a program that negates nothing is
+    confluent without building :func:`negative_reach`.
     """
+    if not any(rule.negated for rule in program):
+        return []
     out: list[Diagnostic] = []
     negreach = negative_reach(program)
     writers: dict[RelationKey, list[Rule]] = defaultdict(list)

@@ -228,25 +228,32 @@ class Database:
     def snapshot_counts(self) -> dict[RelationKey, int]:
         return {key: len(facts) for key, facts in self._facts.items() if facts}
 
-    def copy(self) -> "Database":
-        """Bulk-copy the store (hot path in dQSQ peer setup).
+    @classmethod
+    def from_relations(cls, relations: Mapping[RelationKey, Sequence[Fact]],
+                       ) -> "Database":
+        """A store holding ``relations`` (key -> ground tuples, in order).
 
-        Facts in ``self`` are already validated ground tuples, so the
-        copy clones the ordered lists and hash sets directly instead of
-        re-validating fact-by-fact through :meth:`add`.  Lazy secondary
-        indices are not copied; they rebuild on demand.  The change log
-        is reconstructed with one entry per fact (grouped by relation),
-        which is what per-fact insertion would have produced.
+        The bulk builder: the caller vouches that every tuple is ground
+        (a store's own facts, or a remote peer's shipped over the
+        reliable transport), so each relation's set and ordered list are
+        built in one step instead of fact-by-fact through :meth:`add`.
+        Lazy secondary indices rebuild on demand.  Facts, order and the
+        change log (one entry per fact, grouped by relation) are what
+        inserting the relations one after another would have produced.
         """
-        out = Database()
-        for key, facts in self._ordered.items():
-            if not facts:
-                continue
-            out._ordered[key] = list(facts)
-            out._facts[key] = set(self._facts[key])
-            out._change_log.extend([key] * len(facts))
-        out._size = self._size
+        out = cls()
+        for key, facts in relations.items():
+            store = out._facts[key] = set(facts)
+            ordered = out._ordered[key] = (
+                list(facts) if len(store) == len(facts)
+                else list(dict.fromkeys(facts)))
+            out._change_log.extend([key] * len(ordered))
+            out._size += len(ordered)
         return out
+
+    def copy(self) -> "Database":
+        """Bulk-copy the store (see :meth:`from_relations`)."""
+        return Database.from_relations(self._ordered)
 
     def __len__(self) -> int:
         return self.total_facts()

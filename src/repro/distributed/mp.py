@@ -7,7 +7,7 @@ pickled frames over ``multiprocessing`` queues.  Local fixpoints at
 distinct peers execute genuinely in parallel -- each worker has its own
 interpreter and its own GIL.  No measurement shows that making a run
 faster: on a 2-cpu Linux host the end-to-end benchmark reads
-``fanout-mp`` about 2x *slower* than ``fanout-sim`` (see
+``fanout-mp`` about 1.35x *slower* than ``fanout-sim`` (see
 docs/transport.md for the medians).  Until a recording on real
 multi-core hardware says otherwise, mp is a conformance target (same
 answers as the simulator), not a performance feature.
@@ -34,8 +34,10 @@ Architecture
   the run after that batch.  Handlers see a :class:`_WorkerTransport`,
   which satisfies the peer-facing
   :class:`~repro.distributed.transport.Transport` protocol -- ``send``
-  puts a frame directly on the recipient worker's inbox (full mesh, no
-  router hop);
+  does the message's accounting and buffers it per (sender, recipient);
+  once the start action or a batch has run, each buffer goes as one
+  frame, in send order, directly on the recipient worker's inbox (full
+  mesh, no router hop);
 * every worker runs its *own*
   :class:`~repro.distributed.termination.DijkstraScholten` instance in
   its delivery loop -- the algorithm is naturally decentralized (a node
@@ -96,7 +98,8 @@ from repro.distributed.transport import (PeerSpec, TransportJob,
 from repro.errors import DistributedError, UnknownPeerError
 from repro.utils.counters import Counters
 
-# Control-plane tags.  Data frames are ("msg", sender, kind, payload);
+# Control-plane tags.  A data frame is ("msg", sender, [(kind, payload),
+# ...]): what one sender sent one recipient in one batch, in send order;
 # everything else is coordinator traffic on the same inbox queue, so a
 # worker needs exactly one blocking get() point.  A run item is
 # ("run", handle, spec or None, origin, start or None): the spec is
@@ -145,11 +148,12 @@ class _WorkerTransport:
         self.inboxes = inboxes
         self.detector = detector
         self.counters = Counters()
+        #: (sender, recipient) -> (kind, payload) sent since the last flush
+        self.pending: dict[tuple[str, str], list[tuple[str, Any]]] = {}
 
     def send(self, sender: str, recipient: str, kind: str,
              payload: Any) -> None:
-        inbox = self.inboxes.get(recipient)
-        if inbox is None:
+        if recipient not in self.inboxes:
             raise UnknownPeerError(f"unknown peer {recipient}")
         if kind != ACK_KIND:
             self.detector.on_basic_send(sender)
@@ -157,7 +161,14 @@ class _WorkerTransport:
         self.counters.add(f"messages_sent[{kind}]")
         if kind == ACK_KIND:
             self.counters.add("messages_acked", payload)
-        inbox.put((_MSG, sender, kind, payload))
+        self.pending.setdefault((sender, recipient), []).append((kind, payload))
+
+    def flush(self) -> None:
+        """Put each channel's buffered messages on its inbox as one frame."""
+        for (sender, recipient), messages in self.pending.items():
+            self.inboxes[recipient].put((_MSG, sender, messages))
+            self.counters.add("frames_sent")
+        self.pending = {}
 
 
 def _snapshot_database(peer: Any) -> dict[RelationKey, list[Fact]] | None:
@@ -213,6 +224,7 @@ def _serve(name: str, spec: PeerSpec, origin: str,
     peer = spec.build(name)
     if start is not None:
         detector.start(lambda: start(peer, transport), transport)
+        transport.flush()
     reported = False
     inbox = inboxes[name]
     frames = early
@@ -236,11 +248,13 @@ def _serve(name: str, spec: PeerSpec, origin: str,
         if frames:
             batch = [(Message(sender=sender, recipient=name, kind=kind,
                               payload=payload), False)
-                     for _tag, sender, kind, payload in frames]
+                     for _tag, sender, messages in frames
+                     for kind, payload in messages]
             frames = []
             transport.counters.add("messages_delivered", len(batch))
             transport.counters.add("batches_delivered")
             detector.deliver(peer, name, batch, transport)
+            transport.flush()
         if item is None:
             continue
         if item[0] != _COLLECT:  # pragma: no cover - defensive
@@ -459,10 +473,7 @@ class MpTransportRuntime:
         for name in names:
             facts, peer_counters = snapshots[name]
             if facts is not None:
-                db = Database()
-                for key, tuples in facts.items():
-                    db.add_all(key, tuples, assume_ground=True)
-                databases[name] = db
+                databases[name] = Database.from_relations(facts)
             per_peer[name] = peer_counters
             deliveries += peer_counters["messages_delivered"]
         counters.set_max("mp.deliveries", deliveries)

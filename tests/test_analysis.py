@@ -404,3 +404,16 @@ class TestAnalyzerRaceCodes:
         report = analyze(parse_program(FIGURE3_TEXT))
         codes = {d.code for d in report.diagnostics}
         assert not codes & {"DD701", "DD702", "DD703"}
+
+    def test_positive_program_skips_the_reach_closure(self, monkeypatch):
+        """DD701-DD703 all need a negated atom: a program that negates
+        nothing is confluent before any closure is built."""
+        from repro.datalog import analysis
+
+        def unreachable(program):
+            raise AssertionError("negative_reach built for a positive program")
+
+        monkeypatch.setattr(analysis, "negative_reach", unreachable)
+        assert analysis.check_confluence(parse_program(FIGURE3_TEXT)) == []
+        with pytest.raises(AssertionError):
+            analysis.check_confluence(parse_program(RACY_TEXT, check=False))

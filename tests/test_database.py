@@ -127,3 +127,44 @@ class TestMisc:
         db = Database()
         added = db.add_all(KEY, [(c(1),), (c(2),), (c(1),)])
         assert added == 2
+
+
+class TestFromRelations:
+    R, S, E = ("r", "p"), ("s", None), ("e", "q")
+
+    def _both(self, relations):
+        """The bulk-built store and one built by add_all, relation by relation."""
+        built = Database()
+        for key, facts in relations.items():
+            built.add_all(key, facts, assume_ground=True)
+        return Database.from_relations(relations), built
+
+    def test_matches_an_add_all_built_store(self):
+        bulk, built = self._both({
+            self.R: [(c("a"), c("b")), (c("b"), c("c")), (c("a"), c("c"))],
+            self.S: [(Func("f", [c("a")]),)],
+            self.E: []})
+        for key in (self.R, self.S, self.E):
+            assert list(bulk.facts(key)) == list(built.facts(key))
+        assert set(bulk.relations()) == set(built.relations())
+        assert list(bulk.change_log()) == list(built.change_log())
+        assert bulk.total_facts() == built.total_facts() == 4
+        probes = [((0,), (c("a"),)), ((1,), (c("c"),)),
+                  ((0, 1), (c("b"), c("c"))), ((0,), (c("z"),))]
+        for positions, values in probes:
+            assert (bulk.index_lookup(self.R, positions, values)
+                    == built.index_lookup(self.R, positions, values))
+        # the indices the probes built keep up with later inserts
+        for db in (bulk, built):
+            assert db.add(self.R, (c("a"), c("d")))
+            assert not db.add(self.R, (c("a"), c("b")))
+        assert (bulk.index_lookup(self.R, (0,), (c("a"),))
+                == built.index_lookup(self.R, (0,), (c("a"),)))
+        assert list(bulk.change_log()) == list(built.change_log())
+
+    def test_a_repeated_fact_is_kept_once_where_it_first_came(self):
+        bulk, built = self._both({self.R: [(c(2),), (c(1),), (c(2),)]})
+        assert list(bulk.facts(self.R)) == list(built.facts(self.R)) \
+            == [(c(2),), (c(1),)]
+        assert list(bulk.change_log()) == list(built.change_log())
+        assert bulk.total_facts() == built.total_facts() == 2

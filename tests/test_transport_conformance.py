@@ -602,10 +602,10 @@ def test_mp_worker_holds_frames_ahead_of_its_run():
     inboxes = {"src": queue.Queue(), "sink": _ScriptedInbox()}
     coordinator = queue.Queue()
     sink = inboxes["sink"]
-    sink.put((mp._MSG, "src", "ping", "early"))
+    sink.put((mp._MSG, "src", [("ping", "early")]))
     sink.put((mp._RUN, 7, PeerSpec(_build_recorder), "src", None))
     sink.put((mp._COLLECT,))
-    sink.put((mp._MSG, "src", "ping", "second"))
+    sink.put((mp._MSG, "src", [("ping", "second")]))
     sink.put((mp._RUN, 7, None, "src", None))
     sink.put((mp._COLLECT,))
     sink.put((mp._FORGET, 7))
@@ -619,7 +619,50 @@ def test_mp_worker_holds_frames_ahead_of_its_run():
         seen.append(facts[("seen", "sink")])
     assert seen == [[("ping", "early")], [("ping", "second")]]
     # each run acknowledged its ping to the root
-    assert [inboxes["src"].get_nowait()[2] for _ in range(2)] == ["ds-ack"] * 2
+    assert [inboxes["src"].get_nowait()[2][0][0]
+            for _ in range(2)] == ["ds-ack"] * 2
+
+
+class _FanoutPeer(_RecorderPeer):
+    """Answers each batch with three pings to ``a`` and one to ``b``."""
+
+    def on_messages(self, batch, transport) -> None:
+        super().on_messages(batch, transport)
+        for i in (1, 2, 3):
+            transport.send(self.name, "a", "ping", i)
+        transport.send(self.name, "b", "ping", 4)
+
+
+def test_mp_worker_sends_one_frame_per_recipient_per_batch():
+    """What one batch sends a recipient is one queue item, in send
+    order."""
+    from repro.distributed import mp
+
+    inboxes = {"p": _ScriptedInbox(), "src": queue.Queue(),
+               "a": queue.Queue(), "b": queue.Queue()}
+    coordinator = queue.Queue()
+    inboxes["p"].put((mp._MSG, "src", [("go", "x")]))
+    inboxes["p"].put((mp._RUN, None, PeerSpec(_FanoutPeer), "src", None))
+    inboxes["p"].put((mp._COLLECT,))
+    with pytest.raises(_ScriptSpent):
+        mp._worker_loop("p", inboxes, coordinator)
+    assert inboxes["a"].get_nowait() == (
+        mp._MSG, "p", [("ping", 1), ("ping", 2), ("ping", 3)])
+    assert inboxes["b"].get_nowait() == (mp._MSG, "p", [("ping", 4)])
+    assert inboxes["a"].empty() and inboxes["b"].empty()
+    _tag, _name, _facts, counters = coordinator.get_nowait()
+    assert (counters["messages_sent"], counters["frames_sent"]) == (4, 2)
+
+
+def test_mp_diagnosis_counts_frames(e6_problem, e6_oracle):
+    """An mp diagnosis answers the oracle and puts no more frames on
+    the queues than it sends messages."""
+    petri, alarms = e6_problem
+    result = repro.diagnose(petri, alarms, method="dqsq",
+                            config=repro.RunConfig(transport=_runtime("mp")))
+    assert result.diagnoses == e6_oracle
+    counters = result.counters
+    assert 0 < counters["frames_sent"] <= counters["messages_sent"]
 
 
 def test_mp_fleet_forgets_a_dead_program(figure3_oracle):
